@@ -13,6 +13,7 @@ case instead of raising, so batch runs keep going.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,6 @@ from .errors import (
 from .geometry import POSITIVE, pseudo_orthonormalize
 from .sampling import (
     SamplerConfig,
-    complex_normal,
     flag_from_basis,
     instance_rng,
     restricted_cone_samples,
@@ -54,8 +54,6 @@ from .spectral import (
 DEFAULT_TOL = 1e-8
 EQUALITY_TOL = 1e-9
 TUPLE_LIMIT = 200
-#: full tuple enumeration is used when the block size stays at or below this
-ENUMERATION_BOUND = 4
 
 
 @dataclass(frozen=True)
@@ -205,13 +203,14 @@ def _inadmissible_sum_report(name: str, sig: Signature, descriptor: dict, tol: f
 def lambda_index_tuples(upper: int, max_size: int | None = None, *, limit: int = TUPLE_LIMIT, rng=None):
     """Strictly increasing 1-based tuples bounded by ``upper``.
 
-    Full enumeration up to ENUMERATION_BOUND; beyond that a seeded random
-    subset of at most ``limit`` tuples, returned in sorted order.
+    All of them, by size and then lexicographically, when there are at most
+    ``limit`` (sum over m of C(upper, m)); beyond that a seeded random subset
+    of at most ``limit`` tuples, returned in sorted order.
     """
     if upper < 1:
         return []
     mmax = min(max_size or upper, upper)
-    if upper <= ENUMERATION_BOUND:
+    if sum(math.comb(upper, m) for m in range(1, mmax + 1)) <= limit:
         out = []
         for m in range(1, mmax + 1):
             out.extend(itertools.combinations(range(1, upper + 1), m))
@@ -227,15 +226,30 @@ def lambda_index_tuples(upper: int, max_size: int | None = None, *, limit: int =
     return sorted(seen)
 
 
+def _thompson_freede_count(p: int) -> int:
+    """Number of pairs thompson_freede_pairs(p) admits.
+
+    C(a - 1, m - 1) size-m tuples end in a, so the count is the sum over m
+    and over last entries a + b <= m + p of the product of two such terms.
+    """
+    return sum(
+        math.comb(a - 1, m - 1) * math.comb(b - 1, m - 1)
+        for m in range(1, p + 1)
+        for a in range(m, p + 1)
+        for b in range(m, min(p, m + p - a) + 1)
+    )
+
+
 def thompson_freede_pairs(p: int, *, limit: int = TUPLE_LIMIT, rng=None):
     """Pairs (i, j) of same-size tuples with i[-1] + j[-1] <= m + p.
 
     The constraint makes every combined index i_h + j_h - h a valid, strictly
-    increasing position in [1, p].
+    increasing position in [1, p].  All pairs when there are at most
+    ``limit``; beyond that a seeded random subset of ``limit`` pairs, sorted.
     """
     if p < 1:
         return []
-    if p <= ENUMERATION_BOUND:
+    if _thompson_freede_count(p) <= limit:
         out = []
         for m in range(1, p + 1):
             combos = list(itertools.combinations(range(1, p + 1), m))
@@ -414,11 +428,9 @@ def check_courant_fischer(
     cases = []
     for k in range(1, sig.p + 1):
         lam_k = float(spec.lambdas[k - 1])
-        worst_top = np.inf
-        for _ in range(n_subspaces):
-            basis = sample_positive_subspace(sig, k, cfg, rng)
-            frame = pseudo_orthonormalize(basis, sig, POSITIVE)
-            worst_top = min(worst_top, float(compress(A, frame).etas[-1]))
+        bases = sample_positive_subspace(sig, k, cfg, rng, count=n_subspaces)
+        frames = pseudo_orthonormalize(bases, sig, POSITIVE)
+        worst_top = float(np.min(compress(A, frames).etas[:, -1], initial=np.inf))
         cases.append(
             make_case(f"minmax_sampled:{k}", (k,), worst_top, lam_k, worst_top - lam_k, tol)
         )
@@ -464,11 +476,10 @@ def check_ky_fan(
     spec = check_admissible(A)
     system = eigendecompose(A)
     target = float(np.sum(spec.lambdas[:k]))
-    worst = np.inf
-    for _ in range(n_frames):
-        basis = sample_positive_subspace(sig, k, cfg, rng)
-        frame = pseudo_orthonormalize(basis, sig, POSITIVE)
-        worst = min(worst, float(np.trace(compress(A, frame).compressed).real))
+    bases = sample_positive_subspace(sig, k, cfg, rng, count=n_frames)
+    frames = pseudo_orthonormalize(bases, sig, POSITIVE)
+    traces = np.trace(compress(A, frames).compressed, axis1=-2, axis2=-1).real
+    worst = float(np.min(traces, initial=np.inf))
     cases = [
         make_case(f"partial_sum_sampled:{k}", tuple(range(1, k + 1)), worst, target, worst - target, tol)
     ]
@@ -491,10 +502,13 @@ def check_ky_fan(
 # flag compressions
 
 
-def _frame_trace(entries: np.ndarray, sig: Signature, vectors: np.ndarray) -> float:
-    """Sum of Rayleigh ratios of pseudo-orthonormal columns (= compression trace)."""
+def _frame_trace(entries: np.ndarray, sig: Signature, vectors: np.ndarray) -> np.ndarray:
+    """Sum of Rayleigh ratios of pseudo-orthonormal columns (= compression trace).
+
+    A stack of frames (..., n, k) gives the array of their traces.
+    """
     jd = metric_diagonal(sig)
-    return float(np.einsum("ij,ij->", vectors.conj(), jd[:, None] * (entries @ vectors)).real)
+    return np.einsum("...ij,...ij->...", vectors.conj(), jd[:, None] * (entries @ vectors)).real
 
 
 def _orth(B: np.ndarray) -> np.ndarray:
@@ -611,7 +625,7 @@ def _ascend_subordinate(
     X = [frame0.vectors[:, j].copy() for j in range(m)]
 
     def trace_now() -> float:
-        return _frame_trace(entries, sig, np.column_stack(X))
+        return float(_frame_trace(entries, sig, np.column_stack(X)))
 
     obj = trace_now()
     converged = False
@@ -705,10 +719,8 @@ def check_wielandt_flag(
     cases = []
     notes = []
 
-    highest = -np.inf
-    for _ in range(n_flags * n_tuples):
-        frame = subordinate_frame(eigenflag, cfg, rng)
-        highest = max(highest, _frame_trace(A.entries, sig, frame.vectors))
+    frames = subordinate_frame(eigenflag, cfg, rng, count=n_flags * n_tuples)
+    highest = float(np.max(_frame_trace(A.entries, sig, frames.vectors), initial=-np.inf))
     if np.isfinite(highest):
         cases.append(
             make_case("eigenflag_max", idx, highest, target, target - highest, tol)
@@ -722,12 +734,11 @@ def check_wielandt_flag(
     cases.append(make_case("eigenflag_witness_etas", idx, eta_dev, 0.0, -eta_dev, equality_tol))
 
     width = max(idx[-1], sig.p - 1) if sig.p >= 2 else idx[-1]
-    interlace_worst = np.inf
     soft_cases = []
     nonconverged = 0
+    bases = sample_positive_subspace(sig, width, cfg, rng, count=n_ascent)
     for f in range(n_ascent):
-        basis = sample_positive_subspace(sig, width, cfg, rng)
-        flag = flag_from_basis(sig, idx, basis)
+        flag = flag_from_basis(sig, idx, bases[f])
         starts = [subordinate_frame(flag, cfg, rng)]
         try:
             starts.insert(0, _witness_subordinate(A.entries, sig, flag))
@@ -748,13 +759,10 @@ def check_wielandt_flag(
         soft_cases.append(
             make_case(f"ascent:{f}", idx, achieved, target, achieved - target, soft_gap)
         )
-        if sig.p >= 2:
-            fr = pseudo_orthonormalize(basis[:, : sig.p - 1], sig, POSITIVE)
-            xi = compress(A, fr).etas
-            interlace_worst = min(
-                interlace_worst, float(np.min(xi - spec.lambdas[: sig.p - 1]))
-            )
     if sig.p >= 2 and n_ascent > 0:
+        frames = pseudo_orthonormalize(bases[:, :, : sig.p - 1], sig, POSITIVE)
+        xi = compress(A, frames).etas
+        interlace_worst = float(np.min(xi - spec.lambdas[: sig.p - 1]))
         cases.append(
             make_case(
                 "interlace_min",

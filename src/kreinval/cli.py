@@ -57,6 +57,8 @@ SUITES = (
 )
 #: suites whose checks consume a second sampled matrix
 PAIR_SUITES = frozenset({"trace", "weyl", "lidskii", "thompson_freede", "polyhedral"})
+#: suites whose checks draw random numbers, each from its own stream
+RANDOM_SUITES = frozenset({"lidskii", "thompson_freede", "courant_fischer", "ky_fan", "wielandt"})
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,12 @@ def config_echo(cfg: SuiteConfig) -> dict:
 
 
 def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
-    """All selected checks for one seeded instance, in a fixed suite order."""
+    """All selected checks for one seeded instance, in a fixed suite order.
+
+    A and B come from the instance stream (seed, index).  Each suite draws
+    from its own stream (seed, index, position of the suite in SUITES), so a
+    suite's reports do not depend on which other suites are selected.
+    """
     sig = Signature(cfg.p, cfg.q)
     scfg = cfg.sampler()
     rng = instance_rng(cfg.seed, index)
@@ -152,6 +159,7 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
 
     reports: list[CheckReport] = []
     for suite in cfg.suites:
+        rng = instance_rng(cfg.seed, index, SUITES.index(suite)) if suite in RANDOM_SUITES else None
         if suite == "structural":
             recovered = check_admissible(A)
             err = 0.0

@@ -12,6 +12,7 @@ well-formed inputs.  All instances are immutable values.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,16 @@ class Signature:
         return self.p + self.q
 
 
+@functools.lru_cache(maxsize=64)
 def metric_diagonal(sig: Signature) -> np.ndarray:
-    """Diagonal of the metric: p ones followed by q minus-ones."""
-    return np.concatenate([np.ones(sig.p), -np.ones(sig.q)])
+    """Diagonal of the metric: p ones followed by q minus-ones.
+
+    Cached per signature, because every pairing and Gram product needs it;
+    the array is read-only since every caller shares it.
+    """
+    jd = np.concatenate([np.ones(sig.p), -np.ones(sig.q)])
+    jd.flags.writeable = False
+    return jd
 
 
 def build_metric(sig: Signature) -> np.ndarray:

@@ -26,7 +26,15 @@ from .core import (
     validate_pseudo_unitary,
 )
 from .errors import NullDegeneracy, RetriesExhausted, ShapeMismatch
-from .geometry import POSITIVE, PseudoOrthonormalFrame, metric_diagonal, subspace_in_positive_cone
+from .geometry import (
+    POSITIVE,
+    TOL_FRAME,
+    TOL_NULL_REL,
+    PseudoOrthonormalFrame,
+    _checked_frame,
+    _cholesky_frames,
+    subspace_in_positive_cone,
+)
 
 #: tolerance used to self-check sampled pseudo-unitaries
 SAMPLE_UNITARY_TOL = 1e-9
@@ -69,15 +77,19 @@ class SamplerConfig:
             raise ValueError("max_retries must be >= 1")
 
 
-def instance_rng(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent stream for one instance, derived from (seed, index)."""
-    ss = np.random.SeedSequence(entropy=int(seed) % 2**64, spawn_key=(int(index),))
+def instance_rng(seed: int, index: int = 0, *subkeys: int) -> np.random.Generator:
+    """Independent stream for one instance, derived from (seed, index).
+
+    Extra ``subkeys`` derive further independent streams of the same instance,
+    such as one per check suite.
+    """
+    key = (int(index), *(int(k) for k in subkeys))
+    ss = np.random.SeedSequence(entropy=int(seed) % 2**64, spawn_key=key)
     return np.random.default_rng(ss)
 
 
-def complex_normal(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
-    """Standard complex Gaussian array (variance 1 per complex entry)."""
-    shape = (rows,) if cols is None else (rows, cols)
+def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Standard complex Gaussian array of the given shape (variance 1 per complex entry)."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
@@ -161,6 +173,7 @@ def sample_positive_subspace(
     rng: np.random.Generator,
     *,
     rotate: bool = False,
+    count: int | None = None,
 ) -> np.ndarray:
     """Basis (columns) of a k-dimensional subspace inside the positive cone.
 
@@ -168,24 +181,29 @@ def sample_positive_subspace(
     q x p contraction, so the raw Gram is Q* (I - K* K) Q and its spectrum is
     bounded below by 1 - contraction_cap^2.  With ``rotate`` the basis is
     pushed by a sampled pseudo-unitary, which preserves positivity.
+
+    With ``count`` the result is a stack (count, n, k) of independent
+    samples, drawn with one batched QR and one batched spectral norm and
+    checked with one batched positivity margin; without it, the single
+    basis is the first sample of a stack of one.
     """
     if not 1 <= k <= sig.p:
         raise ShapeMismatch(f"positive subspaces need 1 <= k <= p = {sig.p}, got k = {k}")
-    Q = np.linalg.qr(complex_normal(rng, sig.p, k))[0]
+    N = 1 if count is None else int(count)
+    Q = np.linalg.qr(complex_normal(rng, N, sig.p, k))[0]
     if sig.q:
-        K = complex_normal(rng, sig.q, sig.p)
-        kn = np.linalg.norm(K, 2)
-        cap = rng.uniform(0.0, cfg.contraction_cap)
-        if kn > 0:
-            K = K * (cap / kn)
-        basis = np.vstack([Q, K @ Q])
+        K = complex_normal(rng, N, sig.q, sig.p)
+        kn = np.linalg.norm(K, 2, axis=(-2, -1))
+        cap = rng.uniform(0.0, cfg.contraction_cap, N)
+        K = K * (cap / np.where(kn > 0, kn, 1.0))[:, None, None]
+        basis = np.concatenate([Q, K @ Q], axis=-2)
     else:
         basis = Q
     if rotate:
-        basis = sample_pseudo_unitary(sig, cfg, rng).entries @ basis
+        basis = np.stack([sample_pseudo_unitary(sig, cfg, rng).entries for _ in range(N)]) @ basis
     if not subspace_in_positive_cone(basis, sig):
         raise NullDegeneracy("sampled graph subspace failed the positivity margin")
-    return basis
+    return basis if count is not None else basis[0]
 
 
 def restricted_cone_samples(
@@ -263,33 +281,44 @@ class PositiveFlag:
 
 
 def subordinate_frame(
-    flag: PositiveFlag, cfg: SamplerConfig, rng: np.random.Generator
+    flag: PositiveFlag,
+    cfg: SamplerConfig,
+    rng: np.random.Generator,
+    *,
+    count: int | None = None,
 ) -> PseudoOrthonormalFrame:
     """Random pseudo-orthonormal frame with the j-th vector inside level j.
 
-    Vectors are drawn level by level and cleaned against the earlier ones;
-    because earlier levels nest inside later ones this preserves membership.
-    Near-null pivots trigger a bounded resample of the offending vector.
+    One random vector is drawn per level and the columns are
+    pseudo-orthonormalized by the Cholesky kernel; column j of X L^-H only
+    combines columns <= j, and earlier levels nest inside later ones, so
+    membership is preserved.  A column whose pivot is near-null (or of the
+    wrong sign) is redrawn, at most ``cfg.max_retries`` draws per vector.
+
+    With ``count`` the frame holds a stack (count, n, m) of independent
+    frames; without it, the single frame is the first of a stack of one.
     """
     sig = flag.signature
-    jd = metric_diagonal(sig)
-    accepted: list[np.ndarray] = []
-    for basis in flag.levels:
-        for attempt in range(cfg.max_retries):
-            v = basis @ complex_normal(rng, basis.shape[1])
-            for _ in range(2):
-                for x in accepted:
-                    v = v - np.sum(jd * v * x.conj()) * x
-            s = float(np.sum(jd * v * v.conj()).real)
-            scale = float(np.vdot(v, v).real)
-            if scale > 0 and s > 1e-9 * scale:
-                accepted.append(v / np.sqrt(s))
-                break
-        else:
+    N = 1 if count is None else int(count)
+    dims = [basis.shape[1] for basis in flag.levels]
+    coeffs = [complex_normal(rng, N, d) for d in dims]
+    draws = np.ones((N, len(dims)), dtype=int)
+    while True:
+        X = np.stack([c @ basis.T for c, basis in zip(coeffs, flag.levels)], axis=-1)
+        F, _, _, first_bad = _cholesky_frames(X, sig, 1.0, TOL_NULL_REL)
+        redo = np.flatnonzero(first_bad < len(dims))
+        if redo.size == 0:
+            break
+        cols = first_bad[redo]
+        if np.any(draws[redo, cols] >= cfg.max_retries):
             raise NullDegeneracy(
                 f"could not draw a well-paired vector in {cfg.max_retries} attempts"
             )
-    return PseudoOrthonormalFrame(sig, np.column_stack(accepted), POSITIVE)
+        draws[redo, cols] += 1
+        for j in np.unique(cols):
+            rows = redo[cols == j]
+            coeffs[j][rows] = complex_normal(rng, rows.size, dims[j])
+    return _checked_frame(F if count is not None else F[0], sig, POSITIVE, TOL_NULL_REL, TOL_FRAME)
 
 
 def flag_from_basis(sig: Signature, index_tuple, basis: np.ndarray) -> PositiveFlag:

@@ -237,7 +237,10 @@ def eigenvector_frame(system: ClassifiedEigenSystem, indices) -> PseudoOrthonorm
 
 @dataclass(frozen=True)
 class CompressionResult:
-    """A compression of A onto a positive frame, with its real spectrum."""
+    """A compression of A onto a positive frame, with its real spectrum.
+
+    For a stacked frame, ``compressed`` is (..., k, k) and ``etas`` (..., k).
+    """
 
     frame: PseudoOrthonormalFrame
     compressed: np.ndarray
@@ -249,7 +252,9 @@ def compress(A: PseudoHermitianMatrix, frame: PseudoOrthonormalFrame) -> Compres
 
     The compressed matrix has entries m[k, j] = <A x_j, x_k>.  It is Hermitian
     because J A is, so its eigenvalues (returned ascending) are real; its
-    trace equals the sum of the Rayleigh ratios of the frame vectors.
+    trace equals the sum of the Rayleigh ratios of the frame vectors.  A
+    stacked frame is compressed with one batched product and one batched
+    eigvalsh.
     """
     if frame.orientation != POSITIVE:
         raise OrientationMismatch("compression is defined on positive frames")
@@ -257,7 +262,7 @@ def compress(A: PseudoHermitianMatrix, frame: PseudoOrthonormalFrame) -> Compres
         raise ValueError("frame and matrix must share a signature")
     X = frame.vectors
     jd = metric_diagonal(A.signature)
-    M = X.conj().T @ (jd[:, None] * (A.entries @ X))
-    M = 0.5 * (M + M.conj().T)
+    M = np.swapaxes(X, -1, -2).conj() @ (jd[:, None] * (A.entries @ X))
+    M = 0.5 * (M + np.swapaxes(M, -1, -2).conj())
     etas = np.linalg.eigvalsh(M)
     return CompressionResult(frame=frame, compressed=M, etas=etas)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,28 @@ def test_index_tuple_enumeration():
     subset = lambda_index_tuples(6, rng=np.random.default_rng(0), limit=10)
     assert len(subset) == 10
     assert all(all(a < b for a, b in zip(t, t[1:])) for t in subset)
+
+
+def test_enumeration_whenever_the_count_fits_the_limit():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    tuples = lambda_index_tuples(5, rng=rng)
+    expected = [t for m in range(1, 6) for t in itertools.combinations(range(1, 6), m)]
+    assert tuples == expected and len(tuples) == 31
+    pairs = thompson_freede_pairs(5, rng=rng)
+    brute = sorted(
+        (i, j)
+        for m in range(1, 6)
+        for i in itertools.combinations(range(1, 6), m)
+        for j in itertools.combinations(range(1, 6), m)
+        if i[-1] + j[-1] <= m + 5
+    )
+    assert sorted(pairs) == brute and len(pairs) == 88
+    assert rng.bit_generator.state == state
+    # 232 pairs exist at p = 6, more than the limit, so a subset is sampled
+    sampled = thompson_freede_pairs(6, rng=rng)
+    assert len(sampled) == 200 and len(set(sampled)) == 200
+    assert all(i[-1] + j[-1] <= len(i) + 6 for i, j in sampled)
 
 
 def test_thompson_freede_pair_constraint():

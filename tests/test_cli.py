@@ -109,6 +109,14 @@ class TestRunner:
         assert {"structural", "trace", "weyl", "lidskii", "thompson_freede"} <= names
         assert {"courant_fischer", "ky_fan", "wielandt", "polyhedral_diag"} <= names
 
+    def test_each_suite_alone_reproduces_its_reports(self):
+        full = run_instance(SuiteConfig(p=3, q=2, seed=0), 0)
+        for suite in SUITES:
+            alone = run_instance(SuiteConfig(p=3, q=2, seed=0, suites=(suite,)), 0)
+            names = {r.check_name for r in alone}
+            expected = [r.to_dict() for r in full if r.check_name in names]
+            assert [r.to_dict() for r in alone] == expected, suite
+
     def test_exit_codes(self, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
         rc = main(["--p", "1", "--q", "1", "--instances", "1", "--seed", "4",

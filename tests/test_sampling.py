@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from kreinval import (
+    NullDegeneracy,
     SamplerConfig,
     Signature,
     check_admissible,
@@ -16,10 +17,11 @@ from kreinval import (
     sample_positive_subspace,
     sample_pseudo_unitary,
     sample_spectrum,
+    subordinate_frame,
     subspace_in_positive_cone,
 )
 from kreinval.geometry import gram, pair
-from kreinval.sampling import restricted_cone_samples
+from kreinval.sampling import flag_from_basis, restricted_cone_samples
 
 SEED = 808
 
@@ -106,6 +108,62 @@ def test_positive_subspaces_stay_positive(signature, sampler_cfg):
             assert subspace_in_positive_cone(basis, signature)
         rotated = sample_positive_subspace(signature, k, sampler_cfg, rng, rotate=True)
         assert subspace_in_positive_cone(rotated, signature)
+
+
+def test_batched_subspaces_stay_positive_and_single_is_first_of_one(signature, sampler_cfg):
+    for k in range(1, signature.p + 1):
+        rng = instance_rng(SEED, 14)
+        stack = sample_positive_subspace(signature, k, sampler_cfg, rng, count=50)
+        assert stack.shape == (50, signature.n, k)
+        for basis in stack:
+            assert subspace_in_positive_cone(basis, signature)
+        single = sample_positive_subspace(signature, k, sampler_cfg, instance_rng(SEED, 14))
+        first = sample_positive_subspace(signature, k, sampler_cfg, instance_rng(SEED, 14), count=1)
+        assert np.array_equal(single, first[0])
+
+
+def test_batched_subordinate_frames_lie_in_their_levels(signature, sampler_cfg):
+    idx = tuple(range(1, signature.p + 1))
+    rng = instance_rng(SEED, 15)
+    basis = sample_positive_subspace(signature, signature.p, sampler_cfg, rng)
+    flag = flag_from_basis(signature, idx, basis)
+    frames = subordinate_frame(flag, sampler_cfg, rng, count=30)
+    assert frames.vectors.shape == (30, signature.n, len(idx))
+    for F in frames.vectors:
+        assert np.allclose(gram(F, signature), np.eye(len(idx)), atol=1e-8)
+        for j, level in enumerate(flag.levels):
+            coeffs, *_ = np.linalg.lstsq(level, F[:, j], rcond=None)
+            assert np.linalg.norm(level @ coeffs - F[:, j]) < 1e-8
+
+
+class ZeroDraws:
+    """Generator stand-in whose listed standard_normal calls (1-based) return zeros."""
+
+    def __init__(self, zero_calls, seed):
+        self.rng = np.random.default_rng(seed)
+        self.zero = set(zero_calls)
+        self.calls = 0
+
+    def standard_normal(self, shape):
+        self.calls += 1
+        out = self.rng.standard_normal(shape)
+        return np.zeros(shape) if self.calls in self.zero else out
+
+
+def test_subordinate_frame_redraws_a_null_vector_within_its_budget():
+    sig = Signature(3, 1)
+    cfg = SamplerConfig(seed=1)
+    basis = sample_positive_subspace(sig, 3, cfg, instance_rng(SEED, 16))
+    flag = flag_from_basis(sig, (1, 3), basis)
+    # calls 3 and 4 draw the level-2 coefficients: a zero vector has a null pivot
+    rng = ZeroDraws({3, 4}, SEED)
+    frame = subordinate_frame(flag, cfg, rng)
+    assert rng.calls == 6
+    assert np.allclose(gram(frame.vectors, sig), np.eye(2), atol=1e-8)
+    coeffs, *_ = np.linalg.lstsq(flag.levels[0], frame.vectors[:, 0], rcond=None)
+    assert np.linalg.norm(flag.levels[0] @ coeffs - frame.vectors[:, 0]) < 1e-8
+    with pytest.raises(NullDegeneracy):
+        subordinate_frame(flag, SamplerConfig(max_retries=1), ZeroDraws({3, 4}, SEED))
 
 
 def test_restricted_samples_sit_in_positive_cone(sampler_cfg):
