@@ -441,7 +441,7 @@ def check_courant_fischer(
         )
         X = restricted_cone_samples(pos[:, k - 1 :], neg, n_subspaces, rng)
         ratios = rayleigh_columns(A.entries, sig, X)
-        low = float(np.min(ratios))
+        low = float(np.min(ratios, initial=np.inf))
         cases.append(make_case(f"restricted_sampled:{k}", (k,), low, lam_k, low - lam_k, tol))
         vk = pos[:, k - 1]
         rk = rayleigh_columns(A.entries, sig, vk[:, None])[0]

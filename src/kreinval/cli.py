@@ -3,9 +3,10 @@
 Config values come from defaults, then an optional JSON config file, then
 command-line flags (flags win).  The seed falls back to the KREINVAL_SEED
 environment variable when neither flags nor file provide one.  Exit status is
-0 on success, 1 when any hard check fails or the soft success rate drops
-below the threshold, 2 on configuration errors (in which case no files are
-written).
+0 on success, 1 when any hard check fails, an instance raises, or the soft
+success rate drops below the threshold, 2 on configuration errors (in which
+case no files are written).  An instance that raises gets an error record
+and the run goes on.
 """
 
 from __future__ import annotations
@@ -253,6 +254,7 @@ class RunSummary:
     suites: dict[str, SuiteAggregate] = field(default_factory=dict)
     passed: bool = True
     wall_time: float = 0.0
+    errors: list[dict] = field(default_factory=list)
 
     def absorb(self, reports: list[CheckReport], soft_threshold: float) -> None:
         for rep in reports:
@@ -274,6 +276,25 @@ class RunSummary:
         }
 
 
+def _record_instance(summary: RunSummary, writer, cfg: SuiteConfig, index: int, call) -> None:
+    """Absorb and write the reports ``call()`` returns for one instance, or its error record.
+
+    An instance that raises fails the run but does not end it, so the report
+    still gets every other instance and its summary.
+    """
+    try:
+        reports = call()
+    except (KreinvalError, np.linalg.LinAlgError) as exc:
+        summary.errors.append({"instance": index, "error": type(exc).__name__, "message": str(exc)})
+        summary.passed = False
+        if writer:
+            writer.write_error(index, type(exc).__name__, str(exc))
+        return
+    summary.absorb(reports, cfg.soft_threshold)
+    if writer:
+        writer.write_instance(index, reports)
+
+
 def run_suite(cfg: SuiteConfig) -> RunSummary:
     """Run all instances, streaming per-instance reports when an output is set."""
     validate_config(cfg)
@@ -291,16 +312,10 @@ def run_suite(cfg: SuiteConfig) -> RunSummary:
             with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
                 futures = {i: pool.submit(run_instance, cfg, i) for i in range(cfg.instances)}
                 for i in range(cfg.instances):  # deterministic merge by index
-                    reports = futures[i].result()
-                    summary.absorb(reports, cfg.soft_threshold)
-                    if writer:
-                        writer.write_instance(i, reports)
+                    _record_instance(summary, writer, cfg, i, futures[i].result)
         else:
             for i in range(cfg.instances):
-                reports = run_instance(cfg, i)
-                summary.absorb(reports, cfg.soft_threshold)
-                if writer:
-                    writer.write_instance(i, reports)
+                _record_instance(summary, writer, cfg, i, lambda: run_instance(cfg, i))
         summary.wall_time = time.perf_counter() - start
         if writer:
             writer.write_summary(summary.to_dict())
@@ -416,6 +431,8 @@ def main(argv=None) -> int:
     except KreinvalError as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    for err in summary.errors:
+        print(f"instance {err['instance']} raised {err['error']}: {err['message']}", file=sys.stderr)
     for name, agg in sorted(summary.suites.items()):
         line = f"{name:18s} cases {agg.passes}/{agg.cases}"
         if agg.worst_margin is not None:

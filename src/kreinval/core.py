@@ -193,11 +193,11 @@ class AdmissibleSpectrum:
                 f"expected {self.signature.p} positive-type and {self.signature.q} "
                 f"negative-type eigenvalues, got {lam.size} and {mu.size}"
             )
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(mu))):
+        if not (np.isfinite(lam).all() and np.isfinite(mu).all()):
             raise ValueError("eigenvalues must be finite reals")
-        if lam.size > 1 and np.any(np.diff(lam) < 0):
+        if np.any(lam[1:] < lam[:-1]):
             raise ValueError("positive-type eigenvalues must be ascending")
-        if mu.size > 1 and np.any(np.diff(mu) > 0):
+        if np.any(mu[1:] > mu[:-1]):
             raise ValueError("negative-type eigenvalues must be descending")
         if lam.size and mu.size and not lam[0] > mu[0]:
             raise GapViolation(

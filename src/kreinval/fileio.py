@@ -5,9 +5,10 @@ with row-major entries.  Floats survive a write/read round trip bit-exactly
 because json emits shortest round-trip decimal forms.
 
 Reports stream as JSON Lines: a header record (version and config echo), one
-record per instance, a summary record, and a final meta record that carries
-the only non-deterministic fields (timestamp, wall time).  CSV output is one
-row per case.
+record per instance (an error record for an instance that raised), a summary
+record, and a final meta record that carries the only non-deterministic
+fields (timestamp, wall time).  CSV output is one row per case, and one
+``error`` row per instance that raised.
 """
 
 from __future__ import annotations
@@ -126,6 +127,16 @@ class ReportWriter:
                             case.passed,
                         ]
                     )
+        self._fh.flush()
+
+    def write_error(self, index: int, error: str, message: str) -> None:
+        """The record of an instance that raised: its index, the exception type and message."""
+        if self.fmt == "json":
+            self._fh.write(
+                _json_line({"record": "error", "instance": index, "error": error, "message": message})
+            )
+        else:
+            self._csv.writerow(["error", index, f"{error}: {message}", "", "", "", "", False])
         self._fh.flush()
 
     def write_summary(self, summary: dict) -> None:

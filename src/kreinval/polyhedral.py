@@ -19,15 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import CheckReport, finalize_report, make_case
-from .core import AdmissibleSpectrum, PseudoHermitianMatrix, Signature
-from .errors import (
-    ComplexSpectrum,
-    GapViolation,
-    ShapeMismatch,
-    SizeCapExceeded,
-    WrongConeCount,
+from .checks import (
+    CheckReport,
+    _inadmissible_sum_report,
+    _require_same_signature,
+    _sum_spectra,
+    finalize_report,
+    make_case,
 )
+from .core import AdmissibleSpectrum, PseudoHermitianMatrix, Signature
+from .errors import ShapeMismatch, SizeCapExceeded
 from .spectral import check_admissible
 
 #: largest allowed orbit (p! * q!) before build_region refuses
@@ -182,25 +183,11 @@ def check_sum_membership(
     Checked both ways: region of B translated by the spectrum vector of A,
     and region of A translated by the spectrum vector of B.
     """
-    if A.signature != B.signature:
-        raise ShapeMismatch("signatures must match")
-    sig = A.signature
+    sig = _require_same_signature(A, B)
     descriptor = {"lp_tol": tol}
-    specA = check_admissible(A)
-    specB = check_admissible(B)
-    C = PseudoHermitianMatrix(sig, A.entries + B.entries, tol=A.tol + B.tol)
-    try:
-        specC = check_admissible(C)
-    except (ComplexSpectrum, WrongConeCount, GapViolation) as exc:
-        case = make_case("admissible_sum", (), 0.0, 0.0, -1.0, tol)
-        return finalize_report(
-            "polyhedral_sum",
-            sig,
-            descriptor,
-            tol,
-            [case],
-            notes=[f"sum_not_admissible: {type(exc).__name__}: {exc}"],
-        )
+    specA, specB, _, specC, exc = _sum_spectra(A, B)
+    if specC is None:
+        return _inadmissible_sum_report("polyhedral_sum", sig, descriptor, tol, exc)
     point = specC.canonical_vector()
     cases = []
     for tag, base, other in (

@@ -8,6 +8,7 @@ eigenvalue strictly exceeds the largest negative-type one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,11 @@ from .errors import (
 )
 from .geometry import (
     NEGATIVE,
+    NULL,
     POSITIVE,
     TOL_NULL_REL,
     PseudoOrthonormalFrame,
-    classify,
+    gram,
     pseudo_orthonormalize,
 )
 
@@ -70,8 +72,12 @@ class ClassifiedEigenSystem:
     """Eigenpairs sorted ascending by real part, with per-vector cone classes.
 
     Within a repeated-eigenvalue cluster the eigenvectors are re-orthonormalized
-    for the pairing when the restricted Gram is definite; other vectors keep
-    unit Euclidean norm.  ``reality_defect`` is the largest |Im eigenvalue|.
+    for the pairing when the restricted Gram is definite.  Null vectors and
+    the vectors of a cluster with an indefinite Gram keep unit Euclidean
+    norm; every other vector is scaled to self-pairing +-1.  ``reality_defect`` is the largest |Im eigenvalue| and
+    ``norm`` the operator 2-norm of the matrix, which scales the cluster and
+    reality tolerances.  Systems returned by ``eigendecompose`` are shared,
+    so their arrays are read-only.
     """
 
     signature: Signature
@@ -79,96 +85,100 @@ class ClassifiedEigenSystem:
     eigenvectors: np.ndarray
     cone_classes: tuple[str, ...]
     reality_defect: float
+    norm: float
 
     def class_indices(self, cone_class: str) -> list[int]:
         return [i for i, c in enumerate(self.cone_classes) if c == cone_class]
 
 
-def eigendecompose(
-    A: PseudoHermitianMatrix,
-    *,
-    tol_cluster: float | None = None,
-    tol_null: float = TOL_NULL_REL,
-    tol_defect: float = TOL_DEFECT,
-) -> ClassifiedEigenSystem:
-    """Dense eigendecomposition with cone classification.
+def eigendecompose(A: PseudoHermitianMatrix) -> ClassifiedEigenSystem:
+    """Dense eigendecomposition with cone classification, memoized by value.
 
-    Clusters eigenvalues whose mutual distance is below ``tol_cluster``
-    (default 1e-7 times the operator norm) and pseudo-orthonormalizes inside
-    each cluster when the restricted pairing is definite, so repeated
-    eigenvalues still yield usable frames.  Eigenvalues are kept as computed;
-    only eigenvectors are recombined, and only within a cluster.
+    Clusters eigenvalues whose mutual distance is below 1e-7 times the
+    operator norm and pseudo-orthonormalizes inside each cluster when the
+    restricted pairing is definite, so repeated eigenvalues still yield
+    usable frames.  Eigenvalues are kept as computed; only eigenvectors are
+    recombined, and only within a cluster.
+
+    Matrices with the same signature and the same entry bytes share one
+    solve: every check on A, B and A + B of an instance reads the same
+    system.  The result depends on the entries alone, so the memo never
+    changes what a caller sees.
     """
-    sig = A.signature
-    norm = A.norm
-    if tol_cluster is None:
-        tol_cluster = TOL_CLUSTER_REL * norm
-    w, V = np.linalg.eig(A.entries)
+    return _solve(A.signature, A.entries.tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _solve(sig: Signature, data: bytes) -> ClassifiedEigenSystem:
+    entries = np.frombuffer(data, dtype=complex).reshape(sig.n, sig.n)
+    norm = float(np.linalg.svd(entries, compute_uv=False)[0])  # operator 2-norm
+    w, V = np.linalg.eig(entries)
 
     smin = np.linalg.svd(V, compute_uv=False)[-1]
-    if smin <= tol_defect:
+    if smin <= TOL_DEFECT:
         raise DefectiveMatrix(f"eigenvector matrix has smallest singular value {smin:.3e}")
 
     order = np.lexsort((w.imag, w.real))
     w = w[order]
-    V = V[:, order]
+    vectors = V[:, order]
 
-    # group consecutive eigenvalues into clusters by absolute distance
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, w.size):
-        if abs(w[i] - w[clusters[-1][-1]]) < tol_cluster:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+    # consecutive eigenvalues closer than the cluster gap share a cluster;
+    # only clusters of two or more vectors are re-orthonormalized
+    in_cluster = np.zeros(w.size, dtype=bool)
+    close = np.abs(w[1:] - w[:-1]) < TOL_CLUSTER_REL * norm
+    if close.any():
+        for cols in np.split(np.arange(w.size), np.flatnonzero(~close) + 1):
+            if cols.size == 1:
+                continue
+            in_cluster[cols] = True
+            block = vectors[:, cols]
+            eigs = np.linalg.eigvalsh(gram(block, sig))
+            try:
+                if eigs[0] > 0:
+                    frame = pseudo_orthonormalize(block, sig, POSITIVE)
+                    vectors[:, cols] = frame.vectors
+                elif eigs[-1] < 0:
+                    frame = pseudo_orthonormalize(block, sig, NEGATIVE)
+                    vectors[:, cols] = frame.vectors
+                # mixed restricted Gram: leave the computed vectors alone
+            except (NullDegeneracy, OrientationMismatch):
+                pass
 
-    vectors = V.astype(complex).copy()
-    for group in clusters:
-        cols = np.array(group)
-        if cols.size == 1:
-            v = vectors[:, cols[0]]
-            info = classify(v, sig, tol_null)
-            if info.cone_class != "null":
-                vectors[:, cols[0]] = v / np.sqrt(abs(info.self_pairing))
-            continue
-        block = vectors[:, cols]
-        from .geometry import gram  # local import keeps module top uncluttered
+    # one pairing and one null-band test for every column, as classify does per vector
+    squares = vectors.real**2 + vectors.imag**2
+    pairing = metric_diagonal(sig) @ squares
+    band = TOL_NULL_REL * squares.sum(axis=0)
+    classes = np.where(pairing > band, POSITIVE, np.where(pairing < -band, NEGATIVE, NULL))
+    # non-null vectors outside a cluster get self-pairing +-1; the others are divided by 1
+    scale = ~in_cluster & (classes != NULL)
+    vectors /= np.where(scale, np.sqrt(np.abs(pairing)), 1.0)
 
-        eigs = np.linalg.eigvalsh(gram(block, sig))
-        try:
-            if eigs[0] > 0:
-                frame = pseudo_orthonormalize(block, sig, POSITIVE, tol_null=tol_null)
-                vectors[:, cols] = frame.vectors
-            elif eigs[-1] < 0:
-                frame = pseudo_orthonormalize(block, sig, NEGATIVE, tol_null=tol_null)
-                vectors[:, cols] = frame.vectors
-            # mixed restricted Gram: leave the computed vectors alone
-        except (NullDegeneracy, OrientationMismatch):
-            pass
-
-    classes = tuple(classify(vectors[:, i], sig, tol_null).cone_class for i in range(w.size))
     defect = float(np.max(np.abs(w.imag))) if w.size else 0.0
+    w.flags.writeable = False
+    vectors.flags.writeable = False
     return ClassifiedEigenSystem(
         signature=sig,
         eigenvalues=w,
         eigenvectors=vectors,
-        cone_classes=classes,
+        cone_classes=tuple(classes.tolist()),
         reality_defect=defect,
+        norm=norm,
     )
 
 
-def check_admissible(A: PseudoHermitianMatrix, tol: float | None = None) -> AdmissibleSpectrum:
+def check_admissible(A: PseudoHermitianMatrix) -> AdmissibleSpectrum:
     """Classify the spectrum and enforce admissibility.
 
-    ``tol`` bounds the accepted imaginary part of eigenvalues (default 1e-8
-    times the operator norm).  Raises ComplexSpectrum, WrongConeCount, or
-    GapViolation; the GapViolation carries ``other_component=True`` when the
-    matrix is admissible for the opposite orientation (every negative-type
-    eigenvalue above every positive-type one).
+    The accepted imaginary part of eigenvalues is 1e-8 times the operator
+    norm.  Raises ComplexSpectrum, WrongConeCount, or GapViolation; the
+    GapViolation carries ``other_component=True`` when the matrix is
+    admissible for the opposite orientation (every negative-type eigenvalue
+    above every positive-type one).  The checks run on every call, on the
+    system ``eigendecompose`` shares.
     """
     system = eigendecompose(A)
     sig = A.signature
-    if tol is None:
-        tol = TOL_REALITY_REL * A.norm
+    tol = TOL_REALITY_REL * system.norm
     if system.reality_defect > tol:
         raise ComplexSpectrum(
             f"imaginary parts reach {system.reality_defect:.3e}, above tol {tol:.3e}"

@@ -194,6 +194,20 @@ def test_courant_fischer_and_ky_fan(signature, sampler_cfg):
         assert kf.passed
 
 
+def test_courant_fischer_without_samples_keeps_its_witnesses(sampler_cfg):
+    sig = Signature(2, 1)
+    rng = instance_rng(SEED, 25)
+    A, _, _ = sample_planted(sig, sampler_cfg, rng)
+    report = check_courant_fischer(A, n_subspaces=0, cfg=sampler_cfg, rng=rng)
+    assert report.passed
+    by_id = {c.case_id: c for c in report.cases}
+    for k in range(1, sig.p + 1):
+        # an empty sample bounds nothing, as the minimum over no values is +inf
+        assert by_id[f"minmax_sampled:{k}"].lhs == np.inf
+        assert by_id[f"restricted_sampled:{k}"].lhs == np.inf
+        assert by_id[f"restricted_witness:{k}"].margin >= -1e-9
+
+
 def test_ky_fan_witness_is_tight(sampler_cfg):
     sig = Signature(3, 1)
     rng = instance_rng(SEED, 22)

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from kreinval import ConfigError, Signature, instance_rng, read_matrix, sample_planted, write_matrix
-from kreinval.cli import SUITES, SuiteConfig, build_config, main, run_instance, validate_config
+from kreinval import ConfigError, Signature, cli, instance_rng, read_matrix, sample_planted, write_matrix
+from kreinval.cli import SUITES, SuiteConfig, build_config, main, run_instance, run_suite, validate_config
 from kreinval.errors import SchemaError
 from kreinval.sampling import SamplerConfig
 
@@ -162,3 +162,46 @@ class TestRunner:
         summary = records[-2]
         assert summary["passed"] is True
         assert "trace" in summary["suites"]
+
+    def test_an_instance_that_raises_gets_an_error_record(self, tmp_path, capsys):
+        # cond_cap just above 1 leaves the conjugator sampler no acceptable draw
+        args = ["--p", "2", "--q", "1", "--instances", "2", "--seed", "5",
+                "--suite", "weyl", "--cond-cap", "1.0001"]
+        serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
+        assert main(args + ["--out", str(serial)]) == 1
+        assert main(args + ["--workers", "2", "--out", str(pooled)]) == 1
+        assert body_lines(serial) == body_lines(pooled)
+        records = [json.loads(ln) for ln in body_lines(serial)]
+        assert [r["record"] for r in records] == ["header", "error", "error", "summary"]
+        assert [(r["instance"], r["error"]) for r in records[1:3]] == [
+            (0, "RetriesExhausted"),
+            (1, "RetriesExhausted"),
+        ]
+        assert records[1]["message"]
+        assert records[-1]["passed"] is False
+        assert "instance 1 raised RetriesExhausted" in capsys.readouterr().err
+
+    def test_one_bad_instance_does_not_end_the_batch(self, tmp_path, monkeypatch):
+        real = cli.run_instance
+
+        def flaky(cfg, index):
+            if index == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(cfg, index)
+
+        monkeypatch.setattr(cli, "run_instance", flaky)
+        out = tmp_path / "r.jsonl"
+        cfg = SuiteConfig(p=2, q=1, instances=3, seed=5, suites=("weyl",), out=str(out))
+        summary = run_suite(cfg)
+        assert not summary.passed
+        assert summary.suites["weyl"].cases == summary.suites["weyl"].passes > 0
+        records = [json.loads(ln) for ln in body_lines(out)]
+        assert [(r["record"], r.get("instance")) for r in records] == [
+            ("header", None),
+            ("instance", 0),
+            ("error", 1),
+            ("instance", 2),
+            ("summary", None),
+        ]
+        assert records[2]["error"] == "LinAlgError"
+        assert records[2]["message"] == "Singular matrix"

@@ -16,7 +16,9 @@ from kreinval import (
     lp_feasible,
     sample_planted,
 )
-from kreinval.checks import matrix_sum
+from kreinval import checks
+from kreinval.checks import make_case, matrix_sum
+from kreinval.errors import GapViolation
 from kreinval.simplex import CyclingGuard, phase_one_feasible
 
 SEED = 333
@@ -170,3 +172,33 @@ def test_sum_membership_certificate_reconstructs_point(sampler_cfg):
     assert cert.feasible
     rebuilt = cert.vertex_weights @ region.vertices + cert.generator_weights @ region.generators
     assert np.allclose(rebuilt, specC.canonical_vector(), atol=1e-8)
+
+
+def test_inadmissible_sum_gives_the_shared_loud_report(sampler_cfg, monkeypatch):
+    sig = Signature(2, 1)
+    rng = instance_rng(SEED, 41)
+    A, _, _ = sample_planted(sig, sampler_cfg, rng)
+    B, _, _ = sample_planted(sig, sampler_cfg, rng)
+    admissible = checks.check_admissible
+    total = matrix_sum(A, B).entries
+
+    def sum_is_inadmissible(M):
+        if np.array_equal(M.entries, total):
+            raise GapViolation("gap closed")
+        return admissible(M)
+
+    # admissible pairs have admissible sums, so the failing sum is injected
+    monkeypatch.setattr(checks, "check_admissible", sum_is_inadmissible)
+    report = check_sum_membership(A, B, tol=1e-9)
+    assert report.to_dict() == {
+        "check_name": "polyhedral_sum",
+        "signature": [2, 1],
+        "descriptor": {"lp_tol": 1e-9},
+        "tol": 1e-9,
+        "cases": [make_case("admissible_sum", (), 0.0, 0.0, -1.0, 1e-9).to_dict()],
+        "worst_margin": -1.0,
+        "passed": False,
+        "soft_cases": [],
+        "soft_rate": None,
+        "notes": ["sum_not_admissible: GapViolation: gap closed"],
+    }

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kreinval import (
     AdmissibleSpectrum,
@@ -22,8 +26,11 @@ from kreinval import (
     sample_planted,
     sample_pseudo_unitary,
 )
-from kreinval.geometry import gram
-from kreinval.spectral import ClassifiedEigenSystem
+from kreinval import spectral
+from kreinval.cli import SuiteConfig, run_instance
+from kreinval.errors import NullDegeneracy, OrientationMismatch
+from kreinval.geometry import NEGATIVE, NULL, POSITIVE, classify, gram, pseudo_orthonormalize
+from kreinval.sampling import SamplerConfig
 
 SEED = 515
 
@@ -105,13 +112,7 @@ def test_eigenbasis_count_guard():
     system = eigendecompose(PseudoHermitianMatrix(sig, np.diag([2.0, 1.0]).astype(complex)))
     assert positive_eigenbasis(system).shape == (2, 1)
     assert negative_eigenbasis(system).shape == (2, 1)
-    fake = ClassifiedEigenSystem(
-        signature=sig,
-        eigenvalues=system.eigenvalues,
-        eigenvectors=system.eigenvectors,
-        cone_classes=("positive", "positive"),
-        reality_defect=0.0,
-    )
+    fake = dataclasses.replace(system, cone_classes=("positive", "positive"))
     with pytest.raises(WrongConeCount):
         negative_eigenbasis(fake)
 
@@ -151,3 +152,141 @@ def test_hermitian_limit_matches_eigvalsh():
     spec = check_admissible(A)
     assert np.allclose(spec.lambdas, np.linalg.eigvalsh(H), atol=1e-9)
     assert spec.mus.size == 0
+
+
+def reference_eigendecompose(A):
+    """Eigenvalues, eigenvectors and cone classes, classified one column at a time.
+
+    The loop eigendecompose ran before its classification was vectorized:
+    clusters are grown one eigenvalue at a time, and every column goes
+    through geometry.classify.
+    """
+    sig = A.signature
+    w, V = np.linalg.eig(A.entries)
+    order = np.lexsort((w.imag, w.real))
+    w, vectors = w[order], V[:, order]
+    clusters = [[0]]
+    for i in range(1, w.size):
+        if abs(w[i] - w[clusters[-1][-1]]) < spectral.TOL_CLUSTER_REL * A.norm:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    for group in clusters:
+        if len(group) == 1:
+            info = classify(vectors[:, group[0]], sig)
+            if info.cone_class != NULL:
+                vectors[:, group[0]] = info.vector / np.sqrt(abs(info.self_pairing))
+            continue
+        block = vectors[:, group]
+        eigs = np.linalg.eigvalsh(gram(block, sig))
+        try:
+            if eigs[0] > 0:
+                vectors[:, group] = pseudo_orthonormalize(block, sig, POSITIVE).vectors
+            elif eigs[-1] < 0:
+                vectors[:, group] = pseudo_orthonormalize(block, sig, NEGATIVE).vectors
+        except (NullDegeneracy, OrientationMismatch):
+            pass
+    classes = tuple(classify(vectors[:, i], sig).cone_class for i in range(w.size))
+    return w, vectors, classes
+
+
+def spectral_case(kind, p, q, seed):
+    """A conjugated matrix of the given kind.
+
+    ``planted``: a sampled admissible matrix.  ``cluster``: lambda_1 repeated
+    (and mu_1 too when q >= 2).  ``mixed``: mu_1 = lambda_1, a cluster whose
+    restricted pairing is indefinite, so its vectors are left as computed.
+    ``null``: a complex pair a +- ib whose eigenvectors pair slot 1 with
+    slot p + 1, so both are null.
+    """
+    sig = Signature(p, q)
+    cfg = SamplerConfig(seed=seed)
+    rng = instance_rng(seed, 0)
+    if kind == "planted":
+        return sample_planted(sig, cfg, rng)[0]
+    lam = np.sort(rng.uniform(1.0, 3.0, p))
+    mus = np.sort(rng.uniform(-2.0, 0.0, q))[::-1]
+    if kind == "cluster":
+        lam[1] = lam[0]
+        if q >= 2:
+            mus[1] = mus[0]
+        D = canonical_diagonal(AdmissibleSpectrum(sig, lam, mus)).entries.copy()
+    elif kind == "mixed":
+        mus[0] = lam[0]
+        D = np.diag(np.concatenate([lam, mus])).astype(complex)
+    else:
+        D = np.diag(np.concatenate([lam, mus])).astype(complex)
+        a, b = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 1.5)
+        D[0, 0] = D[p, p] = a
+        D[0, p], D[p, 0] = b, -b
+    return conjugate(PseudoHermitianMatrix(sig, D), sample_pseudo_unitary(sig, cfg, rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["planted", "cluster", "mixed", "null"]),
+    p=st.integers(1, 4),
+    q=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+@example(kind="planted", p=3, q=0, seed=1)
+@example(kind="cluster", p=3, q=2, seed=2)
+@example(kind="cluster", p=2, q=0, seed=3)
+@example(kind="null", p=2, q=2, seed=4)
+@example(kind="mixed", p=1, q=1, seed=5)
+def test_vectorized_classification_matches_per_column_classify(kind, p, q, seed):
+    if kind == "cluster":
+        p = max(p, 2)
+    if kind in ("mixed", "null"):
+        q = max(q, 1)
+    A = spectral_case(kind, p, q, seed)
+    w, vectors, classes = reference_eigendecompose(A)
+    system = eigendecompose(A)
+    assert np.array_equal(system.eigenvalues, w)
+    assert system.cone_classes == classes
+    assert np.allclose(system.eigenvectors, vectors, rtol=1e-12, atol=1e-12)
+    if kind == "null":
+        assert classes.count(NULL) == 2
+    elif kind != "mixed":
+        assert classes.count(POSITIVE) == p and classes.count(NEGATIVE) == q
+    if kind == "cluster":
+        # the repeated eigenvalue was found as a cluster and its vectors re-orthonormalized
+        assert np.min(np.abs(np.diff(w))) < spectral.TOL_CLUSTER_REL * A.norm
+        assert np.allclose(gram(positive_eigenbasis(system), A.signature), np.eye(p), atol=1e-8)
+
+
+def test_memoized_system_equals_a_fresh_solve_and_is_read_only(sampler_cfg):
+    sig = Signature(3, 2)
+    A, _, _ = sample_planted(sig, sampler_cfg, instance_rng(SEED, 5))
+    shared = eigendecompose(A)
+    copy = PseudoHermitianMatrix(sig, A.entries.copy())
+    assert eigendecompose(copy) is shared
+    spectral._solve.cache_clear()
+    fresh = eigendecompose(copy)
+    assert fresh is not shared
+    assert np.array_equal(fresh.eigenvalues, shared.eigenvalues)
+    assert np.array_equal(fresh.eigenvectors, shared.eigenvectors)
+    assert (fresh.cone_classes, fresh.reality_defect, fresh.norm) == (
+        shared.cone_classes,
+        shared.reality_defect,
+        shared.norm,
+    )
+    with pytest.raises(ValueError):
+        shared.eigenvalues[0] = 0.0
+    with pytest.raises(ValueError):
+        shared.eigenvectors[0, 0] = 0.0
+
+
+def test_a_sums_instance_solves_each_matrix_once(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    spectral._solve.cache_clear()
+    suites = ("structural", "trace", "weyl", "lidskii", "thompson_freede")
+    run_instance(SuiteConfig(p=3, q=2, seed=0, suites=suites), 0)
+    assert len(calls) == 3  # A, B and A + B
