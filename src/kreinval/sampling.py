@@ -33,6 +33,7 @@ from .geometry import (
     PseudoOrthonormalFrame,
     _checked_frame,
     _cholesky_frames,
+    positive_cone_margin,
     subspace_in_positive_cone,
 )
 
@@ -241,9 +242,12 @@ def restricted_cone_samples(
 class PositiveFlag:
     """Nested positive subspaces with dimensions given by a 1-based index tuple.
 
-    ``levels[j]`` is an n x index_tuple[j] basis; each level is a prefix
-    extension of the previous one, so nesting holds by construction, and every
-    level must pass the positive-cone margin.
+    ``levels[j]`` is an n x index_tuple[j] basis, or a stack (N, n,
+    index_tuple[j]) of N flags' bases that share the signature and index
+    tuple.  Each earlier level must lie in the span of the next, and every
+    level must pass the positive-cone margin; for a stack, every sample of
+    every level is checked, with one batched margin and one batched nesting
+    residual per level, and a failure names the first failing sample.
     """
 
     signature: Signature
@@ -257,19 +261,28 @@ class PositiveFlag:
         frozen = []
         prev: np.ndarray | None = None
         for dim, basis in zip(idx, self.levels):
-            B = np.asarray(basis, dtype=complex)
-            if B.shape != (self.signature.n, dim):
-                raise ShapeMismatch(f"level basis must be {self.signature.n} x {dim}, got {B.shape}")
-            if not subspace_in_positive_cone(B, self.signature):
-                raise ValueError("flag level is not inside the positive cone")
+            B = np.array(basis, dtype=complex)
+            lead = frozen[0].shape[:-2] if frozen else B.shape[:-2]
+            if B.ndim not in (2, 3) or B.shape != lead + (self.signature.n, dim):
+                raise ShapeMismatch(
+                    f"level basis must be {lead + (self.signature.n, dim)}, got {B.shape}"
+                )
+            margins = np.atleast_1d(positive_cone_margin(B, self.signature))
+            if np.any(margins < 1e-9):
+                raise ValueError(
+                    f"flag level is not inside the positive cone{_at_sample(margins < 1e-9, B)}"
+                )
             if prev is not None:
                 # each earlier basis vector must lie in the next level's span
-                coeff, *_ = np.linalg.lstsq(B, prev, rcond=None)
-                resid = float(np.max(np.abs(B @ coeff - prev)))
-                if resid > 1e-8:
-                    raise ValueError(f"flag levels are not nested (residual {resid:.3e})")
+                Q = np.linalg.qr(B)[0]
+                resid = np.abs(prev - Q @ (Q.swapaxes(-1, -2).conj() @ prev)).max(axis=(-2, -1))
+                if np.any(resid > 1e-8):
+                    worst = float(np.max(resid))
+                    raise ValueError(
+                        f"flag levels are not nested (residual {worst:.3e})"
+                        f"{_at_sample(np.atleast_1d(resid > 1e-8), B)}"
+                    )
             prev = B
-            B = np.array(B)
             B.flags.writeable = False
             frozen.append(B)
         object.__setattr__(self, "index_tuple", idx)
@@ -278,6 +291,11 @@ class PositiveFlag:
     @property
     def depth(self) -> int:
         return len(self.index_tuple)
+
+
+def _at_sample(bad: np.ndarray, B: np.ndarray) -> str:
+    """' at sample i' naming the first failing flag of a stack; '' for one flag."""
+    return f" at sample {int(np.argmax(bad))}" if B.ndim == 3 else ""
 
 
 def subordinate_frame(
@@ -297,14 +315,21 @@ def subordinate_frame(
 
     With ``count`` the frame holds a stack (count, n, m) of independent
     frames; without it, the single frame is the first of a stack of one.
+    A stack of N flags gets one frame per flag, a stack (N, n, m).
     """
     sig = flag.signature
-    N = 1 if count is None else int(count)
-    dims = [basis.shape[1] for basis in flag.levels]
+    stacked = flag.levels[0].ndim == 3
+    if stacked and count is not None:
+        raise ShapeMismatch("a stack of flags draws one frame per flag; count is for one flag")
+    N = flag.levels[0].shape[0] if stacked else 1 if count is None else int(count)
+    dims = [basis.shape[-1] for basis in flag.levels]
     coeffs = [complex_normal(rng, N, d) for d in dims]
     draws = np.ones((N, len(dims)), dtype=int)
     while True:
-        X = np.stack([c @ basis.T for c, basis in zip(coeffs, flag.levels)], axis=-1)
+        if stacked:  # row i of the coefficients draws for flag i
+            X = np.stack([(basis @ c[..., None])[..., 0] for c, basis in zip(coeffs, flag.levels)], axis=-1)
+        else:
+            X = np.stack([c @ basis.T for c, basis in zip(coeffs, flag.levels)], axis=-1)
         F, _, _, first_bad = _cholesky_frames(X, sig, 1.0, TOL_NULL_REL)
         redo = np.flatnonzero(first_bad < len(dims))
         if redo.size == 0:
@@ -318,15 +343,19 @@ def subordinate_frame(
         for j in np.unique(cols):
             rows = redo[cols == j]
             coeffs[j][rows] = complex_normal(rng, rows.size, dims[j])
-    return _checked_frame(F if count is not None else F[0], sig, POSITIVE, TOL_NULL_REL, TOL_FRAME)
+    single = not stacked and count is None
+    return _checked_frame(F[0] if single else F, sig, POSITIVE, TOL_NULL_REL, TOL_FRAME)
 
 
 def flag_from_basis(sig: Signature, index_tuple, basis: np.ndarray) -> PositiveFlag:
-    """Flag whose levels are column prefixes of one positive basis."""
+    """Flag whose levels are column prefixes of one positive basis.
+
+    A stack of bases (N, n, w) gives a stack of N flags.
+    """
     idx = check_index_tuple(index_tuple, sig.p)
-    if basis.shape[1] < idx[-1]:
-        raise ShapeMismatch(f"basis has {basis.shape[1]} columns, top level needs {idx[-1]}")
-    return PositiveFlag(sig, idx, tuple(basis[:, :dim] for dim in idx))
+    if basis.shape[-1] < idx[-1]:
+        raise ShapeMismatch(f"basis has {basis.shape[-1]} columns, top level needs {idx[-1]}")
+    return PositiveFlag(sig, idx, tuple(basis[..., :dim] for dim in idx))
 
 
 def sample_flag_with_subordinate(

@@ -181,6 +181,22 @@ class TestRunner:
         assert records[-1]["passed"] is False
         assert "instance 1 raised RetriesExhausted" in capsys.readouterr().err
 
+    def test_empty_sampling_budgets_write_strict_json(self, tmp_path):
+        def no_constants(name):
+            raise ValueError(f"{name} is not JSON")
+
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"courant_subspaces": 0, "kyfan_frames": 0}))
+        out = tmp_path / "r.jsonl"
+        rc = main(["--p", "2", "--q", "1", "--instances", "1", "--suite", "courant_fischer",
+                   "--suite", "ky_fan", "--config", str(cfg_file), "--out", str(out)])
+        assert rc == 0
+        docs = [json.loads(ln, parse_constant=no_constants) for ln in out.read_text().splitlines()]
+        reports = [r for d in docs if d.get("record") == "instance" for r in d["reports"]]
+        ids = {c["case_id"] for r in reports for c in r["cases"]}
+        assert {"minmax_witness:1", "restricted_witness:2", "partial_sum_witness:2"} <= ids
+        assert not any("sampled" in i for i in ids)
+
     def test_one_bad_instance_does_not_end_the_batch(self, tmp_path, monkeypatch):
         real = cli.run_instance
 
