@@ -638,8 +638,28 @@ def _witness_subordinate(
     sweeps from this frame only have roundoff left to recover.
 
     Returns the frames (N, n, m) and which flags got one: a flag whose top
-    level or final frame has a null or wrong-signed pivot has none.
+    level or final frame has a null or wrong-signed pivot has none, and
+    neither has a flag whose decompositions do not converge.  The batched
+    solvers fail a whole stack for one such flag, so the stack is halved
+    until the failing flags stand alone.
     """
+    try:
+        return _witness_stack(entries, sig, levels)
+    except np.linalg.LinAlgError:
+        N = len(levels[0])
+        if N == 1:
+            return np.zeros(levels[0].shape[:-1] + (len(levels),), dtype=complex), np.zeros(1, dtype=bool)
+        halves = [
+            _witness_subordinate(entries, sig, tuple(L[part] for L in levels))
+            for part in (slice(None, N // 2), slice(N // 2, None))
+        ]
+        return tuple(np.concatenate(out) for out in zip(*halves))
+
+
+def _witness_stack(
+    entries: np.ndarray, sig: Signature, levels: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """_witness_subordinate on a stack whose decompositions all converge."""
     jd = metric_diagonal(sig)
     idx = tuple(int(L.shape[-1]) for L in levels)
     top, ok = _positive_frames(levels[-1], sig)
@@ -791,10 +811,7 @@ def check_wielandt_flag(
     levels = flag_from_basis(sig, idx, bases).levels
     achieved = np.full(n_ascent, -np.inf)
     converged = np.zeros(n_ascent, dtype=bool)
-    try:
-        start, ok = _witness_subordinate(A.entries, sig, levels)
-    except np.linalg.LinAlgError:
-        ok = np.zeros(n_ascent, dtype=bool)
+    start, ok = _witness_subordinate(A.entries, sig, levels)
     if ok.any():
         achieved[ok], converged[ok] = _ascend_subordinate(
             A.entries, sig, tuple(L[ok] for L in levels), start[ok],

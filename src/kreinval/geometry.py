@@ -30,6 +30,8 @@ TOL_NULL_REL = 1e-9
 TOL_FRAME = 1e-8
 #: relative smallest-singular-value cutoff for basis independence
 TOL_RANK = 1e-10
+#: smallest span-normalized Gram margin accepted as inside the positive cone
+TOL_CONE = 1e-9
 
 
 def _as_vector(z, n: int) -> np.ndarray:
@@ -304,7 +306,7 @@ def positive_cone_margin(
     return float(margins) if margins.ndim == 0 else margins
 
 
-def subspace_in_positive_cone(basis, sig: Signature, tol: float = 1e-9) -> bool:
+def subspace_in_positive_cone(basis, sig: Signature, tol: float = TOL_CONE) -> bool:
     """True when every nonzero vector of the span has positive self-pairing.
 
     Decided by the span-normalized Gram margin, so any basis of the same

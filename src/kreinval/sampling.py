@@ -28,6 +28,7 @@ from .core import (
 from .errors import NullDegeneracy, RetriesExhausted, ShapeMismatch
 from .geometry import (
     POSITIVE,
+    TOL_CONE,
     TOL_FRAME,
     TOL_NULL_REL,
     PseudoOrthonormalFrame,
@@ -267,11 +268,9 @@ class PositiveFlag:
                 raise ShapeMismatch(
                     f"level basis must be {lead + (self.signature.n, dim)}, got {B.shape}"
                 )
-            margins = np.atleast_1d(positive_cone_margin(B, self.signature))
-            if np.any(margins < 1e-9):
-                raise ValueError(
-                    f"flag level is not inside the positive cone{_at_sample(margins < 1e-9, B)}"
-                )
+            outside = np.atleast_1d(positive_cone_margin(B, self.signature)) < TOL_CONE
+            if np.any(outside):
+                raise ValueError(f"flag level is not inside the positive cone{_at_sample(outside, B)}")
             if prev is not None:
                 # each earlier basis vector must lie in the next level's span
                 Q = np.linalg.qr(B)[0]
@@ -326,10 +325,8 @@ def subordinate_frame(
     coeffs = [complex_normal(rng, N, d) for d in dims]
     draws = np.ones((N, len(dims)), dtype=int)
     while True:
-        if stacked:  # row i of the coefficients draws for flag i
-            X = np.stack([(basis @ c[..., None])[..., 0] for c, basis in zip(coeffs, flag.levels)], axis=-1)
-        else:
-            X = np.stack([c @ basis.T for c, basis in zip(coeffs, flag.levels)], axis=-1)
+        # row i of the coefficients draws from flag i of a stack, or from the one flag
+        X = np.stack([(basis @ c[..., None])[..., 0] for c, basis in zip(coeffs, flag.levels)], axis=-1)
         F, _, _, first_bad = _cholesky_frames(X, sig, 1.0, TOL_NULL_REL)
         redo = np.flatnonzero(first_bad < len(dims))
         if redo.size == 0:

@@ -414,6 +414,39 @@ def test_a_failed_witness_draws_one_fallback_start(monkeypatch):
     assert rep.soft_cases[2].passed
 
 
+def test_a_solver_failure_in_one_witness_fails_only_that_flag(monkeypatch):
+    """A decomposition that does not converge for one flag leaves the others their witness starts."""
+    A, cfg = instance(3, 2, 16)
+    idx = (2, 3)
+    base = check_wielandt_flag(A, idx, n_flags=6, n_tuples=3, cfg=cfg, rng=instance_rng(SEED, 17))
+    assert not any(n.startswith("ascent_fallback") for n in base.notes)
+
+    witness = checks._hermitian_flag_witness
+    top_calls = []
+
+    def recording(M, levels, idx):
+        if M.shape[-1] == idx[-1] == 3:
+            top_calls.append(np.array(M))
+        return witness(M, levels, idx)
+
+    monkeypatch.setattr(checks, "_hermitian_flag_witness", recording)
+    check_wielandt_flag(A, idx, n_flags=6, n_tuples=3, cfg=cfg, rng=instance_rng(SEED, 17))
+    poisoned = top_calls[0][4]  # the compressed matrix of flag 4
+
+    def fails_on_flag_4(M, levels, idx):
+        if M.shape[-2:] == poisoned.shape and np.any(np.all(M == poisoned, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return witness(M, levels, idx)
+
+    monkeypatch.setattr(checks, "_hermitian_flag_witness", fails_on_flag_4)
+    rep = check_wielandt_flag(A, idx, n_flags=6, n_tuples=3, cfg=cfg, rng=instance_rng(SEED, 17))
+    assert "ascent_fallback: 1/6" in rep.notes
+    for f, (c, c0) in enumerate(zip(rep.soft_cases, base.soft_cases)):
+        if f != 4:
+            assert c.lhs == c0.lhs
+    assert rep.soft_cases[4].passed
+
+
 def test_the_ascent_is_batched_over_flags(monkeypatch):
     """A per-flag loop would call eigh four times as often for four times the flags.
 
