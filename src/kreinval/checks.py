@@ -30,10 +30,10 @@ from .errors import (
     ShapeMismatch,
     WrongConeCount,
 )
-from .geometry import POSITIVE, _adjoint, _positive_frames, pseudo_orthonormalize
+from .geometry import POSITIVE, _adjoint, pseudo_orthonormalize
 from .sampling import (
+    PositiveFlag,
     SamplerConfig,
-    flag_from_basis,
     instance_rng,
     restricted_cone_samples,
     sample_positive_subspace,
@@ -506,13 +506,11 @@ def check_ky_fan(
 # flag compressions
 
 
-def _frame_trace(entries: np.ndarray, sig: Signature, vectors: np.ndarray) -> np.ndarray:
-    """Sum of Rayleigh ratios of pseudo-orthonormal columns (= compression trace).
-
-    A stack of frames (..., n, k) gives the array of their traces.
+def _compression_trace(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Traces of X* M X over a stack (..., k, m): with M = J A and a
+    pseudo-orthonormal frame X, the trace of the compression of A onto X.
     """
-    jd = metric_diagonal(sig)
-    return np.einsum("...ij,...ij->...", vectors.conj(), jd[:, None] * (entries @ vectors)).real
+    return np.einsum("...ij,...ij->...", X.conj(), M @ X).real
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
@@ -624,116 +622,90 @@ def _flag_witness_step(M: np.ndarray, levels: list[np.ndarray], idx: tuple[int, 
     return R @ _hermitian_flag_witness(Mp, new_levels, tuple(new_idx))
 
 
-def _witness_subordinate(
-    entries: np.ndarray, sig: Signature, levels: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic subordinate frames whose traces reach the tuple sum.
+def _witness_subordinate(M: np.ndarray, idx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic subordinate frames whose traces reach the tuple sum, in coordinates.
 
-    ``levels`` are the stacked levels (N, n, d_j) of N flags.  Each flag is
-    compressed onto its top level, where the pairing is positive definite
-    and the compression is an ordinary Hermitian matrix, and the Euclidean
-    flag recursion runs on the whole stack.  Used to seed the ascent:
+    ``M`` is the stack (N, r, r) of N flags' compressions onto their top
+    levels, each written in a pseudo-orthonormal frame of the top level whose
+    column prefixes span the lower levels: there the pairing is the Euclidean
+    inner product, M is an ordinary Hermitian matrix and level j is the span
+    E_{idx[j]} of the first idx[j] unit vectors, so the Euclidean flag
+    recursion runs on the standard flag.  Used to seed the ascent:
     coordinate sweeps from a random frame can stall on flags whose first
-    slot is pinned to a line by the paired-orthogonality constraints, while
-    sweeps from this frame only have roundoff left to recover.
+    slot is pinned to a line by the orthogonality constraints, while sweeps
+    from this frame only have roundoff left to recover.
 
-    Returns the frames (N, n, m) and which flags got one: a flag whose top
-    level or final frame has a null or wrong-signed pivot has none, and
-    neither has a flag whose decompositions do not converge.  The batched
-    solvers fail a whole stack for one such flag, so the stack is halved
-    until the failing flags stand alone.
+    Returns orthonormal coordinates (N, r, m) and which flags got them: a
+    flag whose decompositions do not converge has none.  The batched solvers
+    fail a whole stack for one such flag, so the stack is halved until the
+    failing flags stand alone.
     """
+    N = len(M)
+    none = np.zeros(M.shape[:-1] + (len(idx),), dtype=complex), np.zeros(N, dtype=bool)
+    if N == 0:
+        return none
     try:
-        return _witness_stack(entries, sig, levels)
+        eye = np.eye(M.shape[-1], dtype=complex)
+        levels = [np.broadcast_to(eye[:, :d], M.shape[:-1] + (d,)) for d in idx]
+        return _hermitian_flag_witness(M, levels, idx), np.ones(N, dtype=bool)
     except np.linalg.LinAlgError:
-        N = len(levels[0])
         if N == 1:
-            return np.zeros(levels[0].shape[:-1] + (len(levels),), dtype=complex), np.zeros(1, dtype=bool)
-        halves = [
-            _witness_subordinate(entries, sig, tuple(L[part] for L in levels))
-            for part in (slice(None, N // 2), slice(N // 2, None))
-        ]
+            return none
+        halves = [_witness_subordinate(M[part], idx) for part in (slice(None, N // 2), slice(N // 2, None))]
         return tuple(np.concatenate(out) for out in zip(*halves))
 
 
-def _witness_stack(
-    entries: np.ndarray, sig: Signature, levels: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """_witness_subordinate on a stack whose decompositions all converge."""
-    jd = metric_diagonal(sig)
-    idx = tuple(int(L.shape[-1]) for L in levels)
-    top, ok = _positive_frames(levels[-1], sig)
-    frames = np.zeros(top.shape[:-1] + (len(idx),), dtype=complex)
-    rows = np.flatnonzero(ok)
-    if rows.size == 0:
-        return frames, ok
-    top = top[rows]
-    M = _hermitian_part(_adjoint(top) @ (jd[:, None] * (entries @ top)))
-    coords = [_adjoint(top) @ (jd[:, None] * L[rows]) for L in levels]
-    frames[rows], ok[rows] = _positive_frames(top @ _hermitian_flag_witness(M, coords, idx), sig)
-    return frames, ok
-
-
 def _ascend_subordinate(
-    entries: np.ndarray,
-    sig: Signature,
-    levels: tuple[np.ndarray, ...],
-    X0: np.ndarray,
+    M: np.ndarray,
+    idx: tuple[int, ...],
+    C0: np.ndarray,
     *,
     iters: int,
     gain_tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate ascent of the compression trace over subordinate frames.
 
-    ``levels`` are the stacked levels (N, n, d_j) of N flags and ``X0`` a
-    stack (N, n, m) of subordinate frames to start from; all flags sweep
-    together.  One sweep maximizes each slot in turn: with the other vectors
-    held fixed, the best j-th vector is the top eigenvector of the
-    compression onto the subspace of level j paired-orthogonal to the others
-    (which always contains the current vector, so sweeps never decrease the
-    trace).  A slot whose subspace has a null or wrong-signed pivot is left
-    as it is.  Pseudo-orthonormality is re-enforced after every sweep; a
-    flag whose frame fails that stops, unconverged, and a flag whose sweep
-    gains less than ``gain_tol`` stops, converged.
+    ``M`` is a stack (N, r, r) of top-level compressions in the coordinates
+    of _witness_subordinate, and ``C0`` a stack (N, r, m) of orthonormal
+    frames with column j in E_{idx[j]} to start from; all flags sweep
+    together.  One sweep maximizes each slot in turn: with the other columns
+    held fixed, the best j-th column is the top eigenvector of M compressed
+    onto the part of E_{idx[j]} orthogonal to the others (which always holds
+    the current column, so sweeps never decrease the trace).  A slot with
+    idx[j] == 1 is fixed up to phase and never moves.  Each sweep ends with a
+    QR, whose column j combines columns <= j and so stays in E_{idx[j]}; a
+    flag whose sweep gains less than ``gain_tol`` stops, converged.
 
     Returns the traces reached (N,) and which flags converged.
     """
-    jd = metric_diagonal(sig)
-    m = len(levels)
-    X = np.array(X0, dtype=complex)
-    obj = _frame_trace(entries, sig, X)
-    converged = np.zeros(len(X), dtype=bool)
-    active = np.arange(len(X))
+    C = np.array(C0, dtype=complex)
+    obj = _compression_trace(M, C)
+    converged = np.zeros(len(C), dtype=bool)
+    active = np.arange(len(C))
     for _ in range(iters):
         if active.size == 0:
             break
-        Xa = X[active]
-        for j, level in enumerate(levels):
-            Bj = level[active]
-            d = Bj.shape[-1]
-            if m > 1:
-                O = np.delete(Xa, j, axis=-1)
-                _, svals, vh = np.linalg.svd(_adjoint(O) @ (jd[:, None] * Bj))
-                rank = np.sum(svals > svals[:, :1] * 1e-10, axis=-1)
-            else:
-                rank = np.zeros(len(Bj), dtype=int)
+        Ca, Ma = C[active], M[active]
+        for j, d in enumerate(idx):
+            if d == 1:
+                continue
+            # the part of E_d orthogonal to the other columns: the null space of their first d
+            # rows, whose singular values are cosines of principal angles, so the cutoff is absolute
+            _, svals, vh = np.linalg.svd(_adjoint(np.delete(Ca[:, :d], j, axis=-1)))
+            rank = np.sum(svals > 1e-10, axis=-1)
             for r in np.unique(rank):
-                if r == d:
-                    continue  # the others pin this slot
                 rows = np.flatnonzero(rank == r)
-                Y = Bj[rows] @ _adjoint(vh[rows, r:]) if m > 1 else Bj[rows]
-                F, ok = _positive_frames(Y, sig)
-                rows, F = rows[ok], F[ok]
-                comp = _hermitian_part(_adjoint(F) @ (jd[:, None] * (entries @ F)))
-                Xa[rows, :, j] = (F @ np.linalg.eigh(comp)[1][..., -1:])[..., 0]
-        F, ok = _positive_frames(Xa, sig)
-        moved = active[ok]
-        new_obj = _frame_trace(entries, sig, F[ok])
-        gain = new_obj - obj[moved]
-        X[moved] = F[ok]
-        obj[moved] = new_obj
-        converged[moved[gain < gain_tol]] = True
-        active = moved[gain >= gain_tol]
+                free = _adjoint(vh[rows, r:])
+                comp = _hermitian_part(_adjoint(free) @ Ma[rows, :d, :d] @ free)
+                Ca[rows, :d, j] = (free @ np.linalg.eigh(comp)[1][..., -1:])[..., 0]
+                Ca[rows, d:, j] = 0.0
+        Ca = np.linalg.qr(Ca)[0]
+        new_obj = _compression_trace(Ma, Ca)
+        gain = new_obj - obj[active]
+        C[active] = Ca
+        obj[active] = new_obj
+        converged[active[gain < gain_tol]] = True
+        active = active[gain >= gain_tol]
     return obj, converged
 
 
@@ -787,13 +759,15 @@ def check_wielandt_flag(
     system = eigendecompose(A)
     pos = positive_eigenbasis(system)
     target = float(sum(spec.lambdas[i - 1] for i in idx))
-    eigenflag = flag_from_basis(sig, idx, pos)
+    eigenflag = PositiveFlag(sig, idx, pos)
 
     cases = []
     notes = []
 
+    jd = metric_diagonal(sig)
+    JA = jd[:, None] * A.entries
     frames = subordinate_frame(eigenflag, cfg, rng, count=n_flags * n_tuples)
-    highest = float(np.max(_frame_trace(A.entries, sig, frames.vectors), initial=-np.inf))
+    highest = float(np.max(_compression_trace(JA, frames.vectors), initial=-np.inf))
     if np.isfinite(highest):
         cases.append(
             make_case("eigenflag_max", idx, highest, target, target - highest, tol)
@@ -808,21 +782,22 @@ def check_wielandt_flag(
 
     width = max(idx[-1], sig.p - 1) if sig.p >= 2 else idx[-1]
     bases = sample_positive_subspace(sig, width, cfg, rng, count=n_ascent)
-    levels = flag_from_basis(sig, idx, bases).levels
+    # each flag's compression onto its framed top level, whose column prefixes span its levels
+    top = pseudo_orthonormalize(PositiveFlag(sig, idx, bases).basis, sig, POSITIVE).vectors
+    M = _hermitian_part(_adjoint(top) @ (JA @ top))
     achieved = np.full(n_ascent, -np.inf)
     converged = np.zeros(n_ascent, dtype=bool)
-    start, ok = _witness_subordinate(A.entries, sig, levels)
+    start, ok = _witness_subordinate(M, idx)
     if ok.any():
         achieved[ok], converged[ok] = _ascend_subordinate(
-            A.entries, sig, tuple(L[ok] for L in levels), start[ok],
-            iters=ascent_iters, gain_tol=gain_tol,
+            M[ok], idx, start[ok], iters=ascent_iters, gain_tol=gain_tol
         )
     # a random start only for the flags that the witness start left short
     fallback = np.flatnonzero(~(achieved >= target - 0.5 * soft_gap))
     if fallback.size:
-        flags = flag_from_basis(sig, idx, bases[fallback])
+        X = subordinate_frame(PositiveFlag(sig, idx, bases[fallback]), cfg, rng).vectors
         got, conv = _ascend_subordinate(
-            A.entries, sig, flags.levels, subordinate_frame(flags, cfg, rng).vectors,
+            M[fallback], idx, _adjoint(top[fallback]) @ (jd[:, None] * X),
             iters=ascent_iters, gain_tol=gain_tol,
         )
         better = got > achieved[fallback]

@@ -71,7 +71,6 @@ class SuiteConfig:
     instances: int = 10
     seed: int = 0
     suites: tuple[str, ...] = SUITES
-    tol_struct: float = 1e-10
     tol_eig: float = 1e-8
     tol_check: float = 1e-8
     trace_rtol: float = 1e-9
@@ -116,9 +115,14 @@ def validate_config(cfg: SuiteConfig) -> SuiteConfig:
         raise ConfigError(f"unknown suites {unknown}; valid: {', '.join(SUITES)}")
     if not cfg.suites:
         raise ConfigError("at least one suite must be selected")
-    for name in ("tol_struct", "tol_eig", "tol_check", "trace_rtol", "lp_tol"):
+    for name in ("tol_eig", "tol_check", "trace_rtol", "lp_tol"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
+    for name in ("courant_subspaces", "kyfan_frames", "wielandt_flags", "wielandt_frames", "ascent_iters"):
+        if getattr(cfg, name) < 0:
+            raise ConfigError(f"{name} must be >= 0, got {getattr(cfg, name)}")
+    if cfg.max_m is not None and cfg.max_m < 1:
+        raise ConfigError(f"max_m must be >= 1 (or unset for no limit), got {cfg.max_m}")
     if cfg.format not in ("json", "csv"):
         raise ConfigError(f"format must be json or csv, got {cfg.format!r}")
     if not 0 < cfg.soft_threshold <= 1:

@@ -216,20 +216,6 @@ def _checked_frame(
         return PseudoOrthonormalFrame(sig, F, orientation, tol=tol_frame)
 
 
-def _positive_frames(X: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
-    """Positive frames of a stack of bases (N, n, k), and which samples have one.
-
-    ``ok[i]`` is False where pseudo_orthonormalize would raise NullDegeneracy
-    or OrientationMismatch on sample i alone; ``F[ok]`` pass the same frame
-    check, and ``F[~ok]`` are not frames.
-    """
-    F, _, _, first_bad = _cholesky_frames(X, sig, 1.0, TOL_NULL_REL)
-    ok = first_bad == X.shape[-1]
-    if ok.any():
-        F[ok] = _checked_frame(F[ok], sig, POSITIVE, TOL_NULL_REL, TOL_FRAME).vectors
-    return F, ok
-
-
 def pseudo_orthonormalize(
     vectors,
     sig: Signature,

@@ -243,49 +243,39 @@ def restricted_cone_samples(
 class PositiveFlag:
     """Nested positive subspaces with dimensions given by a 1-based index tuple.
 
-    ``levels[j]`` is an n x index_tuple[j] basis, or a stack (N, n,
-    index_tuple[j]) of N flags' bases that share the signature and index
-    tuple.  Each earlier level must lie in the span of the next, and every
-    level must pass the positive-cone margin; for a stack, every sample of
-    every level is checked, with one batched margin and one batched nesting
-    residual per level, and a failure names the first failing sample.
+    Level j is spanned by the first ``index_tuple[j]`` columns of ``basis``,
+    an n x w basis with w >= index_tuple[-1], or a stack (N, n, w) of N flags
+    that share the signature and index tuple.  Only the top level's columns
+    are kept, so the levels are nested by construction.  One positive-cone
+    margin of the top level checks every level: a subspace of a positive
+    subspace has a margin at least as large, and a column subset is never
+    worse conditioned for the rank test.  For a stack one batched margin checks
+    every sample, and a failure names the first failing sample.
     """
 
     signature: Signature
     index_tuple: tuple[int, ...]
-    levels: tuple[np.ndarray, ...]
+    basis: np.ndarray
 
     def __post_init__(self) -> None:
         idx = check_index_tuple(self.index_tuple, self.signature.p)
-        if len(self.levels) != len(idx):
-            raise ShapeMismatch("one basis per index tuple entry required")
-        frozen = []
-        prev: np.ndarray | None = None
-        for dim, basis in zip(idx, self.levels):
-            B = np.array(basis, dtype=complex)
-            lead = frozen[0].shape[:-2] if frozen else B.shape[:-2]
-            if B.ndim not in (2, 3) or B.shape != lead + (self.signature.n, dim):
-                raise ShapeMismatch(
-                    f"level basis must be {lead + (self.signature.n, dim)}, got {B.shape}"
-                )
-            outside = np.atleast_1d(positive_cone_margin(B, self.signature)) < TOL_CONE
-            if np.any(outside):
-                raise ValueError(f"flag level is not inside the positive cone{_at_sample(outside, B)}")
-            if prev is not None:
-                # each earlier basis vector must lie in the next level's span
-                Q = np.linalg.qr(B)[0]
-                resid = np.abs(prev - Q @ (Q.swapaxes(-1, -2).conj() @ prev)).max(axis=(-2, -1))
-                if np.any(resid > 1e-8):
-                    worst = float(np.max(resid))
-                    raise ValueError(
-                        f"flag levels are not nested (residual {worst:.3e})"
-                        f"{_at_sample(np.atleast_1d(resid > 1e-8), B)}"
-                    )
-            prev = B
-            B.flags.writeable = False
-            frozen.append(B)
+        B = np.asarray(self.basis)
+        if B.ndim not in (2, 3) or B.shape[-2] != self.signature.n or B.shape[-1] < idx[-1]:
+            raise ShapeMismatch(
+                f"flag basis must be (..., {self.signature.n}, >= {idx[-1]}), got {B.shape}"
+            )
+        B = np.array(B[..., : idx[-1]], dtype=complex)
+        outside = np.atleast_1d(positive_cone_margin(B, self.signature)) < TOL_CONE
+        if np.any(outside):
+            raise ValueError(f"flag is not inside the positive cone{_at_sample(outside, B)}")
+        B.flags.writeable = False
         object.__setattr__(self, "index_tuple", idx)
-        object.__setattr__(self, "levels", tuple(frozen))
+        object.__setattr__(self, "basis", B)
+
+    @property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """Read-only column-prefix views of the basis, one per index tuple entry."""
+        return tuple(self.basis[..., :dim] for dim in self.index_tuple)
 
     @property
     def depth(self) -> int:
@@ -317,11 +307,11 @@ def subordinate_frame(
     A stack of N flags gets one frame per flag, a stack (N, n, m).
     """
     sig = flag.signature
-    stacked = flag.levels[0].ndim == 3
+    stacked = flag.basis.ndim == 3
     if stacked and count is not None:
         raise ShapeMismatch("a stack of flags draws one frame per flag; count is for one flag")
-    N = flag.levels[0].shape[0] if stacked else 1 if count is None else int(count)
-    dims = [basis.shape[-1] for basis in flag.levels]
+    N = flag.basis.shape[0] if stacked else 1 if count is None else int(count)
+    dims = flag.index_tuple
     coeffs = [complex_normal(rng, N, d) for d in dims]
     draws = np.ones((N, len(dims)), dtype=int)
     while True:
@@ -344,17 +334,6 @@ def subordinate_frame(
     return _checked_frame(F[0] if single else F, sig, POSITIVE, TOL_NULL_REL, TOL_FRAME)
 
 
-def flag_from_basis(sig: Signature, index_tuple, basis: np.ndarray) -> PositiveFlag:
-    """Flag whose levels are column prefixes of one positive basis.
-
-    A stack of bases (N, n, w) gives a stack of N flags.
-    """
-    idx = check_index_tuple(index_tuple, sig.p)
-    if basis.shape[-1] < idx[-1]:
-        raise ShapeMismatch(f"basis has {basis.shape[-1]} columns, top level needs {idx[-1]}")
-    return PositiveFlag(sig, idx, tuple(basis[..., :dim] for dim in idx))
-
-
 def sample_flag_with_subordinate(
     sig: Signature,
     index_tuple,
@@ -367,7 +346,6 @@ def sample_flag_with_subordinate(
     are its column prefixes, so nesting is exact.
     """
     idx = check_index_tuple(index_tuple, sig.p)
-    basis = sample_positive_subspace(sig, idx[-1], cfg, rng)
-    flag = flag_from_basis(sig, idx, basis)
+    flag = PositiveFlag(sig, idx, sample_positive_subspace(sig, idx[-1], cfg, rng))
     frame = subordinate_frame(flag, cfg, rng)
     return flag, frame

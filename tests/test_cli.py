@@ -69,6 +69,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             validate_config(SuiteConfig(tol_check=-1.0))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("courant_subspaces", -1),
+            ("kyfan_frames", -1),
+            ("wielandt_flags", -1),
+            ("wielandt_frames", -1),
+            ("ascent_iters", -1),
+            ("max_m", 0),
+            ("max_m", -2),
+            ("tol_struct", 5.0),  # removed: it was echoed but never read
+        ],
+    )
+    def test_a_bad_budget_stops_before_any_file_is_written(self, tmp_path, capsys, field, value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({field: value}))
+        out = tmp_path / "r.jsonl"
+        assert main(["--instances", "1", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMatrixIO:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -186,16 +207,17 @@ class TestRunner:
             raise ValueError(f"{name} is not JSON")
 
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"courant_subspaces": 0, "kyfan_frames": 0}))
+        cfg_file.write_text(json.dumps({"courant_subspaces": 0, "kyfan_frames": 0, "wielandt_flags": 0}))
         out = tmp_path / "r.jsonl"
         rc = main(["--p", "2", "--q", "1", "--instances", "1", "--suite", "courant_fischer",
-                   "--suite", "ky_fan", "--config", str(cfg_file), "--out", str(out)])
+                   "--suite", "ky_fan", "--suite", "wielandt", "--config", str(cfg_file), "--out", str(out)])
         assert rc == 0
         docs = [json.loads(ln, parse_constant=no_constants) for ln in out.read_text().splitlines()]
         reports = [r for d in docs if d.get("record") == "instance" for r in d["reports"]]
         ids = {c["case_id"] for r in reports for c in r["cases"]}
-        assert {"minmax_witness:1", "restricted_witness:2", "partial_sum_witness:2"} <= ids
-        assert not any("sampled" in i for i in ids)
+        assert {"minmax_witness:1", "restricted_witness:2", "partial_sum_witness:2", "eigenflag_witness"} <= ids
+        assert not any("sampled" in i or i == "eigenflag_max" for i in ids)
+        assert not any(r["soft_cases"] for r in reports)
 
     def test_one_bad_instance_does_not_end_the_batch(self, tmp_path, monkeypatch):
         real = cli.run_instance

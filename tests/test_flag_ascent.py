@@ -1,9 +1,11 @@
-"""The stacked flag witness and ascent against the per-flag loops they replace.
+"""The coordinate flag witness and ascent against the per-flag ambient loops.
 
 The reference functions below are the per-flag witness recursion and
-coordinate ascent that ``check_wielandt_flag`` ran one flag at a time; the
-stacked kernels in ``kreinval.checks`` run all flags of a stack together and
-must reach the same traces (to 1e-12) with the same convergence flags.
+coordinate ascent that ``check_wielandt_flag`` once ran one flag at a time in
+the ambient indefinite space.  The kernels in ``kreinval.checks`` run all
+flags of a stack together in the coordinates of each flag's framed top level
+and must reach the same traces (to 1e-12) with the same convergence flags
+from the same starts.
 """
 
 from types import SimpleNamespace
@@ -16,18 +18,18 @@ from hypothesis import strategies as st
 from kreinval import checks
 from kreinval.checks import (
     _ascend_subordinate,
-    _frame_trace,
+    _compression_trace,
     _witness_subordinate,
     check_wielandt_flag,
     lambda_index_tuples,
 )
 from kreinval.core import Signature, metric_diagonal
-from kreinval.errors import NullDegeneracy, OrientationMismatch, ShapeMismatch
-from kreinval.geometry import POSITIVE, gram, pseudo_orthonormalize
+from kreinval.errors import NullDegeneracy, OrientationMismatch, RankDeficiency, ShapeMismatch
+from kreinval.geometry import POSITIVE, TOL_CONE, gram, positive_cone_margin, pseudo_orthonormalize
 from kreinval.sampling import (
     PositiveFlag,
     SamplerConfig,
-    flag_from_basis,
+    complex_normal,
     instance_rng,
     sample_planted,
     sample_positive_subspace,
@@ -42,6 +44,12 @@ TRACE_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
 # per-flag reference
+
+
+def ref_frame_trace(entries, sig, X):
+    """Sum of the Rayleigh ratios <A x, x> over the pseudo-orthonormal columns x of X."""
+    jd = metric_diagonal(sig)
+    return float(sum(np.vdot(x, jd * (entries @ x)).real for x in X.T))
 
 
 def ref_orth(B):
@@ -117,7 +125,7 @@ def ref_ascend_subordinate(entries, sig, flag, frame0, *, iters, gain_tol):
     X = [frame0.vectors[:, j].copy() for j in range(m)]
 
     def trace_now():
-        return float(_frame_trace(entries, sig, np.column_stack(X)))
+        return float(ref_frame_trace(entries, sig, np.column_stack(X)))
 
     obj = trace_now()
     converged = False
@@ -168,13 +176,13 @@ def ref_ascent_soft_lhs(A, idx, n_flags, n_tuples, cfg, rng, *, iters=200, soft_
     sig = A.signature
     spec = check_admissible(A)
     target = float(sum(spec.lambdas[i - 1] for i in idx))
-    eigenflag = flag_from_basis(sig, idx, positive_eigenbasis(eigendecompose(A)))
+    eigenflag = PositiveFlag(sig, idx, positive_eigenbasis(eigendecompose(A)))
     subordinate_frame(eigenflag, cfg, rng, count=n_flags * n_tuples)
     width = max(idx[-1], sig.p - 1) if sig.p >= 2 else idx[-1]
     bases = sample_positive_subspace(sig, width, cfg, rng, count=n_flags)
     out, nonconverged = [], 0
     for f in range(n_flags):
-        flag = flag_from_basis(sig, idx, bases[f])
+        flag = PositiveFlag(sig, idx, bases[f])
         starts = [subordinate_frame(flag, cfg, rng)]
         try:
             starts.insert(0, ref_witness_subordinate(A.entries, sig, flag))
@@ -203,41 +211,55 @@ def instance(p, q, index):
 
 
 def flag_stack(sig, idx, cfg, rng, count):
-    return flag_from_basis(sig, idx, sample_positive_subspace(sig, idx[-1], cfg, rng, count=count))
+    return PositiveFlag(sig, idx, sample_positive_subspace(sig, idx[-1], cfg, rng, count=count))
 
 
-def compare_with_reference(A, levels, X0):
-    """Stacked ascent from X0 against the per-flag reference; returns the reached traces."""
+def top_coordinates(entries, sig, basis):
+    """The framed top levels (N, n, r) of a stack of flag bases and the compressions onto them."""
+    top = pseudo_orthonormalize(basis, sig, POSITIVE).vectors
+    jd = metric_diagonal(sig)
+    M = top.conj().swapaxes(-1, -2) @ (jd[:, None] * (entries @ top))
+    return top, 0.5 * (M + M.conj().swapaxes(-1, -2))
+
+
+def to_coordinates(sig, top, X):
+    return top.conj().swapaxes(-1, -2) @ (metric_diagonal(sig)[:, None] * X)
+
+
+def compare_with_reference(A, flags, C0):
+    """Coordinate ascent from C0 against the per-flag ambient reference from the same frames."""
     sig = A.signature
-    got, conv = _ascend_subordinate(A.entries, sig, levels, X0, iters=200, gain_tol=1e-10)
-    for f in range(len(X0)):
-        flag = SimpleNamespace(levels=[L[f] for L in levels], depth=len(levels))
-        frame = SimpleNamespace(vectors=X0[f])
+    top, M = top_coordinates(A.entries, sig, flags.basis)
+    got, conv = _ascend_subordinate(M, flags.index_tuple, C0, iters=200, gain_tol=1e-10)
+    for f in range(len(C0)):
+        flag = SimpleNamespace(levels=[L[f] for L in flags.levels], depth=flags.depth)
+        frame = SimpleNamespace(vectors=top[f] @ C0[f])
         want, want_conv = ref_ascend_subordinate(A.entries, sig, flag, frame, iters=200, gain_tol=1e-10)
         assert got[f] == pytest.approx(want, abs=TRACE_TOL), f
         assert conv[f] == want_conv, f
-    return got
 
 
 def check_flags_against_reference(A, flags, random_starts):
     sig = A.signature
-    frames, ok = _witness_subordinate(A.entries, sig, flags.levels)
+    top, M = top_coordinates(A.entries, sig, flags.basis)
+    C, ok = _witness_subordinate(M, flags.index_tuple)
+    assert ok.all()
+    assert np.allclose(C.conj().swapaxes(-1, -2) @ C, np.eye(flags.depth), atol=1e-12)
     for f in range(len(ok)):
         flag = SimpleNamespace(levels=[L[f] for L in flags.levels], depth=flags.depth)
         want = ref_witness_subordinate(A.entries, sig, flag).vectors
-        assert ok[f]
-        assert _frame_trace(A.entries, sig, frames[f]) == pytest.approx(
-            float(_frame_trace(A.entries, sig, want)), abs=TRACE_TOL
+        assert _compression_trace(M[f], C[f]) == pytest.approx(
+            ref_frame_trace(A.entries, sig, want), abs=TRACE_TOL
         )
-    compare_with_reference(A, flags.levels, frames)
-    compare_with_reference(A, flags.levels, random_starts)
+    compare_with_reference(A, flags, C)
+    compare_with_reference(A, flags, to_coordinates(sig, top, random_starts))
 
 
 def per_flag_random_starts(flags, cfg, rng):
     """A random subordinate start per flag, drawn one flag at a time."""
     return np.stack([
-        subordinate_frame(PositiveFlag(flags.signature, flags.index_tuple, tuple(L[f] for L in flags.levels)), cfg, rng).vectors
-        for f in range(len(flags.levels[0]))
+        subordinate_frame(PositiveFlag(flags.signature, flags.index_tuple, B), cfg, rng).vectors
+        for B in flags.basis
     ])
 
 
@@ -286,23 +308,22 @@ def test_check_reproduces_the_per_flag_ascent_with_its_draws(pq):
 
 
 def test_slot_ranks_that_differ_across_samples():
-    """Slot 0 of a diagonal flag pairs to exactly zero with the other slot; a generic flag's does not."""
+    """Slot 0 of a diagonal flag is orthogonal to the other slot; a generic flag's is not."""
     sig = Signature(3, 1)
     A, cfg = instance(3, 1, 6)
     generic = flag_stack(sig, (2, 3), cfg, instance_rng(SEED, 7), count=2)
     e = np.eye(sig.n, dtype=complex)
-    levels = tuple(
-        np.concatenate([L, e[None, :, :d]]) for L, d in zip(generic.levels, (2, 3))
-    )
-    X0 = np.concatenate([
-        _witness_subordinate(A.entries, sig, generic.levels)[0],
-        e[None][:, :, [0, 2]],
+    flags = PositiveFlag(sig, (2, 3), np.concatenate([generic.basis, e[None, :, :3]]))
+    top, M = top_coordinates(A.entries, sig, flags.basis)
+    assert np.allclose(top[2], e[:, :3])
+    C0 = np.concatenate([
+        _witness_subordinate(M[:2], (2, 3))[0],
+        np.eye(3, dtype=complex)[None][:, :, [0, 2]],
     ])
-    jd = metric_diagonal(sig)
-    M = X0[:, :, 1:].conj().swapaxes(-1, -2) @ (jd[:, None] * levels[0])
-    svals = np.linalg.svd(M, compute_uv=False)
+    # slot 0 may use the part of E_2 orthogonal to the first two coordinates of slot 1
+    svals = np.linalg.svd(C0[:, :2, 1:].conj().swapaxes(-1, -2), compute_uv=False)
     assert np.all(svals[:2, 0] > 1e-8) and np.all(svals[2] == 0)  # ranks 1, 1, 0
-    compare_with_reference(A, levels, X0)
+    compare_with_reference(A, flags, C0)
 
 
 def test_witness_spans_whose_ranks_differ_across_samples():
@@ -311,42 +332,103 @@ def test_witness_spans_whose_ranks_differ_across_samples():
     entries = np.diag([3.0, 2.0, 1.0]).astype(complex)
     generic = flag_stack(sig, (1, 3), SamplerConfig(seed=SEED), instance_rng(SEED, 17), count=2)
     e = np.eye(3, dtype=complex)
-    levels = tuple(np.concatenate([L, e[None, :, :d]]) for L, d in zip(generic.levels, (1, 3)))
-    frames, ok = _witness_subordinate(entries, sig, levels)
+    flags = PositiveFlag(sig, (1, 3), np.concatenate([generic.basis, e[None]]))
+    top, M = top_coordinates(entries, sig, flags.basis)
+    assert np.allclose(M[2], entries)
+    C, ok = _witness_subordinate(M, (1, 3))
     assert ok.all()
     for f in range(3):
-        flag = SimpleNamespace(levels=[L[f] for L in levels], depth=2)
+        flag = SimpleNamespace(levels=[L[f] for L in flags.levels], depth=2)
         want = ref_witness_subordinate(entries, sig, flag).vectors
-        assert np.allclose(frames[f], want, atol=1e-12)
-    assert _frame_trace(entries, sig, frames[2]) == pytest.approx(5.0, abs=1e-12)
+        # the same columns up to phase: the recursion ends on a complete flag
+        overlap = np.abs(np.sum((top[f] @ C[f]).conj() * want, axis=0))
+        assert np.allclose(overlap, 1.0, atol=1e-12)
+    assert _compression_trace(M[2], C[2]) == pytest.approx(5.0, abs=1e-12)
 
 
-def test_null_pivots_skip_a_slot_or_stop_a_flag():
-    """Level 2 of samples 1 and 2 holds a null vector, so slot 2 has a null pivot and is skipped.
+def test_a_one_dimensional_slot_is_never_updated(monkeypatch):
+    """Level E_1 fixes slot 0 up to phase, so only slot 1 solves an eigenproblem."""
+    sig = Signature(3, 2)
+    A, cfg = instance(3, 2, 15)
+    rng = instance_rng(SEED, 19)
+    flags = flag_stack(sig, (1, 3), cfg, rng, count=4)
+    top, M = top_coordinates(A.entries, sig, flags.basis)
+    C0 = to_coordinates(sig, top, subordinate_frame(flags, cfg, rng).vectors)
+    compare_with_reference(A, flags, C0)
+    eigh = np.linalg.eigh
+    sizes = []
 
-    Sample 2 also starts with that null vector in its frame, so its frame
-    fails after the sweep and the flag stops, unconverged, where it started.
-    """
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    _ascend_subordinate(M, (1, 3), C0, iters=200, gain_tol=1e-10)
+    # slot 1 ranges over the part of E_3 orthogonal to slot 0: a 2 x 2 eigenproblem
+    assert sizes and set(sizes) == {2}
+
+
+# ---------------------------------------------------------------------------
+# the flag type
+
+
+def per_level_accepts(sig, idx, basis):
+    """The per-level validator: every level of every sample is a full-rank positive subspace."""
+    try:
+        return all(np.all(positive_cone_margin(basis[..., :d], sig) >= TOL_CONE) for d in idx)
+    except RankDeficiency:
+        return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pq=st.sampled_from([(1, 1), (2, 1), (3, 0), (3, 2), (4, 3)]),
+    seed=st.integers(0, 2**31 - 1),
+    pick=st.integers(0, 2**31 - 1),
+    count=st.integers(1, 4),
+    kind=st.sampled_from(["positive", "dependent", "top_not_positive", "gaussian"]),
+)
+def test_one_margin_accepts_exactly_as_every_level(pq, seed, pick, count, kind):
+    sig = Signature(*pq)
+    tuples = lambda_index_tuples(sig.p)
+    idx = tuples[pick % len(tuples)]
+    r = idx[-1]
+    rng = instance_rng(seed, 20)
+    basis = np.array(sample_positive_subspace(sig, r, SamplerConfig(seed=seed), rng, count=count))
+    s = int(rng.integers(count))
+    broken = False
+    if kind == "dependent" and r > 1:
+        # a top column in the span of the others: every level that holds it is rank-deficient
+        basis[s, :, r - 1] = basis[s, :, : r - 1] @ complex_normal(rng, r - 1)
+        broken = True
+    elif kind == "top_not_positive" and r > 1 and sig.q:
+        # the lower prefixes stay positive; the top column is a negative vector
+        g = complex_normal(rng, sig.q)
+        basis[s, :, r - 1] = 0.1 * basis[s, :, 0]
+        basis[s, sig.p :, r - 1] += g / np.linalg.norm(g)
+        broken = True
+    elif kind == "gaussian":
+        basis = complex_normal(rng, count, sig.n, r)
+    want = per_level_accepts(sig, idx, basis)
+    try:
+        PositiveFlag(sig, idx, basis)
+        got = True
+    except (ValueError, RankDeficiency):
+        got = False
+    assert got == want
+    if broken:
+        assert not got and per_level_accepts(sig, (r - 1,), basis)
+
+
+def test_flag_levels_are_read_only_prefixes():
     sig = Signature(3, 1)
-    A, cfg = instance(3, 1, 8)
-    flags = flag_stack(sig, (1, 3), cfg, instance_rng(SEED, 9), count=3)
-    X0, _ = _witness_subordinate(A.entries, sig, flags.levels)
-    e = np.eye(sig.n, dtype=complex)
-    null = (e[:, 2] + e[:, 3]) / np.sqrt(2)
-    levels = [np.array(L) for L in flags.levels]
-    for f in (1, 2):
-        levels[0][f] = e[:, :1]
-        levels[1][f] = np.column_stack([e[:, 0], e[:, 1], null])
-    X0[1] = e[:, :2]
-    X0[2] = np.column_stack([e[:, 0], null])
-    Y = levels[1][1][:, 1:]  # what slot 2 may use: the level paired-orthogonal to e_1
-    with pytest.raises(NullDegeneracy):
-        pseudo_orthonormalize(Y, sig, POSITIVE)
-    got = compare_with_reference(A, tuple(levels), X0)
-    conv = _ascend_subordinate(A.entries, sig, tuple(levels), X0, iters=200, gain_tol=1e-10)[1]
-    assert got[1] == pytest.approx(float((A.entries[0, 0] + A.entries[1, 1]).real), abs=1e-12)
-    assert got[2] == pytest.approx(float(_frame_trace(A.entries, sig, X0[2])), abs=1e-12)
-    assert list(conv) == [True, True, False]
+    basis = sample_positive_subspace(sig, 3, SamplerConfig(seed=SEED), instance_rng(SEED, 21))
+    flag = PositiveFlag(sig, (1, 2), basis)
+    assert flag.basis.shape == (sig.n, 2)
+    assert [L.shape[-1] for L in flag.levels] == [1, 2]
+    assert all(np.shares_memory(L, flag.basis) and not L.flags.writeable for L in flag.levels)
+    with pytest.raises(ShapeMismatch):
+        PositiveFlag(sig, (1, 3), basis[:, :2])
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +439,11 @@ def test_stacked_flag_names_its_non_positive_sample():
     sig = Signature(2, 1)
     cfg = SamplerConfig(seed=SEED)
     bases = sample_positive_subspace(sig, 2, cfg, instance_rng(SEED, 10), count=5)
-    flag_from_basis(sig, (1, 2), bases)
+    PositiveFlag(sig, (1, 2), bases)
     bad = np.array(bases)
     bad[3, :, 1] = [0.0, 1.0, 1.0]  # a null vector in level 2 of sample 3
     with pytest.raises(ValueError, match="positive cone at sample 3"):
-        flag_from_basis(sig, (1, 2), bad)
-    levels = (np.array(bases[:, :, :1]), bases)
-    levels[0][2] = bases[0, :, :1]  # positive, but outside level 2 of sample 2
-    with pytest.raises(ValueError, match="not nested .* at sample 2"):
-        PositiveFlag(sig, (1, 2), levels)
+        PositiveFlag(sig, (1, 2), bad)
 
 
 def test_a_stack_of_flags_draws_one_frame_per_flag():
@@ -391,8 +469,8 @@ def test_a_failed_witness_draws_one_fallback_start(monkeypatch):
 
     witness = checks._witness_subordinate
 
-    def fails_on_flag_2(entries, sig, levels):
-        frames, ok = witness(entries, sig, levels)
+    def fails_on_flag_2(M, idx):
+        frames, ok = witness(M, idx)
         ok[2] = False
         return frames, ok
 
@@ -463,7 +541,7 @@ def test_the_ascent_is_batched_over_flags(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    for idx in ((2,), (2, 3)):
+    for idx in ((2,), (1, 3), (2, 3)):
         counts = []
         for n_flags in (4, 16):
             calls.clear()

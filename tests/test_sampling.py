@@ -21,7 +21,7 @@ from kreinval import (
     subspace_in_positive_cone,
 )
 from kreinval.geometry import gram, pair
-from kreinval.sampling import flag_from_basis, restricted_cone_samples
+from kreinval.sampling import PositiveFlag, restricted_cone_samples
 
 SEED = 808
 
@@ -126,7 +126,7 @@ def test_batched_subordinate_frames_lie_in_their_levels(signature, sampler_cfg):
     idx = tuple(range(1, signature.p + 1))
     rng = instance_rng(SEED, 15)
     basis = sample_positive_subspace(signature, signature.p, sampler_cfg, rng)
-    flag = flag_from_basis(signature, idx, basis)
+    flag = PositiveFlag(signature, idx, basis)
     frames = subordinate_frame(flag, sampler_cfg, rng, count=30)
     assert frames.vectors.shape == (30, signature.n, len(idx))
     for F in frames.vectors:
@@ -154,7 +154,7 @@ def test_subordinate_frame_redraws_a_null_vector_within_its_budget():
     sig = Signature(3, 1)
     cfg = SamplerConfig(seed=1)
     basis = sample_positive_subspace(sig, 3, cfg, instance_rng(SEED, 16))
-    flag = flag_from_basis(sig, (1, 3), basis)
+    flag = PositiveFlag(sig, (1, 3), basis)
     # calls 3 and 4 draw the level-2 coefficients: a zero vector has a null pivot
     rng = ZeroDraws({3, 4}, SEED)
     frame = subordinate_frame(flag, cfg, rng)
