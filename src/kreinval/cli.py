@@ -5,8 +5,9 @@ command-line flags (flags win).  The seed falls back to the KREINVAL_SEED
 environment variable when neither flags nor file provide one.  Exit status is
 0 on success, 1 when any hard check fails, an instance raises, or the soft
 success rate drops below the threshold, 2 on configuration errors (in which
-case no files are written).  An instance that raises gets an error record
-and the run goes on.
+case no files are written).  No shipped suite produces soft cases, so the
+soft rate stays unset and only the hard checks decide.  An instance that
+raises gets an error record and the run goes on.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ class SuiteConfig:
     kyfan_frames: int = 100
     wielandt_flags: int = 10
     wielandt_frames: int = 5
-    ascent_iters: int = 200
     soft_threshold: float = 0.95
     workers: int = 1
     out: str | None = None
@@ -118,7 +118,7 @@ def validate_config(cfg: SuiteConfig) -> SuiteConfig:
     for name in ("tol_eig", "tol_check", "trace_rtol", "lp_tol"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
-    for name in ("courant_subspaces", "kyfan_frames", "wielandt_flags", "wielandt_frames", "ascent_iters"):
+    for name in ("courant_subspaces", "kyfan_frames", "wielandt_flags", "wielandt_frames"):
         if getattr(cfg, name) < 0:
             raise ConfigError(f"{name} must be >= 0, got {getattr(cfg, name)}")
     if cfg.max_m is not None and cfg.max_m < 1:
@@ -206,7 +206,6 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
                         t,
                         n_flags=cfg.wielandt_flags,
                         n_tuples=cfg.wielandt_frames,
-                        ascent_iters=cfg.ascent_iters,
                         tol=cfg.tol_check,
                         cfg=scfg,
                         rng=rng,

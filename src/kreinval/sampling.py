@@ -304,18 +304,15 @@ def subordinate_frame(
 
     With ``count`` the frame holds a stack (count, n, m) of independent
     frames; without it, the single frame is the first of a stack of one.
-    A stack of N flags gets one frame per flag, a stack (N, n, m).
     """
+    if flag.basis.ndim != 2:
+        raise ShapeMismatch("subordinate_frame draws for one flag, not a stack of flags")
     sig = flag.signature
-    stacked = flag.basis.ndim == 3
-    if stacked and count is not None:
-        raise ShapeMismatch("a stack of flags draws one frame per flag; count is for one flag")
-    N = flag.basis.shape[0] if stacked else 1 if count is None else int(count)
+    N = 1 if count is None else int(count)
     dims = flag.index_tuple
     coeffs = [complex_normal(rng, N, d) for d in dims]
     draws = np.ones((N, len(dims)), dtype=int)
     while True:
-        # row i of the coefficients draws from flag i of a stack, or from the one flag
         X = np.stack([(basis @ c[..., None])[..., 0] for c, basis in zip(coeffs, flag.levels)], axis=-1)
         F, _, _, first_bad = _cholesky_frames(X, sig, 1.0, TOL_NULL_REL)
         redo = np.flatnonzero(first_bad < len(dims))
@@ -330,8 +327,7 @@ def subordinate_frame(
         for j in np.unique(cols):
             rows = redo[cols == j]
             coeffs[j][rows] = complex_normal(rng, rows.size, dims[j])
-    single = not stacked and count is None
-    return _checked_frame(F[0] if single else F, sig, POSITIVE, TOL_NULL_REL, TOL_FRAME)
+    return _checked_frame(F[0] if count is None else F, sig, POSITIVE, TOL_NULL_REL, TOL_FRAME)
 
 
 def sample_flag_with_subordinate(

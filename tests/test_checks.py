@@ -232,7 +232,9 @@ def test_wielandt_full_tuple_matches_ky_fan_target(sampler_cfg):
     by_id = {c.case_id: c for c in report.cases}
     assert by_id["eigenflag_witness"].rhs == pytest.approx(np.sum(spec.lambdas), abs=1e-7)
     assert "interlace_min" in by_id
-    assert report.soft_rate is None or report.soft_rate >= 0.5
+    assert [f"witness:{f}" for f in range(8)] + ["witness_gap_min"] == [
+        c.case_id for c in report.cases if c.case_id.startswith("witness")
+    ]
 
 
 def test_wielandt_single_index(sampler_cfg):

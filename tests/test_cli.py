@@ -76,10 +76,10 @@ class TestConfig:
             ("kyfan_frames", -1),
             ("wielandt_flags", -1),
             ("wielandt_frames", -1),
-            ("ascent_iters", -1),
             ("max_m", 0),
             ("max_m", -2),
             ("tol_struct", 5.0),  # removed: it was echoed but never read
+            ("ascent_iters", -1),  # removed with the flag ascent
         ],
     )
     def test_a_bad_budget_stops_before_any_file_is_written(self, tmp_path, capsys, field, value):
@@ -216,7 +216,7 @@ class TestRunner:
         reports = [r for d in docs if d.get("record") == "instance" for r in d["reports"]]
         ids = {c["case_id"] for r in reports for c in r["cases"]}
         assert {"minmax_witness:1", "restricted_witness:2", "partial_sum_witness:2", "eigenflag_witness"} <= ids
-        assert not any("sampled" in i or i == "eigenflag_max" for i in ids)
+        assert not any("sampled" in i or i == "eigenflag_max" or i.startswith("witness") for i in ids)
         assert not any(r["soft_cases"] for r in reports)
 
     def test_one_bad_instance_does_not_end_the_batch(self, tmp_path, monkeypatch):

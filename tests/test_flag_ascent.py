@@ -1,13 +1,17 @@
-"""The coordinate flag witness and ascent against the per-flag ambient loops.
+"""The coordinate flag witness: a Wielandt certificate, checked against the per-flag loop.
 
-The reference functions below are the per-flag witness recursion and
-coordinate ascent that ``check_wielandt_flag`` once ran one flag at a time in
-the ambient indefinite space.  The kernels in ``kreinval.checks`` run all
-flags of a stack together in the coordinates of each flag's framed top level
-and must reach the same traces (to 1e-12) with the same convergence flags
-from the same starts.
+The reference functions below are the per-flag witness recursion that
+``check_wielandt_flag`` once ran one flag at a time in the ambient
+indefinite space.  The kernel in ``kreinval.checks`` runs all flags of a
+stack together in the coordinates of each flag's framed top level and must
+reach the same traces (to 1e-12).  Independently of the reference, the
+witness trace must reach the sum of the selected eigenvalues of the
+compressed matrix (Hermitian Wielandt), which ``eigvalsh`` gives.
 """
 
+import dataclasses
+import itertools
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,15 +21,16 @@ from hypothesis import strategies as st
 
 from kreinval import checks
 from kreinval.checks import (
-    _ascend_subordinate,
+    WITNESS_ROUNDOFF,
     _compression_trace,
     _witness_subordinate,
     check_wielandt_flag,
     lambda_index_tuples,
 )
+from kreinval.cli import SuiteConfig, run_instance, run_suite
 from kreinval.core import Signature, metric_diagonal
-from kreinval.errors import NullDegeneracy, OrientationMismatch, RankDeficiency, ShapeMismatch
-from kreinval.geometry import POSITIVE, TOL_CONE, gram, positive_cone_margin, pseudo_orthonormalize
+from kreinval.errors import RankDeficiency, ShapeMismatch
+from kreinval.geometry import POSITIVE, TOL_CONE, positive_cone_margin, pseudo_orthonormalize
 from kreinval.sampling import (
     PositiveFlag,
     SamplerConfig,
@@ -35,7 +40,7 @@ from kreinval.sampling import (
     sample_positive_subspace,
     subordinate_frame,
 )
-from kreinval.spectral import check_admissible, eigendecompose, positive_eigenbasis
+from kreinval.spectral import eigendecompose, positive_eigenbasis
 
 SEED = 4417
 ORACLE_SIGNATURES = [(1, 1), (2, 1), (3, 0), (3, 2), (4, 3)]
@@ -119,87 +124,6 @@ def ref_witness_subordinate(entries, sig, flag):
     return pseudo_orthonormalize(top @ X, sig, POSITIVE)
 
 
-def ref_ascend_subordinate(entries, sig, flag, frame0, *, iters, gain_tol):
-    jd = metric_diagonal(sig)
-    m = flag.depth
-    X = [frame0.vectors[:, j].copy() for j in range(m)]
-
-    def trace_now():
-        return float(ref_frame_trace(entries, sig, np.column_stack(X)))
-
-    obj = trace_now()
-    converged = False
-    for _ in range(iters):
-        for j in range(m):
-            Bj = flag.levels[j]
-            others = [X[k] for k in range(m) if k != j]
-            if others:
-                O = np.column_stack(others)
-                M = (O.conj() * jd[:, None]).T @ Bj
-                _, svals, vh = np.linalg.svd(M)
-                cutoff = (svals[0] * 1e-10) if svals.size and svals[0] > 0 else 0.0
-                rank = int(np.sum(svals > cutoff))
-                N = vh[rank:].conj().T
-            else:
-                N = np.eye(Bj.shape[1], dtype=complex)
-            if N.shape[1] == 0:
-                continue
-            try:
-                fr = pseudo_orthonormalize(Bj @ N, sig, POSITIVE)
-            except (NullDegeneracy, OrientationMismatch):
-                continue
-            F = fr.vectors
-            comp = F.conj().T @ (jd[:, None] * (entries @ F))
-            comp = 0.5 * (comp + comp.conj().T)
-            _, vecs = np.linalg.eigh(comp)
-            X[j] = F @ vecs[:, -1]
-        try:
-            fr = pseudo_orthonormalize(np.column_stack(X), sig, POSITIVE)
-        except (NullDegeneracy, OrientationMismatch):
-            break
-        X = [fr.vectors[:, j] for j in range(m)]
-        new_obj = trace_now()
-        gain = new_obj - obj
-        obj = new_obj
-        if gain < gain_tol:
-            converged = True
-            break
-    return obj, converged
-
-
-def ref_ascent_soft_lhs(A, idx, n_flags, n_tuples, cfg, rng, *, iters=200, soft_gap=1e-6, gain_tol=1e-10):
-    """The ascent half of the per-flag check_wielandt_flag, drawing a random start for every flag.
-
-    It consumes the stream as the check does up to its ascent (the eigenflag
-    frames, then the flag bases), so the flags are the check's own.
-    """
-    sig = A.signature
-    spec = check_admissible(A)
-    target = float(sum(spec.lambdas[i - 1] for i in idx))
-    eigenflag = PositiveFlag(sig, idx, positive_eigenbasis(eigendecompose(A)))
-    subordinate_frame(eigenflag, cfg, rng, count=n_flags * n_tuples)
-    width = max(idx[-1], sig.p - 1) if sig.p >= 2 else idx[-1]
-    bases = sample_positive_subspace(sig, width, cfg, rng, count=n_flags)
-    out, nonconverged = [], 0
-    for f in range(n_flags):
-        flag = PositiveFlag(sig, idx, bases[f])
-        starts = [subordinate_frame(flag, cfg, rng)]
-        try:
-            starts.insert(0, ref_witness_subordinate(A.entries, sig, flag))
-        except (NullDegeneracy, OrientationMismatch, np.linalg.LinAlgError):
-            pass
-        achieved, converged = -np.inf, False
-        for start in starts:
-            val, conv = ref_ascend_subordinate(A.entries, sig, flag, start, iters=iters, gain_tol=gain_tol)
-            if val > achieved:
-                achieved, converged = val, conv
-            if achieved >= target - 0.5 * soft_gap:
-                break
-        nonconverged += not converged
-        out.append(achieved)
-    return np.array(out), nonconverged
-
-
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -222,45 +146,32 @@ def top_coordinates(entries, sig, basis):
     return top, 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
-def to_coordinates(sig, top, X):
-    return top.conj().swapaxes(-1, -2) @ (metric_diagonal(sig)[:, None] * X)
-
-
-def compare_with_reference(A, flags, C0):
-    """Coordinate ascent from C0 against the per-flag ambient reference from the same frames."""
-    sig = A.signature
-    top, M = top_coordinates(A.entries, sig, flags.basis)
-    got, conv = _ascend_subordinate(M, flags.index_tuple, C0, iters=200, gain_tol=1e-10)
-    for f in range(len(C0)):
-        flag = SimpleNamespace(levels=[L[f] for L in flags.levels], depth=flags.depth)
-        frame = SimpleNamespace(vectors=top[f] @ C0[f])
-        want, want_conv = ref_ascend_subordinate(A.entries, sig, flag, frame, iters=200, gain_tol=1e-10)
-        assert got[f] == pytest.approx(want, abs=TRACE_TOL), f
-        assert conv[f] == want_conv, f
-
-
-def check_flags_against_reference(A, flags, random_starts):
-    sig = A.signature
-    top, M = top_coordinates(A.entries, sig, flags.basis)
-    C, ok = _witness_subordinate(M, flags.index_tuple)
-    assert ok.all()
-    assert np.allclose(C.conj().swapaxes(-1, -2) @ C, np.eye(flags.depth), atol=1e-12)
-    for f in range(len(ok)):
-        flag = SimpleNamespace(levels=[L[f] for L in flags.levels], depth=flags.depth)
-        want = ref_witness_subordinate(A.entries, sig, flag).vectors
-        assert _compression_trace(M[f], C[f]) == pytest.approx(
-            ref_frame_trace(A.entries, sig, want), abs=TRACE_TOL
-        )
-    compare_with_reference(A, flags, C)
-    compare_with_reference(A, flags, to_coordinates(sig, top, random_starts))
-
-
-def per_flag_random_starts(flags, cfg, rng):
-    """A random subordinate start per flag, drawn one flag at a time."""
-    return np.stack([
-        subordinate_frame(PositiveFlag(flags.signature, flags.index_tuple, B), cfg, rng).vectors
-        for B in flags.basis
+def ref_witness_traces(entries, sig, flags):
+    """The per-flag ambient witness's trace for each flag of a stack."""
+    return np.array([
+        ref_frame_trace(entries, sig, ref_witness_subordinate(
+            entries, sig, SimpleNamespace(levels=[L[f] for L in flags.levels])
+        ).vectors)
+        for f in range(len(flags.basis))
     ])
+
+
+def check_flags_against_reference(A, flags):
+    sig = A.signature
+    _, M = top_coordinates(A.entries, sig, flags.basis)
+    C = _witness_subordinate(M, flags.index_tuple)
+    assert np.allclose(C.conj().swapaxes(-1, -2) @ C, np.eye(flags.depth), atol=1e-12)
+    want = ref_witness_traces(A.entries, sig, flags)
+    assert np.max(np.abs(_compression_trace(M, C) - want)) <= TRACE_TOL
+
+
+def check_flags(A, idx, n_flags, n_tuples, cfg, rng):
+    """The random flags of check_wielandt_flag, drawn as it draws them: after the eigenflag frames."""
+    sig = A.signature
+    eigenflag = PositiveFlag(sig, idx, positive_eigenbasis(eigendecompose(A)))
+    subordinate_frame(eigenflag, cfg, rng, count=n_flags * n_tuples)
+    width = max(idx[-1], sig.p - 1) if sig.p >= 2 else idx[-1]
+    return PositiveFlag(sig, idx, sample_positive_subspace(sig, width, cfg, rng, count=n_flags))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +185,7 @@ def test_stacked_kernels_match_the_per_flag_loop(pq):
     for t, idx in enumerate(lambda_index_tuples(sig.p)):
         rng = instance_rng(SEED, 2, t)
         flags = flag_stack(sig, idx, cfg, rng, count=5)
-        check_flags_against_reference(A, flags, per_flag_random_starts(flags, cfg, rng))
+        check_flags_against_reference(A, flags)
 
 
 @settings(max_examples=25, deadline=None)
@@ -292,38 +203,62 @@ def test_stacked_kernels_match_the_per_flag_loop_property(pq, seed, pick, count)
     tuples = lambda_index_tuples(sig.p)
     idx = tuples[pick % len(tuples)]
     flags = flag_stack(sig, idx, cfg, rng, count=count)
-    check_flags_against_reference(A, flags, per_flag_random_starts(flags, cfg, rng))
+    check_flags_against_reference(A, flags)
 
 
 @pytest.mark.parametrize("pq", [(2, 1), (3, 2), (4, 3)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
-def test_check_reproduces_the_per_flag_ascent_with_its_draws(pq):
-    """With a random start drawn for every flag, as the per-flag loop did, the soft cases agree."""
+def test_check_witness_cases_match_the_per_flag_reference(pq):
+    """Each witness:f is the per-flag witness trace on the check's own flag; the gap is recomputed."""
     A, cfg = instance(*pq, 4)
-    for t, idx in enumerate(lambda_index_tuples(A.signature.p)):
+    sig = A.signature
+    for t, idx in enumerate(lambda_index_tuples(sig.p)):
         rep = check_wielandt_flag(A, idx, n_flags=6, n_tuples=3, cfg=cfg, rng=instance_rng(SEED, 5, t))
-        want, nonconverged = ref_ascent_soft_lhs(A, idx, 6, 3, cfg, instance_rng(SEED, 5, t))
-        got = np.array([c.lhs for c in rep.soft_cases])
+        assert rep.passed and not rep.soft_cases and not rep.notes
+        by_id = {c.case_id: c for c in rep.cases}
+        flags = check_flags(A, idx, 6, 3, cfg, instance_rng(SEED, 5, t))
+        want = ref_witness_traces(A.entries, sig, flags)
+        got = np.array([by_id[f"witness:{f}"].lhs for f in range(6)])
         assert np.max(np.abs(got - want)) <= TRACE_TOL
-        assert (f"ascent_nonconverged: {nonconverged}/6" in rep.notes) == (nonconverged > 0)
+        _, M = top_coordinates(A.entries, sig, flags.basis)
+        gaps = [
+            (want[f] - sum(np.linalg.eigvalsh(M[f])[i - 1] for i in idx)) / max(1.0, np.linalg.norm(M[f], 2))
+            for f in range(6)
+        ]
+        assert by_id["witness_gap_min"].lhs == pytest.approx(min(gaps), abs=TRACE_TOL)
+        assert by_id["witness_gap_min"].tol == WITNESS_ROUNDOFF
 
 
-def test_slot_ranks_that_differ_across_samples():
-    """Slot 0 of a diagonal flag is orthogonal to the other slot; a generic flag's is not."""
-    sig = Signature(3, 1)
-    A, cfg = instance(3, 1, 6)
-    generic = flag_stack(sig, (2, 3), cfg, instance_rng(SEED, 7), count=2)
-    e = np.eye(sig.n, dtype=complex)
-    flags = PositiveFlag(sig, (2, 3), np.concatenate([generic.basis, e[None, :, :3]]))
-    top, M = top_coordinates(A.entries, sig, flags.basis)
-    assert np.allclose(top[2], e[:, :3])
-    C0 = np.concatenate([
-        _witness_subordinate(M[:2], (2, 3))[0],
-        np.eye(3, dtype=complex)[None][:, :, [0, 2]],
-    ])
-    # slot 0 may use the part of E_2 orthogonal to the first two coordinates of slot 1
-    svals = np.linalg.svd(C0[:, :2, 1:].conj().swapaxes(-1, -2), compute_uv=False)
-    assert np.all(svals[:2, 0] > 1e-8) and np.all(svals[2] == 0)  # ranks 1, 1, 0
-    compare_with_reference(A, flags, C0)
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(1, 6),
+    seed=st.integers(0, 2**31 - 1),
+    count=st.integers(1, 4),
+    kind=st.sampled_from(["generic", "repeated", "diagonal"]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_the_witness_trace_is_a_wielandt_certificate(r, seed, count, kind, scale):
+    """For every index tuple, the witness trace reaches the sum of the selected eigenvalues of M."""
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((count, r))
+    if kind != "generic":
+        vals = np.round(vals)  # ties in the spectrum
+    if kind == "diagonal":
+        M = vals[..., None] * np.eye(r)
+    else:
+        Q = np.linalg.qr(complex_normal(rng, count, r, r))[0]
+        M = Q @ (vals[..., None] * Q.conj().swapaxes(-1, -2))
+        M = 0.5 * (M + M.conj().swapaxes(-1, -2))
+    M = scale * M.astype(complex)
+    eta = np.linalg.eigvalsh(M)
+    slack = 1e-12 * np.maximum(1.0, np.max(np.abs(eta), axis=-1))
+    for head in itertools.chain.from_iterable(itertools.combinations(range(1, r), k) for k in range(r)):
+        idx = head + (r,)
+        C = _witness_subordinate(M, idx)
+        assert np.allclose(C.conj().swapaxes(-1, -2) @ C, np.eye(len(idx)), atol=1e-12)
+        for j, d in enumerate(idx):
+            assert np.all(np.abs(C[:, d:, j]) <= 1e-12), (idx, j)  # column j lies in E_{idx[j]}
+        target = eta[:, [i - 1 for i in idx]].sum(axis=-1)
+        assert np.all(_compression_trace(M, C) >= target - slack), idx
 
 
 def test_witness_spans_whose_ranks_differ_across_samples():
@@ -335,8 +270,7 @@ def test_witness_spans_whose_ranks_differ_across_samples():
     flags = PositiveFlag(sig, (1, 3), np.concatenate([generic.basis, e[None]]))
     top, M = top_coordinates(entries, sig, flags.basis)
     assert np.allclose(M[2], entries)
-    C, ok = _witness_subordinate(M, (1, 3))
-    assert ok.all()
+    C = _witness_subordinate(M, (1, 3))
     for f in range(3):
         flag = SimpleNamespace(levels=[L[f] for L in flags.levels], depth=2)
         want = ref_witness_subordinate(entries, sig, flag).vectors
@@ -344,28 +278,6 @@ def test_witness_spans_whose_ranks_differ_across_samples():
         overlap = np.abs(np.sum((top[f] @ C[f]).conj() * want, axis=0))
         assert np.allclose(overlap, 1.0, atol=1e-12)
     assert _compression_trace(M[2], C[2]) == pytest.approx(5.0, abs=1e-12)
-
-
-def test_a_one_dimensional_slot_is_never_updated(monkeypatch):
-    """Level E_1 fixes slot 0 up to phase, so only slot 1 solves an eigenproblem."""
-    sig = Signature(3, 2)
-    A, cfg = instance(3, 2, 15)
-    rng = instance_rng(SEED, 19)
-    flags = flag_stack(sig, (1, 3), cfg, rng, count=4)
-    top, M = top_coordinates(A.entries, sig, flags.basis)
-    C0 = to_coordinates(sig, top, subordinate_frame(flags, cfg, rng).vectors)
-    compare_with_reference(A, flags, C0)
-    eigh = np.linalg.eigh
-    sizes = []
-
-    def recording(a, *args, **kwargs):
-        sizes.append(a.shape[-1])
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording)
-    _ascend_subordinate(M, (1, 3), C0, iters=200, gain_tol=1e-10)
-    # slot 1 ranges over the part of E_3 orthogonal to slot 0: a 2 x 2 eigenproblem
-    assert sizes and set(sizes) == {2}
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +344,7 @@ def test_flag_levels_are_read_only_prefixes():
 
 
 # ---------------------------------------------------------------------------
-# stacked flags, the fallback start and the batching
+# stacked flags, solver failures and the batching
 
 
 def test_stacked_flag_names_its_non_positive_sample():
@@ -446,91 +358,50 @@ def test_stacked_flag_names_its_non_positive_sample():
         PositiveFlag(sig, (1, 2), bad)
 
 
-def test_a_stack_of_flags_draws_one_frame_per_flag():
+def test_subordinate_frame_refuses_a_stack_of_flags():
     sig = Signature(3, 2)
     cfg = SamplerConfig(seed=SEED)
     flags = flag_stack(sig, (1, 3), cfg, instance_rng(SEED, 11), count=4)
-    frames = subordinate_frame(flags, cfg, instance_rng(SEED, 12)).vectors
-    assert frames.shape == (4, sig.n, 2)
-    for f, F in enumerate(frames):
-        assert np.allclose(gram(F, sig), np.eye(2), atol=1e-8)
-        for j, level in enumerate(flags.levels):
-            coeffs, *_ = np.linalg.lstsq(level[f], F[:, j], rcond=None)
-            assert np.linalg.norm(level[f] @ coeffs - F[:, j]) < 1e-8
-    with pytest.raises(ShapeMismatch):
-        subordinate_frame(flags, cfg, instance_rng(SEED, 12), count=2)
+    with pytest.raises(ShapeMismatch, match="one flag"):
+        subordinate_frame(flags, cfg, instance_rng(SEED, 12))
 
 
-def test_a_failed_witness_draws_one_fallback_start(monkeypatch):
-    A, cfg = instance(3, 2, 13)
-    idx = (1, 3)
-    base = check_wielandt_flag(A, idx, n_flags=6, n_tuples=3, cfg=cfg, rng=instance_rng(SEED, 14))
-    assert not any(n.startswith("ascent_fallback") for n in base.notes)
-
-    witness = checks._witness_subordinate
-
-    def fails_on_flag_2(M, idx):
-        frames, ok = witness(M, idx)
-        ok[2] = False
-        return frames, ok
-
-    drawn = []
-    subordinate = checks.subordinate_frame
-
-    def recording(flag, cfg, rng, **kw):
-        drawn.append(flag.levels[0].shape[0] if flag.levels[0].ndim == 3 else kw["count"])
-        return subordinate(flag, cfg, rng, **kw)
-
-    monkeypatch.setattr(checks, "_witness_subordinate", fails_on_flag_2)
-    monkeypatch.setattr(checks, "subordinate_frame", recording)
-    rep = check_wielandt_flag(A, idx, n_flags=6, n_tuples=3, cfg=cfg, rng=instance_rng(SEED, 14))
-    assert drawn == [18, 1]  # the eigenflag frames, then one fallback start
-    assert "ascent_fallback: 1/6" in rep.notes
-    for f, (c, c0) in enumerate(zip(rep.soft_cases, base.soft_cases)):
-        if f != 2:
-            assert c.lhs == pytest.approx(c0.lhs, abs=TRACE_TOL)
-    assert rep.soft_cases[2].passed
-
-
-def test_a_solver_failure_in_one_witness_fails_only_that_flag(monkeypatch):
-    """A decomposition that does not converge for one flag leaves the others their witness starts."""
-    A, cfg = instance(3, 2, 16)
-    idx = (2, 3)
-    base = check_wielandt_flag(A, idx, n_flags=6, n_tuples=3, cfg=cfg, rng=instance_rng(SEED, 17))
-    assert not any(n.startswith("ascent_fallback") for n in base.notes)
-
+def test_a_solver_failure_in_a_witness_gives_the_instance_an_error_record(tmp_path, monkeypatch):
+    """A witness decomposition that does not converge raises out of the check; the batch goes on."""
+    cfg = SuiteConfig(p=3, q=2, instances=3, seed=SEED, suites=("wielandt",))
     witness = checks._hermitian_flag_witness
-    top_calls = []
+    seen = []
 
     def recording(M, levels, idx):
-        if M.shape[-1] == idx[-1] == 3:
-            top_calls.append(np.array(M))
+        seen.append(np.array(M))
         return witness(M, levels, idx)
 
     monkeypatch.setattr(checks, "_hermitian_flag_witness", recording)
-    check_wielandt_flag(A, idx, n_flags=6, n_tuples=3, cfg=cfg, rng=instance_rng(SEED, 17))
-    poisoned = top_calls[0][4]  # the compressed matrix of flag 4
+    run_instance(cfg, 1)
+    poisoned = seen[0][0]  # flag 0 of instance 1's first index tuple
 
-    def fails_on_flag_4(M, levels, idx):
+    def fails_on_it(M, levels, idx):
         if M.shape[-2:] == poisoned.shape and np.any(np.all(M == poisoned, axis=(-2, -1))):
             raise np.linalg.LinAlgError("SVD did not converge")
         return witness(M, levels, idx)
 
-    monkeypatch.setattr(checks, "_hermitian_flag_witness", fails_on_flag_4)
-    rep = check_wielandt_flag(A, idx, n_flags=6, n_tuples=3, cfg=cfg, rng=instance_rng(SEED, 17))
-    assert "ascent_fallback: 1/6" in rep.notes
-    for f, (c, c0) in enumerate(zip(rep.soft_cases, base.soft_cases)):
-        if f != 4:
-            assert c.lhs == c0.lhs
-    assert rep.soft_cases[4].passed
+    base_out, out = tmp_path / "base.jsonl", tmp_path / "r.jsonl"
+    monkeypatch.setattr(checks, "_hermitian_flag_witness", witness)
+    assert run_suite(dataclasses.replace(cfg, out=str(base_out))).passed
+    monkeypatch.setattr(checks, "_hermitian_flag_witness", fails_on_it)
+    summary = run_suite(dataclasses.replace(cfg, out=str(out)))
+    assert not summary.passed
+    assert summary.errors == [{"instance": 1, "error": "LinAlgError", "message": "SVD did not converge"}]
+    base, got = ([json.loads(ln) for ln in path.read_text().splitlines()] for path in (base_out, out))
+    assert [r["record"] for r in got] == ["header", "instance", "error", "instance", "summary", "meta"]
+    assert got[1] == base[1] and got[3] == base[3]
 
 
 def test_the_ascent_is_batched_over_flags(monkeypatch):
-    """A per-flag loop would call eigh four times as often for four times the flags.
+    """A per-flag witness would call eigh four times as often for four times the flags.
 
-    The count may still grow by a call where the flags' slot ranks split into
-    more groups, or where the slowest flag needs one more sweep; these
-    tuples have neither.
+    The count may still grow by a call where the ranks of the flags' witness
+    spans split into more groups; these tuples have none.
     """
     A, cfg = instance(3, 2, 15)
     eigh = np.linalg.eigh
@@ -546,6 +417,7 @@ def test_the_ascent_is_batched_over_flags(monkeypatch):
         for n_flags in (4, 16):
             calls.clear()
             rep = check_wielandt_flag(A, idx, n_flags=n_flags, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 16))
-            assert rep.soft_rate == 1.0
+            assert rep.passed
+            assert sum(c.case_id.startswith("witness:") for c in rep.cases) == n_flags
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0, idx
