@@ -12,6 +12,7 @@ case instead of raising, so batch runs keep going.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -173,15 +174,44 @@ def matrix_sum(A: PseudoHermitianMatrix, B: PseudoHermitianMatrix) -> PseudoHerm
     return PseudoHermitianMatrix(sig, A.entries + B.entries, tol=A.tol + B.tol)
 
 
+class _ByValue:
+    """A matrix that hashes and compares by its signature, tolerance and entry bytes."""
+
+    __slots__ = ("matrix", "key")
+
+    def __init__(self, matrix: PseudoHermitianMatrix):
+        self.matrix = matrix
+        self.key = (matrix.signature, matrix.tol, matrix.entries.tobytes())
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other: _ByValue) -> bool:
+        return self.key == other.key
+
+
 def _sum_spectra(A: PseudoHermitianMatrix, B: PseudoHermitianMatrix):
-    """Spectra of A, B, and A + B; the last is None plus the error when inadmissible."""
+    """Spectra of A, B, and A + B; the last is None plus the error when inadmissible.
+
+    Memoized by value: the sum checks of one instance build and validate
+    A + B once and share the result, whose spectra are read-only.  The
+    result depends on the entries alone, so the memo never changes what a
+    caller sees.
+    """
+    return _sum_spectra_by_value(_ByValue(A), _ByValue(B))
+
+
+@functools.lru_cache(maxsize=32)
+def _sum_spectra_by_value(a: _ByValue, b: _ByValue):
+    A, B = a.matrix, b.matrix
     specA = check_admissible(A)
     specB = check_admissible(B)
     C = matrix_sum(A, B)
     try:
         return specA, specB, C, check_admissible(C), None
     except (ComplexSpectrum, WrongConeCount, GapViolation) as exc:
-        return specA, specB, C, None, exc
+        # kept for the report notes and never raised again, so it need not hold the frames
+        return specA, specB, C, None, exc.with_traceback(None)
 
 
 def _inadmissible_sum_report(name: str, sig: Signature, descriptor: dict, tol: float, exc) -> CheckReport:
@@ -348,16 +378,20 @@ def check_lidskii_wielandt(
     specA, specB, _, specC, exc = _sum_spectra(A, B)
     if specC is None:
         return _inadmissible_sum_report("lidskii", sig, descriptor, tol, exc)
+    # tuple sums over Python floats, in the same order; the leading sums of B stay
+    # np.sum's (pairwise from 8 terms on), taken once per size m
+    lamA, lamC = specA.lambdas.tolist(), specC.lambdas.tolist()
+    muA, muC = specA.mus.tolist(), specC.mus.tolist()
+    lamB = [float(np.sum(specB.lambdas[:m])) for m in range(sig.p + 1)]
+    muB = [float(np.sum(specB.mus[:m])) for m in range(sig.q + 1)]
     cases = []
     for t in lambda_index_tuples(sig.p, max_m, limit=limit, rng=rng):
-        m = len(t)
-        lhs = float(sum(specC.lambdas[i - 1] for i in t))
-        rhs = float(sum(specA.lambdas[i - 1] for i in t) + np.sum(specB.lambdas[:m]))
+        lhs = sum(lamC[i - 1] for i in t)
+        rhs = sum(lamA[i - 1] for i in t) + lamB[len(t)]
         cases.append(make_case(f"lambda:{','.join(map(str, t))}", t, lhs, rhs, lhs - rhs, tol))
     for t in lambda_index_tuples(sig.q, max_m, limit=limit, rng=rng):
-        m = len(t)
-        lhs = float(sum(specC.mus[i - 1] for i in t))
-        rhs = float(sum(specA.mus[i - 1] for i in t) + np.sum(specB.mus[:m]))
+        lhs = sum(muC[i - 1] for i in t)
+        rhs = sum(muA[i - 1] for i in t) + muB[len(t)]
         cases.append(make_case(f"mu:{','.join(map(str, t))}", t, lhs, rhs, rhs - lhs, tol))
     return finalize_report("lidskii", sig, descriptor, tol, cases)
 
@@ -380,13 +414,12 @@ def check_thompson_freede(
     specA, specB, _, specC, exc = _sum_spectra(A, B)
     if specC is None:
         return _inadmissible_sum_report("thompson_freede", sig, descriptor, tol, exc)
+    lamA, lamB, lamC = (spec.lambdas.tolist() for spec in (specA, specB, specC))
     cases = []
     for i, j in thompson_freede_pairs(sig.p, limit=limit, rng=rng):
         combined = tuple(i[h] + j[h] - (h + 1) for h in range(len(i)))
-        lhs = float(sum(specC.lambdas[c - 1] for c in combined))
-        rhs = float(
-            sum(specA.lambdas[a - 1] for a in i) + sum(specB.lambdas[b - 1] for b in j)
-        )
+        lhs = sum(lamC[c - 1] for c in combined)
+        rhs = sum(lamA[a - 1] for a in i) + sum(lamB[b - 1] for b in j)
         case_id = f"i={','.join(map(str, i))};j={','.join(map(str, j))}"
         cases.append(make_case(case_id, combined, lhs, rhs, lhs - rhs, tol))
     return finalize_report("thompson_freede", sig, descriptor, tol, cases)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapViolation, ShapeMismatch
+from .errors import GapViolation, NonFiniteValue, ShapeMismatch
 
 #: absolute tolerance on structural residuals (max-norm of the defining identity)
 TOL_STRUCT = 1e-10
@@ -126,7 +126,7 @@ class PseudoHermitianMatrix:
     def __post_init__(self) -> None:
         arr = _as_square(self.entries, self.signature.n)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
+            raise NonFiniteValue("matrix entries must be finite")
         resid = pseudo_hermitian_residual(arr, self.signature)
         if resid > self.tol:
             raise ValueError(
@@ -152,7 +152,7 @@ class PseudoUnitary:
     def __post_init__(self) -> None:
         arr = _as_square(self.entries, self.signature.n)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
+            raise NonFiniteValue("matrix entries must be finite")
         resid = pseudo_unitary_residual(arr, self.signature)
         if resid > self.tol:
             raise ValueError(
@@ -166,8 +166,9 @@ class PseudoUnitary:
         """The metric dagger J U* J, which inverts U exactly in exact arithmetic."""
         return matrix_dagger(self.entries, self.signature)
 
-    @property
+    @functools.cached_property
     def cond(self) -> float:
+        """2-norm condition number, computed on first use and kept."""
         return float(np.linalg.cond(self.entries, 2))
 
 
@@ -194,7 +195,7 @@ class AdmissibleSpectrum:
                 f"negative-type eigenvalues, got {lam.size} and {mu.size}"
             )
         if not (np.isfinite(lam).all() and np.isfinite(mu).all()):
-            raise ValueError("eigenvalues must be finite reals")
+            raise NonFiniteValue("eigenvalues must be finite reals")
         if np.any(lam[1:] < lam[:-1]):
             raise ValueError("positive-type eigenvalues must be ascending")
         if np.any(mu[1:] > mu[:-1]):

@@ -15,6 +15,10 @@ class ShapeMismatch(KreinvalError, ValueError):
     """An array does not have the shape the signature demands."""
 
 
+class NonFiniteValue(KreinvalError, ValueError):
+    """A matrix entry or eigenvalue is infinite or NaN (an overflow, for instance)."""
+
+
 class NullVector(KreinvalError):
     """A Rayleigh-type ratio was requested at a (near-)null vector."""
 

@@ -10,6 +10,7 @@ over isometries Q, which reach every positive subspace of the given dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,8 @@ from .core import (
     PseudoHermitianMatrix,
     PseudoUnitary,
     Signature,
-    canonical_diagonal,
     check_index_tuple,
     matrix_dagger,
-    validate_pseudo_unitary,
 )
 from .errors import NullDegeneracy, RetriesExhausted, ShapeMismatch
 from .geometry import (
@@ -65,14 +64,15 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         lo, hi = self.value_range
-        if not lo < hi:
-            raise ValueError(f"value_range must be increasing, got {self.value_range}")
-        if self.gap_min <= 0:
-            raise ValueError("gap_min must be positive")
-        if self.cond_cap <= 1:
+        # an infinite or NaN end, or a width that overflows, has no uniform draw
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"value_range must be finite and increasing, got {self.value_range}")
+        if not 0 < self.gap_min < math.inf:
+            raise ValueError(f"gap_min must be positive and finite, got {self.gap_min}")
+        if not self.cond_cap > 1:
             raise ValueError("cond_cap must exceed 1")
-        if self.boost_scale < 0:
-            raise ValueError("boost_scale must be >= 0")
+        if not 0 <= self.boost_scale < math.inf:
+            raise ValueError(f"boost_scale must be >= 0 and finite, got {self.boost_scale}")
         if not 0 < self.contraction_cap < 1:
             raise ValueError("contraction_cap must lie in (0, 1)")
         if self.max_retries < 1:
@@ -129,15 +129,19 @@ def _lie_algebra_element(sig: Signature, cfg: SamplerConfig, rng: np.random.Gene
 
 
 def sample_pseudo_unitary(sig: Signature, cfg: SamplerConfig, rng: np.random.Generator) -> PseudoUnitary:
-    """Exponential of a random Lie-algebra element, resampled until well conditioned."""
+    """Exponential of a random Lie-algebra element, resampled until well conditioned.
+
+    Each draw's residual is checked once, by the PseudoUnitary it becomes, and
+    its condition number is kept on it for later readers.
+    """
     for _ in range(cfg.max_retries):
         gen = _lie_algebra_element(sig, cfg, rng)
-        U = scipy.linalg.expm(gen)
-        if np.linalg.cond(U, 2) > cfg.cond_cap:
+        try:
+            U = PseudoUnitary(sig, scipy.linalg.expm(gen), tol=SAMPLE_UNITARY_TOL)
+        except ValueError:  # the exponential left the group by more than the tolerance
             continue
-        if not validate_pseudo_unitary(U, sig, SAMPLE_UNITARY_TOL):
-            continue
-        return PseudoUnitary(sig, U, tol=SAMPLE_UNITARY_TOL)
+        if U.cond <= cfg.cond_cap:
+            return U
     raise RetriesExhausted(
         f"no pseudo-unitary with cond <= {cfg.cond_cap:.1e} in {cfg.max_retries} draws"
     )
@@ -154,9 +158,11 @@ def sample_planted(
     """
     spectrum = sample_spectrum(sig, cfg, rng)
     U = sample_pseudo_unitary(sig, cfg, rng)
-    Lam = canonical_diagonal(spectrum)
-    raw = U.entries @ Lam.entries @ U.inverse
-    sym = 0.5 * (raw + matrix_dagger(raw, sig))
+    # U times the canonical diagonal scales the columns of U; huge spectra may
+    # overflow here, which the matrix type then reports as NonFiniteValue
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = (U.entries * spectrum.canonical_vector()) @ U.inverse
+        sym = 0.5 * (raw + matrix_dagger(raw, sig))
     return PseudoHermitianMatrix(sig, sym), spectrum, U
 
 

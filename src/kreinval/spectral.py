@@ -167,17 +167,26 @@ def _solve(sig: Signature, data: bytes) -> ClassifiedEigenSystem:
 
 
 def check_admissible(A: PseudoHermitianMatrix) -> AdmissibleSpectrum:
-    """Classify the spectrum and enforce admissibility.
+    """Classify the spectrum and enforce admissibility, memoized by value.
 
     The accepted imaginary part of eigenvalues is 1e-8 times the operator
     norm.  Raises ComplexSpectrum, WrongConeCount, or GapViolation; the
     GapViolation carries ``other_component=True`` when the matrix is
     admissible for the opposite orientation (every negative-type eigenvalue
-    above every positive-type one).  The checks run on every call, on the
-    system ``eigendecompose`` shares.
+    above every positive-type one).
+
+    Like ``eigendecompose``, matrices with the same signature and entry
+    bytes share one result: the checks run and the spectrum is built once
+    per distinct matrix, and every caller gets the same read-only spectrum.
+    Failures are not kept, so an inadmissible matrix raises a new typed
+    error on every call (from the shared solve).
     """
-    system = eigendecompose(A)
-    sig = A.signature
+    return _admissible(A.signature, A.entries.tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _admissible(sig: Signature, data: bytes) -> AdmissibleSpectrum:
+    system = _solve(sig, data)
     tol = TOL_REALITY_REL * system.norm
     if system.reality_defect > tol:
         raise ComplexSpectrum(

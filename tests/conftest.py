@@ -13,3 +13,20 @@ def signature(request):
 @pytest.fixture
 def sampler_cfg():
     return SamplerConfig(seed=2026)
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty the value memos before and after the test.
+
+    The test then starts from cold memos, and a result it computed under a
+    patched function is not left behind for later tests.
+    """
+    from kreinval import checks, spectral
+
+    memos = (spectral._solve, spectral._admissible, checks._sum_spectra_by_value)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()

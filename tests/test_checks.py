@@ -274,3 +274,59 @@ def test_report_serialization_round_trip(sampler_cfg):
     assert clone["check_name"] == "weyl"
     assert len(clone["cases"]) == sig.p + sig.q
     assert clone["passed"] is True
+
+
+SUMS_SUITES = ("structural", "trace", "weyl", "lidskii", "thompson_freede")
+
+
+def test_a_sums_instance_builds_its_sum_once(monkeypatch, fresh_memos):
+    from kreinval import checks
+    from kreinval.cli import SuiteConfig, run_instance
+
+    built = []
+
+    def counting_sum(A, B):
+        built.append(A.signature)
+        return matrix_sum(A, B)
+
+    monkeypatch.setattr(checks, "matrix_sum", counting_sum)
+    run_instance(SuiteConfig(p=3, q=2, seed=0, suites=SUMS_SUITES), 0)
+    assert len(built) == 1  # one per sum check (4) before the memo
+
+
+def test_an_inadmissible_sum_fails_every_sum_report_alike(sampler_cfg, monkeypatch, fresh_memos):
+    from kreinval import checks
+    from kreinval.polyhedral import check_sum_membership
+
+    A, B, _ = sampled_pair(Signature(3, 2), 8, sampler_cfg)
+    admissible = checks.check_admissible
+    total = matrix_sum(A, B).entries
+    judged = []
+
+    def sum_is_inadmissible(M):
+        if np.array_equal(M.entries, total):
+            judged.append(M)
+            raise GapViolation("gap closed")
+        return admissible(M)
+
+    # admissible pairs have admissible sums, so the failing sum is injected
+    monkeypatch.setattr(checks, "check_admissible", sum_is_inadmissible)
+    sum_checks = (
+        check_trace_identity,
+        check_weyl,
+        check_lidskii_wielandt,
+        check_thompson_freede,
+        check_sum_membership,
+    )
+    rounds = [[check(A, B) for check in sum_checks] for _ in range(3)]
+    assert len(judged) == 1  # A + B was validated once for all fifteen reports
+    names = ["trace", "weyl", "lidskii", "thompson_freede", "polyhedral_sum"]
+    for reports in rounds:
+        assert [r.check_name for r in reports] == names
+        for r in reports:
+            assert [(c.case_id, c.margin, c.passed) for c in r.cases] == [("admissible_sum", -1.0, False)]
+            assert not r.passed and r.worst_margin == -1.0
+            assert r.notes == ("sum_not_admissible: GapViolation: gap closed",)
+    assert [r.to_dict() for r in rounds[0]] == [r.to_dict() for r in rounds[2]]
+    # the kept error is never raised again, so it holds no frames
+    assert checks._sum_spectra(A, B)[4].__traceback__ is None

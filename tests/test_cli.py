@@ -80,6 +80,12 @@ class TestConfig:
             ("max_m", -2),
             ("tol_struct", 5.0),  # removed: it was echoed but never read
             ("ascent_iters", -1),  # removed with the flag ascent
+            # a sampler value that is not finite; json.dumps writes Infinity and NaN
+            ("gap_min", float("inf")),
+            ("gap_min", float("nan")),
+            ("boost_scale", float("inf")),
+            pytest.param("value_range", [float("-inf"), 1.0], id="value_range-inf"),
+            pytest.param("value_range", [-1e308, 1e308], id="value_range-wide"),  # width overflows
         ],
     )
     def test_a_bad_budget_stops_before_any_file_is_written(self, tmp_path, capsys, field, value):
@@ -201,6 +207,21 @@ class TestRunner:
         assert records[1]["message"]
         assert records[-1]["passed"] is False
         assert "instance 1 raised RetriesExhausted" in capsys.readouterr().err
+
+    def test_a_non_finite_sample_gets_an_error_record(self, tmp_path, capsys):
+        # a finite gap this large overflows the planted product U diag U^-1
+        out = tmp_path / "r.jsonl"
+        rc = main(["--p", "2", "--q", "1", "--instances", "2", "--suite", "structural",
+                   "--gap-min", "1e308", "--out", str(out)])
+        assert rc == 1
+        records = [json.loads(ln) for ln in body_lines(out)]
+        assert [r["record"] for r in records] == ["header", "error", "error", "summary"]
+        assert [(r["instance"], r["error"]) for r in records[1:3]] == [
+            (0, "NonFiniteValue"),
+            (1, "NonFiniteValue"),
+        ]
+        assert records[-1]["passed"] is False
+        assert "instance 1 raised NonFiniteValue" in capsys.readouterr().err
 
     def test_empty_sampling_budgets_write_strict_json(self, tmp_path):
         def no_constants(name):

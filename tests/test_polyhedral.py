@@ -174,7 +174,7 @@ def test_sum_membership_certificate_reconstructs_point(sampler_cfg):
     assert np.allclose(rebuilt, specC.canonical_vector(), atol=1e-8)
 
 
-def test_inadmissible_sum_gives_the_shared_loud_report(sampler_cfg, monkeypatch):
+def test_inadmissible_sum_gives_the_shared_loud_report(sampler_cfg, monkeypatch, fresh_memos):
     sig = Signature(2, 1)
     rng = instance_rng(SEED, 41)
     A, _, _ = sample_planted(sig, sampler_cfg, rng)

@@ -209,3 +209,7 @@ def test_sampler_config_validation():
         SamplerConfig(contraction_cap=1.5)
     with pytest.raises(ValueError):
         SamplerConfig(cond_cap=0.5)
+    for bad in ({"gap_min": np.inf}, {"gap_min": np.nan}, {"value_range": (-np.inf, 0.0)},
+                {"value_range": (-1e308, 1e308)}, {"boost_scale": np.inf}, {"cond_cap": np.nan}):
+        with pytest.raises(ValueError):
+            SamplerConfig(**bad)

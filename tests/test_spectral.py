@@ -277,7 +277,10 @@ def test_memoized_system_equals_a_fresh_solve_and_is_read_only(sampler_cfg):
         shared.eigenvectors[0, 0] = 0.0
 
 
-def test_a_sums_instance_solves_each_matrix_once(monkeypatch):
+SUMS_SUITES = ("structural", "trace", "weyl", "lidskii", "thompson_freede")
+
+
+def test_a_sums_instance_solves_each_matrix_once(monkeypatch, fresh_memos):
     calls = []
     eig = np.linalg.eig
 
@@ -286,7 +289,68 @@ def test_a_sums_instance_solves_each_matrix_once(monkeypatch):
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
-    spectral._solve.cache_clear()
-    suites = ("structural", "trace", "weyl", "lidskii", "thompson_freede")
-    run_instance(SuiteConfig(p=3, q=2, seed=0, suites=suites), 0)
+    run_instance(SuiteConfig(p=3, q=2, seed=0, suites=SUMS_SUITES), 0)
     assert len(calls) == 3  # A, B and A + B
+
+
+def test_a_sums_instance_builds_each_spectrum_once(monkeypatch, fresh_memos):
+    built = []
+
+    def counting_spectrum(*args):
+        built.append(args[0])
+        return AdmissibleSpectrum(*args)
+
+    monkeypatch.setattr(spectral, "AdmissibleSpectrum", counting_spectrum)
+    run_instance(SuiteConfig(p=3, q=2, seed=0, suites=SUMS_SUITES), 0)
+    assert len(built) == 3  # A, B and A + B; one per check_admissible call (13) before the memo
+
+
+def test_equal_bytes_share_one_read_only_spectrum(sampler_cfg, fresh_memos):
+    sig = Signature(3, 2)
+    A, planted, _ = sample_planted(sig, sampler_cfg, instance_rng(SEED, 6))
+    shared = check_admissible(A)
+    assert check_admissible(PseudoHermitianMatrix(sig, A.entries.copy())) is shared
+    with pytest.raises(ValueError):
+        shared.lambdas[0] = 0.0
+    with pytest.raises(ValueError):
+        shared.mus[0] = 0.0
+    spectral._admissible.cache_clear()
+    fresh = check_admissible(A)
+    assert fresh is not shared
+    assert np.array_equal(fresh.lambdas, shared.lambdas)
+    assert np.array_equal(fresh.mus, shared.mus)
+    assert np.allclose(shared.lambdas, planted.lambdas, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "entries, error, other_component",
+    [
+        ([[0.0, 1.0], [-1.0, 0.0]], ComplexSpectrum, None),
+        (np.eye(2), GapViolation, False),
+        (np.diag([0.0, 5.0]), GapViolation, True),
+        # eigenvalues 1 +- 1e-10 i: real within tolerance, with null eigenvectors
+        ([[1.0, 1e-10], [-1e-10, 1.0]], WrongConeCount, None),
+    ],
+    ids=["complex", "gap-closed", "other-component", "cone-count"],
+)
+def test_an_inadmissible_matrix_raises_a_new_error_on_every_call(
+    entries, error, other_component, fresh_memos
+):
+    A = PseudoHermitianMatrix(Signature(1, 1), np.array(entries, dtype=complex))
+    raised = []
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            check_admissible(A)
+        raised.append(info.value)
+        if other_component is not None:
+            assert info.value.other_component is other_component
+    # fresh objects, so no traceback grows from one raise to the next
+    assert len({id(exc) for exc in raised}) == 3
+    assert len({str(exc) for exc in raised}) == 1
+    depths = set()
+    for exc in raised:
+        tb, depth = exc.__traceback__, 0
+        while tb is not None:
+            tb, depth = tb.tb_next, depth + 1
+        depths.add(depth)
+    assert len(depths) == 1
