@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -552,109 +552,23 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + _adjoint(M))
 
 
-def _grouped(keys: np.ndarray, fn, *stacks: np.ndarray) -> np.ndarray:
-    """``fn(key, *rows_of_stacks)`` on each group of samples sharing a key.
+def _hyperplane_basis(w: np.ndarray) -> np.ndarray:
+    """Orthonormal bases U (..., n, n-1) of the complements of unit vectors w (..., n).
 
-    ``keys`` has one row of integers per sample (shapes that depend on the
-    data, such as ranks); each group's results go back to its samples' rows,
-    so the output is in sample order.  One call when every key is equal.
+    Column k (1-based) lies in E_{k+1}: with s_k = |w_1|^2 + ... + |w_k|^2 it
+    is (conj(w_{k+1}) w_1, ..., conj(w_{k+1}) w_k, -s_k) / sqrt(s_k s_{k+1}),
+    and e_k while s_k = 0.  So the first d - 1 columns span E_d ∩ w⊥ whenever
+    w has a nonzero entry among its first d.
     """
-    keys = keys.reshape(len(keys), -1)
-    if (keys == keys[0]).all():
-        return fn(tuple(keys[0]), *stacks)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    out = None
-    for g, key in enumerate(uniq):
-        rows = np.flatnonzero(inverse == g)
-        part = fn(tuple(key), *(s[rows] for s in stacks))
-        if out is None:
-            out = np.empty((len(keys),) + part.shape[1:], dtype=part.dtype)
-        out[rows] = part
-    return out
-
-
-def _orth(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (Euclidean) columns and rank of each column span of a stack.
-
-    The first ``rank[i]`` columns of ``u[i]`` are a basis of span(B[i]).
-    """
-    u, sv, _ = np.linalg.svd(B, full_matrices=False)
-    return u, np.sum(sv > sv[..., :1] * 1e-12, axis=-1)
-
-
-def _complete_orthonormal(B: np.ndarray, k: int) -> np.ndarray:
-    """Orthonormal bases of k-dim spaces containing span(B[i]), over a stack."""
-    U, rank = _orth(B)
-
-    def complete(key, U):
-        Q0 = U[..., : key[0]]
-        if key[0] >= k:
-            return Q0[..., :k]
-        eye = np.broadcast_to(np.eye(B.shape[-2], dtype=complex), Q0.shape[:-1] + (B.shape[-2],))
-        return np.linalg.qr(np.concatenate([Q0, eye], axis=-1))[0][..., :k]
-
-    return _grouped(rank, complete, U)
-
-
-def _hermitian_flag_witness(M: np.ndarray, levels: list[np.ndarray], idx: tuple[int, ...]) -> np.ndarray:
-    """Orthonormal frames subordinate to a stack of flags with trace >= tuple sum.
-
-    ``M`` is a stack (N, r, r) of Hermitian matrices and ``levels[j]`` the
-    stack (N, r, d_j) of the j-th flag levels.  Euclidean recursion: the top
-    flag level always fills the ambient space (idx[-1] == r).  While the
-    flag is not complete, step down one dimension into a subspace R that
-    contains both the untouched leading levels and the top eigenvectors
-    matching the trailing run of indices; the trailing levels are replaced
-    by their intersections with R.  The invariant eigenvector block keeps
-    the trailing eigenvalues available one index lower, so the reachable
-    trace never drops below the tuple sum.  The complete-flag base case
-    returns any adapted frame, whose trace is exactly the full trace.
-    Samples whose levels have different ranks take the recursion apart.
-    """
-    orth = [_orth(L) for L in levels]
-
-    def step(ranks, M, *U):
-        return _flag_witness_step(M, [u[..., :k] for u, k in zip(U, ranks)], idx)
-
-    return _grouped(np.stack([rank for _, rank in orth], axis=-1), step, M, *(u for u, _ in orth))
-
-
-def _flag_witness_step(M: np.ndarray, levels: list[np.ndarray], idx: tuple[int, ...]) -> np.ndarray:
-    """One step of _hermitian_flag_witness on orthonormal levels of equal ranks."""
-    r = M.shape[-1]
-    m = len(idx)
-    if m == r:
-        X = np.zeros(M.shape[:-1] + (m,), dtype=complex)
-        for j in range(m):
-            W = levels[j]
-            if j:
-                P = X[..., :j]
-                W = W - P @ (_adjoint(P) @ W)
-            norms = np.linalg.norm(W, axis=-2)
-            pick = np.argmax(norms, axis=-1)[:, None]
-            col = np.take_along_axis(W, pick[:, None, :], axis=-1)[..., 0]
-            X[..., j] = col / np.take_along_axis(norms, pick, axis=-1)
-        return X
-    s = 0
-    while m - 2 - s >= 0 and idx[m - 2 - s] == r - 1 - s:
-        s += 1
-    run = s + 1  # trailing indices r-run+1 .. r
-    t = m - run  # leading levels kept as they are
-    anchor = np.linalg.eigh(M)[1][..., r - run :]
-    blocks = np.concatenate([levels[t - 1], anchor], axis=-1) if t else anchor
-    R = _complete_orthonormal(blocks, r - 1)
-    Rh = _adjoint(R)
-    Mp = _hermitian_part(Rh @ M @ R)
-    new_levels = [Rh @ levels[j] for j in range(t)]
-    new_idx = list(idx[:t])
-    for pos in range(run):
-        dim_target = r - run + pos
-        V = levels[t + pos]  # one dimension wider than dim_target
-        vh = np.linalg.svd(V - R @ (Rh @ V))[2]
-        new_levels.append(Rh @ (V @ _adjoint(vh[..., V.shape[-1] - dim_target :, :])))
-        new_idx.append(dim_target)
-    return R @ _hermitian_flag_witness(Mp, new_levels, tuple(new_idx))
+    s = np.cumsum(np.abs(w) ** 2, axis=-1)
+    lead = s[..., :-1]
+    zero = lead == 0
+    d = np.sqrt(np.where(zero, 1.0, lead * s[..., 1:]))
+    U = np.triu(w[..., :, None] * (w[..., 1:].conj() / d)[..., None, :])
+    k = np.arange(w.shape[-1] - 1)
+    U[..., k + 1, k] = -lead / d
+    U[..., k, k] = np.where(zero, 1.0, U[..., k, k])
+    return U
 
 
 def _witness_subordinate(M: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
@@ -664,13 +578,36 @@ def _witness_subordinate(M: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
     levels, each written in a pseudo-orthonormal frame of the top level whose
     column prefixes span the lower levels: there the pairing is the Euclidean
     inner product, M is an ordinary Hermitian matrix and level j is the span
-    E_{idx[j]} of the first idx[j] unit vectors, so the Euclidean flag
-    recursion runs on the standard flag.  Returns orthonormal coordinates
-    (N, r, m) whose column j lies in E_{idx[j]}.
+    E_{idx[j]} of the first idx[j] unit vectors, with idx[-1] == r.  Returns
+    orthonormal coordinates (N, r, m) whose column j lies in E_{idx[j]}.
+
+    Hermitian Wielandt recursion, on standard levels at every step.  A
+    complete flag gets the identity, whose trace is the full trace.
+    Otherwise let the trailing ``run`` indices be r - run + 1, ..., r; the
+    leading levels lie in E_lo with lo = r - run - 1.  The hyperplane R
+    spanned by E_lo and the top ``run`` eigenvectors of M keeps those
+    eigenvalues one index lower, and Cauchy interlacing keeps the others from
+    dropping, so R* M R with the levels cut down to R reaches the same tuple
+    sum.  Its normal w is zero on E_lo, and on the rows below it is the last
+    column of a complete QR of the eigenvectors' rows, which is orthogonal
+    to them at any rank.  In the basis diag(I_lo, U(w)) of R the levels are
+    standard again: the first d - 1 basis columns lie in E_d, so the trailing
+    levels E_d become E_{d-1} and the leading ones keep their dimensions.
     """
-    eye = np.eye(M.shape[-1], dtype=complex)
-    levels = [np.broadcast_to(eye[:, :d], M.shape[:-1] + (d,)) for d in idx]
-    return _hermitian_flag_witness(M, levels, idx)
+    r, m = M.shape[-1], len(idx)
+    if m == r:
+        return np.broadcast_to(np.eye(r, dtype=complex), M.shape).copy()
+    run = 1
+    while run < m and idx[m - 1 - run] == r - run:
+        run += 1
+    lo = r - run - 1
+    anchor = np.linalg.eigh(M)[1][..., lo:, r - run :]
+    w = np.linalg.qr(anchor, mode="complete")[0][..., -1]
+    R = np.zeros(M.shape[:-1] + (r - 1,), dtype=complex)
+    R[..., :lo, :lo] = np.eye(lo)
+    R[..., lo:, lo:] = _hyperplane_basis(w)
+    new_idx = idx[: m - run] + tuple(range(r - run, r))
+    return R @ _witness_subordinate(_hermitian_part(_adjoint(R) @ M @ R), new_idx)
 
 
 def check_wielandt_flag(

@@ -55,11 +55,6 @@ def metric_diagonal(sig: Signature) -> np.ndarray:
     return jd
 
 
-def build_metric(sig: Signature) -> np.ndarray:
-    """The metric as a dense n x n real diagonal matrix (an involution)."""
-    return np.diag(metric_diagonal(sig))
-
-
 def _as_square(entries, n: int, what: str = "matrix") -> np.ndarray:
     arr = np.asarray(entries, dtype=complex)
     if arr.ndim != 2 or arr.shape != (n, n):
@@ -87,22 +82,12 @@ def pseudo_hermitian_residual(entries, sig: Signature) -> float:
     return float(np.max(np.abs(resid)))
 
 
-def validate_pseudo_hermitian(entries, sig: Signature, tol: float = TOL_STRUCT) -> bool:
-    """True when A J = J A* holds entrywise within ``tol`` (absolute)."""
-    return pseudo_hermitian_residual(entries, sig) <= tol
-
-
 def pseudo_unitary_residual(entries, sig: Signature) -> float:
     """Max-norm of U J U* - J."""
     U = _as_square(entries, sig.n)
     jd = metric_diagonal(sig)
     resid = (U * jd[None, :]) @ U.conj().T - np.diag(jd)
     return float(np.max(np.abs(resid)))
-
-
-def validate_pseudo_unitary(entries, sig: Signature, tol: float = TOL_STRUCT) -> bool:
-    """True when U J U* = J within ``tol``; then U^-1 = J U* J, the dagger."""
-    return pseudo_unitary_residual(entries, sig) <= tol
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -223,12 +208,6 @@ class AdmissibleSpectrum:
     def total(self) -> float:
         """Sum of all eigenvalues (equals the matrix trace)."""
         return float(np.sum(self.lambdas) + np.sum(self.mus))
-
-
-def canonical_diagonal(spectrum: AdmissibleSpectrum) -> PseudoHermitianMatrix:
-    """Diagonal representative: positive-type block descending, then negative-type descending."""
-    entries = np.diag(spectrum.canonical_vector().astype(complex))
-    return PseudoHermitianMatrix(spectrum.signature, entries)
 
 
 def check_index_tuple(indices, upper: int) -> tuple[int, ...]:

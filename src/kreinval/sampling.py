@@ -166,14 +166,6 @@ def sample_planted(
     return PseudoHermitianMatrix(sig, sym), spectrum, U
 
 
-def sample_admissible(
-    sig: Signature, cfg: SamplerConfig, rng: np.random.Generator
-) -> tuple[PseudoHermitianMatrix, AdmissibleSpectrum]:
-    """Planted-spectrum admissible matrix and the spectrum that was planted."""
-    A, spectrum, _ = sample_planted(sig, cfg, rng)
-    return A, spectrum
-
-
 def sample_positive_subspace(
     sig: Signature,
     k: int,
@@ -335,19 +327,3 @@ def subordinate_frame(
             coeffs[j][rows] = complex_normal(rng, rows.size, dims[j])
     return _checked_frame(F[0] if count is None else F, sig, POSITIVE, TOL_NULL_REL, TOL_FRAME)
 
-
-def sample_flag_with_subordinate(
-    sig: Signature,
-    index_tuple,
-    cfg: SamplerConfig,
-    rng: np.random.Generator,
-) -> tuple[PositiveFlag, PseudoOrthonormalFrame]:
-    """Random positive flag for the index tuple plus one subordinate frame.
-
-    A single graph basis of top-level dimension is drawn once; flag levels
-    are its column prefixes, so nesting is exact.
-    """
-    idx = check_index_tuple(index_tuple, sig.p)
-    flag = PositiveFlag(sig, idx, sample_positive_subspace(sig, idx[-1], cfg, rng))
-    frame = subordinate_frame(flag, cfg, rng)
-    return flag, frame

@@ -19,7 +19,6 @@ from .errors import (
     DefectiveMatrix,
     GapViolation,
     NullDegeneracy,
-    NullVector,
     OrientationMismatch,
     WrongConeCount,
 )
@@ -39,23 +38,6 @@ TOL_CLUSTER_REL = 1e-7
 TOL_REALITY_REL = 1e-8
 #: smallest-singular-value cutoff declaring the eigenvector matrix defective
 TOL_DEFECT = 1e-12
-
-
-def rayleigh(A, x, sig: Signature, *, tol_null: float = TOL_NULL_REL) -> float:
-    """Indefinite Rayleigh ratio <A x, x> / <x, x>.
-
-    Real whenever A is pseudo-Hermitian; the imaginary residue is dropped.
-    Raises NullVector when the denominator sits in the null band.
-    """
-    xv = np.asarray(x, dtype=complex).reshape(-1)
-    M = np.asarray(getattr(A, "entries", A), dtype=complex)
-    jd = metric_diagonal(sig)
-    den = float(np.sum(jd * xv * xv.conj()).real)
-    scale = float(np.vdot(xv, xv).real)
-    if scale == 0.0 or abs(den) <= tol_null * scale:
-        raise NullVector(f"self-pairing {den:.3e} inside null band (norm^2 {scale:.3e})")
-    num = np.sum(jd * (M @ xv) * xv.conj())
-    return float(num.real / den)
 
 
 def rayleigh_columns(entries, sig: Signature, X: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
-from kreinval import SamplerConfig, Signature
+from kreinval import NullVector, SamplerConfig, Signature
+from kreinval.core import metric_diagonal
+from kreinval.geometry import TOL_NULL_REL
 
 SIGNATURES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
 
@@ -30,3 +33,25 @@ def fresh_memos():
     yield
     for memo in memos:
         memo.cache_clear()
+
+
+def _rayleigh(A, x, sig, *, tol_null=TOL_NULL_REL):
+    """Indefinite Rayleigh ratio <A x, x> / <x, x> of one vector, an oracle for the kernels.
+
+    Real whenever A is pseudo-Hermitian; the imaginary residue is dropped.
+    Raises NullVector when the denominator sits in the null band.
+    """
+    xv = np.asarray(x, dtype=complex).reshape(-1)
+    M = np.asarray(getattr(A, "entries", A), dtype=complex)
+    jd = metric_diagonal(sig)
+    den = float(np.sum(jd * xv * xv.conj()).real)
+    scale = float(np.vdot(xv, xv).real)
+    if scale == 0.0 or abs(den) <= tol_null * scale:
+        raise NullVector(f"self-pairing {den:.3e} inside null band (norm^2 {scale:.3e})")
+    num = np.sum(jd * (M @ xv) * xv.conj())
+    return float(num.real / den)
+
+
+@pytest.fixture
+def rayleigh():
+    return _rayleigh

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from kreinval import ConfigError, Signature, cli, instance_rng, read_matrix, sample_planted, write_matrix
+from kreinval import (
+    AdmissibleSpectrum,
+    ConfigError,
+    Signature,
+    cli,
+    instance_rng,
+    read_matrix,
+    sample_planted,
+    write_matrix,
+)
 from kreinval.cli import SUITES, SuiteConfig, build_config, main, run_instance, run_suite, validate_config
 from kreinval.errors import SchemaError
 from kreinval.sampling import SamplerConfig
@@ -96,6 +105,18 @@ class TestConfig:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize(
+        "tokens, want",
+        [
+            (["-1e6", "1e6"], (-1e6, 1e6)),
+            (["-2.5E-1", "3"], (-0.25, 3.0)),
+            (["-3", "-.5"], (-3.0, -0.5)),
+        ],
+    )
+    def test_negative_bounds_in_scientific_notation_parse(self, tokens, want):
+        assert build_config(["--value-range", *tokens, "--p", "1"]).value_range == want
+        assert main(["--p", "1", "--q", "1", "--instances", "1", "--suite", "weyl", "--value-range", *tokens]) == 0
 
 class TestMatrixIO:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -222,6 +243,29 @@ class TestRunner:
         ]
         assert records[-1]["passed"] is False
         assert "instance 1 raised NonFiniteValue" in capsys.readouterr().err
+
+    def test_structural_bound_scales_with_the_planted_spectrum(self, capsys):
+        # errors of about 6e-7 at this range are 6e-16 relative, so recovery passes
+        rc = main(["--p", "3", "--q", "2", "--instances", "5", "--suite", "structural",
+                   "--value-range", "-1000000000", "1000000000", "--gap-min", "1"])
+        assert rc == 0
+        assert "structural         cases 5/5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bound", [2.0, 1e9])
+    def test_structural_bound_still_catches_a_relative_error(self, monkeypatch, bound):
+        """A planted spectrum off by 1e-6 relative fails, with a conjugator of condition number 1."""
+        def off_by_a_millionth(sig, scfg, rng):
+            A, planted, U = sample_planted(sig, scfg, rng)
+            wrong = AdmissibleSpectrum(sig, planted.lambdas * (1 + 1e-6), planted.mus * (1 + 1e-6))
+            return A, wrong, U
+
+        monkeypatch.setattr(cli, "sample_planted", off_by_a_millionth)
+        cfg = SuiteConfig(p=3, q=2, seed=SEED, suites=("structural",), value_range=(-bound, bound),
+                          gap_min=1.0, boost_scale=0.0)
+        for index in range(3):
+            (report,) = run_instance(cfg, index)
+            assert report.descriptor["cond"] == pytest.approx(1.0, abs=1e-12)
+            assert not report.passed, index
 
     def test_empty_sampling_budgets_write_strict_json(self, tmp_path):
         def no_constants(name):

@@ -23,6 +23,7 @@ from kreinval import checks
 from kreinval.checks import (
     WITNESS_ROUNDOFF,
     _compression_trace,
+    _hyperplane_basis,
     _witness_subordinate,
     check_wielandt_flag,
     lambda_index_tuples,
@@ -178,7 +179,7 @@ def check_flags(A, idx, n_flags, n_tuples, cfg, rng):
 # oracle
 
 
-@pytest.mark.parametrize("pq", ORACLE_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
+@pytest.mark.parametrize("pq", ORACLE_SIGNATURES + [(5, 3), (6, 4)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_stacked_kernels_match_the_per_flag_loop(pq):
     A, cfg = instance(*pq, 1)
     sig = A.signature
@@ -206,7 +207,7 @@ def test_stacked_kernels_match_the_per_flag_loop_property(pq, seed, pick, count)
     check_flags_against_reference(A, flags)
 
 
-@pytest.mark.parametrize("pq", [(2, 1), (3, 2), (4, 3)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
+@pytest.mark.parametrize("pq", [(2, 1), (3, 2), (4, 3), (5, 3), (6, 4)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_check_witness_cases_match_the_per_flag_reference(pq):
     """Each witness:f is the per-flag witness trace on the check's own flag; the gap is recomputed."""
     A, cfg = instance(*pq, 4)
@@ -259,6 +260,50 @@ def test_the_witness_trace_is_a_wielandt_certificate(r, seed, count, kind, scale
             assert np.all(np.abs(C[:, d:, j]) <= 1e-12), (idx, j)  # column j lies in E_{idx[j]}
         target = eta[:, [i - 1 for i in idx]].sum(axis=-1)
         assert np.all(_compression_trace(M, C) >= target - slack), idx
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    seed=st.integers(0, 2**31 - 1),
+    zeros=st.integers(0, 7),
+    count=st.integers(1, 3),
+)
+def test_hyperplane_basis_is_an_adapted_basis_of_the_complement(n, seed, zeros, count):
+    """U(w) is orthonormal, orthogonal to w, and column k lies in E_{k+1}, also past leading zeros."""
+    w = complex_normal(np.random.default_rng(seed), count, n)
+    w[:, : min(zeros, n - 1)] = 0.0
+    w[0] = np.eye(n)[min(zeros, n - 1)]  # a unit vector; e_n when every entry but the last is zero
+    w /= np.linalg.norm(w, axis=-1, keepdims=True)
+    U = _hyperplane_basis(w)
+    assert U.shape == (count, n, n - 1)
+    assert np.allclose(U.conj().swapaxes(-1, -2) @ U, np.eye(n - 1), atol=1e-12)
+    assert np.all(np.abs(np.einsum("fi,fik->fk", w.conj(), U)) <= 1e-12)
+    assert np.all(np.tril(U, -2) == 0)  # column k (1-based) has no entry below row k + 1
+    if zeros >= n - 1:
+        assert np.array_equal(U[0], np.eye(n)[:, : n - 1])
+
+
+def test_the_witness_makes_no_svd_and_one_eigh_per_step(monkeypatch):
+    """Each of the r - m steps solves one eigenproblem for the whole stack, and none computes an SVD."""
+    calls = {"eigh": 0, "svd": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    rng = np.random.default_rng(SEED)
+    for r in range(1, 7):
+        G = complex_normal(rng, 5, r, r)
+        M = G + G.conj().swapaxes(-1, -2)
+        for head in itertools.chain.from_iterable(itertools.combinations(range(1, r), k) for k in range(r)):
+            idx = head + (r,)
+            calls.update(eigh=0, svd=0)
+            _witness_subordinate(M, idx)
+            assert calls == {"eigh": r - len(idx), "svd": 0}, idx
 
 
 def test_witness_spans_whose_ranks_differ_across_samples():
@@ -369,26 +414,26 @@ def test_subordinate_frame_refuses_a_stack_of_flags():
 def test_a_solver_failure_in_a_witness_gives_the_instance_an_error_record(tmp_path, monkeypatch):
     """A witness decomposition that does not converge raises out of the check; the batch goes on."""
     cfg = SuiteConfig(p=3, q=2, instances=3, seed=SEED, suites=("wielandt",))
-    witness = checks._hermitian_flag_witness
+    witness = checks._witness_subordinate
     seen = []
 
-    def recording(M, levels, idx):
+    def recording(M, idx):
         seen.append(np.array(M))
-        return witness(M, levels, idx)
+        return witness(M, idx)
 
-    monkeypatch.setattr(checks, "_hermitian_flag_witness", recording)
+    monkeypatch.setattr(checks, "_witness_subordinate", recording)
     run_instance(cfg, 1)
     poisoned = seen[0][0]  # flag 0 of instance 1's first index tuple
 
-    def fails_on_it(M, levels, idx):
+    def fails_on_it(M, idx):
         if M.shape[-2:] == poisoned.shape and np.any(np.all(M == poisoned, axis=(-2, -1))):
             raise np.linalg.LinAlgError("SVD did not converge")
-        return witness(M, levels, idx)
+        return witness(M, idx)
 
     base_out, out = tmp_path / "base.jsonl", tmp_path / "r.jsonl"
-    monkeypatch.setattr(checks, "_hermitian_flag_witness", witness)
+    monkeypatch.setattr(checks, "_witness_subordinate", witness)
     assert run_suite(dataclasses.replace(cfg, out=str(base_out))).passed
-    monkeypatch.setattr(checks, "_hermitian_flag_witness", fails_on_it)
+    monkeypatch.setattr(checks, "_witness_subordinate", fails_on_it)
     summary = run_suite(dataclasses.replace(cfg, out=str(out)))
     assert not summary.passed
     assert summary.errors == [{"instance": 1, "error": "LinAlgError", "message": "SVD did not converge"}]
@@ -398,11 +443,7 @@ def test_a_solver_failure_in_a_witness_gives_the_instance_an_error_record(tmp_pa
 
 
 def test_the_ascent_is_batched_over_flags(monkeypatch):
-    """A per-flag witness would call eigh four times as often for four times the flags.
-
-    The count may still grow by a call where the ranks of the flags' witness
-    spans split into more groups; these tuples have none.
-    """
+    """A per-flag witness would call eigh four times as often for four times the flags."""
     A, cfg = instance(3, 2, 15)
     eigh = np.linalg.eigh
     calls = []

@@ -139,8 +139,7 @@ def test_subspace_positivity_decision():
     assert not subspace_in_positive_cone(mixed, sig)
 
 
-def test_null_vector_classify_raises_nothing_but_rayleigh_does():
-    from kreinval import rayleigh
+def test_null_vector_classify_raises_nothing_but_rayleigh_does(rayleigh):
     from kreinval import PseudoHermitianMatrix
 
     sig = Signature(1, 1)

@@ -8,7 +8,6 @@ from kreinval import (
     Signature,
     SizeCapExceeded,
     build_region,
-    canonical_diagonal,
     check_diag_membership,
     check_sum_membership,
     conjugate,

@@ -11,8 +11,6 @@ from kreinval import (
     instance_rng,
     pseudo_hermitian_residual,
     pseudo_unitary_residual,
-    sample_admissible,
-    sample_flag_with_subordinate,
     sample_planted,
     sample_positive_subspace,
     sample_pseudo_unitary,
@@ -94,7 +92,7 @@ def test_planted_instances_are_structural_and_recoverable(signature, sampler_cfg
 def test_sample_admissible_round_trip(sampler_cfg):
     sig = Signature(2, 2)
     rng = instance_rng(SEED, 9)
-    A, spec = sample_admissible(sig, sampler_cfg, rng)
+    A, spec, _ = sample_planted(sig, sampler_cfg, rng)
     got = check_admissible(A)
     assert np.allclose(got.lambdas, spec.lambdas, atol=1e-6)
 
@@ -181,7 +179,8 @@ def test_flag_and_subordinate_frame(signature, sampler_cfg):
         pytest.skip("flags with one level are exercised elsewhere")
     idx = (1, signature.p)
     rng = instance_rng(SEED, 13)
-    flag, frame = sample_flag_with_subordinate(signature, idx, sampler_cfg, rng)
+    flag = PositiveFlag(signature, idx, sample_positive_subspace(signature, idx[-1], sampler_cfg, rng))
+    frame = subordinate_frame(flag, sampler_cfg, rng)
     assert flag.depth == 2
     assert np.allclose(gram(frame.vectors, signature), np.eye(2), atol=1e-8)
     # each frame vector must lie in its level: residual of least squares is ~0
