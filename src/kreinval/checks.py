@@ -454,8 +454,8 @@ def check_courant_fischer(
         return finalize_report(
             "courant_fischer", sig, descriptor, tol, [], notes=["no positive-type block"]
         )
-    spec = check_admissible(A)
     system = eigendecompose(A)
+    spec = system.spectrum
     pos = positive_eigenbasis(system)
     neg = negative_eigenbasis(system)
     cases = []
@@ -508,8 +508,8 @@ def check_ky_fan(
     cfg = cfg if cfg is not None else SamplerConfig()
     rng = rng if rng is not None else instance_rng(cfg.seed)
     descriptor = {"k": k, "n_frames": n_frames, "equality_tol": equality_tol}
-    spec = check_admissible(A)
     system = eigendecompose(A)
+    spec = system.spectrum
     target = float(np.sum(spec.lambdas[:k]))
     cases = []
     if n_frames:  # an empty budget bounds nothing, so it gets no case
@@ -642,8 +642,8 @@ def check_wielandt_flag(
     cfg = cfg if cfg is not None else SamplerConfig()
     rng = rng if rng is not None else instance_rng(cfg.seed)
     descriptor = {"index_tuple": list(idx), "n_flags": n_flags, "n_tuples": n_tuples}
-    spec = check_admissible(A)
     system = eigendecompose(A)
+    spec = system.spectrum
     pos = positive_eigenbasis(system)
     target = float(sum(spec.lambdas[i - 1] for i in idx))
     eigenflag = PositiveFlag(sig, idx, pos)

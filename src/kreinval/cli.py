@@ -44,7 +44,7 @@ from .core import Signature
 from .errors import ConfigError, KreinvalError
 from .polyhedral import check_diag_membership, check_sum_membership
 from .sampling import SamplerConfig, instance_rng, sample_planted
-from .spectral import check_admissible
+from .spectral import eigendecompose, shift_margin
 
 SUITES = (
     "structural",
@@ -166,7 +166,8 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
     for suite in cfg.suites:
         rng = instance_rng(cfg.seed, index, SUITES.index(suite)) if suite in RANDOM_SUITES else None
         if suite == "structural":
-            recovered = check_admissible(A)
+            system = eigendecompose(A)
+            recovered = system.spectrum
             err = 0.0
             if sig.p:
                 err = max(err, float(np.max(np.abs(recovered.lambdas - planted.lambdas))))
@@ -176,11 +177,9 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
             scale = max(1.0, float(np.max(np.abs(planted.canonical_vector()))))
             allowed = cfg.tol_eig * U.cond**2 * scale
             case = make_case("planted_recovery", (), err, allowed, allowed - err, 0.0)
-            reports.append(
-                finalize_report(
-                    "structural", sig, {"cond": U.cond, "tol_eig": cfg.tol_eig}, 0.0, [case]
-                )
-            )
+            descriptor = {"cond": U.cond, "tol_eig": cfg.tol_eig, "shift": system.shift,
+                          "shift_margin": shift_margin(A)}
+            reports.append(finalize_report("structural", sig, descriptor, 0.0, [case]))
         elif suite == "trace":
             reports.append(check_trace_identity(A, B, tol=cfg.trace_rtol))
         elif suite == "weyl":

@@ -19,10 +19,6 @@ class NonFiniteValue(KreinvalError, ValueError):
     """A matrix entry or eigenvalue is infinite or NaN (an overflow, for instance)."""
 
 
-class NullVector(KreinvalError):
-    """A Rayleigh-type ratio was requested at a (near-)null vector."""
-
-
 class NullDegeneracy(KreinvalError):
     """An orthogonalization pivot fell inside the null band."""
 

@@ -1,15 +1,21 @@
-"""Eigenstructure of pseudo-Hermitian matrices: classification, admissibility,
+"""Eigenstructure of pseudo-Hermitian matrices: admissibility certificates,
 Rayleigh ratios, and compressions onto positive frames.
 
 A matrix is admissible when it diagonalizes over the reals with exactly p
 positive-type and q negative-type eigenvectors and the smallest positive-type
-eigenvalue strictly exceeds the largest negative-type one.
+eigenvalue strictly exceeds the largest negative-type one.  Equivalently
+(Gohberg-Lancaster-Rodman, Indefinite Linear Algebra), H = J (A - shift I)
+is positive definite for some shift in the gap between the two blocks, so
+one Cholesky factorization of H certifies admissibility.  The eigenvalues
+below the shift are then the negative-type ones and those above it the
+positive-type ones.  Shifts add: shift_A + shift_B certifies A + B.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -18,22 +24,16 @@ from .errors import (
     ComplexSpectrum,
     DefectiveMatrix,
     GapViolation,
-    NullDegeneracy,
     OrientationMismatch,
     WrongConeCount,
 )
 from .geometry import (
-    NEGATIVE,
-    NULL,
     POSITIVE,
     TOL_NULL_REL,
     PseudoOrthonormalFrame,
-    gram,
     pseudo_orthonormalize,
 )
 
-#: eigenvalue clustering gap, relative to the operator norm
-TOL_CLUSTER_REL = 1e-7
 #: acceptance on the imaginary part of eigenvalues, relative to the operator norm
 TOL_REALITY_REL = 1e-8
 #: smallest-singular-value cutoff declaring the eigenvector matrix defective
@@ -51,175 +51,162 @@ def rayleigh_columns(entries, sig: Signature, X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassifiedEigenSystem:
-    """Eigenpairs sorted ascending by real part, with per-vector cone classes.
+    """The certified eigenstructure of an admissible matrix.
 
-    Within a repeated-eigenvalue cluster the eigenvectors are re-orthonormalized
-    for the pairing when the restricted Gram is definite.  Null vectors and
-    the vectors of a cluster with an indefinite Gram keep unit Euclidean
-    norm; every other vector is scaled to self-pairing +-1.  ``reality_defect`` is the largest |Im eigenvalue| and
-    ``norm`` the operator 2-norm of the matrix, which scales the cluster and
-    reality tolerances.  Systems returned by ``eigendecompose`` are shared,
+    ``eigenvalues`` are the real parts of the computed eigenvalues, ascending;
+    the first q belong to negative-type and the last p to positive-type
+    eigenvectors.  ``eigenvectors`` are in the same order, and each block is
+    pseudo-orthonormal (pairings -I on the first q columns, +I on the last
+    p), repeated eigenvalues included.  ``shift`` is the point of the gap at
+    which J (A - shift I) was found positive definite, and ``spectrum`` the
+    validated spectrum.  Systems returned by ``eigendecompose`` are shared,
     so their arrays are read-only.
     """
 
     signature: Signature
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    cone_classes: tuple[str, ...]
-    reality_defect: float
-    norm: float
-
-    def class_indices(self, cone_class: str) -> list[int]:
-        return [i for i, c in enumerate(self.cone_classes) if c == cone_class]
+    shift: float
+    spectrum: AdmissibleSpectrum
 
 
 def eigendecompose(A: PseudoHermitianMatrix) -> ClassifiedEigenSystem:
-    """Dense eigendecomposition with cone classification, memoized by value.
+    """Certified eigendecomposition of an admissible matrix, memoized by value.
 
-    Clusters eigenvalues whose mutual distance is below 1e-7 times the
-    operator norm and pseudo-orthonormalizes inside each cluster when the
-    restricted pairing is definite, so repeated eigenvalues still yield
-    usable frames.  Eigenvalues are kept as computed; only eigenvectors are
-    recombined, and only within a cluster.
+    One ``np.linalg.eig``; the shift goes midway between the q-th and
+    (q+1)-th eigenvalue (past the spectrum when p or q is 0), and one
+    Cholesky factorization of J (A - shift I) certifies A.  When it fails,
+    ComplexSpectrum, GapViolation (``other_component=True`` when A is
+    admissible for the opposite orientation), DefectiveMatrix or
+    WrongConeCount says why.
 
-    Matrices with the same signature and the same entry bytes share one
-    solve: every check on A, B and A + B of an instance reads the same
-    system.  The result depends on the entries alone, so the memo never
-    changes what a caller sees.
+    Equal signatures and entry bytes share one read-only system, so the
+    checks on A, B and A + B of an instance read three solves.  A result
+    depends on the entries alone, so the memo never changes what a caller
+    sees.  Failures are not kept: an inadmissible matrix raises a new typed
+    error on every call.
     """
     return _solve(A.signature, A.entries.tobytes())
+
+
+def check_admissible(A: PseudoHermitianMatrix) -> AdmissibleSpectrum:
+    """The validated spectrum of A: ``eigendecompose(A).spectrum``.
+
+    Equal bytes share one read-only spectrum; an inadmissible matrix raises
+    the typed errors of ``eigendecompose``.
+    """
+    return eigendecompose(A).spectrum
+
+
+def _shifted_form(entries, sig: Signature, shift: float) -> np.ndarray:
+    """H = J (A - shift I), Hermitian for a pseudo-Hermitian A."""
+    jd = metric_diagonal(sig)
+    return jd[:, None] * entries - np.diag(shift * jd)
+
+
+def shift_margin(A: PseudoHermitianMatrix) -> float:
+    """How far the certificate of A is from failing: lambda_min(H) / ||H||_2.
+
+    H = J (A - shift I) at the shift ``eigendecompose`` found.  The margin
+    lies in (0, 1] and does not change when A is scaled; it costs one
+    eigvalsh, so only reports that show it compute it.
+    """
+    eta = np.linalg.eigvalsh(_shifted_form(A.entries, A.signature, eigendecompose(A).shift))
+    return float(eta[0] / np.abs(eta).max())
+
+
+def _gap_point(theta: np.ndarray, below: int) -> float:
+    """A shift with ``below`` of the ascending values ``theta`` under it.
+
+    Midway between two neighbours, or past the end of the spectrum by its
+    spread (at least its largest magnitude) when every value is on one side.
+    """
+    if 0 < below < theta.size:
+        return float(0.5 * (theta[below - 1] + theta[below]))
+    pad = float(max(theta[-1] - theta[0], np.abs(theta).max())) or 1.0
+    return float(theta[0] - pad) if below == 0 else float(theta[-1] + pad)
+
+
+def _frame(X: np.ndarray, jd: np.ndarray, sign: float) -> np.ndarray:
+    """X L^-H with L L^H = sign * X* J X: pseudo-orthonormal columns spanning X."""
+    L = np.linalg.cholesky(sign * (X.conj().T @ (jd[:, None] * X)))
+    return np.linalg.solve(L, X.conj().T).conj().T
 
 
 @functools.lru_cache(maxsize=32)
 def _solve(sig: Signature, data: bytes) -> ClassifiedEigenSystem:
     entries = np.frombuffer(data, dtype=complex).reshape(sig.n, sig.n)
-    norm = float(np.linalg.svd(entries, compute_uv=False)[0])  # operator 2-norm
     w, V = np.linalg.eig(entries)
+    order = np.lexsort((w.imag, w.real))
+    theta = w.real[order]
+    shift = _gap_point(theta, sig.q)
+    jd = metric_diagonal(sig)
+    vectors = V[:, order]
+    try:
+        np.linalg.cholesky(_shifted_form(entries, sig, shift))
+        # certified: the q eigenvalues below the shift are the negative-type ones, and
+        # a block Gram that is not definite means its eigenvectors are numerically dependent
+        vectors = np.concatenate(
+            [_frame(vectors[:, : sig.q], jd, -1.0), _frame(vectors[:, sig.q :], jd, 1.0)], axis=1
+        )
+    except np.linalg.LinAlgError:
+        _diagnose(sig, entries, w, V)
+    spectrum = AdmissibleSpectrum(sig, theta[sig.q :], theta[: sig.q][::-1])
+    theta.flags.writeable = False
+    vectors.flags.writeable = False
+    return ClassifiedEigenSystem(sig, theta, vectors, shift, spectrum)
 
+
+def _diagnose(sig: Signature, entries: np.ndarray, w: np.ndarray, V: np.ndarray) -> NoReturn:
+    """Raise the typed error that says why no shift certifies the matrix."""
+    norm = float(np.linalg.svd(entries, compute_uv=False)[0])  # operator 2-norm
+    reality = float(np.max(np.abs(w.imag)))
+    if reality > TOL_REALITY_REL * norm:
+        raise ComplexSpectrum(
+            f"imaginary parts reach {reality:.3e}, above tol {TOL_REALITY_REL * norm:.3e}"
+        )
+    theta = np.sort(w.real)
+    if sig.p and sig.q:
+        try:
+            np.linalg.cholesky(-_shifted_form(entries, sig, _gap_point(theta, sig.p)))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            raise GapViolation(
+                f"negative-type block sits entirely above the positive-type block "
+                f"(smallest negative-type {float(theta[sig.p])!r} > largest positive-type "
+                f"{float(theta[sig.p - 1])!r}); admissible for the opposite orientation",
+                other_component=True,
+            )
     smin = np.linalg.svd(V, compute_uv=False)[-1]
     if smin <= TOL_DEFECT:
         raise DefectiveMatrix(f"eigenvector matrix has smallest singular value {smin:.3e}")
-
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    vectors = V[:, order]
-
-    # consecutive eigenvalues closer than the cluster gap share a cluster;
-    # only clusters of two or more vectors are re-orthonormalized
-    in_cluster = np.zeros(w.size, dtype=bool)
-    close = np.abs(w[1:] - w[:-1]) < TOL_CLUSTER_REL * norm
-    if close.any():
-        for cols in np.split(np.arange(w.size), np.flatnonzero(~close) + 1):
-            if cols.size == 1:
-                continue
-            in_cluster[cols] = True
-            block = vectors[:, cols]
-            eigs = np.linalg.eigvalsh(gram(block, sig))
-            try:
-                if eigs[0] > 0:
-                    frame = pseudo_orthonormalize(block, sig, POSITIVE)
-                    vectors[:, cols] = frame.vectors
-                elif eigs[-1] < 0:
-                    frame = pseudo_orthonormalize(block, sig, NEGATIVE)
-                    vectors[:, cols] = frame.vectors
-                # mixed restricted Gram: leave the computed vectors alone
-            except (NullDegeneracy, OrientationMismatch):
-                pass
-
-    # one pairing and one null-band test for every column, as classify does per vector
-    squares = vectors.real**2 + vectors.imag**2
+    # cone classes by the sign of each eigenvector's self-pairing, outside the null band
+    squares = V.real**2 + V.imag**2
     pairing = metric_diagonal(sig) @ squares
     band = TOL_NULL_REL * squares.sum(axis=0)
-    classes = np.where(pairing > band, POSITIVE, np.where(pairing < -band, NEGATIVE, NULL))
-    # non-null vectors outside a cluster get self-pairing +-1; the others are divided by 1
-    scale = ~in_cluster & (classes != NULL)
-    vectors /= np.where(scale, np.sqrt(np.abs(pairing)), 1.0)
-
-    defect = float(np.max(np.abs(w.imag))) if w.size else 0.0
-    w.flags.writeable = False
-    vectors.flags.writeable = False
-    return ClassifiedEigenSystem(
-        signature=sig,
-        eigenvalues=w,
-        eigenvectors=vectors,
-        cone_classes=tuple(classes.tolist()),
-        reality_defect=defect,
-        norm=norm,
+    pos, neg = pairing > band, pairing < -band
+    if pos.sum() != sig.p or neg.sum() != sig.q:
+        raise WrongConeCount(
+            f"expected {sig.p} positive-type and {sig.q} negative-type eigenvectors, "
+            f"got {pos.sum()} and {neg.sum()} (null: {w.size - pos.sum() - neg.sum()})"
+        )
+    lowest = float(np.min(w.real[pos], initial=np.inf))
+    highest = float(np.max(w.real[neg], initial=-np.inf))
+    raise GapViolation(
+        f"strict gap violated: smallest positive-type {lowest!r} "
+        f"does not exceed largest negative-type {highest!r}"
     )
 
 
-def check_admissible(A: PseudoHermitianMatrix) -> AdmissibleSpectrum:
-    """Classify the spectrum and enforce admissibility, memoized by value.
-
-    The accepted imaginary part of eigenvalues is 1e-8 times the operator
-    norm.  Raises ComplexSpectrum, WrongConeCount, or GapViolation; the
-    GapViolation carries ``other_component=True`` when the matrix is
-    admissible for the opposite orientation (every negative-type eigenvalue
-    above every positive-type one).
-
-    Like ``eigendecompose``, matrices with the same signature and entry
-    bytes share one result: the checks run and the spectrum is built once
-    per distinct matrix, and every caller gets the same read-only spectrum.
-    Failures are not kept, so an inadmissible matrix raises a new typed
-    error on every call (from the shared solve).
-    """
-    return _admissible(A.signature, A.entries.tobytes())
-
-
-@functools.lru_cache(maxsize=32)
-def _admissible(sig: Signature, data: bytes) -> AdmissibleSpectrum:
-    system = _solve(sig, data)
-    tol = TOL_REALITY_REL * system.norm
-    if system.reality_defect > tol:
-        raise ComplexSpectrum(
-            f"imaginary parts reach {system.reality_defect:.3e}, above tol {tol:.3e}"
-        )
-    pos = system.class_indices(POSITIVE)
-    neg = system.class_indices(NEGATIVE)
-    if len(pos) != sig.p or len(neg) != sig.q:
-        raise WrongConeCount(
-            f"expected {sig.p} positive-type and {sig.q} negative-type eigenvectors, "
-            f"got {len(pos)} and {len(neg)} "
-            f"(null: {len(system.class_indices('null'))})"
-        )
-    lambdas = np.sort(system.eigenvalues[pos].real)
-    mus = np.sort(system.eigenvalues[neg].real)[::-1]
-    if lambdas.size and mus.size and not lambdas[0] > mus[0]:
-        if mus[-1] > lambdas[-1]:
-            raise GapViolation(
-                f"negative-type block sits entirely above the positive-type block "
-                f"(smallest negative-type {mus[-1]!r} > largest positive-type {lambdas[-1]!r}); "
-                "admissible for the opposite orientation",
-                other_component=True,
-            )
-        raise GapViolation(
-            f"strict gap violated: smallest positive-type {lambdas[0]!r} "
-            f"does not exceed largest negative-type {mus[0]!r}"
-        )
-    return AdmissibleSpectrum(sig, lambdas, mus)
-
-
 def positive_eigenbasis(system: ClassifiedEigenSystem) -> np.ndarray:
-    """Columns of positive-type eigenvectors, ascending by eigenvalue.
-
-    Requires exactly p positive-type vectors; the result is pseudo-orthonormal
-    for admissible inputs (cross-pairings vanish for distinct real
-    eigenvalues, clusters were cleaned during decomposition).
-    """
-    sig = system.signature
-    pos = system.class_indices(POSITIVE)
-    if len(pos) != sig.p:
-        raise WrongConeCount(f"expected {sig.p} positive-type eigenvectors, got {len(pos)}")
-    return system.eigenvectors[:, pos]
+    """The p positive-type eigenvectors, ascending by eigenvalue, pseudo-orthonormal."""
+    return system.eigenvectors[:, system.signature.q :]
 
 
 def negative_eigenbasis(system: ClassifiedEigenSystem) -> np.ndarray:
-    """Columns of negative-type eigenvectors, ascending by eigenvalue."""
-    sig = system.signature
-    neg = system.class_indices(NEGATIVE)
-    if len(neg) != sig.q:
-        raise WrongConeCount(f"expected {sig.q} negative-type eigenvectors, got {len(neg)}")
-    return system.eigenvectors[:, neg]
+    """The q negative-type eigenvectors, ascending by eigenvalue, with pairings -I."""
+    return system.eigenvectors[:, : system.signature.q]
 
 
 def eigenvector_frame(system: ClassifiedEigenSystem, indices) -> PseudoOrthonormalFrame:

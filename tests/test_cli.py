@@ -8,6 +8,7 @@ from kreinval import (
     ConfigError,
     Signature,
     cli,
+    eigendecompose,
     instance_rng,
     read_matrix,
     sample_planted,
@@ -16,6 +17,7 @@ from kreinval import (
 from kreinval.cli import SUITES, SuiteConfig, build_config, main, run_instance, run_suite, validate_config
 from kreinval.errors import SchemaError
 from kreinval.sampling import SamplerConfig
+from kreinval.spectral import shift_margin
 
 SEED = 606
 
@@ -266,6 +268,19 @@ class TestRunner:
             (report,) = run_instance(cfg, index)
             assert report.descriptor["cond"] == pytest.approx(1.0, abs=1e-12)
             assert not report.passed, index
+
+    @pytest.mark.parametrize("bound", [2.0, 1e9])
+    def test_structural_report_carries_the_certifying_shift(self, bound):
+        cfg = SuiteConfig(p=3, q=2, seed=SEED, suites=("structural",), value_range=(-bound, bound),
+                          gap_min=1.0)
+        for index in range(3):
+            (report,) = run_instance(cfg, index)
+            A, planted, _ = sample_planted(Signature(3, 2), cfg.sampler(), instance_rng(SEED, index))
+            assert list(report.descriptor) == ["cond", "tol_eig", "shift", "shift_margin"]
+            assert report.descriptor["shift"] == eigendecompose(A).shift
+            assert planted.mus[0] < report.descriptor["shift"] < planted.lambdas[0]
+            assert report.descriptor["shift_margin"] == shift_margin(A)
+            assert 0 < report.descriptor["shift_margin"] <= 1
 
     def test_empty_sampling_budgets_write_strict_json(self, tmp_path):
         def no_constants(name):

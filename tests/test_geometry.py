@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from kreinval import (
     NullDegeneracy,
-    NullVector,
     OrientationMismatch,
     PseudoOrthonormalFrame,
     SamplerConfig,
@@ -24,6 +23,8 @@ from kreinval import (
 )
 from kreinval.core import metric_diagonal
 from kreinval.geometry import NEGATIVE, NULL, POSITIVE
+
+from conftest import NullVector
 
 SEED = 98
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +23,9 @@ from kreinval import (
     sample_pseudo_unitary,
 )
 from kreinval import spectral
+from kreinval.checks import matrix_sum
 from kreinval.cli import SuiteConfig, run_instance
+from kreinval.core import metric_diagonal
 from kreinval.errors import NullDegeneracy, OrientationMismatch
 from kreinval.geometry import NEGATIVE, NULL, POSITIVE, classify, gram, pseudo_orthonormalize
 from kreinval.sampling import SamplerConfig
@@ -61,11 +61,13 @@ def test_eigendecompose_classifies_canonical_diagonal():
     sig = Signature(2, 2)
     spec = AdmissibleSpectrum(sig, np.array([1.0, 3.0]), np.array([0.5, -0.5]))
     system = eigendecompose(PseudoHermitianMatrix(sig, np.diag(spec.canonical_vector())))
-    assert sorted(system.cone_classes) == ["negative", "negative", "positive", "positive"]
-    lam = np.sort([system.eigenvalues[i].real for i in system.class_indices("positive")])
-    mu = np.sort([system.eigenvalues[i].real for i in system.class_indices("negative")])
-    assert np.allclose(lam, [1.0, 3.0])
-    assert np.allclose(mu, [-0.5, 0.5])
+    assert np.array_equal(system.eigenvalues, [-0.5, 0.5, 1.0, 3.0])
+    assert system.shift == 0.75  # midway between mu_1 and lambda_1
+    assert np.array_equal(system.spectrum.lambdas, [1.0, 3.0])
+    assert np.array_equal(system.spectrum.mus, [0.5, -0.5])
+    # canonical order is lambdas descending, then mus descending: slots 1, 0 and 3, 2
+    assert np.array_equal(np.abs(positive_eigenbasis(system)), np.eye(4)[:, [1, 0]])
+    assert np.array_equal(np.abs(negative_eigenbasis(system)), np.eye(4)[:, [3, 2]])
 
 
 def test_degenerate_cluster_gets_orthonormalized():
@@ -106,13 +108,20 @@ def test_gap_violations_both_ways():
 
 
 def test_eigenbasis_count_guard():
-    sig = Signature(1, 1)
-    system = eigendecompose(PseudoHermitianMatrix(sig, np.diag([2.0, 1.0]).astype(complex)))
-    assert positive_eigenbasis(system).shape == (2, 1)
-    assert negative_eigenbasis(system).shape == (2, 1)
-    fake = dataclasses.replace(system, cone_classes=("positive", "positive"))
-    with pytest.raises(WrongConeCount):
-        negative_eigenbasis(fake)
+    """The eigenbases are the first q and the last p columns, empty blocks included."""
+    for sig, entries in [
+        (Signature(1, 1), np.diag([2.0, 1.0])),
+        (Signature(2, 0), np.diag([2.0, 1.0])),
+        (Signature(0, 2), np.diag([2.0, 1.0])),
+    ]:
+        system = eigendecompose(PseudoHermitianMatrix(sig, entries.astype(complex)))
+        pos, neg = positive_eigenbasis(system), negative_eigenbasis(system)
+        assert pos.shape == (2, sig.p) and neg.shape == (2, sig.q)
+        assert np.array_equal(np.concatenate([neg, pos], axis=1), system.eigenvectors)
+        if sig.p:
+            assert np.allclose(gram(pos, sig), np.eye(sig.p), atol=1e-12)
+        if sig.q:
+            assert np.allclose(gram(neg, sig), -np.eye(sig.q), atol=1e-12)
 
 
 def test_recovery_under_conjugation(signature, sampler_cfg):
@@ -141,22 +150,86 @@ def test_compression_matches_rayleigh_trace(signature, sampler_cfg, rayleigh):
     assert np.sum(result.etas) == pytest.approx(np.sum(traces), abs=1e-8)
 
 
-def test_hermitian_limit_matches_eigvalsh():
-    sig = Signature(3, 0)
-    rng = np.random.default_rng(SEED)
-    H = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(1, 6), seed=st.integers(0, 2**16))
+@example(p=3, seed=SEED)
+def test_hermitian_limit_matches_eigvalsh(p, seed):
+    sig = Signature(p, 0)
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
     H = (H + H.conj().T) / 2
     A = PseudoHermitianMatrix(sig, H)
     spec = check_admissible(A)
     assert np.allclose(spec.lambdas, np.linalg.eigvalsh(H), atol=1e-9)
     assert spec.mus.size == 0
+    assert eigendecompose(A).shift < spec.lambdas[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 6),
+    q=st.integers(0, 4),
+    seed=st.integers(0, 2**16),
+    t=st.floats(1e-3, 1e3),
+)
+@example(p=6, q=4, seed=0, t=1.0)
+def test_shifts_add_so_admissible_matrices_form_a_convex_cone(p, q, seed, t):
+    """shift_A + t shift_B certifies A + t B, so A + t B is admissible."""
+    sig = Signature(p, q)
+    cfg = SamplerConfig(seed=seed)
+    rng = instance_rng(seed, 0)
+    A = sample_planted(sig, cfg, rng)[0]
+    B = PseudoHermitianMatrix(sig, t * sample_planted(sig, cfg, rng)[0].entries)
+    S = matrix_sum(A, B)
+    shift = eigendecompose(A).shift + eigendecompose(B).shift
+    np.linalg.cholesky(metric_diagonal(sig)[:, None] * (S.entries - shift * np.eye(sig.n)))
+    check_admissible(S)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.integers(1, 4),
+    q=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+    c=st.floats(-100.0, 100.0),
+)
+def test_a_scalar_shift_moves_every_eigenvalue_by_it(p, q, seed, c):
+    sig = Signature(p, q)
+    cfg = SamplerConfig(seed=seed)
+    A, _, U = sample_planted(sig, cfg, instance_rng(seed, 0))
+    spec = check_admissible(A)
+    moved = check_admissible(PseudoHermitianMatrix(sig, A.entries + c * np.eye(sig.n)))
+    tol = 1e-10 * U.cond**2 * (1.0 + abs(c))
+    assert np.allclose(moved.lambdas, spec.lambdas + c, rtol=0.0, atol=tol)
+    assert np.allclose(moved.mus, spec.mus + c, rtol=0.0, atol=tol)
+
+
+@pytest.mark.parametrize(
+    "pq, diagonal",
+    [
+        ((2, 2), [3.0, 1.0, 0.5, -0.5]),
+        ((1, 2), [2.0, 1.5, -1e9]),
+        ((3, 0), [2.0, -1.0, 0.25]),
+        ((0, 2), [4.0, -3.0]),
+    ],
+)
+def test_shift_margin_of_a_diagonal_is_its_distance_ratio(pq, diagonal):
+    sig = Signature(*pq)
+    A = PseudoHermitianMatrix(sig, np.diag(diagonal).astype(complex))
+    distance = np.abs(np.array(diagonal) - eigendecompose(A).shift)
+    assert spectral.shift_margin(A) == distance.min() / distance.max()
+
+
+#: eigenvalue clustering gap of the reference, relative to the operator norm
+CLUSTER_REL = 1e-7
 
 
 def reference_eigendecompose(A):
-    """Eigenvalues, eigenvectors and cone classes, classified one column at a time.
+    """Eigenvalues, eigenvectors, cone classes and clusters, one column at a time.
 
-    The loop eigendecompose ran before its classification was vectorized:
-    clusters are grown one eigenvalue at a time, and every column goes
+    The classifying solve eigendecompose ran before admissibility became a
+    definite-shift certificate: clusters are grown one eigenvalue at a time,
+    re-orthonormalized when their pairing is definite, and every column goes
     through geometry.classify.
     """
     sig = A.signature
@@ -165,7 +238,7 @@ def reference_eigendecompose(A):
     w, vectors = w[order], V[:, order]
     clusters = [[0]]
     for i in range(1, w.size):
-        if abs(w[i] - w[clusters[-1][-1]]) < spectral.TOL_CLUSTER_REL * A.norm:
+        if abs(w[i] - w[clusters[-1][-1]]) < CLUSTER_REL * A.norm:
             clusters[-1].append(i)
         else:
             clusters.append([i])
@@ -185,7 +258,7 @@ def reference_eigendecompose(A):
         except (NullDegeneracy, OrientationMismatch):
             pass
     classes = tuple(classify(vectors[:, i], sig).cone_class for i in range(w.size))
-    return w, vectors, classes
+    return w, vectors, classes, clusters
 
 
 def spectral_case(kind, p, q, seed):
@@ -232,25 +305,45 @@ def spectral_case(kind, p, q, seed):
 @example(kind="cluster", p=2, q=0, seed=3)
 @example(kind="null", p=2, q=2, seed=4)
 @example(kind="mixed", p=1, q=1, seed=5)
+@example(kind="mixed", p=2, q=2, seed=0)  # a roundoff gap that no shift certifies
+@example(kind="mixed", p=2, q=2, seed=1)  # a roundoff gap that one shift certifies
 def test_vectorized_classification_matches_per_column_classify(kind, p, q, seed):
     if kind == "cluster":
         p = max(p, 2)
     if kind in ("mixed", "null"):
         q = max(q, 1)
     A = spectral_case(kind, p, q, seed)
-    w, vectors, classes = reference_eigendecompose(A)
-    system = eigendecompose(A)
-    assert np.array_equal(system.eigenvalues, w)
-    assert system.cone_classes == classes
-    assert np.allclose(system.eigenvectors, vectors, rtol=1e-12, atol=1e-12)
     if kind == "null":
-        assert classes.count(NULL) == 2
-    elif kind != "mixed":
-        assert classes.count(POSITIVE) == p and classes.count(NEGATIVE) == q
+        with pytest.raises(ComplexSpectrum):
+            eigendecompose(A)
+        return
+    try:
+        system = eigendecompose(A)
+    except (GapViolation, WrongConeCount):
+        assert kind == "mixed"
+        return
+    # every system carries its certificate: J (A - shift I) is positive definite
+    jd = metric_diagonal(A.signature)
+    np.linalg.cholesky(jd[:, None] * (A.entries - system.shift * np.eye(A.signature.n)))
+    if kind == "mixed":
+        # roundoff split the tie into an admissible matrix, and its gap is roundoff
+        assert system.spectrum.gap <= spectral.TOL_REALITY_REL * A.norm
+        return
+    w, vectors, classes, clusters = reference_eigendecompose(A)
+    assert classes.count(NEGATIVE) == q and classes.count(POSITIVE) == p
+    assert classes == (NEGATIVE,) * q + (POSITIVE,) * p  # the classes lie in position order
+    assert np.array_equal(system.eigenvalues, w.real)
+    # each cluster's eigenvectors span the reference's eigenspace
+    for group in clusters:
+        X, Y = system.eigenvectors[:, group], vectors[:, group]
+        coeffs = np.linalg.lstsq(Y, X, rcond=None)[0]
+        assert np.linalg.norm(Y @ coeffs - X) <= 1e-9 * np.linalg.norm(X)
+    assert np.allclose(gram(positive_eigenbasis(system), A.signature), np.eye(p), atol=1e-8)
+    if q:
+        assert np.allclose(gram(negative_eigenbasis(system), A.signature), -np.eye(q), atol=1e-8)
     if kind == "cluster":
-        # the repeated eigenvalue was found as a cluster and its vectors re-orthonormalized
-        assert np.min(np.abs(np.diff(w))) < spectral.TOL_CLUSTER_REL * A.norm
-        assert np.allclose(gram(positive_eigenbasis(system), A.signature), np.eye(p), atol=1e-8)
+        # the repeated eigenvalue is a cluster of the reference
+        assert max(len(group) for group in clusters) >= 2
 
 
 def test_memoized_system_equals_a_fresh_solve_and_is_read_only(sampler_cfg):
@@ -264,11 +357,9 @@ def test_memoized_system_equals_a_fresh_solve_and_is_read_only(sampler_cfg):
     assert fresh is not shared
     assert np.array_equal(fresh.eigenvalues, shared.eigenvalues)
     assert np.array_equal(fresh.eigenvectors, shared.eigenvectors)
-    assert (fresh.cone_classes, fresh.reality_defect, fresh.norm) == (
-        shared.cone_classes,
-        shared.reality_defect,
-        shared.norm,
-    )
+    assert fresh.shift == shared.shift
+    assert np.array_equal(fresh.spectrum.lambdas, shared.spectrum.lambdas)
+    assert np.array_equal(fresh.spectrum.mus, shared.spectrum.mus)
     with pytest.raises(ValueError):
         shared.eigenvalues[0] = 0.0
     with pytest.raises(ValueError):
@@ -312,7 +403,7 @@ def test_equal_bytes_share_one_read_only_spectrum(sampler_cfg, fresh_memos):
         shared.lambdas[0] = 0.0
     with pytest.raises(ValueError):
         shared.mus[0] = 0.0
-    spectral._admissible.cache_clear()
+    spectral._solve.cache_clear()
     fresh = check_admissible(A)
     assert fresh is not shared
     assert np.array_equal(fresh.lambdas, shared.lambdas)
