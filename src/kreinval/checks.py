@@ -38,7 +38,7 @@ from .sampling import (
     instance_rng,
     restricted_cone_samples,
     sample_positive_subspace,
-    subordinate_frame,
+    subordinate_coordinates,
 )
 from .spectral import (
     check_admissible,
@@ -552,6 +552,15 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + _adjoint(M))
 
 
+def _flag_compression(JA: np.ndarray, flag: PositiveFlag) -> np.ndarray:
+    """M = frame* J A frame for the flag's (or stack's) certified top-level frame.
+
+    The frame's column prefixes span the levels, so in its coordinates the
+    levels are the spans of leading unit vectors and M is Hermitian.
+    """
+    return _hermitian_part(_adjoint(flag.frame) @ (JA @ flag.frame))
+
+
 def _hyperplane_basis(w: np.ndarray) -> np.ndarray:
     """Orthonormal bases U (..., n, n-1) of the complements of unit vectors w (..., n).
 
@@ -623,14 +632,22 @@ def check_wielandt_flag(
 ) -> CheckReport:
     """Flag compressions against the eigenvalue tuple sum.
 
-    On the eigenvector flag: every one of ``n_flags * n_tuples`` sampled
-    subordinate frames has compression trace <= the sum of the selected
-    eigenvalues, with equality on the eigenvectors themselves.
+    Every flag is framed once: ``PositiveFlag`` certifies it with one
+    Cholesky factorization of its top level's paired Gram and keeps the frame
+    ``top``, whose column prefixes span the levels.  In ``top``'s coordinates
+    ``M = top* J A top`` is Hermitian, the pairing is Euclidean and level j
+    is the span of the first i_j unit vectors.
+
+    On the eigenvector flag: every one of ``n_flags * n_tuples`` random
+    subordinate frames, drawn as orthonormal coordinates C in those levels
+    (``subordinate_coordinates``), has compression trace tr(C* M C) <= the
+    sum of the selected eigenvalues, with equality on the eigenvectors
+    themselves.  For the full tuple C is unitary, so ``eigenflag_max`` then
+    compares tr(M) with the tuple sum and its margin is roundoff.
 
     On each of ``n_flags`` random positive flags: the deterministic witness
     frame subordinate to the flag has trace >= the tuple sum (``witness:f``).
-    This is a certificate, not a search.  With ``top`` a frame of the flag's
-    top level, ``M = top* J A top`` is Hermitian with eigenvalues eta;
+    This is a certificate, not a search.  M has eigenvalues eta;
     Hermitian Wielandt puts the witness trace at or above sum eta_{i_j}
     (``witness_gap_min``, scaled by max(1, ||M||) and held to roundoff), and
     interlacing, eta_i >= lambda_i, puts that sum at or above the tuple sum
@@ -651,8 +668,9 @@ def check_wielandt_flag(
     cases = []
 
     JA = metric_diagonal(sig)[:, None] * A.entries
-    frames = subordinate_frame(eigenflag, cfg, rng, count=n_flags * n_tuples)
-    highest = float(np.max(_compression_trace(JA, frames.vectors), initial=-np.inf))
+    coords = subordinate_coordinates(idx, rng, n_flags * n_tuples)
+    traces = _compression_trace(_flag_compression(JA, eigenflag), coords)
+    highest = float(np.max(traces, initial=-np.inf))
     if np.isfinite(highest):
         cases.append(
             make_case("eigenflag_max", idx, highest, target, target - highest, tol)
@@ -683,9 +701,7 @@ def check_wielandt_flag(
                 tol,
             )
         )
-    # each flag's compression onto its framed top level, whose column prefixes span its levels
-    top = pseudo_orthonormalize(PositiveFlag(sig, idx, bases).basis, sig, POSITIVE).vectors
-    M = _hermitian_part(_adjoint(top) @ (JA @ top))
+    M = _flag_compression(JA, PositiveFlag(sig, idx, bases))
     traces = _compression_trace(M, _witness_subordinate(M, idx))
     cases.extend(
         make_case(f"witness:{f}", idx, value, target, value - target, tol)

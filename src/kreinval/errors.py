@@ -27,10 +27,6 @@ class OrientationMismatch(KreinvalError):
     """The restricted pairing is not definite of the requested sign."""
 
 
-class RankDeficiency(KreinvalError):
-    """Vectors expected to be independent are numerically dependent."""
-
-
 class DefectiveMatrix(KreinvalError):
     """The eigenvector matrix is numerically rank-deficient."""
 

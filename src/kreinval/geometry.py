@@ -4,6 +4,12 @@ The pairing is linear in its first argument and conjugate-linear in the
 second: <z, w> = sum_{i<=p} z_i conj(w_i) - sum_{j>p} z_j conj(w_j).
 Vectors split into positive, negative, and null cone classes by the sign of
 their self-pairing.
+
+A basis X spans a positive subspace iff its paired Gram X* J X is positive
+definite, which one Cholesky factorization L L^H of the Gram decides: its
+pivots are the self-pairings of the columns cleaned against the earlier
+ones.  The same factor gives the pseudo-orthonormal frame X L^-H, whose
+first k columns are a frame of the first k columns of X.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from .core import Signature, metric_diagonal
 from .errors import (
     NullDegeneracy,
     OrientationMismatch,
-    RankDeficiency,
     ShapeMismatch,
 )
 
@@ -28,9 +33,7 @@ NULL = "null"
 TOL_NULL_REL = 1e-9
 #: acceptance on frame Gram deviation from +/- identity
 TOL_FRAME = 1e-8
-#: relative smallest-singular-value cutoff for basis independence
-TOL_RANK = 1e-10
-#: smallest span-normalized Gram margin accepted as inside the positive cone
+#: smallest Cholesky pivot, relative to its input column's squared norm, of a positive subspace
 TOL_CONE = 1e-9
 
 
@@ -263,40 +266,3 @@ def projector(frame: PseudoOrthonormalFrame) -> np.ndarray:
     jd = metric_diagonal(frame.signature)
     sign = 1.0 if frame.orientation == POSITIVE else -1.0
     return sign * (X @ (_adjoint(X) * jd))
-
-
-def _orthonormal_columns(basis: np.ndarray, tol_rank: float) -> np.ndarray:
-    """Euclidean-orthonormal basis of each column span; errors on rank deficiency."""
-    u, s, _ = np.linalg.svd(basis, full_matrices=False)
-    deficient = s[..., -1] <= tol_rank * np.maximum(s[..., 0], 1e-300)
-    if np.any(deficient):
-        raise RankDeficiency(
-            f"basis is numerically rank-deficient: singular values {s[deficient][0]}"
-        )
-    return u
-
-
-def positive_cone_margin(
-    basis, sig: Signature, *, tol_rank: float = TOL_RANK
-) -> float | np.ndarray:
-    """Smallest eigenvalue of the Gram of a Euclidean-orthonormalized basis.
-
-    Orthonormalizing first makes the value depend only on the span, so it is
-    invariant under invertible recombination of the basis columns; the margin
-    lies in [-1, 1].  A stack of bases (..., n, k) gives an array of margins
-    from one batched SVD and one batched eigvalsh.
-    """
-    B = as_basis(basis, sig.n)
-    Q = _orthonormal_columns(B, tol_rank)
-    margins = np.linalg.eigvalsh(gram(Q, sig))[..., 0]
-    return float(margins) if margins.ndim == 0 else margins
-
-
-def subspace_in_positive_cone(basis, sig: Signature, tol: float = TOL_CONE) -> bool:
-    """True when every nonzero vector of the span has positive self-pairing.
-
-    Decided by the span-normalized Gram margin, so any basis of the same
-    subspace gives the same answer.  For a stack of bases, True when every
-    subspace of the stack passes.
-    """
-    return bool(np.all(positive_cone_margin(basis, sig) >= tol))

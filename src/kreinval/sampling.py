@@ -5,13 +5,18 @@ bit-identical output.  Pseudo-unitaries come from exponentiating elements of
 the isometry Lie algebra (B J + J B* = 0): skew-Hermitian diagonal blocks and
 a free off-diagonal coupling block whose spectral norm is capped by
 ``boost_scale``.  Positive subspaces are graphs (Q; K Q) of contractions K
-over isometries Q, which reach every positive subspace of the given dimension.
+over isometries Q, which reach every positive subspace of the given dimension
+and are positive by construction.  A ``PositiveFlag`` certifies its basis
+with the Cholesky factorization that frames it.  Frames subordinate to a
+flag are drawn as orthonormal coordinates in that frame, where the levels are
+spans of leading unit vectors and the pairing is Euclidean, so they need no
+null band and no redraw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -24,17 +29,14 @@ from .core import (
     check_index_tuple,
     matrix_dagger,
 )
-from .errors import NullDegeneracy, RetriesExhausted, ShapeMismatch
+from .errors import RetriesExhausted, ShapeMismatch
 from .geometry import (
     POSITIVE,
     TOL_CONE,
     TOL_FRAME,
     TOL_NULL_REL,
-    PseudoOrthonormalFrame,
     _checked_frame,
     _cholesky_frames,
-    positive_cone_margin,
-    subspace_in_positive_cone,
 )
 
 #: tolerance used to self-check sampled pseudo-unitaries
@@ -172,20 +174,19 @@ def sample_positive_subspace(
     cfg: SamplerConfig,
     rng: np.random.Generator,
     *,
-    rotate: bool = False,
     count: int | None = None,
 ) -> np.ndarray:
     """Basis (columns) of a k-dimensional subspace inside the positive cone.
 
     Graph construction: columns (Q v; K Q v) with Q a p x k isometry and K a
-    q x p contraction, so the raw Gram is Q* (I - K* K) Q and its spectrum is
-    bounded below by 1 - contraction_cap^2.  With ``rotate`` the basis is
-    pushed by a sampled pseudo-unitary, which preserves positivity.
+    q x p contraction with ||K|| <= contraction_cap < 1, so the paired Gram
+    is I - Q* K* K Q >= (1 - contraction_cap^2) I and every sample is positive
+    by construction.  The Cholesky factorization that frames a sample
+    (``pseudo_orthonormalize``, ``PositiveFlag``) certifies it again.
 
     With ``count`` the result is a stack (count, n, k) of independent
-    samples, drawn with one batched QR and one batched spectral norm and
-    checked with one batched positivity margin; without it, the single
-    basis is the first sample of a stack of one.
+    samples, drawn with one batched QR and one batched spectral norm; without
+    it, the single basis is the first sample of a stack of one.
     """
     if not 1 <= k <= sig.p:
         raise ShapeMismatch(f"positive subspaces need 1 <= k <= p = {sig.p}, got k = {k}")
@@ -199,10 +200,6 @@ def sample_positive_subspace(
         basis = np.concatenate([Q, K @ Q], axis=-2)
     else:
         basis = Q
-    if rotate:
-        basis = np.stack([sample_pseudo_unitary(sig, cfg, rng).entries for _ in range(N)]) @ basis
-    if not subspace_in_positive_cone(basis, sig):
-        raise NullDegeneracy("sampled graph subspace failed the positivity margin")
     return basis if count is not None else basis[0]
 
 
@@ -244,16 +241,21 @@ class PositiveFlag:
     Level j is spanned by the first ``index_tuple[j]`` columns of ``basis``,
     an n x w basis with w >= index_tuple[-1], or a stack (N, n, w) of N flags
     that share the signature and index tuple.  Only the top level's columns
-    are kept, so the levels are nested by construction.  One positive-cone
-    margin of the top level checks every level: a subspace of a positive
-    subspace has a margin at least as large, and a column subset is never
-    worse conditioned for the rank test.  For a stack one batched margin checks
-    every sample, and a failure names the first failing sample.
+    are kept, so the levels are nested by construction.  One Cholesky
+    factorization of the top level's paired Gram certifies every level: the
+    factor of a level's Gram is the leading block of the top level's, so its
+    pivots are a prefix of the top level's pivots.  Each pivot must exceed
+    ``TOL_CONE`` times the squared norm of its input column; a column that
+    depends on the earlier ones leaves a pivot at roundoff of that norm.  The
+    certified frame X L^-H is kept as ``frame``, whose column prefixes are
+    frames of the levels.  For a stack one batched factorization checks every
+    sample, and a failure names the first failing sample.
     """
 
     signature: Signature
     index_tuple: tuple[int, ...]
     basis: np.ndarray
+    frame: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         idx = check_index_tuple(self.index_tuple, self.signature.p)
@@ -263,12 +265,15 @@ class PositiveFlag:
                 f"flag basis must be (..., {self.signature.n}, >= {idx[-1]}), got {B.shape}"
             )
         B = np.array(B[..., : idx[-1]], dtype=complex)
-        outside = np.atleast_1d(positive_cone_margin(B, self.signature)) < TOL_CONE
+        F, pivots, _, _ = _cholesky_frames(B, self.signature, 1.0, TOL_NULL_REL)
+        outside = np.any(~(pivots > TOL_CONE * np.sum(np.abs(B) ** 2, axis=-2)), axis=-1)
         if np.any(outside):
             raise ValueError(f"flag is not inside the positive cone{_at_sample(outside, B)}")
         B.flags.writeable = False
         object.__setattr__(self, "index_tuple", idx)
         object.__setattr__(self, "basis", B)
+        frame = _checked_frame(F, self.signature, POSITIVE, TOL_NULL_REL, TOL_FRAME).vectors
+        object.__setattr__(self, "frame", frame)
 
     @property
     def levels(self) -> tuple[np.ndarray, ...]:
@@ -285,45 +290,22 @@ def _at_sample(bad: np.ndarray, B: np.ndarray) -> str:
     return f" at sample {int(np.argmax(bad))}" if B.ndim == 3 else ""
 
 
-def subordinate_frame(
-    flag: PositiveFlag,
-    cfg: SamplerConfig,
-    rng: np.random.Generator,
-    *,
-    count: int | None = None,
-) -> PseudoOrthonormalFrame:
-    """Random pseudo-orthonormal frame with the j-th vector inside level j.
+def subordinate_coordinates(
+    index_tuple: tuple[int, ...], rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """Orthonormal coordinates (count, r, m) of random frames subordinate to a flag.
 
-    One random vector is drawn per level and the columns are
-    pseudo-orthonormalized by the Cholesky kernel; column j of X L^-H only
-    combines columns <= j, and earlier levels nest inside later ones, so
-    membership is preserved.  A column whose pivot is near-null (or of the
-    wrong sign) is redrawn, at most ``cfg.max_retries`` draws per vector.
-
-    With ``count`` the frame holds a stack (count, n, m) of independent
-    frames; without it, the single frame is the first of a stack of one.
+    In a flag's ``frame`` the pairing is the Euclidean inner product and
+    level j is E_{index_tuple[j]}, the span of the first index_tuple[j] unit
+    vectors; r = index_tuple[-1] and m = len(index_tuple).  One Gaussian
+    coefficient vector is drawn per level, zero-padded to r rows, and one
+    batched QR orthonormalizes the columns.  The levels are nested, so
+    column j and every column before it vanish below row index_tuple[j];
+    the Householder reflections keep that zero pattern, so column j of Q
+    lies in E_{index_tuple[j]} at any rank, and ``flag.frame @ Q`` is a
+    subordinate frame.
     """
-    if flag.basis.ndim != 2:
-        raise ShapeMismatch("subordinate_frame draws for one flag, not a stack of flags")
-    sig = flag.signature
-    N = 1 if count is None else int(count)
-    dims = flag.index_tuple
-    coeffs = [complex_normal(rng, N, d) for d in dims]
-    draws = np.ones((N, len(dims)), dtype=int)
-    while True:
-        X = np.stack([(basis @ c[..., None])[..., 0] for c, basis in zip(coeffs, flag.levels)], axis=-1)
-        F, _, _, first_bad = _cholesky_frames(X, sig, 1.0, TOL_NULL_REL)
-        redo = np.flatnonzero(first_bad < len(dims))
-        if redo.size == 0:
-            break
-        cols = first_bad[redo]
-        if np.any(draws[redo, cols] >= cfg.max_retries):
-            raise NullDegeneracy(
-                f"could not draw a well-paired vector in {cfg.max_retries} attempts"
-            )
-        draws[redo, cols] += 1
-        for j in np.unique(cols):
-            rows = redo[cols == j]
-            coeffs[j][rows] = complex_normal(rng, rows.size, dims[j])
-    return _checked_frame(F[0] if count is None else F, sig, POSITIVE, TOL_NULL_REL, TOL_FRAME)
-
+    C = np.zeros((count, index_tuple[-1], len(index_tuple)), dtype=complex)
+    for j, dim in enumerate(index_tuple):
+        C[:, :dim, j] = complex_normal(rng, count, dim)
+    return np.linalg.qr(C)[0]

@@ -3,7 +3,7 @@ import pytest
 
 from kreinval import SamplerConfig, Signature
 from kreinval.core import metric_diagonal
-from kreinval.geometry import TOL_NULL_REL
+from kreinval.geometry import TOL_NULL_REL, gram
 
 SIGNATURES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
 
@@ -59,3 +59,17 @@ def _rayleigh(A, x, sig, *, tol_null=TOL_NULL_REL):
 @pytest.fixture
 def rayleigh():
     return _rayleigh
+
+
+def cone_margin(basis, sig, *, tol_rank=1e-10):
+    """Positivity margin of each span, an oracle for the flag's Cholesky certificate.
+
+    The smallest eigenvalue of the paired Gram of a Euclidean-orthonormal
+    basis of the span: it depends on the span only and lies in [-1, 1].  A
+    numerically rank-deficient basis (smallest singular value at most
+    ``tol_rank`` times the largest) gets -inf.  A stack of bases (..., n, k)
+    gives an array of margins.
+    """
+    u, s, _ = np.linalg.svd(np.asarray(basis, dtype=complex), full_matrices=False)
+    margins = np.linalg.eigvalsh(gram(u, sig))[..., 0]
+    return np.where(s[..., -1] <= tol_rank * np.maximum(s[..., 0], 1e-300), -np.inf, margins)

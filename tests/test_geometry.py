@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from kreinval import (
     NullDegeneracy,
     OrientationMismatch,
+    PositiveFlag,
     PseudoOrthonormalFrame,
     SamplerConfig,
     Signature,
@@ -13,13 +14,11 @@ from kreinval import (
     compress,
     gram,
     pair,
-    positive_cone_margin,
     projector,
     pseudo_orthonormalize,
     sample_planted,
     sample_positive_subspace,
     self_pairing,
-    subspace_in_positive_cone,
 )
 from kreinval.core import metric_diagonal
 from kreinval.geometry import NEGATIVE, NULL, POSITIVE
@@ -120,24 +119,14 @@ def test_projector_boost_line():
     assert np.allclose(P @ x, x)
 
 
-def test_positive_cone_margin_is_basis_invariant():
-    sig = Signature(2, 2)
-    rng = np.random.default_rng(SEED + 2)
-    basis = np.vstack([np.eye(2), 0.3 * rng.standard_normal((2, 2))]).astype(complex)
-    m1 = positive_cone_margin(basis, sig)
-    R = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    R += 5 * np.eye(2)  # keep it comfortably invertible
-    m2 = positive_cone_margin(basis @ R, sig)
-    assert m1 == pytest.approx(m2, abs=1e-10)
-    assert -1.0 <= m1 <= 1.0
-
-
 def test_subspace_positivity_decision():
+    # a flag of one level is a subspace; its Cholesky certificate decides positivity
     sig = Signature(2, 1)
     graph = np.array([[1.0, 0.0], [0.0, 1.0], [0.2, 0.1]], dtype=complex)
-    assert subspace_in_positive_cone(graph, sig)
+    PositiveFlag(sig, (2,), graph)
     mixed = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    assert not subspace_in_positive_cone(mixed, sig)
+    with pytest.raises(ValueError, match="positive cone"):
+        PositiveFlag(sig, (2,), mixed)
 
 
 def test_null_vector_classify_raises_nothing_but_rayleigh_does(rayleigh):

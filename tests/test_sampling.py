@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinval import (
-    NullDegeneracy,
     SamplerConfig,
     Signature,
     check_admissible,
@@ -15,11 +16,13 @@ from kreinval import (
     sample_positive_subspace,
     sample_pseudo_unitary,
     sample_spectrum,
-    subordinate_frame,
-    subspace_in_positive_cone,
+    subordinate_coordinates,
 )
-from kreinval.geometry import gram, pair
+from kreinval.checks import lambda_index_tuples
+from kreinval.geometry import TOL_CONE, gram, pair
 from kreinval.sampling import PositiveFlag, restricted_cone_samples
+
+from conftest import cone_margin
 
 SEED = 808
 
@@ -103,9 +106,7 @@ def test_positive_subspaces_stay_positive(signature, sampler_cfg):
         for _ in range(10):
             basis = sample_positive_subspace(signature, k, sampler_cfg, rng)
             assert basis.shape == (signature.n, k)
-            assert subspace_in_positive_cone(basis, signature)
-        rotated = sample_positive_subspace(signature, k, sampler_cfg, rng, rotate=True)
-        assert subspace_in_positive_cone(rotated, signature)
+            assert cone_margin(basis, signature) >= TOL_CONE
 
 
 def test_batched_subspaces_stay_positive_and_single_is_first_of_one(signature, sampler_cfg):
@@ -113,55 +114,47 @@ def test_batched_subspaces_stay_positive_and_single_is_first_of_one(signature, s
         rng = instance_rng(SEED, 14)
         stack = sample_positive_subspace(signature, k, sampler_cfg, rng, count=50)
         assert stack.shape == (50, signature.n, k)
-        for basis in stack:
-            assert subspace_in_positive_cone(basis, signature)
+        assert np.all(cone_margin(stack, signature) >= TOL_CONE)
         single = sample_positive_subspace(signature, k, sampler_cfg, instance_rng(SEED, 14))
         first = sample_positive_subspace(signature, k, sampler_cfg, instance_rng(SEED, 14), count=1)
         assert np.array_equal(single, first[0])
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.integers(1, 6),
+    q=st.integers(0, 4),
+    cap=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 5),
+    data=st.data(),
+)
+def test_graph_subspaces_are_positive_by_construction(p, q, cap, seed, count, data):
+    """||K|| <= cap < 1 gives the paired Gram I - Q* K* K Q >= (1 - cap^2) I, with no runtime check."""
+    sig = Signature(p, q)
+    k = data.draw(st.integers(1, p))
+    cfg = SamplerConfig(contraction_cap=cap)
+    stack = sample_positive_subspace(sig, k, cfg, np.random.default_rng(seed), count=count)
+    assert np.all(np.linalg.eigvalsh(gram(stack, sig))[:, 0] >= 1.0 - cap**2 - 1e-12)
+
+
 def test_batched_subordinate_frames_lie_in_their_levels(signature, sampler_cfg):
-    idx = tuple(range(1, signature.p + 1))
     rng = instance_rng(SEED, 15)
     basis = sample_positive_subspace(signature, signature.p, sampler_cfg, rng)
-    flag = PositiveFlag(signature, idx, basis)
-    frames = subordinate_frame(flag, sampler_cfg, rng, count=30)
-    assert frames.vectors.shape == (30, signature.n, len(idx))
-    for F in frames.vectors:
-        assert np.allclose(gram(F, signature), np.eye(len(idx)), atol=1e-8)
-        for j, level in enumerate(flag.levels):
-            coeffs, *_ = np.linalg.lstsq(level, F[:, j], rcond=None)
-            assert np.linalg.norm(level @ coeffs - F[:, j]) < 1e-8
-
-
-class ZeroDraws:
-    """Generator stand-in whose listed standard_normal calls (1-based) return zeros."""
-
-    def __init__(self, zero_calls, seed):
-        self.rng = np.random.default_rng(seed)
-        self.zero = set(zero_calls)
-        self.calls = 0
-
-    def standard_normal(self, shape):
-        self.calls += 1
-        out = self.rng.standard_normal(shape)
-        return np.zeros(shape) if self.calls in self.zero else out
-
-
-def test_subordinate_frame_redraws_a_null_vector_within_its_budget():
-    sig = Signature(3, 1)
-    cfg = SamplerConfig(seed=1)
-    basis = sample_positive_subspace(sig, 3, cfg, instance_rng(SEED, 16))
-    flag = PositiveFlag(sig, (1, 3), basis)
-    # calls 3 and 4 draw the level-2 coefficients: a zero vector has a null pivot
-    rng = ZeroDraws({3, 4}, SEED)
-    frame = subordinate_frame(flag, cfg, rng)
-    assert rng.calls == 6
-    assert np.allclose(gram(frame.vectors, sig), np.eye(2), atol=1e-8)
-    coeffs, *_ = np.linalg.lstsq(flag.levels[0], frame.vectors[:, 0], rcond=None)
-    assert np.linalg.norm(flag.levels[0] @ coeffs - frame.vectors[:, 0]) < 1e-8
-    with pytest.raises(NullDegeneracy):
-        subordinate_frame(flag, SamplerConfig(max_retries=1), ZeroDraws({3, 4}, SEED))
+    for idx in lambda_index_tuples(signature.p):
+        flag = PositiveFlag(signature, idx, basis)
+        coords = subordinate_coordinates(idx, rng, 30)
+        m = len(idx)
+        assert coords.shape == (30, idx[-1], m)
+        assert np.allclose(coords.conj().swapaxes(-1, -2) @ coords, np.eye(m), atol=1e-12)
+        for j, dim in enumerate(idx):
+            assert np.all(coords[:, dim:, j] == 0), (idx, j)  # zero below row idx[j]
+        for F in flag.frame @ coords:
+            assert np.allclose(gram(F, signature), np.eye(m), atol=1e-8)
+            for j, level in enumerate(flag.levels):
+                coeffs, *_ = np.linalg.lstsq(level, F[:, j], rcond=None)
+                assert np.linalg.norm(level @ coeffs - F[:, j]) < 1e-8
+    assert subordinate_coordinates(idx, rng, 0).shape == (0, idx[-1], len(idx))
 
 
 def test_restricted_samples_sit_in_positive_cone(sampler_cfg):
@@ -180,16 +173,16 @@ def test_flag_and_subordinate_frame(signature, sampler_cfg):
     idx = (1, signature.p)
     rng = instance_rng(SEED, 13)
     flag = PositiveFlag(signature, idx, sample_positive_subspace(signature, idx[-1], sampler_cfg, rng))
-    frame = subordinate_frame(flag, sampler_cfg, rng)
+    frame = flag.frame @ subordinate_coordinates(idx, rng, 1)[0]
     assert flag.depth == 2
-    assert np.allclose(gram(frame.vectors, signature), np.eye(2), atol=1e-8)
+    assert np.allclose(gram(frame, signature), np.eye(2), atol=1e-8)
     # each frame vector must lie in its level: residual of least squares is ~0
     for j, dim in enumerate(idx):
         level = flag.levels[j]
-        coeffs, *_ = np.linalg.lstsq(level, frame.vectors[:, j], rcond=None)
-        assert np.linalg.norm(level @ coeffs - frame.vectors[:, j]) < 1e-8
+        coeffs, *_ = np.linalg.lstsq(level, frame[:, j], rcond=None)
+        assert np.linalg.norm(level @ coeffs - frame[:, j]) < 1e-8
     # subordinate vectors from nested levels still pair to zero across slots
-    assert abs(pair(frame.vectors[:, 0], frame.vectors[:, 1], signature)) < 1e-8
+    assert abs(pair(frame[:, 0], frame[:, 1], signature)) < 1e-8
 
 
 def test_sampler_determinism_end_to_end(signature):
