@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .errors import (
     ShapeMismatch,
     WrongConeCount,
 )
-from .geometry import POSITIVE, _adjoint, pseudo_orthonormalize
+from .geometry import _adjoint
 from .sampling import (
     PositiveFlag,
     SamplerConfig,
@@ -42,9 +43,7 @@ from .sampling import (
 )
 from .spectral import (
     check_admissible,
-    compress,
     eigendecompose,
-    eigenvector_frame,
     negative_eigenbasis,
     positive_eigenbasis,
     rayleigh_columns,
@@ -230,56 +229,123 @@ def _inadmissible_sum_report(name: str, sig: Signature, descriptor: dict, tol: f
 # index tuple enumeration
 
 
+def _sample_ranks(count: int, limit: int, rng) -> list[int]:
+    """``limit`` distinct ranks below ``count``, ascending: a uniform random limit-subset."""
+    if count <= np.iinfo(np.int64).max:
+        return sorted(rng.choice(count, limit, replace=False).tolist())
+    # numpy draws no integer this large: Floyd's algorithm over Python's randrange
+    draw, chosen = random.Random(int(rng.integers(2**63))).randrange, set()
+    for top in range(count - limit, count):
+        r = draw(top + 1)
+        chosen.add(top if r in chosen else r)
+    return sorted(chosen)
+
+
+def _unrank_increasing(m: int, rank: int, block) -> tuple[tuple[int, ...], int]:
+    """The entries x_1 < ... < x_m of the item at ``rank``, and the rank left within them.
+
+    Items are ranked by their entries lexicographically.  ``block(s, y)``
+    counts the items that take y next when s entries are still to come, y
+    included, so one pass over y skips whole blocks of ranks.
+    """
+    out, x = [], 0
+    for s in range(m, 0, -1):
+        x += 1
+        while rank >= (size := block(s, x)):
+            rank -= size
+            x += 1
+        out.append(x)
+    return tuple(out), rank
+
+
+def _unrank_index_tuple(upper: int, rank: int) -> tuple[int, ...]:
+    """The tuple at ``rank`` in the enumeration order of ``lambda_index_tuples``."""
+    m = 1
+    while rank >= (size := math.comb(upper, m)):
+        rank -= size
+        m += 1
+    # C(upper - y, s - 1) subsets of {1, ..., upper} take y next with s entries to come
+    return _unrank_increasing(m, rank, lambda s, y: math.comb(upper - y, s - 1))[0]
+
+
 def lambda_index_tuples(upper: int, max_size: int | None = None, *, limit: int = TUPLE_LIMIT, rng=None):
     """Strictly increasing 1-based tuples bounded by ``upper``.
 
     All of them, by size and then lexicographically, when there are at most
-    ``limit`` (sum over m of C(upper, m)); beyond that a seeded random subset
-    of at most ``limit`` tuples, returned in sorted order.
+    ``limit`` (sum over m of C(upper, m)).  Beyond that exactly ``limit`` of
+    them, in the same order: ``limit`` distinct ranks drawn with one
+    ``rng.choice`` and unranked in O(upper) each.  Every limit-subset of
+    tuples is equally likely, so each tuple is drawn with probability
+    limit / count, whatever its size.
     """
     if upper < 1:
         return []
     mmax = min(max_size or upper, upper)
-    if sum(math.comb(upper, m) for m in range(1, mmax + 1)) <= limit:
+    count = sum(math.comb(upper, m) for m in range(1, mmax + 1))
+    if count <= limit:
         out = []
         for m in range(1, mmax + 1):
             out.extend(itertools.combinations(range(1, upper + 1), m))
         return out
     rng = rng if rng is not None else np.random.default_rng(0)
-    seen: set[tuple[int, ...]] = set()
-    attempts = 0
-    while len(seen) < limit and attempts < 50 * limit:
-        attempts += 1
-        m = int(rng.integers(1, mmax + 1))
-        t = tuple(int(v) for v in np.sort(rng.choice(upper, size=m, replace=False) + 1))
-        seen.add(t)
-    return sorted(seen)
+    return [_unrank_index_tuple(upper, r) for r in _sample_ranks(count, limit, rng)]
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_blocks(p: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Counts of the size-m pairs of ``thompson_freede_pairs(p)`` by prefix of i.
+
+    Entry [s][x] counts the pairs whose i has x as its latest chosen entry
+    (x = 0: none yet) with s entries still to come.  An i ending in a pairs
+    with the m-subsets j of {1, ..., min(p, m + p - a)}, so [0][a] is
+    C(min(p, m + p - a), m), and an i that goes on takes some next entry
+    y > x: [s][x] = [s][x + 1] + [s - 1][x + 1].  [m][0] counts all size-m
+    pairs.
+    """
+    blocks = [[0] * (p + 2) for _ in range(m + 1)]
+    for a in range(1, p + 1):
+        blocks[0][a] = math.comb(min(p, m + p - a), m)
+    for s in range(1, m + 1):
+        for x in range(p - 1, -1, -1):
+            blocks[s][x] = blocks[s][x + 1] + blocks[s - 1][x + 1]
+    return tuple(tuple(row) for row in blocks)
 
 
 def _thompson_freede_count(p: int) -> int:
-    """Number of pairs thompson_freede_pairs(p) admits.
+    """Number of pairs thompson_freede_pairs(p) admits: the size-m counts of ``_pair_blocks``."""
+    return sum(_pair_blocks(p, m)[m][0] for m in range(1, p + 1))
 
-    C(a - 1, m - 1) size-m tuples end in a, so the count is the sum over m
-    and over last entries a + b <= m + p of the product of two such terms.
+
+def _unrank_pair(p: int, rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair at ``rank`` in the enumeration order of ``thompson_freede_pairs(p)``.
+
+    Sizes first, then i, then j lexicographically, with block sizes from
+    ``_pair_blocks`` for i; j is then any m-subset of {1, ..., min(p, m + p - i_m)}.
     """
-    return sum(
-        math.comb(a - 1, m - 1) * math.comb(b - 1, m - 1)
-        for m in range(1, p + 1)
-        for a in range(m, p + 1)
-        for b in range(m, min(p, m + p - a) + 1)
-    )
+    m = 1
+    while rank >= (size := _pair_blocks(p, m)[m][0]):
+        rank -= size
+        m += 1
+    blocks = _pair_blocks(p, m)
+    i, rank = _unrank_increasing(m, rank, lambda s, y: blocks[s - 1][y])
+    n = min(p, m + p - i[-1])
+    return i, _unrank_increasing(m, rank, lambda s, y: math.comb(n - y, s - 1))[0]
 
 
 def thompson_freede_pairs(p: int, *, limit: int = TUPLE_LIMIT, rng=None):
     """Pairs (i, j) of same-size tuples with i[-1] + j[-1] <= m + p.
 
     The constraint makes every combined index i_h + j_h - h a valid, strictly
-    increasing position in [1, p].  All pairs when there are at most
-    ``limit``; beyond that a seeded random subset of ``limit`` pairs, sorted.
+    increasing position in [1, p].  All pairs, by size, then i, then j
+    lexicographically, when there are at most ``limit``.  Beyond that exactly
+    ``limit`` pairs in the same order, drawn like ``lambda_index_tuples``
+    draws tuples: uniformly over limit-subsets of pairs, O(p) per pair once
+    ``_pair_blocks`` holds the counts.
     """
     if p < 1:
         return []
-    if _thompson_freede_count(p) <= limit:
+    count = _thompson_freede_count(p)
+    if count <= limit:
         out = []
         for m in range(1, p + 1):
             combos = list(itertools.combinations(range(1, p + 1), m))
@@ -289,16 +355,7 @@ def thompson_freede_pairs(p: int, *, limit: int = TUPLE_LIMIT, rng=None):
                         out.append((i, j))
         return out
     rng = rng if rng is not None else np.random.default_rng(0)
-    seen: set[tuple] = set()
-    attempts = 0
-    while len(seen) < limit and attempts < 200 * limit:
-        attempts += 1
-        m = int(rng.integers(1, p + 1))
-        i = tuple(int(v) for v in np.sort(rng.choice(p, size=m, replace=False) + 1))
-        j = tuple(int(v) for v in np.sort(rng.choice(p, size=m, replace=False) + 1))
-        if i[-1] + j[-1] <= m + p:
-            seen.add((i, j))
-    return sorted(seen)
+    return [_unrank_pair(p, r) for r in _sample_ranks(count, limit, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +484,43 @@ def check_thompson_freede(
 
 # ---------------------------------------------------------------------------
 # variational checks on a single matrix
+#
+# Each suite draws once per instance.  The frame X L^-H of a width-p basis
+# has column prefixes that frame the basis's column prefixes, and the
+# k-column prefix of a width-p graph sample is distributed as a width-k
+# sample.  So one certified stack of width-p frames, compressed once to
+# M = frame* J A frame, serves every k and every index tuple: the
+# statement about k-dimensional subspaces reads M's leading k x k block.
+
+
+def _compression_trace(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Traces of X* M X over a stack (..., k, m): with M = J A and a
+    pseudo-orthonormal frame X, the trace of the compression of A onto X.
+    """
+    return np.einsum("...ij,...ij->...", X.conj(), M @ X).real
+
+
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + _adjoint(M))
+
+
+def _compression_onto(A: PseudoHermitianMatrix, basis: np.ndarray) -> np.ndarray:
+    """M = frame* J A frame (..., p, p) for a width-p positive basis (n, p) or stack (N, n, p).
+
+    One ``PositiveFlag`` certifies the whole stack with the Cholesky
+    factorization that frames it.  The frame's column prefixes span the
+    basis's column prefixes, so in its coordinates those are the spans of
+    leading unit vectors, and M is Hermitian.  On the positive eigenbasis M
+    is diag(lambdas) up to roundoff, and its principal submatrix on chosen
+    indices is the compression onto those eigenvectors.
+    """
+    frame = PositiveFlag(A.signature, (A.signature.p,), basis).frame
+    JA = metric_diagonal(A.signature)[:, None] * A.entries
+    return _hermitian_part(_adjoint(frame) @ (JA @ frame))
+
+
+def _no_positive_block(name: str, sig: Signature, descriptor: dict, tol: float) -> CheckReport:
+    return finalize_report(name, sig, descriptor, tol, [], notes=["no positive-type block"])
 
 
 def check_courant_fischer(
@@ -444,121 +538,102 @@ def check_courant_fischer(
     compression eigenvalue >= lambda_k (the eigen-subspace attains it), and
     sampled positive vectors paired-orthogonal to the first k-1 eigenvectors
     give Rayleigh ratios >= lambda_k (the k-th eigenvector attains it).
+    The k-subspaces are the k-column prefixes of one stack of
+    ``n_subspaces`` width-p frames (``draw_width``), so the k-th top is the
+    top eigenvalue of M's leading k x k block; the restricted-cone vectors
+    are drawn afresh for each k.
     """
     sig = A.signature
     cfg = cfg if cfg is not None else SamplerConfig()
     rng = rng if rng is not None else instance_rng(cfg.seed)
-    descriptor = {"n_subspaces": n_subspaces, "equality_tol": equality_tol}
-    notes = []
+    descriptor = {"n_subspaces": n_subspaces, "equality_tol": equality_tol, "draw_width": sig.p}
     if sig.p == 0:
-        return finalize_report(
-            "courant_fischer", sig, descriptor, tol, [], notes=["no positive-type block"]
-        )
+        return _no_positive_block("courant_fischer", sig, descriptor, tol)
     system = eigendecompose(A)
-    spec = system.spectrum
+    lambdas = system.spectrum.lambdas
     pos = positive_eigenbasis(system)
     neg = negative_eigenbasis(system)
+    eigen = _compression_onto(A, pos)
+    M = None  # an empty budget samples nothing and bounds nothing, so it gets no case
+    if n_subspaces:
+        M = _compression_onto(A, sample_positive_subspace(sig, sig.p, cfg, rng, count=n_subspaces))
     cases = []
     for k in range(1, sig.p + 1):
-        lam_k = float(spec.lambdas[k - 1])
-        # an empty budget samples nothing and bounds nothing, so it gets no case
-        if n_subspaces:
-            bases = sample_positive_subspace(sig, k, cfg, rng, count=n_subspaces)
-            frames = pseudo_orthonormalize(bases, sig, POSITIVE)
-            worst_top = float(np.min(compress(A, frames).etas[:, -1]))
+        lam_k = float(lambdas[k - 1])
+        if M is not None:
+            worst_top = float(np.min(np.linalg.eigvalsh(M[:, :k, :k])[:, -1]))
             cases.append(
                 make_case(f"minmax_sampled:{k}", (k,), worst_top, lam_k, worst_top - lam_k, tol)
             )
-        witness = eigenvector_frame(system, range(1, k + 1))
-        top = float(compress(A, witness).etas[-1])
+        top = float(np.linalg.eigvalsh(eigen[:k, :k])[-1])
         cases.append(
             make_case(f"minmax_witness:{k}", (k,), top, lam_k, -abs(top - lam_k), equality_tol)
         )
-        if n_subspaces:
+        if M is not None:
             X = restricted_cone_samples(pos[:, k - 1 :], neg, n_subspaces, rng)
             low = float(np.min(rayleigh_columns(A.entries, sig, X)))
             cases.append(make_case(f"restricted_sampled:{k}", (k,), low, lam_k, low - lam_k, tol))
-        vk = pos[:, k - 1]
-        rk = rayleigh_columns(A.entries, sig, vk[:, None])[0]
+        # the Rayleigh ratio of the k-th framed eigenvector
+        rk = float(eigen[k - 1, k - 1].real)
         cases.append(
             make_case(f"restricted_witness:{k}", (k,), rk, lam_k, -abs(rk - lam_k), equality_tol)
         )
-    return finalize_report("courant_fischer", sig, descriptor, tol, cases, notes=notes)
+    return finalize_report("courant_fischer", sig, descriptor, tol, cases)
 
 
 def check_ky_fan(
     A: PseudoHermitianMatrix,
-    k: int,
     n_frames: int = 200,
     tol: float = DEFAULT_TOL,
     *,
     equality_tol: float = EQUALITY_TOL,
     cfg: SamplerConfig | None = None,
     rng=None,
-) -> CheckReport:
-    """Partial-sum minimum over positive k-frames.
+) -> list[CheckReport]:
+    """Partial-sum minimum over positive k-frames, one report per k = 1, ..., p.
 
     Every pseudo-orthonormal positive k-frame satisfies
     sum_i R_A(x_i) = trace(compression) >= lambda_1 + ... + lambda_k,
-    with equality on the first k eigenvectors.
+    with equality on the first k eigenvectors.  The k-frames are the
+    k-column prefixes of one stack of ``n_frames`` width-p frames
+    (``draw_width``), so the k-th traces are the k-th cumulative sums of
+    diag(M).  With p = 0 the one report says there is no positive block.
     """
     sig = A.signature
-    if not 1 <= k <= sig.p:
-        raise ValueError(f"k must lie in [1, p] = [1, {sig.p}], got {k}")
     cfg = cfg if cfg is not None else SamplerConfig()
     rng = rng if rng is not None else instance_rng(cfg.seed)
-    descriptor = {"k": k, "n_frames": n_frames, "equality_tol": equality_tol}
+    shared = {"n_frames": n_frames, "equality_tol": equality_tol, "draw_width": sig.p}
+    if sig.p == 0:
+        return [_no_positive_block("ky_fan", sig, shared, tol)]
     system = eigendecompose(A)
-    spec = system.spectrum
-    target = float(np.sum(spec.lambdas[:k]))
-    cases = []
+    lambdas = system.spectrum.lambdas
+    witness = np.cumsum(np.diagonal(_compression_onto(A, positive_eigenbasis(system))).real)
+    worst = None
     if n_frames:  # an empty budget bounds nothing, so it gets no case
-        bases = sample_positive_subspace(sig, k, cfg, rng, count=n_frames)
-        frames = pseudo_orthonormalize(bases, sig, POSITIVE)
-        traces = np.trace(compress(A, frames).compressed, axis1=-2, axis2=-1).real
-        worst = float(np.min(traces))
+        M = _compression_onto(A, sample_positive_subspace(sig, sig.p, cfg, rng, count=n_frames))
+        worst = np.min(np.cumsum(np.diagonal(M, axis1=-2, axis2=-1).real, axis=-1), axis=0)
+    reports = []
+    for k in range(1, sig.p + 1):
+        indices = tuple(range(1, k + 1))
+        target = float(np.sum(lambdas[:k]))
+        cases = []
+        if worst is not None:
+            low = float(worst[k - 1])
+            cases.append(
+                make_case(f"partial_sum_sampled:{k}", indices, low, target, low - target, tol)
+            )
+        val = float(witness[k - 1])
         cases.append(
             make_case(
-                f"partial_sum_sampled:{k}", tuple(range(1, k + 1)), worst, target, worst - target, tol
+                f"partial_sum_witness:{k}", indices, val, target, -abs(val - target), equality_tol
             )
         )
-    witness = eigenvector_frame(system, range(1, k + 1))
-    val = float(np.trace(compress(A, witness).compressed).real)
-    cases.append(
-        make_case(
-            f"partial_sum_witness:{k}",
-            tuple(range(1, k + 1)),
-            val,
-            target,
-            -abs(val - target),
-            equality_tol,
-        )
-    )
-    return finalize_report("ky_fan", sig, descriptor, tol, cases)
+        reports.append(finalize_report("ky_fan", sig, {"k": k, **shared}, tol, cases))
+    return reports
 
 
 # ---------------------------------------------------------------------------
-# flag compressions
-
-
-def _compression_trace(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Traces of X* M X over a stack (..., k, m): with M = J A and a
-    pseudo-orthonormal frame X, the trace of the compression of A onto X.
-    """
-    return np.einsum("...ij,...ij->...", X.conj(), M @ X).real
-
-
-def _hermitian_part(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + _adjoint(M))
-
-
-def _flag_compression(JA: np.ndarray, flag: PositiveFlag) -> np.ndarray:
-    """M = frame* J A frame for the flag's (or stack's) certified top-level frame.
-
-    The frame's column prefixes span the levels, so in its coordinates the
-    levels are the spans of leading unit vectors and M is Hermitian.
-    """
-    return _hermitian_part(_adjoint(flag.frame) @ (JA @ flag.frame))
+# flag witness
 
 
 def _hyperplane_basis(w: np.ndarray) -> np.ndarray:
@@ -580,7 +655,9 @@ def _hyperplane_basis(w: np.ndarray) -> np.ndarray:
     return U
 
 
-def _witness_subordinate(M: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
+def _witness_subordinate(
+    M: np.ndarray, idx: tuple[int, ...], vecs: np.ndarray | None = None
+) -> np.ndarray:
     """Deterministic subordinate frames whose traces reach the tuple sum, in coordinates.
 
     ``M`` is the stack (N, r, r) of N flags' compressions onto their top
@@ -589,6 +666,7 @@ def _witness_subordinate(M: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
     inner product, M is an ordinary Hermitian matrix and level j is the span
     E_{idx[j]} of the first idx[j] unit vectors, with idx[-1] == r.  Returns
     orthonormal coordinates (N, r, m) whose column j lies in E_{idx[j]}.
+    ``vecs`` are M's eigenvectors from ``eigh`` when the caller has them.
 
     Hermitian Wielandt recursion, on standard levels at every step.  A
     complete flag gets the identity, whose trace is the full trace.
@@ -610,7 +688,8 @@ def _witness_subordinate(M: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
     while run < m and idx[m - 1 - run] == r - run:
         run += 1
     lo = r - run - 1
-    anchor = np.linalg.eigh(M)[1][..., lo:, r - run :]
+    vecs = np.linalg.eigh(M)[1] if vecs is None else vecs
+    anchor = vecs[..., lo:, r - run :]
     w = np.linalg.qr(anchor, mode="complete")[0][..., -1]
     R = np.zeros(M.shape[:-1] + (r - 1,), dtype=complex)
     R[..., :lo, :lo] = np.eye(lo)
@@ -621,7 +700,7 @@ def _witness_subordinate(M: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
 
 def check_wielandt_flag(
     A: PseudoHermitianMatrix,
-    index_tuple,
+    index_tuples,
     n_flags: int = 50,
     n_tuples: int = 20,
     tol: float = DEFAULT_TOL,
@@ -629,14 +708,15 @@ def check_wielandt_flag(
     equality_tol: float = EQUALITY_TOL,
     cfg: SamplerConfig | None = None,
     rng=None,
-) -> CheckReport:
-    """Flag compressions against the eigenvalue tuple sum.
+) -> list[CheckReport]:
+    """Flag compressions against the eigenvalue tuple sums, one report per index tuple.
 
-    Every flag is framed once: ``PositiveFlag`` certifies it with one
-    Cholesky factorization of its top level's paired Gram and keeps the frame
-    ``top``, whose column prefixes span the levels.  In ``top``'s coordinates
-    ``M = top* J A top`` is Hermitian, the pairing is Euclidean and level j
-    is the span of the first i_j unit vectors.
+    A flag is framed by the Cholesky factorization that certifies it
+    (``PositiveFlag``); its frame's column prefixes span the levels.  In
+    those coordinates ``M = frame* J A frame`` is Hermitian, the pairing is
+    Euclidean and level j is the span of the first i_j unit vectors.  The
+    flag of a tuple is the prefix of a width-p flag, so every tuple reads
+    the leading r x r block of one M, with r = i_m.
 
     On the eigenvector flag: every one of ``n_flags * n_tuples`` random
     subordinate frames, drawn as orthonormal coordinates C in those levels
@@ -653,62 +733,63 @@ def check_wielandt_flag(
     interlacing, eta_i >= lambda_i, puts that sum at or above the tuple sum
     (``interlace_min`` checks it on the flags' (p-1)-dimensional prefixes).
     With ``n_flags`` 0 there are no random flags and none of these cases.
+
+    The ``n_flags`` width-p flags are drawn first (``draw_width``) and serve
+    every tuple; then each tuple's eigenflag coordinates, in tuple order.
+    ``interlace_min`` is computed once and carried by every report, and M's
+    leading r x r blocks are decomposed once per distinct r, for the gap and
+    for the witness's first step.  With p = 0 the one report says there is
+    no positive block.
     """
     sig = A.signature
-    idx = check_index_tuple(index_tuple, sig.p)
     cfg = cfg if cfg is not None else SamplerConfig()
     rng = rng if rng is not None else instance_rng(cfg.seed)
-    descriptor = {"index_tuple": list(idx), "n_flags": n_flags, "n_tuples": n_tuples}
+    shared = {"n_flags": n_flags, "n_tuples": n_tuples, "draw_width": sig.p}
+    if sig.p == 0:
+        return [_no_positive_block("wielandt", sig, shared, tol)]
+    tuples = [check_index_tuple(t, sig.p) for t in index_tuples]
     system = eigendecompose(A)
-    spec = system.spectrum
-    pos = positive_eigenbasis(system)
-    target = float(sum(spec.lambdas[i - 1] for i in idx))
-    eigenflag = PositiveFlag(sig, idx, pos)
+    lambdas = system.spectrum.lambdas
+    eigen = _compression_onto(A, positive_eigenbasis(system))
 
-    cases = []
+    interlace = []
+    if n_flags:
+        M = _compression_onto(A, sample_positive_subspace(sig, sig.p, cfg, rng, count=n_flags))
+        widths = {idx[-1] for idx in tuples} | ({sig.p - 1} if sig.p >= 2 else set())
+        spectra = {r: np.linalg.eigh(M[:, :r, :r]) for r in widths}
+        if sig.p >= 2:
+            worst = float(np.min(spectra[sig.p - 1][0] - lambdas[: sig.p - 1]))
+            interlace = [make_case("interlace_min", tuple(range(1, sig.p)), worst, 0.0, worst, tol)]
 
-    JA = metric_diagonal(sig)[:, None] * A.entries
-    coords = subordinate_coordinates(idx, rng, n_flags * n_tuples)
-    traces = _compression_trace(_flag_compression(JA, eigenflag), coords)
-    highest = float(np.max(traces, initial=-np.inf))
-    if np.isfinite(highest):
+    reports = []
+    for idx in tuples:
+        r, cols = idx[-1], [i - 1 for i in idx]
+        target = float(sum(lambdas[c] for c in cols))
+        cases = []
+        coords = subordinate_coordinates(idx, rng, n_flags * n_tuples)
+        traces = _compression_trace(eigen[:r, :r], coords)
+        highest = float(np.max(traces, initial=-np.inf))
+        if np.isfinite(highest):
+            cases.append(make_case("eigenflag_max", idx, highest, target, target - highest, tol))
+        sub = eigen[np.ix_(cols, cols)]
+        val = float(np.trace(sub).real)
         cases.append(
-            make_case("eigenflag_max", idx, highest, target, target - highest, tol)
+            make_case("eigenflag_witness", idx, val, target, -abs(val - target), equality_tol)
         )
-
-    witness = eigenvector_frame(system, idx)
-    comp = compress(A, witness)
-    val = float(np.trace(comp.compressed).real)
-    cases.append(make_case("eigenflag_witness", idx, val, target, -abs(val - target), equality_tol))
-    eta_dev = float(np.max(np.abs(comp.etas - np.array([spec.lambdas[i - 1] for i in idx]))))
-    cases.append(make_case("eigenflag_witness_etas", idx, eta_dev, 0.0, -eta_dev, equality_tol))
-
-    if n_flags == 0:
-        return finalize_report("wielandt", sig, descriptor, tol, cases)
-    width = max(idx[-1], sig.p - 1) if sig.p >= 2 else idx[-1]
-    bases = sample_positive_subspace(sig, width, cfg, rng, count=n_flags)
-    if sig.p >= 2:
-        frames = pseudo_orthonormalize(bases[:, :, : sig.p - 1], sig, POSITIVE)
-        xi = compress(A, frames).etas
-        interlace_worst = float(np.min(xi - spec.lambdas[: sig.p - 1]))
-        cases.append(
-            make_case(
-                "interlace_min",
-                tuple(range(1, sig.p)),
-                interlace_worst,
-                0.0,
-                interlace_worst,
-                tol,
+        eta_dev = float(np.max(np.abs(np.linalg.eigvalsh(sub) - lambdas[cols])))
+        cases.append(make_case("eigenflag_witness_etas", idx, eta_dev, 0.0, -eta_dev, equality_tol))
+        if n_flags:
+            cases.extend(interlace)
+            eta, vecs = spectra[r]
+            block = M[:, :r, :r]
+            traces = _compression_trace(block, _witness_subordinate(block, idx, vecs))
+            cases.extend(
+                make_case(f"witness:{f}", idx, value, target, value - target, tol)
+                for f, value in enumerate(traces)
             )
-        )
-    M = _flag_compression(JA, PositiveFlag(sig, idx, bases))
-    traces = _compression_trace(M, _witness_subordinate(M, idx))
-    cases.extend(
-        make_case(f"witness:{f}", idx, value, target, value - target, tol)
-        for f, value in enumerate(traces)
-    )
-    eta = np.linalg.eigvalsh(M)
-    scale = np.maximum(1.0, np.max(np.abs(eta), axis=-1))
-    gap = float(np.min((traces - eta[:, [i - 1 for i in idx]].sum(axis=-1)) / scale))
-    cases.append(make_case("witness_gap_min", idx, gap, 0.0, gap, WITNESS_ROUNDOFF))
-    return finalize_report("wielandt", sig, descriptor, tol, cases)
+            scale = np.maximum(1.0, np.max(np.abs(eta), axis=-1))
+            gap = float(np.min((traces - eta[:, cols].sum(axis=-1)) / scale))
+            cases.append(make_case("witness_gap_min", idx, gap, 0.0, gap, WITNESS_ROUNDOFF))
+        descriptor = {"index_tuple": list(idx), **shared}
+        reports.append(finalize_report("wielandt", sig, descriptor, tol, cases))
+    return reports

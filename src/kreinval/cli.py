@@ -152,7 +152,9 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
 
     A and B come from the instance stream (seed, index).  Each suite draws
     from its own stream (seed, index, position of the suite in SUITES), so a
-    suite's reports do not depend on which other suites are selected.
+    suite's reports do not depend on which other suites are selected.  Each
+    check is called once: ``ky_fan`` returns one report per k and
+    ``wielandt`` one per index tuple, all read from one draw.
     """
     sig = Signature(cfg.p, cfg.q)
     scfg = cfg.sampler()
@@ -195,23 +197,19 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
                 )
             )
         elif suite == "ky_fan":
-            for k in range(1, sig.p + 1):
-                reports.append(
-                    check_ky_fan(A, k, cfg.kyfan_frames, tol=cfg.tol_check, cfg=scfg, rng=rng)
-                )
+            reports.extend(check_ky_fan(A, cfg.kyfan_frames, tol=cfg.tol_check, cfg=scfg, rng=rng))
         elif suite == "wielandt":
-            for t in lambda_index_tuples(sig.p, cfg.max_m, rng=rng):
-                reports.append(
-                    check_wielandt_flag(
-                        A,
-                        t,
-                        n_flags=cfg.wielandt_flags,
-                        n_tuples=cfg.wielandt_frames,
-                        tol=cfg.tol_check,
-                        cfg=scfg,
-                        rng=rng,
-                    )
+            reports.extend(
+                check_wielandt_flag(
+                    A,
+                    lambda_index_tuples(sig.p, cfg.max_m, rng=rng),
+                    n_flags=cfg.wielandt_flags,
+                    n_tuples=cfg.wielandt_frames,
+                    tol=cfg.tol_check,
+                    cfg=scfg,
+                    rng=rng,
                 )
+            )
         elif suite == "polyhedral":
             reports.append(check_diag_membership(A, tol=cfg.lp_tol))
             reports.append(check_sum_membership(A, B, tol=cfg.lp_tol))

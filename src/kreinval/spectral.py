@@ -31,7 +31,6 @@ from .geometry import (
     POSITIVE,
     TOL_NULL_REL,
     PseudoOrthonormalFrame,
-    pseudo_orthonormalize,
 )
 
 #: acceptance on the imaginary part of eigenvalues, relative to the operator norm
@@ -207,20 +206,6 @@ def positive_eigenbasis(system: ClassifiedEigenSystem) -> np.ndarray:
 def negative_eigenbasis(system: ClassifiedEigenSystem) -> np.ndarray:
     """The q negative-type eigenvectors, ascending by eigenvalue, with pairings -I."""
     return system.eigenvectors[:, : system.signature.q]
-
-
-def eigenvector_frame(system: ClassifiedEigenSystem, indices) -> PseudoOrthonormalFrame:
-    """Positive frame spanned by the chosen positive-type eigenvectors.
-
-    ``indices`` are 1-based positions into the ascending positive-type list.
-    The vectors are re-orthonormalized, which is a no-op up to phase when they
-    are already pairwise orthogonal.
-    """
-    basis = positive_eigenbasis(system)
-    cols = [int(i) - 1 for i in indices]
-    if any(c < 0 or c >= basis.shape[1] for c in cols):
-        raise ValueError(f"eigenvector indices out of range 1..{basis.shape[1]}: {indices}")
-    return pseudo_orthonormalize(basis[:, cols], system.signature, POSITIVE)
 
 
 @dataclass(frozen=True)

@@ -171,8 +171,10 @@ def test_criterion_02_cone_bound_sampling(cfg, instances):
 def test_criterion_03_minmax_subspaces(cfg, instances):
     """500 positive k-subspaces per instance respect the min-max bounds.
 
-    Compression tops stay >= lambda_k - 1e-8 for every k; the eigenvector
-    subspaces attain equality within 1e-9.
+    The k-subspaces are the k-column prefixes of one stack of 500 width-p
+    frames.  Compression tops stay >= lambda_k - 1e-8 for every k; the
+    eigenvector subspaces attain equality within 1e-9.  Every k gets its
+    sampled, restricted and witness cases.
     """
     failures = []
     for (p, q), inst in instances.items():
@@ -185,6 +187,12 @@ def test_criterion_03_minmax_subspaces(cfg, instances):
                 cfg=cfg,
                 rng=instance_rng(SEED, 300 + j),
             )
+            assert rep.descriptor["draw_width"] == p
+            assert [c.case_id for c in rep.cases] == [
+                f"{kind}:{k}"
+                for k in range(1, p + 1)
+                for kind in ("minmax_sampled", "minmax_witness", "restricted_sampled", "restricted_witness")
+            ]
             failures.extend(
                 (p, q, j, c.case_id, c.margin) for c in rep.cases if not c.passed
             )
@@ -194,22 +202,28 @@ def test_criterion_03_minmax_subspaces(cfg, instances):
 def test_criterion_04_partial_sum_frames(cfg, instances):
     """200 positive k-frames per (instance, k) respect the partial-sum bound.
 
-    Frame traces stay >= lambda_1 + ... + lambda_k - 1e-8; the eigenframe
-    attains equality within 1e-9.
+    The k-frames are the k-column prefixes of one stack of 200 width-p
+    frames, and one report per k = 1, ..., p carries them.  Frame traces
+    stay >= lambda_1 + ... + lambda_k - 1e-8; the eigenframe attains
+    equality within 1e-9.
     """
     failures = []
     for (p, q), inst in instances.items():
         for j, (A, _, _) in enumerate(inst):
-            for k in range(1, p + 1):
-                rep = check_ky_fan(
-                    A,
-                    k,
-                    n_frames=200,
-                    tol=BOUND_TOL,
-                    equality_tol=WITNESS_TOL,
-                    cfg=cfg,
-                    rng=instance_rng(SEED, 400 + 10 * j + k),
-                )
+            reports = check_ky_fan(
+                A,
+                n_frames=200,
+                tol=BOUND_TOL,
+                equality_tol=WITNESS_TOL,
+                cfg=cfg,
+                rng=instance_rng(SEED, 400 + 10 * j),
+            )
+            assert [r.descriptor["k"] for r in reports] == list(range(1, p + 1))
+            for k, rep in enumerate(reports, start=1):
+                assert [c.case_id for c in rep.cases] == [
+                    f"partial_sum_sampled:{k}",
+                    f"partial_sum_witness:{k}",
+                ]
                 failures.extend(
                     (p, q, j, c.case_id, c.margin)
                     for c in rep.cases
@@ -282,27 +296,34 @@ def test_criterion_07_flag_compressions(cfg, instances):
     flag never beat the tuple sum (1e-8); on each of 100 random flags the
     witness frame reaches the tuple sum (1e-8) and Hermitian Wielandt to
     roundoff; compressions onto (p-1)-dimensional positive subspaces
-    interlace from above (1e-8).  Every case of every flag must pass.
+    interlace from above (1e-8).  The 100 flags are prefixes of one width-p
+    stack that every tuple shares.  Every case of every flag must pass, and
+    every tuple gets one report, in order.
     """
     failures = []
     for (p, q), inst in instances.items():
         A = inst[0][0]
-        for tnum, idx in enumerate(all_index_tuples(p)):
-            rep = check_wielandt_flag(
-                A,
-                idx,
-                n_flags=100,
-                n_tuples=20,
-                tol=BOUND_TOL,
-                cfg=cfg,
-                rng=instance_rng(SEED, 700 + tnum),
-            )
+        tuples = all_index_tuples(p)
+        reports = check_wielandt_flag(
+            A,
+            tuples,
+            n_flags=100,
+            n_tuples=20,
+            tol=BOUND_TOL,
+            cfg=cfg,
+            rng=instance_rng(SEED, 700),
+        )
+        assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
+        for idx, rep in zip(tuples, reports):
             failures.extend(
                 (p, q, idx, c.case_id, c.margin) for c in rep.cases if not c.passed
             )
-            witnesses = [c.case_id for c in rep.cases if c.case_id.startswith("witness")]
+            ids = [c.case_id for c in rep.cases]
+            witnesses = [i for i in ids if i.startswith("witness")]
             if witnesses != [f"witness:{f}" for f in range(100)] + ["witness_gap_min"]:
                 failures.append((p, q, idx, "witness_cases", len(witnesses)))
+            if "eigenflag_max" not in ids or ("interlace_min" in ids) != (p >= 2):
+                failures.append((p, q, idx, "eigenflag_or_interlace_cases", ids[:4]))
     assert not failures, f"flag-compression violations: {failures}"
 
 
@@ -461,21 +482,26 @@ def test_criterion_10_hermitian_degeneration(cfg):
                 if c.case_id.endswith("witness:" + str(k)):
                     assert abs(c.lhs - oa[k - 1]) <= WITNESS_TOL
 
-            for k in range(1, p + 1):
-                rep = check_ky_fan(
-                    A, k, n_frames=100, tol=BOUND_TOL, equality_tol=WITNESS_TOL,
-                    cfg=cfg, rng=instance_rng(SEED, 10200 + 10 * i + k),
-                )
+            reports = check_ky_fan(
+                A, n_frames=100, tol=BOUND_TOL, equality_tol=WITNESS_TOL,
+                cfg=cfg, rng=instance_rng(SEED, 10200 + 10 * i),
+            )
+            assert len(reports) == p
+            for k, rep in enumerate(reports, start=1):
                 assert rep.passed
                 target = float(np.sum(oa[:k]))
                 for c in rep.cases:
                     assert abs(c.rhs - target) <= WITNESS_TOL
+                    if c.case_id.startswith("partial_sum_witness"):
+                        assert abs(c.lhs - target) <= WITNESS_TOL
 
-            for idx in ((p,), (1, p)):
-                rep = check_wielandt_flag(
-                    A, idx, n_flags=20, n_tuples=5, tol=BOUND_TOL,
-                    cfg=cfg, rng=instance_rng(SEED, 10300 + 10 * i),
-                )
+            tuples = [(p,), (1, p)]
+            reports = check_wielandt_flag(
+                A, tuples, n_flags=20, n_tuples=5, tol=BOUND_TOL,
+                cfg=cfg, rng=instance_rng(SEED, 10300 + 10 * i),
+            )
+            assert len(reports) == len(tuples)
+            for idx, rep in zip(tuples, reports):
                 assert rep.passed
                 assert sum(c.case_id.startswith("witness:") for c in rep.cases) == 20
                 target = float(sum(oa[j - 1] for j in idx))

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinval import (
     AdmissibleSpectrum,
@@ -21,6 +23,9 @@ from kreinval import (
 )
 from kreinval.checks import (
     _inadmissible_sum_report,
+    _thompson_freede_count,
+    _unrank_index_tuple,
+    _unrank_pair,
     lambda_index_tuples,
     make_case,
     matrix_sum,
@@ -83,6 +88,50 @@ def test_enumeration_whenever_the_count_fits_the_limit():
     sampled = thompson_freede_pairs(6, rng=rng)
     assert len(sampled) == 200 and len(set(sampled)) == 200
     assert all(i[-1] + j[-1] <= len(i) + 6 for i, j in sampled)
+
+
+def brute_pairs(p):
+    return [
+        (i, j)
+        for m in range(1, p + 1)
+        for i in itertools.combinations(range(1, p + 1), m)
+        for j in itertools.combinations(range(1, p + 1), m)
+        if i[-1] + j[-1] <= m + p
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(upper=st.integers(1, 9), max_size=st.integers(1, 9))
+def test_unranking_reproduces_the_enumeration(upper, max_size):
+    """Rank r unranks to the r-th enumerated tuple and pair, so a draw of ranks is a draw of index sets."""
+    everything = 10**9
+    tuples = lambda_index_tuples(upper, max_size, limit=everything)
+    mmax = min(max_size, upper)
+    assert tuples == [t for m in range(1, mmax + 1) for t in itertools.combinations(range(1, upper + 1), m)]
+    assert [_unrank_index_tuple(upper, r) for r in range(len(tuples))] == tuples
+    pairs = thompson_freede_pairs(upper, limit=everything)
+    assert pairs == brute_pairs(upper) and _thompson_freede_count(upper) == len(pairs)
+    assert [_unrank_pair(upper, r) for r in range(len(pairs))] == pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(upper=st.integers(2, 80), limit=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_sampled_index_sets_are_exactly_limit_distinct_and_in_enumeration_order(upper, limit, seed):
+    """Past the limit: exactly ``limit`` distinct valid draws, also where the count exceeds int64."""
+    rng = np.random.default_rng(seed)
+    if 2**upper - 1 > limit:
+        tuples = lambda_index_tuples(upper, limit=limit, rng=rng)
+        assert len(set(tuples)) == len(tuples) == limit
+        assert tuples == sorted(tuples, key=lambda t: (len(t), t))
+        assert all(0 < t[0] and t[-1] <= upper and list(t) == sorted(set(t)) for t in tuples)
+    p = min(upper, 50)
+    if _thompson_freede_count(p) > limit:
+        pairs = thompson_freede_pairs(p, limit=limit, rng=rng)
+        assert len(set(pairs)) == len(pairs) == limit
+        assert pairs == sorted(pairs, key=lambda ij: (len(ij[0]), ij))
+        for i, j in pairs:
+            assert len(i) == len(j) and i[-1] + j[-1] <= len(i) + p
+            assert list(i) == sorted(set(i)) and list(j) == sorted(set(j)) and min(i + j) >= 1
 
 
 def test_thompson_freede_pair_constraint():
@@ -193,9 +242,9 @@ def test_courant_fischer_and_ky_fan(signature, sampler_cfg):
     assert cf.passed
     witness = [c for c in cf.cases if c.case_id.startswith("minmax_witness")]
     assert all(c.margin >= -1e-9 for c in witness)
-    for k in range(1, signature.p + 1):
-        kf = check_ky_fan(A, k, 40, cfg=sampler_cfg, rng=rng)
-        assert kf.passed
+    reports = check_ky_fan(A, 40, cfg=sampler_cfg, rng=rng)
+    assert [r.descriptor["k"] for r in reports] == list(range(1, signature.p + 1))
+    assert all(r.passed and r.descriptor["draw_width"] == signature.p for r in reports)
 
 
 def test_courant_fischer_without_samples_keeps_its_witnesses(sampler_cfg):
@@ -205,13 +254,14 @@ def test_courant_fischer_without_samples_keeps_its_witnesses(sampler_cfg):
     report = check_courant_fischer(A, n_subspaces=0, cfg=sampler_cfg, rng=rng)
     assert report.passed
     by_id = {c.case_id: c for c in report.cases}
-    for k in range(1, sig.p + 1):
+    ky_fan = check_ky_fan(A, n_frames=0, cfg=sampler_cfg, rng=rng)
+    assert len(ky_fan) == sig.p
+    for k, kf in enumerate(ky_fan, start=1):
         # an empty sample bounds nothing, so it gets no case (and no +inf lhs)
         assert f"minmax_sampled:{k}" not in by_id
         assert f"restricted_sampled:{k}" not in by_id
         assert by_id[f"minmax_witness:{k}"].margin >= -1e-9
         assert by_id[f"restricted_witness:{k}"].margin >= -1e-9
-        kf = check_ky_fan(A, k, n_frames=0, cfg=sampler_cfg, rng=rng)
         assert kf.passed
         assert [c.case_id for c in kf.cases] == [f"partial_sum_witness:{k}"]
 
@@ -220,18 +270,30 @@ def test_ky_fan_witness_is_tight(sampler_cfg):
     sig = Signature(3, 1)
     rng = instance_rng(SEED, 22)
     A, spec, _ = sample_planted(sig, sampler_cfg, rng)
-    report = check_ky_fan(A, 2, 30, cfg=sampler_cfg, rng=rng)
+    report = check_ky_fan(A, 30, cfg=sampler_cfg, rng=rng)[1]
+    assert report.descriptor["k"] == 2
     by_id = {c.case_id: c for c in report.cases}
     assert by_id["partial_sum_witness:2"].rhs == pytest.approx(
         spec.lambdas[0] + spec.lambdas[1], abs=1e-7
     )
 
 
+def test_every_variational_suite_reports_a_missing_positive_block():
+    from kreinval.cli import SuiteConfig, run_instance
+
+    suites = ("courant_fischer", "ky_fan", "wielandt")
+    reports = run_instance(SuiteConfig(p=0, q=2, suites=suites), 0)
+    assert [r.check_name for r in reports] == list(suites)
+    for r in reports:
+        assert r.passed and r.cases == () and r.worst_margin is None
+        assert r.notes == ("no positive-type block",) and r.descriptor["draw_width"] == 0
+
+
 def test_wielandt_full_tuple_matches_ky_fan_target(sampler_cfg):
     sig = Signature(2, 1)
     rng = instance_rng(SEED, 23)
     A, spec, _ = sample_planted(sig, sampler_cfg, rng)
-    report = check_wielandt_flag(A, (1, 2), n_flags=8, n_tuples=4, cfg=sampler_cfg, rng=rng)
+    (report,) = check_wielandt_flag(A, [(1, 2)], n_flags=8, n_tuples=4, cfg=sampler_cfg, rng=rng)
     assert report.passed
     by_id = {c.case_id: c for c in report.cases}
     assert by_id["eigenflag_witness"].rhs == pytest.approx(np.sum(spec.lambdas), abs=1e-7)
@@ -245,7 +307,7 @@ def test_wielandt_single_index(sampler_cfg):
     sig = Signature(2, 2)
     rng = instance_rng(SEED, 24)
     A, _, _ = sample_planted(sig, sampler_cfg, rng)
-    report = check_wielandt_flag(A, (2,), n_flags=6, n_tuples=4, cfg=sampler_cfg, rng=rng)
+    (report,) = check_wielandt_flag(A, [(2,)], n_flags=6, n_tuples=4, cfg=sampler_cfg, rng=rng)
     assert report.passed
 
 

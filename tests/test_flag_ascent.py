@@ -22,13 +22,14 @@ from hypothesis import strategies as st
 from kreinval import checks, cli
 from kreinval.checks import (
     WITNESS_ROUNDOFF,
+    _compression_onto,
     _compression_trace,
     _hyperplane_basis,
     _witness_subordinate,
     check_wielandt_flag,
     lambda_index_tuples,
 )
-from kreinval.cli import SuiteConfig, run_instance, run_suite
+from kreinval.cli import SUITES, SuiteConfig, run_instance, run_suite
 from kreinval.core import Signature, metric_diagonal
 from kreinval.errors import ShapeMismatch
 from kreinval.geometry import POSITIVE, TOL_CONE, pseudo_orthonormalize
@@ -39,9 +40,8 @@ from kreinval.sampling import (
     instance_rng,
     sample_planted,
     sample_positive_subspace,
-    subordinate_coordinates,
 )
-from kreinval.spectral import eigendecompose, positive_eigenbasis
+from kreinval.spectral import compress, eigendecompose, positive_eigenbasis
 
 from conftest import cone_margin
 
@@ -168,12 +168,9 @@ def check_flags_against_reference(A, flags):
     assert np.max(np.abs(_compression_trace(M, C) - want)) <= TRACE_TOL
 
 
-def check_flags(A, idx, n_flags, n_tuples, cfg, rng):
-    """The random flags of check_wielandt_flag, drawn as it draws them: after the eigenflag frames."""
-    sig = A.signature
-    subordinate_coordinates(idx, rng, n_flags * n_tuples)
-    width = max(idx[-1], sig.p - 1) if sig.p >= 2 else idx[-1]
-    return PositiveFlag(sig, idx, sample_positive_subspace(sig, width, cfg, rng, count=n_flags))
+def suite_bases(sig, n_flags, cfg, rng):
+    """The width-p bases of check_wielandt_flag's random flags: its first draw, shared by every tuple."""
+    return sample_positive_subspace(sig, sig.p, cfg, rng, count=n_flags)
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +205,23 @@ def test_stacked_kernels_match_the_per_flag_loop_property(pq, seed, pick, count)
     check_flags_against_reference(A, flags)
 
 
-@pytest.mark.parametrize("pq", [(2, 1), (3, 2), (4, 3), (5, 3), (6, 4)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
+SHARED_SIGNATURES = [(2, 1), (3, 2), (4, 3), (5, 3), (6, 4)]
+
+
+@pytest.mark.parametrize("pq", SHARED_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_check_witness_cases_match_the_per_flag_reference(pq):
     """Each witness:f is the per-flag witness trace on the check's own flag; the gap is recomputed."""
     A, cfg = instance(*pq, 4)
     sig = A.signature
-    for t, idx in enumerate(lambda_index_tuples(sig.p)):
-        rep = check_wielandt_flag(A, idx, n_flags=6, n_tuples=3, cfg=cfg, rng=instance_rng(SEED, 5, t))
+    tuples = lambda_index_tuples(sig.p)
+    reports = check_wielandt_flag(A, tuples, n_flags=6, n_tuples=3, cfg=cfg, rng=instance_rng(SEED, 5))
+    bases = suite_bases(sig, 6, cfg, instance_rng(SEED, 5))
+    assert len(reports) == len(tuples)
+    for idx, rep in zip(tuples, reports):
+        assert rep.descriptor["index_tuple"] == list(idx)
         assert rep.passed and not rep.soft_cases and not rep.notes
         by_id = {c.case_id: c for c in rep.cases}
-        flags = check_flags(A, idx, 6, 3, cfg, instance_rng(SEED, 5, t))
+        flags = PositiveFlag(sig, idx, bases)
         want = ref_witness_traces(A.entries, sig, flags)
         got = np.array([by_id[f"witness:{f}"].lhs for f in range(6)])
         assert np.max(np.abs(got - want)) <= TRACE_TOL
@@ -228,6 +232,41 @@ def test_check_witness_cases_match_the_per_flag_reference(pq):
         ]
         assert by_id["witness_gap_min"].lhs == pytest.approx(min(gaps), abs=TRACE_TOL)
         assert by_id["witness_gap_min"].tol == WITNESS_ROUNDOFF
+
+
+@pytest.mark.parametrize("pq", SHARED_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
+def test_shared_flags_give_every_tuple_its_own_flags_cases(pq):
+    """On the suite's own draws, every tuple's cases equal those of a check that framed its own flag.
+
+    The reference is the per-tuple computation: ``PositiveFlag(sig, idx,
+    bases)``, the witness on that flag's own M and eigvalsh of that M, and
+    interlacing on frames of the (p-1)-column prefixes.
+    """
+    cfg = SuiteConfig(p=pq[0], q=pq[1], seed=SEED, suites=("wielandt",))
+    sig, scfg, index = Signature(*pq), cfg.sampler(), 3
+    reports = run_instance(cfg, index)
+    A, _, _ = sample_planted(sig, scfg, instance_rng(SEED, index))
+    rng = instance_rng(SEED, index, SUITES.index("wielandt"))
+    tuples = lambda_index_tuples(sig.p, cfg.max_m, rng=rng)
+    bases = suite_bases(sig, cfg.wielandt_flags, scfg, rng)
+    lambdas = eigendecompose(A).spectrum.lambdas
+    JA = metric_diagonal(sig)[:, None] * A.entries
+    xi = compress(A, pseudo_orthonormalize(bases[..., : sig.p - 1], sig, POSITIVE)).etas
+    interlace = float(np.min(xi - lambdas[: sig.p - 1]))
+    assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
+    for idx, rep in zip(tuples, reports):
+        frame = PositiveFlag(sig, idx, bases).frame
+        M = frame.conj().swapaxes(-1, -2) @ (JA @ frame)
+        M = 0.5 * (M + M.conj().swapaxes(-1, -2))
+        traces = _compression_trace(M, _witness_subordinate(M, idx))
+        eta = np.linalg.eigvalsh(M)
+        scale = np.maximum(1.0, np.max(np.abs(eta), axis=-1))
+        gap = float(np.min((traces - eta[:, [i - 1 for i in idx]].sum(axis=-1)) / scale))
+        by_id = {c.case_id: c for c in rep.cases}
+        got = np.array([by_id[f"witness:{f}"].lhs for f in range(cfg.wielandt_flags)])
+        assert np.max(np.abs(got - traces)) <= TRACE_TOL, idx
+        assert abs(by_id["witness_gap_min"].lhs - gap) <= TRACE_TOL, idx
+        assert abs(by_id["interlace_min"].lhs - interlace) <= TRACE_TOL, idx
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,18 +515,18 @@ def test_a_solver_failure_in_a_witness_gives_the_instance_an_error_record(tmp_pa
     witness = checks._witness_subordinate
     seen = []
 
-    def recording(M, idx):
+    def recording(M, idx, vecs=None):
         seen.append(np.array(M))
-        return witness(M, idx)
+        return witness(M, idx, vecs)
 
     monkeypatch.setattr(checks, "_witness_subordinate", recording)
     run_instance(cfg, 1)
     poisoned = seen[0][0]  # flag 0 of instance 1's first index tuple
 
-    def fails_on_it(M, idx):
+    def fails_on_it(M, idx, vecs=None):
         if M.shape[-2:] == poisoned.shape and np.any(np.all(M == poisoned, axis=(-2, -1))):
             raise np.linalg.LinAlgError("SVD did not converge")
-        return witness(M, idx)
+        return witness(M, idx, vecs)
 
     base_out, out = tmp_path / "base.jsonl", tmp_path / "r.jsonl"
     monkeypatch.setattr(checks, "_witness_subordinate", witness)
@@ -516,8 +555,57 @@ def test_the_ascent_is_batched_over_flags(monkeypatch):
         counts = []
         for n_flags in (4, 16):
             calls.clear()
-            rep = check_wielandt_flag(A, idx, n_flags=n_flags, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 16))
+            (rep,) = check_wielandt_flag(A, [idx], n_flags=n_flags, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 16))
             assert rep.passed
             assert sum(c.case_id.startswith("witness:") for c in rep.cases) == n_flags
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0, idx
+
+
+def test_a_variational_instance_draws_once_per_suite(monkeypatch):
+    """One width-p draw per suite, and the flag certifications do not grow with the tuple count."""
+    draws, flags = [], []
+    draw, flag = checks.sample_positive_subspace, checks.PositiveFlag
+
+    def counting_draw(sig, k, *args, **kwargs):
+        draws.append(k)
+        return draw(sig, k, *args, **kwargs)
+
+    def counting_flag(*args, **kwargs):
+        flags.append(1)
+        return flag(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "sample_positive_subspace", counting_draw)
+    monkeypatch.setattr(checks, "PositiveFlag", counting_flag)
+    cfg = SuiteConfig(p=4, q=3, seed=SEED, suites=("courant_fischer", "ky_fan", "wielandt"))
+    reports = run_instance(cfg, 0)
+    assert all(r.passed for r in reports) and len(reports) == 1 + 4 + 15
+    assert draws == [4, 4, 4]
+    A, cfg = instance(4, 3, 0)
+    certified = []
+    for tuples in ([(2,)], lambda_index_tuples(4)):
+        flags.clear()
+        check_wielandt_flag(A, tuples, n_flags=4, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 6))
+        certified.append(len(flags))
+    assert certified == [2, 2]  # the eigenflag and the stack of random flags
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pq=st.sampled_from([(1, 0), (3, 0), (5, 0), (1, 1), (2, 1), (3, 2), (4, 3), (6, 4)]),
+    seed=st.integers(0, 2**31 - 1),
+    count=st.integers(1, 5),
+)
+def test_prefixes_of_the_certified_frame_are_the_frames_of_the_prefixes(pq, seed, count):
+    """Column k-prefixes of one width-p frame frame the basis prefixes, and M's blocks compress onto them."""
+    sig = Signature(*pq)
+    cfg = SamplerConfig(seed=seed)
+    A, _, _ = sample_planted(sig, cfg, instance_rng(seed, 30))
+    bases = sample_positive_subspace(sig, sig.p, cfg, instance_rng(seed, 31), count=count)
+    frame = PositiveFlag(sig, (sig.p,), bases).frame
+    M = _compression_onto(A, bases)
+    for k in range(1, sig.p + 1):
+        prefix = pseudo_orthonormalize(bases[..., :k], sig, POSITIVE)
+        assert np.max(np.abs(frame[..., :k] - prefix.vectors)) <= 1e-12
+        scale = max(1.0, float(np.max(np.abs(M))))
+        assert np.max(np.abs(M[:, :k, :k] - compress(A, prefix).compressed)) <= 1e-12 * scale
