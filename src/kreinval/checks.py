@@ -230,10 +230,11 @@ def _inadmissible_sum_report(name: str, sig: Signature, descriptor: dict, tol: f
 
 
 def _sample_ranks(count: int, limit: int, rng) -> list[int]:
-    """``limit`` distinct ranks below ``count``, ascending: a uniform random limit-subset."""
-    if count <= np.iinfo(np.int64).max:
-        return sorted(rng.choice(count, limit, replace=False).tolist())
-    # numpy draws no integer this large: Floyd's algorithm over Python's randrange
+    """``limit`` distinct ranks below ``count``, ascending: a uniform random limit-subset.
+
+    Floyd's algorithm over Python's ``randrange``, which takes counts of any
+    size, seeded once from ``rng``.
+    """
     draw, chosen = random.Random(int(rng.integers(2**63))).randrange, set()
     for top in range(count - limit, count):
         r = draw(top + 1)
@@ -273,8 +274,8 @@ def lambda_index_tuples(upper: int, max_size: int | None = None, *, limit: int =
 
     All of them, by size and then lexicographically, when there are at most
     ``limit`` (sum over m of C(upper, m)).  Beyond that exactly ``limit`` of
-    them, in the same order: ``limit`` distinct ranks drawn with one
-    ``rng.choice`` and unranked in O(upper) each.  Every limit-subset of
+    them, in the same order: ``limit`` distinct ranks drawn by Floyd's
+    algorithm and unranked in O(upper) each.  Every limit-subset of
     tuples is equally likely, so each tuple is drawn with probability
     limit / count, whatever its size.
     """
@@ -339,8 +340,8 @@ def thompson_freede_pairs(p: int, *, limit: int = TUPLE_LIMIT, rng=None):
     increasing position in [1, p].  All pairs, by size, then i, then j
     lexicographically, when there are at most ``limit``.  Beyond that exactly
     ``limit`` pairs in the same order, drawn like ``lambda_index_tuples``
-    draws tuples: uniformly over limit-subsets of pairs, O(p) per pair once
-    ``_pair_blocks`` holds the counts.
+    draws tuples, by Floyd's algorithm: uniformly over limit-subsets of
+    pairs, O(p) per pair once ``_pair_blocks`` holds the counts.
     """
     if p < 1:
         return []
@@ -538,15 +539,15 @@ def check_courant_fischer(
     compression eigenvalue >= lambda_k (the eigen-subspace attains it), and
     sampled positive vectors paired-orthogonal to the first k-1 eigenvectors
     give Rayleigh ratios >= lambda_k (the k-th eigenvector attains it).
-    The k-subspaces are the k-column prefixes of one stack of
-    ``n_subspaces`` width-p frames (``draw_width``), so the k-th top is the
-    top eigenvalue of M's leading k x k block; the restricted-cone vectors
-    are drawn afresh for each k.
+    The k-subspaces are the k-column prefixes of one shared stack of
+    ``n_subspaces`` width-p frames, so the k-th top is the top eigenvalue of
+    M's leading k x k block; the restricted-cone vectors are drawn afresh
+    for each k.
     """
     sig = A.signature
     cfg = cfg if cfg is not None else SamplerConfig()
     rng = rng if rng is not None else instance_rng(cfg.seed)
-    descriptor = {"n_subspaces": n_subspaces, "equality_tol": equality_tol, "draw_width": sig.p}
+    descriptor = {"n_subspaces": n_subspaces, "equality_tol": equality_tol}
     if sig.p == 0:
         return _no_positive_block("courant_fischer", sig, descriptor, tol)
     system = eigendecompose(A)
@@ -595,14 +596,14 @@ def check_ky_fan(
     Every pseudo-orthonormal positive k-frame satisfies
     sum_i R_A(x_i) = trace(compression) >= lambda_1 + ... + lambda_k,
     with equality on the first k eigenvectors.  The k-frames are the
-    k-column prefixes of one stack of ``n_frames`` width-p frames
-    (``draw_width``), so the k-th traces are the k-th cumulative sums of
-    diag(M).  With p = 0 the one report says there is no positive block.
+    k-column prefixes of one shared stack of ``n_frames`` width-p frames, so
+    the k-th traces are the k-th cumulative sums of diag(M).  With p = 0 the
+    one report says there is no positive block.
     """
     sig = A.signature
     cfg = cfg if cfg is not None else SamplerConfig()
     rng = rng if rng is not None else instance_rng(cfg.seed)
-    shared = {"n_frames": n_frames, "equality_tol": equality_tol, "draw_width": sig.p}
+    shared = {"n_frames": n_frames, "equality_tol": equality_tol}
     if sig.p == 0:
         return [_no_positive_block("ky_fan", sig, shared, tol)]
     system = eigendecompose(A)
@@ -734,8 +735,9 @@ def check_wielandt_flag(
     (``interlace_min`` checks it on the flags' (p-1)-dimensional prefixes).
     With ``n_flags`` 0 there are no random flags and none of these cases.
 
-    The ``n_flags`` width-p flags are drawn first (``draw_width``) and serve
-    every tuple; then each tuple's eigenflag coordinates, in tuple order.
+    The ``n_flags`` width-p flags are drawn first, as one shared stack, and
+    serve every tuple; then each tuple's eigenflag coordinates, in tuple
+    order.
     ``interlace_min`` is computed once and carried by every report, and M's
     leading r x r blocks are decomposed once per distinct r, for the gap and
     for the witness's first step.  With p = 0 the one report says there is
@@ -744,7 +746,7 @@ def check_wielandt_flag(
     sig = A.signature
     cfg = cfg if cfg is not None else SamplerConfig()
     rng = rng if rng is not None else instance_rng(cfg.seed)
-    shared = {"n_flags": n_flags, "n_tuples": n_tuples, "draw_width": sig.p}
+    shared = {"n_flags": n_flags, "n_tuples": n_tuples}
     if sig.p == 0:
         return [_no_positive_block("wielandt", sig, shared, tol)]
     tuples = [check_index_tuple(t, sig.p) for t in index_tuples]
