@@ -520,6 +520,25 @@ def _compression_onto(A: PseudoHermitianMatrix, basis: np.ndarray) -> np.ndarray
     return _hermitian_part(_adjoint(frame) @ (JA @ frame))
 
 
+def _positive_eigen(A: PseudoHermitianMatrix):
+    """A's eigensystem and the read-only compression (p, p) of A onto its framed positive eigenbasis.
+
+    Memoized by value, like ``_sum_spectra``: the variational suites of one
+    instance certify and compress A's eigenbasis once and share it.  The
+    result depends on the entries alone, so the memo never changes what a
+    caller sees.
+    """
+    return _positive_eigen_by_value(_ByValue(A))
+
+
+@functools.lru_cache(maxsize=32)
+def _positive_eigen_by_value(a: _ByValue):
+    system = eigendecompose(a.matrix)
+    eigen = _compression_onto(a.matrix, positive_eigenbasis(system))
+    eigen.flags.writeable = False
+    return system, eigen
+
+
 def _no_positive_block(name: str, sig: Signature, descriptor: dict, tol: float) -> CheckReport:
     return finalize_report(name, sig, descriptor, tol, [], notes=["no positive-type block"])
 
@@ -550,11 +569,10 @@ def check_courant_fischer(
     descriptor = {"n_subspaces": n_subspaces, "equality_tol": equality_tol}
     if sig.p == 0:
         return _no_positive_block("courant_fischer", sig, descriptor, tol)
-    system = eigendecompose(A)
+    system, eigen = _positive_eigen(A)
     lambdas = system.spectrum.lambdas
     pos = positive_eigenbasis(system)
     neg = negative_eigenbasis(system)
-    eigen = _compression_onto(A, pos)
     M = None  # an empty budget samples nothing and bounds nothing, so it gets no case
     if n_subspaces:
         M = _compression_onto(A, sample_positive_subspace(sig, sig.p, cfg, rng, count=n_subspaces))
@@ -606,9 +624,9 @@ def check_ky_fan(
     shared = {"n_frames": n_frames, "equality_tol": equality_tol}
     if sig.p == 0:
         return [_no_positive_block("ky_fan", sig, shared, tol)]
-    system = eigendecompose(A)
+    system, eigen = _positive_eigen(A)
     lambdas = system.spectrum.lambdas
-    witness = np.cumsum(np.diagonal(_compression_onto(A, positive_eigenbasis(system))).real)
+    witness = np.cumsum(np.diagonal(eigen).real)
     worst = None
     if n_frames:  # an empty budget bounds nothing, so it gets no case
         M = _compression_onto(A, sample_positive_subspace(sig, sig.p, cfg, rng, count=n_frames))
@@ -656,47 +674,74 @@ def _hyperplane_basis(w: np.ndarray) -> np.ndarray:
     return U
 
 
-def _witness_subordinate(
-    M: np.ndarray, idx: tuple[int, ...], vecs: np.ndarray | None = None
-) -> np.ndarray:
-    """Deterministic subordinate frames whose traces reach the tuple sum, in coordinates.
+def _witness_runs(idx: tuple[int, ...]) -> tuple[int, ...]:
+    """The ``run`` of each of the r - m witness steps on ``idx``, top width r = idx[-1] first.
 
-    ``M`` is the stack (N, r, r) of N flags' compressions onto their top
-    levels, each written in a pseudo-orthonormal frame of the top level whose
-    column prefixes span the lower levels: there the pairing is the Euclidean
-    inner product, M is an ordinary Hermitian matrix and level j is the span
-    E_{idx[j]} of the first idx[j] unit vectors, with idx[-1] == r.  Returns
-    orthonormal coordinates (N, r, m) whose column j lies in E_{idx[j]}.
-    ``vecs`` are M's eigenvectors from ``eigh`` when the caller has them.
+    A step cuts the width by one and moves the trailing run's indices one
+    down, so the cut tuple is idx[:m - run] followed by r - run, ..., r - 1.
+    """
+    r, m, runs = idx[-1], len(idx), []
+    while r > m:
+        run = 1
+        while run < m and idx[m - 1 - run] == r - run:
+            run += 1
+        runs.append(run)
+        idx = idx[: m - run] + tuple(range(r - run, r))
+        r -= 1
+    return tuple(runs)
+
+
+def _witness_traces(M: np.ndarray, spectra: dict, tuples) -> list[np.ndarray]:
+    """Traces (N,) of the deterministic witness frames, one array per tuple, in order.
+
+    ``M`` is the stack (N, p, p) of N flags' compressions onto their top
+    levels, each written in a pseudo-orthonormal frame whose column prefixes
+    span the lower levels: there the pairing is the Euclidean inner product,
+    M is an ordinary Hermitian matrix, and a tuple's flag is the standard
+    flag E_{idx[0]} ⊂ ... ⊂ E_r of M's leading r x r block, r = idx[-1].
+    ``spectra[r]`` is ``eigh`` of that block for every top width r.
 
     Hermitian Wielandt recursion, on standard levels at every step.  A
-    complete flag gets the identity, whose trace is the full trace.
-    Otherwise let the trailing ``run`` indices be r - run + 1, ..., r; the
-    leading levels lie in E_lo with lo = r - run - 1.  The hyperplane R
-    spanned by E_lo and the top ``run`` eigenvectors of M keeps those
-    eigenvalues one index lower, and Cauchy interlacing keeps the others from
-    dropping, so R* M R with the levels cut down to R reaches the same tuple
-    sum.  Its normal w is zero on E_lo, and on the rows below it is the last
-    column of a complete QR of the eigenvectors' rows, which is orthogonal
-    to them at any rank.  In the basis diag(I_lo, U(w)) of R the levels are
-    standard again: the first d - 1 basis columns lie in E_d, so the trailing
-    levels E_d become E_{d-1} and the leading ones keep their dimensions.
+    complete flag (m = r) keeps its whole block.  Otherwise let the trailing
+    ``run`` indices be r - run + 1, ..., r; the leading levels lie in E_lo
+    with lo = r - run - 1.  The hyperplane R spanned by E_lo and the top
+    ``run`` eigenvectors of M keeps those eigenvalues one index lower, and
+    Cauchy interlacing keeps the others from dropping, so R* M R with the
+    levels cut down to R reaches the same tuple sum.  Its normal w is zero
+    on E_lo, and on the rows below it is the last column of a complete QR of
+    the eigenvectors' rows, which is orthogonal to them at any rank.  In the
+    basis diag(I_lo, U(w)) of R the levels are standard again: the first
+    d - 1 basis columns lie in E_d, so the trailing levels E_d become
+    E_{d-1} and the leading ones keep their dimensions.
+
+    A step depends only on the current M and on (r, run), so the steps of
+    all tuples form a trie keyed by the path (r, run_1, ..., run_d) from the
+    top width.  Each distinct step is computed once, and the steps of one
+    depth that share (r, run) run as one stack: one ``eigh`` (the first step
+    reads ``spectra[r]`` instead), one complete QR, one ``_hyperplane_basis``
+    and one compression.  The witness frame is the product of the steps'
+    R's, so its trace is the trace of the last node's m x m compression and
+    no frame is formed.
     """
-    r, m = M.shape[-1], len(idx)
-    if m == r:
-        return np.broadcast_to(np.eye(r, dtype=complex), M.shape).copy()
-    run = 1
-    while run < m and idx[m - 1 - run] == r - run:
-        run += 1
-    lo = r - run - 1
-    vecs = np.linalg.eigh(M)[1] if vecs is None else vecs
-    anchor = vecs[..., lo:, r - run :]
-    w = np.linalg.qr(anchor, mode="complete")[0][..., -1]
-    R = np.zeros(M.shape[:-1] + (r - 1,), dtype=complex)
-    R[..., :lo, :lo] = np.eye(lo)
-    R[..., lo:, lo:] = _hyperplane_basis(w)
-    new_idx = idx[: m - run] + tuple(range(r - run, r))
-    return R @ _witness_subordinate(_hermitian_part(_adjoint(R) @ M @ R), new_idx)
+    N = M.shape[0]
+    paths = [(idx[-1],) + _witness_runs(idx) for idx in tuples]
+    nodes = {path[:1]: M[:, : path[0], : path[0]] for path in paths}
+    for d in range(1, max(map(len, paths), default=0)):
+        groups: dict[tuple[int, int], dict] = {}
+        for path in paths:
+            if len(path) > d:  # step d takes node path[:d], of width path[0] - d + 1
+                groups.setdefault((path[0] - d + 1, path[d]), {})[path[:d]] = None
+        for (r, run), parents in groups.items():
+            stack = np.concatenate([nodes[parent] for parent in parents])
+            vecs = spectra[r][1] if d == 1 else np.linalg.eigh(stack)[1]
+            lo = r - run - 1
+            w = np.linalg.qr(vecs[..., lo:, r - run :], mode="complete")[0][..., -1]
+            R = np.zeros(stack.shape[:-1] + (r - 1,), dtype=complex)
+            R[..., :lo, :lo] = np.eye(lo)
+            R[..., lo:, lo:] = _hyperplane_basis(w)
+            cut = _hermitian_part(_adjoint(R) @ stack @ R).reshape(len(parents), N, r - 1, r - 1)
+            nodes.update((parent + (run,), child) for parent, child in zip(parents, cut))
+    return [np.trace(nodes[path], axis1=-2, axis2=-1).real for path in paths]
 
 
 def check_wielandt_flag(
@@ -736,12 +781,14 @@ def check_wielandt_flag(
     With ``n_flags`` 0 there are no random flags and none of these cases.
 
     The ``n_flags`` width-p flags are drawn first, as one shared stack, and
-    serve every tuple; then each tuple's eigenflag coordinates, in tuple
-    order.
-    ``interlace_min`` is computed once and carried by every report, and M's
-    leading r x r blocks are decomposed once per distinct r, for the gap and
-    for the witness's first step.  With p = 0 the one report says there is
-    no positive block.
+    serve every tuple; then the eigenflag coordinates of all tuples, in one
+    draw, with one QR and one trace per (r, m) shape.  Each tuple size gets
+    one ``eigvalsh`` for ``eigenflag_witness_etas``.  ``interlace_min`` is
+    computed once and carried by every report, and M's leading r x r blocks
+    are decomposed once per distinct r, for the gap and for the witness's
+    first step; the later steps are shared across tuples
+    (``_witness_traces``).  Reports follow ``index_tuples``, duplicates
+    included.  With p = 0 the one report says there is no positive block.
     """
     sig = A.signature
     cfg = cfg if cfg is not None else SamplerConfig()
@@ -750,11 +797,12 @@ def check_wielandt_flag(
     if sig.p == 0:
         return [_no_positive_block("wielandt", sig, shared, tol)]
     tuples = [check_index_tuple(t, sig.p) for t in index_tuples]
-    system = eigendecompose(A)
+    system, eigen = _positive_eigen(A)
     lambdas = system.spectrum.lambdas
-    eigen = _compression_onto(A, positive_eigenbasis(system))
+    targets = [float(sum(lambdas[i - 1] for i in idx)) for idx in tuples]
+    cases = [[] for _ in tuples]
 
-    interlace = []
+    interlace, spectra = [], {}
     if n_flags:
         M = _compression_onto(A, sample_positive_subspace(sig, sig.p, cfg, rng, count=n_flags))
         widths = {idx[-1] for idx in tuples} | ({sig.p - 1} if sig.p >= 2 else set())
@@ -763,35 +811,42 @@ def check_wielandt_flag(
             worst = float(np.min(spectra[sig.p - 1][0] - lambdas[: sig.p - 1]))
             interlace = [make_case("interlace_min", tuple(range(1, sig.p)), worst, 0.0, worst, tol)]
 
-    reports = []
-    for idx in tuples:
-        r, cols = idx[-1], [i - 1 for i in idx]
-        target = float(sum(lambdas[c] for c in cols))
-        cases = []
-        coords = subordinate_coordinates(idx, rng, n_flags * n_tuples)
-        traces = _compression_trace(eigen[:r, :r], coords)
-        highest = float(np.max(traces, initial=-np.inf))
-        if np.isfinite(highest):
-            cases.append(make_case("eigenflag_max", idx, highest, target, target - highest, tol))
-        sub = eigen[np.ix_(cols, cols)]
-        val = float(np.trace(sub).real)
-        cases.append(
-            make_case("eigenflag_witness", idx, val, target, -abs(val - target), equality_tol)
-        )
-        eta_dev = float(np.max(np.abs(np.linalg.eigvalsh(sub) - lambdas[cols])))
-        cases.append(make_case("eigenflag_witness_etas", idx, eta_dev, 0.0, -eta_dev, equality_tol))
-        if n_flags:
-            cases.extend(interlace)
-            eta, vecs = spectra[r]
-            block = M[:, :r, :r]
-            traces = _compression_trace(block, _witness_subordinate(block, idx, vecs))
-            cases.extend(
+    for positions, coords in subordinate_coordinates(tuples, rng, n_flags * n_tuples):
+        r = tuples[positions[0]][-1]
+        highest = np.max(_compression_trace(eigen[:r, :r], coords), axis=0, initial=-np.inf)
+        for t, value in zip(positions, highest.tolist()):
+            if np.isfinite(value):  # no frames (a budget of 0) bound nothing, so get no case
+                idx, target = tuples[t], targets[t]
+                cases[t].append(make_case("eigenflag_max", idx, value, target, target - value, tol))
+
+    by_size: dict[int, list[int]] = {}
+    for t, idx in enumerate(tuples):
+        by_size.setdefault(len(idx), []).append(t)
+    for positions in by_size.values():
+        cols = np.array([tuples[t] for t in positions]) - 1
+        subs = eigen[cols[:, :, None], cols[:, None, :]]
+        vals = np.trace(subs, axis1=-2, axis2=-1).real
+        eta_dev = np.max(np.abs(np.linalg.eigvalsh(subs) - lambdas[cols]), axis=-1)
+        for t, val, dev in zip(positions, vals.tolist(), eta_dev.tolist()):
+            idx, target = tuples[t], targets[t]
+            cases[t].append(
+                make_case("eigenflag_witness", idx, val, target, -abs(val - target), equality_tol)
+            )
+            cases[t].append(make_case("eigenflag_witness_etas", idx, dev, 0.0, -dev, equality_tol))
+
+    if n_flags:
+        for t, traces in enumerate(_witness_traces(M, spectra, tuples)):
+            idx, target = tuples[t], targets[t]
+            cases[t].extend(interlace)
+            cases[t].extend(
                 make_case(f"witness:{f}", idx, value, target, value - target, tol)
                 for f, value in enumerate(traces)
             )
+            eta = spectra[idx[-1]][0]
             scale = np.maximum(1.0, np.max(np.abs(eta), axis=-1))
-            gap = float(np.min((traces - eta[:, cols].sum(axis=-1)) / scale))
-            cases.append(make_case("witness_gap_min", idx, gap, 0.0, gap, WITNESS_ROUNDOFF))
-        descriptor = {"index_tuple": list(idx), **shared}
-        reports.append(finalize_report("wielandt", sig, descriptor, tol, cases))
-    return reports
+            gap = float(np.min((traces - eta[:, [i - 1 for i in idx]].sum(axis=-1)) / scale))
+            cases[t].append(make_case("witness_gap_min", idx, gap, 0.0, gap, WITNESS_ROUNDOFF))
+    return [
+        finalize_report("wielandt", sig, {"index_tuple": list(idx), **shared}, tol, tuple_cases)
+        for idx, tuple_cases in zip(tuples, cases)
+    ]

@@ -291,21 +291,37 @@ def _at_sample(bad: np.ndarray, B: np.ndarray) -> str:
 
 
 def subordinate_coordinates(
-    index_tuple: tuple[int, ...], rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """Orthonormal coordinates (count, r, m) of random frames subordinate to a flag.
+    index_tuples, rng: np.random.Generator, count: int
+) -> list[tuple[list[int], np.ndarray]]:
+    """Orthonormal coordinates of ``count`` random frames subordinate to the flag of each tuple.
 
     In a flag's ``frame`` the pairing is the Euclidean inner product and
-    level j is E_{index_tuple[j]}, the span of the first index_tuple[j] unit
-    vectors; r = index_tuple[-1] and m = len(index_tuple).  One Gaussian
-    coefficient vector is drawn per level, zero-padded to r rows, and one
-    batched QR orthonormalizes the columns.  The levels are nested, so
-    column j and every column before it vanish below row index_tuple[j];
-    the Householder reflections keep that zero pattern, so column j of Q
-    lies in E_{index_tuple[j]} at any rank, and ``flag.frame @ Q`` is a
-    subordinate frame.
+    level j is E_{idx[j]}, the span of the first idx[j] unit vectors.  One
+    ``complex_normal`` call draws a Gaussian coefficient vector for every
+    level of every tuple and frame, zero-padded to r = idx[-1] rows.  The
+    tuples of one shape (r, m), m = len(idx), form a group, orthonormalized
+    by one batched QR; groups come in order of first appearance, each as
+    the positions of its tuples in ``index_tuples`` and their coordinates
+    (count, g, r, m).  The levels are nested, so column j and every column
+    before it vanish below row idx[j]; the Householder reflections keep
+    that zero pattern, so column j of Q lies in E_{idx[j]} at any rank, and
+    ``flag.frame @ Q[:, g]`` is a subordinate frame of the flag of the
+    group's g-th tuple.  One tuple is the list of one.
     """
-    C = np.zeros((count, index_tuple[-1], len(index_tuple)), dtype=complex)
-    for j, dim in enumerate(index_tuple):
-        C[:, :dim, j] = complex_normal(rng, count, dim)
-    return np.linalg.qr(C)[0]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for pos, idx in enumerate(index_tuples):
+        groups.setdefault((idx[-1], len(idx)), []).append(pos)
+    # mask[t, i, j]: row i of column j is free for tuple t, i < idx_t[j]
+    masks = [
+        np.arange(r)[:, None] < np.array([index_tuples[t] for t in group])[:, None, :]
+        for (r, _), group in groups.items()
+    ]
+    sizes = [int(mask.sum()) for mask in masks]
+    G = complex_normal(rng, count, sum(sizes))
+    out, start = [], 0
+    for group, mask, size in zip(groups.values(), masks, sizes):
+        C = np.zeros((count, *mask.shape), dtype=complex)
+        C[:, mask] = G[:, start : start + size]
+        start += size
+        out.append((group, np.linalg.qr(C)[0]))
+    return out

@@ -1,12 +1,14 @@
-"""The coordinate flag witness: a Wielandt certificate, checked against the per-flag loop.
+"""The coordinate flag witness: a Wielandt certificate, checked against two references.
 
-The reference functions below are the per-flag witness recursion that
+The first reference is the per-flag witness recursion that
 ``check_wielandt_flag`` once ran one flag at a time in the ambient
-indefinite space.  The kernel in ``kreinval.checks`` runs all flags of a
-stack together in the coordinates of each flag's framed top level and must
-reach the same traces (to 1e-12).  Independently of the reference, the
-witness trace must reach the sum of the selected eigenvalues of the
-compressed matrix (Hermitian Wielandt), which ``eigvalsh`` gives.
+indefinite space.  The second, ``witness_subordinate``, is the per-tuple
+recursion in the coordinates of each flag's framed top level, which builds
+the witness frame itself.  The kernel in ``kreinval.checks`` shares the
+steps of all tuples and all flags and forms no frame; it must reach the
+same traces (to 1e-12).  Independently of the references, the witness
+trace must reach the sum of the selected eigenvalues of the compressed
+matrix (Hermitian Wielandt), which ``eigvalsh`` gives.
 """
 
 import dataclasses
@@ -19,20 +21,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kreinval import checks, cli
+from kreinval import checks, cli, sampling
 from kreinval.checks import (
     WITNESS_ROUNDOFF,
     _compression_onto,
     _compression_trace,
+    _hermitian_part,
     _hyperplane_basis,
-    _witness_subordinate,
+    _witness_runs,
+    _witness_traces,
     check_wielandt_flag,
     lambda_index_tuples,
 )
 from kreinval.cli import SUITES, SuiteConfig, run_instance, run_suite
 from kreinval.core import Signature, metric_diagonal
 from kreinval.errors import ShapeMismatch
-from kreinval.geometry import POSITIVE, TOL_CONE, pseudo_orthonormalize
+from kreinval.geometry import POSITIVE, TOL_CONE, _adjoint, pseudo_orthonormalize
 from kreinval.sampling import (
     PositiveFlag,
     SamplerConfig,
@@ -127,6 +131,36 @@ def ref_witness_subordinate(entries, sig, flag):
     return pseudo_orthonormalize(top @ X, sig, POSITIVE)
 
 
+def witness_subordinate(M, idx):
+    """The per-tuple coordinate witness: orthonormal frames (N, r, m) whose column j lies in E_{idx[j]}.
+
+    ``M`` is the stack (N, r, r) of compressions onto the framed top levels
+    of N flags, idx[-1] == r.  The same recursion as ``_witness_traces``,
+    one tuple at a time, with one ``eigh`` per step, and the frame formed as
+    the product of the steps' bases.
+    """
+    r, m = M.shape[-1], len(idx)
+    if m == r:
+        return np.broadcast_to(np.eye(r, dtype=complex), M.shape).copy()
+    run = 1
+    while run < m and idx[m - 1 - run] == r - run:
+        run += 1
+    lo = r - run - 1
+    anchor = np.linalg.eigh(M)[1][..., lo:, r - run :]
+    w = np.linalg.qr(anchor, mode="complete")[0][..., -1]
+    R = np.zeros(M.shape[:-1] + (r - 1,), dtype=complex)
+    R[..., :lo, :lo] = np.eye(lo)
+    R[..., lo:, lo:] = _hyperplane_basis(w)
+    new_idx = idx[: m - run] + tuple(range(r - run, r))
+    return R @ witness_subordinate(_hermitian_part(_adjoint(R) @ M @ R), new_idx)
+
+
+def shared_traces(M, tuples):
+    """The kernel's witness traces on the leading blocks of one stack M (N, p, p)."""
+    spectra = {r: np.linalg.eigh(M[:, :r, :r]) for r in {idx[-1] for idx in tuples}}
+    return _witness_traces(M, spectra, tuples)
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -162,10 +196,12 @@ def ref_witness_traces(entries, sig, flags):
 def check_flags_against_reference(A, flags):
     sig = A.signature
     _, M = top_coordinates(A.entries, sig, flags.basis)
-    C = _witness_subordinate(M, flags.index_tuple)
+    C = witness_subordinate(M, flags.index_tuple)
     assert np.allclose(C.conj().swapaxes(-1, -2) @ C, np.eye(flags.depth), atol=1e-12)
     want = ref_witness_traces(A.entries, sig, flags)
     assert np.max(np.abs(_compression_trace(M, C) - want)) <= TRACE_TOL
+    (got,) = shared_traces(M, [flags.index_tuple])
+    assert np.max(np.abs(got - want)) <= TRACE_TOL
 
 
 def suite_bases(sig, n_flags, cfg, rng):
@@ -206,6 +242,24 @@ def test_stacked_kernels_match_the_per_flag_loop_property(pq, seed, pick, count)
 
 
 SHARED_SIGNATURES = [(2, 1), (3, 2), (4, 3), (5, 3), (6, 4)]
+
+
+@pytest.mark.parametrize("pq", SHARED_SIGNATURES + [(8, 6)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
+def test_shared_traces_match_the_per_tuple_reference(pq):
+    """Every tuple's shared trace is the trace of the per-tuple reference frame on its leading block.
+
+    All tuples up to p = 7; at (8,6) the 200 that ``lambda_index_tuples`` samples.
+    """
+    A, cfg = instance(*pq, 6)
+    sig = A.signature
+    M = _compression_onto(A, suite_bases(sig, 7, cfg, instance_rng(SEED, 7)))
+    tuples = lambda_index_tuples(sig.p, rng=instance_rng(SEED, 8))
+    assert len(tuples) == min(200, 2**sig.p - 1)
+    for idx, got in zip(tuples, shared_traces(M, tuples), strict=True):
+        block = M[:, : idx[-1], : idx[-1]]
+        want = _compression_trace(block, witness_subordinate(block, idx))
+        assert np.max(np.abs(got - want)) <= TRACE_TOL, idx
+
 
 
 @pytest.mark.parametrize("pq", SHARED_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
@@ -258,7 +312,7 @@ def test_shared_flags_give_every_tuple_its_own_flags_cases(pq):
         frame = PositiveFlag(sig, idx, bases).frame
         M = frame.conj().swapaxes(-1, -2) @ (JA @ frame)
         M = 0.5 * (M + M.conj().swapaxes(-1, -2))
-        traces = _compression_trace(M, _witness_subordinate(M, idx))
+        traces = _compression_trace(M, witness_subordinate(M, idx))
         eta = np.linalg.eigvalsh(M)
         scale = np.maximum(1.0, np.max(np.abs(eta), axis=-1))
         gap = float(np.min((traces - eta[:, [i - 1 for i in idx]].sum(axis=-1)) / scale))
@@ -294,12 +348,14 @@ def test_the_witness_trace_is_a_wielandt_certificate(r, seed, count, kind, scale
     slack = 1e-12 * np.maximum(1.0, np.max(np.abs(eta), axis=-1))
     for head in itertools.chain.from_iterable(itertools.combinations(range(1, r), k) for k in range(r)):
         idx = head + (r,)
-        C = _witness_subordinate(M, idx)
+        C = witness_subordinate(M, idx)
         assert np.allclose(C.conj().swapaxes(-1, -2) @ C, np.eye(len(idx)), atol=1e-12)
         for j, d in enumerate(idx):
             assert np.all(np.abs(C[:, d:, j]) <= 1e-12), (idx, j)  # column j lies in E_{idx[j]}
         target = eta[:, [i - 1 for i in idx]].sum(axis=-1)
         assert np.all(_compression_trace(M, C) >= target - slack), idx
+        (shared,) = shared_traces(M, [idx])
+        assert np.all(shared >= target - slack), idx
 
 
 @settings(max_examples=80, deadline=None)
@@ -324,10 +380,10 @@ def test_hyperplane_basis_is_an_adapted_basis_of_the_complement(n, seed, zeros, 
         assert np.array_equal(U[0], np.eye(n)[:, : n - 1])
 
 
-def test_the_witness_makes_no_svd_and_one_eigh_per_step(monkeypatch):
-    """Each of the r - m steps solves one eigenproblem for the whole stack, and none computes an SVD."""
-    calls = {"eigh": 0, "svd": 0}
-    for name in calls:
+def counting_linalg(monkeypatch, *names):
+    """Count calls of the named ``np.linalg`` functions; reset with ``calls.update``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(np.linalg, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -335,15 +391,88 @@ def test_the_witness_makes_no_svd_and_one_eigh_per_step(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def witness_steps(idx):
+    """(path, r, run) of each step the reference recursion takes on idx; path holds the top width and the runs so far."""
+    r, m, path, steps = idx[-1], len(idx), (idx[-1],), []
+    while m < r:
+        run = 1
+        while run < m and idx[m - 1 - run] == r - run:
+            run += 1
+        steps.append((path, r, run))
+        path += (run,)
+        idx = idx[: m - run] + tuple(range(r - run, r))
+        r -= 1
+    return steps
+
+
+def all_tuples(p):
+    return [t for m in range(1, p + 1) for t in itertools.combinations(range(1, p + 1), m)]
+
+
+def test_the_witness_makes_no_svd_and_one_eigh_per_step(monkeypatch):
+    """For one tuple each of the r - m steps but the first, which reads the given spectrum, solves one
+    eigenproblem for the whole stack, and none computes an SVD."""
+    calls = counting_linalg(monkeypatch, "eigh", "svd")
     rng = np.random.default_rng(SEED)
     for r in range(1, 7):
         G = complex_normal(rng, 5, r, r)
         M = G + G.conj().swapaxes(-1, -2)
+        spectra = {r: np.linalg.eigh(M)}
         for head in itertools.chain.from_iterable(itertools.combinations(range(1, r), k) for k in range(r)):
             idx = head + (r,)
             calls.update(eigh=0, svd=0)
-            _witness_subordinate(M, idx)
-            assert calls == {"eigh": r - len(idx), "svd": 0}, idx
+            _witness_traces(M, spectra, [idx])
+            assert calls == {"eigh": max(0, r - len(idx) - 1), "svd": 0}, idx
+
+
+@pytest.mark.parametrize("p, steps, distinct", [(4, 17, 11), (6, 129, 57), (8, 769, 247)])
+def test_the_witness_steps_of_all_tuples_form_a_trie(p, steps, distinct):
+    """A step depends on (r, run) and the path that led to it, so tuples share all but about 2^p steps."""
+    tuples = all_tuples(p)
+    keys = [(path, run) for idx in tuples for path, _, run in witness_steps(idx)]
+    assert (len(keys), len(set(keys))) == (steps, distinct)
+    assert all(witness_steps(idx) == [
+        ((idx[-1],) + _witness_runs(idx)[:d], idx[-1] - d, run) for d, run in enumerate(_witness_runs(idx))
+    ] for idx in tuples)
+
+
+def test_a_check_solves_one_eigenproblem_per_width_and_per_batched_step(monkeypatch):
+    """At (6,4) with all 63 tuples: one eigh per distinct width, then one per (depth, r, run) group.
+
+    A per-tuple recursion solves one eigenproblem per step after the first:
+    72 of them here, against 20 groups.
+    """
+    A, cfg = instance(6, 4, 7)
+    tuples = all_tuples(6)
+    groups = {(len(path) - 1, r, run) for idx in tuples for path, r, run in witness_steps(idx) if len(path) > 1}
+    assert len(groups) == 20
+    calls = counting_linalg(monkeypatch, "eigh", "svd")
+    reports = check_wielandt_flag(A, tuples, n_flags=4, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 8))
+    assert len(reports) == 63 and all(r.passed for r in reports)
+    assert calls == {"eigh": 6 + len(groups), "svd": 0}
+
+
+def test_the_eigenflag_draw_does_not_grow_with_the_tuples(monkeypatch):
+    """Two Gaussian draws for the flag stack and one for every tuple's eigenflag coordinates."""
+    draws = []
+    normal = sampling.complex_normal
+
+    def counting(rng, *shape):
+        draws.append(shape)
+        return normal(rng, *shape)
+
+    monkeypatch.setattr(sampling, "complex_normal", counting)
+    A, cfg = instance(6, 4, 9)
+    counts = []
+    for tuples in ([(2,)], [(1, 5), (3,)], all_tuples(6)):
+        draws.clear()
+        check_wielandt_flag(A, tuples, n_flags=3, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 10))
+        counts.append(len(draws))
+        assert draws[-1] == (6, sum(sum(idx) for idx in tuples))  # one row per eigenflag frame
+    assert counts == [3, 3, 3]
 
 
 def test_witness_spans_whose_ranks_differ_across_samples():
@@ -355,7 +484,7 @@ def test_witness_spans_whose_ranks_differ_across_samples():
     flags = PositiveFlag(sig, (1, 3), np.concatenate([generic.basis, e[None]]))
     top, M = top_coordinates(entries, sig, flags.basis)
     assert np.allclose(M[2], entries)
-    C = _witness_subordinate(M, (1, 3))
+    C = witness_subordinate(M, (1, 3))
     for f in range(3):
         flag = SimpleNamespace(levels=[L[f] for L in flags.levels], depth=2)
         want = ref_witness_subordinate(entries, sig, flag).vectors
@@ -363,6 +492,7 @@ def test_witness_spans_whose_ranks_differ_across_samples():
         overlap = np.abs(np.sum((top[f] @ C[f]).conj() * want, axis=0))
         assert np.allclose(overlap, 1.0, atol=1e-12)
     assert _compression_trace(M[2], C[2]) == pytest.approx(5.0, abs=1e-12)
+    assert shared_traces(M, [(1, 3)])[0][2] == pytest.approx(5.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -510,31 +640,31 @@ def test_a_variational_instance_makes_no_svd_but_the_contraction_norms(monkeypat
 
 
 def test_a_solver_failure_in_a_witness_gives_the_instance_an_error_record(tmp_path, monkeypatch):
-    """A witness decomposition that does not converge raises out of the check; the batch goes on."""
+    """A witness step that does not converge raises out of the check; the batch goes on."""
     cfg = SuiteConfig(p=3, q=2, instances=3, seed=SEED, suites=("wielandt",))
-    witness = checks._witness_subordinate
+    hyperplane = checks._hyperplane_basis
     seen = []
 
-    def recording(M, idx, vecs=None):
-        seen.append(np.array(M))
-        return witness(M, idx, vecs)
+    def recording(w):
+        seen.append(np.array(w))
+        return hyperplane(w)
 
-    monkeypatch.setattr(checks, "_witness_subordinate", recording)
+    monkeypatch.setattr(checks, "_hyperplane_basis", recording)
     run_instance(cfg, 1)
-    poisoned = seen[0][0]  # flag 0 of instance 1's first index tuple
+    poisoned = seen[0][0]  # flag 0's normal in instance 1's first batched witness step
 
-    def fails_on_it(M, idx, vecs=None):
-        if M.shape[-2:] == poisoned.shape and np.any(np.all(M == poisoned, axis=(-2, -1))):
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return witness(M, idx, vecs)
+    def fails_on_it(w):
+        if w.shape[-1:] == poisoned.shape and np.any(np.all(w == poisoned, axis=-1)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return hyperplane(w)
 
     base_out, out = tmp_path / "base.jsonl", tmp_path / "r.jsonl"
-    monkeypatch.setattr(checks, "_witness_subordinate", witness)
+    monkeypatch.setattr(checks, "_hyperplane_basis", hyperplane)
     assert run_suite(dataclasses.replace(cfg, out=str(base_out))).passed
-    monkeypatch.setattr(checks, "_witness_subordinate", fails_on_it)
+    monkeypatch.setattr(checks, "_hyperplane_basis", fails_on_it)
     summary = run_suite(dataclasses.replace(cfg, out=str(out)))
     assert not summary.passed
-    assert summary.errors == [{"instance": 1, "error": "LinAlgError", "message": "SVD did not converge"}]
+    assert summary.errors == [{"instance": 1, "error": "LinAlgError", "message": "Eigenvalues did not converge"}]
     base, got = ([json.loads(ln) for ln in path.read_text().splitlines()] for path in (base_out, out))
     assert [r["record"] for r in got] == ["header", "instance", "error", "instance", "summary", "meta"]
     assert got[1] == base[1] and got[3] == base[3]
@@ -563,7 +693,8 @@ def test_the_ascent_is_batched_over_flags(monkeypatch):
 
 
 def test_a_variational_instance_draws_once_per_suite(monkeypatch):
-    """One width-p draw per suite, and the flag certifications do not grow with the tuple count."""
+    """One width-p draw per suite, one eigenbasis certification per matrix, and the flag
+    certifications do not grow with the tuple count."""
     draws, flags = [], []
     draw, flag = checks.sample_positive_subspace, checks.PositiveFlag
 
@@ -577,17 +708,75 @@ def test_a_variational_instance_draws_once_per_suite(monkeypatch):
 
     monkeypatch.setattr(checks, "sample_positive_subspace", counting_draw)
     monkeypatch.setattr(checks, "PositiveFlag", counting_flag)
+    checks._positive_eigen_by_value.cache_clear()
     cfg = SuiteConfig(p=4, q=3, seed=SEED, suites=("courant_fischer", "ky_fan", "wielandt"))
     reports = run_instance(cfg, 0)
     assert all(r.passed for r in reports) and len(reports) == 1 + 4 + 15
     assert draws == [4, 4, 4]
+    assert len(flags) == 1 + 3  # the eigenbasis, shared by the three suites, and one stack per suite
     A, cfg = instance(4, 3, 0)
     certified = []
     for tuples in ([(2,)], lambda_index_tuples(4)):
+        checks._positive_eigen_by_value.cache_clear()
         flags.clear()
         check_wielandt_flag(A, tuples, n_flags=4, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 6))
         certified.append(len(flags))
     assert certified == [2, 2]  # the eigenflag and the stack of random flags
+    flags.clear()
+    check_wielandt_flag(A, [(1, 3)], n_flags=4, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 6))
+    assert len(flags) == 1  # the eigenflag's compression is kept for A
+    assert not checks._positive_eigen(A)[1].flags.writeable
+
+
+def wielandt_case_ids(report):
+    return [c.case_id for c in report.cases]
+
+
+def test_empty_budgets_leave_out_their_cases():
+    """No flags: no witness, gap or interlacing case.  No frames: no eigenflag_max.  Neither raises."""
+    A, cfg = instance(4, 3, 11)
+    tuples = [(1,), (2, 4), (1, 2, 3, 4)]
+    ids = {}
+    for n_flags, n_tuples in ((3, 2), (0, 2), (3, 0), (0, 0)):
+        reports = check_wielandt_flag(A, tuples, n_flags=n_flags, n_tuples=n_tuples, cfg=cfg,
+                                      rng=instance_rng(SEED, 12))
+        assert all(r.passed for r in reports)
+        ids[n_flags, n_tuples] = [wielandt_case_ids(r) for r in reports]
+    eigen = ["eigenflag_witness", "eigenflag_witness_etas"]
+    witness = ["interlace_min", "witness:0", "witness:1", "witness:2", "witness_gap_min"]
+    assert ids[3, 2] == [["eigenflag_max", *eigen, *witness]] * 3
+    assert ids[0, 2] == ids[0, 0] == [eigen] * 3
+    assert ids[3, 0] == [[*eigen, *witness]] * 3
+    assert check_wielandt_flag(A, [], n_flags=3, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 12)) == []
+
+
+@pytest.mark.parametrize("pq", [(1, 0), (1, 1), (3, 0)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
+def test_one_positive_dimension_and_no_negative_block(pq):
+    A, cfg = instance(*pq, 13)
+    tuples = lambda_index_tuples(pq[0])
+    reports = check_wielandt_flag(A, tuples, n_flags=3, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 14))
+    assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
+    assert all(r.passed for r in reports)
+    assert all(("interlace_min" in wielandt_case_ids(r)) == (pq[0] >= 2) for r in reports)
+    assert all("witness:2" in wielandt_case_ids(r) for r in reports)
+
+
+def test_duplicate_and_unordered_tuples_get_the_cases_of_their_own_call():
+    """Reports follow the input order; each tuple's deterministic cases equal those of a one-tuple call.
+
+    The eigenflag frames of all tuples are one draw, so ``eigenflag_max`` is
+    left out of the comparison.
+    """
+    A, cfg = instance(5, 3, 15)
+    tuples = [(2, 5), (1,), (2, 5), (1, 3, 4), (5,), (1,)]
+    reports = check_wielandt_flag(A, tuples, n_flags=4, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 16))
+    assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
+    for idx, rep in zip(tuples, reports):
+        (alone,) = check_wielandt_flag(A, [idx], n_flags=4, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 16))
+        assert [c for c in rep.cases if c.case_id != "eigenflag_max"] == [
+            c for c in alone.cases if c.case_id != "eigenflag_max"
+        ], idx
+        assert wielandt_case_ids(rep) == wielandt_case_ids(alone)
 
 
 @settings(max_examples=40, deadline=None)

@@ -139,22 +139,33 @@ def test_graph_subspaces_are_positive_by_construction(p, q, cap, seed, count, da
 
 
 def test_batched_subordinate_frames_lie_in_their_levels(signature, sampler_cfg):
+    """One draw for every tuple: groups of equal shape cover the tuples once, in order of first appearance."""
     rng = instance_rng(SEED, 15)
     basis = sample_positive_subspace(signature, signature.p, sampler_cfg, rng)
-    for idx in lambda_index_tuples(signature.p):
-        flag = PositiveFlag(signature, idx, basis)
-        coords = subordinate_coordinates(idx, rng, 30)
-        m = len(idx)
-        assert coords.shape == (30, idx[-1], m)
-        assert np.allclose(coords.conj().swapaxes(-1, -2) @ coords, np.eye(m), atol=1e-12)
-        for j, dim in enumerate(idx):
-            assert np.all(coords[:, dim:, j] == 0), (idx, j)  # zero below row idx[j]
-        for F in flag.frame @ coords:
-            assert np.allclose(gram(F, signature), np.eye(m), atol=1e-8)
-            for j, level in enumerate(flag.levels):
-                coeffs, *_ = np.linalg.lstsq(level, F[:, j], rcond=None)
-                assert np.linalg.norm(level @ coeffs - F[:, j]) < 1e-8
-    assert subordinate_coordinates(idx, rng, 0).shape == (0, idx[-1], len(idx))
+    tuples = lambda_index_tuples(signature.p)
+    tuples = tuples + tuples[::-2]  # duplicates, out of order
+    groups = subordinate_coordinates(tuples, rng, 30)
+    positions = [t for group, _ in groups for t in group]
+    assert sorted(positions) == list(range(len(tuples)))
+    assert [group[0] for group, _ in groups] == sorted(group[0] for group, _ in groups)
+    for group, coords in groups:
+        for g, t in enumerate(group):
+            idx = tuples[t]
+            flag = PositiveFlag(signature, idx, basis)
+            C = coords[:, g]
+            m = len(idx)
+            assert C.shape == (30, idx[-1], m)
+            assert np.allclose(C.conj().swapaxes(-1, -2) @ C, np.eye(m), atol=1e-12)
+            for j, dim in enumerate(idx):
+                assert np.all(C[:, dim:, j] == 0), (idx, j)  # zero below row idx[j]
+            for F in flag.frame @ C:
+                assert np.allclose(gram(F, signature), np.eye(m), atol=1e-8)
+                for j, level in enumerate(flag.levels):
+                    coeffs, *_ = np.linalg.lstsq(level, F[:, j], rcond=None)
+                    assert np.linalg.norm(level @ coeffs - F[:, j]) < 1e-8
+    ((group, empty),) = subordinate_coordinates([idx], rng, 0)
+    assert group == [0] and empty.shape == (0, 1, idx[-1], len(idx))
+    assert subordinate_coordinates([], rng, 30) == []
 
 
 def test_restricted_samples_sit_in_positive_cone(sampler_cfg):
@@ -173,7 +184,8 @@ def test_flag_and_subordinate_frame(signature, sampler_cfg):
     idx = (1, signature.p)
     rng = instance_rng(SEED, 13)
     flag = PositiveFlag(signature, idx, sample_positive_subspace(signature, idx[-1], sampler_cfg, rng))
-    frame = flag.frame @ subordinate_coordinates(idx, rng, 1)[0]
+    ((_, coords),) = subordinate_coordinates([idx], rng, 1)
+    frame = flag.frame @ coords[0, 0]
     assert flag.depth == 2
     assert np.allclose(gram(frame, signature), np.eye(2), atol=1e-8)
     # each frame vector must lie in its level: residual of least squares is ~0
