@@ -17,6 +17,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +57,7 @@ WITNESS_ROUNDOFF = 1e-12
 TUPLE_LIMIT = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckCase:
     """One compared pair of values with its sign-adjusted margin."""
 
@@ -92,6 +93,21 @@ def make_case(case_id: str, indices, lhs: float, rhs: float, margin: float, tol:
         tol=tol,
         passed=bool(margin >= -tol),
     )
+
+
+def make_cases(case_ids, indices, lhs, rhs, margin, tol: float) -> list[CheckCase]:
+    """The cases of equal length columns, row by row, as ``make_case`` builds one.
+
+    ``case_ids`` holds strings and ``indices`` tuples of Python ints, both
+    taken as they are; ``lhs``, ``rhs`` and ``margin`` are float arrays,
+    each turned into Python floats by one ``tolist()``.
+    """
+    tol = float(tol)
+    lhs, rhs, margin = (np.asarray(col, dtype=float).tolist() for col in (lhs, rhs, margin))
+    return [
+        CheckCase(case_id, idx, left, right, m, tol, m >= -tol)
+        for case_id, idx, left, right, m in zip(case_ids, indices, lhs, rhs, margin)
+    ]
 
 
 @dataclass(frozen=True)
@@ -269,20 +285,28 @@ def _unrank_index_tuple(upper: int, rank: int) -> tuple[int, ...]:
     return _unrank_increasing(m, rank, lambda s, y: math.comb(upper - y, s - 1))[0]
 
 
+def _index_tuple_count(upper: int, max_size: int | None) -> tuple[int, int]:
+    """The largest size and the number of the tuples ``lambda_index_tuples`` admits."""
+    if max_size is not None and max_size < 1:
+        raise ValueError(f"max_size must be >= 1 (or None for no bound), got {max_size}")
+    mmax = upper if max_size is None else min(max_size, upper)
+    return mmax, sum(math.comb(upper, m) for m in range(1, mmax + 1))
+
+
 def lambda_index_tuples(upper: int, max_size: int | None = None, *, limit: int = TUPLE_LIMIT, rng=None):
-    """Strictly increasing 1-based tuples bounded by ``upper``.
+    """Strictly increasing 1-based tuples bounded by ``upper``, of sizes up to ``max_size``.
 
     All of them, by size and then lexicographically, when there are at most
     ``limit`` (sum over m of C(upper, m)).  Beyond that exactly ``limit`` of
     them, in the same order: ``limit`` distinct ranks drawn by Floyd's
     algorithm and unranked in O(upper) each.  Every limit-subset of
     tuples is equally likely, so each tuple is drawn with probability
-    limit / count, whatever its size.
+    limit / count, whatever its size.  ``max_size`` None bounds nothing;
+    below 1 it raises ValueError.
     """
+    mmax, count = _index_tuple_count(upper, max_size)
     if upper < 1:
         return []
-    mmax = min(max_size or upper, upper)
-    count = sum(math.comb(upper, m) for m in range(1, mmax + 1))
     if count <= limit:
         out = []
         for m in range(1, mmax + 1):
@@ -360,6 +384,89 @@ def thompson_freede_pairs(p: int, *, limit: int = TUPLE_LIMIT, rng=None):
 
 
 # ---------------------------------------------------------------------------
+# index tables
+#
+# The tuple-sum checks take every case of a check in one pass.  A list of
+# tuples becomes a 0-based table (N, w) whose short rows are padded with the
+# slot of a 0.0 appended to the spectrum, so ``_tuple_sums`` takes every
+# tuple's terms in one gather per spectrum.  Enumerated sets depend on
+# their bounds alone and are tabulated once per process; sampled ones per call.
+
+
+class _IndexSets(NamedTuple):
+    """Index sets in table form: each row's case id, case indices and size, and the tables."""
+
+    case_ids: tuple[str, ...]
+    indices: tuple[tuple[int, ...], ...]
+    sizes: np.ndarray
+    tables: tuple[np.ndarray, ...]
+
+
+def _index_sets(case_ids, indices, upper: int, *parts) -> _IndexSets:
+    """Read-only tables (N, w) of the 1-based tuples of each of ``parts``, short rows ending in ``upper``."""
+    tables = []
+    for tuples in parts:
+        width = max(map(len, tuples), default=0)
+        pad = (upper + 1,) * width
+        rows = [t + pad[len(t) :] for t in tuples]
+        tables.append(np.array(rows, dtype=np.intp).reshape(len(rows), width) - 1)
+    sizes = np.array([len(t) for t in parts[0]], dtype=np.intp)
+    for array in (sizes, *tables):
+        array.flags.writeable = False
+    return _IndexSets(tuple(case_ids), tuple(indices), sizes, tuple(tables))
+
+
+def _tuple_sums(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The sum of ``values`` over each row of ``table`` (N, w), added left to right from +0.0.
+
+    The padding slot len(values) reads 0.0.  Bit for bit what Python's
+    ``sum`` gives for the row's values through Python 3.11 (3.12's ``sum``
+    compensates).  A total that starts at +0.0 is never -0.0, so trailing
+    pads leave it unchanged.
+    """
+    terms = np.append(values, 0.0)[table]
+    total = np.zeros(len(table))
+    for column in terms.T:
+        total += column
+    return total
+
+
+def _tuple_sets(kind: str, upper: int, tuples) -> _IndexSets:
+    return _index_sets((f"{kind}:{','.join(map(str, t))}" for t in tuples), tuples, upper, tuples)
+
+
+def _lidskii_sets(kind: str, upper: int, max_size: int | None, limit: int, rng) -> _IndexSets:
+    """``lambda_index_tuples(upper, max_size, limit=limit, rng=rng)`` tabulated, drawn as it draws."""
+    if _index_tuple_count(upper, max_size)[1] <= limit:
+        return _enumerated_lidskii_sets(kind, upper, max_size)
+    return _tuple_sets(kind, upper, lambda_index_tuples(upper, max_size, limit=limit, rng=rng))
+
+
+@functools.lru_cache(maxsize=64)
+def _enumerated_lidskii_sets(kind: str, upper: int, max_size: int | None) -> _IndexSets:
+    return _tuple_sets(kind, upper, lambda_index_tuples(upper, max_size, limit=math.inf))
+
+
+def _pair_sets(p: int, pairs) -> _IndexSets:
+    """Rows (i, j) with case indices i_h + j_h - h; tables of i, j and the combined indices."""
+    combined = [tuple(a + b - h for h, (a, b) in enumerate(zip(i, j), 1)) for i, j in pairs]
+    ids = (f"i={','.join(map(str, i))};j={','.join(map(str, j))}" for i, j in pairs)
+    return _index_sets(ids, combined, p, [i for i, _ in pairs], [j for _, j in pairs], combined)
+
+
+def _thompson_freede_sets(p: int, limit: int, rng) -> _IndexSets:
+    """``thompson_freede_pairs(p, limit=limit, rng=rng)`` tabulated, drawn as it draws."""
+    if _thompson_freede_count(p) <= limit:
+        return _enumerated_pair_sets(p)
+    return _pair_sets(p, thompson_freede_pairs(p, limit=limit, rng=rng))
+
+
+@functools.lru_cache(maxsize=64)
+def _enumerated_pair_sets(p: int) -> _IndexSets:
+    return _pair_sets(p, thompson_freede_pairs(p, limit=math.inf))
+
+
+# ---------------------------------------------------------------------------
 # sum checks
 
 
@@ -430,27 +537,32 @@ def check_lidskii_wielandt(
     Positive-type, for strictly increasing indices i_1 < ... < i_m:
     sum_k lambda_{i_k}(A+B) >= sum_k lambda_{i_k}(A) + sum_{k<=m} lambda_k(B).
     Negative-type mirrors with <= and the m largest mus of B.
+
+    The tuples of each block are those of ``lambda_index_tuples(upper,
+    max_m, limit=limit, rng=rng)``, and ``max_m`` below 1 raises
+    ValueError.  An enumerated set is tabulated once per process, a sampled
+    one is drawn from ``rng`` per call.  Every case comes from one gather per
+    spectrum, with each tuple's terms added left to right from +0.0, and the
+    leading sums of B are ``np.sum``'s, one per size m.
     """
     sig = _require_same_signature(A, B)
     descriptor = {"max_m": max_m, "limit": limit}
     specA, specB, _, specC, exc = _sum_spectra(A, B)
     if specC is None:
         return _inadmissible_sum_report("lidskii", sig, descriptor, tol, exc)
-    # tuple sums over Python floats, in the same order; the leading sums of B stay
-    # np.sum's (pairwise from 8 terms on), taken once per size m
-    lamA, lamC = specA.lambdas.tolist(), specC.lambdas.tolist()
-    muA, muC = specA.mus.tolist(), specC.mus.tolist()
-    lamB = [float(np.sum(specB.lambdas[:m])) for m in range(sig.p + 1)]
-    muB = [float(np.sum(specB.mus[:m])) for m in range(sig.q + 1)]
     cases = []
-    for t in lambda_index_tuples(sig.p, max_m, limit=limit, rng=rng):
-        lhs = sum(lamC[i - 1] for i in t)
-        rhs = sum(lamA[i - 1] for i in t) + lamB[len(t)]
-        cases.append(make_case(f"lambda:{','.join(map(str, t))}", t, lhs, rhs, lhs - rhs, tol))
-    for t in lambda_index_tuples(sig.q, max_m, limit=limit, rng=rng):
-        lhs = sum(muC[i - 1] for i in t)
-        rhs = sum(muA[i - 1] for i in t) + muB[len(t)]
-        cases.append(make_case(f"mu:{','.join(map(str, t))}", t, lhs, rhs, rhs - lhs, tol))
+    for kind, upper, a, b, c in (
+        ("lambda", sig.p, specA.lambdas, specB.lambdas, specC.lambdas),
+        ("mu", sig.q, specA.mus, specB.mus, specC.mus),
+    ):
+        sets = _lidskii_sets(kind, upper, max_m, limit, rng)
+        (table,) = sets.tables
+        # the leading sums of B stay np.sum's (pairwise from 8 terms on), one per size m
+        lead = np.array([np.sum(b[:m]) for m in range(upper + 1)])
+        lhs = _tuple_sums(c, table)
+        rhs = _tuple_sums(a, table) + lead[sets.sizes]
+        margin = lhs - rhs if kind == "lambda" else rhs - lhs
+        cases += make_cases(sets.case_ids, sets.indices, lhs, rhs, margin, tol)
     return finalize_report("lidskii", sig, descriptor, tol, cases)
 
 
@@ -466,20 +578,22 @@ def check_thompson_freede(
 
     For same-size tuples i, j with i_m + j_m <= m + p:
     sum_h lambda_{i_h + j_h - h}(A+B) >= sum_h lambda_{i_h}(A) + sum_h lambda_{j_h}(B).
+
+    The pairs are those of ``thompson_freede_pairs(p, limit=limit,
+    rng=rng)``: an enumerated set is tabulated once per process, a sampled
+    one is drawn from ``rng`` per call.  Every case comes from one gather per
+    spectrum, with each of the three sums added left to right from +0.0.
     """
     sig = _require_same_signature(A, B)
     descriptor = {"limit": limit}
     specA, specB, _, specC, exc = _sum_spectra(A, B)
     if specC is None:
         return _inadmissible_sum_report("thompson_freede", sig, descriptor, tol, exc)
-    lamA, lamB, lamC = (spec.lambdas.tolist() for spec in (specA, specB, specC))
-    cases = []
-    for i, j in thompson_freede_pairs(sig.p, limit=limit, rng=rng):
-        combined = tuple(i[h] + j[h] - (h + 1) for h in range(len(i)))
-        lhs = sum(lamC[c - 1] for c in combined)
-        rhs = sum(lamA[a - 1] for a in i) + sum(lamB[b - 1] for b in j)
-        case_id = f"i={','.join(map(str, i))};j={','.join(map(str, j))}"
-        cases.append(make_case(case_id, combined, lhs, rhs, lhs - rhs, tol))
+    sets = _thompson_freede_sets(sig.p, limit, rng)
+    i_table, j_table, table = sets.tables
+    lhs = _tuple_sums(specC.lambdas, table)
+    rhs = _tuple_sums(specA.lambdas, i_table) + _tuple_sums(specB.lambdas, j_table)
+    cases = make_cases(sets.case_ids, sets.indices, lhs, rhs, lhs - rhs, tol)
     return finalize_report("thompson_freede", sig, descriptor, tol, cases)
 
 
@@ -744,6 +858,11 @@ def _witness_traces(M: np.ndarray, spectra: dict, tuples) -> list[np.ndarray]:
     return [np.trace(nodes[path], axis1=-2, axis2=-1).real for path in paths]
 
 
+@functools.lru_cache(maxsize=8)
+def _witness_ids(n_flags: int) -> tuple[str, ...]:
+    return tuple(f"witness:{f}" for f in range(n_flags))
+
+
 def check_wielandt_flag(
     A: PseudoHermitianMatrix,
     index_tuples,
@@ -838,9 +957,8 @@ def check_wielandt_flag(
         for t, traces in enumerate(_witness_traces(M, spectra, tuples)):
             idx, target = tuples[t], targets[t]
             cases[t].extend(interlace)
-            cases[t].extend(
-                make_case(f"witness:{f}", idx, value, target, value - target, tol)
-                for f, value in enumerate(traces)
+            cases[t] += make_cases(
+                _witness_ids(n_flags), [idx] * n_flags, traces, np.full(n_flags, target), traces - target, tol
             )
             eta = spectra[idx[-1]][0]
             scale = np.maximum(1.0, np.max(np.abs(eta), axis=-1))

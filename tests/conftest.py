@@ -27,7 +27,12 @@ def fresh_memos():
     """
     from kreinval import checks, spectral
 
-    memos = (spectral._solve, checks._sum_spectra_by_value)
+    memos = (
+        spectral._solve,
+        checks._sum_spectra_by_value,
+        checks._enumerated_lidskii_sets,
+        checks._enumerated_pair_sets,
+    )
     for memo in memos:
         memo.cache_clear()
     yield

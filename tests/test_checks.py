@@ -1,14 +1,19 @@
+import functools
 import itertools
+import operator
+import pickle
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kreinval import (
     AdmissibleSpectrum,
     PseudoHermitianMatrix,
     PseudoUnitary,
+    SamplerConfig,
     Signature,
     check_courant_fischer,
     check_ky_fan,
@@ -22,12 +27,17 @@ from kreinval import (
     sample_planted,
 )
 from kreinval.checks import (
+    TUPLE_LIMIT,
     _inadmissible_sum_report,
+    _sum_spectra,
     _thompson_freede_count,
+    _tuple_sums,
     _unrank_index_tuple,
     _unrank_pair,
+    finalize_report,
     lambda_index_tuples,
     make_case,
+    make_cases,
     matrix_sum,
     thompson_freede_pairs,
 )
@@ -396,3 +406,135 @@ def test_an_inadmissible_sum_fails_every_sum_report_alike(sampler_cfg, monkeypat
     assert [r.to_dict() for r in rounds[0]] == [r.to_dict() for r in rounds[2]]
     # the kept error is never raised again, so it holds no frames
     assert checks._sum_spectra(A, B)[4].__traceback__ is None
+
+
+# ---------------------------------------------------------------------------
+# the tuple-sum checks against their per-tuple loops
+
+
+def reference_lidskii(A, B, max_m=None, tol=1e-8, *, limit=TUPLE_LIMIT, rng=None):
+    """check_lidskii_wielandt as one Python loop per tuple, with Python sums: the oracle."""
+    sig = A.signature
+    descriptor = {"max_m": max_m, "limit": limit}
+    specA, specB, _, specC, exc = _sum_spectra(A, B)
+    if specC is None:
+        return _inadmissible_sum_report("lidskii", sig, descriptor, tol, exc)
+    lamA, lamC = specA.lambdas.tolist(), specC.lambdas.tolist()
+    muA, muC = specA.mus.tolist(), specC.mus.tolist()
+    lamB = [float(np.sum(specB.lambdas[:m])) for m in range(sig.p + 1)]
+    muB = [float(np.sum(specB.mus[:m])) for m in range(sig.q + 1)]
+    cases = []
+    for t in lambda_index_tuples(sig.p, max_m, limit=limit, rng=rng):
+        lhs = sum(lamC[i - 1] for i in t)
+        rhs = sum(lamA[i - 1] for i in t) + lamB[len(t)]
+        cases.append(make_case(f"lambda:{','.join(map(str, t))}", t, lhs, rhs, lhs - rhs, tol))
+    for t in lambda_index_tuples(sig.q, max_m, limit=limit, rng=rng):
+        lhs = sum(muC[i - 1] for i in t)
+        rhs = sum(muA[i - 1] for i in t) + muB[len(t)]
+        cases.append(make_case(f"mu:{','.join(map(str, t))}", t, lhs, rhs, rhs - lhs, tol))
+    return finalize_report("lidskii", sig, descriptor, tol, cases)
+
+
+def reference_thompson_freede(A, B, tol=1e-8, *, limit=TUPLE_LIMIT, rng=None):
+    """check_thompson_freede as one Python loop per pair, with Python sums: the oracle."""
+    sig = A.signature
+    specA, specB, _, specC, exc = _sum_spectra(A, B)
+    if specC is None:
+        return _inadmissible_sum_report("thompson_freede", sig, {"limit": limit}, tol, exc)
+    lamA, lamB, lamC = (spec.lambdas.tolist() for spec in (specA, specB, specC))
+    cases = []
+    for i, j in thompson_freede_pairs(sig.p, limit=limit, rng=rng):
+        combined = tuple(i[h] + j[h] - (h + 1) for h in range(len(i)))
+        lhs = sum(lamC[c - 1] for c in combined)
+        rhs = sum(lamA[a - 1] for a in i) + sum(lamB[b - 1] for b in j)
+        case_id = f"i={','.join(map(str, i))};j={','.join(map(str, j))}"
+        cases.append(make_case(case_id, combined, lhs, rhs, lhs - rhs, tol))
+    return finalize_report("thompson_freede", sig, {"limit": limit}, tol, cases)
+
+
+@functools.lru_cache(maxsize=None)
+def planted_pair(p, q, idx):
+    A, B, _ = sampled_pair(Signature(p, q), idx, SamplerConfig(seed=SEED))
+    return A, B
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(0, 9),
+    q=st.integers(0, 5),
+    idx=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    limit=st.one_of(st.integers(0, 40), st.just(TUPLE_LIMIT)),
+    data=st.data(),
+)
+def test_tuple_sum_checks_match_their_per_tuple_loops(p, q, idx, seed, limit, data):
+    """Same reports as the loops, on the same stream, enumerated or sampled, whatever max_m."""
+    assume(p + q > 0)
+    max_m = data.draw(st.one_of(st.none(), st.integers(1, max(p, 1))), label="max_m")
+    A, B = planted_pair(p, q, idx)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = check_lidskii_wielandt(A, B, max_m, limit=limit, rng=ours)
+    assert got.to_dict() == reference_lidskii(A, B, max_m, limit=limit, rng=theirs).to_dict()
+    got = check_thompson_freede(A, B, limit=limit, rng=ours)
+    assert got.to_dict() == reference_thompson_freede(A, B, limit=limit, rng=theirs).to_dict()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_ordered_tuple_sums_are_python_sums_bit_for_bit():
+    rng = np.random.default_rng(SEED)
+    rows = [[-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [1e16, 1.0, -1e16], [0.1, 0.2, 0.3]]
+    rows += [list(r) for r in rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-8, 9, (40, 6))]
+    rows += [row[: k + 1] for k, row in enumerate(rows[6:12])]
+    values = [x for row in rows for x in row]
+    width, starts = max(map(len, rows)), itertools.accumulate(map(len, rows), initial=0)
+    # each row reads its own entries of ``values``, padded with the slot past them
+    table = [list(range(s, s + len(row))) + [len(values)] * (width - len(row)) for s, row in zip(starts, rows)]
+    got = [x.hex() for x in _tuple_sums(np.array(values), np.array(table)).tolist()]
+    assert got == [functools.reduce(operator.add, row, 0.0).hex() for row in rows]
+    if sys.version_info < (3, 12):  # from 3.12 on, sum compensates
+        assert got == [sum(row).hex() for row in rows]
+    assert got[:4] == [(0.0).hex()] * 4
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_a_size_bound_below_one_is_rejected(bad, sampler_cfg):
+    with pytest.raises(ValueError, match="max_size"):
+        lambda_index_tuples(3, bad)
+    A, B, rng = sampled_pair(Signature(3, 2), 0, sampler_cfg)
+    with pytest.raises(ValueError, match="max_size"):
+        check_lidskii_wielandt(A, B, max_m=bad, rng=rng)
+
+
+def test_enumerated_index_sets_are_tabulated_once_per_process(monkeypatch, fresh_memos):
+    from kreinval import checks
+
+    enumerated = []
+    for name in ("lambda_index_tuples", "thompson_freede_pairs"):
+        original = getattr(checks, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            enumerated.append((_name, args[0]))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(checks, name, counting)
+    A, B = planted_pair(5, 3, 0)
+    reports = [(check_lidskii_wielandt(A, B), check_thompson_freede(A, B)) for _ in range(3)]
+    assert enumerated == [("lambda_index_tuples", 5), ("lambda_index_tuples", 3), ("thompson_freede_pairs", 5)]
+    assert len(reports[0][0].cases) == 31 + 7 and len(reports[0][1].cases) == 88
+    # a sampled set is drawn on every call
+    for _ in range(2):
+        check_lidskii_wielandt(A, B, limit=10, rng=np.random.default_rng(0))
+    assert enumerated[3:] == [("lambda_index_tuples", 5)] * 2
+    for sets in (checks._enumerated_lidskii_sets("lambda", 5, None), checks._enumerated_pair_sets(5)):
+        assert not any(array.flags.writeable for array in (sets.sizes, *sets.tables))
+
+
+def test_cases_from_columns_match_cases_one_by_one():
+    ids, indices = ["a", "b", "c", "d"], [(1,), (1, 2), (), (3,)]
+    lhs, rhs = np.array([1.0, 0.5, 1.0, -0.0]), np.array([0.5, 1.0, 1.0, 0.0])
+    margin = np.array([0.5, -0.5, -1e-9, -0.0])
+    got = make_cases(ids, indices, lhs, rhs, margin, 1e-8)
+    assert got == [make_case(*row, 1e-8) for row in zip(ids, indices, lhs, rhs, margin)]
+    assert [c.passed for c in got] == [True, False, True, True]
+    assert not make_cases(["nan"], [()], [np.nan], [0.0], [np.nan], 1e-8)[0].passed
+    assert pickle.loads(pickle.dumps(got)) == got  # slotted cases still cross process pools

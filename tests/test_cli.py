@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -199,6 +200,33 @@ class TestRunner:
         header, *rows = out.read_text().splitlines()
         assert header == "suite,instance,case_id,indices,lhs,rhs,margin,pass"
         assert rows and rows[0].startswith("trace,0,")
+
+    @pytest.mark.parametrize("p, q", [(2, 1), (5, 3)])
+    def test_every_case_holds_builtin_values_in_both_formats(self, tmp_path, p, q):
+        """CSV cells are repr()s, so a numpy scalar in a case would write np.float64(...)."""
+        for suite in SUITES:
+            for report in run_instance(SuiteConfig(p=p, q=q, seed=0, suites=(suite,)), 0):
+                for case in report.cases + report.soft_cases:
+                    assert type(case.case_id) is str, suite
+                    assert type(case.indices) is tuple, suite
+                    assert all(type(i) is int for i in case.indices), suite
+                    assert all(type(v) is float for v in (case.lhs, case.rhs, case.margin, case.tol)), suite
+                    assert type(case.passed) is bool, suite
+        args = ["--p", str(p), "--q", str(q), "--instances", "1", "--seed", "0"]
+        table, lines = tmp_path / "r.csv", tmp_path / "r.jsonl"
+        assert main(args + ["--format", "csv", "--out", str(table)]) == 0
+        assert main(args + ["--out", str(lines)]) == 0
+        _, *rows = csv.reader(table.read_text().splitlines())
+        assert {row[0] for row in rows} == set(SUITES[:-1]) | {"polyhedral_diag", "polyhedral_sum"}
+        for _, _, _, indices, *values, passed in rows:
+            assert all(repr(float(v)) == v for v in values)
+            assert passed in ("True", "False") and all(i.isdigit() for i in filter(None, indices.split(";")))
+        records = [json.loads(ln) for ln in body_lines(lines)]
+        for report in next(r for r in records if r["record"] == "instance")["reports"]:
+            for case in report["cases"] + report["soft_cases"]:
+                assert type(case["case_id"]) is str and type(case["passed"]) is bool
+                assert all(type(i) is int for i in case["indices"])
+                assert all(type(case[k]) is float for k in ("lhs", "rhs", "margin", "tol"))
 
     def test_summary_record_shape(self, tmp_path):
         out = tmp_path / "r.jsonl"
