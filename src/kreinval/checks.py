@@ -916,10 +916,11 @@ def check_wielandt_flag(
     if sig.p == 0:
         return [_no_positive_block("wielandt", sig, shared, tol)]
     tuples = [check_index_tuple(t, sig.p) for t in index_tuples]
+    T = len(tuples)
     system, eigen = _positive_eigen(A)
     lambdas = system.spectrum.lambdas
-    targets = [float(sum(lambdas[i - 1] for i in idx)) for idx in tuples]
-    cases = [[] for _ in tuples]
+    targets = np.array([float(sum(lambdas[i - 1] for i in idx)) for idx in tuples])
+    zeros = np.zeros(T)
 
     interlace, spectra = [], {}
     if n_flags:
@@ -930,41 +931,42 @@ def check_wielandt_flag(
             worst = float(np.min(spectra[sig.p - 1][0] - lambdas[: sig.p - 1]))
             interlace = [make_case("interlace_min", tuple(range(1, sig.p)), worst, 0.0, worst, tol)]
 
+    highest = np.empty(T)
     for positions, coords in subordinate_coordinates(tuples, rng, n_flags * n_tuples):
         r = tuples[positions[0]][-1]
-        highest = np.max(_compression_trace(eigen[:r, :r], coords), axis=0, initial=-np.inf)
-        for t, value in zip(positions, highest.tolist()):
-            if np.isfinite(value):  # no frames (a budget of 0) bound nothing, so get no case
-                idx, target = tuples[t], targets[t]
-                cases[t].append(make_case("eigenflag_max", idx, value, target, target - value, tol))
+        highest[positions] = np.max(_compression_trace(eigen[:r, :r], coords), axis=0, initial=-np.inf)
+    eigen_max = [()] * T  # no frames (a budget of 0) bound nothing, so get no case
+    if n_flags * n_tuples:
+        maxima = make_cases(["eigenflag_max"] * T, tuples, highest, targets, targets - highest, tol)
+        eigen_max = [(case,) for case in maxima]
 
+    vals, devs = np.empty(T), np.empty(T)
     by_size: dict[int, list[int]] = {}
     for t, idx in enumerate(tuples):
         by_size.setdefault(len(idx), []).append(t)
     for positions in by_size.values():
         cols = np.array([tuples[t] for t in positions]) - 1
         subs = eigen[cols[:, :, None], cols[:, None, :]]
-        vals = np.trace(subs, axis1=-2, axis2=-1).real
-        eta_dev = np.max(np.abs(np.linalg.eigvalsh(subs) - lambdas[cols]), axis=-1)
-        for t, val, dev in zip(positions, vals.tolist(), eta_dev.tolist()):
-            idx, target = tuples[t], targets[t]
-            cases[t].append(
-                make_case("eigenflag_witness", idx, val, target, -abs(val - target), equality_tol)
-            )
-            cases[t].append(make_case("eigenflag_witness_etas", idx, dev, 0.0, -dev, equality_tol))
+        vals[positions] = np.trace(subs, axis1=-2, axis2=-1).real
+        devs[positions] = np.max(np.abs(np.linalg.eigvalsh(subs) - lambdas[cols]), axis=-1)
+    deviation = -np.abs(vals - targets)
+    witness = make_cases(["eigenflag_witness"] * T, tuples, vals, targets, deviation, equality_tol)
+    etas = make_cases(["eigenflag_witness_etas"] * T, tuples, devs, zeros, -devs, equality_tol)
 
+    flag_cases = [()] * T
     if n_flags:
+        gaps = np.empty(T)
         for t, traces in enumerate(_witness_traces(M, spectra, tuples)):
             idx, target = tuples[t], targets[t]
-            cases[t].extend(interlace)
-            cases[t] += make_cases(
+            flag_cases[t] = make_cases(
                 _witness_ids(n_flags), [idx] * n_flags, traces, np.full(n_flags, target), traces - target, tol
             )
             eta = spectra[idx[-1]][0]
             scale = np.maximum(1.0, np.max(np.abs(eta), axis=-1))
-            gap = float(np.min((traces - eta[:, [i - 1 for i in idx]].sum(axis=-1)) / scale))
-            cases[t].append(make_case("witness_gap_min", idx, gap, 0.0, gap, WITNESS_ROUNDOFF))
+            gaps[t] = np.min((traces - eta[:, [i - 1 for i in idx]].sum(axis=-1)) / scale)
+        gap_cases = make_cases(["witness_gap_min"] * T, tuples, gaps, zeros, gaps, WITNESS_ROUNDOFF)
+        flag_cases = [[*interlace, *f, g] for f, g in zip(flag_cases, gap_cases)]
     return [
-        finalize_report("wielandt", sig, {"index_tuple": list(idx), **shared}, tol, tuple_cases)
-        for idx, tuple_cases in zip(tuples, cases)
+        finalize_report("wielandt", sig, {"index_tuple": list(idx), **shared}, tol, [*m, w, e, *f])
+        for idx, m, w, e, f in zip(tuples, eigen_max, witness, etas, flag_cases)
     ]
