@@ -600,12 +600,14 @@ def check_thompson_freede(
 # ---------------------------------------------------------------------------
 # variational checks on a single matrix
 #
-# Each suite draws once per instance.  The frame X L^-H of a width-p basis
-# has column prefixes that frame the basis's column prefixes, and the
-# k-column prefix of a width-p graph sample is distributed as a width-k
-# sample.  So one certified stack of width-p frames, compressed once to
-# M = frame* J A frame, serves every k and every index tuple: the
-# statement about k-dimensional subspaces reads M's leading k x k block.
+# An instance draws one stack of positive frames for all three suites.  The
+# frame X L^-H of a width-p basis has column prefixes that frame the basis's
+# column prefixes, and the k-column prefix of a width-p graph sample is
+# distributed as a width-k sample.  So one certified stack of width-p
+# frames, compressed once to M = frame* J A frame, serves every suite, every
+# k and every index tuple: a suite with budget n reads the leading n rows,
+# and the statement about k-dimensional subspaces reads the leading k x k
+# block of each.
 
 
 def _compression_trace(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -653,17 +655,46 @@ def _positive_eigen_by_value(a: _ByValue):
     return system, eigen
 
 
+def positive_compressions(
+    A: PseudoHermitianMatrix, count: int, cfg: SamplerConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """The read-only stack M = frame* J A frame (count, p, p) of ``count`` random positive frames.
+
+    One ``sample_positive_subspace`` call draws ``count`` width-p bases, one
+    ``PositiveFlag`` certifies the stack with the Cholesky factorization
+    that frames it, and one batched product compresses A onto the frames.
+    The leading n rows are n independent samples, so a check with budget n
+    takes ``M[:n]``.  With p = 0 or ``count`` 0 nothing is drawn: the stack
+    is (count, 0, 0) or (0, p, p).
+    """
+    sig = A.signature
+    if sig.p and count:
+        M = _compression_onto(A, sample_positive_subspace(sig, sig.p, cfg, rng, count=count))
+    else:
+        M = np.zeros((count, sig.p, sig.p), dtype=complex)
+    M.flags.writeable = False
+    return M
+
+
+def _frame_stack(A: PseudoHermitianMatrix, M) -> np.ndarray:
+    """M as an array, or ShapeMismatch unless it is a stack (N, p, p) for A's signature."""
+    M = np.asarray(M)
+    p = A.signature.p
+    if M.ndim != 3 or M.shape[1:] != (p, p):
+        raise ShapeMismatch(f"compressions must be a stack (N, {p}, {p}) for p = {p}, got {M.shape}")
+    return M
+
+
 def _no_positive_block(name: str, sig: Signature, descriptor: dict, tol: float) -> CheckReport:
     return finalize_report(name, sig, descriptor, tol, [], notes=["no positive-type block"])
 
 
 def check_courant_fischer(
     A: PseudoHermitianMatrix,
-    n_subspaces: int = 500,
+    M,
     tol: float = DEFAULT_TOL,
     *,
     equality_tol: float = EQUALITY_TOL,
-    cfg: SamplerConfig | None = None,
     rng=None,
 ) -> CheckReport:
     """Min-max characterization of the positive-type eigenvalues.
@@ -672,28 +703,28 @@ def check_courant_fischer(
     compression eigenvalue >= lambda_k (the eigen-subspace attains it), and
     sampled positive vectors paired-orthogonal to the first k-1 eigenvectors
     give Rayleigh ratios >= lambda_k (the k-th eigenvector attains it).
-    The k-subspaces are the k-column prefixes of one shared stack of
-    ``n_subspaces`` width-p frames, so the k-th top is the top eigenvalue of
-    M's leading k x k block; the restricted-cone vectors are drawn afresh
-    for each k.
+    ``M`` is a stack (N, p, p) of compressions onto width-p positive frames
+    (``positive_compressions``); the k-subspaces are the frames' k-column
+    prefixes, so the k-th top is the top eigenvalue of M's leading k x k
+    block.  N restricted-cone vectors are drawn from ``rng`` afresh for each
+    k.  An empty stack samples nothing and bounds nothing, so it gets no
+    sampled case.
     """
     sig = A.signature
-    cfg = cfg if cfg is not None else SamplerConfig()
-    rng = rng if rng is not None else instance_rng(cfg.seed)
-    descriptor = {"n_subspaces": n_subspaces, "equality_tol": equality_tol}
+    M = _frame_stack(A, M)
+    rng = rng if rng is not None else instance_rng(0)
+    n = len(M)
+    descriptor = {"n_subspaces": n, "equality_tol": equality_tol}
     if sig.p == 0:
         return _no_positive_block("courant_fischer", sig, descriptor, tol)
     system, eigen = _positive_eigen(A)
     lambdas = system.spectrum.lambdas
     pos = positive_eigenbasis(system)
     neg = negative_eigenbasis(system)
-    M = None  # an empty budget samples nothing and bounds nothing, so it gets no case
-    if n_subspaces:
-        M = _compression_onto(A, sample_positive_subspace(sig, sig.p, cfg, rng, count=n_subspaces))
     cases = []
     for k in range(1, sig.p + 1):
         lam_k = float(lambdas[k - 1])
-        if M is not None:
+        if n:
             worst_top = float(np.min(np.linalg.eigvalsh(M[:, :k, :k])[:, -1]))
             cases.append(
                 make_case(f"minmax_sampled:{k}", (k,), worst_top, lam_k, worst_top - lam_k, tol)
@@ -702,8 +733,8 @@ def check_courant_fischer(
         cases.append(
             make_case(f"minmax_witness:{k}", (k,), top, lam_k, -abs(top - lam_k), equality_tol)
         )
-        if M is not None:
-            X = restricted_cone_samples(pos[:, k - 1 :], neg, n_subspaces, rng)
+        if n:
+            X = restricted_cone_samples(pos[:, k - 1 :], neg, n, rng)
             low = float(np.min(rayleigh_columns(A.entries, sig, X)))
             cases.append(make_case(f"restricted_sampled:{k}", (k,), low, lam_k, low - lam_k, tol))
         # the Rayleigh ratio of the k-th framed eigenvector
@@ -716,34 +747,31 @@ def check_courant_fischer(
 
 def check_ky_fan(
     A: PseudoHermitianMatrix,
-    n_frames: int = 200,
+    M,
     tol: float = DEFAULT_TOL,
     *,
     equality_tol: float = EQUALITY_TOL,
-    cfg: SamplerConfig | None = None,
-    rng=None,
 ) -> list[CheckReport]:
     """Partial-sum minimum over positive k-frames, one report per k = 1, ..., p.
 
     Every pseudo-orthonormal positive k-frame satisfies
     sum_i R_A(x_i) = trace(compression) >= lambda_1 + ... + lambda_k,
-    with equality on the first k eigenvectors.  The k-frames are the
-    k-column prefixes of one shared stack of ``n_frames`` width-p frames, so
-    the k-th traces are the k-th cumulative sums of diag(M).  With p = 0 the
-    one report says there is no positive block.
+    with equality on the first k eigenvectors.  ``M`` is a stack (N, p, p)
+    of compressions onto width-p positive frames (``positive_compressions``);
+    the k-frames are their k-column prefixes, so the k-th traces are the
+    k-th cumulative sums of diag(M).  The check draws nothing.  With p = 0
+    the one report says there is no positive block.
     """
     sig = A.signature
-    cfg = cfg if cfg is not None else SamplerConfig()
-    rng = rng if rng is not None else instance_rng(cfg.seed)
-    shared = {"n_frames": n_frames, "equality_tol": equality_tol}
+    M = _frame_stack(A, M)
+    shared = {"n_frames": len(M), "equality_tol": equality_tol}
     if sig.p == 0:
         return [_no_positive_block("ky_fan", sig, shared, tol)]
     system, eigen = _positive_eigen(A)
     lambdas = system.spectrum.lambdas
     witness = np.cumsum(np.diagonal(eigen).real)
     worst = None
-    if n_frames:  # an empty budget bounds nothing, so it gets no case
-        M = _compression_onto(A, sample_positive_subspace(sig, sig.p, cfg, rng, count=n_frames))
+    if len(M):  # an empty stack bounds nothing, so it gets no case
         worst = np.min(np.cumsum(np.diagonal(M, axis1=-2, axis2=-1).real, axis=-1), axis=0)
     reports = []
     for k in range(1, sig.p + 1):
@@ -866,12 +894,11 @@ def _witness_ids(n_flags: int) -> tuple[str, ...]:
 def check_wielandt_flag(
     A: PseudoHermitianMatrix,
     index_tuples,
-    n_flags: int = 50,
+    M,
     n_tuples: int = 20,
     tol: float = DEFAULT_TOL,
     *,
     equality_tol: float = EQUALITY_TOL,
-    cfg: SamplerConfig | None = None,
     rng=None,
 ) -> list[CheckReport]:
     """Flag compressions against the eigenvalue tuple sums, one report per index tuple.
@@ -881,7 +908,9 @@ def check_wielandt_flag(
     those coordinates ``M = frame* J A frame`` is Hermitian, the pairing is
     Euclidean and level j is the span of the first i_j unit vectors.  The
     flag of a tuple is the prefix of a width-p flag, so every tuple reads
-    the leading r x r block of one M, with r = i_m.
+    the leading r x r block of one M, with r = i_m.  The argument ``M`` is
+    a stack (n_flags, p, p) of such compressions onto random width-p
+    positive flags (``positive_compressions``).
 
     On the eigenvector flag: every one of ``n_flags * n_tuples`` random
     subordinate frames, drawn as orthonormal coordinates C in those levels
@@ -899,9 +928,9 @@ def check_wielandt_flag(
     (``interlace_min`` checks it on the flags' (p-1)-dimensional prefixes).
     With ``n_flags`` 0 there are no random flags and none of these cases.
 
-    The ``n_flags`` width-p flags are drawn first, as one shared stack, and
-    serve every tuple; then the eigenflag coordinates of all tuples, in one
-    draw, with one QR and one trace per (r, m) shape.  Each tuple size gets
+    The ``n_flags`` width-p flags of ``M`` serve every tuple.  The
+    eigenflag coordinates of all tuples are one draw from ``rng``, with one
+    QR and one trace per (r, m) shape.  Each tuple size gets
     one ``eigvalsh`` for ``eigenflag_witness_etas``.  ``interlace_min`` is
     computed once and carried by every report, and M's leading r x r blocks
     are decomposed once per distinct r, for the gap and for the witness's
@@ -910,8 +939,9 @@ def check_wielandt_flag(
     included.  With p = 0 the one report says there is no positive block.
     """
     sig = A.signature
-    cfg = cfg if cfg is not None else SamplerConfig()
-    rng = rng if rng is not None else instance_rng(cfg.seed)
+    M = _frame_stack(A, M)
+    rng = rng if rng is not None else instance_rng(0)
+    n_flags = len(M)
     shared = {"n_flags": n_flags, "n_tuples": n_tuples}
     if sig.p == 0:
         return [_no_positive_block("wielandt", sig, shared, tol)]
@@ -924,7 +954,6 @@ def check_wielandt_flag(
 
     interlace, spectra = [], {}
     if n_flags:
-        M = _compression_onto(A, sample_positive_subspace(sig, sig.p, cfg, rng, count=n_flags))
         widths = {idx[-1] for idx in tuples} | ({sig.p - 1} if sig.p >= 2 else set())
         spectra = {r: np.linalg.eigh(M[:, :r, :r]) for r in widths}
         if sig.p >= 2:

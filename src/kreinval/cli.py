@@ -39,6 +39,7 @@ from .checks import (
     finalize_report,
     lambda_index_tuples,
     make_case,
+    positive_compressions,
 )
 from .core import Signature
 from .errors import ConfigError, KreinvalError
@@ -60,7 +61,9 @@ SUITES = (
 #: suites whose checks consume a second sampled matrix
 PAIR_SUITES = frozenset({"trace", "weyl", "lidskii", "thompson_freede", "polyhedral"})
 #: suites whose checks draw random numbers, each from its own stream
-RANDOM_SUITES = frozenset({"lidskii", "thompson_freede", "courant_fischer", "ky_fan", "wielandt"})
+RANDOM_SUITES = frozenset({"lidskii", "thompson_freede", "courant_fischer", "wielandt"})
+#: suites that read the instance's one stack of positive frames
+FRAME_SUITES = frozenset({"courant_fischer", "ky_fan", "wielandt"})
 
 
 @dataclass(frozen=True)
@@ -150,11 +153,15 @@ def config_echo(cfg: SuiteConfig) -> dict:
 def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
     """All selected checks for one seeded instance, in a fixed suite order.
 
-    A and B come from the instance stream (seed, index).  Each suite draws
-    from its own stream (seed, index, position of the suite in SUITES), so a
-    suite's reports do not depend on which other suites are selected.  Each
-    check is called once: ``ky_fan`` returns one report per k and
-    ``wielandt`` one per index tuple, all read from one draw.
+    A and B come from the instance stream (seed, index).  The positive
+    frames of ``courant_fischer``, ``ky_fan`` and ``wielandt`` are one stack,
+    drawn from the frame stream (seed, index, len(SUITES)) and compressed
+    once; its size is the largest of the three budgets whatever is selected,
+    and each suite reads as many leading rows as its budget.  Every other
+    draw of a suite comes from its own stream (seed, index, position of the
+    suite in SUITES).  So a suite's reports do not depend on which other
+    suites are selected.  Each check is called once: ``ky_fan`` returns one
+    report per k and ``wielandt`` one per index tuple.
     """
     sig = Signature(cfg.p, cfg.q)
     scfg = cfg.sampler()
@@ -163,6 +170,10 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
     B = None
     if any(s in PAIR_SUITES for s in cfg.suites):
         B, _, _ = sample_planted(sig, scfg, rng)
+    M = None
+    if any(s in FRAME_SUITES for s in cfg.suites):
+        count = max(cfg.courant_subspaces, cfg.kyfan_frames, cfg.wielandt_flags)
+        M = positive_compressions(A, count, scfg, instance_rng(cfg.seed, index, len(SUITES)))
 
     reports: list[CheckReport] = []
     for suite in cfg.suites:
@@ -192,21 +203,18 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
             reports.append(check_thompson_freede(A, B, tol=cfg.tol_check, rng=rng))
         elif suite == "courant_fischer":
             reports.append(
-                check_courant_fischer(
-                    A, cfg.courant_subspaces, tol=cfg.tol_check, cfg=scfg, rng=rng
-                )
+                check_courant_fischer(A, M[: cfg.courant_subspaces], tol=cfg.tol_check, rng=rng)
             )
         elif suite == "ky_fan":
-            reports.extend(check_ky_fan(A, cfg.kyfan_frames, tol=cfg.tol_check, cfg=scfg, rng=rng))
+            reports.extend(check_ky_fan(A, M[: cfg.kyfan_frames], tol=cfg.tol_check))
         elif suite == "wielandt":
             reports.extend(
                 check_wielandt_flag(
                     A,
                     lambda_index_tuples(sig.p, cfg.max_m, rng=rng),
-                    n_flags=cfg.wielandt_flags,
+                    M[: cfg.wielandt_flags],
                     n_tuples=cfg.wielandt_frames,
                     tol=cfg.tol_check,
-                    cfg=scfg,
                     rng=rng,
                 )
             )

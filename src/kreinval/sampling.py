@@ -35,6 +35,7 @@ from .geometry import (
     TOL_CONE,
     TOL_FRAME,
     TOL_NULL_REL,
+    _adjoint,
     _checked_frame,
     _cholesky_frames,
 )
@@ -185,8 +186,9 @@ def sample_positive_subspace(
     (``pseudo_orthonormalize``, ``PositiveFlag``) certifies it again.
 
     With ``count`` the result is a stack (count, n, k) of independent
-    samples, drawn with one batched QR and one batched spectral norm; without
-    it, the single basis is the first sample of a stack of one.
+    samples, drawn with one batched QR and one batched ``eigvalsh`` for the
+    norms of K; without it, the single basis is the first sample of a stack
+    of one.
     """
     if not 1 <= k <= sig.p:
         raise ShapeMismatch(f"positive subspaces need 1 <= k <= p = {sig.p}, got k = {k}")
@@ -194,7 +196,9 @@ def sample_positive_subspace(
     Q = np.linalg.qr(complex_normal(rng, N, sig.p, k))[0]
     if sig.q:
         K = complex_normal(rng, N, sig.q, sig.p)
-        kn = np.linalg.norm(K, 2, axis=(-2, -1))
+        # ||K||_2 is the square root of the top eigenvalue of the smaller Gram, K K* or K* K
+        G = K @ _adjoint(K) if sig.q <= sig.p else _adjoint(K) @ K
+        kn = np.sqrt(np.linalg.eigvalsh(G)[:, -1])
         cap = rng.uniform(0.0, cfg.contraction_cap, N)
         K = K * (cap / np.where(kn > 0, kn, 1.0))[:, None, None]
         basis = np.concatenate([Q, K @ Q], axis=-2)

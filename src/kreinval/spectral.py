@@ -1,5 +1,5 @@
-"""Eigenstructure of pseudo-Hermitian matrices: admissibility certificates,
-Rayleigh ratios, and compressions onto positive frames.
+"""Eigenstructure of pseudo-Hermitian matrices: admissibility certificates
+and Rayleigh ratios.
 
 A matrix is admissible when it diagonalizes over the reals with exactly p
 positive-type and q negative-type eigenvectors and the smallest positive-type
@@ -24,14 +24,9 @@ from .errors import (
     ComplexSpectrum,
     DefectiveMatrix,
     GapViolation,
-    OrientationMismatch,
     WrongConeCount,
 )
-from .geometry import (
-    POSITIVE,
-    TOL_NULL_REL,
-    PseudoOrthonormalFrame,
-)
+from .geometry import TOL_NULL_REL
 
 #: acceptance on the imaginary part of eigenvalues, relative to the operator norm
 TOL_REALITY_REL = 1e-8
@@ -206,36 +201,3 @@ def positive_eigenbasis(system: ClassifiedEigenSystem) -> np.ndarray:
 def negative_eigenbasis(system: ClassifiedEigenSystem) -> np.ndarray:
     """The q negative-type eigenvectors, ascending by eigenvalue, with pairings -I."""
     return system.eigenvectors[:, : system.signature.q]
-
-
-@dataclass(frozen=True)
-class CompressionResult:
-    """A compression of A onto a positive frame, with its real spectrum.
-
-    For a stacked frame, ``compressed`` is (..., k, k) and ``etas`` (..., k).
-    """
-
-    frame: PseudoOrthonormalFrame
-    compressed: np.ndarray
-    etas: np.ndarray
-
-
-def compress(A: PseudoHermitianMatrix, frame: PseudoOrthonormalFrame) -> CompressionResult:
-    """Compress A onto a pseudo-orthonormal positive frame.
-
-    The compressed matrix has entries m[k, j] = <A x_j, x_k>.  It is Hermitian
-    because J A is, so its eigenvalues (returned ascending) are real; its
-    trace equals the sum of the Rayleigh ratios of the frame vectors.  A
-    stacked frame is compressed with one batched product and one batched
-    eigvalsh.
-    """
-    if frame.orientation != POSITIVE:
-        raise OrientationMismatch("compression is defined on positive frames")
-    if frame.signature != A.signature:
-        raise ValueError("frame and matrix must share a signature")
-    X = frame.vectors
-    jd = metric_diagonal(A.signature)
-    M = np.swapaxes(X, -1, -2).conj() @ (jd[:, None] * (A.entries @ X))
-    M = 0.5 * (M + np.swapaxes(M, -1, -2).conj())
-    etas = np.linalg.eigvalsh(M)
-    return CompressionResult(frame=frame, compressed=M, etas=etas)

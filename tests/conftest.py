@@ -1,9 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from kreinval import SamplerConfig, Signature
 from kreinval.core import metric_diagonal
-from kreinval.geometry import TOL_NULL_REL, gram
+from kreinval.errors import OrientationMismatch
+from kreinval.geometry import POSITIVE, TOL_NULL_REL, PseudoOrthonormalFrame, gram
 
 SIGNATURES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
 
@@ -78,3 +81,35 @@ def cone_margin(basis, sig, *, tol_rank=1e-10):
     u, s, _ = np.linalg.svd(np.asarray(basis, dtype=complex), full_matrices=False)
     margins = np.linalg.eigvalsh(gram(u, sig))[..., 0]
     return np.where(s[..., -1] <= tol_rank * np.maximum(s[..., 0], 1e-300), -np.inf, margins)
+
+
+@dataclass(frozen=True)
+class CompressionResult:
+    """A compression of A onto a positive frame, with its real spectrum.
+
+    For a stacked frame, ``compressed`` is (..., k, k) and ``etas`` (..., k).
+    """
+
+    frame: PseudoOrthonormalFrame
+    compressed: np.ndarray
+    etas: np.ndarray
+
+
+def compress(A, frame: PseudoOrthonormalFrame) -> CompressionResult:
+    """Compress A onto a pseudo-orthonormal positive frame, an oracle for the checks' stacks.
+
+    The compressed matrix has entries m[k, j] = <A x_j, x_k>.  It is Hermitian
+    because J A is, so its eigenvalues (returned ascending) are real; its
+    trace equals the sum of the Rayleigh ratios of the frame vectors.  A
+    stacked frame is compressed with one batched product and one batched
+    eigvalsh.
+    """
+    if frame.orientation != POSITIVE:
+        raise OrientationMismatch("compression is defined on positive frames")
+    if frame.signature != A.signature:
+        raise ValueError("frame and matrix must share a signature")
+    X = frame.vectors
+    jd = metric_diagonal(A.signature)
+    M = np.swapaxes(X, -1, -2).conj() @ (jd[:, None] * (A.entries @ X))
+    M = 0.5 * (M + np.swapaxes(M, -1, -2).conj())
+    return CompressionResult(frame=frame, compressed=M, etas=np.linalg.eigvalsh(M))

@@ -24,6 +24,7 @@ from kreinval.checks import (
     check_trace_identity,
     check_weyl,
     check_wielandt_flag,
+    positive_compressions,
 )
 from kreinval.cli import SUITES, SuiteConfig, run_suite
 from kreinval.core import AdmissibleSpectrum, PseudoHermitianMatrix, Signature
@@ -179,14 +180,15 @@ def test_criterion_03_minmax_subspaces(cfg, instances):
     failures = []
     for (p, q), inst in instances.items():
         for j, (A, _, _) in enumerate(inst):
+            rng = instance_rng(SEED, 300 + j)
             rep = check_courant_fischer(
                 A,
-                n_subspaces=500,
+                positive_compressions(A, 500, cfg, rng),
                 tol=BOUND_TOL,
                 equality_tol=WITNESS_TOL,
-                cfg=cfg,
-                rng=instance_rng(SEED, 300 + j),
+                rng=rng,
             )
+            assert rep.descriptor["n_subspaces"] == 500
             assert [c.case_id for c in rep.cases] == [
                 f"{kind}:{k}"
                 for k in range(1, p + 1)
@@ -211,12 +213,11 @@ def test_criterion_04_partial_sum_frames(cfg, instances):
         for j, (A, _, _) in enumerate(inst):
             reports = check_ky_fan(
                 A,
-                n_frames=200,
+                positive_compressions(A, 200, cfg, instance_rng(SEED, 400 + 10 * j)),
                 tol=BOUND_TOL,
                 equality_tol=WITNESS_TOL,
-                cfg=cfg,
-                rng=instance_rng(SEED, 400 + 10 * j),
             )
+            assert all(r.descriptor["n_frames"] == 200 for r in reports)
             assert [r.descriptor["k"] for r in reports] == list(range(1, p + 1))
             for k, rep in enumerate(reports, start=1):
                 assert [c.case_id for c in rep.cases] == [
@@ -303,14 +304,14 @@ def test_criterion_07_flag_compressions(cfg, instances):
     for (p, q), inst in instances.items():
         A = inst[0][0]
         tuples = all_index_tuples(p)
+        rng = instance_rng(SEED, 700)
         reports = check_wielandt_flag(
             A,
             tuples,
-            n_flags=100,
+            positive_compressions(A, 100, cfg, rng),
             n_tuples=20,
             tol=BOUND_TOL,
-            cfg=cfg,
-            rng=instance_rng(SEED, 700),
+            rng=rng,
         )
         assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
         for idx, rep in zip(tuples, reports):
@@ -470,9 +471,10 @@ def test_criterion_10_hermitian_degeneration(cfg):
                 assert abs(c.lhs - lhs) <= WITNESS_TOL
                 assert abs(c.rhs - rhs) <= WITNESS_TOL
 
+            rng = instance_rng(SEED, 10100 + i)
             rep = check_courant_fischer(
-                A, n_subspaces=100, tol=BOUND_TOL, equality_tol=WITNESS_TOL,
-                cfg=cfg, rng=instance_rng(SEED, 10100 + i),
+                A, positive_compressions(A, 100, cfg, rng), tol=BOUND_TOL, equality_tol=WITNESS_TOL,
+                rng=rng,
             )
             assert rep.passed
             for c in rep.cases:
@@ -482,8 +484,8 @@ def test_criterion_10_hermitian_degeneration(cfg):
                     assert abs(c.lhs - oa[k - 1]) <= WITNESS_TOL
 
             reports = check_ky_fan(
-                A, n_frames=100, tol=BOUND_TOL, equality_tol=WITNESS_TOL,
-                cfg=cfg, rng=instance_rng(SEED, 10200 + 10 * i),
+                A, positive_compressions(A, 100, cfg, instance_rng(SEED, 10200 + 10 * i)),
+                tol=BOUND_TOL, equality_tol=WITNESS_TOL,
             )
             assert len(reports) == p
             for k, rep in enumerate(reports, start=1):
@@ -495,9 +497,10 @@ def test_criterion_10_hermitian_degeneration(cfg):
                         assert abs(c.lhs - target) <= WITNESS_TOL
 
             tuples = [(p,), (1, p)]
+            rng = instance_rng(SEED, 10300 + 10 * i)
             reports = check_wielandt_flag(
-                A, tuples, n_flags=20, n_tuples=5, tol=BOUND_TOL,
-                cfg=cfg, rng=instance_rng(SEED, 10300 + 10 * i),
+                A, tuples, positive_compressions(A, 20, cfg, rng), n_tuples=5, tol=BOUND_TOL,
+                rng=rng,
             )
             assert len(reports) == len(tuples)
             for idx, rep in zip(tuples, reports):

@@ -39,9 +39,10 @@ from kreinval.checks import (
     make_case,
     make_cases,
     matrix_sum,
+    positive_compressions,
     thompson_freede_pairs,
 )
-from kreinval.errors import GapViolation
+from kreinval.errors import GapViolation, ShapeMismatch
 
 SEED = 2211
 
@@ -248,11 +249,12 @@ def test_inequalities_are_shift_covariant(sampler_cfg):
 def test_courant_fischer_and_ky_fan(signature, sampler_cfg):
     rng = instance_rng(SEED, 21)
     A, _, _ = sample_planted(signature, sampler_cfg, rng)
-    cf = check_courant_fischer(A, 60, cfg=sampler_cfg, rng=rng)
+    M = positive_compressions(A, 60, sampler_cfg, rng)
+    cf = check_courant_fischer(A, M, rng=rng)
     assert cf.passed
     witness = [c for c in cf.cases if c.case_id.startswith("minmax_witness")]
     assert all(c.margin >= -1e-9 for c in witness)
-    reports = check_ky_fan(A, 40, cfg=sampler_cfg, rng=rng)
+    reports = check_ky_fan(A, M[:40])
     assert [r.descriptor["k"] for r in reports] == list(range(1, signature.p + 1))
     assert all(r.passed for r in reports)
 
@@ -261,10 +263,12 @@ def test_courant_fischer_without_samples_keeps_its_witnesses(sampler_cfg):
     sig = Signature(2, 1)
     rng = instance_rng(SEED, 25)
     A, _, _ = sample_planted(sig, sampler_cfg, rng)
-    report = check_courant_fischer(A, n_subspaces=0, cfg=sampler_cfg, rng=rng)
-    assert report.passed
+    empty = positive_compressions(A, 0, sampler_cfg, rng)
+    assert empty.shape == (0, sig.p, sig.p)
+    report = check_courant_fischer(A, empty, rng=rng)
+    assert report.passed and report.descriptor["n_subspaces"] == 0
     by_id = {c.case_id: c for c in report.cases}
-    ky_fan = check_ky_fan(A, n_frames=0, cfg=sampler_cfg, rng=rng)
+    ky_fan = check_ky_fan(A, empty)
     assert len(ky_fan) == sig.p
     for k, kf in enumerate(ky_fan, start=1):
         # an empty sample bounds nothing, so it gets no case (and no +inf lhs)
@@ -276,11 +280,28 @@ def test_courant_fischer_without_samples_keeps_its_witnesses(sampler_cfg):
         assert [c.case_id for c in kf.cases] == [f"partial_sum_witness:{k}"]
 
 
+def test_a_frame_stack_of_another_signature_is_refused(sampler_cfg):
+    """Each variational check takes a stack (N, p, p) for A's p and nothing else."""
+    sig = Signature(3, 1)
+    A, _, _ = sample_planted(sig, sampler_cfg, instance_rng(SEED, 26))
+    M = positive_compressions(A, 4, sampler_cfg, instance_rng(SEED, 27))
+    assert M.shape == (4, 3, 3) and not M.flags.writeable
+    for bad in (M[:, :2, :2], M[0], np.zeros((4, 3, 2))):
+        with pytest.raises(ShapeMismatch, match=r"\(N, 3, 3\)"):
+            check_courant_fischer(A, bad)
+        with pytest.raises(ShapeMismatch, match=r"\(N, 3, 3\)"):
+            check_ky_fan(A, bad)
+        with pytest.raises(ShapeMismatch, match=r"\(N, 3, 3\)"):
+            check_wielandt_flag(A, [(1,)], bad)
+    negative = PseudoHermitianMatrix(Signature(0, 2), np.diag([-1.0, -2.0]).astype(complex))
+    assert positive_compressions(negative, 5, sampler_cfg, instance_rng(SEED, 28)).shape == (5, 0, 0)
+
+
 def test_ky_fan_witness_is_tight(sampler_cfg):
     sig = Signature(3, 1)
     rng = instance_rng(SEED, 22)
     A, spec, _ = sample_planted(sig, sampler_cfg, rng)
-    report = check_ky_fan(A, 30, cfg=sampler_cfg, rng=rng)[1]
+    report = check_ky_fan(A, positive_compressions(A, 30, sampler_cfg, rng))[1]
     assert report.descriptor["k"] == 2
     by_id = {c.case_id: c for c in report.cases}
     assert by_id["partial_sum_witness:2"].rhs == pytest.approx(
@@ -303,7 +324,7 @@ def test_wielandt_full_tuple_matches_ky_fan_target(sampler_cfg):
     sig = Signature(2, 1)
     rng = instance_rng(SEED, 23)
     A, spec, _ = sample_planted(sig, sampler_cfg, rng)
-    (report,) = check_wielandt_flag(A, [(1, 2)], n_flags=8, n_tuples=4, cfg=sampler_cfg, rng=rng)
+    (report,) = check_wielandt_flag(A, [(1, 2)], positive_compressions(A, 8, sampler_cfg, rng), n_tuples=4, rng=rng)
     assert report.passed
     by_id = {c.case_id: c for c in report.cases}
     assert by_id["eigenflag_witness"].rhs == pytest.approx(np.sum(spec.lambdas), abs=1e-7)
@@ -317,7 +338,7 @@ def test_wielandt_single_index(sampler_cfg):
     sig = Signature(2, 2)
     rng = instance_rng(SEED, 24)
     A, _, _ = sample_planted(sig, sampler_cfg, rng)
-    (report,) = check_wielandt_flag(A, [(2,)], n_flags=6, n_tuples=4, cfg=sampler_cfg, rng=rng)
+    (report,) = check_wielandt_flag(A, [(2,)], positive_compressions(A, 6, sampler_cfg, rng), n_tuples=4, rng=rng)
     assert report.passed
 
 
@@ -327,7 +348,7 @@ def test_hermitian_degeneration_of_inequalities(sampler_cfg):
     assert np.allclose(A.entries, A.entries.conj().T)
     assert check_weyl(A, B).passed
     assert check_lidskii_wielandt(A, B, rng=rng).passed
-    report = check_courant_fischer(A, 40, cfg=sampler_cfg, rng=rng)
+    report = check_courant_fischer(A, positive_compressions(A, 40, sampler_cfg, rng), rng=rng)
     assert report.passed
 
 

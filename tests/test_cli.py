@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -8,14 +9,20 @@ from kreinval import (
     AdmissibleSpectrum,
     ConfigError,
     Signature,
+    checks,
+    check_courant_fischer,
+    check_ky_fan,
+    check_wielandt_flag,
     cli,
     eigendecompose,
     instance_rng,
+    positive_compressions,
     read_matrix,
     sample_planted,
     write_matrix,
 )
 from kreinval.cli import SUITES, SuiteConfig, build_config, main, run_instance, run_suite, validate_config
+from kreinval.checks import lambda_index_tuples
 from kreinval.errors import SchemaError
 from kreinval.sampling import SamplerConfig
 from kreinval.spectral import shift_margin
@@ -167,6 +174,52 @@ class TestRunner:
             names = {r.check_name for r in alone}
             expected = [r.to_dict() for r in full if r.check_name in names]
             assert [r.to_dict() for r in alone] == expected, suite
+        # three different budgets size one frame stack; each suite reads its leading rows
+        index, variational = 2, ("courant_fischer", "ky_fan", "wielandt")
+        cfg = SuiteConfig(p=4, q=3, seed=SEED, suites=variational, courant_subspaces=7, kyfan_frames=3,
+                          wielandt_flags=5)
+        together = [r.to_dict() for r in run_instance(cfg, index)]
+        A, _, _ = sample_planted(Signature(4, 3), cfg.sampler(), instance_rng(SEED, index))
+        M = positive_compressions(A, 7, cfg.sampler(), instance_rng(SEED, index, len(SUITES)))
+        streams = {suite: instance_rng(SEED, index, SUITES.index(suite)) for suite in variational}
+        tuples = lambda_index_tuples(4, rng=streams["wielandt"])
+        direct = {
+            "courant_fischer": [check_courant_fischer(A, M[:7], rng=streams["courant_fischer"])],
+            "ky_fan": check_ky_fan(A, M[:3]),
+            "wielandt": check_wielandt_flag(A, tuples, M[:5], n_tuples=cfg.wielandt_frames,
+                                            rng=streams["wielandt"]),
+        }
+        assert together[0]["descriptor"]["n_subspaces"] == 7
+        for suite in variational:
+            alone = [r.to_dict() for r in run_instance(dataclasses.replace(cfg, suites=(suite,)), index)]
+            assert alone == [r for r in together if r["check_name"] == suite], suite
+            assert alone == [r.to_dict() for r in direct[suite]], suite
+
+    def test_no_positive_block_or_no_budget_draws_no_frames(self, monkeypatch):
+        """p = 0, or all three budgets 0, draws nothing and keeps the case sets of the empty budgets."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a frame was drawn")
+
+        monkeypatch.setattr(checks, "sample_positive_subspace", no_draw)
+        variational = ("courant_fischer", "ky_fan", "wielandt")
+        reports = run_instance(SuiteConfig(p=0, q=2, seed=SEED, suites=variational), 0)
+        assert [(r.check_name, r.descriptor, r.cases, r.notes) for r in reports] == [
+            ("courant_fischer", {"n_subspaces": 100, "equality_tol": 1e-9}, (), ("no positive-type block",)),
+            ("ky_fan", {"n_frames": 100, "equality_tol": 1e-9}, (), ("no positive-type block",)),
+            ("wielandt", {"n_flags": 10, "n_tuples": 5}, (), ("no positive-type block",)),
+        ]
+        cfg = SuiteConfig(p=2, q=1, seed=SEED, suites=variational, courant_subspaces=0, kyfan_frames=0,
+                          wielandt_flags=0)
+        reports = run_instance(cfg, 0)
+        assert all(r.passed for r in reports)
+        assert [[c.case_id for c in r.cases] for r in reports] == [
+            ["minmax_witness:1", "restricted_witness:1", "minmax_witness:2", "restricted_witness:2"],
+            ["partial_sum_witness:1"],
+            ["partial_sum_witness:2"],
+            *[["eigenflag_witness", "eigenflag_witness_etas"]] * 3,
+        ]
+        assert reports[0].descriptor["n_subspaces"] == 0
+        assert [r.descriptor["n_flags"] for r in reports[3:]] == [0, 0, 0]
 
     def test_exit_codes(self, tmp_path, capsys):
         out = tmp_path / "r.jsonl"

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from kreinval import checks, cli, sampling
 from kreinval.checks import (
     WITNESS_ROUNDOFF,
-    _compression_onto,
     _compression_trace,
     _hermitian_part,
     _hyperplane_basis,
@@ -32,6 +31,7 @@ from kreinval.checks import (
     _witness_traces,
     check_wielandt_flag,
     lambda_index_tuples,
+    positive_compressions,
 )
 from kreinval.cli import SUITES, SuiteConfig, run_instance, run_suite
 from kreinval.core import Signature, metric_diagonal
@@ -45,9 +45,9 @@ from kreinval.sampling import (
     sample_planted,
     sample_positive_subspace,
 )
-from kreinval.spectral import compress, eigendecompose, positive_eigenbasis
+from kreinval.spectral import eigendecompose, positive_eigenbasis
 
-from conftest import cone_margin
+from conftest import compress, cone_margin
 
 SEED = 4417
 ORACLE_SIGNATURES = [(1, 1), (2, 1), (3, 0), (3, 2), (4, 3)]
@@ -205,8 +205,15 @@ def check_flags_against_reference(A, flags):
 
 
 def suite_bases(sig, n_flags, cfg, rng):
-    """The width-p bases of check_wielandt_flag's random flags: its first draw, shared by every tuple."""
+    """The width-p bases that ``positive_compressions(A, n_flags, cfg, rng)`` frames and compresses."""
     return sample_positive_subspace(sig, sig.p, cfg, rng, count=n_flags)
+
+
+def instance_bases(cfg, index):
+    """The bases of an instance's frame stack: one draw from the frame stream, sized by the largest budget."""
+    count = max(cfg.courant_subspaces, cfg.kyfan_frames, cfg.wielandt_flags)
+    frames = instance_rng(cfg.seed, index, len(SUITES))
+    return suite_bases(Signature(cfg.p, cfg.q), count, cfg.sampler(), frames)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +259,7 @@ def test_shared_traces_match_the_per_tuple_reference(pq):
     """
     A, cfg = instance(*pq, 6)
     sig = A.signature
-    M = _compression_onto(A, suite_bases(sig, 7, cfg, instance_rng(SEED, 7)))
+    M = positive_compressions(A, 7, cfg, instance_rng(SEED, 7))
     tuples = lambda_index_tuples(sig.p, rng=instance_rng(SEED, 8))
     assert len(tuples) == min(200, 2**sig.p - 1)
     for idx, got in zip(tuples, shared_traces(M, tuples), strict=True):
@@ -268,8 +275,9 @@ def test_check_witness_cases_match_the_per_flag_reference(pq):
     A, cfg = instance(*pq, 4)
     sig = A.signature
     tuples = lambda_index_tuples(sig.p)
-    reports = check_wielandt_flag(A, tuples, n_flags=6, n_tuples=3, cfg=cfg, rng=instance_rng(SEED, 5))
-    bases = suite_bases(sig, 6, cfg, instance_rng(SEED, 5))
+    M = positive_compressions(A, 6, cfg, instance_rng(SEED, 5))
+    reports = check_wielandt_flag(A, tuples, M, n_tuples=3, rng=instance_rng(SEED, 6))
+    bases = suite_bases(sig, 6, cfg, instance_rng(SEED, 5))  # the flags that M compresses onto
     assert len(reports) == len(tuples)
     for idx, rep in zip(tuples, reports):
         assert rep.descriptor["index_tuple"] == list(idx)
@@ -290,11 +298,13 @@ def test_check_witness_cases_match_the_per_flag_reference(pq):
 
 @pytest.mark.parametrize("pq", SHARED_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_shared_flags_give_every_tuple_its_own_flags_cases(pq):
-    """On the suite's own draws, every tuple's cases equal those of a check that framed its own flag.
+    """On the instance's own draws, every tuple's cases equal those of a check that framed its own flag.
 
-    The reference is the per-tuple computation: ``PositiveFlag(sig, idx,
-    bases)``, the witness on that flag's own M and eigvalsh of that M, and
-    interlacing on frames of the (p-1)-column prefixes.
+    The flags are the leading ``wielandt_flags`` bases of the instance's
+    frame stack, re-drawn from the frame stream.  The reference is the
+    per-tuple computation: ``PositiveFlag(sig, idx, bases)``, the witness on
+    that flag's own M and eigvalsh of that M, and interlacing on frames of
+    the (p-1)-column prefixes.
     """
     cfg = SuiteConfig(p=pq[0], q=pq[1], seed=SEED, suites=("wielandt",))
     sig, scfg, index = Signature(*pq), cfg.sampler(), 3
@@ -302,7 +312,7 @@ def test_shared_flags_give_every_tuple_its_own_flags_cases(pq):
     A, _, _ = sample_planted(sig, scfg, instance_rng(SEED, index))
     rng = instance_rng(SEED, index, SUITES.index("wielandt"))
     tuples = lambda_index_tuples(sig.p, cfg.max_m, rng=rng)
-    bases = suite_bases(sig, cfg.wielandt_flags, scfg, rng)
+    bases = instance_bases(cfg, index)[: cfg.wielandt_flags]
     lambdas = eigendecompose(A).spectrum.lambdas
     JA = metric_diagonal(sig)[:, None] * A.entries
     xi = compress(A, pseudo_orthonormalize(bases[..., : sig.p - 1], sig, POSITIVE)).etas
@@ -449,14 +459,15 @@ def test_a_check_solves_one_eigenproblem_per_width_and_per_batched_step(monkeypa
     tuples = all_tuples(6)
     groups = {(len(path) - 1, r, run) for idx in tuples for path, r, run in witness_steps(idx) if len(path) > 1}
     assert len(groups) == 20
+    M = positive_compressions(A, 4, cfg, instance_rng(SEED, 8))
     calls = counting_linalg(monkeypatch, "eigh", "svd")
-    reports = check_wielandt_flag(A, tuples, n_flags=4, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 8))
+    reports = check_wielandt_flag(A, tuples, M, n_tuples=2, rng=instance_rng(SEED, 9))
     assert len(reports) == 63 and all(r.passed for r in reports)
     assert calls == {"eigh": 6 + len(groups), "svd": 0}
 
 
 def test_the_eigenflag_draw_does_not_grow_with_the_tuples(monkeypatch):
-    """Two Gaussian draws for the flag stack and one for every tuple's eigenflag coordinates."""
+    """One Gaussian draw for every tuple's eigenflag coordinates; the flags come in drawn."""
     draws = []
     normal = sampling.complex_normal
 
@@ -464,15 +475,17 @@ def test_the_eigenflag_draw_does_not_grow_with_the_tuples(monkeypatch):
         draws.append(shape)
         return normal(rng, *shape)
 
-    monkeypatch.setattr(sampling, "complex_normal", counting)
     A, cfg = instance(6, 4, 9)
+    monkeypatch.setattr(sampling, "complex_normal", counting)
+    M = positive_compressions(A, 3, cfg, instance_rng(SEED, 10))
+    assert len(draws) == 2  # the stack's isometries and contractions
     counts = []
     for tuples in ([(2,)], [(1, 5), (3,)], all_tuples(6)):
         draws.clear()
-        check_wielandt_flag(A, tuples, n_flags=3, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 10))
+        check_wielandt_flag(A, tuples, M, n_tuples=2, rng=instance_rng(SEED, 11))
         counts.append(len(draws))
         assert draws[-1] == (6, sum(sum(idx) for idx in tuples))  # one row per eigenflag frame
-    assert counts == [3, 3, 3]
+    assert counts == [1, 1, 1]
 
 
 def test_witness_spans_whose_ranks_differ_across_samples():
@@ -601,12 +614,11 @@ def test_the_full_tuple_eigenflag_margin_is_roundoff():
     assert case.margin >= -1e-12 * max(1.0, abs(case.rhs))
 
 
-def test_a_variational_instance_makes_no_svd_but_the_contraction_norms(monkeypatch):
-    """Cholesky certifies every positive subspace and flag; the SVDs left are the norms of K.
+def test_a_variational_instance_makes_no_svd(monkeypatch):
+    """Cholesky certifies every positive subspace and flag, and eigvalsh gives the norms of K.
 
-    Each ``sample_positive_subspace`` call with q > 0 takes one batched
-    spectral norm.  Sampling the instance itself (its Lie-algebra coupling
-    and cond(U)) is not counted.
+    Sampling the instance itself (its Lie-algebra coupling and cond(U)) is
+    not counted.  The one frame draw of the instance is.
     """
     calls = {"svd": 0, "draws": 0}
     counting = [True]
@@ -636,7 +648,7 @@ def test_a_variational_instance_makes_no_svd_but_the_contraction_norms(monkeypat
     monkeypatch.setattr(cli, "sample_planted", uncounted_plant)
     cfg = SuiteConfig(p=4, q=3, seed=SEED, suites=("courant_fischer", "ky_fan", "wielandt"))
     assert all(r.passed for r in run_instance(cfg, 0))
-    assert calls["draws"] > 0 and calls["svd"] == calls["draws"], calls
+    assert calls == {"svd": 0, "draws": 1}
 
 
 def test_a_solver_failure_in_a_witness_gives_the_instance_an_error_record(tmp_path, monkeypatch):
@@ -681,26 +693,28 @@ def test_the_ascent_is_batched_over_flags(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    stacks = {n_flags: positive_compressions(A, n_flags, cfg, instance_rng(SEED, 16)) for n_flags in (4, 16)}
     for idx in ((2,), (1, 3), (2, 3)):
         counts = []
-        for n_flags in (4, 16):
+        for n_flags, M in stacks.items():
             calls.clear()
-            (rep,) = check_wielandt_flag(A, [idx], n_flags=n_flags, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 16))
+            (rep,) = check_wielandt_flag(A, [idx], M, n_tuples=2, rng=instance_rng(SEED, 17))
             assert rep.passed
             assert sum(c.case_id.startswith("witness:") for c in rep.cases) == n_flags
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0, idx
 
 
-def test_a_variational_instance_draws_once_per_suite(monkeypatch):
-    """One width-p draw per suite, one eigenbasis certification per matrix, and the flag
+def test_a_variational_instance_draws_one_frame_stack(monkeypatch):
+    """One width-p draw and two certifications per instance: the frame stack, sized by the
+    largest budget, and the eigenbasis, both shared by the three suites.  The check's own
     certifications do not grow with the tuple count."""
     draws, flags = [], []
     draw, flag = checks.sample_positive_subspace, checks.PositiveFlag
 
-    def counting_draw(sig, k, *args, **kwargs):
-        draws.append(k)
-        return draw(sig, k, *args, **kwargs)
+    def counting_draw(sig, k, *args, count=None, **kwargs):
+        draws.append((k, count))
+        return draw(sig, k, *args, count=count, **kwargs)
 
     def counting_flag(*args, **kwargs):
         flags.append(1)
@@ -709,22 +723,24 @@ def test_a_variational_instance_draws_once_per_suite(monkeypatch):
     monkeypatch.setattr(checks, "sample_positive_subspace", counting_draw)
     monkeypatch.setattr(checks, "PositiveFlag", counting_flag)
     checks._positive_eigen_by_value.cache_clear()
-    cfg = SuiteConfig(p=4, q=3, seed=SEED, suites=("courant_fischer", "ky_fan", "wielandt"))
+    cfg = SuiteConfig(p=4, q=3, seed=SEED, suites=("courant_fischer", "ky_fan", "wielandt"),
+                      courant_subspaces=30, kyfan_frames=70, wielandt_flags=10)
     reports = run_instance(cfg, 0)
     assert all(r.passed for r in reports) and len(reports) == 1 + 4 + 15
-    assert draws == [4, 4, 4]
-    assert len(flags) == 1 + 3  # the eigenbasis, shared by the three suites, and one stack per suite
+    assert draws == [(4, 70)]
+    assert len(flags) == 2
     A, cfg = instance(4, 3, 0)
+    M = positive_compressions(A, 4, cfg, instance_rng(SEED, 6))
     certified = []
     for tuples in ([(2,)], lambda_index_tuples(4)):
         checks._positive_eigen_by_value.cache_clear()
         flags.clear()
-        check_wielandt_flag(A, tuples, n_flags=4, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 6))
+        check_wielandt_flag(A, tuples, M, n_tuples=2, rng=instance_rng(SEED, 7))
         certified.append(len(flags))
-    assert certified == [2, 2]  # the eigenflag and the stack of random flags
+    assert certified == [1, 1]  # the eigenflag; the random flags come in certified
     flags.clear()
-    check_wielandt_flag(A, [(1, 3)], n_flags=4, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 6))
-    assert len(flags) == 1  # the eigenflag's compression is kept for A
+    check_wielandt_flag(A, [(1, 3)], M, n_tuples=2, rng=instance_rng(SEED, 7))
+    assert not flags  # the eigenflag's compression is kept for A
     assert not checks._positive_eigen(A)[1].flags.writeable
 
 
@@ -738,8 +754,8 @@ def test_empty_budgets_leave_out_their_cases():
     tuples = [(1,), (2, 4), (1, 2, 3, 4)]
     ids = {}
     for n_flags, n_tuples in ((3, 2), (0, 2), (3, 0), (0, 0)):
-        reports = check_wielandt_flag(A, tuples, n_flags=n_flags, n_tuples=n_tuples, cfg=cfg,
-                                      rng=instance_rng(SEED, 12))
+        M = positive_compressions(A, n_flags, cfg, instance_rng(SEED, 12))
+        reports = check_wielandt_flag(A, tuples, M, n_tuples=n_tuples, rng=instance_rng(SEED, 13))
         assert all(r.passed for r in reports)
         ids[n_flags, n_tuples] = [wielandt_case_ids(r) for r in reports]
     eigen = ["eigenflag_witness", "eigenflag_witness_etas"]
@@ -747,14 +763,15 @@ def test_empty_budgets_leave_out_their_cases():
     assert ids[3, 2] == [["eigenflag_max", *eigen, *witness]] * 3
     assert ids[0, 2] == ids[0, 0] == [eigen] * 3
     assert ids[3, 0] == [[*eigen, *witness]] * 3
-    assert check_wielandt_flag(A, [], n_flags=3, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 12)) == []
+    assert check_wielandt_flag(A, [], M, n_tuples=2, rng=instance_rng(SEED, 13)) == []
 
 
 @pytest.mark.parametrize("pq", [(1, 0), (1, 1), (3, 0)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_one_positive_dimension_and_no_negative_block(pq):
     A, cfg = instance(*pq, 13)
     tuples = lambda_index_tuples(pq[0])
-    reports = check_wielandt_flag(A, tuples, n_flags=3, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 14))
+    M = positive_compressions(A, 3, cfg, instance_rng(SEED, 14))
+    reports = check_wielandt_flag(A, tuples, M, n_tuples=2, rng=instance_rng(SEED, 15))
     assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
     assert all(r.passed for r in reports)
     assert all(("interlace_min" in wielandt_case_ids(r)) == (pq[0] >= 2) for r in reports)
@@ -769,10 +786,11 @@ def test_duplicate_and_unordered_tuples_get_the_cases_of_their_own_call():
     """
     A, cfg = instance(5, 3, 15)
     tuples = [(2, 5), (1,), (2, 5), (1, 3, 4), (5,), (1,)]
-    reports = check_wielandt_flag(A, tuples, n_flags=4, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 16))
+    M = positive_compressions(A, 4, cfg, instance_rng(SEED, 16))
+    reports = check_wielandt_flag(A, tuples, M, n_tuples=2, rng=instance_rng(SEED, 17))
     assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
     for idx, rep in zip(tuples, reports):
-        (alone,) = check_wielandt_flag(A, [idx], n_flags=4, n_tuples=2, cfg=cfg, rng=instance_rng(SEED, 16))
+        (alone,) = check_wielandt_flag(A, [idx], M, n_tuples=2, rng=instance_rng(SEED, 17))
         assert [c for c in rep.cases if c.case_id != "eigenflag_max"] == [
             c for c in alone.cases if c.case_id != "eigenflag_max"
         ], idx
@@ -786,13 +804,15 @@ def test_duplicate_and_unordered_tuples_get_the_cases_of_their_own_call():
     count=st.integers(1, 5),
 )
 def test_prefixes_of_the_certified_frame_are_the_frames_of_the_prefixes(pq, seed, count):
-    """Column k-prefixes of one width-p frame frame the basis prefixes, and M's blocks compress onto them."""
+    """Column k-prefixes of one width-p frame frame the basis prefixes, and the blocks of
+    ``positive_compressions`` compress onto them: ``compress`` on the same frames agrees to 1e-12."""
     sig = Signature(*pq)
     cfg = SamplerConfig(seed=seed)
     A, _, _ = sample_planted(sig, cfg, instance_rng(seed, 30))
     bases = sample_positive_subspace(sig, sig.p, cfg, instance_rng(seed, 31), count=count)
     frame = PositiveFlag(sig, (sig.p,), bases).frame
-    M = _compression_onto(A, bases)
+    M = positive_compressions(A, count, cfg, instance_rng(seed, 31))
+    assert M.shape == (count, sig.p, sig.p) and not M.flags.writeable
     for k in range(1, sig.p + 1):
         prefix = pseudo_orthonormalize(bases[..., :k], sig, POSITIVE)
         assert np.max(np.abs(frame[..., :k] - prefix.vectors)) <= 1e-12

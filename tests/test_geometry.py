@@ -11,7 +11,6 @@ from kreinval import (
     SamplerConfig,
     Signature,
     classify,
-    compress,
     gram,
     pair,
     projector,
@@ -23,7 +22,7 @@ from kreinval import (
 from kreinval.core import metric_diagonal
 from kreinval.geometry import NEGATIVE, NULL, POSITIVE
 
-from conftest import NullVector
+from conftest import NullVector, compress
 
 SEED = 98
 

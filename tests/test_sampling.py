@@ -138,6 +138,23 @@ def test_graph_subspaces_are_positive_by_construction(p, q, cap, seed, count, da
     assert np.all(np.linalg.eigvalsh(gram(stack, sig))[:, 0] >= 1.0 - cap**2 - 1e-12)
 
 
+@pytest.mark.parametrize("pq", [(2, 1), (3, 2), (4, 3), (6, 4), (8, 6), (1, 3), (2, 5)], ids=str)
+def test_the_contraction_has_the_norm_it_was_drawn_with(pq):
+    """With k = p the isometry Q is unitary, so ||K Q||_2 is the drawn cap; an SVD is the oracle.
+
+    The sampler takes ||K||_2 from eigvalsh of the smaller Gram, K K* or K* K;
+    both orientations are covered (q < p and q > p).
+    """
+    sig, count, cfg = Signature(*pq), 200, SamplerConfig(contraction_cap=0.9)
+    stack = sample_positive_subspace(sig, sig.p, cfg, np.random.default_rng(SEED), count=count)
+    replay = np.random.default_rng(SEED)
+    replay.standard_normal((2, count, sig.p, sig.p))  # Q's real and imaginary parts
+    replay.standard_normal((2, count, sig.q, sig.p))  # K's
+    caps = replay.uniform(0.0, cfg.contraction_cap, count)
+    norms = np.linalg.norm(stack[:, sig.p :, :], 2, axis=(-2, -1))
+    assert np.max(np.abs(norms - caps) / caps) <= 1e-14
+
+
 def test_batched_subordinate_frames_lie_in_their_levels(signature, sampler_cfg):
     """One draw for every tuple: groups of equal shape cover the tuples once, in order of first appearance."""
     rng = instance_rng(SEED, 15)

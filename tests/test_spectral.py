@@ -12,7 +12,6 @@ from kreinval import (
     Signature,
     WrongConeCount,
     check_admissible,
-    compress,
     conjugate,
     eigendecompose,
     instance_rng,
@@ -28,6 +27,8 @@ from kreinval.core import metric_diagonal
 from kreinval.errors import NullDegeneracy, OrientationMismatch
 from kreinval.geometry import NEGATIVE, NULL, POSITIVE, classify, gram, pseudo_orthonormalize
 from kreinval.sampling import SamplerConfig
+
+from conftest import compress
 
 SEED = 515
 
