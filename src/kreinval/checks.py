@@ -37,10 +37,12 @@ from .geometry import _adjoint
 from .sampling import (
     PositiveFlag,
     SamplerConfig,
+    SubordinateLayout,
     instance_rng,
     restricted_cone_samples,
     sample_positive_subspace,
-    subordinate_coordinates,
+    subordinate_frames,
+    subordinate_layout,
 )
 from .spectral import (
     check_admissible,
@@ -57,9 +59,12 @@ WITNESS_ROUNDOFF = 1e-12
 TUPLE_LIMIT = 200
 
 
-@dataclass(frozen=True, slots=True)
-class CheckCase:
-    """One compared pair of values with its sign-adjusted margin."""
+class CheckCase(NamedTuple):
+    """One compared pair of values with its sign-adjusted margin.
+
+    An immutable named tuple: it compares equal to any tuple of the same
+    seven values, and ``_replace`` gives a changed copy.
+    """
 
     case_id: str
     indices: tuple[int, ...]
@@ -104,10 +109,8 @@ def make_cases(case_ids, indices, lhs, rhs, margin, tol: float) -> list[CheckCas
     """
     tol = float(tol)
     lhs, rhs, margin = (np.asarray(col, dtype=float).tolist() for col in (lhs, rhs, margin))
-    return [
-        CheckCase(case_id, idx, left, right, m, tol, m >= -tol)
-        for case_id, idx, left, right, m in zip(case_ids, indices, lhs, rhs, margin)
-    ]
+    passed = [m >= -tol for m in margin]
+    return list(map(CheckCase._make, zip(case_ids, indices, lhs, rhs, margin, itertools.repeat(tol), passed)))
 
 
 @dataclass(frozen=True)
@@ -402,32 +405,35 @@ class _IndexSets(NamedTuple):
     tables: tuple[np.ndarray, ...]
 
 
+def _table(tuples, upper: int) -> np.ndarray:
+    """The read-only table (N, w) of the 1-based tuples, 0-based, short rows ending in the slot ``upper``."""
+    width = max(map(len, tuples), default=0)
+    pad = (upper + 1,) * width
+    rows = [t + pad[len(t) :] for t in tuples]
+    table = np.array(rows, dtype=np.intp).reshape(len(rows), width) - 1
+    table.flags.writeable = False
+    return table
+
+
 def _index_sets(case_ids, indices, upper: int, *parts) -> _IndexSets:
     """Read-only tables (N, w) of the 1-based tuples of each of ``parts``, short rows ending in ``upper``."""
-    tables = []
-    for tuples in parts:
-        width = max(map(len, tuples), default=0)
-        pad = (upper + 1,) * width
-        rows = [t + pad[len(t) :] for t in tuples]
-        tables.append(np.array(rows, dtype=np.intp).reshape(len(rows), width) - 1)
     sizes = np.array([len(t) for t in parts[0]], dtype=np.intp)
-    for array in (sizes, *tables):
-        array.flags.writeable = False
-    return _IndexSets(tuple(case_ids), tuple(indices), sizes, tuple(tables))
+    sizes.flags.writeable = False
+    return _IndexSets(tuple(case_ids), tuple(indices), sizes, tuple(_table(t, upper) for t in parts))
 
 
 def _tuple_sums(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The sum of ``values`` over each row of ``table`` (N, w), added left to right from +0.0.
+    """The sums (..., N) of ``values`` (..., n) over each row of ``table`` (N, w), added left to right from +0.0.
 
-    The padding slot len(values) reads 0.0.  Bit for bit what Python's
-    ``sum`` gives for the row's values through Python 3.11 (3.12's ``sum``
-    compensates).  A total that starts at +0.0 is never -0.0, so trailing
-    pads leave it unchanged.
+    The padding slot n reads 0.0.  Bit for bit what Python's ``sum`` gives
+    for the row's values through Python 3.11 (3.12's ``sum`` compensates).
+    A total that starts at +0.0 is never -0.0, so trailing pads leave it
+    unchanged.
     """
-    terms = np.append(values, 0.0)[table]
-    total = np.zeros(len(table))
-    for column in terms.T:
-        total += column
+    terms = np.append(values, np.zeros(values.shape[:-1] + (1,)), axis=-1)[..., table]
+    total = np.zeros(terms.shape[:-1])
+    for k in range(terms.shape[-1]):
+        total += terms[..., k]
     return total
 
 
@@ -891,6 +897,67 @@ def _witness_ids(n_flags: int) -> tuple[str, ...]:
     return tuple(f"witness:{f}" for f in range(n_flags))
 
 
+class _WielandtLayout(NamedTuple):
+    """The index tuples of ``check_wielandt_flag`` in table form.
+
+    ``tuples`` are the validated tuples in input order and ``draw`` lays out
+    their eigenflag draw.  ``table`` (T, w) is their 0-based index table
+    with pad slot p, for the tuple sums.  ``sizes`` holds, per tuple size,
+    the positions of those tuples and their 0-based columns (g, m);
+    ``widths`` holds, per top index r, r, the positions of those tuples and
+    their table (g, w) with pad slot r.
+    """
+
+    tuples: tuple[tuple[int, ...], ...]
+    draw: SubordinateLayout
+    table: np.ndarray
+    sizes: tuple[tuple[np.ndarray, np.ndarray], ...]
+    widths: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+
+def _tabulate_wielandt(p: int, index_tuples) -> _WielandtLayout:
+    tuples = tuple(check_index_tuple(t, p) for t in index_tuples)
+    by_size: dict[int, list[int]] = {}
+    by_width: dict[int, list[int]] = {}
+    for t, idx in enumerate(tuples):
+        by_size.setdefault(len(idx), []).append(t)
+        by_width.setdefault(idx[-1], []).append(t)
+
+    def positions(group):
+        array = np.array(group, dtype=np.intp)
+        array.flags.writeable = False
+        return array
+
+    return _WielandtLayout(
+        tuples,
+        subordinate_layout(tuples),
+        _table(tuples, p),
+        tuple((positions(g), _table([tuples[t] for t in g], p)) for g in by_size.values()),
+        tuple((r, positions(g), _table([tuples[t] for t in g], r)) for r, g in by_width.items()),
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _enumerated_wielandt_layout(p: int, max_size: int) -> _WielandtLayout:
+    return _tabulate_wielandt(p, lambda_index_tuples(p, max_size, limit=math.inf))
+
+
+def _wielandt_layout(p: int, tuples: tuple[tuple, ...]) -> _WielandtLayout:
+    """A nonempty tuple of index tuples tabulated; an enumerated set once per process.
+
+    A list that is the whole of ``lambda_index_tuples(p, m)`` for some m
+    depends on (p, m) alone, and its layout is memoized.  Any other list,
+    a sampled set included, is tabulated per call, so the memo holds
+    enumerated layouts only.
+    """
+    m = max(map(len, tuples))
+    if m and len(tuples) == _index_tuple_count(p, m)[1]:
+        layout = _enumerated_wielandt_layout(p, min(m, p))
+        if layout.tuples == tuples:
+            return layout
+    return _tabulate_wielandt(p, tuples)
+
+
 def check_wielandt_flag(
     A: PseudoHermitianMatrix,
     index_tuples,
@@ -914,7 +981,7 @@ def check_wielandt_flag(
 
     On the eigenvector flag: every one of ``n_flags * n_tuples`` random
     subordinate frames, drawn as orthonormal coordinates C in those levels
-    (``subordinate_coordinates``), has compression trace tr(C* M C) <= the
+    (``subordinate_frames``), has compression trace tr(C* M C) <= the
     sum of the selected eigenvalues, with equality on the eigenvectors
     themselves.  For the full tuple C is unitary, so ``eigenflag_max`` then
     compares tr(M) with the tuple sum and its margin is roundoff.
@@ -928,15 +995,20 @@ def check_wielandt_flag(
     (``interlace_min`` checks it on the flags' (p-1)-dimensional prefixes).
     With ``n_flags`` 0 there are no random flags and none of these cases.
 
-    The ``n_flags`` width-p flags of ``M`` serve every tuple.  The
-    eigenflag coordinates of all tuples are one draw from ``rng``, with one
-    QR and one trace per (r, m) shape.  Each tuple size gets
-    one ``eigvalsh`` for ``eigenflag_witness_etas``.  ``interlace_min`` is
+    The ``n_flags`` width-p flags of ``M`` serve every tuple, and each case
+    kind is one pass over all tuples.  The tuples are tabulated once per
+    process when they are an enumerated set, per call otherwise.  The
+    eigenflag coordinates of all tuples are one draw from ``rng``,
+    orthonormalized together, and one product with the eigenflag's
+    compression gives every trace.  The tuple sums are added left to right
+    from +0.0, as Python's ``sum`` adds them.  Each tuple size gets one
+    ``eigvalsh`` for ``eigenflag_witness_etas``.  ``interlace_min`` is
     computed once and carried by every report, and M's leading r x r blocks
     are decomposed once per distinct r, for the gap and for the witness's
     first step; the later steps are shared across tuples
-    (``_witness_traces``).  Reports follow ``index_tuples``, duplicates
-    included.  With p = 0 the one report says there is no positive block.
+    (``_witness_traces``).  The gap sums are one gather per top index r.
+    Reports follow ``index_tuples``, duplicates included.  With p = 0 the
+    one report says there is no positive block.
     """
     sig = A.signature
     M = _frame_stack(A, M)
@@ -945,36 +1017,38 @@ def check_wielandt_flag(
     shared = {"n_flags": n_flags, "n_tuples": n_tuples}
     if sig.p == 0:
         return [_no_positive_block("wielandt", sig, shared, tol)]
-    tuples = [check_index_tuple(t, sig.p) for t in index_tuples]
+    tuples = tuple(map(tuple, index_tuples))
+    if not tuples:
+        return []
+    layout = _wielandt_layout(sig.p, tuples)
+    tuples = layout.tuples
     T = len(tuples)
     system, eigen = _positive_eigen(A)
     lambdas = system.spectrum.lambdas
-    targets = np.array([float(sum(lambdas[i - 1] for i in idx)) for idx in tuples])
+    targets = _tuple_sums(lambdas, layout.table)
     zeros = np.zeros(T)
 
     interlace, spectra = [], {}
     if n_flags:
-        widths = {idx[-1] for idx in tuples} | ({sig.p - 1} if sig.p >= 2 else set())
+        widths = {r for r, _, _ in layout.widths} | ({sig.p - 1} if sig.p >= 2 else set())
         spectra = {r: np.linalg.eigh(M[:, :r, :r]) for r in widths}
         if sig.p >= 2:
             worst = float(np.min(spectra[sig.p - 1][0] - lambdas[: sig.p - 1]))
             interlace = [make_case("interlace_min", tuple(range(1, sig.p)), worst, 0.0, worst, tol)]
 
-    highest = np.empty(T)
-    for positions, coords in subordinate_coordinates(tuples, rng, n_flags * n_tuples):
-        r = tuples[positions[0]][-1]
-        highest[positions] = np.max(_compression_trace(eigen[:r, :r], coords), axis=0, initial=-np.inf)
     eigen_max = [()] * T  # no frames (a budget of 0) bound nothing, so get no case
-    if n_flags * n_tuples:
+    if count := n_flags * n_tuples:
+        C = subordinate_frames(layout.draw, rng, count)
+        EC = eigen[: len(C), : len(C)] @ C.reshape(len(C), -1)
+        # Re(conj(x) y) = x.real y.real + x.imag y.imag, summed over the rows and columns of each frame
+        parts = np.einsum("ik,ik->k", *(Z.view(float).reshape(-1, 2 * T * count) for Z in (C, EC)))
+        highest = np.empty(T)
+        highest[layout.draw.order] = np.max((parts[0::2] + parts[1::2]).reshape(T, count), axis=-1)
         maxima = make_cases(["eigenflag_max"] * T, tuples, highest, targets, targets - highest, tol)
         eigen_max = [(case,) for case in maxima]
 
     vals, devs = np.empty(T), np.empty(T)
-    by_size: dict[int, list[int]] = {}
-    for t, idx in enumerate(tuples):
-        by_size.setdefault(len(idx), []).append(t)
-    for positions in by_size.values():
-        cols = np.array([tuples[t] for t in positions]) - 1
+    for positions, cols in layout.sizes:
         subs = eigen[cols[:, :, None], cols[:, None, :]]
         vals[positions] = np.trace(subs, axis1=-2, axis2=-1).real
         devs[positions] = np.max(np.abs(np.linalg.eigvalsh(subs) - lambdas[cols]), axis=-1)
@@ -984,17 +1058,25 @@ def check_wielandt_flag(
 
     flag_cases = [()] * T
     if n_flags:
+        traces = np.array(_witness_traces(M, spectra, tuples))
         gaps = np.empty(T)
-        for t, traces in enumerate(_witness_traces(M, spectra, tuples)):
-            idx, target = tuples[t], targets[t]
-            flag_cases[t] = make_cases(
-                _witness_ids(n_flags), [idx] * n_flags, traces, np.full(n_flags, target), traces - target, tol
-            )
-            eta = spectra[idx[-1]][0]
+        for r, positions, table in layout.widths:
+            eta = spectra[r][0]
             scale = np.maximum(1.0, np.max(np.abs(eta), axis=-1))
-            gaps[t] = np.min((traces - eta[:, [i - 1 for i in idx]].sum(axis=-1)) / scale)
+            gaps[positions] = np.min((traces[positions] - _tuple_sums(eta, table).T) / scale, axis=-1)
         gap_cases = make_cases(["witness_gap_min"] * T, tuples, gaps, zeros, gaps, WITNESS_ROUNDOFF)
-        flag_cases = [[*interlace, *f, g] for f, g in zip(flag_cases, gap_cases)]
+        cases = make_cases(
+            _witness_ids(n_flags) * T,
+            [idx for idx in tuples for _ in range(n_flags)],
+            traces.ravel(),
+            np.repeat(targets, n_flags),
+            (traces - targets[:, None]).ravel(),
+            tol,
+        )
+        flag_cases = [
+            [*interlace, *cases[t * n_flags : (t + 1) * n_flags], gap]
+            for t, gap in enumerate(gap_cases)
+        ]
     return [
         finalize_report("wielandt", sig, {"index_tuple": list(idx), **shared}, tol, [*m, w, e, *f])
         for idx, m, w, e, f in zip(tuples, eigen_max, witness, etas, flag_cases)

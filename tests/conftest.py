@@ -7,6 +7,7 @@ from kreinval import SamplerConfig, Signature
 from kreinval.core import metric_diagonal
 from kreinval.errors import OrientationMismatch
 from kreinval.geometry import POSITIVE, TOL_NULL_REL, PseudoOrthonormalFrame, gram
+from kreinval.sampling import complex_normal
 
 SIGNATURES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
 
@@ -35,6 +36,7 @@ def fresh_memos():
         checks._sum_spectra_by_value,
         checks._enumerated_lidskii_sets,
         checks._enumerated_pair_sets,
+        checks._enumerated_wielandt_layout,
     )
     for memo in memos:
         memo.cache_clear()
@@ -113,3 +115,38 @@ def compress(A, frame: PseudoOrthonormalFrame) -> CompressionResult:
     M = np.swapaxes(X, -1, -2).conj() @ (jd[:, None] * (A.entries @ X))
     M = 0.5 * (M + np.swapaxes(M, -1, -2).conj())
     return CompressionResult(frame=frame, compressed=M, etas=np.linalg.eigvalsh(M))
+
+
+def subordinate_coordinates(index_tuples, rng, count):
+    """Orthonormal coordinates of ``count`` random frames subordinate to the flag of each tuple, shape by shape.
+
+    The eigenflag oracle: it reads the draw ``sampling.subordinate_frames``
+    reads, one ``complex_normal`` call, in the same order, and
+    orthonormalizes it by Householder QR instead of Gram-Schmidt.  In a
+    flag's ``frame`` the pairing is Euclidean and level j is E_{idx[j]},
+    the span of the first idx[j] unit vectors.  The tuples of one shape
+    (r, m), m = len(idx), form a group, orthonormalized by one batched QR;
+    groups come in order of first appearance, each as the positions of its
+    tuples in ``index_tuples`` and their coordinates (count, g, r, m).  The
+    levels are nested, so column j and every column before it vanish below
+    row idx[j]; the Householder reflections keep that zero pattern, so
+    column j of Q lies in E_{idx[j]} at any rank, and ``flag.frame @ Q[:, g]``
+    is a subordinate frame of the flag of the group's g-th tuple.
+    """
+    groups = {}
+    for pos, idx in enumerate(index_tuples):
+        groups.setdefault((idx[-1], len(idx)), []).append(pos)
+    # mask[t, i, j]: row i of column j is free for tuple t, i < idx_t[j]
+    masks = [
+        np.arange(r)[:, None] < np.array([index_tuples[t] for t in group])[:, None, :]
+        for (r, _), group in groups.items()
+    ]
+    sizes = [int(mask.sum()) for mask in masks]
+    G = complex_normal(rng, count, sum(sizes))
+    out, start = [], 0
+    for group, mask, size in zip(groups.values(), masks, sizes):
+        C = np.zeros((count, *mask.shape), dtype=complex)
+        C[:, mask] = G[:, start : start + size]
+        start += size
+        out.append((group, np.linalg.qr(C)[0]))
+    return out

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from kreinval import (
     AdmissibleSpectrum,
+    CheckCase,
     PseudoHermitianMatrix,
     PseudoUnitary,
     SamplerConfig,
@@ -69,6 +70,29 @@ def test_case_margin_semantics():
     bad = make_case("x", (), 0.5, 1.0, -0.5, 1e-8)
     grazing = make_case("x", (), 1.0, 1.0, -1e-9, 1e-8)
     assert good.passed and not bad.passed and grazing.passed
+
+
+def test_a_case_is_an_immutable_named_tuple():
+    """Fields cannot be assigned, a case pickles as itself, and ``to_dict`` keeps its keys and values."""
+    case = make_case("lambda:1,3", (1, 3), 1.0, 0.5, 0.5, 1e-8)
+    with pytest.raises(AttributeError):
+        case.margin = -1.0
+    assert case.margin == 0.5
+    clone = pickle.loads(pickle.dumps(case))
+    assert clone == case and type(clone) is CheckCase
+    assert case.to_dict() == {
+        "case_id": "lambda:1,3",
+        "indices": [1, 3],
+        "lhs": 1.0,
+        "rhs": 0.5,
+        "margin": 0.5,
+        "tol": 1e-8,
+        "passed": True,
+    }
+    assert list(case.to_dict()) == ["case_id", "indices", "lhs", "rhs", "margin", "tol", "passed"]
+    # tuple semantics: equal to the tuple of its fields, and ``_replace`` gives a changed copy
+    assert case == ("lambda:1,3", (1, 3), 1.0, 0.5, 0.5, 1e-8, True)
+    assert case._replace(margin=-1.0).margin == -1.0 and case.margin == 0.5
 
 
 def test_index_tuple_enumeration():
@@ -558,4 +582,4 @@ def test_cases_from_columns_match_cases_one_by_one():
     assert got == [make_case(*row, 1e-8) for row in zip(ids, indices, lhs, rhs, margin)]
     assert [c.passed for c in got] == [True, False, True, True]
     assert not make_cases(["nan"], [()], [np.nan], [0.0], [np.nan], 1e-8)[0].passed
-    assert pickle.loads(pickle.dumps(got)) == got  # slotted cases still cross process pools
+    assert pickle.loads(pickle.dumps(got)) == got  # cases cross process pools

@@ -12,8 +12,10 @@ matrix (Hermitian Wielandt), which ``eigvalsh`` gives.
 """
 
 import dataclasses
+import functools
 import itertools
 import json
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +25,8 @@ from hypothesis import strategies as st
 
 from kreinval import checks, cli, sampling
 from kreinval.checks import (
+    DEFAULT_TOL,
+    EQUALITY_TOL,
     WITNESS_ROUNDOFF,
     _compression_trace,
     _hermitian_part,
@@ -31,6 +35,7 @@ from kreinval.checks import (
     _witness_traces,
     check_wielandt_flag,
     lambda_index_tuples,
+    make_case,
     positive_compressions,
 )
 from kreinval.cli import SUITES, SuiteConfig, run_instance, run_suite
@@ -47,7 +52,7 @@ from kreinval.sampling import (
 )
 from kreinval.spectral import eigendecompose, positive_eigenbasis
 
-from conftest import compress, cone_margin
+from conftest import compress, cone_margin, subordinate_coordinates
 
 SEED = 4417
 ORACLE_SIGNATURES = [(1, 1), (2, 1), (3, 0), (3, 2), (4, 3)]
@@ -486,6 +491,115 @@ def test_the_eigenflag_draw_does_not_grow_with_the_tuples(monkeypatch):
         counts.append(len(draws))
         assert draws[-1] == (6, sum(sum(idx) for idx in tuples))  # one row per eigenflag frame
     assert counts == [1, 1, 1]
+
+
+EIGENFLAG_SIGNATURES = [(1, 0), (2, 1), (3, 2), (4, 3), (5, 3), (6, 4), (8, 6)]
+
+
+def eigenflag_tuples(p, order):
+    """Every tuple up to p = 7, the 200 sampled at p = 8; or those reversed with duplicates."""
+    tuples = lambda_index_tuples(p, rng=instance_rng(SEED, 25))
+    return tuples if order == "enumerated" else tuples[::-1] + tuples[::3]
+
+
+@pytest.mark.parametrize("order", ["enumerated", "unordered"])
+@pytest.mark.parametrize("pq", EIGENFLAG_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
+def test_eigenflag_max_is_the_highest_oracle_trace(pq, order):
+    """Each tuple's eigenflag_max is the highest trace over the Householder oracle's frames on the same draw."""
+    A, cfg = instance(*pq, 24)
+    tuples = eigenflag_tuples(pq[0], order)
+    M = positive_compressions(A, 3, cfg, instance_rng(SEED, 26))
+    reports = check_wielandt_flag(A, tuples, M, n_tuples=4, rng=instance_rng(SEED, 27))
+    eigen = checks._positive_eigen(A)[1]
+    want = np.empty(len(tuples))
+    for positions, coords in subordinate_coordinates(tuples, instance_rng(SEED, 27), 12):
+        r = tuples[positions[0]][-1]
+        want[positions] = np.max(_compression_trace(eigen[:r, :r], coords), axis=0)
+    got = np.array([c.lhs for rep in reports for c in rep.cases if c.case_id == "eigenflag_max"])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def per_tuple_cases(A, idx, M):
+    """The cases of one tuple but ``eigenflag_max``, computed for that tuple alone.
+
+    A Python ``sum`` for the target, the tuple's own principal submatrix of
+    the eigenflag compression, and the witness and gap on its own stack,
+    with the gap's eigenvalue sums added left to right.
+    """
+    tol, equality_tol = DEFAULT_TOL, EQUALITY_TOL
+    p = A.signature.p
+    system, eigen = checks._positive_eigen(A)
+    lambdas = system.spectrum.lambdas
+    target = float(sum(lambdas[i - 1] for i in idx))
+    cols = np.array(idx) - 1
+    sub = eigen[np.ix_(cols, cols)]
+    val = float(np.trace(sub).real)
+    dev = float(np.max(np.abs(np.linalg.eigvalsh(sub) - lambdas[cols])))
+    cases = [
+        make_case("eigenflag_witness", idx, val, target, -abs(val - target), equality_tol),
+        make_case("eigenflag_witness_etas", idx, dev, 0.0, -dev, equality_tol),
+    ]
+    if not len(M):
+        return cases
+    r = idx[-1]
+    spectra = {w: np.linalg.eigh(M[:, :w, :w]) for w in {r, p - 1} if w}
+    if p >= 2:
+        worst = float(np.min(spectra[p - 1][0] - lambdas[: p - 1]))
+        cases.append(make_case("interlace_min", tuple(range(1, p)), worst, 0.0, worst, tol))
+    (traces,) = _witness_traces(M, spectra, [idx])
+    cases += [make_case(f"witness:{f}", idx, t, target, t - target, tol) for f, t in enumerate(traces)]
+    eta = spectra[r][0]
+    scale = np.maximum(1.0, np.max(np.abs(eta), axis=-1))
+    gap = np.min((traces - functools.reduce(operator.add, eta[:, cols].T, 0.0)) / scale)
+    return cases + [make_case("witness_gap_min", idx, gap, 0.0, gap, WITNESS_ROUNDOFF)]
+
+
+@pytest.mark.parametrize("n_flags", [0, 1, 5])
+@pytest.mark.parametrize("order", ["enumerated", "unordered"])
+@pytest.mark.parametrize("pq", EIGENFLAG_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
+def test_every_other_case_is_the_per_tuple_case_bit_for_bit(pq, order, n_flags):
+    """Tabulated over all tuples at once, every case but eigenflag_max has the bytes of its per-tuple case."""
+    A, cfg = instance(*pq, 28)
+    tuples = eigenflag_tuples(pq[0], order)
+    M = positive_compressions(A, n_flags, cfg, instance_rng(SEED, 29))
+    reports = check_wielandt_flag(A, tuples, M, n_tuples=2, rng=instance_rng(SEED, 30))
+    for idx, rep in zip(tuples, reports, strict=True):
+        got = [c for c in rep.cases if c.case_id != "eigenflag_max"]
+        want = per_tuple_cases(A, idx, M)
+        assert got == want, idx
+        assert [c.lhs.hex() for c in got] == [c.lhs.hex() for c in want], idx  # == takes -0.0 for 0.0
+
+
+def test_an_enumerated_tuple_set_is_tabulated_once_per_process(monkeypatch, fresh_memos):
+    """One table build for the enumerated (4,3) set however often it is checked; a sampled (8,6)
+    set, and any list that is not an enumerated set, is tabulated per call and never memoized."""
+    builds = []
+    tabulate = checks._tabulate_wielandt
+
+    def counting(p, tuples):
+        builds.append((p, len(tuples)))
+        return tabulate(p, tuples)
+
+    monkeypatch.setattr(checks, "_tabulate_wielandt", counting)
+    memo = checks._enumerated_wielandt_layout
+    A, cfg = instance(4, 3, 31)
+    M = positive_compressions(A, 3, cfg, instance_rng(SEED, 32))
+    for k in range(3):
+        check_wielandt_flag(A, lambda_index_tuples(4), M, n_tuples=2, rng=instance_rng(SEED, 33, k))
+    assert builds == [(4, 15)] and memo.cache_info().currsize == 1
+    check_wielandt_flag(A, lambda_index_tuples(4)[::-1], M, n_tuples=2, rng=instance_rng(SEED, 34))
+    assert builds[1:] == [(4, 15)] and memo.cache_info().currsize == 1
+    A, cfg = instance(8, 6, 31)
+    M = positive_compressions(A, 3, cfg, instance_rng(SEED, 32))
+    for k in range(2):
+        rng = instance_rng(SEED, 35, k)
+        check_wielandt_flag(A, lambda_index_tuples(8, rng=rng), M, n_tuples=2, rng=rng)
+    assert builds[2:] == [(8, 200)] * 2 and memo.cache_info().currsize == 1
+    layout = memo(4, 4)
+    arrays = [layout.table, layout.draw.gather, layout.draw.order]
+    arrays += [a for group in layout.sizes + layout.widths for a in group if isinstance(a, np.ndarray)]
+    assert not any(array.flags.writeable for array in arrays)
 
 
 def test_witness_spans_whose_ranks_differ_across_samples():

@@ -16,13 +16,17 @@ from kreinval import (
     sample_positive_subspace,
     sample_pseudo_unitary,
     sample_spectrum,
-    subordinate_coordinates,
 )
 from kreinval.checks import lambda_index_tuples
 from kreinval.geometry import TOL_CONE, gram, pair
-from kreinval.sampling import PositiveFlag, restricted_cone_samples
+from kreinval.sampling import (
+    PositiveFlag,
+    restricted_cone_samples,
+    subordinate_frames,
+    subordinate_layout,
+)
 
-from conftest import cone_margin
+from conftest import cone_margin, subordinate_coordinates
 
 SEED = 808
 
@@ -183,6 +187,37 @@ def test_batched_subordinate_frames_lie_in_their_levels(signature, sampler_cfg):
     ((group, empty),) = subordinate_coordinates([idx], rng, 0)
     assert group == [0] and empty.shape == (0, 1, idx[-1], len(idx))
     assert subordinate_coordinates([], rng, 30) == []
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 8])
+def test_gram_schmidt_frames_lie_in_their_levels(p):
+    """The batched draw gives orthonormal coordinates, zero below each level and in padded columns.
+
+    Column by column they are the oracle's Householder coordinates on the
+    same draw, up to a unit phase: both orthonormalize the same nested
+    columns.  Duplicate and unordered tuples included; at p = 8 the 200
+    tuples ``lambda_index_tuples`` samples.
+    """
+    tuples = lambda_index_tuples(p, rng=instance_rng(SEED, 16))
+    tuples = tuples + tuples[::-3]
+    layout = subordinate_layout(tuples)
+    C = subordinate_frames(layout, instance_rng(SEED, 17), 7)
+    assert C.shape == (max(t[-1] for t in tuples), max(map(len, tuples)), len(tuples), 7)
+    assert sorted(layout.order) == list(range(len(tuples)))
+    oracle = subordinate_coordinates(tuples, instance_rng(SEED, 17), 7)
+    want = {t: coords[:, g] for group, coords in oracle for g, t in enumerate(group)}
+    for j, start in enumerate(layout.starts):  # column j runs over the tuples with more than j columns
+        assert [len(tuples[t]) > j for t in layout.order] == [s >= start for s in range(len(tuples))]
+    for s, t in enumerate(layout.order):
+        idx, m = tuples[t], len(tuples[t])
+        Q = np.moveaxis(C[:, :, s], -1, 0)  # (count, rows, cols)
+        for j, dim in enumerate(idx):
+            assert np.all(Q[:, dim:, j] == 0), (idx, j)
+        assert np.all(Q[:, :, m:] == 0), idx
+        Q = Q[:, : idx[-1], :m]
+        assert np.max(np.abs(Q.conj().swapaxes(-1, -2) @ Q - np.eye(m))) <= 1e-13, idx
+        overlap = np.abs(np.sum(Q.conj() * want[t], axis=-2))
+        assert np.max(np.abs(overlap - 1.0)) <= 1e-12, idx
 
 
 def test_restricted_samples_sit_in_positive_cone(sampler_cfg):
