@@ -88,7 +88,6 @@ class SuiteConfig:
     courant_subspaces: int = 100
     kyfan_frames: int = 100
     wielandt_flags: int = 10
-    wielandt_frames: int = 5
     soft_threshold: float = 0.95
     workers: int = 1
     out: str | None = None
@@ -121,7 +120,7 @@ def validate_config(cfg: SuiteConfig) -> SuiteConfig:
     for name in ("tol_eig", "tol_check", "trace_rtol", "lp_tol"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
-    for name in ("courant_subspaces", "kyfan_frames", "wielandt_flags", "wielandt_frames"):
+    for name in ("courant_subspaces", "kyfan_frames", "wielandt_flags"):
         if getattr(cfg, name) < 0:
             raise ConfigError(f"{name} must be >= 0, got {getattr(cfg, name)}")
     if cfg.max_m is not None and cfg.max_m < 1:
@@ -208,16 +207,8 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
         elif suite == "ky_fan":
             reports.extend(check_ky_fan(A, M[: cfg.kyfan_frames], tol=cfg.tol_check))
         elif suite == "wielandt":
-            reports.extend(
-                check_wielandt_flag(
-                    A,
-                    lambda_index_tuples(sig.p, cfg.max_m, rng=rng),
-                    M[: cfg.wielandt_flags],
-                    n_tuples=cfg.wielandt_frames,
-                    tol=cfg.tol_check,
-                    rng=rng,
-                )
-            )
+            tuples = lambda_index_tuples(sig.p, cfg.max_m, rng=rng)
+            reports.extend(check_wielandt_flag(A, tuples, M[: cfg.wielandt_flags], tol=cfg.tol_check))
         elif suite == "polyhedral":
             reports.append(check_diag_membership(A, tol=cfg.lp_tol))
             reports.append(check_sum_membership(A, B, tol=cfg.lp_tol))

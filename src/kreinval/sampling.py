@@ -7,17 +7,14 @@ a free off-diagonal coupling block whose spectral norm is capped by
 ``boost_scale``.  Positive subspaces are graphs (Q; K Q) of contractions K
 over isometries Q, which reach every positive subspace of the given dimension
 and are positive by construction.  A ``PositiveFlag`` certifies its basis
-with the Cholesky factorization that frames it.  Frames subordinate to a
-flag are drawn as orthonormal coordinates in that frame, where the levels are
-spans of leading unit vectors and the pairing is Euclidean, so they need no
-null band and no redraw.
+with the Cholesky factorization that frames it; in that frame the levels
+are spans of leading unit vectors and the pairing is Euclidean.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -293,76 +290,3 @@ class PositiveFlag:
 def _at_sample(bad: np.ndarray, B: np.ndarray) -> str:
     """' at sample i' naming the first failing flag of a stack; '' for one flag."""
     return f" at sample {int(np.argmax(bad))}" if B.ndim == 3 else ""
-
-
-class SubordinateLayout(NamedTuple):
-    """Where ``subordinate_frames`` puts each entry of its draw, for one list of index tuples.
-
-    The tuples are taken in ``order``, a stable sort by size, so the ones
-    with more than j entries are the suffix of that order from ``starts[j]``
-    on.  ``gather[i, j, s]`` is the slot of the draw that row i of column j
-    of the s-th of them reads, and ``size`` (one past the draw, a zero)
-    where that entry vanishes: i >= idx[j] or j >= len(idx).
-    """
-
-    gather: np.ndarray
-    size: int
-    starts: tuple[int, ...]
-    order: np.ndarray
-
-
-def subordinate_layout(index_tuples) -> SubordinateLayout:
-    """The layout of the draw for a nonempty list of valid 1-based index tuples.
-
-    The slots keep the order in which the tuples' coefficients were drawn
-    shape by shape: the tuples of one shape (r, m), m = len(idx), form a
-    group, the groups come in order of first appearance, and each group
-    takes its tuples in input order, each by rows and then by columns.
-    """
-    sizes = np.array([len(idx) for idx in index_tuples])
-    order = np.argsort(sizes, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    groups: dict[tuple[int, int], list[int]] = {}
-    for pos, idx in enumerate(index_tuples):
-        groups.setdefault((idx[-1], len(idx)), []).append(pos)
-    gather = np.full((max(r for r, _ in groups), sizes.max(), len(sizes)), -1)
-    size = 0
-    for (r, _), group in groups.items():
-        # row i of column j is drawn for tuple g while i < idx_g[j]; nonzero walks g, then i, then j
-        g, i, j = np.nonzero(np.arange(r)[:, None] < np.array([index_tuples[t] for t in group])[:, None, :])
-        gather[i, j, rank[group][g]] = np.arange(size, size + len(g))
-        size += len(g)
-    gather[gather < 0] = size
-    starts = tuple(int(s) for s in np.searchsorted(sizes[order], np.arange(gather.shape[1]), side="right"))
-    for array in (gather, order):
-        array.flags.writeable = False
-    return SubordinateLayout(gather, size, starts, order)
-
-
-def subordinate_frames(layout: SubordinateLayout, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Orthonormal coordinates (r, m, T, count) of ``count`` random frames subordinate to each tuple's flag.
-
-    In a flag's ``frame`` the pairing is the Euclidean inner product and
-    level j is E_{idx[j]}, the span of the first idx[j] unit vectors.  One
-    ``complex_normal`` call draws a Gaussian coefficient vector for every
-    level of every tuple and frame, and ``layout.gather`` puts it in
-    zero-padded coordinates: T tuples, in ``layout.order``, of r rows and m
-    columns, r and m the largest top index and size.  Classical
-    Gram-Schmidt, run twice per column and vectorized over tuples and
-    frames, orthonormalizes every frame; column j runs only over the tuples
-    with more than j columns.  Each column is a combination of itself and
-    the columns before it, which vanish below row idx[j], so column j lies
-    in E_{idx[j]}, and ``flag.frame @ C[:r_t, :m_t, s, f]`` is a subordinate
-    frame of the flag of the s-th tuple, r_t and m_t its top index and
-    size.  Padded columns stay zero.
-    """
-    drawn = np.zeros((layout.size + 1, count), dtype=complex)
-    drawn[:-1] = complex_normal(rng, count, layout.size).T
-    C = drawn[layout.gather]
-    for j, start in enumerate(layout.starts):
-        v, Q = C[:, j, start:], C[:, :j, start:]
-        for _ in range(2 if j else 0):  # twice is enough for orthogonality to working precision
-            v -= np.einsum("ikts,kts->its", Q, np.einsum("ikts,its->kts", Q, v.conj()).conj())
-        v /= np.linalg.norm(v, axis=0)
-    return C

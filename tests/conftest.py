@@ -1,12 +1,14 @@
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from kreinval import SamplerConfig, Signature
+from kreinval.checks import _hermitian_part
 from kreinval.core import metric_diagonal
 from kreinval.errors import OrientationMismatch
-from kreinval.geometry import POSITIVE, TOL_NULL_REL, PseudoOrthonormalFrame, gram
+from kreinval.geometry import POSITIVE, TOL_NULL_REL, PseudoOrthonormalFrame, _adjoint, gram
 from kreinval.sampling import complex_normal
 
 SIGNATURES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
@@ -120,11 +122,11 @@ def compress(A, frame: PseudoOrthonormalFrame) -> CompressionResult:
 def subordinate_coordinates(index_tuples, rng, count):
     """Orthonormal coordinates of ``count`` random frames subordinate to the flag of each tuple, shape by shape.
 
-    The eigenflag oracle: it reads the draw ``sampling.subordinate_frames``
-    reads, one ``complex_normal`` call, in the same order, and
-    orthonormalizes it by Householder QR instead of Gram-Schmidt.  In a
-    flag's ``frame`` the pairing is Euclidean and level j is E_{idx[j]},
-    the span of the first idx[j] unit vectors.  The tuples of one shape
+    The oracle of ``subordinate_frames`` below: it reads the same draw, one
+    ``complex_normal`` call, in the same order, and orthonormalizes it by
+    Householder QR instead of Gram-Schmidt.  In a flag's ``frame`` the
+    pairing is Euclidean and level j is E_{idx[j]}, the span of the first
+    idx[j] unit vectors.  The tuples of one shape
     (r, m), m = len(idx), form a group, orthonormalized by one batched QR;
     groups come in order of first appearance, each as the positions of its
     tuples in ``index_tuples`` and their coordinates (count, g, r, m).  The
@@ -150,3 +152,206 @@ def subordinate_coordinates(index_tuples, rng, count):
         start += size
         out.append((group, np.linalg.qr(C)[0]))
     return out
+
+
+def _compression_trace(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Traces of X* M X over a stack (..., k, m): with M = J A and a
+    pseudo-orthonormal frame X, the trace of the compression of A onto X.
+    """
+    return np.einsum("...ij,...ij->...", X.conj(), M @ X).real
+
+
+# ---------------------------------------------------------------------------
+# the eigenflag oracle: random frames subordinate to the eigenvector flag
+#
+# ``check_wielandt_flag`` bounds every such frame's trace by the tuple sum
+# plus m ||eigen - diag(lambda)||_2; these frames sample what that bounds.
+
+
+class SubordinateLayout(NamedTuple):
+    """Where ``subordinate_frames`` puts each entry of its draw, for one list of index tuples.
+
+    The tuples are taken in ``order``, a stable sort by size, so the ones
+    with more than j entries are the suffix of that order from ``starts[j]``
+    on.  ``gather[i, j, s]`` is the slot of the draw that row i of column j
+    of the s-th of them reads, and ``size`` (one past the draw, a zero)
+    where that entry vanishes: i >= idx[j] or j >= len(idx).
+    """
+
+    gather: np.ndarray
+    size: int
+    starts: tuple[int, ...]
+    order: np.ndarray
+
+
+def subordinate_layout(index_tuples) -> SubordinateLayout:
+    """The layout of the draw for a nonempty list of valid 1-based index tuples.
+
+    The slots keep the order in which the tuples' coefficients were drawn
+    shape by shape: the tuples of one shape (r, m), m = len(idx), form a
+    group, the groups come in order of first appearance, and each group
+    takes its tuples in input order, each by rows and then by columns.
+    """
+    sizes = np.array([len(idx) for idx in index_tuples])
+    order = np.argsort(sizes, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for pos, idx in enumerate(index_tuples):
+        groups.setdefault((idx[-1], len(idx)), []).append(pos)
+    gather = np.full((max(r for r, _ in groups), sizes.max(), len(sizes)), -1)
+    size = 0
+    for (r, _), group in groups.items():
+        # row i of column j is drawn for tuple g while i < idx_g[j]; nonzero walks g, then i, then j
+        g, i, j = np.nonzero(np.arange(r)[:, None] < np.array([index_tuples[t] for t in group])[:, None, :])
+        gather[i, j, rank[group][g]] = np.arange(size, size + len(g))
+        size += len(g)
+    gather[gather < 0] = size
+    starts = tuple(int(s) for s in np.searchsorted(sizes[order], np.arange(gather.shape[1]), side="right"))
+    for array in (gather, order):
+        array.flags.writeable = False
+    return SubordinateLayout(gather, size, starts, order)
+
+
+def subordinate_frames(layout: SubordinateLayout, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Orthonormal coordinates (r, m, T, count) of ``count`` random frames subordinate to each tuple's flag.
+
+    In a flag's ``frame`` the pairing is the Euclidean inner product and
+    level j is E_{idx[j]}, the span of the first idx[j] unit vectors.  One
+    ``complex_normal`` call draws a Gaussian coefficient vector for every
+    level of every tuple and frame, and ``layout.gather`` puts it in
+    zero-padded coordinates: T tuples, in ``layout.order``, of r rows and m
+    columns, r and m the largest top index and size.  Classical
+    Gram-Schmidt, run twice per column and vectorized over tuples and
+    frames, orthonormalizes every frame; column j runs only over the tuples
+    with more than j columns.  Each column is a combination of itself and
+    the columns before it, which vanish below row idx[j], so column j lies
+    in E_{idx[j]}, and ``flag.frame @ C[:r_t, :m_t, s, f]`` is a subordinate
+    frame of the flag of the s-th tuple, r_t and m_t its top index and
+    size.  Padded columns stay zero.
+    """
+    drawn = np.zeros((layout.size + 1, count), dtype=complex)
+    drawn[:-1] = complex_normal(rng, count, layout.size).T
+    C = drawn[layout.gather]
+    for j, start in enumerate(layout.starts):
+        v, Q = C[:, j, start:], C[:, :j, start:]
+        for _ in range(2 if j else 0):  # twice is enough for orthogonality to working precision
+            v -= np.einsum("ikts,kts->its", Q, np.einsum("ikts,its->kts", Q, v.conj()).conj())
+        v /= np.linalg.norm(v, axis=0)
+    return C
+
+
+def eigenflag_traces(eigen, index_tuples, rng, count):
+    """Traces (T, count) of ``count`` random frames subordinate to each tuple's eigenflag, in input order.
+
+    ``eigen`` is the compression (p, p) onto the framed positive eigenbasis.
+    The coordinates come from one ``subordinate_frames`` draw; the zero rows
+    past a tuple's top index r read only eigen's leading r x r block.
+    """
+    layout = subordinate_layout(index_tuples)
+    C = subordinate_frames(layout, rng, count)
+    r, T = len(C), len(index_tuples)
+    EC = (eigen[:r, :r] @ C.reshape(r, -1)).reshape(-1, T * count)
+    traces = np.empty((T, count))
+    traces[layout.order] = np.einsum("ik,ik->k", C.reshape(-1, T * count).conj(), EC).real.reshape(T, count)
+    return traces
+
+
+# ---------------------------------------------------------------------------
+# the Hermitian-Wielandt oracle: a witness frame subordinate to each flag
+#
+# ``check_wielandt_flag`` reports sum_j eta_{i_j}(M) for each flag; these
+# frames are subordinate to the flag and reach that sum (Wielandt 1955;
+# Hersch-Zwahlen 1962), so the tests hold their traces to it.
+
+# Hermitian Wielandt holds for the witness frame exactly; only roundoff, relative to ||M||, may show
+WITNESS_ROUNDOFF = 1e-12
+
+
+def _hyperplane_basis(w: np.ndarray) -> np.ndarray:
+    """Orthonormal bases U (..., n, n-1) of the complements of unit vectors w (..., n).
+
+    Column k (1-based) lies in E_{k+1}: with s_k = |w_1|^2 + ... + |w_k|^2 it
+    is (conj(w_{k+1}) w_1, ..., conj(w_{k+1}) w_k, -s_k) / sqrt(s_k s_{k+1}),
+    and e_k while s_k = 0.  So the first d - 1 columns span E_d ∩ w⊥ whenever
+    w has a nonzero entry among its first d.
+    """
+    s = np.cumsum(np.abs(w) ** 2, axis=-1)
+    lead = s[..., :-1]
+    zero = lead == 0
+    d = np.sqrt(np.where(zero, 1.0, lead * s[..., 1:]))
+    U = np.triu(w[..., :, None] * (w[..., 1:].conj() / d)[..., None, :])
+    k = np.arange(w.shape[-1] - 1)
+    U[..., k + 1, k] = -lead / d
+    U[..., k, k] = np.where(zero, 1.0, U[..., k, k])
+    return U
+
+
+def _witness_runs(idx: tuple[int, ...]) -> tuple[int, ...]:
+    """The ``run`` of each of the r - m witness steps on ``idx``, top width r = idx[-1] first.
+
+    A step cuts the width by one and moves the trailing run's indices one
+    down, so the cut tuple is idx[:m - run] followed by r - run, ..., r - 1.
+    """
+    r, m, runs = idx[-1], len(idx), []
+    while r > m:
+        run = 1
+        while run < m and idx[m - 1 - run] == r - run:
+            run += 1
+        runs.append(run)
+        idx = idx[: m - run] + tuple(range(r - run, r))
+        r -= 1
+    return tuple(runs)
+
+
+def _witness_traces(M: np.ndarray, spectra: dict, tuples) -> list[np.ndarray]:
+    """Traces (N,) of the deterministic witness frames, one array per tuple, in order.
+
+    ``M`` is the stack (N, p, p) of N flags' compressions onto their top
+    levels, each written in a pseudo-orthonormal frame whose column prefixes
+    span the lower levels: there the pairing is the Euclidean inner product,
+    M is an ordinary Hermitian matrix, and a tuple's flag is the standard
+    flag E_{idx[0]} ⊂ ... ⊂ E_r of M's leading r x r block, r = idx[-1].
+    ``spectra[r]`` is ``eigh`` of that block for every top width r.
+
+    Hermitian Wielandt recursion, on standard levels at every step.  A
+    complete flag (m = r) keeps its whole block.  Otherwise let the trailing
+    ``run`` indices be r - run + 1, ..., r; the leading levels lie in E_lo
+    with lo = r - run - 1.  The hyperplane R spanned by E_lo and the top
+    ``run`` eigenvectors of M keeps those eigenvalues one index lower, and
+    Cauchy interlacing keeps the others from dropping, so R* M R with the
+    levels cut down to R reaches the same tuple sum.  Its normal w is zero
+    on E_lo, and on the rows below it is the last column of a complete QR of
+    the eigenvectors' rows, which is orthogonal to them at any rank.  In the
+    basis diag(I_lo, U(w)) of R the levels are standard again: the first
+    d - 1 basis columns lie in E_d, so the trailing levels E_d become
+    E_{d-1} and the leading ones keep their dimensions.
+
+    A step depends only on the current M and on (r, run), so the steps of
+    all tuples form a trie keyed by the path (r, run_1, ..., run_d) from the
+    top width.  Each distinct step is computed once, and the steps of one
+    depth that share (r, run) run as one stack: one ``eigh`` (the first step
+    reads ``spectra[r]`` instead), one complete QR, one ``_hyperplane_basis``
+    and one compression.  The witness frame is the product of the steps'
+    R's, so its trace is the trace of the last node's m x m compression and
+    no frame is formed.
+    """
+    N = M.shape[0]
+    paths = [(idx[-1],) + _witness_runs(idx) for idx in tuples]
+    nodes = {path[:1]: M[:, : path[0], : path[0]] for path in paths}
+    for d in range(1, max(map(len, paths), default=0)):
+        groups: dict[tuple[int, int], dict] = {}
+        for path in paths:
+            if len(path) > d:  # step d takes node path[:d], of width path[0] - d + 1
+                groups.setdefault((path[0] - d + 1, path[d]), {})[path[:d]] = None
+        for (r, run), parents in groups.items():
+            stack = np.concatenate([nodes[parent] for parent in parents])
+            vecs = spectra[r][1] if d == 1 else np.linalg.eigh(stack)[1]
+            lo = r - run - 1
+            w = np.linalg.qr(vecs[..., lo:, r - run :], mode="complete")[0][..., -1]
+            R = np.zeros(stack.shape[:-1] + (r - 1,), dtype=complex)
+            R[..., :lo, :lo] = np.eye(lo)
+            R[..., lo:, lo:] = _hyperplane_basis(w)
+            cut = _hermitian_part(_adjoint(R) @ stack @ R).reshape(len(parents), N, r - 1, r - 1)
+            nodes.update((parent + (run,), child) for parent, child in zip(parents, cut))
+    return [np.trace(nodes[path], axis1=-2, axis2=-1).real for path in paths]

@@ -49,6 +49,8 @@ from kreinval.spectral import (
     rayleigh_columns,
 )
 
+from conftest import WITNESS_ROUNDOFF, _witness_traces
+
 SIGNATURES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
 SEED = 20260818
 BOUND_TOL = 1e-8  # one-sided inequality slack
@@ -292,38 +294,37 @@ def test_criterion_06_paired_tuple_bounds(pairs):
 def test_criterion_07_flag_compressions(cfg, instances):
     """Flag compressions: bounded above on the eigenflag, attained elsewhere.
 
-    Per index tuple: 100 flags x 20 subordinate frames on the eigenvector
-    flag never beat the tuple sum (1e-8); on each of 100 random flags the
-    witness frame reaches the tuple sum (1e-8) and Hermitian Wielandt to
-    roundoff; compressions onto (p-1)-dimensional positive subspaces
-    interlace from above (1e-8).  The 100 flags are prefixes of one width-p
-    stack that every tuple shares.  Every case of every flag must pass, and
-    every tuple gets one report, in order.
+    Per index tuple: on the eigenvector flag the certified supremum over
+    every subordinate frame, tuple sum + m ||eigen - diag(lambda)||_2,
+    never beats the tuple sum (1e-8).  On each of 100 random flags
+    sum_j eta_{i_j} reaches the tuple sum (1e-8), and the Hermitian-Wielandt
+    witness frame subordinate to the flag reaches that sum to roundoff.
+    The flag's r-dimensional compressions, r the top index, interlace from
+    above (1e-8).  The 100 flags are prefixes of one width-p stack that
+    every tuple shares.  Every case of every flag must pass, and every
+    tuple gets one report, in order, with every case.
     """
     failures = []
     for (p, q), inst in instances.items():
         A = inst[0][0]
         tuples = all_index_tuples(p)
-        rng = instance_rng(SEED, 700)
-        reports = check_wielandt_flag(
-            A,
-            tuples,
-            positive_compressions(A, 100, cfg, rng),
-            n_tuples=20,
-            tol=BOUND_TOL,
-            rng=rng,
-        )
+        M = positive_compressions(A, 100, cfg, instance_rng(SEED, 700))
+        reports = check_wielandt_flag(A, tuples, M, tol=BOUND_TOL)
         assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
-        for idx, rep in zip(tuples, reports):
+        spectra = {r: np.linalg.eigh(M[:, :r, :r]) for r in range(1, p + 1)}
+        traces = _witness_traces(M, spectra, tuples)
+        for idx, rep, trace in zip(tuples, reports, traces):
             failures.extend(
                 (p, q, idx, c.case_id, c.margin) for c in rep.cases if not c.passed
             )
             ids = [c.case_id for c in rep.cases]
-            witnesses = [i for i in ids if i.startswith("witness")]
-            if witnesses != [f"witness:{f}" for f in range(100)] + ["witness_gap_min"]:
-                failures.append((p, q, idx, "witness_cases", len(witnesses)))
-            if "eigenflag_max" not in ids or ("interlace_min" in ids) != (p >= 2):
-                failures.append((p, q, idx, "eigenflag_or_interlace_cases", ids[:4]))
+            eigen = ["eigenflag_max", "eigenflag_witness", "eigenflag_witness_etas"]
+            if ids != [*eigen, f"interlace_min:{idx[-1]}"] + [f"witness:{f}" for f in range(100)]:
+                failures.append((p, q, idx, "case_ids", ids[:5]))
+            sums = np.array([c.lhs for c in rep.cases[4:]])
+            scale = np.maximum(1.0, np.max(np.abs(spectra[idx[-1]][0]), axis=-1))
+            if np.any(trace < sums - WITNESS_ROUNDOFF * scale):
+                failures.append((p, q, idx, "witness_frame", float(np.min(trace - sums))))
     assert not failures, f"flag-compression violations: {failures}"
 
 
@@ -498,10 +499,7 @@ def test_criterion_10_hermitian_degeneration(cfg):
 
             tuples = [(p,), (1, p)]
             rng = instance_rng(SEED, 10300 + 10 * i)
-            reports = check_wielandt_flag(
-                A, tuples, positive_compressions(A, 20, cfg, rng), n_tuples=5, tol=BOUND_TOL,
-                rng=rng,
-            )
+            reports = check_wielandt_flag(A, tuples, positive_compressions(A, 20, cfg, rng), tol=BOUND_TOL)
             assert len(reports) == len(tuples)
             for idx, rep in zip(tuples, reports):
                 assert rep.passed
@@ -550,7 +548,6 @@ def test_criterion_11_deterministic_reports(tmp_path):
             courant_subspaces=40,
             kyfan_frames=40,
             wielandt_flags=6,
-            wielandt_frames=4,
             out=str(out),
             format=fmt,
         )

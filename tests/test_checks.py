@@ -27,7 +27,9 @@ from kreinval import (
     instance_rng,
     sample_planted,
 )
+from kreinval import checks
 from kreinval.checks import (
+    DEFAULT_TOL,
     TUPLE_LIMIT,
     _inadmissible_sum_report,
     _sum_spectra,
@@ -348,13 +350,14 @@ def test_wielandt_full_tuple_matches_ky_fan_target(sampler_cfg):
     sig = Signature(2, 1)
     rng = instance_rng(SEED, 23)
     A, spec, _ = sample_planted(sig, sampler_cfg, rng)
-    (report,) = check_wielandt_flag(A, [(1, 2)], positive_compressions(A, 8, sampler_cfg, rng), n_tuples=4, rng=rng)
+    (report,) = check_wielandt_flag(A, [(1, 2)], positive_compressions(A, 8, sampler_cfg, rng))
     assert report.passed
     by_id = {c.case_id: c for c in report.cases}
     assert by_id["eigenflag_witness"].rhs == pytest.approx(np.sum(spec.lambdas), abs=1e-7)
-    assert "interlace_min" in by_id
-    assert [f"witness:{f}" for f in range(8)] + ["witness_gap_min"] == [
-        c.case_id for c in report.cases if c.case_id.startswith("witness")
+    assert by_id["eigenflag_max"].rhs == by_id["eigenflag_witness"].rhs
+    assert [c.case_id for c in report.cases] == [
+        "eigenflag_max", "eigenflag_witness", "eigenflag_witness_etas", "interlace_min:2",
+        *(f"witness:{f}" for f in range(8)),
     ]
 
 
@@ -362,8 +365,45 @@ def test_wielandt_single_index(sampler_cfg):
     sig = Signature(2, 2)
     rng = instance_rng(SEED, 24)
     A, _, _ = sample_planted(sig, sampler_cfg, rng)
-    (report,) = check_wielandt_flag(A, [(2,)], positive_compressions(A, 6, sampler_cfg, rng), n_tuples=4, rng=rng)
+    (report,) = check_wielandt_flag(A, [(2,)], positive_compressions(A, 6, sampler_cfg, rng))
     assert report.passed
+
+
+def test_wielandt_fails_a_flag_that_does_not_interlace(sampler_cfg):
+    """A stack whose flag 2 has eta_1 = lambda_1 - 1e-5 at every width fails every interlace_min:r,
+    and flag 2's witness:f exactly on the tuples that select index 1."""
+    sig = Signature(4, 3)
+    rng = instance_rng(SEED, 25)
+    A, _, _ = sample_planted(sig, sampler_cfg, rng)
+    lambdas = checks._positive_eigen(A)[0].spectrum.lambdas
+    M = np.array(positive_compressions(A, 4, sampler_cfg, rng))
+    M[2] = np.diag(lambdas - 1e-5 * np.eye(4)[0])
+    tuples = lambda_index_tuples(4)
+    for idx, rep in zip(tuples, check_wielandt_flag(A, tuples, M), strict=True):
+        failed = {c.case_id for c in rep.cases if not c.passed}
+        want = {f"interlace_min:{idx[-1]}"} | ({"witness:2"} if 1 in idx else set())
+        assert failed == want, idx
+        assert rep.worst_margin == pytest.approx(-1e-5, rel=1e-6)
+
+
+@pytest.mark.parametrize("eps", [0.75e-8, 1.5e-8])
+def test_wielandt_fails_an_eigenflag_off_its_diagonal(sampler_cfg, monkeypatch, eps):
+    """An eigenflag compression perturbed off the diagonal by eps > tol / m fails eigenflag_max, and only it."""
+    sig = Signature(3, 2)
+    rng = instance_rng(SEED, 26)
+    A, _, _ = sample_planted(sig, sampler_cfg, rng)
+    M = positive_compressions(A, 4, sampler_cfg, rng)
+    system, eigen = checks._positive_eigen(A)
+    E = np.zeros((3, 3), dtype=complex)
+    E[0, 2], E[2, 0] = eps * 1j, -eps * 1j  # Hermitian, ||E||_2 = eps
+    monkeypatch.setattr(checks, "_positive_eigen", lambda _: (system, eigen + E))
+    tuples = lambda_index_tuples(3)
+    for idx, rep in zip(tuples, check_wielandt_flag(A, tuples, M), strict=True):
+        by_id = {c.case_id: c for c in rep.cases}
+        assert by_id["eigenflag_max"].margin == pytest.approx(-len(idx) * eps, rel=1e-6)
+        assert [c.case_id for c in rep.cases if not c.passed] == (
+            ["eigenflag_max"] if len(idx) * eps > DEFAULT_TOL else []
+        ), idx
 
 
 def test_hermitian_degeneration_of_inequalities(sampler_cfg):

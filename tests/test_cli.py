@@ -94,7 +94,9 @@ class TestConfig:
             ("courant_subspaces", -1),
             ("kyfan_frames", -1),
             ("wielandt_flags", -1),
+            # removed with the sampled eigenflag frames: any value is an unknown field
             ("wielandt_frames", -1),
+            ("wielandt_frames", 5),
             ("max_m", 0),
             ("max_m", -2),
             ("tol_struct", 5.0),  # removed: it was echoed but never read
@@ -186,8 +188,7 @@ class TestRunner:
         direct = {
             "courant_fischer": [check_courant_fischer(A, M[:7], rng=streams["courant_fischer"])],
             "ky_fan": check_ky_fan(A, M[:3]),
-            "wielandt": check_wielandt_flag(A, tuples, M[:5], n_tuples=cfg.wielandt_frames,
-                                            rng=streams["wielandt"]),
+            "wielandt": check_wielandt_flag(A, tuples, M[:5]),
         }
         assert together[0]["descriptor"]["n_subspaces"] == 7
         for suite in variational:
@@ -206,7 +207,7 @@ class TestRunner:
         assert [(r.check_name, r.descriptor, r.cases, r.notes) for r in reports] == [
             ("courant_fischer", {"n_subspaces": 100, "equality_tol": 1e-9}, (), ("no positive-type block",)),
             ("ky_fan", {"n_frames": 100, "equality_tol": 1e-9}, (), ("no positive-type block",)),
-            ("wielandt", {"n_flags": 10, "n_tuples": 5}, (), ("no positive-type block",)),
+            ("wielandt", {"n_flags": 10}, (), ("no positive-type block",)),
         ]
         cfg = SuiteConfig(p=2, q=1, seed=SEED, suites=variational, courant_subspaces=0, kyfan_frames=0,
                           wielandt_flags=0)
@@ -216,7 +217,7 @@ class TestRunner:
             ["minmax_witness:1", "restricted_witness:1", "minmax_witness:2", "restricted_witness:2"],
             ["partial_sum_witness:1"],
             ["partial_sum_witness:2"],
-            *[["eigenflag_witness", "eigenflag_witness_etas"]] * 3,
+            *[["eigenflag_max", "eigenflag_witness", "eigenflag_witness_etas"]] * 3,
         ]
         assert reports[0].descriptor["n_subspaces"] == 0
         assert [r.descriptor["n_flags"] for r in reports[3:]] == [0, 0, 0]
@@ -377,7 +378,8 @@ class TestRunner:
         reports = [r for d in docs if d.get("record") == "instance" for r in d["reports"]]
         ids = {c["case_id"] for r in reports for c in r["cases"]}
         assert {"minmax_witness:1", "restricted_witness:2", "partial_sum_witness:2", "eigenflag_witness"} <= ids
-        assert not any("sampled" in i or i == "eigenflag_max" or i.startswith("witness") for i in ids)
+        assert "eigenflag_max" in ids  # certified, not sampled
+        assert not any("sampled" in i or i.startswith(("witness", "interlace")) for i in ids)
         assert not any(r["soft_cases"] for r in reports)
 
     def test_one_bad_instance_does_not_end_the_batch(self, tmp_path, monkeypatch):

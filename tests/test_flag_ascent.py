@@ -1,14 +1,16 @@
-"""The coordinate flag witness: a Wielandt certificate, checked against two references.
+"""The flag compressions of ``check_wielandt_flag`` and the oracles behind its cases.
 
-The first reference is the per-flag witness recursion that
-``check_wielandt_flag`` once ran one flag at a time in the ambient
-indefinite space.  The second, ``witness_subordinate``, is the per-tuple
-recursion in the coordinates of each flag's framed top level, which builds
-the witness frame itself.  The kernel in ``kreinval.checks`` shares the
-steps of all tuples and all flags and forms no frame; it must reach the
-same traces (to 1e-12).  Independently of the references, the witness
-trace must reach the sum of the selected eigenvalues of the compressed
-matrix (Hermitian Wielandt), which ``eigvalsh`` gives.
+The check reports, for each random flag, the sum of the selected
+eigenvalues of the compressed matrix; Hermitian Wielandt says a frame
+subordinate to the flag reaches it.  The witness recursion that builds such
+a frame is kept here and in ``tests/conftest.py`` as the oracle, in three
+forms that must agree (to 1e-12): the per-flag recursion in the ambient
+indefinite space, the per-tuple recursion ``witness_subordinate`` in the
+coordinates of each flag's framed top level, and ``_witness_traces``, which
+shares the steps of all tuples and flags and forms no frame.  Each witness
+trace must reach the check's ``witness:f`` value.  On the eigenvector flag
+the check reports a certified supremum; every frame of the sampled
+eigenflag oracle must stay below it.
 """
 
 import dataclasses
@@ -27,12 +29,7 @@ from kreinval import checks, cli, sampling
 from kreinval.checks import (
     DEFAULT_TOL,
     EQUALITY_TOL,
-    WITNESS_ROUNDOFF,
-    _compression_trace,
     _hermitian_part,
-    _hyperplane_basis,
-    _witness_runs,
-    _witness_traces,
     check_wielandt_flag,
     lambda_index_tuples,
     make_case,
@@ -52,7 +49,17 @@ from kreinval.sampling import (
 )
 from kreinval.spectral import eigendecompose, positive_eigenbasis
 
-from conftest import compress, cone_margin, subordinate_coordinates
+import conftest
+from conftest import (
+    WITNESS_ROUNDOFF,
+    _compression_trace,
+    _hyperplane_basis,
+    _witness_runs,
+    _witness_traces,
+    compress,
+    cone_margin,
+    eigenflag_traces,
+)
 
 SEED = 4417
 ORACLE_SIGNATURES = [(1, 1), (2, 1), (3, 0), (3, 2), (4, 3)]
@@ -161,7 +168,7 @@ def witness_subordinate(M, idx):
 
 
 def shared_traces(M, tuples):
-    """The kernel's witness traces on the leading blocks of one stack M (N, p, p)."""
+    """The shared oracle's witness traces on the leading blocks of one stack M (N, p, p)."""
     spectra = {r: np.linalg.eigh(M[:, :r, :r]) for r in {idx[-1] for idx in tuples}}
     return _witness_traces(M, spectra, tuples)
 
@@ -276,29 +283,25 @@ def test_shared_traces_match_the_per_tuple_reference(pq):
 
 @pytest.mark.parametrize("pq", SHARED_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_check_witness_cases_match_the_per_flag_reference(pq):
-    """Each witness:f is the per-flag witness trace on the check's own flag; the gap is recomputed."""
+    """Each witness:f is sum eta_{i_j} of the check's own flag, and the per-flag witness frame reaches it."""
     A, cfg = instance(*pq, 4)
     sig = A.signature
     tuples = lambda_index_tuples(sig.p)
     M = positive_compressions(A, 6, cfg, instance_rng(SEED, 5))
-    reports = check_wielandt_flag(A, tuples, M, n_tuples=3, rng=instance_rng(SEED, 6))
+    reports = check_wielandt_flag(A, tuples, M)
     bases = suite_bases(sig, 6, cfg, instance_rng(SEED, 5))  # the flags that M compresses onto
     assert len(reports) == len(tuples)
     for idx, rep in zip(tuples, reports):
-        assert rep.descriptor["index_tuple"] == list(idx)
+        assert rep.descriptor == {"index_tuple": list(idx), "n_flags": 6}
         assert rep.passed and not rep.soft_cases and not rep.notes
         by_id = {c.case_id: c for c in rep.cases}
         flags = PositiveFlag(sig, idx, bases)
-        want = ref_witness_traces(A.entries, sig, flags)
+        _, Mf = top_coordinates(A.entries, sig, flags.basis)
+        eta = np.linalg.eigvalsh(Mf)
         got = np.array([by_id[f"witness:{f}"].lhs for f in range(6)])
-        assert np.max(np.abs(got - want)) <= TRACE_TOL
-        _, M = top_coordinates(A.entries, sig, flags.basis)
-        gaps = [
-            (want[f] - sum(np.linalg.eigvalsh(M[f])[i - 1] for i in idx)) / max(1.0, np.linalg.norm(M[f], 2))
-            for f in range(6)
-        ]
-        assert by_id["witness_gap_min"].lhs == pytest.approx(min(gaps), abs=TRACE_TOL)
-        assert by_id["witness_gap_min"].tol == WITNESS_ROUNDOFF
+        assert np.max(np.abs(got - eta[:, [i - 1 for i in idx]].sum(axis=-1))) <= TRACE_TOL
+        scale = np.maximum(1.0, np.max(np.abs(eta), axis=-1))
+        assert np.all(ref_witness_traces(A.entries, sig, flags) >= got - WITNESS_ROUNDOFF * scale), idx
 
 
 @pytest.mark.parametrize("pq", SHARED_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
@@ -307,9 +310,9 @@ def test_shared_flags_give_every_tuple_its_own_flags_cases(pq):
 
     The flags are the leading ``wielandt_flags`` bases of the instance's
     frame stack, re-drawn from the frame stream.  The reference is the
-    per-tuple computation: ``PositiveFlag(sig, idx, bases)``, the witness on
-    that flag's own M and eigvalsh of that M, and interlacing on frames of
-    the (p-1)-column prefixes.
+    per-tuple computation: ``PositiveFlag(sig, idx, bases)``, eigvalsh of
+    that flag's own M for the witness sums, and interlacing on the same
+    frames, whose width is the tuple's top index.
     """
     cfg = SuiteConfig(p=pq[0], q=pq[1], seed=SEED, suites=("wielandt",))
     sig, scfg, index = Signature(*pq), cfg.sampler(), 3
@@ -320,22 +323,17 @@ def test_shared_flags_give_every_tuple_its_own_flags_cases(pq):
     bases = instance_bases(cfg, index)[: cfg.wielandt_flags]
     lambdas = eigendecompose(A).spectrum.lambdas
     JA = metric_diagonal(sig)[:, None] * A.entries
-    xi = compress(A, pseudo_orthonormalize(bases[..., : sig.p - 1], sig, POSITIVE)).etas
-    interlace = float(np.min(xi - lambdas[: sig.p - 1]))
     assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
     for idx, rep in zip(tuples, reports):
         frame = PositiveFlag(sig, idx, bases).frame
         M = frame.conj().swapaxes(-1, -2) @ (JA @ frame)
-        M = 0.5 * (M + M.conj().swapaxes(-1, -2))
-        traces = _compression_trace(M, witness_subordinate(M, idx))
-        eta = np.linalg.eigvalsh(M)
-        scale = np.maximum(1.0, np.max(np.abs(eta), axis=-1))
-        gap = float(np.min((traces - eta[:, [i - 1 for i in idx]].sum(axis=-1)) / scale))
+        eta = np.linalg.eigvalsh(0.5 * (M + M.conj().swapaxes(-1, -2)))
+        sums = eta[:, [i - 1 for i in idx]].sum(axis=-1)
+        interlace = float(np.min(eta - lambdas[: idx[-1]]))
         by_id = {c.case_id: c for c in rep.cases}
         got = np.array([by_id[f"witness:{f}"].lhs for f in range(cfg.wielandt_flags)])
-        assert np.max(np.abs(got - traces)) <= TRACE_TOL, idx
-        assert abs(by_id["witness_gap_min"].lhs - gap) <= TRACE_TOL, idx
-        assert abs(by_id["interlace_min"].lhs - interlace) <= TRACE_TOL, idx
+        assert np.max(np.abs(got - sums)) <= TRACE_TOL, idx
+        assert abs(by_id[f"interlace_min:{idx[-1]}"].lhs - interlace) <= TRACE_TOL, idx
 
 
 @settings(max_examples=60, deadline=None)
@@ -455,7 +453,9 @@ def test_the_witness_steps_of_all_tuples_form_a_trie(p, steps, distinct):
 
 
 def test_a_check_solves_one_eigenproblem_per_width_and_per_batched_step(monkeypatch):
-    """At (6,4) with all 63 tuples: one eigh per distinct width, then one per (depth, r, run) group.
+    """At (6,4) with all 63 tuples the check solves one eigvalsh per width, one per tuple size and one
+    for the eigenflag's roundoff, and no eigh.  The shared witness oracle solves one eigh per width,
+    then one per (depth, r, run) group.
 
     A per-tuple recursion solves one eigenproblem per step after the first:
     72 of them here, against 20 groups.
@@ -465,14 +465,19 @@ def test_a_check_solves_one_eigenproblem_per_width_and_per_batched_step(monkeypa
     groups = {(len(path) - 1, r, run) for idx in tuples for path, r, run in witness_steps(idx) if len(path) > 1}
     assert len(groups) == 20
     M = positive_compressions(A, 4, cfg, instance_rng(SEED, 8))
-    calls = counting_linalg(monkeypatch, "eigh", "svd")
-    reports = check_wielandt_flag(A, tuples, M, n_tuples=2, rng=instance_rng(SEED, 9))
+    checks._positive_eigen(A)  # the eigenbasis compression is memoized per matrix
+    calls = counting_linalg(monkeypatch, "eigh", "eigvalsh", "svd")
+    reports = check_wielandt_flag(A, tuples, M)
     assert len(reports) == 63 and all(r.passed for r in reports)
-    assert calls == {"eigh": 6 + len(groups), "svd": 0}
+    assert calls == {"eigh": 0, "eigvalsh": 6 + 6 + 1, "svd": 0}
+    calls.update(eigh=0, eigvalsh=0)
+    shared_traces(M, tuples)
+    assert calls == {"eigh": 6 + len(groups), "eigvalsh": 0, "svd": 0}
 
 
 def test_the_eigenflag_draw_does_not_grow_with_the_tuples(monkeypatch):
-    """One Gaussian draw for every tuple's eigenflag coordinates; the flags come in drawn."""
+    """The check draws nothing: its eigenflag bound is certified, not sampled.  The sampled oracle
+    draws the eigenflag coordinates of every tuple in one Gaussian draw."""
     draws = []
     normal = sampling.complex_normal
 
@@ -482,15 +487,16 @@ def test_the_eigenflag_draw_does_not_grow_with_the_tuples(monkeypatch):
 
     A, cfg = instance(6, 4, 9)
     monkeypatch.setattr(sampling, "complex_normal", counting)
+    monkeypatch.setattr(conftest, "complex_normal", counting)
     M = positive_compressions(A, 3, cfg, instance_rng(SEED, 10))
     assert len(draws) == 2  # the stack's isometries and contractions
-    counts = []
+    eigen = checks._positive_eigen(A)[1]
     for tuples in ([(2,)], [(1, 5), (3,)], all_tuples(6)):
         draws.clear()
-        check_wielandt_flag(A, tuples, M, n_tuples=2, rng=instance_rng(SEED, 11))
-        counts.append(len(draws))
-        assert draws[-1] == (6, sum(sum(idx) for idx in tuples))  # one row per eigenflag frame
-    assert counts == [1, 1, 1]
+        check_wielandt_flag(A, tuples, M)
+        assert draws == []
+        eigenflag_traces(eigen, tuples, instance_rng(SEED, 11), 6)
+        assert draws == [(6, sum(sum(idx) for idx in tuples))]  # one row per eigenflag frame
 
 
 EIGENFLAG_SIGNATURES = [(1, 0), (2, 1), (3, 2), (4, 3), (5, 3), (6, 4), (8, 6)]
@@ -505,30 +511,49 @@ def eigenflag_tuples(p, order):
 @pytest.mark.parametrize("order", ["enumerated", "unordered"])
 @pytest.mark.parametrize("pq", EIGENFLAG_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_eigenflag_max_is_the_highest_oracle_trace(pq, order):
-    """Each tuple's eigenflag_max is the highest trace over the Householder oracle's frames on the same draw."""
+    """Each tuple's eigenflag_max bounds every frame of the sampled eigenflag oracle, to 1e-12.
+
+    Its lhs is the tuple sum plus m ||eigen - diag(lambda)||_2, with the
+    norm recomputed here by an SVD; its margin is minus that excess.
+    """
     A, cfg = instance(*pq, 24)
     tuples = eigenflag_tuples(pq[0], order)
-    M = positive_compressions(A, 3, cfg, instance_rng(SEED, 26))
-    reports = check_wielandt_flag(A, tuples, M, n_tuples=4, rng=instance_rng(SEED, 27))
-    eigen = checks._positive_eigen(A)[1]
-    want = np.empty(len(tuples))
-    for positions, coords in subordinate_coordinates(tuples, instance_rng(SEED, 27), 12):
-        r = tuples[positions[0]][-1]
-        want[positions] = np.max(_compression_trace(eigen[:r, :r], coords), axis=0)
-    got = np.array([c.lhs for rep in reports for c in rep.cases if c.case_id == "eigenflag_max"])
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-12
+    reports = check_wielandt_flag(A, tuples, positive_compressions(A, 3, cfg, instance_rng(SEED, 26)))
+    system, eigen = checks._positive_eigen(A)
+    delta = np.linalg.norm(eigen - np.diag(system.spectrum.lambdas), 2)
+    cases = [c for rep in reports for c in rep.cases if c.case_id == "eigenflag_max"]
+    assert [c.indices for c in cases] == tuples
+    for c in cases:
+        assert c.margin == pytest.approx(-len(c.indices) * delta, rel=1e-9, abs=1e-300)
+        assert c.lhs - c.rhs == pytest.approx(len(c.indices) * delta, abs=1e-14 * max(1.0, abs(c.rhs)))
+    traces = eigenflag_traces(eigen, tuples, instance_rng(SEED, 27), 64)
+    assert np.all(traces <= np.array([c.lhs for c in cases])[:, None] + 1e-12)
+
+
+@pytest.mark.parametrize("order", ["enumerated", "unordered"])
+@pytest.mark.parametrize("pq", EIGENFLAG_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
+def test_the_witness_oracle_reaches_every_witness_case(pq, order):
+    """Hermitian Wielandt, checked: each flag's oracle witness frame reaches its witness:f value,
+    to 1e-12 max(1, ||M_r||_2) with M_r the flag's leading r x r block."""
+    A, cfg = instance(*pq, 24)
+    tuples = eigenflag_tuples(pq[0], order)
+    M = positive_compressions(A, 5, cfg, instance_rng(SEED, 26))
+    reports = check_wielandt_flag(A, tuples, M)
+    got = np.array([[c.lhs for c in rep.cases if c.case_id.startswith("witness:")] for rep in reports])
+    scale = np.maximum(1.0, [np.linalg.norm(M[:, : idx[-1], : idx[-1]], 2, axis=(-2, -1)) for idx in tuples])
+    traces = np.array(shared_traces(M, tuples))
+    assert traces.shape == got.shape == (len(tuples), 5)
+    assert np.all(traces >= got - WITNESS_ROUNDOFF * scale)
 
 
 def per_tuple_cases(A, idx, M):
-    """The cases of one tuple but ``eigenflag_max``, computed for that tuple alone.
+    """The cases of one tuple, computed for that tuple alone.
 
     A Python ``sum`` for the target, the tuple's own principal submatrix of
-    the eigenflag compression, and the witness and gap on its own stack,
-    with the gap's eigenvalue sums added left to right.
+    the eigenflag compression, and eigvalsh of the tuple's own width of M,
+    with the witness sums added left to right.
     """
     tol, equality_tol = DEFAULT_TOL, EQUALITY_TOL
-    p = A.signature.p
     system, eigen = checks._positive_eigen(A)
     lambdas = system.spectrum.lambdas
     target = float(sum(lambdas[i - 1] for i in idx))
@@ -536,39 +561,35 @@ def per_tuple_cases(A, idx, M):
     sub = eigen[np.ix_(cols, cols)]
     val = float(np.trace(sub).real)
     dev = float(np.max(np.abs(np.linalg.eigvalsh(sub) - lambdas[cols])))
+    slack = len(idx) * float(np.max(np.abs(np.linalg.eigvalsh(eigen - np.diag(lambdas)))))
     cases = [
+        make_case("eigenflag_max", idx, target + slack, target, -slack, tol),
         make_case("eigenflag_witness", idx, val, target, -abs(val - target), equality_tol),
         make_case("eigenflag_witness_etas", idx, dev, 0.0, -dev, equality_tol),
     ]
     if not len(M):
         return cases
     r = idx[-1]
-    spectra = {w: np.linalg.eigh(M[:, :w, :w]) for w in {r, p - 1} if w}
-    if p >= 2:
-        worst = float(np.min(spectra[p - 1][0] - lambdas[: p - 1]))
-        cases.append(make_case("interlace_min", tuple(range(1, p)), worst, 0.0, worst, tol))
-    (traces,) = _witness_traces(M, spectra, [idx])
-    cases += [make_case(f"witness:{f}", idx, t, target, t - target, tol) for f, t in enumerate(traces)]
-    eta = spectra[r][0]
-    scale = np.maximum(1.0, np.max(np.abs(eta), axis=-1))
-    gap = np.min((traces - functools.reduce(operator.add, eta[:, cols].T, 0.0)) / scale)
-    return cases + [make_case("witness_gap_min", idx, gap, 0.0, gap, WITNESS_ROUNDOFF)]
+    eta = np.linalg.eigvalsh(M[:, :r, :r])
+    worst = float(np.min(eta - lambdas[:r]))
+    cases.append(make_case(f"interlace_min:{r}", range(1, r + 1), worst, 0.0, worst, tol))
+    sums = functools.reduce(operator.add, eta[:, cols].T, 0.0)
+    return cases + [make_case(f"witness:{f}", idx, t, target, t - target, tol) for f, t in enumerate(sums)]
 
 
 @pytest.mark.parametrize("n_flags", [0, 1, 5])
 @pytest.mark.parametrize("order", ["enumerated", "unordered"])
 @pytest.mark.parametrize("pq", EIGENFLAG_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_every_other_case_is_the_per_tuple_case_bit_for_bit(pq, order, n_flags):
-    """Tabulated over all tuples at once, every case but eigenflag_max has the bytes of its per-tuple case."""
+    """Tabulated over all tuples at once, every case, eigenflag_max included, has the bytes of its per-tuple case."""
     A, cfg = instance(*pq, 28)
     tuples = eigenflag_tuples(pq[0], order)
     M = positive_compressions(A, n_flags, cfg, instance_rng(SEED, 29))
-    reports = check_wielandt_flag(A, tuples, M, n_tuples=2, rng=instance_rng(SEED, 30))
+    reports = check_wielandt_flag(A, tuples, M)
     for idx, rep in zip(tuples, reports, strict=True):
-        got = [c for c in rep.cases if c.case_id != "eigenflag_max"]
         want = per_tuple_cases(A, idx, M)
-        assert got == want, idx
-        assert [c.lhs.hex() for c in got] == [c.lhs.hex() for c in want], idx  # == takes -0.0 for 0.0
+        assert list(rep.cases) == want, idx
+        assert [c.lhs.hex() for c in rep.cases] == [c.lhs.hex() for c in want], idx  # == takes -0.0 for 0.0
 
 
 def test_an_enumerated_tuple_set_is_tabulated_once_per_process(monkeypatch, fresh_memos):
@@ -586,19 +607,17 @@ def test_an_enumerated_tuple_set_is_tabulated_once_per_process(monkeypatch, fres
     A, cfg = instance(4, 3, 31)
     M = positive_compressions(A, 3, cfg, instance_rng(SEED, 32))
     for k in range(3):
-        check_wielandt_flag(A, lambda_index_tuples(4), M, n_tuples=2, rng=instance_rng(SEED, 33, k))
+        check_wielandt_flag(A, lambda_index_tuples(4), M)
     assert builds == [(4, 15)] and memo.cache_info().currsize == 1
-    check_wielandt_flag(A, lambda_index_tuples(4)[::-1], M, n_tuples=2, rng=instance_rng(SEED, 34))
+    check_wielandt_flag(A, lambda_index_tuples(4)[::-1], M)
     assert builds[1:] == [(4, 15)] and memo.cache_info().currsize == 1
     A, cfg = instance(8, 6, 31)
     M = positive_compressions(A, 3, cfg, instance_rng(SEED, 32))
     for k in range(2):
-        rng = instance_rng(SEED, 35, k)
-        check_wielandt_flag(A, lambda_index_tuples(8, rng=rng), M, n_tuples=2, rng=rng)
+        check_wielandt_flag(A, lambda_index_tuples(8, rng=instance_rng(SEED, 35, k)), M)
     assert builds[2:] == [(8, 200)] * 2 and memo.cache_info().currsize == 1
     layout = memo(4, 4)
-    arrays = [layout.table, layout.draw.gather, layout.draw.order]
-    arrays += [a for group in layout.sizes + layout.widths for a in group if isinstance(a, np.ndarray)]
+    arrays = [layout.table] + [a for group in layout.sizes + layout.widths for a in group if isinstance(a, np.ndarray)]
     assert not any(array.flags.writeable for array in arrays)
 
 
@@ -717,10 +736,11 @@ def test_stacked_flag_names_its_non_positive_sample():
 
 
 def test_the_full_tuple_eigenflag_margin_is_roundoff():
-    """For (1, ..., p) the eigenflag frames span the positive eigenspace, so the trace is the tuple sum.
+    """For (1, ..., p) the margin is -p ||eigen - diag(lambda)||_2, the roundoff of the eigenflag's compression.
 
-    Drawn in the ambient space, frames missed it by 9.5e-9 at seed 5, (4,3),
-    instance 29, just inside the absolute 1e-8 tolerance.
+    Sampled frames drawn in the ambient space missed the tuple sum by
+    9.5e-9 at seed 5, (4,3), instance 29, just inside the absolute 1e-8
+    tolerance.
     """
     reports = run_instance(SuiteConfig(p=4, q=3, seed=5, suites=("wielandt",)), 29)
     (full,) = [r for r in reports if r.descriptor["index_tuple"] == [1, 2, 3, 4]]
@@ -766,29 +786,28 @@ def test_a_variational_instance_makes_no_svd(monkeypatch):
 
 
 def test_a_solver_failure_in_a_witness_gives_the_instance_an_error_record(tmp_path, monkeypatch):
-    """A witness step that does not converge raises out of the check; the batch goes on."""
+    """An eigensolver that does not converge on one instance's flags raises out of the check; the batch goes on."""
     cfg = SuiteConfig(p=3, q=2, instances=3, seed=SEED, suites=("wielandt",))
-    hyperplane = checks._hyperplane_basis
-    seen = []
+    A, _, _ = sample_planted(Signature(3, 2), cfg.sampler(), instance_rng(SEED, 1))
+    count = max(cfg.courant_subspaces, cfg.kyfan_frames, cfg.wielandt_flags)
+    frames = instance_rng(SEED, 1, len(SUITES))
+    poisoned = positive_compressions(A, count, cfg.sampler(), frames)[: cfg.wielandt_flags]  # instance 1's flags
+    eigvalsh = np.linalg.eigvalsh
+    hits = []
 
-    def recording(w):
-        seen.append(np.array(w))
-        return hyperplane(w)
-
-    monkeypatch.setattr(checks, "_hyperplane_basis", recording)
-    run_instance(cfg, 1)
-    poisoned = seen[0][0]  # flag 0's normal in instance 1's first batched witness step
-
-    def fails_on_it(w):
-        if w.shape[-1:] == poisoned.shape and np.any(np.all(w == poisoned, axis=-1)):
+    def fails_on_it(a, *args, **kwargs):
+        a = np.asarray(a)
+        r = a.shape[-1]
+        if a.ndim == 3 and len(a) == cfg.wielandt_flags and np.array_equal(a, poisoned[: len(a), :r, :r]):
+            hits.append(r)
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return hyperplane(w)
+        return eigvalsh(a, *args, **kwargs)
 
     base_out, out = tmp_path / "base.jsonl", tmp_path / "r.jsonl"
-    monkeypatch.setattr(checks, "_hyperplane_basis", hyperplane)
     assert run_suite(dataclasses.replace(cfg, out=str(base_out))).passed
-    monkeypatch.setattr(checks, "_hyperplane_basis", fails_on_it)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails_on_it)
     summary = run_suite(dataclasses.replace(cfg, out=str(out)))
+    assert len(hits) == 1
     assert not summary.passed
     assert summary.errors == [{"instance": 1, "error": "LinAlgError", "message": "Eigenvalues did not converge"}]
     base, got = ([json.loads(ln) for ln in path.read_text().splitlines()] for path in (base_out, out))
@@ -797,26 +816,20 @@ def test_a_solver_failure_in_a_witness_gives_the_instance_an_error_record(tmp_pa
 
 
 def test_the_ascent_is_batched_over_flags(monkeypatch):
-    """A per-flag witness would call eigh four times as often for four times the flags."""
+    """A per-flag check would solve four times as many eigenproblems for four times the flags."""
     A, cfg = instance(3, 2, 15)
-    eigh = np.linalg.eigh
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
     stacks = {n_flags: positive_compressions(A, n_flags, cfg, instance_rng(SEED, 16)) for n_flags in (4, 16)}
+    checks._positive_eigen(A)
+    calls = counting_linalg(monkeypatch, "eigh", "eigvalsh")
     for idx in ((2,), (1, 3), (2, 3)):
         counts = []
         for n_flags, M in stacks.items():
-            calls.clear()
-            (rep,) = check_wielandt_flag(A, [idx], M, n_tuples=2, rng=instance_rng(SEED, 17))
+            calls.update(eigh=0, eigvalsh=0)
+            (rep,) = check_wielandt_flag(A, [idx], M)
             assert rep.passed
             assert sum(c.case_id.startswith("witness:") for c in rep.cases) == n_flags
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0, idx
+            counts.append(dict(calls))
+        assert counts[0] == counts[1] == {"eigh": 0, "eigvalsh": 3}, idx
 
 
 def test_a_variational_instance_draws_one_frame_stack(monkeypatch):
@@ -849,11 +862,11 @@ def test_a_variational_instance_draws_one_frame_stack(monkeypatch):
     for tuples in ([(2,)], lambda_index_tuples(4)):
         checks._positive_eigen_by_value.cache_clear()
         flags.clear()
-        check_wielandt_flag(A, tuples, M, n_tuples=2, rng=instance_rng(SEED, 7))
+        check_wielandt_flag(A, tuples, M)
         certified.append(len(flags))
     assert certified == [1, 1]  # the eigenflag; the random flags come in certified
     flags.clear()
-    check_wielandt_flag(A, [(1, 3)], M, n_tuples=2, rng=instance_rng(SEED, 7))
+    check_wielandt_flag(A, [(1, 3)], M)
     assert not flags  # the eigenflag's compression is kept for A
     assert not checks._positive_eigen(A)[1].flags.writeable
 
@@ -863,21 +876,21 @@ def wielandt_case_ids(report):
 
 
 def test_empty_budgets_leave_out_their_cases():
-    """No flags: no witness, gap or interlacing case.  No frames: no eigenflag_max.  Neither raises."""
+    """No flags: no witness or interlacing case.  eigenflag_max is certified, not sampled, so it stays."""
     A, cfg = instance(4, 3, 11)
     tuples = [(1,), (2, 4), (1, 2, 3, 4)]
     ids = {}
-    for n_flags, n_tuples in ((3, 2), (0, 2), (3, 0), (0, 0)):
+    for n_flags in (3, 0):
         M = positive_compressions(A, n_flags, cfg, instance_rng(SEED, 12))
-        reports = check_wielandt_flag(A, tuples, M, n_tuples=n_tuples, rng=instance_rng(SEED, 13))
+        reports = check_wielandt_flag(A, tuples, M)
         assert all(r.passed for r in reports)
-        ids[n_flags, n_tuples] = [wielandt_case_ids(r) for r in reports]
-    eigen = ["eigenflag_witness", "eigenflag_witness_etas"]
-    witness = ["interlace_min", "witness:0", "witness:1", "witness:2", "witness_gap_min"]
-    assert ids[3, 2] == [["eigenflag_max", *eigen, *witness]] * 3
-    assert ids[0, 2] == ids[0, 0] == [eigen] * 3
-    assert ids[3, 0] == [[*eigen, *witness]] * 3
-    assert check_wielandt_flag(A, [], M, n_tuples=2, rng=instance_rng(SEED, 13)) == []
+        assert [r.descriptor for r in reports] == [{"index_tuple": list(idx), "n_flags": n_flags} for idx in tuples]
+        ids[n_flags] = [wielandt_case_ids(r) for r in reports]
+    eigen = ["eigenflag_max", "eigenflag_witness", "eigenflag_witness_etas"]
+    witness = ["witness:0", "witness:1", "witness:2"]
+    assert ids[3] == [[*eigen, f"interlace_min:{idx[-1]}", *witness] for idx in tuples]
+    assert ids[0] == [eigen] * 3
+    assert check_wielandt_flag(A, [], M) == []
 
 
 @pytest.mark.parametrize("pq", [(1, 0), (1, 1), (3, 0)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
@@ -885,30 +898,23 @@ def test_one_positive_dimension_and_no_negative_block(pq):
     A, cfg = instance(*pq, 13)
     tuples = lambda_index_tuples(pq[0])
     M = positive_compressions(A, 3, cfg, instance_rng(SEED, 14))
-    reports = check_wielandt_flag(A, tuples, M, n_tuples=2, rng=instance_rng(SEED, 15))
+    reports = check_wielandt_flag(A, tuples, M)
     assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
     assert all(r.passed for r in reports)
-    assert all(("interlace_min" in wielandt_case_ids(r)) == (pq[0] >= 2) for r in reports)
+    assert all(f"interlace_min:{idx[-1]}" in wielandt_case_ids(r) for idx, r in zip(tuples, reports))
     assert all("witness:2" in wielandt_case_ids(r) for r in reports)
 
 
 def test_duplicate_and_unordered_tuples_get_the_cases_of_their_own_call():
-    """Reports follow the input order; each tuple's deterministic cases equal those of a one-tuple call.
-
-    The eigenflag frames of all tuples are one draw, so ``eigenflag_max`` is
-    left out of the comparison.
-    """
+    """Reports follow the input order; each tuple's cases equal those of a one-tuple call."""
     A, cfg = instance(5, 3, 15)
     tuples = [(2, 5), (1,), (2, 5), (1, 3, 4), (5,), (1,)]
     M = positive_compressions(A, 4, cfg, instance_rng(SEED, 16))
-    reports = check_wielandt_flag(A, tuples, M, n_tuples=2, rng=instance_rng(SEED, 17))
+    reports = check_wielandt_flag(A, tuples, M)
     assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
     for idx, rep in zip(tuples, reports):
-        (alone,) = check_wielandt_flag(A, [idx], M, n_tuples=2, rng=instance_rng(SEED, 17))
-        assert [c for c in rep.cases if c.case_id != "eigenflag_max"] == [
-            c for c in alone.cases if c.case_id != "eigenflag_max"
-        ], idx
-        assert wielandt_case_ids(rep) == wielandt_case_ids(alone)
+        (alone,) = check_wielandt_flag(A, [idx], M)
+        assert rep.cases == alone.cases, idx
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,14 +19,9 @@ from kreinval import (
 )
 from kreinval.checks import lambda_index_tuples
 from kreinval.geometry import TOL_CONE, gram, pair
-from kreinval.sampling import (
-    PositiveFlag,
-    restricted_cone_samples,
-    subordinate_frames,
-    subordinate_layout,
-)
+from kreinval.sampling import PositiveFlag, restricted_cone_samples
 
-from conftest import cone_margin, subordinate_coordinates
+from conftest import cone_margin, subordinate_coordinates, subordinate_frames, subordinate_layout
 
 SEED = 808
 
