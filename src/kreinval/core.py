@@ -13,6 +13,7 @@ well-formed inputs.  All instances are immutable values.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +140,7 @@ class PseudoUnitary:
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValue("matrix entries must be finite")
         resid = pseudo_unitary_residual(arr, self.signature)
-        if resid > self.tol:
+        if not resid <= self.tol:  # a NaN residual, from overflow, fails too
             raise ValueError(
                 f"not pseudo-unitary for signature ({self.signature.p}, {self.signature.q}): "
                 f"residual {resid:.3e} exceeds tol {self.tol:.1e}"
@@ -153,8 +154,13 @@ class PseudoUnitary:
 
     @functools.cached_property
     def cond(self) -> float:
-        """2-norm condition number, computed on first use and kept."""
-        return float(np.linalg.cond(self.entries, 2))
+        """2-norm condition number, computed on first use and kept.
+
+        The ratio of the extreme singular values, which is what
+        ``np.linalg.cond(U, 2)`` returns for finite entries.
+        """
+        s = np.linalg.svd(self.entries, compute_uv=False)
+        return float(s[0] / s[-1]) if s[-1] else math.inf
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,14 @@ All samplers draw from an explicit numpy Generator, so identical seeds give
 bit-identical output.  Pseudo-unitaries come from exponentiating elements of
 the isometry Lie algebra (B J + J B* = 0): skew-Hermitian diagonal blocks and
 a free off-diagonal coupling block whose spectral norm is capped by
-``boost_scale``.  Positive subspaces are graphs (Q; K Q) of contractions K
-over isometries Q, which reach every positive subspace of the given dimension
-and are positive by construction.  A ``PositiveFlag`` certifies its basis
-with the Cholesky factorization that frames it; in that frame the levels
-are spans of leading unit vectors and the pairing is Euclidean.
+``boost_scale``.  The exponential is ``_expm``, a numpy kernel for scaling
+and squaring with the [13/13] Padé approximant (Higham, SIAM J. Matrix Anal.
+Appl. 26 (2005) 1179-1193).  Positive subspaces are graphs (Q; K Q) of
+contractions K over isometries Q, which reach every positive subspace of the
+given dimension and are positive by construction.  A ``PositiveFlag``
+certifies its basis with the Cholesky factorization that frames it; in that
+frame the levels are spans of leading unit vectors and the pairing is
+Euclidean.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     AdmissibleSpectrum,
@@ -27,7 +29,7 @@ from .core import (
     check_index_tuple,
     matrix_dagger,
 )
-from .errors import RetriesExhausted, ShapeMismatch
+from .errors import NonFiniteValue, RetriesExhausted, ShapeMismatch
 from .geometry import (
     POSITIVE,
     TOL_CONE,
@@ -40,6 +42,22 @@ from .geometry import (
 
 #: tolerance used to self-check sampled pseudo-unitaries
 SAMPLE_UNITARY_TOL = 1e-9
+
+#: largest ||X||_1 at which the [13/13] Padé approximant gives exp(X) to double precision
+_THETA_13 = 5.371920351148152
+# Padé numerator coefficients b_0 .. b_13 over b_0, so that exp(0) solves to I exactly
+_PADE_13 = np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+]) / 64764752532480000.0
+# rows turning the stacked powers (I, X^2, X^4, X^6) into W_1 .. W_4 of _expm
+_PADE_ROWS = np.array([
+    [0.0, _PADE_13[9], _PADE_13[11], _PADE_13[13]],
+    [_PADE_13[1], _PADE_13[3], _PADE_13[5], _PADE_13[7]],
+    [0.0, _PADE_13[8], _PADE_13[10], _PADE_13[12]],
+    [_PADE_13[0], _PADE_13[2], _PADE_13[4], _PADE_13[6]],
+], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -121,7 +139,7 @@ def _lie_algebra_element(sig: Signature, cfg: SamplerConfig, rng: np.random.Gene
     if p and q and cfg.boost_scale > 0:
         Z = complex_normal(rng, p, q)
         t = rng.uniform(0.0, cfg.boost_scale)
-        zn = np.linalg.norm(Z, 2)
+        zn = np.linalg.svd(Z, compute_uv=False)[0]
         if zn > 0:
             Z = Z * (t / zn)
         gen[:p, p:] = Z
@@ -129,20 +147,59 @@ def _lie_algebra_element(sig: Signature, cfg: SamplerConfig, rng: np.random.Gene
     return gen
 
 
+def _expm(X: np.ndarray) -> np.ndarray:
+    """exp(X) by scaling and squaring with the [13/13] Padé approximant (Higham 2005).
+
+    X is scaled by 2^-s, the least power with ||2^-s X||_1 <= theta_13.  The
+    approximant is r = (V - U)^-1 (V + U) with the odd part U = X (X^6 W_1 + W_2)
+    and the even part V = X^6 W_3 + W_4; one product of the coefficient rows
+    with the stacked powers gives every W, and one stacked product both X^6
+    terms.  r is then squared s times.  A generator whose norm is not finite
+    has no exponential and raises NonFiniteValue.
+    """
+    n = X.shape[0]
+    norm = np.abs(X).sum(axis=0).max()
+    if not math.isfinite(norm):
+        raise NonFiniteValue("the generator's norm is not finite")
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    if s:
+        X = X * 2.0**-s
+    P = np.empty((4, n, n), dtype=complex)
+    P[0] = np.eye(n)
+    np.matmul(X, X, out=P[1])
+    np.matmul(P[1], P[1], out=P[2])
+    np.matmul(P[2], P[1], out=P[3])
+    W = (_PADE_ROWS @ P.reshape(4, n * n)).reshape(4, n, n)
+    H = P[3] @ W[0::2]
+    U = X @ (H[0] + W[1])
+    V = H[1] + W[3]
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+        if not np.isfinite(R[0, 0]):  # overflowed: R[0, 0]^2 keeps every later square non-finite
+            break
+    return R
+
+
 def sample_pseudo_unitary(sig: Signature, cfg: SamplerConfig, rng: np.random.Generator) -> PseudoUnitary:
     """Exponential of a random Lie-algebra element, resampled until well conditioned.
 
+    The exponential is ``_expm``, scaling and squaring with the [13/13] Padé
+    approximant (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193).
     Each draw's residual is checked once, by the PseudoUnitary it becomes, and
-    its condition number is kept on it for later readers.
+    its condition number is kept on it for later readers.  A draw that
+    overflows, in the generator, its exponential or the residual, fails its
+    checks and is drawn again.
     """
-    for _ in range(cfg.max_retries):
-        gen = _lie_algebra_element(sig, cfg, rng)
-        try:
-            U = PseudoUnitary(sig, scipy.linalg.expm(gen), tol=SAMPLE_UNITARY_TOL)
-        except ValueError:  # the exponential left the group by more than the tolerance
-            continue
-        if U.cond <= cfg.cond_cap:
-            return U
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.max_retries):
+            gen = _lie_algebra_element(sig, cfg, rng)
+            try:
+                U = PseudoUnitary(sig, _expm(gen), tol=SAMPLE_UNITARY_TOL)
+            except ValueError:  # the exponential overflowed or left the group
+                continue
+            if U.cond <= cfg.cond_cap:
+                return U
     raise RetriesExhausted(
         f"no pseudo-unitary with cond <= {cfg.cond_cap:.1e} in {cfg.max_retries} draws"
     )
@@ -154,7 +211,7 @@ def sample_planted(
     """Planted-spectrum instance A = U diag U^-1, returning the conjugator too.
 
     Using the dagger as the inverse keeps the construction exactly
-    pseudo-Hermitian in exact arithmetic, independent of expm accuracy; the
+    pseudo-Hermitian in exact arithmetic, independent of _expm's accuracy; the
     final symmetrization removes roundoff asymmetry.
     """
     spectrum = sample_spectrum(sig, cfg, rng)

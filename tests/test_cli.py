@@ -1,10 +1,15 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kreinval
 from kreinval import (
     AdmissibleSpectrum,
     ConfigError,
@@ -19,6 +24,7 @@ from kreinval import (
     positive_compressions,
     read_matrix,
     sample_planted,
+    sampling,
     write_matrix,
 )
 from kreinval.cli import SUITES, SuiteConfig, build_config, main, run_instance, run_suite, validate_config
@@ -406,3 +412,61 @@ class TestRunner:
         ]
         assert records[2]["error"] == "LinAlgError"
         assert records[2]["message"] == "Singular matrix"
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy():
+    code = ("import sys, kreinval, kreinval.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = str(Path(kreinval.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+ROUNDOFF = 1e-12
+
+
+def _moved(a, b, scale):
+    """Largest scaled difference of two report values; inf where ids, flags or shapes differ."""
+    if isinstance(a, float) and isinstance(b, float):
+        return abs(a - b) / max(scale, abs(a), abs(b))
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return max((_moved(a[k], b[k], scale) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max((_moved(x, y, scale) for x, y in zip(a, b)), default=0.0)
+    return 0.0 if a == b else np.inf
+
+
+def _report_moved(got, ref):
+    """Each case scaled by max(1, |lhs|, |rhs|), the rest of a report by its largest case."""
+    scale = 1.0
+    moved = 0.0
+    for key in ("cases", "soft_cases"):
+        if len(got[key]) != len(ref[key]):
+            return np.inf
+        for a, b in zip(got[key], ref[key]):
+            case_scale = max(1.0, abs(b["lhs"]), abs(b["rhs"]))
+            scale = max(scale, case_scale)
+            moved = max(moved, _moved(a, b, case_scale))
+    rest = {k: v for k, v in got.items() if k not in ("cases", "soft_cases")}
+    return max(moved, _moved(rest, {k: ref[k] for k in rest}, scale))
+
+
+def test_reports_move_by_roundoff_from_the_scipy_exponential(monkeypatch, fresh_memos):
+    """Every suite keeps its case ids and verdicts with scipy's expm in place of the kernel."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    worst, differ = 0.0, False
+    for p, q in ((1, 0), (0, 2), (1, 1), (2, 1), (3, 2), (4, 3), (5, 3)):
+        cfg = SuiteConfig(p=p, q=q, seed=SEED)
+        for index in range(3):
+            got = [r.to_dict() for r in run_instance(cfg, index)]
+            with monkeypatch.context() as m:
+                m.setattr(sampling, "_expm", scipy_linalg.expm)
+                ref = [r.to_dict() for r in run_instance(cfg, index)]
+            assert len(got) == len(ref)
+            for a, b in zip(got, ref):
+                assert [c["passed"] for c in a["cases"]] == [c["passed"] for c in b["cases"]]
+                worst = max(worst, _report_moved(a, b))
+                differ = differ or a != b
+    assert worst <= ROUNDOFF
+    assert differ  # the oracle did replace the kernel

@@ -89,6 +89,17 @@ def test_boost_is_pseudo_unitary():
     assert wrapped.cond >= 1.0
 
 
+def test_huge_finite_entries_whose_residual_overflows_are_not_pseudo_unitary():
+    # (U J U*) overflows to inf - inf, so the residual is NaN; it must fail the check
+    sig = Signature(2, 1)
+    rng = np.random.default_rng(3)
+    U = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) * 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(pseudo_unitary_residual(U, sig))
+        with pytest.raises(ValueError, match="not pseudo-unitary"):
+            PseudoUnitary(sig, U)
+
+
 def test_matrix_wrapper_freezes_entries():
     sig = Signature(1, 1)
     A = PseudoHermitianMatrix(sig, np.diag([2.0, 1.0]).astype(complex))

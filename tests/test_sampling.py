@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kreinval import (
+    RetriesExhausted,
     SamplerConfig,
     Signature,
     check_admissible,
@@ -16,10 +16,12 @@ from kreinval import (
     sample_positive_subspace,
     sample_pseudo_unitary,
     sample_spectrum,
+    sampling,
 )
 from kreinval.checks import lambda_index_tuples
+from kreinval.errors import NonFiniteValue
 from kreinval.geometry import TOL_CONE, gram, pair
-from kreinval.sampling import PositiveFlag, restricted_cone_samples
+from kreinval.sampling import PositiveFlag, _expm, _lie_algebra_element, complex_normal, restricted_cone_samples
 
 from conftest import cone_margin, subordinate_coordinates, subordinate_frames, subordinate_layout
 
@@ -47,16 +49,118 @@ def test_spectrum_sampler_respects_gap(signature, sampler_cfg):
 
 def test_boost_closed_form_matches_exponential():
     # the rank-one generator in signature (1,1) exponentiates to a hyperbolic
-    # rotation; pins down the exp-map convention used by the sampler
+    # rotation; pins down the exp-map convention of the sampler's kernel
     sig = Signature(1, 1)
-    for t in (0.25, 1.0, 2.0):
+    for t in (0.25, 1.0, 2.0, 8.0):
         gen = np.array([[0.0, t], [t, 0.0]], dtype=complex)
-        U = scipy.linalg.expm(gen)
+        U = _expm(gen)
         expected = np.array(
             [[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]], dtype=complex
         )
-        assert np.allclose(U, expected, atol=1e-13)
-        assert pseudo_unitary_residual(U, sig) < 1e-12
+        assert np.allclose(U, expected, rtol=1e-13, atol=1e-13)
+        # t = 8 passes theta_13, so it is squared once; its residual scales with ||U||^2
+        assert pseudo_unitary_residual(U, sig) < (1e-12 if t <= 2.0 else 1e-15 * np.cosh(t) ** 2)
+
+
+ORACLE_SIGNATURES = [(1, 0), (0, 2), (2, 1), (3, 2), (4, 3), (5, 3), (6, 4), (8, 6)]
+
+
+@pytest.mark.parametrize("boost", [0.0, 1.0, 50.0])
+def test_expm_matches_the_scipy_oracle_on_sampled_generators(boost):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    scaled = 0
+    for p, q in ORACLE_SIGNATURES:
+        sig = Signature(p, q)
+        cfg = SamplerConfig(seed=SEED, boost_scale=boost)
+        for idx in range(8):
+            gen = _lie_algebra_element(sig, cfg, instance_rng(SEED, idx))
+            scaled += np.abs(gen).sum(axis=0).max() > sampling._THETA_13
+            U, ref = _expm(gen), scipy_linalg.expm(gen)
+            assert np.linalg.norm(U - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
+            size = max(1.0, np.linalg.norm(U, 2) ** 2)
+            assert pseudo_unitary_residual(U, sig) <= 1e-12 * size
+    # every boost reaches the squaring phase: the larger signatures pass theta_13 unboosted
+    assert scaled > 0
+
+
+def test_expm_of_zero_is_exactly_the_identity():
+    for n in (1, 2, 3, 7, 14):
+        assert np.array_equal(_expm(np.zeros((n, n), dtype=complex)), np.eye(n))
+
+
+def test_expm_rejects_a_generator_without_a_finite_norm():
+    for bad in (np.inf, np.nan, 1e308):
+        gen = np.full((3, 3), bad, dtype=complex)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
+            _expm(gen)
+
+
+def _draw_outcome(sig, cfg, idx):
+    try:
+        return sample_pseudo_unitary(sig, cfg, instance_rng(cfg.seed, idx)).cond
+    except Exception as exc:  # the outcome is the exception type
+        return type(exc)
+
+
+@pytest.mark.parametrize("boost", [50.0, 1e3, 1.7e308])
+def test_huge_boosts_end_as_they_did_with_the_scipy_exponential(boost, monkeypatch):
+    # an overflowing draw is a failed draw: the retry loop goes on, and a run
+    # of them ends in RetriesExhausted, never in OverflowError or a warning
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    got, ref = [], []
+    for p, q in ((1, 1), (2, 1), (3, 2), (4, 3)):
+        sig = Signature(p, q)
+        for seed in (0, 1):
+            cfg = SamplerConfig(seed=seed, boost_scale=boost)
+            for idx in range(8):
+                got.append(_draw_outcome(sig, cfg, idx))
+                with monkeypatch.context() as m:
+                    m.setattr(sampling, "_expm", scipy_linalg.expm)
+                    ref.append(_draw_outcome(sig, cfg, idx))
+    for a, b in zip(got, ref):
+        if isinstance(b, float):
+            assert a == pytest.approx(b, rel=1e-9)
+        else:
+            assert a is b is RetriesExhausted
+    succeeded = sum(isinstance(a, float) for a in got)
+    expected = {50.0: len(got), 1e3: 17, 1.7e308: 0}[boost]
+    assert succeeded == expected
+
+
+def test_condition_number_is_numpys_bit_for_bit(signature):
+    for boost in (1.0, 50.0):
+        cfg = SamplerConfig(seed=SEED, boost_scale=boost)
+        for idx in range(10):
+            U = sample_pseudo_unitary(signature, cfg, instance_rng(SEED, idx))
+            assert U.cond == np.linalg.cond(U.entries, 2)
+
+
+def _lie_algebra_element_by_norm(sig, cfg, rng):
+    """The generator with the coupling norm taken by np.linalg.norm, an oracle."""
+    p, q = sig.p, sig.q
+    gen = np.zeros((sig.n, sig.n), dtype=complex)
+    if p:
+        G1 = complex_normal(rng, p, p)
+        gen[:p, :p] = 0.5 * (G1 - G1.conj().T)
+    if q:
+        G2 = complex_normal(rng, q, q)
+        gen[p:, p:] = 0.5 * (G2 - G2.conj().T)
+    if p and q and cfg.boost_scale > 0:
+        Z = complex_normal(rng, p, q)
+        t = rng.uniform(0.0, cfg.boost_scale)
+        zn = np.linalg.norm(Z, 2)
+        assert np.linalg.svd(Z, compute_uv=False)[0] == zn
+        gen[:p, p:] = Z * (t / zn)
+        gen[p:, :p] = gen[:p, p:].conj().T
+    return gen
+
+
+@pytest.mark.parametrize("pq", ORACLE_SIGNATURES)
+def test_the_generator_is_the_norm_oracles_bit_for_bit(pq):
+    sig, cfg = Signature(*pq), SamplerConfig(seed=SEED, boost_scale=3.0)
+    for idx in range(10):
+        got = _lie_algebra_element(sig, cfg, instance_rng(SEED, idx))
+        assert np.array_equal(got, _lie_algebra_element_by_norm(sig, cfg, instance_rng(SEED, idx)))
 
 
 def test_sampled_conjugators_are_pseudo_unitary(signature, sampler_cfg):
