@@ -256,31 +256,25 @@ def _sample_ranks(count: int, limit: int, rng) -> list[int]:
     return sorted(chosen)
 
 
-def _unrank_increasing(m: int, rank: int, block) -> tuple[tuple[int, ...], int]:
-    """The entries x_1 < ... < x_m of the item at ``rank``, and the rank left within them.
-
-    Items are ranked by their entries lexicographically.  ``block(s, y)``
-    counts the items that take y next when s entries are still to come, y
-    included, so one pass over y skips whole blocks of ranks.
-    """
-    out, x = [], 0
-    for s in range(m, 0, -1):
-        x += 1
-        while rank >= (size := block(s, x)):
-            rank -= size
-            x += 1
-        out.append(x)
-    return tuple(out), rank
-
-
 def _unrank_index_tuple(upper: int, rank: int) -> tuple[int, ...]:
-    """The tuple at ``rank`` in the enumeration order of ``lambda_index_tuples``."""
+    """The tuple at ``rank`` in the enumeration order of ``lambda_index_tuples``.
+
+    Sizes first, then entries lexicographically.  C(upper - y, s - 1)
+    tuples take y next when s entries are still to come, y included, so
+    one pass over y skips whole blocks of ranks.
+    """
     m = 1
     while rank >= (size := math.comb(upper, m)):
         rank -= size
         m += 1
-    # C(upper - y, s - 1) subsets of {1, ..., upper} take y next with s entries to come
-    return _unrank_increasing(m, rank, lambda s, y: math.comb(upper - y, s - 1))[0]
+    out, x = [], 0
+    for s in range(m, 0, -1):
+        x += 1
+        while rank >= (size := math.comb(upper - x, s - 1)):
+            rank -= size
+            x += 1
+        out.append(x)
+    return tuple(out)
 
 
 def _index_tuple_count(upper: int, max_size: int | None) -> tuple[int, int]:
@@ -314,90 +308,14 @@ def lambda_index_tuples(upper: int, max_size: int | None = None, *, limit: int =
     return [_unrank_index_tuple(upper, r) for r in _sample_ranks(count, limit, rng)]
 
 
-@functools.lru_cache(maxsize=64)
-def _pair_blocks(p: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Counts of the size-m pairs of ``thompson_freede_pairs(p)`` by prefix of i.
-
-    Entry [s][x] counts the pairs whose i has x as its latest chosen entry
-    (x = 0: none yet) with s entries still to come.  An i ending in a pairs
-    with the m-subsets j of {1, ..., min(p, m + p - a)}, so [0][a] is
-    C(min(p, m + p - a), m), and an i that goes on takes some next entry
-    y > x: [s][x] = [s][x + 1] + [s - 1][x + 1].  [m][0] counts all size-m
-    pairs.
-    """
-    blocks = [[0] * (p + 2) for _ in range(m + 1)]
-    for a in range(1, p + 1):
-        blocks[0][a] = math.comb(min(p, m + p - a), m)
-    for s in range(1, m + 1):
-        for x in range(p - 1, -1, -1):
-            blocks[s][x] = blocks[s][x + 1] + blocks[s - 1][x + 1]
-    return tuple(tuple(row) for row in blocks)
-
-
-def _thompson_freede_count(p: int) -> int:
-    """Number of pairs thompson_freede_pairs(p) admits: the size-m counts of ``_pair_blocks``."""
-    return sum(_pair_blocks(p, m)[m][0] for m in range(1, p + 1))
-
-
-def _unrank_pair(p: int, rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pair at ``rank`` in the enumeration order of ``thompson_freede_pairs(p)``.
-
-    Sizes first, then i, then j lexicographically, with block sizes from
-    ``_pair_blocks`` for i; j is then any m-subset of {1, ..., min(p, m + p - i_m)}.
-    """
-    m = 1
-    while rank >= (size := _pair_blocks(p, m)[m][0]):
-        rank -= size
-        m += 1
-    blocks = _pair_blocks(p, m)
-    i, rank = _unrank_increasing(m, rank, lambda s, y: blocks[s - 1][y])
-    n = min(p, m + p - i[-1])
-    return i, _unrank_increasing(m, rank, lambda s, y: math.comb(n - y, s - 1))[0]
-
-
-def thompson_freede_pairs(p: int, *, limit: int = TUPLE_LIMIT, rng=None):
-    """Pairs (i, j) of same-size tuples with i[-1] + j[-1] <= m + p.
-
-    The constraint makes every combined index i_h + j_h - h a valid, strictly
-    increasing position in [1, p].  All pairs, by size, then i, then j
-    lexicographically, when there are at most ``limit``.  Beyond that exactly
-    ``limit`` pairs in the same order, drawn like ``lambda_index_tuples``
-    draws tuples, by Floyd's algorithm: uniformly over limit-subsets of
-    pairs, O(p) per pair once ``_pair_blocks`` holds the counts.
-    """
-    if p < 1:
-        return []
-    count = _thompson_freede_count(p)
-    if count <= limit:
-        out = []
-        for m in range(1, p + 1):
-            combos = list(itertools.combinations(range(1, p + 1), m))
-            for i in combos:
-                for j in combos:
-                    if i[-1] + j[-1] <= m + p:
-                        out.append((i, j))
-        return out
-    rng = rng if rng is not None else np.random.default_rng(0)
-    return [_unrank_pair(p, r) for r in _sample_ranks(count, limit, rng)]
-
-
 # ---------------------------------------------------------------------------
 # index tables
 #
-# The tuple-sum checks take every case of a check in one pass.  A list of
-# tuples becomes a 0-based table (N, w) whose short rows are padded with the
-# slot of a 0.0 appended to the spectrum, so ``_tuple_sums`` takes every
-# tuple's terms in one gather per spectrum.  Enumerated sets depend on
-# their bounds alone and are tabulated once per process; sampled ones per call.
-
-
-class _IndexSets(NamedTuple):
-    """Index sets in table form: each row's case id, case indices and size, and the tables."""
-
-    case_ids: tuple[str, ...]
-    indices: tuple[tuple[int, ...], ...]
-    sizes: np.ndarray
-    tables: tuple[np.ndarray, ...]
+# A list of 1-based index tuples becomes a 0-based table (N, w) whose short
+# rows are padded with the slot of a 0.0 appended to the spectrum, so
+# ``_tuple_sums`` takes every tuple's terms in one gather per spectrum.  The
+# sum suites tabulate the worst tuple or pair of each size, which their
+# kernels find in closed form; ``wielandt`` tabulates its index tuples.
 
 
 def _table(tuples, upper: int) -> np.ndarray:
@@ -408,13 +326,6 @@ def _table(tuples, upper: int) -> np.ndarray:
     table = np.array(rows, dtype=np.intp).reshape(len(rows), width) - 1
     table.flags.writeable = False
     return table
-
-
-def _index_sets(case_ids, indices, upper: int, *parts) -> _IndexSets:
-    """Read-only tables (N, w) of the 1-based tuples of each of ``parts``, short rows ending in ``upper``."""
-    sizes = np.array([len(t) for t in parts[0]], dtype=np.intp)
-    sizes.flags.writeable = False
-    return _IndexSets(tuple(case_ids), tuple(indices), sizes, tuple(_table(t, upper) for t in parts))
 
 
 def _tuple_sums(values: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -432,39 +343,75 @@ def _tuple_sums(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     return total
 
 
-def _tuple_sets(kind: str, upper: int, tuples) -> _IndexSets:
-    return _index_sets((f"{kind}:{','.join(map(str, t))}" for t in tuples), tuples, upper, tuples)
+def _lidskii_cases(
+    kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray, mmax: int, tol: float
+) -> list[CheckCase]:
+    """The worst tuple of each size m = 1, ..., mmax of one block, as cases.
+
+    ``a``, ``b`` and ``c`` are the block's eigenvalues under A, B and
+    A + B, in the order ``AdmissibleSpectrum`` keeps them.  Positive-type,
+    the bound for an m-tuple I reads sum_{i in I} d_i >= b_1 + ... + b_m
+    with d = c - a, and the right side does not depend on I.  So the m
+    smallest d's form the worst m-tuple (Lidskii 1950), and one sort ranks
+    the tuples of every size.  Negative-type (``kind`` "mu") the bound is
+    reversed and the m largest d's are worst.  Ties go to the lower index.
+
+    The sort only chooses the tuples: each case is computed from its tuple
+    as for any tuple, with the sums added left to right from +0.0 and B's
+    leading sums ``np.sum(b[:m])``.
+    """
+    positive = kind == "lambda"
+    order = (np.argsort(c - a if positive else a - c, kind="stable") + 1).tolist()
+    tuples = [tuple(sorted(order[:m])) for m in range(1, mmax + 1)]
+    table = _table(tuples, len(a))
+    lhs = _tuple_sums(c, table)
+    rhs = _tuple_sums(a, table) + np.array([np.sum(b[:m]) for m in range(1, mmax + 1)])
+    ids = [f"{kind}:{','.join(map(str, t))}" for t in tuples]
+    return make_cases(ids, tuples, lhs, rhs, lhs - rhs if positive else rhs - lhs, tol)
 
 
-def _lidskii_sets(kind: str, upper: int, max_size: int | None, limit: int, rng) -> _IndexSets:
-    """``lambda_index_tuples(upper, max_size, limit=limit, rng=rng)`` tabulated, drawn as it draws."""
-    if _index_tuple_count(upper, max_size)[1] <= limit:
-        return _enumerated_lidskii_sets(kind, upper, max_size)
-    return _tuple_sets(kind, upper, lambda_index_tuples(upper, max_size, limit=limit, rng=rng))
+def _thompson_freede_cases(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> list[CheckCase]:
+    """The worst pair of each size m = 1, ..., p, as cases.
 
+    ``a``, ``b`` and ``c`` are the ascending positive-type eigenvalues of
+    A, B and A + B.  The margin of a pair (i, j) of m-tuples is the sum
+    over h of f_h(i_h, j_h) = c_{i_h + j_h - h} - a_{i_h} - b_{j_h}.  The
+    least partial sum over the first h positions that ends in (i, j) is
+    g_h(i, j) = f_h(i, j) + min over i' < i, j' < j of g_{h-1}(i', j'),
+    with g_1 = f_1: one min-plus step over a 2-D prefix minimum per
+    position, O(p^3) in all.  A cell whose combined index i + j - h falls
+    outside [1, p] is +inf, so the least g_m is the worst size-m pair with
+    i_m + j_m <= m + p.  Backtracking recovers it, one argmin of g_{h-1}
+    over the cells i' < i, j' < j per position.  At every position, ties
+    go to the lower i, then the lower j.
 
-@functools.lru_cache(maxsize=64)
-def _enumerated_lidskii_sets(kind: str, upper: int, max_size: int | None) -> _IndexSets:
-    return _tuple_sets(kind, upper, lambda_index_tuples(upper, max_size, limit=math.inf))
-
-
-def _pair_sets(p: int, pairs) -> _IndexSets:
-    """Rows (i, j) with case indices i_h + j_h - h; tables of i, j and the combined indices."""
-    combined = [tuple(a + b - h for h, (a, b) in enumerate(zip(i, j), 1)) for i, j in pairs]
-    ids = (f"i={','.join(map(str, i))};j={','.join(map(str, j))}" for i, j in pairs)
-    return _index_sets(ids, combined, p, [i for i, _ in pairs], [j for _, j in pairs], combined)
-
-
-def _thompson_freede_sets(p: int, limit: int, rng) -> _IndexSets:
-    """``thompson_freede_pairs(p, limit=limit, rng=rng)`` tabulated, drawn as it draws."""
-    if _thompson_freede_count(p) <= limit:
-        return _enumerated_pair_sets(p)
-    return _pair_sets(p, thompson_freede_pairs(p, limit=limit, rng=rng))
-
-
-@functools.lru_cache(maxsize=64)
-def _enumerated_pair_sets(p: int) -> _IndexSets:
-    return _pair_sets(p, thompson_freede_pairs(p, limit=math.inf))
+    The recursion only chooses the pairs: each case is computed from its
+    pair as for any pair, with each of the three sums added left to right
+    from +0.0.
+    """
+    p = len(c)
+    steps = np.arange(p)
+    # 0-based, position h takes i and j to the combined index i + j - h
+    combined = steps[:, None] + steps - steps[:, None, None]
+    inside = (combined >= 0) & (combined < p)
+    g = np.where(inside, c[combined.clip(0, p - 1)] - a[:, None] - b, np.inf)
+    for h in range(1, p):
+        prefix = np.minimum.accumulate(np.minimum.accumulate(g[h - 1], axis=0), axis=1)
+        g[h, 0, :] = g[h, :, 0] = np.inf
+        g[h, 1:, 1:] += prefix[:-1, :-1]
+    pairs = []
+    for m in range(1, p + 1):
+        i, j = divmod(int(np.argmin(g[m - 1])), p)
+        path = [(i + 1, j + 1)]
+        for h in range(m - 2, -1, -1):
+            i, j = divmod(int(np.argmin(g[h, :i, :j])), j)
+            path.append((i + 1, j + 1))
+        pairs.append(tuple(zip(*reversed(path))))
+    indices = [tuple(x + y - h for h, (x, y) in enumerate(zip(i, j), 1)) for i, j in pairs]
+    lhs = _tuple_sums(c, _table(indices, p))
+    rhs = _tuple_sums(a, _table([i for i, _ in pairs], p)) + _tuple_sums(b, _table([j for _, j in pairs], p))
+    ids = [f"i={','.join(map(str, i))};j={','.join(map(str, j))}" for i, j in pairs]
+    return make_cases(ids, indices, lhs, rhs, lhs - rhs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -529,25 +476,20 @@ def check_lidskii_wielandt(
     B: PseudoHermitianMatrix,
     max_m: int | None = None,
     tol: float = DEFAULT_TOL,
-    *,
-    limit: int = TUPLE_LIMIT,
-    rng=None,
 ) -> CheckReport:
-    """Tuple-sum bounds for the sum, both blocks.
+    """Tuple-sum bounds for the sum, both blocks, at every tuple.
 
     Positive-type, for strictly increasing indices i_1 < ... < i_m:
     sum_k lambda_{i_k}(A+B) >= sum_k lambda_{i_k}(A) + sum_{k<=m} lambda_k(B).
     Negative-type mirrors with <= and the m largest mus of B.
 
-    The tuples of each block are those of ``lambda_index_tuples(upper,
-    max_m, limit=limit, rng=rng)``, and ``max_m`` below 1 raises
-    ValueError.  An enumerated set is tabulated once per process, a sampled
-    one is drawn from ``rng`` per call.  Every case comes from one gather per
-    spectrum, with each tuple's terms added left to right from +0.0, and the
-    leading sums of B are ``np.sum``'s, one per size m.
+    Each block reports one case per size m up to ``max_m`` (None bounds
+    nothing, below 1 raises ValueError): its worst m-tuple, found by one
+    sort (``_lidskii_cases``), so every tuple is checked and nothing is
+    drawn.
     """
     sig = _require_same_signature(A, B)
-    descriptor = {"max_m": max_m, "limit": limit}
+    descriptor = {"max_m": max_m}
     specA, specB, _, specC, exc = _sum_spectra(A, B)
     if specC is None:
         return _inadmissible_sum_report("lidskii", sig, descriptor, tol, exc)
@@ -556,45 +498,29 @@ def check_lidskii_wielandt(
         ("lambda", sig.p, specA.lambdas, specB.lambdas, specC.lambdas),
         ("mu", sig.q, specA.mus, specB.mus, specC.mus),
     ):
-        sets = _lidskii_sets(kind, upper, max_m, limit, rng)
-        (table,) = sets.tables
-        # the leading sums of B stay np.sum's (pairwise from 8 terms on), one per size m
-        lead = np.array([np.sum(b[:m]) for m in range(upper + 1)])
-        lhs = _tuple_sums(c, table)
-        rhs = _tuple_sums(a, table) + lead[sets.sizes]
-        margin = lhs - rhs if kind == "lambda" else rhs - lhs
-        cases += make_cases(sets.case_ids, sets.indices, lhs, rhs, margin, tol)
+        mmax, _ = _index_tuple_count(upper, max_m)
+        cases += _lidskii_cases(kind, a, b, c, mmax, tol)
     return finalize_report("lidskii", sig, descriptor, tol, cases)
 
 
 def check_thompson_freede(
-    A: PseudoHermitianMatrix,
-    B: PseudoHermitianMatrix,
-    tol: float = DEFAULT_TOL,
-    *,
-    limit: int = TUPLE_LIMIT,
-    rng=None,
+    A: PseudoHermitianMatrix, B: PseudoHermitianMatrix, tol: float = DEFAULT_TOL
 ) -> CheckReport:
-    """Paired-tuple bounds on the positive-type block (empirical check).
+    """Paired-tuple bounds on the positive-type block (empirical check), at every pair.
 
     For same-size tuples i, j with i_m + j_m <= m + p:
     sum_h lambda_{i_h + j_h - h}(A+B) >= sum_h lambda_{i_h}(A) + sum_h lambda_{j_h}(B).
 
-    The pairs are those of ``thompson_freede_pairs(p, limit=limit,
-    rng=rng)``: an enumerated set is tabulated once per process, a sampled
-    one is drawn from ``rng`` per call.  Every case comes from one gather per
-    spectrum, with each of the three sums added left to right from +0.0.
+    One case per size m = 1, ..., p: its worst pair, found by a min-plus
+    recursion over the tuple positions (``_thompson_freede_cases``), so
+    every pair is checked and nothing is drawn.
     """
     sig = _require_same_signature(A, B)
-    descriptor = {"limit": limit}
+    descriptor = {}
     specA, specB, _, specC, exc = _sum_spectra(A, B)
     if specC is None:
         return _inadmissible_sum_report("thompson_freede", sig, descriptor, tol, exc)
-    sets = _thompson_freede_sets(sig.p, limit, rng)
-    i_table, j_table, table = sets.tables
-    lhs = _tuple_sums(specC.lambdas, table)
-    rhs = _tuple_sums(specA.lambdas, i_table) + _tuple_sums(specB.lambdas, j_table)
-    cases = make_cases(sets.case_ids, sets.indices, lhs, rhs, lhs - rhs, tol)
+    cases = _thompson_freede_cases(specA.lambdas, specB.lambdas, specC.lambdas, tol)
     return finalize_report("thompson_freede", sig, descriptor, tol, cases)
 
 

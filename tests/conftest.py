@@ -1,3 +1,6 @@
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -5,7 +8,7 @@ import numpy as np
 import pytest
 
 from kreinval import SamplerConfig, Signature
-from kreinval.checks import _hermitian_part
+from kreinval.checks import _hermitian_part, _inadmissible_sum_report, _sum_spectra, finalize_report, make_case
 from kreinval.core import metric_diagonal
 from kreinval.errors import OrientationMismatch
 from kreinval.geometry import POSITIVE, TOL_NULL_REL, PseudoOrthonormalFrame, _adjoint, gram
@@ -36,8 +39,6 @@ def fresh_memos():
     memos = (
         spectral._solve,
         checks._sum_spectra_by_value,
-        checks._enumerated_lidskii_sets,
-        checks._enumerated_pair_sets,
         checks._enumerated_wielandt_layout,
     )
     for memo in memos:
@@ -45,6 +46,66 @@ def fresh_memos():
     yield
     for memo in memos:
         memo.cache_clear()
+
+
+def ordered_sum(values) -> float:
+    """The values added left to right from +0.0, as the sum suites add them."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def brute_pairs(p):
+    """Every Thompson-Freede pair (i, j) with i_m + j_m <= m + p, by size, then i, then j."""
+    return [
+        (i, j)
+        for m in range(1, p + 1)
+        for i in itertools.combinations(range(1, p + 1), m)
+        for j in itertools.combinations(range(1, p + 1), m)
+        if i[-1] + j[-1] <= m + p
+    ]
+
+
+def reference_lidskii(A, B, max_m=None, tol=1e-8):
+    """check_lidskii_wielandt at every tuple, one Python loop per tuple: the exhaustive oracle.
+
+    One case per tuple of each block, of every size up to ``max_m``, by
+    size and then lexicographically.
+    """
+    sig = A.signature
+    descriptor = {"max_m": max_m}
+    specA, specB, _, specC, exc = _sum_spectra(A, B)
+    if specC is None:
+        return _inadmissible_sum_report("lidskii", sig, descriptor, tol, exc)
+    cases = []
+    for kind, upper, a, b, c in (
+        ("lambda", sig.p, specA.lambdas, specB.lambdas, specC.lambdas),
+        ("mu", sig.q, specA.mus, specB.mus, specC.mus),
+    ):
+        a, c = a.tolist(), c.tolist()
+        lead = [float(np.sum(b[:m])) for m in range(upper + 1)]
+        for m in range(1, upper + 1 if max_m is None else min(max_m, upper) + 1):
+            for t in itertools.combinations(range(1, upper + 1), m):
+                lhs = ordered_sum(c[i - 1] for i in t)
+                rhs = ordered_sum(a[i - 1] for i in t) + lead[m]
+                margin = lhs - rhs if kind == "lambda" else rhs - lhs
+                cases.append(make_case(f"{kind}:{','.join(map(str, t))}", t, lhs, rhs, margin, tol))
+    return finalize_report("lidskii", sig, descriptor, tol, cases)
+
+
+def reference_thompson_freede(A, B, tol=1e-8):
+    """check_thompson_freede at every pair, one Python loop per pair: the exhaustive oracle."""
+    sig = A.signature
+    specA, specB, _, specC, exc = _sum_spectra(A, B)
+    if specC is None:
+        return _inadmissible_sum_report("thompson_freede", sig, {}, tol, exc)
+    lamA, lamB, lamC = (spec.lambdas.tolist() for spec in (specA, specB, specC))
+    cases = []
+    for i, j in brute_pairs(sig.p):
+        combined = tuple(i[h] + j[h] - (h + 1) for h in range(len(i)))
+        lhs = ordered_sum(lamC[c - 1] for c in combined)
+        rhs = ordered_sum(lamA[a - 1] for a in i) + ordered_sum(lamB[b - 1] for b in j)
+        case_id = f"i={','.join(map(str, i))};j={','.join(map(str, j))}"
+        cases.append(make_case(case_id, combined, lhs, rhs, lhs - rhs, tol))
+    return finalize_report("thompson_freede", sig, {}, tol, cases)
 
 
 class NullVector(Exception):

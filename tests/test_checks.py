@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import operator
 import pickle
 import sys
@@ -30,22 +31,20 @@ from kreinval import (
 from kreinval import checks
 from kreinval.checks import (
     DEFAULT_TOL,
-    TUPLE_LIMIT,
     _inadmissible_sum_report,
-    _sum_spectra,
-    _thompson_freede_count,
+    _lidskii_cases,
+    _thompson_freede_cases,
     _tuple_sums,
     _unrank_index_tuple,
-    _unrank_pair,
-    finalize_report,
     lambda_index_tuples,
     make_case,
     make_cases,
     matrix_sum,
     positive_compressions,
-    thompson_freede_pairs,
 )
 from kreinval.errors import GapViolation, ShapeMismatch
+
+from conftest import brute_pairs, ordered_sum, reference_lidskii, reference_thompson_freede
 
 SEED = 2211
 
@@ -111,44 +110,18 @@ def test_enumeration_whenever_the_count_fits_the_limit():
     tuples = lambda_index_tuples(5, rng=rng)
     expected = [t for m in range(1, 6) for t in itertools.combinations(range(1, 6), m)]
     assert tuples == expected and len(tuples) == 31
-    pairs = thompson_freede_pairs(5, rng=rng)
-    brute = sorted(
-        (i, j)
-        for m in range(1, 6)
-        for i in itertools.combinations(range(1, 6), m)
-        for j in itertools.combinations(range(1, 6), m)
-        if i[-1] + j[-1] <= m + 5
-    )
-    assert sorted(pairs) == brute and len(pairs) == 88
     assert rng.bit_generator.state == state
-    # 232 pairs exist at p = 6, more than the limit, so a subset is sampled
-    sampled = thompson_freede_pairs(6, rng=rng)
-    assert len(sampled) == 200 and len(set(sampled)) == 200
-    assert all(i[-1] + j[-1] <= len(i) + 6 for i, j in sampled)
-
-
-def brute_pairs(p):
-    return [
-        (i, j)
-        for m in range(1, p + 1)
-        for i in itertools.combinations(range(1, p + 1), m)
-        for j in itertools.combinations(range(1, p + 1), m)
-        if i[-1] + j[-1] <= m + p
-    ]
 
 
 @settings(max_examples=40, deadline=None)
 @given(upper=st.integers(1, 9), max_size=st.integers(1, 9))
 def test_unranking_reproduces_the_enumeration(upper, max_size):
-    """Rank r unranks to the r-th enumerated tuple and pair, so a draw of ranks is a draw of index sets."""
+    """Rank r unranks to the r-th enumerated tuple, so a draw of ranks is a draw of index tuples."""
     everything = 10**9
     tuples = lambda_index_tuples(upper, max_size, limit=everything)
     mmax = min(max_size, upper)
     assert tuples == [t for m in range(1, mmax + 1) for t in itertools.combinations(range(1, upper + 1), m)]
     assert [_unrank_index_tuple(upper, r) for r in range(len(tuples))] == tuples
-    pairs = thompson_freede_pairs(upper, limit=everything)
-    assert pairs == brute_pairs(upper) and _thompson_freede_count(upper) == len(pairs)
-    assert [_unrank_pair(upper, r) for r in range(len(pairs))] == pairs
 
 
 @settings(max_examples=40, deadline=None)
@@ -161,21 +134,17 @@ def test_sampled_index_sets_are_exactly_limit_distinct_and_in_enumeration_order(
         assert len(set(tuples)) == len(tuples) == limit
         assert tuples == sorted(tuples, key=lambda t: (len(t), t))
         assert all(0 < t[0] and t[-1] <= upper and list(t) == sorted(set(t)) for t in tuples)
-    p = upper
-    if _thompson_freede_count(p) > limit:
-        pairs = thompson_freede_pairs(p, limit=limit, rng=rng)
-        assert len(set(pairs)) == len(pairs) == limit
-        assert pairs == sorted(pairs, key=lambda ij: (len(ij[0]), ij))
-        for i, j in pairs:
-            assert len(i) == len(j) and i[-1] + j[-1] <= len(i) + p
-            assert list(i) == sorted(set(i)) and list(j) == sorted(set(j)) and min(i + j) >= 1
 
 
-def test_thompson_freede_pair_constraint():
-    for i, j in thompson_freede_pairs(3):
-        m = len(i)
-        assert len(j) == m
-        assert i[-1] + j[-1] <= m + 3
+def test_thompson_freede_pair_constraint(sampler_cfg):
+    """Every reported pair is an admitted one: same size, strictly increasing, i_m + j_m <= m + p."""
+    assert len(brute_pairs(5)) == 88
+    for p in range(1, 8):
+        admitted = {f"i={','.join(map(str, i))};j={','.join(map(str, j))}" for i, j in brute_pairs(p)}
+        A, B, _ = sampled_pair(Signature(p, 1), 0, sampler_cfg)
+        report = check_thompson_freede(A, B)
+        assert [len(c.indices) for c in report.cases] == list(range(1, p + 1))
+        assert {c.case_id for c in report.cases} <= admitted
 
 
 def test_sum_of_boosted_pair_is_hyperbolic_cosine():
@@ -219,12 +188,11 @@ def test_lidskii_equality_for_commuting_diagonals():
     B = diagonal(AdmissibleSpectrum(sig, np.array([0.5, 1.0, 3.0]), np.array([-2.0])))
     report = check_lidskii_wielandt(A, B)
     assert report.passed
-    by_id = {c.case_id: c for c in report.cases}
-    # aligned bottom tuples are tight for simultaneously diagonal matrices
-    assert by_id["lambda:1"].margin == pytest.approx(0.0, abs=1e-12)
-    assert by_id["lambda:1,2"].margin == pytest.approx(0.0, abs=1e-12)
-    assert by_id["lambda:1,2,3"].margin == pytest.approx(0.0, abs=1e-12)
+    # aligned bottom tuples are tight for simultaneously diagonal matrices, so each is the worst of its size
+    assert [c.case_id for c in report.cases] == ["lambda:1", "lambda:1,2", "lambda:1,2,3", "mu:1"]
+    assert all(c.margin == pytest.approx(0.0, abs=1e-12) for c in report.cases)
     # a shifted tuple picks up the spread of B's spectrum
+    by_id = {c.case_id: c for c in reference_lidskii(A, B).cases}
     assert by_id["lambda:2"].margin == pytest.approx(0.5, abs=1e-12)
 
 
@@ -232,30 +200,34 @@ def test_thompson_freede_m1_matches_weyl(sampler_cfg):
     sig = Signature(2, 1)
     A, B, _ = sampled_pair(sig, 0, sampler_cfg)
     weyl = {c.case_id: c for c in check_weyl(A, B).cases}
-    tf = {c.case_id: c for c in check_thompson_freede(A, B).cases}
+    every_pair = {c.case_id: c for c in reference_thompson_freede(A, B).cases}
     # i = (k,), j = (1,) reduces the shifted-tuple bound to the Weyl bound
     for k in (1, 2):
-        assert tf[f"i={k};j=1"].lhs == pytest.approx(weyl[f"lambda:{k}"].lhs, abs=1e-12)
-        assert tf[f"i={k};j=1"].margin == pytest.approx(weyl[f"lambda:{k}"].margin, abs=1e-10)
+        assert every_pair[f"i={k};j=1"].lhs == pytest.approx(weyl[f"lambda:{k}"].lhs, abs=1e-12)
+        assert every_pair[f"i={k};j=1"].margin == pytest.approx(weyl[f"lambda:{k}"].margin, abs=1e-10)
+    # so the worst pair of size 1 is at least as tight as the worst Weyl case
+    worst = check_thompson_freede(A, B).cases[0]
+    assert len(worst.indices) == 1
+    assert worst.margin <= min(c.margin for c in weyl.values() if c.case_id.startswith("lambda:")) + 1e-12
 
 
 def test_lidskii_m1_matches_weyl(sampler_cfg):
-    sig = Signature(2, 2)
-    A, B, _ = sampled_pair(sig, 1, sampler_cfg)
-    weyl = {c.case_id: c for c in check_weyl(A, B).cases}
-    lw = {c.case_id: c for c in check_lidskii_wielandt(A, B).cases}
-    for k in range(1, sig.p + 1):
-        assert lw[f"lambda:{k}"].margin == weyl[f"lambda:{k}"].margin
-    for l in range(1, sig.q + 1):
-        assert lw[f"mu:{l}"].margin == weyl[f"mu:{l}"].margin
+    """Lidskii's size-1 case of each block is the worst Weyl case of that block, to roundoff."""
+    for pq, idx in itertools.product([(1, 1), (2, 2), (3, 2), (4, 3), (5, 3), (3, 0), (0, 2)], range(4)):
+        A, B, _ = sampled_pair(Signature(*pq), idx, sampler_cfg)
+        weyl, lidskii = check_weyl(A, B).cases, check_lidskii_wielandt(A, B).cases
+        for kind in ("lambda", "mu"):
+            margins = [c.margin for c in weyl if c.case_id.startswith(f"{kind}:")]
+            singles = [c.margin for c in lidskii if c.case_id.startswith(f"{kind}:") and len(c.indices) == 1]
+            assert singles == pytest.approx([min(margins)] if margins else [], abs=1e-12)
 
 
 def test_inequalities_hold_on_sampled_pairs(signature, sampler_cfg):
     for idx in range(8):
         A, B, rng = sampled_pair(signature, idx, sampler_cfg)
         assert check_weyl(A, B).passed
-        assert check_lidskii_wielandt(A, B, rng=rng).passed
-        assert check_thompson_freede(A, B, rng=rng).passed
+        assert check_lidskii_wielandt(A, B).passed
+        assert check_thompson_freede(A, B).passed
         assert check_trace_identity(A, B).passed
 
 
@@ -411,7 +383,7 @@ def test_hermitian_degeneration_of_inequalities(sampler_cfg):
     A, B, rng = sampled_pair(sig, 5, sampler_cfg)
     assert np.allclose(A.entries, A.entries.conj().T)
     assert check_weyl(A, B).passed
-    assert check_lidskii_wielandt(A, B, rng=rng).passed
+    assert check_lidskii_wielandt(A, B).passed
     report = check_courant_fischer(A, positive_compressions(A, 40, sampler_cfg, rng), rng=rng)
     assert report.passed
 
@@ -494,47 +466,7 @@ def test_an_inadmissible_sum_fails_every_sum_report_alike(sampler_cfg, monkeypat
 
 
 # ---------------------------------------------------------------------------
-# the tuple-sum checks against their per-tuple loops
-
-
-def reference_lidskii(A, B, max_m=None, tol=1e-8, *, limit=TUPLE_LIMIT, rng=None):
-    """check_lidskii_wielandt as one Python loop per tuple, with Python sums: the oracle."""
-    sig = A.signature
-    descriptor = {"max_m": max_m, "limit": limit}
-    specA, specB, _, specC, exc = _sum_spectra(A, B)
-    if specC is None:
-        return _inadmissible_sum_report("lidskii", sig, descriptor, tol, exc)
-    lamA, lamC = specA.lambdas.tolist(), specC.lambdas.tolist()
-    muA, muC = specA.mus.tolist(), specC.mus.tolist()
-    lamB = [float(np.sum(specB.lambdas[:m])) for m in range(sig.p + 1)]
-    muB = [float(np.sum(specB.mus[:m])) for m in range(sig.q + 1)]
-    cases = []
-    for t in lambda_index_tuples(sig.p, max_m, limit=limit, rng=rng):
-        lhs = sum(lamC[i - 1] for i in t)
-        rhs = sum(lamA[i - 1] for i in t) + lamB[len(t)]
-        cases.append(make_case(f"lambda:{','.join(map(str, t))}", t, lhs, rhs, lhs - rhs, tol))
-    for t in lambda_index_tuples(sig.q, max_m, limit=limit, rng=rng):
-        lhs = sum(muC[i - 1] for i in t)
-        rhs = sum(muA[i - 1] for i in t) + muB[len(t)]
-        cases.append(make_case(f"mu:{','.join(map(str, t))}", t, lhs, rhs, rhs - lhs, tol))
-    return finalize_report("lidskii", sig, descriptor, tol, cases)
-
-
-def reference_thompson_freede(A, B, tol=1e-8, *, limit=TUPLE_LIMIT, rng=None):
-    """check_thompson_freede as one Python loop per pair, with Python sums: the oracle."""
-    sig = A.signature
-    specA, specB, _, specC, exc = _sum_spectra(A, B)
-    if specC is None:
-        return _inadmissible_sum_report("thompson_freede", sig, {"limit": limit}, tol, exc)
-    lamA, lamB, lamC = (spec.lambdas.tolist() for spec in (specA, specB, specC))
-    cases = []
-    for i, j in thompson_freede_pairs(sig.p, limit=limit, rng=rng):
-        combined = tuple(i[h] + j[h] - (h + 1) for h in range(len(i)))
-        lhs = sum(lamC[c - 1] for c in combined)
-        rhs = sum(lamA[a - 1] for a in i) + sum(lamB[b - 1] for b in j)
-        case_id = f"i={','.join(map(str, i))};j={','.join(map(str, j))}"
-        cases.append(make_case(case_id, combined, lhs, rhs, lhs - rhs, tol))
-    return finalize_report("thompson_freede", sig, {"limit": limit}, tol, cases)
+# the sum suites against their exhaustive per-tuple oracles
 
 
 @functools.lru_cache(maxsize=None)
@@ -543,26 +475,131 @@ def planted_pair(p, q, idx):
     return A, B
 
 
+def tied_pair(p, q, data):
+    """Commuting diagonal A and B with eigenvalues in {1, 2, 3} and {-3, -2, -1}: many margins tie exactly."""
+    sig = Signature(p, q)
+
+    def diagonal_matrix(name):
+        pos = data.draw(st.lists(st.integers(1, 3), min_size=p, max_size=p), label=f"{name} positive")
+        neg = data.draw(st.lists(st.integers(-3, -1), min_size=q, max_size=q), label=f"{name} negative")
+        return PseudoHermitianMatrix(sig, np.diag(np.array(pos + neg, dtype=complex)))
+
+    return diagonal_matrix("A"), diagonal_matrix("B")
+
+
+def block_and_size(case):
+    """The block of a sum-suite case ("lambda", "mu", or "pair" for Thompson-Freede) and its size."""
+    return ("pair" if case.case_id.startswith("i=") else case.case_id.split(":")[0]), len(case.indices)
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    p=st.integers(0, 9),
-    q=st.integers(0, 5),
-    idx=st.integers(0, 2),
-    seed=st.integers(0, 2**32 - 1),
-    limit=st.one_of(st.integers(0, 40), st.just(TUPLE_LIMIT)),
-    data=st.data(),
-)
-def test_tuple_sum_checks_match_their_per_tuple_loops(p, q, idx, seed, limit, data):
-    """Same reports as the loops, on the same stream, enumerated or sampled, whatever max_m."""
+@given(p=st.integers(0, 7), q=st.integers(0, 5), tied=st.booleans(), data=st.data())
+def test_sum_suites_report_the_exhaustive_worst_case_of_every_size(p, q, tied, data):
+    """One case per block and size: the oracle's case of its id, bit for bit, with the oracle's least margin.
+
+    The oracles enumerate every tuple and pair, so a kernel that missed a
+    worse tuple shows a margin above the least one.
+    """
     assume(p + q > 0)
-    max_m = data.draw(st.one_of(st.none(), st.integers(1, max(p, 1))), label="max_m")
-    A, B = planted_pair(p, q, idx)
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = check_lidskii_wielandt(A, B, max_m, limit=limit, rng=ours)
-    assert got.to_dict() == reference_lidskii(A, B, max_m, limit=limit, rng=theirs).to_dict()
-    got = check_thompson_freede(A, B, limit=limit, rng=ours)
-    assert got.to_dict() == reference_thompson_freede(A, B, limit=limit, rng=theirs).to_dict()
-    assert ours.bit_generator.state == theirs.bit_generator.state
+    max_m = data.draw(st.one_of(st.none(), st.integers(1, 9)), label="max_m")
+    A, B = tied_pair(p, q, data) if tied else planted_pair(p, q, data.draw(st.integers(0, 2), label="idx"))
+    sizes = {"lambda": min(p, max_m or p), "mu": min(q, max_m or q), "pair": p}
+    for got, oracle, blocks in (
+        (check_lidskii_wielandt(A, B, max_m), reference_lidskii(A, B, max_m), ("lambda", "mu")),
+        (check_thompson_freede(A, B), reference_thompson_freede(A, B), ("pair",)),
+    ):
+        assert got.descriptor == oracle.descriptor and got.notes == oracle.notes == ()
+        assert [block_and_size(c) for c in got.cases] == [(b, m) for b in blocks for m in range(1, sizes[b] + 1)]
+        by_id, least = {}, {}
+        for c in oracle.cases:
+            by_id[c.case_id] = c
+            least[block_and_size(c)] = min(least.get(block_and_size(c), np.inf), c.margin)
+        for c in got.cases:
+            assert json.dumps(c.to_dict()) == json.dumps(by_id[c.case_id].to_dict())
+            scale = max(1.0, abs(c.lhs), abs(c.rhs))
+            assert c.margin == pytest.approx(least[block_and_size(c)], abs=1e-12 * scale)
+        assert got.passed == oracle.passed
+
+
+def ordered_margins(a, b, c, index_sets):
+    """The Thompson-Freede margin of each pair (i, j), or with j = None the Lidskii margin of tuple i."""
+    lead = [float(np.sum(b[:m])) for m in range(len(b) + 1)]
+    a, b, c = a.tolist(), b.tolist(), c.tolist()
+    margins = []
+    for i, j in index_sets:
+        if j is None:
+            lhs = ordered_sum(c[x - 1] for x in i)
+            rhs = ordered_sum(a[x - 1] for x in i) + lead[len(i)]
+        else:
+            lhs = ordered_sum(c[x + y - h - 1] for h, (x, y) in enumerate(zip(i, j), 1))
+            rhs = ordered_sum(a[x - 1] for x in i) + ordered_sum(b[y - 1] for y in j)
+        margins.append(lhs - rhs)
+    return margins
+
+
+def the_one_violation(margins):
+    """The position of the one margin below the bound, after checking that no other comes near it."""
+    (bad,) = [k for k, margin in enumerate(margins) if margin < -DEFAULT_TOL]
+    assert sorted(margins)[1] > -1e-12
+    return bad
+
+
+def test_thompson_freede_fails_the_one_violating_pair_of_10945():
+    """Synthetic spectra at p = 10 where exactly one of the 10945 pairs violates the bound; the kernel fails it.
+
+    Shifting c by -s moves the margin of every size-m pair by -m s.  An s
+    halfway between the two least values of margin / m leaves exactly one
+    pair below the bound.  A uniform sample of 200 pairs would hold it with
+    probability 200 / 10945.
+    """
+    p = 10
+    rng = np.random.default_rng(SEED)
+    a, b, c = (np.sort(rng.uniform(-2.0, 2.0, p)) for _ in range(3))
+    pairs = brute_pairs(p)
+    assert len(pairs) == 10945
+    ratios = np.array(ordered_margins(a, b, c, pairs)) / [len(i) for i, _ in pairs]
+    first, second = np.sort(ratios)[:2]
+    assert second - first > 1e-6
+    c = c - (first + second) / 2
+    margins = ordered_margins(a, b, c, pairs)
+    i, j = pairs[bad := the_one_violation(margins)]
+    assert 1 < len(i) < p  # neither a Weyl bound nor the trace
+    cases = _thompson_freede_cases(a, b, c, DEFAULT_TOL)
+    assert [len(case.indices) for case in cases] == list(range(1, p + 1))
+    (failed,) = [case for case in cases if not case.passed]
+    assert failed.case_id == f"i={','.join(map(str, i))};j={','.join(map(str, j))}"
+    assert failed.margin == margins[bad]
+
+
+def test_lidskii_fails_the_one_violating_tuple_of_1023():
+    """Synthetic spectra at p = 10 where exactly one of the 1023 tuples violates the bound; the kernel fails it.
+
+    The spectra of Hermitian A, B and A + B meet every bound.  Raising b_4
+    and lowering b_5 by t moves the bounds of size 4 alone, by -t; a t
+    halfway between their two least margins leaves one tuple below its
+    bound.  Negated spectra make the same tuple the one negative-type
+    violation, with the same margin.
+    """
+    p = 10
+    rng = np.random.default_rng(SEED)
+    A, B = (X + X.conj().T for X in (rng.normal(size=(2, p, p)) + 1j * rng.normal(size=(2, p, p))))
+    a, b, c = (np.linalg.eigvalsh(X) for X in (A, B, A + B))
+    tuples = [(t, None) for m in range(1, p + 1) for t in itertools.combinations(range(1, p + 1), m)]
+    assert len(tuples) == 1023
+    margins = ordered_margins(a, b, c, tuples)
+    assert min(margins) > -1e-12
+    first, second = sorted(margin for (t, _), margin in zip(tuples, margins) if len(t) == 4)[:2]
+    assert second - first > 1e-6
+    b[3] += (first + second) / 2
+    b[4] -= (first + second) / 2
+    margins = ordered_margins(a, b, c, tuples)
+    ids = ",".join(map(str, tuples[bad := the_one_violation(margins)][0]))
+    for kind, sign in (("lambda", 1.0), ("mu", -1.0)):
+        cases = _lidskii_cases(kind, sign * a, sign * b, sign * c, p, DEFAULT_TOL)
+        assert [len(case.indices) for case in cases] == list(range(1, p + 1))
+        (failed,) = [case for case in cases if not case.passed]
+        assert failed.case_id == f"{kind}:{ids}"
+        assert failed.margin == margins[bad]
 
 
 def test_ordered_tuple_sums_are_python_sums_bit_for_bit():
@@ -585,33 +622,9 @@ def test_ordered_tuple_sums_are_python_sums_bit_for_bit():
 def test_a_size_bound_below_one_is_rejected(bad, sampler_cfg):
     with pytest.raises(ValueError, match="max_size"):
         lambda_index_tuples(3, bad)
-    A, B, rng = sampled_pair(Signature(3, 2), 0, sampler_cfg)
+    A, B, _ = sampled_pair(Signature(3, 2), 0, sampler_cfg)
     with pytest.raises(ValueError, match="max_size"):
-        check_lidskii_wielandt(A, B, max_m=bad, rng=rng)
-
-
-def test_enumerated_index_sets_are_tabulated_once_per_process(monkeypatch, fresh_memos):
-    from kreinval import checks
-
-    enumerated = []
-    for name in ("lambda_index_tuples", "thompson_freede_pairs"):
-        original = getattr(checks, name)
-
-        def counting(*args, _original=original, _name=name, **kwargs):
-            enumerated.append((_name, args[0]))
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(checks, name, counting)
-    A, B = planted_pair(5, 3, 0)
-    reports = [(check_lidskii_wielandt(A, B), check_thompson_freede(A, B)) for _ in range(3)]
-    assert enumerated == [("lambda_index_tuples", 5), ("lambda_index_tuples", 3), ("thompson_freede_pairs", 5)]
-    assert len(reports[0][0].cases) == 31 + 7 and len(reports[0][1].cases) == 88
-    # a sampled set is drawn on every call
-    for _ in range(2):
-        check_lidskii_wielandt(A, B, limit=10, rng=np.random.default_rng(0))
-    assert enumerated[3:] == [("lambda_index_tuples", 5)] * 2
-    for sets in (checks._enumerated_lidskii_sets("lambda", 5, None), checks._enumerated_pair_sets(5)):
-        assert not any(array.flags.writeable for array in (sets.sizes, *sets.tables))
+        check_lidskii_wielandt(A, B, max_m=bad)
 
 
 def test_cases_from_columns_match_cases_one_by_one():
