@@ -239,6 +239,10 @@ def _inadmissible_sum_report(name: str, sig: Signature, descriptor: dict, tol: f
     )
 
 
+def _no_positive_block(name: str, sig: Signature, descriptor: dict, tol: float) -> CheckReport:
+    return finalize_report(name, sig, descriptor, tol, [], notes=["no positive-type block"])
+
+
 # ---------------------------------------------------------------------------
 # index tuple enumeration
 
@@ -313,9 +317,9 @@ def lambda_index_tuples(upper: int, max_size: int | None = None, *, limit: int =
 #
 # A list of 1-based index tuples becomes a 0-based table (N, w) whose short
 # rows are padded with the slot of a 0.0 appended to the spectrum, so
-# ``_tuple_sums`` takes every tuple's terms in one gather per spectrum.  The
-# sum suites tabulate the worst tuple or pair of each size, which their
-# kernels find in closed form; ``wielandt`` tabulates its index tuples.
+# ``_tuple_sums`` takes every tuple's terms in one gather per spectrum.
+# ``wielandt`` tabulates its index tuples.  The sum suites check one tuple
+# or pair per size and add its terms with ``_ordered_sum``.
 
 
 def _table(tuples, upper: int) -> np.ndarray:
@@ -331,16 +335,31 @@ def _table(tuples, upper: int) -> np.ndarray:
 def _tuple_sums(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     """The sums (..., N) of ``values`` (..., n) over each row of ``table`` (N, w), added left to right from +0.0.
 
-    The padding slot n reads 0.0.  Bit for bit what Python's ``sum`` gives
-    for the row's values through Python 3.11 (3.12's ``sum`` compensates).
-    A total that starts at +0.0 is never -0.0, so trailing pads leave it
-    unchanged.
+    The padding slot n reads 0.0.  Bit for bit what ``_ordered_sum`` gives
+    for the row's values.  A total that starts at +0.0 is never -0.0, so
+    trailing pads leave it unchanged.  Only ``wielandt`` gathers through
+    it, for its tuples' targets and compression eigenvalues.
     """
     terms = np.append(values, np.zeros(values.shape[:-1] + (1,)), axis=-1)[..., table]
     total = np.zeros(terms.shape[:-1])
     for k in range(terms.shape[-1]):
         total += terms[..., k]
     return total
+
+
+def _ordered_sum(values: list[float], indices) -> float:
+    """The values at the 1-based ``indices``, added left to right from +0.0.
+
+    A loop, not ``sum``: from Python 3.12 on, ``sum`` of floats compensates.
+    """
+    total = 0.0
+    for i in indices:
+        total += values[i - 1]
+    return total
+
+
+# ---------------------------------------------------------------------------
+# worst tuples of the sum suites
 
 
 def _lidskii_cases(
@@ -357,17 +376,32 @@ def _lidskii_cases(
     reversed and the m largest d's are worst.  Ties go to the lower index.
 
     The sort only chooses the tuples: each case is computed from its tuple
-    as for any tuple, with the sums added left to right from +0.0 and B's
-    leading sums ``np.sum(b[:m])``.
+    as for any tuple, with the sums added left to right from +0.0
+    (``_ordered_sum``) and B's leading sums ``np.sum(b[:m])``.
     """
     positive = kind == "lambda"
     order = (np.argsort(c - a if positive else a - c, kind="stable") + 1).tolist()
-    tuples = [tuple(sorted(order[:m])) for m in range(1, mmax + 1)]
-    table = _table(tuples, len(a))
-    lhs = _tuple_sums(c, table)
-    rhs = _tuple_sums(a, table) + np.array([np.sum(b[:m]) for m in range(1, mmax + 1)])
-    ids = [f"{kind}:{','.join(map(str, t))}" for t in tuples]
-    return make_cases(ids, tuples, lhs, rhs, lhs - rhs if positive else rhs - lhs, tol)
+    a, c = a.tolist(), c.tolist()
+    ids, tuples, lhs, rhs, margins = [], [], [], [], []
+    for m in range(1, mmax + 1):
+        t = tuple(sorted(order[:m]))
+        left = _ordered_sum(c, t)
+        right = _ordered_sum(a, t) + float(np.sum(b[:m]))
+        ids.append(f"{kind}:{','.join(map(str, t))}")
+        tuples.append(t)
+        lhs.append(left)
+        rhs.append(right)
+        margins.append(left - right if positive else right - left)
+    return make_cases(ids, tuples, lhs, rhs, margins, tol)
+
+
+def _first_minimum(running: np.ndarray, axis: int) -> np.ndarray:
+    """Where each running minimum along ``axis`` first took its value: the index of its last strict drop, or 0."""
+    running = np.swapaxes(running, 0, axis)
+    first = np.zeros(running.shape, dtype=np.intp)
+    steps = np.arange(1, len(running)).reshape((-1,) + (1,) * (running.ndim - 1))
+    np.multiply(running[1:] < running[:-1], steps, out=first[1:])
+    return np.swapaxes(np.maximum.accumulate(first, axis=0), 0, axis)
 
 
 def _thompson_freede_cases(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> list[CheckCase]:
@@ -381,37 +415,52 @@ def _thompson_freede_cases(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: flo
     with g_1 = f_1: one min-plus step over a 2-D prefix minimum per
     position, O(p^3) in all.  A cell whose combined index i + j - h falls
     outside [1, p] is +inf, so the least g_m is the worst size-m pair with
-    i_m + j_m <= m + p.  Backtracking recovers it, one argmin of g_{h-1}
-    over the cells i' < i, j' < j per position.  At every position, ties
-    go to the lower i, then the lower j.
+    i_m + j_m <= m + p.  The prefix minimum runs along each row of g_{h-1}
+    and then down the rows, so the first minimum of a rectangle, row-major,
+    is in the first row whose running minimum takes the rectangle's value,
+    at the first column where that row's running minimum takes it
+    (``_first_minimum``).  Backtracking from the least g_m reads those
+    positions, so at every position ties go to the lower i, then the lower
+    j.
 
     The recursion only chooses the pairs: each case is computed from its
     pair as for any pair, with each of the three sums added left to right
-    from +0.0.
+    from +0.0 (``_ordered_sum``).
     """
     p = len(c)
+    if p == 0:
+        return []
     steps = np.arange(p)
-    # 0-based, position h takes i and j to the combined index i + j - h
-    combined = steps[:, None] + steps - steps[:, None, None]
-    inside = (combined >= 0) & (combined < p)
-    g = np.where(inside, c[combined.clip(0, p - 1)] - a[:, None] - b, np.inf)
+    # 0-based, position h takes i and j to the combined index i + j - h, read
+    # from c padded with +inf by p - 1 slots on each side
+    padded = np.concatenate([np.full(p - 1, np.inf), c, np.full(p - 1, np.inf)])
+    g = padded[steps[:, None] + steps - steps[:, None, None] + (p - 1)] - a[:, None] - b
+    g[1:, 0, :] = g[1:, :, 0] = np.inf
+    # running minima of g_{h-1} along its rows, then down them: rect[h - 1, i, j] is min g_{h-1}[:i + 1, :j + 1]
+    rows, rect = np.empty((2, p - 1, p, p))
     for h in range(1, p):
-        prefix = np.minimum.accumulate(np.minimum.accumulate(g[h - 1], axis=0), axis=1)
-        g[h, 0, :] = g[h, :, 0] = np.inf
-        g[h, 1:, 1:] += prefix[:-1, :-1]
-    pairs = []
-    for m in range(1, p + 1):
-        i, j = divmod(int(np.argmin(g[m - 1])), p)
+        np.minimum.accumulate(g[h - 1], axis=1, out=rows[h - 1])
+        np.minimum.accumulate(rows[h - 1], axis=0, out=rect[h - 1])
+        g[h, 1:, 1:] += rect[h - 1, :-1, :-1]
+    first_i, first_j = _first_minimum(rect, 1), _first_minimum(rows, 2)
+    ends = np.argmin(g.reshape(p, p * p), axis=1).tolist()
+    a, b, c = a.tolist(), b.tolist(), c.tolist()
+    ids, indices, lhs, rhs = [], [], [], []
+    for m, end in enumerate(ends, 1):
+        i, j = divmod(end, p)
         path = [(i + 1, j + 1)]
-        for h in range(m - 2, -1, -1):
-            i, j = divmod(int(np.argmin(g[h, :i, :j])), j)
+        for h in range(m - 2, -1, -1):  # the cell (i, j) of g_{h+1} extends the least of g_h[:i, :j]
+            i = first_i.item(h, i - 1, j - 1)
+            j = first_j.item(h, i, j - 1)
             path.append((i + 1, j + 1))
-        pairs.append(tuple(zip(*reversed(path))))
-    indices = [tuple(x + y - h for h, (x, y) in enumerate(zip(i, j), 1)) for i, j in pairs]
-    lhs = _tuple_sums(c, _table(indices, p))
-    rhs = _tuple_sums(a, _table([i for i, _ in pairs], p)) + _tuple_sums(b, _table([j for _, j in pairs], p))
-    ids = [f"i={','.join(map(str, i))};j={','.join(map(str, j))}" for i, j in pairs]
-    return make_cases(ids, indices, lhs, rhs, lhs - rhs, tol)
+        path.reverse()
+        pair_i, pair_j = zip(*path)
+        combined_indices = tuple(x + y - h for h, (x, y) in enumerate(path, 1))
+        ids.append(f"i={','.join(map(str, pair_i))};j={','.join(map(str, pair_j))}")
+        indices.append(combined_indices)
+        lhs.append(_ordered_sum(c, combined_indices))
+        rhs.append(_ordered_sum(a, pair_i) + _ordered_sum(b, pair_j))
+    return make_cases(ids, indices, lhs, rhs, [x - y for x, y in zip(lhs, rhs)], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +562,16 @@ def check_thompson_freede(
 
     One case per size m = 1, ..., p: its worst pair, found by a min-plus
     recursion over the tuple positions (``_thompson_freede_cases``), so
-    every pair is checked and nothing is drawn.
+    every pair is checked and nothing is drawn.  With p = 0 there is no
+    pair: an admissible sum gets the variational suites' note.
     """
     sig = _require_same_signature(A, B)
     descriptor = {}
     specA, specB, _, specC, exc = _sum_spectra(A, B)
     if specC is None:
         return _inadmissible_sum_report("thompson_freede", sig, descriptor, tol, exc)
+    if sig.p == 0:
+        return _no_positive_block("thompson_freede", sig, descriptor, tol)
     cases = _thompson_freede_cases(specA.lambdas, specB.lambdas, specC.lambdas, tol)
     return finalize_report("thompson_freede", sig, descriptor, tol, cases)
 
@@ -603,10 +655,6 @@ def _frame_stack(A: PseudoHermitianMatrix, M) -> np.ndarray:
     if M.ndim != 3 or M.shape[1:] != (p, p):
         raise ShapeMismatch(f"compressions must be a stack (N, {p}, {p}) for p = {p}, got {M.shape}")
     return M
-
-
-def _no_positive_block(name: str, sig: Signature, descriptor: dict, tol: float) -> CheckReport:
-    return finalize_report(name, sig, descriptor, tol, [], notes=["no positive-type block"])
 
 
 def check_courant_fischer(

@@ -49,19 +49,44 @@ class ClassifiedEigenSystem:
 
     ``eigenvalues`` are the real parts of the computed eigenvalues, ascending;
     the first q belong to negative-type and the last p to positive-type
-    eigenvectors.  ``eigenvectors`` are in the same order, and each block is
+    eigenvectors.  ``shift`` is the point of the gap at which J (A - shift I)
+    was found positive definite, and ``spectrum`` the validated spectrum.
+    ``unframed`` holds the eigenvectors as ``np.linalg.eig`` returned them,
+    in the order of ``eigenvalues``.
+
+    ``eigenvectors`` are in the same order, and each block is
     pseudo-orthonormal (pairings -I on the first q columns, +I on the last
-    p), repeated eigenvalues included.  ``shift`` is the point of the gap at
-    which J (A - shift I) was found positive definite, and ``spectrum`` the
-    validated spectrum.  Systems returned by ``eigendecompose`` are shared,
-    so their arrays are read-only.
+    p), repeated eigenvalues included.  They are framed on first read and
+    kept: the sum checks read spectra only and never pay for them.  A block
+    whose pairing Gram is not definite, so that its computed eigenvectors
+    are numerically dependent, raises DefectiveMatrix naming the block on
+    every read, and nothing is kept.  Systems returned by ``eigendecompose``
+    are shared, so their arrays are read-only.
     """
 
     signature: Signature
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    unframed: np.ndarray
     shift: float
     spectrum: AdmissibleSpectrum
+
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        q, jd = self.signature.q, metric_diagonal(self.signature)
+        blocks = []
+        for kind, X, sign in (
+            ("negative-type", self.unframed[:, :q], -1.0),
+            ("positive-type", self.unframed[:, q:], 1.0),
+        ):
+            try:
+                blocks.append(_frame(X, jd, sign))
+            except np.linalg.LinAlgError:
+                raise DefectiveMatrix(
+                    f"{kind} eigenvectors are numerically dependent: their pairing Gram is not definite"
+                ) from None
+        vectors = np.concatenate(blocks, axis=1)
+        vectors.flags.writeable = False
+        return vectors
 
 
 def eigendecompose(A: PseudoHermitianMatrix) -> ClassifiedEigenSystem:
@@ -73,6 +98,12 @@ def eigendecompose(A: PseudoHermitianMatrix) -> ClassifiedEigenSystem:
     ComplexSpectrum, GapViolation (``other_component=True`` when A is
     admissible for the opposite orientation), DefectiveMatrix or
     WrongConeCount says why.
+
+    A positive definite H makes A self-adjoint for the definite form H, so A
+    is diagonalizable with a real spectrum (Gohberg-Lancaster-Rodman): the
+    eigenvector frames add nothing to the certificate.  They are built on
+    the first read of ``eigenvectors``, and a block that cannot be framed
+    raises DefectiveMatrix there, not here.
 
     Equal signatures and entry bytes share one read-only system, so the
     checks on A, B and A + B of an instance read three solves.  A result
@@ -134,18 +165,13 @@ def _solve(sig: Signature, data: bytes) -> ClassifiedEigenSystem:
     order = np.lexsort((w.imag, w.real))
     theta = w.real[order]
     shift = _gap_point(theta, sig.q)
-    jd = metric_diagonal(sig)
-    vectors = V[:, order]
     try:
+        # certified: the q eigenvalues below the shift are the negative-type ones
         np.linalg.cholesky(_shifted_form(entries, sig, shift))
-        # certified: the q eigenvalues below the shift are the negative-type ones, and
-        # a block Gram that is not definite means its eigenvectors are numerically dependent
-        vectors = np.concatenate(
-            [_frame(vectors[:, : sig.q], jd, -1.0), _frame(vectors[:, sig.q :], jd, 1.0)], axis=1
-        )
     except np.linalg.LinAlgError:
         _diagnose(sig, entries, w, V)
     spectrum = AdmissibleSpectrum(sig, theta[sig.q :], theta[: sig.q][::-1])
+    vectors = V[:, order]
     theta.flags.writeable = False
     vectors.flags.writeable = False
     return ClassifiedEigenSystem(sig, theta, vectors, shift, spectrum)

@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 from kreinval import SamplerConfig, Signature
-from kreinval.checks import _hermitian_part, _inadmissible_sum_report, _sum_spectra, finalize_report, make_case
+from kreinval.checks import (
+    _hermitian_part,
+    _inadmissible_sum_report,
+    _sum_spectra,
+    _table,
+    _tuple_sums,
+    finalize_report,
+    make_case,
+    make_cases,
+)
 from kreinval.core import metric_diagonal
 from kreinval.errors import OrientationMismatch
 from kreinval.geometry import POSITIVE, TOL_NULL_REL, PseudoOrthonormalFrame, _adjoint, gram
@@ -39,6 +48,7 @@ def fresh_memos():
     memos = (
         spectral._solve,
         checks._sum_spectra_by_value,
+        checks._positive_eigen_by_value,
         checks._enumerated_wielandt_layout,
     )
     for memo in memos:
@@ -97,6 +107,8 @@ def reference_thompson_freede(A, B, tol=1e-8):
     specA, specB, _, specC, exc = _sum_spectra(A, B)
     if specC is None:
         return _inadmissible_sum_report("thompson_freede", sig, {}, tol, exc)
+    if sig.p == 0:
+        return finalize_report("thompson_freede", sig, {}, tol, [], notes=["no positive-type block"])
     lamA, lamB, lamC = (spec.lambdas.tolist() for spec in (specA, specB, specC))
     cases = []
     for i, j in brute_pairs(sig.p):
@@ -106,6 +118,53 @@ def reference_thompson_freede(A, B, tol=1e-8):
         case_id = f"i={','.join(map(str, i))};j={','.join(map(str, j))}"
         cases.append(make_case(case_id, combined, lhs, rhs, lhs - rhs, tol))
     return finalize_report("thompson_freede", sig, {}, tol, cases)
+
+
+def table_lidskii_cases(kind, a, b, c, mmax, tol):
+    """``_lidskii_cases`` by index table and gather: a byte-level oracle for the kernel's sums.
+
+    The same sort chooses the tuples; their sums come from one
+    ``_tuple_sums`` gather per spectrum instead of a Python loop.
+    """
+    positive = kind == "lambda"
+    order = (np.argsort(c - a if positive else a - c, kind="stable") + 1).tolist()
+    tuples = [tuple(sorted(order[:m])) for m in range(1, mmax + 1)]
+    table = _table(tuples, len(a))
+    lhs = _tuple_sums(c, table)
+    rhs = _tuple_sums(a, table) + np.array([np.sum(b[:m]) for m in range(1, mmax + 1)])
+    ids = [f"{kind}:{','.join(map(str, t))}" for t in tuples]
+    return make_cases(ids, tuples, lhs, rhs, lhs - rhs if positive else rhs - lhs, tol)
+
+
+def table_thompson_freede_cases(a, b, c, tol):
+    """``_thompson_freede_cases`` by per-step argmin and gather: a byte-level oracle for the kernel.
+
+    The same min-plus recursion, backtracked by one ``np.argmin`` over the
+    rectangle i' < i, j' < j of g_{h-1} per position, row-major, so ties go
+    to the lower i, then the lower j; the sums come from ``_tuple_sums``.
+    """
+    p = len(c)
+    steps = np.arange(p)
+    combined = steps[:, None] + steps - steps[:, None, None]
+    inside = (combined >= 0) & (combined < p)
+    g = np.where(inside, c[combined.clip(0, p - 1)] - a[:, None] - b, np.inf)
+    for h in range(1, p):
+        prefix = np.minimum.accumulate(np.minimum.accumulate(g[h - 1], axis=0), axis=1)
+        g[h, 0, :] = g[h, :, 0] = np.inf
+        g[h, 1:, 1:] += prefix[:-1, :-1]
+    pairs = []
+    for m in range(1, p + 1):
+        i, j = divmod(int(np.argmin(g[m - 1])), p)
+        path = [(i + 1, j + 1)]
+        for h in range(m - 2, -1, -1):
+            i, j = divmod(int(np.argmin(g[h, :i, :j])), j)
+            path.append((i + 1, j + 1))
+        pairs.append(tuple(zip(*reversed(path))))
+    indices = [tuple(x + y - h for h, (x, y) in enumerate(zip(i, j), 1)) for i, j in pairs]
+    lhs = _tuple_sums(c, _table(indices, p))
+    rhs = _tuple_sums(a, _table([i for i, _ in pairs], p)) + _tuple_sums(b, _table([j for _, j in pairs], p))
+    ids = [f"i={','.join(map(str, i))};j={','.join(map(str, j))}" for i, j in pairs]
+    return make_cases(ids, indices, lhs, rhs, lhs - rhs, tol)
 
 
 class NullVector(Exception):

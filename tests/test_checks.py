@@ -33,6 +33,7 @@ from kreinval.checks import (
     DEFAULT_TOL,
     _inadmissible_sum_report,
     _lidskii_cases,
+    _ordered_sum,
     _thompson_freede_cases,
     _tuple_sums,
     _unrank_index_tuple,
@@ -44,7 +45,14 @@ from kreinval.checks import (
 )
 from kreinval.errors import GapViolation, ShapeMismatch
 
-from conftest import brute_pairs, ordered_sum, reference_lidskii, reference_thompson_freede
+from conftest import (
+    brute_pairs,
+    ordered_sum,
+    reference_lidskii,
+    reference_thompson_freede,
+    table_lidskii_cases,
+    table_thompson_freede_cases,
+)
 
 SEED = 2211
 
@@ -508,7 +516,7 @@ def test_sum_suites_report_the_exhaustive_worst_case_of_every_size(p, q, tied, d
         (check_lidskii_wielandt(A, B, max_m), reference_lidskii(A, B, max_m), ("lambda", "mu")),
         (check_thompson_freede(A, B), reference_thompson_freede(A, B), ("pair",)),
     ):
-        assert got.descriptor == oracle.descriptor and got.notes == oracle.notes == ()
+        assert got.descriptor == oracle.descriptor and got.notes == oracle.notes
         assert [block_and_size(c) for c in got.cases] == [(b, m) for b in blocks for m in range(1, sizes[b] + 1)]
         by_id, least = {}, {}
         for c in oracle.cases:
@@ -519,6 +527,57 @@ def test_sum_suites_report_the_exhaustive_worst_case_of_every_size(p, q, tied, d
             scale = max(1.0, abs(c.lhs), abs(c.rhs))
             assert c.margin == pytest.approx(least[block_and_size(c)], abs=1e-12 * scale)
         assert got.passed == oracle.passed
+
+
+def kernel_spectra(data, p, tied):
+    """Three ascending spectra of length p: on a coarse grid, where many sums tie exactly, or any floats in [-1e3, 1e3]."""
+    if tied:
+        values = st.integers(-6, 6).map(lambda k: k / 2)
+    else:
+        values = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    return [np.sort(data.draw(st.lists(values, min_size=p, max_size=p), label=name)) for name in "abc"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.integers(0, 20), tied=st.booleans(), data=st.data())
+def test_sum_kernels_match_their_table_and_gather_oracles_byte_for_byte(p, tied, data):
+    """Same tuples, pairs and tie rule (lower i, then lower j) as the index-table kernels, and the same bytes."""
+    a, b, c = kernel_spectra(data, p, tied)
+    mmax = data.draw(st.integers(0, p), label="mmax")
+
+    def dumps(cases):
+        return [json.dumps(case.to_dict()) for case in cases]
+
+    for kind, (x, y, z) in (("lambda", (a, b, c)), ("mu", (a[::-1], b[::-1], c[::-1]))):
+        got = _lidskii_cases(kind, x, y, z, mmax, DEFAULT_TOL)
+        assert dumps(got) == dumps(table_lidskii_cases(kind, x, y, z, mmax, DEFAULT_TOL))
+    got = _thompson_freede_cases(a, b, c, DEFAULT_TOL)
+    assert dumps(got) == dumps(table_thompson_freede_cases(a, b, c, DEFAULT_TOL))
+
+
+def test_thompson_freede_makes_at_most_one_argmin_per_size(monkeypatch):
+    calls = []
+    argmin = np.argmin
+
+    def counting_argmin(*args, **kwargs):
+        calls.append(1)
+        return argmin(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argmin", counting_argmin)
+    rng = np.random.default_rng(SEED)
+    for p in (1, 5, 12, 20):
+        calls.clear()
+        a, b, c = (np.sort(rng.normal(size=p)) for _ in range(3))
+        assert len(_thompson_freede_cases(a, b, c, DEFAULT_TOL)) == p
+        assert len(calls) <= p
+
+
+def test_thompson_freede_notes_a_missing_positive_block():
+    from kreinval.cli import SuiteConfig, run_instance
+
+    (report,) = run_instance(SuiteConfig(p=0, q=2, suites=("thompson_freede",)), 0)
+    assert report.passed and report.cases == () and report.worst_margin is None
+    assert report.notes == ("no positive-type block",)
 
 
 def ordered_margins(a, b, c, index_sets):
@@ -608,11 +667,12 @@ def test_ordered_tuple_sums_are_python_sums_bit_for_bit():
     rows += [list(r) for r in rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-8, 9, (40, 6))]
     rows += [row[: k + 1] for k, row in enumerate(rows[6:12])]
     values = [x for row in rows for x in row]
-    width, starts = max(map(len, rows)), itertools.accumulate(map(len, rows), initial=0)
+    width, starts = max(map(len, rows)), list(itertools.accumulate(map(len, rows), initial=0))
     # each row reads its own entries of ``values``, padded with the slot past them
     table = [list(range(s, s + len(row))) + [len(values)] * (width - len(row)) for s, row in zip(starts, rows)]
     got = [x.hex() for x in _tuple_sums(np.array(values), np.array(table)).tolist()]
     assert got == [functools.reduce(operator.add, row, 0.0).hex() for row in rows]
+    assert got == [_ordered_sum(values, range(s + 1, s + len(row) + 1)).hex() for s, row in zip(starts, rows)]
     if sys.version_info < (3, 12):  # from 3.12 on, sum compensates
         assert got == [sum(row).hex() for row in rows]
     assert got[:4] == [(0.0).hex()] * 4

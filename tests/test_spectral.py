@@ -382,6 +382,67 @@ def test_a_sums_instance_solves_each_matrix_once(monkeypatch, fresh_memos):
     assert len(calls) == 3  # A, B and A + B
 
 
+def counting_frames(monkeypatch):
+    """Patch ``spectral._frame`` to log the sign of each block it frames; returns the log."""
+    calls = []
+    frame = spectral._frame
+
+    def counting_frame(X, jd, sign):
+        calls.append(sign)
+        return frame(X, jd, sign)
+
+    monkeypatch.setattr(spectral, "_frame", counting_frame)
+    return calls
+
+
+def test_a_sums_instance_frames_no_eigenvector_block(monkeypatch, fresh_memos):
+    """The sum suites read spectra only, so neither A, B nor A + B is framed."""
+    calls = counting_frames(monkeypatch)
+    reports = run_instance(SuiteConfig(p=5, q=3, seed=0, suites=SUMS_SUITES), 0)
+    assert [r.check_name for r in reports] == list(SUMS_SUITES) and all(r.passed for r in reports)
+    assert calls == []
+
+
+def test_a_variational_instance_frames_its_matrix_once(monkeypatch, fresh_memos):
+    calls = counting_frames(monkeypatch)
+    reports = run_instance(SuiteConfig(p=5, q=3, seed=0, suites=("courant_fischer", "ky_fan", "wielandt")), 0)
+    assert all(r.passed for r in reports)
+    assert calls == [-1.0, 1.0]  # A's negative-type and positive-type blocks
+
+
+@pytest.mark.parametrize("sign, kind", [(1.0, "positive-type"), (-1.0, "negative-type")])
+def test_a_block_that_cannot_be_framed_fails_where_it_is_read(sign, kind, monkeypatch, sampler_cfg, fresh_memos):
+    """The Cholesky of J (A - shift I) certifies the spectrum; a frame that fails raises when the eigenvectors are read.
+
+    The certified spectrum stays available, every read of the eigenvectors
+    raises DefectiveMatrix naming the block, and the shared system keeps no
+    frame until one succeeds.
+    """
+    sig = Signature(3, 2)
+    A, planted, _ = sample_planted(sig, sampler_cfg, instance_rng(SEED, 7))
+    frame = spectral._frame
+
+    def failing_frame(X, jd, s):
+        if s == sign:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return frame(X, jd, s)
+
+    monkeypatch.setattr(spectral, "_frame", failing_frame)
+    spectrum = check_admissible(A)
+    assert np.allclose(spectrum.lambdas, planted.lambdas, atol=1e-8)
+    assert np.allclose(spectrum.mus, planted.mus, atol=1e-8)
+    system = eigendecompose(A)
+    assert system.spectrum is spectrum
+    for _ in range(3):
+        with pytest.raises(DefectiveMatrix, match=f"^{kind} eigenvectors"):
+            positive_eigenbasis(eigendecompose(A))
+        assert eigendecompose(A) is system and "eigenvectors" not in vars(system)
+    monkeypatch.setattr(spectral, "_frame", frame)
+    assert np.allclose(gram(positive_eigenbasis(system), sig), np.eye(sig.p), atol=1e-8)
+    spectral._solve.cache_clear()
+    assert np.array_equal(system.eigenvectors, eigendecompose(A).eigenvectors)
+
+
 def test_a_sums_instance_builds_each_spectrum_once(monkeypatch, fresh_memos):
     built = []
 
