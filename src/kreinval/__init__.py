@@ -25,24 +25,13 @@ from .errors import (
     GapViolation,
     KreinvalError,
     NonFiniteValue,
-    NullDegeneracy,
-    OrientationMismatch,
     RetriesExhausted,
     SchemaError,
     ShapeMismatch,
     SizeCapExceeded,
     WrongConeCount,
 )
-from .geometry import (
-    ClassifiedVector,
-    PseudoOrthonormalFrame,
-    classify,
-    gram,
-    pair,
-    projector,
-    pseudo_orthonormalize,
-    self_pairing,
-)
+from .geometry import gram
 from .spectral import (
     ClassifiedEigenSystem,
     check_admissible,
@@ -51,7 +40,6 @@ from .spectral import (
     positive_eigenbasis,
 )
 from .sampling import (
-    PositiveFlag,
     SamplerConfig,
     instance_rng,
     sample_planted,
@@ -88,7 +76,6 @@ __all__ = [
     "CheckCase",
     "CheckReport",
     "ClassifiedEigenSystem",
-    "ClassifiedVector",
     "ComplexSpectrum",
     "ConfigError",
     "CyclingGuard",
@@ -97,12 +84,8 @@ __all__ = [
     "GapViolation",
     "KreinvalError",
     "NonFiniteValue",
-    "NullDegeneracy",
-    "OrientationMismatch",
     "PolyhedralRegion",
-    "PositiveFlag",
     "PseudoHermitianMatrix",
-    "PseudoOrthonormalFrame",
     "PseudoUnitary",
     "ReportWriter",
     "RetriesExhausted",
@@ -123,7 +106,6 @@ __all__ = [
     "check_trace_identity",
     "check_weyl",
     "check_wielandt_flag",
-    "classify",
     "conjugate",
     "eigendecompose",
     "gram",
@@ -132,18 +114,14 @@ __all__ = [
     "matrix_dagger",
     "metric_diagonal",
     "negative_eigenbasis",
-    "pair",
     "positive_compressions",
     "positive_eigenbasis",
-    "projector",
     "pseudo_hermitian_residual",
-    "pseudo_orthonormalize",
     "pseudo_unitary_residual",
     "read_matrix",
     "sample_planted",
     "sample_positive_subspace",
     "sample_pseudo_unitary",
     "sample_spectrum",
-    "self_pairing",
     "write_matrix",
 ]

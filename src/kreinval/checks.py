@@ -33,9 +33,8 @@ from .errors import (
     ShapeMismatch,
     WrongConeCount,
 )
-from .geometry import _adjoint
+from .geometry import _adjoint, _positive_frames
 from .sampling import (
-    PositiveFlag,
     SamplerConfig,
     instance_rng,
     restricted_cone_samples,
@@ -596,14 +595,14 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
 def _compression_onto(A: PseudoHermitianMatrix, basis: np.ndarray) -> np.ndarray:
     """M = frame* J A frame (..., p, p) for a width-p positive basis (n, p) or stack (N, n, p).
 
-    One ``PositiveFlag`` certifies the whole stack with the Cholesky
-    factorization that frames it.  The frame's column prefixes span the
+    One Cholesky factorization certifies and frames the whole stack
+    (``geometry._positive_frames``).  The frame's column prefixes span the
     basis's column prefixes, so in its coordinates those are the spans of
     leading unit vectors, and M is Hermitian.  On the positive eigenbasis M
     is diag(lambdas) up to roundoff, and its principal submatrix on chosen
     indices is the compression onto those eigenvectors.
     """
-    frame = PositiveFlag(A.signature, (A.signature.p,), basis).frame
+    frame = _positive_frames(basis, A.signature)
     JA = metric_diagonal(A.signature)[:, None] * A.entries
     return _hermitian_part(_adjoint(frame) @ (JA @ frame))
 
@@ -633,8 +632,9 @@ def positive_compressions(
     """The read-only stack M = frame* J A frame (count, p, p) of ``count`` random positive frames.
 
     One ``sample_positive_subspace`` call draws ``count`` width-p bases, one
-    ``PositiveFlag`` certifies the stack with the Cholesky factorization
-    that frames it, and one batched product compresses A onto the frames.
+    Cholesky factorization certifies and frames the stack
+    (``_compression_onto``), and one batched product compresses A onto the
+    frames.
     The leading n rows are n independent samples, so a check with budget n
     takes ``M[:n]``.  With p = 0 or ``count`` 0 nothing is drawn: the stack
     is (count, 0, 0) or (0, p, p).
@@ -786,7 +786,14 @@ class _WielandtLayout(NamedTuple):
     widths: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
 
-def _tabulate_wielandt(p: int, index_tuples) -> _WielandtLayout:
+@functools.lru_cache(maxsize=32)
+def _tabulate_wielandt(p: int, index_tuples: tuple[tuple, ...]) -> _WielandtLayout:
+    """The layout of a tuple of index tuples, memoized by value.
+
+    An enumerated set depends on (p, m) alone, so the wielandt suite
+    tabulates it once per process; a sampled set takes one of the bounded
+    memo's slots.  The arrays are read-only.
+    """
     tuples = tuple(check_index_tuple(t, p) for t in index_tuples)
     by_size: dict[int, list[int]] = {}
     by_width: dict[int, list[int]] = {}
@@ -807,27 +814,6 @@ def _tabulate_wielandt(p: int, index_tuples) -> _WielandtLayout:
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _enumerated_wielandt_layout(p: int, max_size: int) -> _WielandtLayout:
-    return _tabulate_wielandt(p, lambda_index_tuples(p, max_size, limit=math.inf))
-
-
-def _wielandt_layout(p: int, tuples: tuple[tuple, ...]) -> _WielandtLayout:
-    """A nonempty tuple of index tuples tabulated; an enumerated set once per process.
-
-    A list that is the whole of ``lambda_index_tuples(p, m)`` for some m
-    depends on (p, m) alone, and its layout is memoized.  Any other list,
-    a sampled set included, is tabulated per call, so the memo holds
-    enumerated layouts only.
-    """
-    m = max(map(len, tuples))
-    if m and len(tuples) == _index_tuple_count(p, m)[1]:
-        layout = _enumerated_wielandt_layout(p, min(m, p))
-        if layout.tuples == tuples:
-            return layout
-    return _tabulate_wielandt(p, tuples)
-
-
 def check_wielandt_flag(
     A: PseudoHermitianMatrix,
     index_tuples,
@@ -839,9 +825,10 @@ def check_wielandt_flag(
     """Flag compressions against the eigenvalue tuple sums, one report per index tuple.
 
     A flag is framed by the Cholesky factorization that certifies it
-    (``PositiveFlag``); its frame's column prefixes span the levels.  In
-    those coordinates ``M = frame* J A frame`` is Hermitian, the pairing is
-    Euclidean and level j is the span E_{i_j} of the first i_j unit vectors.
+    (``geometry._positive_frames``); its frame's column prefixes span the
+    levels.  In those coordinates ``M = frame* J A frame`` is Hermitian, the
+    pairing is Euclidean and level j is the span E_{i_j} of the first i_j
+    unit vectors.
     The flag of a tuple is the prefix of a width-p flag, so every tuple
     reads the leading r x r block of one M, with r = i_m.  The argument
     ``M`` is a stack (n_flags, p, p) of such compressions onto random
@@ -866,7 +853,7 @@ def check_wielandt_flag(
     are no random flags and none of these cases.
 
     Each case kind is one pass over all tuples.  The tuples are tabulated
-    once per process when they are an enumerated set, per call otherwise.
+    once per distinct list, in a bounded memo (``_tabulate_wielandt``).
     Each distinct top width r gets one ``eigvalsh`` of M's leading blocks,
     and its witness sums are one gather; each tuple size gets one
     ``eigvalsh`` for ``eigenflag_witness_etas``.  The tuple sums are added
@@ -883,7 +870,7 @@ def check_wielandt_flag(
     tuples = tuple(map(tuple, index_tuples))
     if not tuples:
         return []
-    layout = _wielandt_layout(sig.p, tuples)
+    layout = _tabulate_wielandt(sig.p, tuples)
     tuples = layout.tuples
     T = len(tuples)
     system, eigen = _positive_eigen(A)

@@ -19,14 +19,6 @@ class NonFiniteValue(KreinvalError, ValueError):
     """A matrix entry or eigenvalue is infinite or NaN (an overflow, for instance)."""
 
 
-class NullDegeneracy(KreinvalError):
-    """An orthogonalization pivot fell inside the null band."""
-
-
-class OrientationMismatch(KreinvalError):
-    """The restricted pairing is not definite of the requested sign."""
-
-
 class DefectiveMatrix(KreinvalError):
     """The eigenvector matrix is numerically rank-deficient."""
 
@@ -61,7 +53,7 @@ class CyclingGuard(KreinvalError):
 
 
 class SizeCapExceeded(KreinvalError):
-    """An enumeration (orbit, tuples) would exceed its configured cap."""
+    """The permutation orbit of a polyhedral region would exceed its vertex cap."""
 
 
 class ConfigError(KreinvalError, ValueError):

@@ -8,16 +8,13 @@ a free off-diagonal coupling block whose spectral norm is capped by
 and squaring with the [13/13] Padé approximant (Higham, SIAM J. Matrix Anal.
 Appl. 26 (2005) 1179-1193).  Positive subspaces are graphs (Q; K Q) of
 contractions K over isometries Q, which reach every positive subspace of the
-given dimension and are positive by construction.  A ``PositiveFlag``
-certifies its basis with the Cholesky factorization that frames it; in that
-frame the levels are spans of leading unit vectors and the pairing is
-Euclidean.
+given dimension and are positive by construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,19 +23,10 @@ from .core import (
     PseudoHermitianMatrix,
     PseudoUnitary,
     Signature,
-    check_index_tuple,
     matrix_dagger,
 )
 from .errors import NonFiniteValue, RetriesExhausted, ShapeMismatch
-from .geometry import (
-    POSITIVE,
-    TOL_CONE,
-    TOL_FRAME,
-    TOL_NULL_REL,
-    _adjoint,
-    _checked_frame,
-    _cholesky_frames,
-)
+from .geometry import _adjoint
 
 #: tolerance used to self-check sampled pseudo-unitaries
 SAMPLE_UNITARY_TOL = 1e-9
@@ -238,7 +226,7 @@ def sample_positive_subspace(
     q x p contraction with ||K|| <= contraction_cap < 1, so the paired Gram
     is I - Q* K* K Q >= (1 - contraction_cap^2) I and every sample is positive
     by construction.  The Cholesky factorization that frames a sample
-    (``pseudo_orthonormalize``, ``PositiveFlag``) certifies it again.
+    (``geometry._positive_frames``) certifies it again.
 
     With ``count`` the result is a stack (count, n, k) of independent
     samples, drawn with one batched QR and one batched ``eigvalsh`` for the
@@ -292,58 +280,3 @@ def restricted_cone_samples(
         X = X + neg_part @ beta
     return X
 
-
-@dataclass(frozen=True)
-class PositiveFlag:
-    """Nested positive subspaces with dimensions given by a 1-based index tuple.
-
-    Level j is spanned by the first ``index_tuple[j]`` columns of ``basis``,
-    an n x w basis with w >= index_tuple[-1], or a stack (N, n, w) of N flags
-    that share the signature and index tuple.  Only the top level's columns
-    are kept, so the levels are nested by construction.  One Cholesky
-    factorization of the top level's paired Gram certifies every level: the
-    factor of a level's Gram is the leading block of the top level's, so its
-    pivots are a prefix of the top level's pivots.  Each pivot must exceed
-    ``TOL_CONE`` times the squared norm of its input column; a column that
-    depends on the earlier ones leaves a pivot at roundoff of that norm.  The
-    certified frame X L^-H is kept as ``frame``, whose column prefixes are
-    frames of the levels.  For a stack one batched factorization checks every
-    sample, and a failure names the first failing sample.
-    """
-
-    signature: Signature
-    index_tuple: tuple[int, ...]
-    basis: np.ndarray
-    frame: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        idx = check_index_tuple(self.index_tuple, self.signature.p)
-        B = np.asarray(self.basis)
-        if B.ndim not in (2, 3) or B.shape[-2] != self.signature.n or B.shape[-1] < idx[-1]:
-            raise ShapeMismatch(
-                f"flag basis must be (..., {self.signature.n}, >= {idx[-1]}), got {B.shape}"
-            )
-        B = np.array(B[..., : idx[-1]], dtype=complex)
-        F, pivots, _, _ = _cholesky_frames(B, self.signature, 1.0, TOL_NULL_REL)
-        outside = np.any(~(pivots > TOL_CONE * np.sum(np.abs(B) ** 2, axis=-2)), axis=-1)
-        if np.any(outside):
-            raise ValueError(f"flag is not inside the positive cone{_at_sample(outside, B)}")
-        B.flags.writeable = False
-        object.__setattr__(self, "index_tuple", idx)
-        object.__setattr__(self, "basis", B)
-        frame = _checked_frame(F, self.signature, POSITIVE, TOL_NULL_REL, TOL_FRAME).vectors
-        object.__setattr__(self, "frame", frame)
-
-    @property
-    def levels(self) -> tuple[np.ndarray, ...]:
-        """Read-only column-prefix views of the basis, one per index tuple entry."""
-        return tuple(self.basis[..., :dim] for dim in self.index_tuple)
-
-    @property
-    def depth(self) -> int:
-        return len(self.index_tuple)
-
-
-def _at_sample(bad: np.ndarray, B: np.ndarray) -> str:
-    """' at sample i' naming the first failing flag of a stack; '' for one flag."""
-    return f" at sample {int(np.argmax(bad))}" if B.ndim == 3 else ""

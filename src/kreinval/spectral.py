@@ -26,7 +26,7 @@ from .errors import (
     GapViolation,
     WrongConeCount,
 )
-from .geometry import TOL_NULL_REL
+from .geometry import TOL_NULL_REL, _frame
 
 #: acceptance on the imaginary part of eigenvalues, relative to the operator norm
 TOL_REALITY_REL = 1e-8
@@ -72,14 +72,14 @@ class ClassifiedEigenSystem:
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
-        q, jd = self.signature.q, metric_diagonal(self.signature)
+        q = self.signature.q
         blocks = []
         for kind, X, sign in (
             ("negative-type", self.unframed[:, :q], -1.0),
             ("positive-type", self.unframed[:, q:], 1.0),
         ):
             try:
-                blocks.append(_frame(X, jd, sign))
+                blocks.append(_frame(X, self.signature, sign)[0])
             except np.linalg.LinAlgError:
                 raise DefectiveMatrix(
                     f"{kind} eigenvectors are numerically dependent: their pairing Gram is not definite"
@@ -150,12 +150,6 @@ def _gap_point(theta: np.ndarray, below: int) -> float:
         return float(0.5 * (theta[below - 1] + theta[below]))
     pad = float(max(theta[-1] - theta[0], np.abs(theta).max())) or 1.0
     return float(theta[0] - pad) if below == 0 else float(theta[-1] + pad)
-
-
-def _frame(X: np.ndarray, jd: np.ndarray, sign: float) -> np.ndarray:
-    """X L^-H with L L^H = sign * X* J X: pseudo-orthonormal columns spanning X."""
-    L = np.linalg.cholesky(sign * (X.conj().T @ (jd[:, None] * X)))
-    return np.linalg.solve(L, X.conj().T).conj().T
 
 
 @functools.lru_cache(maxsize=32)

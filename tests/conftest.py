@@ -19,8 +19,7 @@ from kreinval.checks import (
     make_cases,
 )
 from kreinval.core import metric_diagonal
-from kreinval.errors import OrientationMismatch
-from kreinval.geometry import POSITIVE, TOL_NULL_REL, PseudoOrthonormalFrame, _adjoint, gram
+from kreinval.geometry import TOL_FRAME, TOL_NULL_REL, _adjoint, _positive_frames, gram
 from kreinval.sampling import complex_normal
 
 SIGNATURES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
@@ -49,7 +48,7 @@ def fresh_memos():
         spectral._solve,
         checks._sum_spectra_by_value,
         checks._positive_eigen_by_value,
-        checks._enumerated_wielandt_layout,
+        checks._tabulate_wielandt,
     )
     for memo in memos:
         memo.cache_clear()
@@ -167,6 +166,63 @@ def table_thompson_freede_cases(a, b, c, tol):
     return make_cases(ids, indices, lhs, rhs, lhs - rhs, tol)
 
 
+def gram_schmidt(basis, sig, sign=1.0):
+    """Reference frame: Gram-Schmidt for the pairing, two cleaning passes per column.
+
+    ``sign`` is the pivot sign: +1 frames a positive basis, -1 a negative one.
+    """
+    jd = metric_diagonal(sig)
+    accepted = []
+    for col in range(basis.shape[1]):
+        v = basis[:, col].copy()
+        for _ in range(2):
+            for x in accepted:
+                v = v - sign * np.sum(jd * v * x.conj()) * x
+        s = float(np.sum(jd * v * v.conj()).real)
+        accepted.append(v / np.sqrt(abs(s)))
+    return np.column_stack(accepted)
+
+
+def cone_class(z, sig, tol_null=TOL_NULL_REL) -> str:
+    """"positive", "negative" or "null" by the sign of <z, z>, an oracle for the cone certificates.
+
+    The null band is ``tol_null`` times the squared Euclidean norm, so the
+    decision is scale-invariant.
+    """
+    zv = np.asarray(z, dtype=complex).reshape(-1)
+    s = float(np.sum(metric_diagonal(sig) * np.abs(zv) ** 2))
+    band = tol_null * float(np.vdot(zv, zv).real)
+    return "positive" if s > band else "negative" if s < -band else "null"
+
+
+class Flag(NamedTuple):
+    """A stack (N, n, r) of positive flags, or one flag (n, r), with the frame that certifies it.
+
+    Level j is spanned by the first ``index_tuple[j]`` columns of ``basis``,
+    r = index_tuple[-1], so the levels are nested by construction, and
+    ``frame`` is the certified positive frame of the top level, whose
+    column prefixes frame the levels.
+    """
+
+    index_tuple: tuple[int, ...]
+    basis: np.ndarray
+    frame: np.ndarray
+
+    @property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.basis[..., :dim] for dim in self.index_tuple)
+
+    @property
+    def depth(self) -> int:
+        return len(self.index_tuple)
+
+
+def positive_flag(sig, idx, basis) -> Flag:
+    """The flag of ``idx`` on the leading columns of ``basis``; ValueError unless its top level is positive."""
+    basis = np.asarray(basis)[..., : idx[-1]]
+    return Flag(tuple(idx), basis, _positive_frames(basis, sig))
+
+
 class NullVector(Exception):
     """The Rayleigh oracle was asked for a ratio at a (near-)null vector."""
 
@@ -214,13 +270,13 @@ class CompressionResult:
     For a stacked frame, ``compressed`` is (..., k, k) and ``etas`` (..., k).
     """
 
-    frame: PseudoOrthonormalFrame
+    frame: np.ndarray
     compressed: np.ndarray
     etas: np.ndarray
 
 
-def compress(A, frame: PseudoOrthonormalFrame) -> CompressionResult:
-    """Compress A onto a pseudo-orthonormal positive frame, an oracle for the checks' stacks.
+def compress(A, frame: np.ndarray) -> CompressionResult:
+    """Compress A onto a pseudo-orthonormal positive frame (..., n, k), an oracle for the checks' stacks.
 
     The compressed matrix has entries m[k, j] = <A x_j, x_k>.  It is Hermitian
     because J A is, so its eigenvalues (returned ascending) are real; its
@@ -228,11 +284,10 @@ def compress(A, frame: PseudoOrthonormalFrame) -> CompressionResult:
     stacked frame is compressed with one batched product and one batched
     eigvalsh.
     """
-    if frame.orientation != POSITIVE:
-        raise OrientationMismatch("compression is defined on positive frames")
-    if frame.signature != A.signature:
-        raise ValueError("frame and matrix must share a signature")
-    X = frame.vectors
+    X = np.asarray(frame)
+    defect = np.abs(gram(X, A.signature) - np.eye(X.shape[-1])).max()
+    if defect > TOL_FRAME:
+        raise ValueError(f"compression needs a positive frame; its Gram deviates from I by {defect:.3e}")
     jd = metric_diagonal(A.signature)
     M = np.swapaxes(X, -1, -2).conj() @ (jd[:, None] * (A.entries @ X))
     M = 0.5 * (M + np.swapaxes(M, -1, -2).conj())

@@ -37,10 +37,8 @@ from kreinval.checks import (
 )
 from kreinval.cli import SUITES, SuiteConfig, run_instance, run_suite
 from kreinval.core import Signature, metric_diagonal
-from kreinval.errors import ShapeMismatch
-from kreinval.geometry import POSITIVE, TOL_CONE, _adjoint, pseudo_orthonormalize
+from kreinval.geometry import TOL_CONE, _adjoint, _frame, _positive_frames
 from kreinval.sampling import (
-    PositiveFlag,
     SamplerConfig,
     complex_normal,
     instance_rng,
@@ -59,6 +57,7 @@ from conftest import (
     compress,
     cone_margin,
     eigenflag_traces,
+    positive_flag,
 )
 
 SEED = 4417
@@ -135,12 +134,12 @@ def ref_hermitian_flag_witness(M, levels, idx):
 def ref_witness_subordinate(entries, sig, flag):
     jd = metric_diagonal(sig)
     idx = tuple(int(L.shape[1]) for L in flag.levels)
-    top = pseudo_orthonormalize(flag.levels[-1], sig, POSITIVE).vectors
+    top = _positive_frames(flag.levels[-1], sig)
     M = top.conj().T @ (jd[:, None] * (entries @ top))
     M = 0.5 * (M + M.conj().T)
     coords = [top.conj().T @ (jd[:, None] * L) for L in flag.levels]
     X = ref_hermitian_flag_witness(M, coords, idx)
-    return pseudo_orthonormalize(top @ X, sig, POSITIVE)
+    return _positive_frames(top @ X, sig)
 
 
 def witness_subordinate(M, idx):
@@ -184,12 +183,12 @@ def instance(p, q, index):
 
 
 def flag_stack(sig, idx, cfg, rng, count):
-    return PositiveFlag(sig, idx, sample_positive_subspace(sig, idx[-1], cfg, rng, count=count))
+    return positive_flag(sig, idx, sample_positive_subspace(sig, idx[-1], cfg, rng, count=count))
 
 
 def top_coordinates(entries, sig, basis):
     """The framed top levels (N, n, r) of a stack of flag bases and the compressions onto them."""
-    top = pseudo_orthonormalize(basis, sig, POSITIVE).vectors
+    top = _positive_frames(basis, sig)
     jd = metric_diagonal(sig)
     M = top.conj().swapaxes(-1, -2) @ (jd[:, None] * (entries @ top))
     return top, 0.5 * (M + M.conj().swapaxes(-1, -2))
@@ -200,7 +199,7 @@ def ref_witness_traces(entries, sig, flags):
     return np.array([
         ref_frame_trace(entries, sig, ref_witness_subordinate(
             entries, sig, SimpleNamespace(levels=[L[f] for L in flags.levels])
-        ).vectors)
+        ))
         for f in range(len(flags.basis))
     ])
 
@@ -295,7 +294,7 @@ def test_check_witness_cases_match_the_per_flag_reference(pq):
         assert rep.descriptor == {"index_tuple": list(idx), "n_flags": 6}
         assert rep.passed and not rep.soft_cases and not rep.notes
         by_id = {c.case_id: c for c in rep.cases}
-        flags = PositiveFlag(sig, idx, bases)
+        flags = positive_flag(sig, idx, bases)
         _, Mf = top_coordinates(A.entries, sig, flags.basis)
         eta = np.linalg.eigvalsh(Mf)
         got = np.array([by_id[f"witness:{f}"].lhs for f in range(6)])
@@ -310,7 +309,7 @@ def test_shared_flags_give_every_tuple_its_own_flags_cases(pq):
 
     The flags are the leading ``wielandt_flags`` bases of the instance's
     frame stack, re-drawn from the frame stream.  The reference is the
-    per-tuple computation: ``PositiveFlag(sig, idx, bases)``, eigvalsh of
+    per-tuple computation: the certified frame of the tuple's own flag, eigvalsh of
     that flag's own M for the witness sums, and interlacing on the same
     frames, whose width is the tuple's top index.
     """
@@ -325,7 +324,7 @@ def test_shared_flags_give_every_tuple_its_own_flags_cases(pq):
     JA = metric_diagonal(sig)[:, None] * A.entries
     assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
     for idx, rep in zip(tuples, reports):
-        frame = PositiveFlag(sig, idx, bases).frame
+        frame = positive_flag(sig, idx, bases).frame
         M = frame.conj().swapaxes(-1, -2) @ (JA @ frame)
         eta = np.linalg.eigvalsh(0.5 * (M + M.conj().swapaxes(-1, -2)))
         sums = eta[:, [i - 1 for i in idx]].sum(axis=-1)
@@ -592,31 +591,27 @@ def test_every_other_case_is_the_per_tuple_case_bit_for_bit(pq, order, n_flags):
         assert [c.lhs.hex() for c in rep.cases] == [c.lhs.hex() for c in want], idx  # == takes -0.0 for 0.0
 
 
-def test_an_enumerated_tuple_set_is_tabulated_once_per_process(monkeypatch, fresh_memos):
-    """One table build for the enumerated (4,3) set however often it is checked; a sampled (8,6)
-    set, and any list that is not an enumerated set, is tabulated per call and never memoized."""
-    builds = []
-    tabulate = checks._tabulate_wielandt
-
-    def counting(p, tuples):
-        builds.append((p, len(tuples)))
-        return tabulate(p, tuples)
-
-    monkeypatch.setattr(checks, "_tabulate_wielandt", counting)
-    memo = checks._enumerated_wielandt_layout
+def test_an_enumerated_tuple_set_is_tabulated_once_per_process(fresh_memos):
+    """One table build per distinct list of tuples, however often it is checked: the enumerated (4,3)
+    set, its reverse, and each sampled (8,6) set once.  The memo stays bounded, and its arrays are read-only."""
+    memo = checks._tabulate_wielandt
     A, cfg = instance(4, 3, 31)
     M = positive_compressions(A, 3, cfg, instance_rng(SEED, 32))
     for k in range(3):
         check_wielandt_flag(A, lambda_index_tuples(4), M)
-    assert builds == [(4, 15)] and memo.cache_info().currsize == 1
+    assert (memo.cache_info().misses, memo.cache_info().currsize) == (1, 1)
     check_wielandt_flag(A, lambda_index_tuples(4)[::-1], M)
-    assert builds[1:] == [(4, 15)] and memo.cache_info().currsize == 1
+    assert (memo.cache_info().misses, memo.cache_info().currsize) == (2, 2)
     A, cfg = instance(8, 6, 31)
     M = positive_compressions(A, 3, cfg, instance_rng(SEED, 32))
-    for k in range(2):
+    for k in (0, 1, 0):
         check_wielandt_flag(A, lambda_index_tuples(8, rng=instance_rng(SEED, 35, k)), M)
-    assert builds[2:] == [(8, 200)] * 2 and memo.cache_info().currsize == 1
-    layout = memo(4, 4)
+    assert (memo.cache_info().misses, memo.cache_info().currsize) == (4, 4)
+    maxsize = memo.cache_info().maxsize
+    for i in range(1, maxsize + 2):  # more distinct lists than the memo holds
+        memo(maxsize + 1, ((i,),))
+    assert memo.cache_info().currsize == memo.cache_info().maxsize
+    layout = memo(4, tuple(lambda_index_tuples(4)))
     arrays = [layout.table] + [a for group in layout.sizes + layout.widths for a in group if isinstance(a, np.ndarray)]
     assert not any(array.flags.writeable for array in arrays)
 
@@ -627,13 +622,13 @@ def test_witness_spans_whose_ranks_differ_across_samples():
     entries = np.diag([3.0, 2.0, 1.0]).astype(complex)
     generic = flag_stack(sig, (1, 3), SamplerConfig(seed=SEED), instance_rng(SEED, 17), count=2)
     e = np.eye(3, dtype=complex)
-    flags = PositiveFlag(sig, (1, 3), np.concatenate([generic.basis, e[None]]))
+    flags = positive_flag(sig, (1, 3), np.concatenate([generic.basis, e[None]]))
     top, M = top_coordinates(entries, sig, flags.basis)
     assert np.allclose(M[2], entries)
     C = witness_subordinate(M, (1, 3))
     for f in range(3):
         flag = SimpleNamespace(levels=[L[f] for L in flags.levels], depth=2)
-        want = ref_witness_subordinate(entries, sig, flag).vectors
+        want = ref_witness_subordinate(entries, sig, flag)
         # the same columns up to phase: the recursion ends on a complete flag
         overlap = np.abs(np.sum((top[f] @ C[f]).conj() * want, axis=0))
         assert np.allclose(overlap, 1.0, atol=1e-12)
@@ -684,7 +679,7 @@ def test_one_margin_accepts_exactly_as_every_level(pq, seed, pick, count, kind):
         basis = complex_normal(rng, count, sig.n, r)
     want = per_level_accepts(sig, idx, basis)
     try:
-        PositiveFlag(sig, idx, basis)
+        positive_flag(sig, idx, basis)
         got = True
     except ValueError:
         got = False
@@ -695,29 +690,18 @@ def test_one_margin_accepts_exactly_as_every_level(pq, seed, pick, count, kind):
 
 @pytest.mark.parametrize("pq", ORACLE_SIGNATURES + [(6, 4)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_the_flag_keeps_the_frame_that_pseudo_orthonormalize_gives(pq):
-    """The certifying factorization is the framing one: the kept frame is the same bytes."""
+    """The certifying factorization is the framing one: the certified frame has the raw frame's bytes."""
     A, cfg = instance(*pq, 22)
     sig = A.signature
     rng = instance_rng(SEED, 23)
     for idx in lambda_index_tuples(sig.p):
         for count in (None, 7):
-            flag = PositiveFlag(sig, idx, sample_positive_subspace(sig, sig.p, cfg, rng, count=count))
-            want = pseudo_orthonormalize(flag.basis, sig, POSITIVE).vectors
+            flag = positive_flag(sig, idx, sample_positive_subspace(sig, sig.p, cfg, rng, count=count))
+            want = _frame(flag.basis, sig, 1.0)[0]
             assert flag.frame.tobytes() == want.tobytes() and flag.frame.shape == want.shape
             assert not flag.frame.flags.writeable
-        eigenflag = PositiveFlag(sig, idx, positive_eigenbasis(eigendecompose(A)))
-        assert eigenflag.frame.tobytes() == pseudo_orthonormalize(eigenflag.basis, sig).vectors.tobytes()
-
-
-def test_flag_levels_are_read_only_prefixes():
-    sig = Signature(3, 1)
-    basis = sample_positive_subspace(sig, 3, SamplerConfig(seed=SEED), instance_rng(SEED, 21))
-    flag = PositiveFlag(sig, (1, 2), basis)
-    assert flag.basis.shape == (sig.n, 2)
-    assert [L.shape[-1] for L in flag.levels] == [1, 2]
-    assert all(np.shares_memory(L, flag.basis) and not L.flags.writeable for L in flag.levels)
-    with pytest.raises(ShapeMismatch):
-        PositiveFlag(sig, (1, 3), basis[:, :2])
+        eigenflag = positive_flag(sig, idx, positive_eigenbasis(eigendecompose(A)))
+        assert eigenflag.frame.tobytes() == _frame(eigenflag.basis, sig, 1.0)[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -728,11 +712,11 @@ def test_stacked_flag_names_its_non_positive_sample():
     sig = Signature(2, 1)
     cfg = SamplerConfig(seed=SEED)
     bases = sample_positive_subspace(sig, 2, cfg, instance_rng(SEED, 10), count=5)
-    PositiveFlag(sig, (1, 2), bases)
+    positive_flag(sig, (1, 2), bases)
     bad = np.array(bases)
     bad[3, :, 1] = [0.0, 1.0, 1.0]  # a null vector in level 2 of sample 3
     with pytest.raises(ValueError, match="positive cone at sample 3"):
-        PositiveFlag(sig, (1, 2), bad)
+        positive_flag(sig, (1, 2), bad)
 
 
 def test_the_full_tuple_eigenflag_margin_is_roundoff():
@@ -837,7 +821,7 @@ def test_a_variational_instance_draws_one_frame_stack(monkeypatch):
     largest budget, and the eigenbasis, both shared by the three suites.  The check's own
     certifications do not grow with the tuple count."""
     draws, flags = [], []
-    draw, flag = checks.sample_positive_subspace, checks.PositiveFlag
+    draw, flag = checks.sample_positive_subspace, checks._positive_frames
 
     def counting_draw(sig, k, *args, count=None, **kwargs):
         draws.append((k, count))
@@ -848,7 +832,7 @@ def test_a_variational_instance_draws_one_frame_stack(monkeypatch):
         return flag(*args, **kwargs)
 
     monkeypatch.setattr(checks, "sample_positive_subspace", counting_draw)
-    monkeypatch.setattr(checks, "PositiveFlag", counting_flag)
+    monkeypatch.setattr(checks, "_positive_frames", counting_flag)
     checks._positive_eigen_by_value.cache_clear()
     cfg = SuiteConfig(p=4, q=3, seed=SEED, suites=("courant_fischer", "ky_fan", "wielandt"),
                       courant_subspaces=30, kyfan_frames=70, wielandt_flags=10)
@@ -930,11 +914,11 @@ def test_prefixes_of_the_certified_frame_are_the_frames_of_the_prefixes(pq, seed
     cfg = SamplerConfig(seed=seed)
     A, _, _ = sample_planted(sig, cfg, instance_rng(seed, 30))
     bases = sample_positive_subspace(sig, sig.p, cfg, instance_rng(seed, 31), count=count)
-    frame = PositiveFlag(sig, (sig.p,), bases).frame
+    frame = _positive_frames(bases, sig)
     M = positive_compressions(A, count, cfg, instance_rng(seed, 31))
     assert M.shape == (count, sig.p, sig.p) and not M.flags.writeable
     for k in range(1, sig.p + 1):
-        prefix = pseudo_orthonormalize(bases[..., :k], sig, POSITIVE)
-        assert np.max(np.abs(frame[..., :k] - prefix.vectors)) <= 1e-12
+        prefix = _positive_frames(bases[..., :k], sig)
+        assert np.max(np.abs(frame[..., :k] - prefix)) <= 1e-12
         scale = max(1.0, float(np.max(np.abs(M))))
         assert np.max(np.abs(M[:, :k, :k] - compress(A, prefix).compressed)) <= 1e-12 * scale

@@ -8,7 +8,6 @@ from kreinval import (
     SamplerConfig,
     Signature,
     check_admissible,
-    classify,
     instance_rng,
     pseudo_hermitian_residual,
     pseudo_unitary_residual,
@@ -20,10 +19,17 @@ from kreinval import (
 )
 from kreinval.checks import lambda_index_tuples
 from kreinval.errors import NonFiniteValue
-from kreinval.geometry import TOL_CONE, gram, pair
-from kreinval.sampling import PositiveFlag, _expm, _lie_algebra_element, complex_normal, restricted_cone_samples
+from kreinval.geometry import TOL_CONE, gram
+from kreinval.sampling import _expm, _lie_algebra_element, complex_normal, restricted_cone_samples
 
-from conftest import cone_margin, subordinate_coordinates, subordinate_frames, subordinate_layout
+from conftest import (
+    cone_class,
+    cone_margin,
+    positive_flag,
+    subordinate_coordinates,
+    subordinate_frames,
+    subordinate_layout,
+)
 
 SEED = 808
 
@@ -177,9 +183,9 @@ def test_cone_preservation_under_sampled_conjugators(signature, sampler_cfg):
     for _ in range(20):
         x = np.zeros(signature.n, dtype=complex)
         x[: signature.p] = rng.standard_normal(signature.p)
-        if classify(x, signature).cone_class != "positive":
+        if cone_class(x, signature) != "positive":
             continue
-        assert classify(U.entries @ x, signature).cone_class == "positive"
+        assert cone_class(U.entries @ x, signature) == "positive"
 
 
 def test_planted_instances_are_structural_and_recoverable(signature, sampler_cfg):
@@ -271,7 +277,7 @@ def test_batched_subordinate_frames_lie_in_their_levels(signature, sampler_cfg):
     for group, coords in groups:
         for g, t in enumerate(group):
             idx = tuples[t]
-            flag = PositiveFlag(signature, idx, basis)
+            flag = positive_flag(signature, idx, basis)
             C = coords[:, g]
             m = len(idx)
             assert C.shape == (30, idx[-1], m)
@@ -326,7 +332,7 @@ def test_restricted_samples_sit_in_positive_cone(sampler_cfg):
     neg = np.array([[0.0], [0.0], [1.0]], dtype=complex)
     X = restricted_cone_samples(pos, neg, 200, rng)
     for j in range(X.shape[1]):
-        assert classify(X[:, j], sig).cone_class == "positive"
+        assert cone_class(X[:, j], sig) == "positive"
 
 
 def test_flag_and_subordinate_frame(signature, sampler_cfg):
@@ -334,7 +340,7 @@ def test_flag_and_subordinate_frame(signature, sampler_cfg):
         pytest.skip("flags with one level are exercised elsewhere")
     idx = (1, signature.p)
     rng = instance_rng(SEED, 13)
-    flag = PositiveFlag(signature, idx, sample_positive_subspace(signature, idx[-1], sampler_cfg, rng))
+    flag = positive_flag(signature, idx, sample_positive_subspace(signature, idx[-1], sampler_cfg, rng))
     ((_, coords),) = subordinate_coordinates([idx], rng, 1)
     frame = flag.frame @ coords[0, 0]
     assert flag.depth == 2
@@ -345,7 +351,7 @@ def test_flag_and_subordinate_frame(signature, sampler_cfg):
         coeffs, *_ = np.linalg.lstsq(level, frame[:, j], rcond=None)
         assert np.linalg.norm(level @ coeffs - frame[:, j]) < 1e-8
     # subordinate vectors from nested levels still pair to zero across slots
-    assert abs(pair(frame[:, 0], frame[:, 1], signature)) < 1e-8
+    assert abs(gram(frame, signature)[1, 0]) < 1e-8
 
 
 def test_sampler_determinism_end_to_end(signature):

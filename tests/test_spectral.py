@@ -24,11 +24,10 @@ from kreinval import spectral
 from kreinval.checks import matrix_sum
 from kreinval.cli import SuiteConfig, run_instance
 from kreinval.core import metric_diagonal
-from kreinval.errors import NullDegeneracy, OrientationMismatch
-from kreinval.geometry import NEGATIVE, NULL, POSITIVE, classify, gram, pseudo_orthonormalize
+from kreinval.geometry import _positive_frames, gram
 from kreinval.sampling import SamplerConfig
 
-from conftest import compress
+from conftest import compress, cone_class, gram_schmidt
 
 SEED = 515
 
@@ -141,12 +140,12 @@ def test_compression_matches_rayleigh_trace(signature, sampler_cfg, rayleigh):
     rng = instance_rng(SEED, 4)
     A, spec, _ = sample_planted(signature, sampler_cfg, rng)
     system = eigendecompose(A)
-    frame = pseudo_orthonormalize(positive_eigenbasis(system), signature)
+    frame = _positive_frames(positive_eigenbasis(system), signature)
     result = compress(A, frame)
     assert np.allclose(result.compressed, result.compressed.conj().T)
     # compressing onto the full positive eigenspace returns the lambdas
     assert np.allclose(np.sort(result.etas), spec.lambdas, atol=1e-8)
-    traces = [rayleigh(A, frame.vectors[:, j], signature) for j in range(frame.size)]
+    traces = [rayleigh(A, frame[:, j], signature) for j in range(frame.shape[1])]
     assert np.sum(result.etas) == pytest.approx(np.sum(traces), abs=1e-8)
 
 
@@ -229,8 +228,8 @@ def reference_eigendecompose(A):
 
     The classifying solve eigendecompose ran before admissibility became a
     definite-shift certificate: clusters are grown one eigenvalue at a time,
-    re-orthonormalized when their pairing is definite, and every column goes
-    through geometry.classify.
+    re-orthonormalized by Gram-Schmidt when their pairing is definite, and
+    every column gets a cone class.
     """
     sig = A.signature
     w, V = np.linalg.eig(A.entries)
@@ -243,21 +242,15 @@ def reference_eigendecompose(A):
         else:
             clusters.append([i])
     for group in clusters:
-        if len(group) == 1:
-            info = classify(vectors[:, group[0]], sig)
-            if info.cone_class != NULL:
-                vectors[:, group[0]] = info.vector / np.sqrt(abs(info.self_pairing))
-            continue
         block = vectors[:, group]
+        if len(group) == 1:
+            if cone_class(block, sig) != "null":
+                vectors[:, group] = block / np.sqrt(abs(gram(block, sig)[0, 0].real))
+            continue
         eigs = np.linalg.eigvalsh(gram(block, sig))
-        try:
-            if eigs[0] > 0:
-                vectors[:, group] = pseudo_orthonormalize(block, sig, POSITIVE).vectors
-            elif eigs[-1] < 0:
-                vectors[:, group] = pseudo_orthonormalize(block, sig, NEGATIVE).vectors
-        except (NullDegeneracy, OrientationMismatch):
-            pass
-    classes = tuple(classify(vectors[:, i], sig).cone_class for i in range(w.size))
+        if eigs[0] > 0 or eigs[-1] < 0:
+            vectors[:, group] = gram_schmidt(block, sig, 1.0 if eigs[0] > 0 else -1.0)
+    classes = tuple(cone_class(vectors[:, i], sig) for i in range(w.size))
     return w, vectors, classes, clusters
 
 
@@ -330,8 +323,8 @@ def test_vectorized_classification_matches_per_column_classify(kind, p, q, seed)
         assert system.spectrum.gap <= spectral.TOL_REALITY_REL * A.norm
         return
     w, vectors, classes, clusters = reference_eigendecompose(A)
-    assert classes.count(NEGATIVE) == q and classes.count(POSITIVE) == p
-    assert classes == (NEGATIVE,) * q + (POSITIVE,) * p  # the classes lie in position order
+    assert classes.count("negative") == q and classes.count("positive") == p
+    assert classes == ("negative",) * q + ("positive",) * p  # the classes lie in position order
     assert np.array_equal(system.eigenvalues, w.real)
     # each cluster's eigenvectors span the reference's eigenspace
     for group in clusters:
@@ -387,9 +380,9 @@ def counting_frames(monkeypatch):
     calls = []
     frame = spectral._frame
 
-    def counting_frame(X, jd, sign):
+    def counting_frame(X, sig, sign):
         calls.append(sign)
-        return frame(X, jd, sign)
+        return frame(X, sig, sign)
 
     monkeypatch.setattr(spectral, "_frame", counting_frame)
     return calls
@@ -422,10 +415,10 @@ def test_a_block_that_cannot_be_framed_fails_where_it_is_read(sign, kind, monkey
     A, planted, _ = sample_planted(sig, sampler_cfg, instance_rng(SEED, 7))
     frame = spectral._frame
 
-    def failing_frame(X, jd, s):
+    def failing_frame(X, sig, s):
         if s == sign:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
-        return frame(X, jd, s)
+        return frame(X, sig, s)
 
     monkeypatch.setattr(spectral, "_frame", failing_frame)
     spectrum = check_admissible(A)
