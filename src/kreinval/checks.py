@@ -14,19 +14,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
-import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    PseudoHermitianMatrix,
-    Signature,
-    check_index_tuple,
-    metric_diagonal,
-)
+from .core import PseudoHermitianMatrix, Signature, metric_diagonal
 from .errors import (
     ComplexSpectrum,
     GapViolation,
@@ -50,7 +43,6 @@ from .spectral import (
 
 DEFAULT_TOL = 1e-8
 EQUALITY_TOL = 1e-9
-TUPLE_LIMIT = 200
 
 
 class CheckCase(NamedTuple):
@@ -243,107 +235,22 @@ def _no_positive_block(name: str, sig: Signature, descriptor: dict, tol: float) 
 
 
 # ---------------------------------------------------------------------------
-# index tuple enumeration
-
-
-def _sample_ranks(count: int, limit: int, rng) -> list[int]:
-    """``limit`` distinct ranks below ``count``, ascending: a uniform random limit-subset.
-
-    Floyd's algorithm over Python's ``randrange``, which takes counts of any
-    size, seeded once from ``rng``.
-    """
-    draw, chosen = random.Random(int(rng.integers(2**63))).randrange, set()
-    for top in range(count - limit, count):
-        r = draw(top + 1)
-        chosen.add(top if r in chosen else r)
-    return sorted(chosen)
-
-
-def _unrank_index_tuple(upper: int, rank: int) -> tuple[int, ...]:
-    """The tuple at ``rank`` in the enumeration order of ``lambda_index_tuples``.
-
-    Sizes first, then entries lexicographically.  C(upper - y, s - 1)
-    tuples take y next when s entries are still to come, y included, so
-    one pass over y skips whole blocks of ranks.
-    """
-    m = 1
-    while rank >= (size := math.comb(upper, m)):
-        rank -= size
-        m += 1
-    out, x = [], 0
-    for s in range(m, 0, -1):
-        x += 1
-        while rank >= (size := math.comb(upper - x, s - 1)):
-            rank -= size
-            x += 1
-        out.append(x)
-    return tuple(out)
-
-
-def _index_tuple_count(upper: int, max_size: int | None) -> tuple[int, int]:
-    """The largest size and the number of the tuples ``lambda_index_tuples`` admits."""
-    if max_size is not None and max_size < 1:
-        raise ValueError(f"max_size must be >= 1 (or None for no bound), got {max_size}")
-    mmax = upper if max_size is None else min(max_size, upper)
-    return mmax, sum(math.comb(upper, m) for m in range(1, mmax + 1))
-
-
-def lambda_index_tuples(upper: int, max_size: int | None = None, *, limit: int = TUPLE_LIMIT, rng=None):
-    """Strictly increasing 1-based tuples bounded by ``upper``, of sizes up to ``max_size``.
-
-    All of them, by size and then lexicographically, when there are at most
-    ``limit`` (sum over m of C(upper, m)).  Beyond that exactly ``limit`` of
-    them, in the same order: ``limit`` distinct ranks drawn by Floyd's
-    algorithm and unranked in O(upper) each.  Every limit-subset of
-    tuples is equally likely, so each tuple is drawn with probability
-    limit / count, whatever its size.  ``max_size`` None bounds nothing;
-    below 1 it raises ValueError.
-    """
-    mmax, count = _index_tuple_count(upper, max_size)
-    if upper < 1:
-        return []
-    if count <= limit:
-        out = []
-        for m in range(1, mmax + 1):
-            out.extend(itertools.combinations(range(1, upper + 1), m))
-        return out
-    rng = rng if rng is not None else np.random.default_rng(0)
-    return [_unrank_index_tuple(upper, r) for r in _sample_ranks(count, limit, rng)]
-
-
-# ---------------------------------------------------------------------------
-# index tables
+# tuple sizes and ordered sums
 #
-# A list of 1-based index tuples becomes a 0-based table (N, w) whose short
-# rows are padded with the slot of a 0.0 appended to the spectrum, so
-# ``_tuple_sums`` takes every tuple's terms in one gather per spectrum.
-# ``wielandt`` tabulates its index tuples.  The sum suites check one tuple
-# or pair per size and add its terms with ``_ordered_sum``.
+# Every case over an index tuple adds its terms left to right from +0.0, so a
+# case has the same bytes whichever kernel chose its tuple.
 
 
-def _table(tuples, upper: int) -> np.ndarray:
-    """The read-only table (N, w) of the 1-based tuples, 0-based, short rows ending in the slot ``upper``."""
-    width = max(map(len, tuples), default=0)
-    pad = (upper + 1,) * width
-    rows = [t + pad[len(t) :] for t in tuples]
-    table = np.array(rows, dtype=np.intp).reshape(len(rows), width) - 1
-    table.flags.writeable = False
-    return table
+def _size_bound(max_m: int | None, upper: int) -> int:
+    """The largest tuple size checked in a block of ``upper`` indices: ``max_m`` capped at ``upper``.
 
-
-def _tuple_sums(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The sums (..., N) of ``values`` (..., n) over each row of ``table`` (N, w), added left to right from +0.0.
-
-    The padding slot n reads 0.0.  Bit for bit what ``_ordered_sum`` gives
-    for the row's values.  A total that starts at +0.0 is never -0.0, so
-    trailing pads leave it unchanged.  Only ``wielandt`` gathers through
-    it, for its tuples' targets and compression eigenvalues.
+    None bounds nothing; below 1 raises ValueError.
     """
-    terms = np.append(values, np.zeros(values.shape[:-1] + (1,)), axis=-1)[..., table]
-    total = np.zeros(terms.shape[:-1])
-    for k in range(terms.shape[-1]):
-        total += terms[..., k]
-    return total
+    if max_m is None:
+        return upper
+    if max_m < 1:
+        raise ValueError(f"max_m must be >= 1 (or None for no bound), got {max_m}")
+    return min(max_m, upper)
 
 
 def _ordered_sum(values: list[float], indices) -> float:
@@ -537,16 +444,16 @@ def check_lidskii_wielandt(
     drawn.
     """
     sig = _require_same_signature(A, B)
+    sizes = _size_bound(max_m, sig.p), _size_bound(max_m, sig.q)
     descriptor = {"max_m": max_m}
     specA, specB, _, specC, exc = _sum_spectra(A, B)
     if specC is None:
         return _inadmissible_sum_report("lidskii", sig, descriptor, tol, exc)
     cases = []
-    for kind, upper, a, b, c in (
-        ("lambda", sig.p, specA.lambdas, specB.lambdas, specC.lambdas),
-        ("mu", sig.q, specA.mus, specB.mus, specC.mus),
+    for kind, mmax, a, b, c in (
+        ("lambda", sizes[0], specA.lambdas, specB.lambdas, specC.lambdas),
+        ("mu", sizes[1], specA.mus, specB.mus, specC.mus),
     ):
-        mmax, _ = _index_tuple_count(upper, max_m)
         cases += _lidskii_cases(kind, a, b, c, mmax, tol)
     return finalize_report("lidskii", sig, descriptor, tol, cases)
 
@@ -765,64 +672,15 @@ def check_ky_fan(
 # flag compressions
 
 
-@functools.lru_cache(maxsize=8)
-def _witness_ids(n_flags: int) -> tuple[str, ...]:
-    return tuple(f"witness:{f}" for f in range(n_flags))
-
-
-class _WielandtLayout(NamedTuple):
-    """The index tuples of ``check_wielandt_flag`` in table form.
-
-    ``tuples`` are the validated tuples in input order.  ``table`` (T, w) is
-    their 0-based index table with pad slot p, for the tuple sums.
-    ``sizes`` holds, per tuple size, the positions of those tuples and
-    their 0-based columns (g, m); ``widths`` holds, per top index r, r, the
-    positions of those tuples and their table (g, w) with pad slot r.
-    """
-
-    tuples: tuple[tuple[int, ...], ...]
-    table: np.ndarray
-    sizes: tuple[tuple[np.ndarray, np.ndarray], ...]
-    widths: tuple[tuple[int, np.ndarray, np.ndarray], ...]
-
-
-@functools.lru_cache(maxsize=32)
-def _tabulate_wielandt(p: int, index_tuples: tuple[tuple, ...]) -> _WielandtLayout:
-    """The layout of a tuple of index tuples, memoized by value.
-
-    An enumerated set depends on (p, m) alone, so the wielandt suite
-    tabulates it once per process; a sampled set takes one of the bounded
-    memo's slots.  The arrays are read-only.
-    """
-    tuples = tuple(check_index_tuple(t, p) for t in index_tuples)
-    by_size: dict[int, list[int]] = {}
-    by_width: dict[int, list[int]] = {}
-    for t, idx in enumerate(tuples):
-        by_size.setdefault(len(idx), []).append(t)
-        by_width.setdefault(idx[-1], []).append(t)
-
-    def positions(group):
-        array = np.array(group, dtype=np.intp)
-        array.flags.writeable = False
-        return array
-
-    return _WielandtLayout(
-        tuples,
-        _table(tuples, p),
-        tuple((positions(g), _table([tuples[t] for t in g], p)) for g in by_size.values()),
-        tuple((r, positions(g), _table([tuples[t] for t in g], r)) for r, g in by_width.items()),
-    )
-
-
 def check_wielandt_flag(
     A: PseudoHermitianMatrix,
-    index_tuples,
+    max_m: int | None,
     M,
     tol: float = DEFAULT_TOL,
     *,
     equality_tol: float = EQUALITY_TOL,
 ) -> list[CheckReport]:
-    """Flag compressions against the eigenvalue tuple sums, one report per index tuple.
+    """Flag compressions against the eigenvalue tuple sums, one report per top index r and size m.
 
     A flag is framed by the Cholesky factorization that certifies it
     (``geometry._positive_frames``); its frame's column prefixes span the
@@ -841,7 +699,16 @@ def check_wielandt_flag(
     orthonormal columns, column j in E_{i_j}, has tr(C* diag(lambda) C) <=
     the tuple sum (Wielandt), and the rest is at most m delta.  So
     ``eigenflag_max`` holds the supremum over every subordinate frame,
-    tuple sum + m delta, against the tuple sum; its margin is -m delta.
+    tuple sum + m delta, against the tuple sum; its margin is -m delta for
+    every tuple of size m, and the case names the lowest tuple
+    (1, ..., m - 1, r).  The trace of the principal submatrix eigen[I, I]
+    deviates from the tuple sum by |sum_{i in I} e_i|, with
+    e = Re diag(eigen) - lambda; ``eigenflag_witness`` holds the largest
+    deviation over the tuples of the shape against 0, with the indices
+    1, ..., r.  By Weyl's perturbation theorem the eigenvalues of every
+    eigen[I, I] lie within delta of lambda_I, so one
+    ``eigenflag_witness_etas`` case, delta against ``equality_tol``, bounds
+    every tuple; it goes in the (1, 1) report.
 
     On each of ``n_flags`` random positive flags: Hermitian Wielandt
     (Wielandt 1955; Hersch-Zwahlen 1962) gives a subordinate frame whose
@@ -852,65 +719,71 @@ def check_wielandt_flag(
     eta_i - lambda_i over the flags and i <= r.  With ``n_flags`` 0 there
     are no random flags and none of these cases.
 
-    Each case kind is one pass over all tuples.  The tuples are tabulated
-    once per distinct list, in a bounded memo (``_tabulate_wielandt``).
-    Each distinct top width r gets one ``eigvalsh`` of M's leading blocks,
-    and its witness sums are one gather; each tuple size gets one
-    ``eigvalsh`` for ``eigenflag_witness_etas``.  The tuple sums are added
-    left to right from +0.0, as Python's ``sum`` adds them.  Reports follow
-    ``index_tuples``, duplicates included.  With p = 0 the one report says
-    there is no positive block.
+    Every tuple is checked and none is listed.  Each width r takes one
+    ``eigvalsh`` of M's leading r x r blocks.  With d = eta - lambda[:r],
+    the margin of a tuple on flag f is the sum of d_f over it, so the worst
+    size-m tuple with top r is r plus the m - 1 smallest d_f below r: one
+    stable sort per flag and width ranks every size, and the report keeps
+    the ``witness:f`` case of the worst flag (the lowest f on ties), with
+    its tuple.  The largest |sum_{i in I} e_i| is reached by r and the
+    m - 1 indices at one end of one stable sort of e[:r - 1], the lower end
+    on ties.  Ties between indices go to the lower one.  The sorts only
+    choose the tuples: each case is computed from its tuple as for any
+    tuple, with the sums added left to right from +0.0 (``_ordered_sum``).
+    e is roundoff, so which tuple reaches its largest sum is roundoff too;
+    ``eigenflag_witness`` therefore names no tuple, and a report moves only
+    by roundoff when A does.
+
+    Reports come in r-then-m order, m <= min(r, ``max_m``), each with the
+    descriptor {"top": r, "m": m, "n_flags": n_flags}.  ``max_m`` None
+    bounds nothing; below 1 it raises ValueError.  With p = 0 the one
+    report says there is no positive block.
     """
     sig = A.signature
     M = _frame_stack(A, M)
     n_flags = len(M)
-    shared = {"n_flags": n_flags}
+    mmax = _size_bound(max_m, sig.p)
     if sig.p == 0:
-        return [_no_positive_block("wielandt", sig, shared, tol)]
-    tuples = tuple(map(tuple, index_tuples))
-    if not tuples:
-        return []
-    layout = _tabulate_wielandt(sig.p, tuples)
-    tuples = layout.tuples
-    T = len(tuples)
+        return [_no_positive_block("wielandt", sig, {"n_flags": n_flags}, tol)]
     system, eigen = _positive_eigen(A)
     lambdas = system.spectrum.lambdas
-    targets = _tuple_sums(lambdas, layout.table)
-    zeros = np.zeros(T)
+    diagonal = np.diagonal(eigen).real
+    lam, diagonal = lambdas.tolist(), diagonal.tolist()
+    e = [0.0] + [x - y for x, y in zip(diagonal, lam)]  # 1-based
     # eigen - diag(lambdas) is Hermitian, so its 2-norm is its largest |eigenvalue|
     delta = float(np.max(np.abs(np.linalg.eigvalsh(eigen - np.diag(lambdas)))))
-
-    vals, devs, slack = np.empty(T), np.empty(T), np.empty(T)
-    for positions, cols in layout.sizes:
-        subs = eigen[cols[:, :, None], cols[:, None, :]]
-        vals[positions] = np.trace(subs, axis1=-2, axis2=-1).real
-        devs[positions] = np.max(np.abs(np.linalg.eigvalsh(subs) - lambdas[cols]), axis=-1)
-        slack[positions] = cols.shape[1] * delta
-    maxima = make_cases(["eigenflag_max"] * T, tuples, targets + slack, targets, -slack, tol)
-    deviation = -np.abs(vals - targets)
-    witness = make_cases(["eigenflag_witness"] * T, tuples, vals, targets, deviation, equality_tol)
-    etas = make_cases(["eigenflag_witness_etas"] * T, tuples, devs, zeros, -devs, equality_tol)
-
-    flag_cases = [()] * T
-    if n_flags:
-        sums, interlace = np.empty((T, n_flags)), {}
-        for r, positions, table in layout.widths:
+    etas = [make_case("eigenflag_witness_etas", range(1, sig.p + 1), delta, 0.0, -delta, equality_tol)]
+    reports = []
+    for r in range(1, sig.p + 1):
+        largest = min(r, mmax)
+        ranked = sorted(range(1, r), key=e.__getitem__)
+        low = list(itertools.accumulate((e[i] for i in ranked), initial=e[r]))
+        high = list(itertools.accumulate((e[i] for i in reversed(ranked)), initial=e[r]))
+        if n_flags:
             eta = np.linalg.eigvalsh(M[:, :r, :r])
-            sums[positions] = _tuple_sums(eta, table).T
-            worst = float(np.min(eta - lambdas[:r]))
-            interlace[r] = make_case(f"interlace_min:{r}", range(1, r + 1), worst, 0.0, worst, tol)
-        cases = make_cases(
-            _witness_ids(n_flags) * T,
-            [idx for idx in tuples for _ in range(n_flags)],
-            sums.ravel(),
-            np.repeat(targets, n_flags),
-            (sums - targets[:, None]).ravel(),
-            tol,
-        )
-        flag_cases = [
-            [interlace[idx[-1]], *cases[t * n_flags : (t + 1) * n_flags]] for t, idx in enumerate(tuples)
-        ]
-    return [
-        finalize_report("wielandt", sig, {"index_tuple": list(idx), **shared}, tol, [m, w, e, *f])
-        for idx, m, w, e, f in zip(tuples, maxima, witness, etas, flag_cases)
-    ]
+            d = eta - lambdas[:r]
+            least = float(d.min())
+            interlace = make_case(f"interlace_min:{r}", range(1, r + 1), least, 0.0, least, tol)
+            # column m - 1: d_r plus the m - 1 smallest d's below r, per flag
+            worst = np.cumsum(np.hstack((d[:, r - 1 :], np.sort(d[:, : r - 1], axis=1))), axis=1)
+            flags = worst[:, :largest].argmin(axis=0).tolist()
+            order = (np.argsort(d[:, : r - 1], axis=1, kind="stable") + 1).tolist()
+            eta = eta.tolist()
+        for m in range(1, largest + 1):
+            lowest = (*range(1, m), r)
+            target, slack = _ordered_sum(lam, lowest), m * delta
+            t = tuple(sorted(ranked[: m - 1] if abs(low[m - 1]) >= abs(high[m - 1]) else ranked[r - m :])) + (r,)
+            deviation = abs(_ordered_sum(diagonal, t) - _ordered_sum(lam, t))
+            cases = [
+                make_case("eigenflag_max", lowest, target + slack, target, -slack, tol),
+                make_case("eigenflag_witness", range(1, r + 1), deviation, 0.0, -deviation, equality_tol),
+            ]
+            if r == 1:
+                cases += etas
+            if n_flags:
+                f = flags[m - 1]
+                t = tuple(sorted(order[f][: m - 1])) + (r,)
+                total, target = _ordered_sum(eta[f], t), _ordered_sum(lam, t)
+                cases += [interlace, make_case(f"witness:{f}", t, total, target, total - target, tol)]
+            reports.append(finalize_report("wielandt", sig, {"top": r, "m": m, "n_flags": n_flags}, tol, cases))
+    return reports

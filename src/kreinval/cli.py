@@ -37,7 +37,6 @@ from .checks import (
     check_weyl,
     check_wielandt_flag,
     finalize_report,
-    lambda_index_tuples,
     make_case,
     positive_compressions,
 )
@@ -61,7 +60,7 @@ SUITES = (
 #: suites whose checks consume a second sampled matrix
 PAIR_SUITES = frozenset({"trace", "weyl", "lidskii", "thompson_freede", "polyhedral"})
 #: suites whose checks draw random numbers, each from its own stream
-RANDOM_SUITES = frozenset({"courant_fischer", "wielandt"})
+RANDOM_SUITES = frozenset({"courant_fischer"})
 #: suites that read the instance's one stack of positive frames
 FRAME_SUITES = frozenset({"courant_fischer", "ky_fan", "wielandt"})
 
@@ -156,13 +155,12 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
     frames of ``courant_fischer``, ``ky_fan`` and ``wielandt`` are one stack,
     drawn from the frame stream (seed, index, len(SUITES)) and compressed
     once; its size is the largest of the three budgets whatever is selected,
-    and each suite reads as many leading rows as its budget.  The other
-    draws of ``courant_fischer`` and ``wielandt`` (restricted-cone samples,
-    sampled index tuples) come from each suite's own stream (seed, index,
-    position of the suite in SUITES); no other suite draws.  So a suite's
-    reports do not depend on which other suites are selected.  Each check
-    is called once: ``ky_fan`` returns one report per k and ``wielandt``
-    one per index tuple.
+    and each suite reads as many leading rows as its budget.  The
+    restricted-cone samples of ``courant_fischer`` come from its own stream
+    (seed, index, position of the suite in SUITES); no other suite draws.
+    So a suite's reports do not depend on which other suites are selected.
+    Each check is called once: ``ky_fan`` returns one report per k and
+    ``wielandt`` one per top index r and tuple size m.
     """
     sig = Signature(cfg.p, cfg.q)
     scfg = cfg.sampler()
@@ -209,8 +207,7 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
         elif suite == "ky_fan":
             reports.extend(check_ky_fan(A, M[: cfg.kyfan_frames], tol=cfg.tol_check))
         elif suite == "wielandt":
-            tuples = lambda_index_tuples(sig.p, cfg.max_m, rng=rng)
-            reports.extend(check_wielandt_flag(A, tuples, M[: cfg.wielandt_flags], tol=cfg.tol_check))
+            reports.extend(check_wielandt_flag(A, cfg.max_m, M[: cfg.wielandt_flags], tol=cfg.tol_check))
         elif suite == "polyhedral":
             reports.append(check_diag_membership(A, tol=cfg.lp_tol))
             reports.append(check_sum_membership(A, B, tol=cfg.lp_tol))

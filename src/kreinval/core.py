@@ -216,18 +216,6 @@ class AdmissibleSpectrum:
         return float(np.sum(self.lambdas) + np.sum(self.mus))
 
 
-def check_index_tuple(indices, upper: int) -> tuple[int, ...]:
-    """Validate a strictly increasing tuple of 1-based indices bounded by ``upper``."""
-    idx = tuple(int(i) for i in indices)
-    if not idx:
-        raise ValueError("index tuple must be nonempty")
-    if any(i < 1 or i > upper for i in idx):
-        raise ValueError(f"indices must lie in [1, {upper}], got {idx}")
-    if any(b <= a for a, b in zip(idx, idx[1:])):
-        raise ValueError(f"indices must be strictly increasing, got {idx}")
-    return idx
-
-
 def conjugate(A: PseudoHermitianMatrix, U: PseudoUnitary) -> PseudoHermitianMatrix:
     """Return U A U^-1 (inverse taken as the dagger), re-symmetrized.
 

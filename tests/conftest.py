@@ -9,11 +9,12 @@ import pytest
 
 from kreinval import SamplerConfig, Signature
 from kreinval.checks import (
+    DEFAULT_TOL,
+    EQUALITY_TOL,
     _hermitian_part,
     _inadmissible_sum_report,
+    _positive_eigen,
     _sum_spectra,
-    _table,
-    _tuple_sums,
     finalize_report,
     make_case,
     make_cases,
@@ -48,7 +49,6 @@ def fresh_memos():
         spectral._solve,
         checks._sum_spectra_by_value,
         checks._positive_eigen_by_value,
-        checks._tabulate_wielandt,
     )
     for memo in memos:
         memo.cache_clear()
@@ -60,6 +60,37 @@ def fresh_memos():
 def ordered_sum(values) -> float:
     """The values added left to right from +0.0, as the sum suites add them."""
     return functools.reduce(operator.add, values, 0.0)
+
+
+def all_tuples(p, max_m=None):
+    """Every strictly increasing 1-based tuple bounded by p, of sizes up to ``max_m``, by size and then lexicographically."""
+    sizes = p if max_m is None else min(max_m, p)
+    return [t for m in range(1, sizes + 1) for t in itertools.combinations(range(1, p + 1), m)]
+
+
+def shape(report):
+    """The top index r and size m of the tuples of a ``wielandt`` report."""
+    return report.descriptor["top"], report.descriptor["m"]
+
+
+def _table(tuples, upper: int) -> np.ndarray:
+    """The table (N, w) of the 1-based tuples, 0-based, short rows ending in the slot ``upper``."""
+    width = max(map(len, tuples), default=0)
+    pad = (upper + 1,) * width
+    return np.array([t + pad[len(t) :] for t in tuples], dtype=np.intp).reshape(len(tuples), width) - 1
+
+
+def _tuple_sums(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The sums (..., N) of ``values`` (..., n) over each row of ``table`` (N, w), added left to right from +0.0.
+
+    The padding slot n reads 0.0, and a total that starts at +0.0 is never
+    -0.0, so trailing pads leave it unchanged.
+    """
+    terms = np.append(values, np.zeros(values.shape[:-1] + (1,)), axis=-1)[..., table]
+    total = np.zeros(terms.shape[:-1])
+    for k in range(terms.shape[-1]):
+        total += terms[..., k]
+    return total
 
 
 def brute_pairs(p):
@@ -164,6 +195,57 @@ def table_thompson_freede_cases(a, b, c, tol):
     rhs = _tuple_sums(a, _table([i for i, _ in pairs], p)) + _tuple_sums(b, _table([j for _, j in pairs], p))
     ids = [f"i={','.join(map(str, i))};j={','.join(map(str, j))}" for i, j in pairs]
     return make_cases(ids, indices, lhs, rhs, lhs - rhs, tol)
+
+
+def reference_wielandt_cases(A, idx, M, tol=DEFAULT_TOL, equality_tol=EQUALITY_TOL):
+    """The cases of one index tuple, computed for that tuple alone, on every flag of the stack M.
+
+    The tuple sum, the trace of the tuple's principal submatrix of the
+    eigenflag compression, and the flags' witness sums are added left to
+    right from +0.0; ``eigenflag_witness_etas`` is the tuple's own
+    deviation of the eigenvalues of that submatrix from its lambdas, and
+    the witness sums read eigvalsh of the tuple's own width of M.
+    """
+    system, eigen = _positive_eigen(A)
+    lambdas = system.spectrum.lambdas
+    target = ordered_sum(lambdas[i - 1] for i in idx)
+    cols = np.array(idx) - 1
+    sub = eigen[np.ix_(cols, cols)]
+    value = ordered_sum(sub.diagonal().real)
+    dev = float(np.max(np.abs(np.linalg.eigvalsh(sub) - lambdas[cols])))
+    slack = len(idx) * float(np.max(np.abs(np.linalg.eigvalsh(eigen - np.diag(lambdas)))))
+    cases = [
+        make_case("eigenflag_max", idx, target + slack, target, -slack, tol),
+        make_case("eigenflag_witness", idx, value, target, -abs(value - target), equality_tol),
+        make_case("eigenflag_witness_etas", idx, dev, 0.0, -dev, equality_tol),
+    ]
+    if not len(M):
+        return cases
+    r = idx[-1]
+    eta = np.linalg.eigvalsh(M[:, :r, :r])
+    worst = float(np.min(eta - lambdas[:r]))
+    cases.append(make_case(f"interlace_min:{r}", range(1, r + 1), worst, 0.0, worst, tol))
+    sums = [ordered_sum(row[cols]) for row in eta]
+    return cases + [make_case(f"witness:{f}", idx, s, target, s - target, tol) for f, s in enumerate(sums)]
+
+
+def reference_wielandt(A, M, max_m=None, tol=DEFAULT_TOL, equality_tol=EQUALITY_TOL):
+    """check_wielandt_flag at every tuple, one Python loop per tuple: the exhaustive oracle.
+
+    One report per tuple of every size up to ``max_m``, by size and then
+    lexicographically, with the descriptor {"index_tuple": ..., "n_flags": ...}
+    and every flag's ``witness:f`` case.
+    """
+    sig = A.signature
+    if sig.p == 0:
+        return [finalize_report("wielandt", sig, {"n_flags": len(M)}, tol, [], notes=["no positive-type block"])]
+    return [
+        finalize_report(
+            "wielandt", sig, {"index_tuple": list(idx), "n_flags": len(M)}, tol,
+            reference_wielandt_cases(A, idx, M, tol, equality_tol),
+        )
+        for idx in all_tuples(sig.p, max_m)
+    ]
 
 
 def gram_schmidt(basis, sig, sign=1.0):

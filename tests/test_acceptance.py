@@ -8,7 +8,6 @@ fast; criterion 1 measures its own wall time against a hard budget.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from pathlib import Path
@@ -49,7 +48,7 @@ from kreinval.spectral import (
     rayleigh_columns,
 )
 
-from conftest import WITNESS_ROUNDOFF, _witness_traces, reference_lidskii
+from conftest import WITNESS_ROUNDOFF, _witness_traces, all_tuples, reference_lidskii, reference_wielandt
 
 SIGNATURES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
 SEED = 20260818
@@ -57,14 +56,6 @@ BOUND_TOL = 1e-8  # one-sided inequality slack
 WITNESS_TOL = 1e-9  # equality cases on eigenvector witnesses
 
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
-
-
-def all_index_tuples(p: int) -> list[tuple[int, ...]]:
-    return [
-        t
-        for m in range(1, p + 1)
-        for t in itertools.combinations(range(1, p + 1), m)
-    ]
 
 
 @pytest.fixture(scope="module")
@@ -298,36 +289,47 @@ def test_criterion_06_paired_tuple_bounds(pairs):
 
 
 def test_criterion_07_flag_compressions(cfg, instances):
-    """Flag compressions: bounded above on the eigenflag, attained elsewhere.
+    """Flag compressions: bounded above on the eigenflag, attained elsewhere, at every tuple.
 
-    Per index tuple: on the eigenvector flag the certified supremum over
+    One report per shape of index tuple, top index r and size m, in
+    r-then-m order.  On the eigenvector flag the certified supremum over
     every subordinate frame, tuple sum + m ||eigen - diag(lambda)||_2,
     never beats the tuple sum (1e-8).  On each of 100 random flags
-    sum_j eta_{i_j} reaches the tuple sum (1e-8), and the Hermitian-Wielandt
-    witness frame subordinate to the flag reaches that sum to roundoff.
-    The flag's r-dimensional compressions, r the top index, interlace from
-    above (1e-8).  The 100 flags are prefixes of one width-p stack that
-    every tuple shares.  Every case of every flag must pass, and every
-    tuple gets one report, in order, with every case.
+    sum_j eta_{i_j} reaches the tuple sum (1e-8) at every tuple: each
+    report holds the worst flag's worst tuple, whose margin is the
+    exhaustive oracle's least over the shape's tuples and the flags
+    (1e-12).  The Hermitian-Wielandt witness frame subordinate to each flag
+    reaches the oracle's sum for every tuple to roundoff.  The flag's
+    r-dimensional compressions interlace from above (1e-8).  The 100 flags
+    are prefixes of one width-p stack that every tuple shares.  Every case
+    must pass, and every report has every case.
     """
     failures = []
     for (p, q), inst in instances.items():
         A = inst[0][0]
-        tuples = all_index_tuples(p)
+        tuples = all_tuples(p)
         M = positive_compressions(A, 100, cfg, instance_rng(SEED, 700))
-        reports = check_wielandt_flag(A, tuples, M, tol=BOUND_TOL)
-        assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
+        reports = check_wielandt_flag(A, None, M, tol=BOUND_TOL)
+        shapes = [(r, m) for r in range(1, p + 1) for m in range(1, r + 1)]
+        assert [(rep.descriptor["top"], rep.descriptor["m"]) for rep in reports] == shapes
+        oracle = reference_wielandt(A, M, tol=BOUND_TOL)
+        assert [tuple(rep.descriptor["index_tuple"]) for rep in oracle] == tuples
+        least = {}
+        for idx, rep in zip(tuples, oracle):
+            worst = min(c.margin for c in rep.cases if c.case_id.startswith("witness:"))
+            least[idx[-1], len(idx)] = min(least.get((idx[-1], len(idx)), np.inf), worst)
+        for (r, m), rep in zip(shapes, reports):
+            failures.extend((p, q, (r, m), c.case_id, c.margin) for c in rep.cases if not c.passed)
+            ids = [c.case_id for c in rep.cases]
+            eigen = ["eigenflag_max", "eigenflag_witness"] + (["eigenflag_witness_etas"] if r == 1 else [])
+            if ids[:-1] != [*eigen, f"interlace_min:{r}"] or not ids[-1].startswith("witness:"):
+                failures.append((p, q, (r, m), "case_ids", ids))
+            if abs(rep.cases[-1].margin - least[r, m]) > 1e-12:
+                failures.append((p, q, (r, m), "worst_witness", rep.cases[-1].margin, least[r, m]))
         spectra = {r: np.linalg.eigh(M[:, :r, :r]) for r in range(1, p + 1)}
         traces = _witness_traces(M, spectra, tuples)
-        for idx, rep, trace in zip(tuples, reports, traces):
-            failures.extend(
-                (p, q, idx, c.case_id, c.margin) for c in rep.cases if not c.passed
-            )
-            ids = [c.case_id for c in rep.cases]
-            eigen = ["eigenflag_max", "eigenflag_witness", "eigenflag_witness_etas"]
-            if ids != [*eigen, f"interlace_min:{idx[-1]}"] + [f"witness:{f}" for f in range(100)]:
-                failures.append((p, q, idx, "case_ids", ids[:5]))
-            sums = np.array([c.lhs for c in rep.cases[4:]])
+        for idx, rep, trace in zip(tuples, oracle, traces):
+            sums = np.array([c.lhs for c in rep.cases if c.case_id.startswith("witness:")])
             scale = np.maximum(1.0, np.max(np.abs(spectra[idx[-1]][0]), axis=-1))
             if np.any(trace < sums - WITNESS_ROUNDOFF * scale):
                 failures.append((p, q, idx, "witness_frame", float(np.min(trace - sums))))
@@ -503,16 +505,16 @@ def test_criterion_10_hermitian_degeneration(cfg):
                     if c.case_id.startswith("partial_sum_witness"):
                         assert abs(c.lhs - target) <= WITNESS_TOL
 
-            tuples = [(p,), (1, p)]
             rng = instance_rng(SEED, 10300 + 10 * i)
-            reports = check_wielandt_flag(A, tuples, positive_compressions(A, 20, cfg, rng), tol=BOUND_TOL)
-            assert len(reports) == len(tuples)
-            for idx, rep in zip(tuples, reports):
+            reports = check_wielandt_flag(A, None, positive_compressions(A, 20, cfg, rng), tol=BOUND_TOL)
+            assert len(reports) == p * (p + 1) // 2
+            for rep in reports:
                 assert rep.passed
-                assert sum(c.case_id.startswith("witness:") for c in rep.cases) == 20
-                target = float(sum(oa[j - 1] for j in idx))
-                by_id = {c.case_id: c for c in rep.cases}
-                assert abs(by_id["eigenflag_witness"].lhs - target) <= WITNESS_TOL
+                eigenflag, deviation, *_, witness = rep.cases
+                assert witness.case_id.startswith("witness:")
+                for c in (eigenflag, witness):
+                    assert abs(c.rhs - float(sum(oa[j - 1] for j in c.indices))) <= WITNESS_TOL
+                assert deviation.case_id == "eigenflag_witness" and deviation.lhs <= WITNESS_TOL
 
             # diagonal membership coincides with spectral majorization
             rep = check_diag_membership(A, tol=1e-9)

@@ -35,9 +35,6 @@ from kreinval.checks import (
     _lidskii_cases,
     _ordered_sum,
     _thompson_freede_cases,
-    _tuple_sums,
-    _unrank_index_tuple,
-    lambda_index_tuples,
     make_case,
     make_cases,
     matrix_sum,
@@ -46,10 +43,13 @@ from kreinval.checks import (
 from kreinval.errors import GapViolation, ShapeMismatch
 
 from conftest import (
+    _tuple_sums,
+    all_tuples,
     brute_pairs,
     ordered_sum,
     reference_lidskii,
     reference_thompson_freede,
+    shape,
     table_lidskii_cases,
     table_thompson_freede_cases,
 )
@@ -104,44 +104,17 @@ def test_a_case_is_an_immutable_named_tuple():
     assert case._replace(margin=-1.0).margin == -1.0 and case.margin == 0.5
 
 
-def test_index_tuple_enumeration():
-    assert lambda_index_tuples(2) == [(1,), (2,), (1, 2)]
-    assert len(lambda_index_tuples(4)) == 15  # every nonempty subset
-    subset = lambda_index_tuples(6, rng=np.random.default_rng(0), limit=10)
-    assert len(subset) == 10
-    assert all(all(a < b for a, b in zip(t, t[1:])) for t in subset)
-
-
-def test_enumeration_whenever_the_count_fits_the_limit():
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    tuples = lambda_index_tuples(5, rng=rng)
-    expected = [t for m in range(1, 6) for t in itertools.combinations(range(1, 6), m)]
-    assert tuples == expected and len(tuples) == 31
-    assert rng.bit_generator.state == state
-
-
-@settings(max_examples=40, deadline=None)
-@given(upper=st.integers(1, 9), max_size=st.integers(1, 9))
-def test_unranking_reproduces_the_enumeration(upper, max_size):
-    """Rank r unranks to the r-th enumerated tuple, so a draw of ranks is a draw of index tuples."""
-    everything = 10**9
-    tuples = lambda_index_tuples(upper, max_size, limit=everything)
-    mmax = min(max_size, upper)
-    assert tuples == [t for m in range(1, mmax + 1) for t in itertools.combinations(range(1, upper + 1), m)]
-    assert [_unrank_index_tuple(upper, r) for r in range(len(tuples))] == tuples
-
-
-@settings(max_examples=40, deadline=None)
-@given(upper=st.integers(2, 24), limit=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
-def test_sampled_index_sets_are_exactly_limit_distinct_and_in_enumeration_order(upper, limit, seed):
-    """Past the limit: exactly ``limit`` distinct valid draws, in enumeration order."""
-    rng = np.random.default_rng(seed)
-    if 2**upper - 1 > limit:
-        tuples = lambda_index_tuples(upper, limit=limit, rng=rng)
-        assert len(set(tuples)) == len(tuples) == limit
-        assert tuples == sorted(tuples, key=lambda t: (len(t), t))
-        assert all(0 < t[0] and t[-1] <= upper and list(t) == sorted(set(t)) for t in tuples)
+def test_index_tuple_enumeration(sampler_cfg):
+    """The wielandt reports enumerate the shapes of the index tuples: top index r, then size m <= min(r, max_m)."""
+    A, _, _ = sample_planted(Signature(4, 2), sampler_cfg, instance_rng(SEED, 30))
+    M = positive_compressions(A, 3, sampler_cfg, instance_rng(SEED, 31))
+    for max_m, count in ((None, 10), (1, 4), (2, 7), (9, 10)):
+        reports = check_wielandt_flag(A, max_m, M)
+        assert [shape(r) for r in reports] == [(r, m) for r in range(1, 5) for m in range(1, min(r, max_m or 4) + 1)]
+        assert len(reports) == count and all(r.descriptor["n_flags"] == 3 for r in reports)
+        assert [list(r.descriptor) for r in reports] == [["top", "m", "n_flags"]] * count
+    # every tuple has exactly one shape
+    assert sorted({(t[-1], len(t)) for t in all_tuples(4)}) == sorted(shape(r) for r in check_wielandt_flag(A, None, M))
 
 
 def test_thompson_freede_pair_constraint(sampler_cfg):
@@ -298,7 +271,7 @@ def test_a_frame_stack_of_another_signature_is_refused(sampler_cfg):
         with pytest.raises(ShapeMismatch, match=r"\(N, 3, 3\)"):
             check_ky_fan(A, bad)
         with pytest.raises(ShapeMismatch, match=r"\(N, 3, 3\)"):
-            check_wielandt_flag(A, [(1,)], bad)
+            check_wielandt_flag(A, None, bad)
     negative = PseudoHermitianMatrix(Signature(0, 2), np.diag([-1.0, -2.0]).astype(complex))
     assert positive_compressions(negative, 5, sampler_cfg, instance_rng(SEED, 28)).shape == (5, 0, 0)
 
@@ -330,45 +303,55 @@ def test_wielandt_full_tuple_matches_ky_fan_target(sampler_cfg):
     sig = Signature(2, 1)
     rng = instance_rng(SEED, 23)
     A, spec, _ = sample_planted(sig, sampler_cfg, rng)
-    (report,) = check_wielandt_flag(A, [(1, 2)], positive_compressions(A, 8, sampler_cfg, rng))
-    assert report.passed
+    report = check_wielandt_flag(A, None, positive_compressions(A, 8, sampler_cfg, rng))[-1]
+    assert report.passed and shape(report) == (2, 2)
     by_id = {c.case_id: c for c in report.cases}
-    assert by_id["eigenflag_witness"].rhs == pytest.approx(np.sum(spec.lambdas), abs=1e-7)
-    assert by_id["eigenflag_max"].rhs == by_id["eigenflag_witness"].rhs
-    assert [c.case_id for c in report.cases] == [
-        "eigenflag_max", "eigenflag_witness", "eigenflag_witness_etas", "interlace_min:2",
-        *(f"witness:{f}" for f in range(8)),
-    ]
+    assert by_id["eigenflag_max"].rhs == pytest.approx(np.sum(spec.lambdas), abs=1e-7)
+    (witness,) = [c for c in report.cases if c.case_id.startswith("witness:")]
+    assert witness.rhs == by_id["eigenflag_max"].rhs
+    assert 0.0 <= by_id["eigenflag_witness"].lhs <= 1e-12 and by_id["eigenflag_witness"].rhs == 0.0
+    assert all(c.indices == (1, 2) for c in report.cases)
+    assert [c.case_id for c in report.cases] == ["eigenflag_max", "eigenflag_witness", "interlace_min:2", witness.case_id]
+    assert int(witness.case_id.split(":")[1]) in range(8)
 
 
 def test_wielandt_single_index(sampler_cfg):
     sig = Signature(2, 2)
     rng = instance_rng(SEED, 24)
     A, _, _ = sample_planted(sig, sampler_cfg, rng)
-    (report,) = check_wielandt_flag(A, [(2,)], positive_compressions(A, 6, sampler_cfg, rng))
-    assert report.passed
+    reports = check_wielandt_flag(A, 1, positive_compressions(A, 6, sampler_cfg, rng))
+    assert [shape(r) for r in reports] == [(1, 1), (2, 1)]
+    assert all(r.passed for r in reports)
+    # the one tuple of shape (2, 1) is (2,); interlacing and the eigenflag's deviation span 1, 2
+    assert [c.indices for c in reports[1].cases] == [(2,), (1, 2), (1, 2), (2,)]
 
 
 def test_wielandt_fails_a_flag_that_does_not_interlace(sampler_cfg):
     """A stack whose flag 2 has eta_1 = lambda_1 - 1e-5 at every width fails every interlace_min:r,
-    and flag 2's witness:f exactly on the tuples that select index 1."""
+    and witness:2 on exactly the shapes whose worst tuple holds index 1: every size above 1, and (1, 1)."""
     sig = Signature(4, 3)
     rng = instance_rng(SEED, 25)
     A, _, _ = sample_planted(sig, sampler_cfg, rng)
     lambdas = checks._positive_eigen(A)[0].spectrum.lambdas
     M = np.array(positive_compressions(A, 4, sampler_cfg, rng))
     M[2] = np.diag(lambdas - 1e-5 * np.eye(4)[0])
-    tuples = lambda_index_tuples(4)
-    for idx, rep in zip(tuples, check_wielandt_flag(A, tuples, M), strict=True):
+    reports = check_wielandt_flag(A, None, M)
+    assert len(reports) == 10
+    for rep in reports:
+        r, m = shape(rep)
         failed = {c.case_id for c in rep.cases if not c.passed}
-        want = {f"interlace_min:{idx[-1]}"} | ({"witness:2"} if 1 in idx else set())
-        assert failed == want, idx
+        want = {f"interlace_min:{r}"} | ({"witness:2"} if m > 1 or r == 1 else set())
+        assert failed == want, (r, m)
+        if "witness:2" in want:
+            (witness,) = [c for c in rep.cases if c.case_id == "witness:2"]
+            assert witness.indices[0] == 1 and witness.indices[-1] == r
         assert rep.worst_margin == pytest.approx(-1e-5, rel=1e-6)
 
 
 @pytest.mark.parametrize("eps", [0.75e-8, 1.5e-8])
 def test_wielandt_fails_an_eigenflag_off_its_diagonal(sampler_cfg, monkeypatch, eps):
-    """An eigenflag compression perturbed off the diagonal by eps > tol / m fails eigenflag_max, and only it."""
+    """An eigenflag compression perturbed off the diagonal by eps fails eigenflag_max exactly where m eps > tol,
+    and the one eigenflag_witness_etas case, whose delta = eps bounds the deviation of every tuple."""
     sig = Signature(3, 2)
     rng = instance_rng(SEED, 26)
     A, _, _ = sample_planted(sig, sampler_cfg, rng)
@@ -377,13 +360,46 @@ def test_wielandt_fails_an_eigenflag_off_its_diagonal(sampler_cfg, monkeypatch, 
     E = np.zeros((3, 3), dtype=complex)
     E[0, 2], E[2, 0] = eps * 1j, -eps * 1j  # Hermitian, ||E||_2 = eps
     monkeypatch.setattr(checks, "_positive_eigen", lambda _: (system, eigen + E))
-    tuples = lambda_index_tuples(3)
-    for idx, rep in zip(tuples, check_wielandt_flag(A, tuples, M), strict=True):
+    reports = check_wielandt_flag(A, None, M)
+    assert len(reports) == 6
+    for rep in reports:
+        r, m = shape(rep)
         by_id = {c.case_id: c for c in rep.cases}
-        assert by_id["eigenflag_max"].margin == pytest.approx(-len(idx) * eps, rel=1e-6)
+        assert by_id["eigenflag_max"].margin == pytest.approx(-m * eps, rel=1e-6)
         assert [c.case_id for c in rep.cases if not c.passed] == (
-            ["eigenflag_max"] if len(idx) * eps > DEFAULT_TOL else []
-        ), idx
+            ["eigenflag_max"] if m * eps > DEFAULT_TOL else []
+        ) + (["eigenflag_witness_etas"] if r == 1 else []), (r, m)
+    (etas,) = [c for c in reports[0].cases if c.case_id == "eigenflag_witness_etas"]
+    assert etas.indices == (1, 2, 3) and etas.lhs == pytest.approx(eps, rel=1e-6)
+
+
+@pytest.mark.parametrize("shift", [-1.0, -0.5, 0.5, 1.0])
+def test_wielandt_reports_the_largest_eigenflag_deviation_of_every_shape(sampler_cfg, monkeypatch, shift):
+    """An eigenflag compression whose diagonal is off by e of order 1e-7, far above roundoff, reports for
+    each shape the largest |sum_{i in I} e_i| over its tuples, from whichever end of the sort of e reaches it.
+
+    e leans negative or positive with ``shift``, so the lower end of the
+    sort, the upper end, or both, reach the largest deviation.
+    """
+    sig = Signature(6, 2)
+    A, _, _ = sample_planted(sig, sampler_cfg, instance_rng(SEED, 40))
+    system, eigen = checks._positive_eigen(A)
+    e = 1e-7 * (np.random.default_rng(SEED).standard_normal(6) + shift)
+    monkeypatch.setattr(checks, "_positive_eigen", lambda _: (system, eigen + np.diag(e)))
+    lambdas = system.spectrum.lambdas.tolist()
+    diagonal = (np.diagonal(eigen).real + e).tolist()
+    roundoff = 6 * 8 * np.finfo(float).eps * max(map(abs, lambdas))
+    reports = check_wielandt_flag(A, None, np.zeros((0, 6, 6)))
+    assert [shape(r) for r in reports] == [(r, m) for r in range(1, 7) for m in range(1, r + 1)]
+    for rep in reports:
+        r, m = shape(rep)
+        largest = max(
+            abs(ordered_sum(diagonal[i - 1] for i in t) - ordered_sum(lambdas[i - 1] for i in t))
+            for t in all_tuples(r, m) if t[-1] == r and len(t) == m
+        )
+        (case,) = [c for c in rep.cases if c.case_id == "eigenflag_witness"]
+        assert abs(case.lhs - largest) <= roundoff, (r, m)
+        assert case.margin == -case.lhs and not case.passed
 
 
 def test_hermitian_degeneration_of_inequalities(sampler_cfg):
@@ -662,17 +678,18 @@ def test_lidskii_fails_the_one_violating_tuple_of_1023():
 
 
 def test_ordered_tuple_sums_are_python_sums_bit_for_bit():
+    """``_ordered_sum`` and the oracles' table gather add left to right from +0.0, as Python's sum did before 3.12."""
     rng = np.random.default_rng(SEED)
     rows = [[-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [1e16, 1.0, -1e16], [0.1, 0.2, 0.3]]
     rows += [list(r) for r in rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-8, 9, (40, 6))]
     rows += [row[: k + 1] for k, row in enumerate(rows[6:12])]
     values = [x for row in rows for x in row]
     width, starts = max(map(len, rows)), list(itertools.accumulate(map(len, rows), initial=0))
+    got = [_ordered_sum(values, range(s + 1, s + len(row) + 1)).hex() for s, row in zip(starts, rows)]
+    assert got == [functools.reduce(operator.add, row, 0.0).hex() for row in rows]
     # each row reads its own entries of ``values``, padded with the slot past them
     table = [list(range(s, s + len(row))) + [len(values)] * (width - len(row)) for s, row in zip(starts, rows)]
-    got = [x.hex() for x in _tuple_sums(np.array(values), np.array(table)).tolist()]
-    assert got == [functools.reduce(operator.add, row, 0.0).hex() for row in rows]
-    assert got == [_ordered_sum(values, range(s + 1, s + len(row) + 1)).hex() for s, row in zip(starts, rows)]
+    assert got == [x.hex() for x in _tuple_sums(np.array(values), np.array(table)).tolist()]
     if sys.version_info < (3, 12):  # from 3.12 on, sum compensates
         assert got == [sum(row).hex() for row in rows]
     assert got[:4] == [(0.0).hex()] * 4
@@ -680,11 +697,14 @@ def test_ordered_tuple_sums_are_python_sums_bit_for_bit():
 
 @pytest.mark.parametrize("bad", [0, -1])
 def test_a_size_bound_below_one_is_rejected(bad, sampler_cfg):
-    with pytest.raises(ValueError, match="max_size"):
-        lambda_index_tuples(3, bad)
-    A, B, _ = sampled_pair(Signature(3, 2), 0, sampler_cfg)
-    with pytest.raises(ValueError, match="max_size"):
+    A, B, rng = sampled_pair(Signature(3, 2), 0, sampler_cfg)
+    with pytest.raises(ValueError, match="max_m"):
         check_lidskii_wielandt(A, B, max_m=bad)
+    with pytest.raises(ValueError, match="max_m"):
+        check_wielandt_flag(A, bad, positive_compressions(A, 2, sampler_cfg, rng))
+    negative = PseudoHermitianMatrix(Signature(0, 2), np.diag([-1.0, -2.0]).astype(complex))
+    with pytest.raises(ValueError, match="max_m"):
+        check_wielandt_flag(negative, bad, np.zeros((2, 0, 0)))
 
 
 def test_cases_from_columns_match_cases_one_by_one():

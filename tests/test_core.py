@@ -14,7 +14,7 @@ from kreinval import (
     pseudo_hermitian_residual,
     pseudo_unitary_residual,
 )
-from kreinval.core import TOL_STRUCT, check_index_tuple
+from kreinval.core import TOL_STRUCT
 from kreinval.sampling import instance_rng, sample_planted, sample_pseudo_unitary
 
 SEED = 414
@@ -129,16 +129,6 @@ def test_canonical_diagonal_layout():
     spec = AdmissibleSpectrum(sig, np.array([1.0, 3.0]), np.array([0.5, -0.5]))
     A = PseudoHermitianMatrix(sig, np.diag(spec.canonical_vector()))
     assert np.allclose(A.entries, np.diag([3.0, 1.0, 0.5, -0.5]))
-
-
-def test_index_tuple_validation():
-    assert check_index_tuple((1, 3), 3) == (1, 3)
-    with pytest.raises(ValueError):
-        check_index_tuple((3, 1), 3)
-    with pytest.raises(ValueError):
-        check_index_tuple((0, 1), 3)
-    with pytest.raises(ValueError):
-        check_index_tuple((1, 4), 3)
 
 
 def test_conjugation_is_exactly_structural(signature, sampler_cfg):

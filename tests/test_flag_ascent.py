@@ -1,23 +1,23 @@
 """The flag compressions of ``check_wielandt_flag`` and the oracles behind its cases.
 
-The check reports, for each random flag, the sum of the selected
-eigenvalues of the compressed matrix; Hermitian Wielandt says a frame
-subordinate to the flag reaches it.  The witness recursion that builds such
-a frame is kept here and in ``tests/conftest.py`` as the oracle, in three
+For each shape of index tuple the check reports the least margin over
+the tuples and flags: the sum of the selected eigenvalues of a flag's
+compressed matrix minus the tuple sum.  The exhaustive per-tuple oracle
+``reference_wielandt`` must agree.  Hermitian Wielandt says a frame
+subordinate to the flag reaches that sum.  The witness recursion that
+builds such a frame is kept here and in ``tests/conftest.py`` as the oracle, in three
 forms that must agree (to 1e-12): the per-flag recursion in the ambient
 indefinite space, the per-tuple recursion ``witness_subordinate`` in the
 coordinates of each flag's framed top level, and ``_witness_traces``, which
 shares the steps of all tuples and flags and forms no frame.  Each witness
-trace must reach the check's ``witness:f`` value.  On the eigenvector flag
-the check reports a certified supremum; every frame of the sampled
-eigenflag oracle must stay below it.
+trace must reach the tuple sum plus the check's least ``witness:f``
+margin.  On the eigenvector flag the check reports a certified supremum;
+every frame of the sampled eigenflag oracle must stay below it.
 """
 
 import dataclasses
-import functools
 import itertools
 import json
-import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,15 +28,12 @@ from hypothesis import strategies as st
 from kreinval import checks, cli, sampling
 from kreinval.checks import (
     DEFAULT_TOL,
-    EQUALITY_TOL,
     _hermitian_part,
     check_wielandt_flag,
-    lambda_index_tuples,
-    make_case,
     positive_compressions,
 )
 from kreinval.cli import SUITES, SuiteConfig, run_instance, run_suite
-from kreinval.core import Signature, metric_diagonal
+from kreinval.core import PseudoHermitianMatrix, Signature, metric_diagonal
 from kreinval.geometry import TOL_CONE, _adjoint, _frame, _positive_frames
 from kreinval.sampling import (
     SamplerConfig,
@@ -54,10 +51,15 @@ from conftest import (
     _hyperplane_basis,
     _witness_runs,
     _witness_traces,
+    all_tuples,
     compress,
     cone_margin,
     eigenflag_traces,
+    ordered_sum,
     positive_flag,
+    reference_wielandt,
+    reference_wielandt_cases,
+    shape,
 )
 
 SEED = 4417
@@ -220,6 +222,17 @@ def suite_bases(sig, n_flags, cfg, rng):
     return sample_positive_subspace(sig, sig.p, cfg, rng, count=n_flags)
 
 
+def shapes(p, max_m=None):
+    """Every shape (r, m) of a tuple bounded by p, m <= min(r, max_m), in report order."""
+    return [(r, m) for r in range(1, p + 1) for m in range(1, min(r, max_m or p) + 1)]
+
+
+def witness_case(report):
+    """The one ``witness:f`` case of a report and its flag f."""
+    (case,) = [c for c in report.cases if c.case_id.startswith("witness:")]
+    return case, int(case.case_id.split(":")[1])
+
+
 def instance_bases(cfg, index):
     """The bases of an instance's frame stack: one draw from the frame stream, sized by the largest budget."""
     count = max(cfg.courant_subspaces, cfg.kyfan_frames, cfg.wielandt_flags)
@@ -235,7 +248,7 @@ def instance_bases(cfg, index):
 def test_stacked_kernels_match_the_per_flag_loop(pq):
     A, cfg = instance(*pq, 1)
     sig = A.signature
-    for t, idx in enumerate(lambda_index_tuples(sig.p)):
+    for t, idx in enumerate(all_tuples(sig.p)):
         rng = instance_rng(SEED, 2, t)
         flags = flag_stack(sig, idx, cfg, rng, count=5)
         check_flags_against_reference(A, flags)
@@ -253,7 +266,7 @@ def test_stacked_kernels_match_the_per_flag_loop_property(pq, seed, pick, count)
     cfg = SamplerConfig(seed=seed)
     rng = instance_rng(seed, 3)
     A, _, _ = sample_planted(sig, cfg, rng)
-    tuples = lambda_index_tuples(sig.p)
+    tuples = all_tuples(sig.p)
     idx = tuples[pick % len(tuples)]
     flags = flag_stack(sig, idx, cfg, rng, count=count)
     check_flags_against_reference(A, flags)
@@ -266,13 +279,13 @@ SHARED_SIGNATURES = [(2, 1), (3, 2), (4, 3), (5, 3), (6, 4)]
 def test_shared_traces_match_the_per_tuple_reference(pq):
     """Every tuple's shared trace is the trace of the per-tuple reference frame on its leading block.
 
-    All tuples up to p = 7; at (8,6) the 200 that ``lambda_index_tuples`` samples.
+    Every tuple, 255 at (8,6).
     """
     A, cfg = instance(*pq, 6)
     sig = A.signature
     M = positive_compressions(A, 7, cfg, instance_rng(SEED, 7))
-    tuples = lambda_index_tuples(sig.p, rng=instance_rng(SEED, 8))
-    assert len(tuples) == min(200, 2**sig.p - 1)
+    tuples = all_tuples(sig.p)
+    assert len(tuples) == 2**sig.p - 1
     for idx, got in zip(tuples, shared_traces(M, tuples), strict=True):
         block = M[:, : idx[-1], : idx[-1]]
         want = _compression_trace(block, witness_subordinate(block, idx))
@@ -282,56 +295,59 @@ def test_shared_traces_match_the_per_tuple_reference(pq):
 
 @pytest.mark.parametrize("pq", SHARED_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_check_witness_cases_match_the_per_flag_reference(pq):
-    """Each witness:f is sum eta_{i_j} of the check's own flag, and the per-flag witness frame reaches it."""
+    """Each report's witness:f is sum eta_{i_j} of the check's own flag f on its tuple, and the per-flag
+    witness frame reaches it."""
     A, cfg = instance(*pq, 4)
     sig = A.signature
-    tuples = lambda_index_tuples(sig.p)
     M = positive_compressions(A, 6, cfg, instance_rng(SEED, 5))
-    reports = check_wielandt_flag(A, tuples, M)
+    reports = check_wielandt_flag(A, None, M)
     bases = suite_bases(sig, 6, cfg, instance_rng(SEED, 5))  # the flags that M compresses onto
-    assert len(reports) == len(tuples)
-    for idx, rep in zip(tuples, reports):
-        assert rep.descriptor == {"index_tuple": list(idx), "n_flags": 6}
+    assert [shape(rep) for rep in reports] == shapes(sig.p)
+    for rep in reports:
+        r, m = shape(rep)
+        assert rep.descriptor == {"top": r, "m": m, "n_flags": 6}
         assert rep.passed and not rep.soft_cases and not rep.notes
-        by_id = {c.case_id: c for c in rep.cases}
+        case, f = witness_case(rep)
+        idx = case.indices
+        assert (idx[-1], len(idx)) == (r, m)
         flags = positive_flag(sig, idx, bases)
         _, Mf = top_coordinates(A.entries, sig, flags.basis)
         eta = np.linalg.eigvalsh(Mf)
-        got = np.array([by_id[f"witness:{f}"].lhs for f in range(6)])
-        assert np.max(np.abs(got - eta[:, [i - 1 for i in idx]].sum(axis=-1))) <= TRACE_TOL
-        scale = np.maximum(1.0, np.max(np.abs(eta), axis=-1))
-        assert np.all(ref_witness_traces(A.entries, sig, flags) >= got - WITNESS_ROUNDOFF * scale), idx
+        assert abs(case.lhs - eta[f, [i - 1 for i in idx]].sum()) <= TRACE_TOL
+        scale = max(1.0, np.max(np.abs(eta[f])))
+        assert ref_witness_traces(A.entries, sig, flags)[f] >= case.lhs - WITNESS_ROUNDOFF * scale, idx
 
 
 @pytest.mark.parametrize("pq", SHARED_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_shared_flags_give_every_tuple_its_own_flags_cases(pq):
-    """On the instance's own draws, every tuple's cases equal those of a check that framed its own flag.
+    """On the instance's own draws, every report's cases equal those of a check that framed its tuple's own flags.
 
     The flags are the leading ``wielandt_flags`` bases of the instance's
     frame stack, re-drawn from the frame stream.  The reference is the
-    per-tuple computation: the certified frame of the tuple's own flag, eigvalsh of
-    that flag's own M for the witness sums, and interlacing on the same
-    frames, whose width is the tuple's top index.
+    per-tuple computation: the certified frame of the reported tuple's own
+    flag, eigvalsh of that flag's own M for the witness sums, and
+    interlacing on the same frames, whose width is the tuple's top index.
+    The reported flag's sum is the least of every flag's.
     """
     cfg = SuiteConfig(p=pq[0], q=pq[1], seed=SEED, suites=("wielandt",))
     sig, scfg, index = Signature(*pq), cfg.sampler(), 3
     reports = run_instance(cfg, index)
     A, _, _ = sample_planted(sig, scfg, instance_rng(SEED, index))
-    rng = instance_rng(SEED, index, SUITES.index("wielandt"))
-    tuples = lambda_index_tuples(sig.p, cfg.max_m, rng=rng)
     bases = instance_bases(cfg, index)[: cfg.wielandt_flags]
     lambdas = eigendecompose(A).spectrum.lambdas
     JA = metric_diagonal(sig)[:, None] * A.entries
-    assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
-    for idx, rep in zip(tuples, reports):
+    assert [shape(r) for r in reports] == shapes(sig.p)
+    for rep in reports:
+        case, f = witness_case(rep)
+        idx = case.indices
         frame = positive_flag(sig, idx, bases).frame
         M = frame.conj().swapaxes(-1, -2) @ (JA @ frame)
         eta = np.linalg.eigvalsh(0.5 * (M + M.conj().swapaxes(-1, -2)))
         sums = eta[:, [i - 1 for i in idx]].sum(axis=-1)
         interlace = float(np.min(eta - lambdas[: idx[-1]]))
         by_id = {c.case_id: c for c in rep.cases}
-        got = np.array([by_id[f"witness:{f}"].lhs for f in range(cfg.wielandt_flags)])
-        assert np.max(np.abs(got - sums)) <= TRACE_TOL, idx
+        assert abs(case.lhs - sums[f]) <= TRACE_TOL, idx
+        assert np.all(sums >= case.lhs - TRACE_TOL), idx
         assert abs(by_id[f"interlace_min:{idx[-1]}"].lhs - interlace) <= TRACE_TOL, idx
 
 
@@ -420,10 +436,6 @@ def witness_steps(idx):
     return steps
 
 
-def all_tuples(p):
-    return [t for m in range(1, p + 1) for t in itertools.combinations(range(1, p + 1), m)]
-
-
 def test_the_witness_makes_no_svd_and_one_eigh_per_step(monkeypatch):
     """For one tuple each of the r - m steps but the first, which reads the given spectrum, solves one
     eigenproblem for the whole stack, and none computes an SVD."""
@@ -452,9 +464,9 @@ def test_the_witness_steps_of_all_tuples_form_a_trie(p, steps, distinct):
 
 
 def test_a_check_solves_one_eigenproblem_per_width_and_per_batched_step(monkeypatch):
-    """At (6,4) with all 63 tuples the check solves one eigvalsh per width, one per tuple size and one
-    for the eigenflag's roundoff, and no eigh.  The shared witness oracle solves one eigh per width,
-    then one per (depth, r, run) group.
+    """At (6,4), for all 63 tuples in 21 reports, the check solves one eigvalsh per width and one for the
+    eigenflag's roundoff, and no eigh.  The shared witness oracle solves one eigh per width, then one
+    per (depth, r, run) group.
 
     A per-tuple recursion solves one eigenproblem per step after the first:
     72 of them here, against 20 groups.
@@ -466,9 +478,9 @@ def test_a_check_solves_one_eigenproblem_per_width_and_per_batched_step(monkeypa
     M = positive_compressions(A, 4, cfg, instance_rng(SEED, 8))
     checks._positive_eigen(A)  # the eigenbasis compression is memoized per matrix
     calls = counting_linalg(monkeypatch, "eigh", "eigvalsh", "svd")
-    reports = check_wielandt_flag(A, tuples, M)
-    assert len(reports) == 63 and all(r.passed for r in reports)
-    assert calls == {"eigh": 0, "eigvalsh": 6 + 6 + 1, "svd": 0}
+    reports = check_wielandt_flag(A, None, M)
+    assert len(reports) == 21 and all(r.passed for r in reports)
+    assert calls == {"eigh": 0, "eigvalsh": 6 + 1, "svd": 0}
     calls.update(eigh=0, eigvalsh=0)
     shared_traces(M, tuples)
     assert calls == {"eigh": 6 + len(groups), "eigvalsh": 0, "svd": 0}
@@ -490,10 +502,12 @@ def test_the_eigenflag_draw_does_not_grow_with_the_tuples(monkeypatch):
     M = positive_compressions(A, 3, cfg, instance_rng(SEED, 10))
     assert len(draws) == 2  # the stack's isometries and contractions
     eigen = checks._positive_eigen(A)[1]
+    for max_m in (1, 2, None):
+        draws.clear()
+        check_wielandt_flag(A, max_m, M)
+        assert draws == []
     for tuples in ([(2,)], [(1, 5), (3,)], all_tuples(6)):
         draws.clear()
-        check_wielandt_flag(A, tuples, M)
-        assert draws == []
         eigenflag_traces(eigen, tuples, instance_rng(SEED, 11), 6)
         assert draws == [(6, sum(sum(idx) for idx in tuples))]  # one row per eigenflag frame
 
@@ -502,118 +516,206 @@ EIGENFLAG_SIGNATURES = [(1, 0), (2, 1), (3, 2), (4, 3), (5, 3), (6, 4), (8, 6)]
 
 
 def eigenflag_tuples(p, order):
-    """Every tuple up to p = 7, the 200 sampled at p = 8; or those reversed with duplicates."""
-    tuples = lambda_index_tuples(p, rng=instance_rng(SEED, 25))
+    """The tuples an oracle visits: every one, in enumeration order; or those reversed, with duplicates.
+
+    The check's verdict on a shape is a statement about every tuple of it,
+    so it must hold whatever order, and however often, the oracle visits them.
+    """
+    tuples = all_tuples(p)
     return tuples if order == "enumerated" else tuples[::-1] + tuples[::3]
 
 
 @pytest.mark.parametrize("order", ["enumerated", "unordered"])
 @pytest.mark.parametrize("pq", EIGENFLAG_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_eigenflag_max_is_the_highest_oracle_trace(pq, order):
-    """Each tuple's eigenflag_max bounds every frame of the sampled eigenflag oracle, to 1e-12.
-
-    Its lhs is the tuple sum plus m ||eigen - diag(lambda)||_2, with the
-    norm recomputed here by an SVD; its margin is minus that excess.
+    """Each shape's eigenflag_max bounds every frame of the sampled eigenflag oracle on every tuple of
+    that shape, to 1e-12: the tuple sum plus m ||eigen - diag(lambda)||_2, the norm recomputed here by
+    an SVD.  The case names the lowest tuple of its shape, and its margin is minus the excess.
     """
     A, cfg = instance(*pq, 24)
     tuples = eigenflag_tuples(pq[0], order)
-    reports = check_wielandt_flag(A, tuples, positive_compressions(A, 3, cfg, instance_rng(SEED, 26)))
+    reports = check_wielandt_flag(A, None, positive_compressions(A, 3, cfg, instance_rng(SEED, 26)))
     system, eigen = checks._positive_eigen(A)
-    delta = np.linalg.norm(eigen - np.diag(system.spectrum.lambdas), 2)
-    cases = [c for rep in reports for c in rep.cases if c.case_id == "eigenflag_max"]
-    assert [c.indices for c in cases] == tuples
-    for c in cases:
-        assert c.margin == pytest.approx(-len(c.indices) * delta, rel=1e-9, abs=1e-300)
-        assert c.lhs - c.rhs == pytest.approx(len(c.indices) * delta, abs=1e-14 * max(1.0, abs(c.rhs)))
+    lambdas = system.spectrum.lambdas
+    delta = np.linalg.norm(eigen - np.diag(lambdas), 2)
+    excess = {}
+    for rep in reports:
+        r, m = shape(rep)
+        (c,) = [c for c in rep.cases if c.case_id == "eigenflag_max"]
+        assert c.indices == (*range(1, m), r)
+        assert c.margin == pytest.approx(-m * delta, rel=1e-9, abs=1e-300)
+        assert c.lhs - c.rhs == pytest.approx(m * delta, abs=1e-14 * max(1.0, abs(c.rhs)))
+        excess[r, m] = -c.margin
     traces = eigenflag_traces(eigen, tuples, instance_rng(SEED, 27), 64)
-    assert np.all(traces <= np.array([c.lhs for c in cases])[:, None] + 1e-12)
+    bounds = [ordered_sum(lambdas[i - 1] for i in idx) + excess[idx[-1], len(idx)] for idx in tuples]
+    assert np.all(traces <= np.array(bounds)[:, None] + 1e-12)
 
 
 @pytest.mark.parametrize("order", ["enumerated", "unordered"])
 @pytest.mark.parametrize("pq", EIGENFLAG_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_the_witness_oracle_reaches_every_witness_case(pq, order):
-    """Hermitian Wielandt, checked: each flag's oracle witness frame reaches its witness:f value,
-    to 1e-12 max(1, ||M_r||_2) with M_r the flag's leading r x r block."""
+    """Hermitian Wielandt, checked at every tuple: on each flag the oracle's witness frame reaches the
+    tuple sum plus the least witness:f margin of the tuple's shape, and on the reported flag it reaches the
+    reported tuple's witness:f value, to 1e-12 max(1, ||M_r||_2) with M_r the flag's leading r x r block."""
     A, cfg = instance(*pq, 24)
     tuples = eigenflag_tuples(pq[0], order)
     M = positive_compressions(A, 5, cfg, instance_rng(SEED, 26))
-    reports = check_wielandt_flag(A, tuples, M)
-    got = np.array([[c.lhs for c in rep.cases if c.case_id.startswith("witness:")] for rep in reports])
+    reports = check_wielandt_flag(A, None, M)
+    lambdas = checks._positive_eigen(A)[0].spectrum.lambdas
+    least = {shape(rep): witness_case(rep)[0].margin for rep in reports}
     scale = np.maximum(1.0, [np.linalg.norm(M[:, : idx[-1], : idx[-1]], 2, axis=(-2, -1)) for idx in tuples])
     traces = np.array(shared_traces(M, tuples))
-    assert traces.shape == got.shape == (len(tuples), 5)
-    assert np.all(traces >= got - WITNESS_ROUNDOFF * scale)
-
-
-def per_tuple_cases(A, idx, M):
-    """The cases of one tuple, computed for that tuple alone.
-
-    A Python ``sum`` for the target, the tuple's own principal submatrix of
-    the eigenflag compression, and eigvalsh of the tuple's own width of M,
-    with the witness sums added left to right.
-    """
-    tol, equality_tol = DEFAULT_TOL, EQUALITY_TOL
-    system, eigen = checks._positive_eigen(A)
-    lambdas = system.spectrum.lambdas
-    target = float(sum(lambdas[i - 1] for i in idx))
-    cols = np.array(idx) - 1
-    sub = eigen[np.ix_(cols, cols)]
-    val = float(np.trace(sub).real)
-    dev = float(np.max(np.abs(np.linalg.eigvalsh(sub) - lambdas[cols])))
-    slack = len(idx) * float(np.max(np.abs(np.linalg.eigvalsh(eigen - np.diag(lambdas)))))
-    cases = [
-        make_case("eigenflag_max", idx, target + slack, target, -slack, tol),
-        make_case("eigenflag_witness", idx, val, target, -abs(val - target), equality_tol),
-        make_case("eigenflag_witness_etas", idx, dev, 0.0, -dev, equality_tol),
-    ]
-    if not len(M):
-        return cases
-    r = idx[-1]
-    eta = np.linalg.eigvalsh(M[:, :r, :r])
-    worst = float(np.min(eta - lambdas[:r]))
-    cases.append(make_case(f"interlace_min:{r}", range(1, r + 1), worst, 0.0, worst, tol))
-    sums = functools.reduce(operator.add, eta[:, cols].T, 0.0)
-    return cases + [make_case(f"witness:{f}", idx, t, target, t - target, tol) for f, t in enumerate(sums)]
+    assert traces.shape == scale.shape == (len(tuples), 5)
+    reached = [ordered_sum(lambdas[i - 1] for i in idx) + least[idx[-1], len(idx)] for idx in tuples]
+    assert np.all(traces >= np.array(reached)[:, None] - WITNESS_ROUNDOFF * scale)
+    for rep in reports:
+        case, f = witness_case(rep)
+        t = tuples.index(case.indices)
+        assert traces[t, f] >= case.lhs - WITNESS_ROUNDOFF * scale[t, f], case
 
 
 @pytest.mark.parametrize("n_flags", [0, 1, 5])
 @pytest.mark.parametrize("order", ["enumerated", "unordered"])
 @pytest.mark.parametrize("pq", EIGENFLAG_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_every_other_case_is_the_per_tuple_case_bit_for_bit(pq, order, n_flags):
-    """Tabulated over all tuples at once, every case, eigenflag_max included, has the bytes of its per-tuple case."""
+    """Every case is a per-tuple case of its shape with the same bytes, computed for that tuple alone.
+
+    ``eigenflag_max``, ``interlace_min:r`` and ``witness:f`` are the cases of
+    the tuple they name (interlacing names 1, ..., r).  ``eigenflag_witness``
+    names no tuple: its lhs is minus the margin of some tuple of its shape,
+    bit for bit.  ``eigenflag_witness_etas`` is delta, the bound of every
+    tuple's, in the (1, 1) report alone.
+    """
     A, cfg = instance(*pq, 28)
-    tuples = eigenflag_tuples(pq[0], order)
     M = positive_compressions(A, n_flags, cfg, instance_rng(SEED, 29))
-    reports = check_wielandt_flag(A, tuples, M)
-    for idx, rep in zip(tuples, reports, strict=True):
-        want = per_tuple_cases(A, idx, M)
-        assert list(rep.cases) == want, idx
-        assert [c.lhs.hex() for c in rep.cases] == [c.lhs.hex() for c in want], idx  # == takes -0.0 for 0.0
+    reports = check_wielandt_flag(A, None, M)
+    oracle = {idx: {c.case_id: c for c in reference_wielandt_cases(A, idx, M)} for idx in eigenflag_tuples(pq[0], order)}
+    system, eigen = checks._positive_eigen(A)
+    delta = float(np.max(np.abs(np.linalg.eigvalsh(eigen - np.diag(system.spectrum.lambdas)))))
+    assert [shape(rep) for rep in reports] == shapes(pq[0])
+    for rep in reports:
+        r, m = shape(rep)
+        for c in rep.cases:
+            if c.case_id == "eigenflag_witness":
+                deviations = [-oracle[idx][c.case_id].margin for idx in oracle if (idx[-1], len(idx)) == (r, m)]
+                assert c.lhs.hex() in {x.hex() for x in deviations} and c.margin == -c.lhs, (r, m)
+                assert c.indices == tuple(range(1, r + 1)) and c.rhs == 0.0
+            elif c.case_id == "eigenflag_witness_etas":
+                assert (r, m) == (1, 1) and c.lhs.hex() == delta.hex() and c.margin == -delta
+            else:
+                want = oracle[c.indices][c.case_id]
+                assert c == want and c.lhs.hex() == want.lhs.hex(), (r, m, c)  # == takes -0.0 for 0.0
 
 
-def test_an_enumerated_tuple_set_is_tabulated_once_per_process(fresh_memos):
-    """One table build per distinct list of tuples, however often it is checked: the enumerated (4,3)
-    set, its reverse, and each sampled (8,6) set once.  The memo stays bounded, and its arrays are read-only."""
-    memo = checks._tabulate_wielandt
-    A, cfg = instance(4, 3, 31)
-    M = positive_compressions(A, 3, cfg, instance_rng(SEED, 32))
-    for k in range(3):
-        check_wielandt_flag(A, lambda_index_tuples(4), M)
-    assert (memo.cache_info().misses, memo.cache_info().currsize) == (1, 1)
-    check_wielandt_flag(A, lambda_index_tuples(4)[::-1], M)
-    assert (memo.cache_info().misses, memo.cache_info().currsize) == (2, 2)
-    A, cfg = instance(8, 6, 31)
-    M = positive_compressions(A, 3, cfg, instance_rng(SEED, 32))
-    for k in (0, 1, 0):
-        check_wielandt_flag(A, lambda_index_tuples(8, rng=instance_rng(SEED, 35, k)), M)
-    assert (memo.cache_info().misses, memo.cache_info().currsize) == (4, 4)
-    maxsize = memo.cache_info().maxsize
-    for i in range(1, maxsize + 2):  # more distinct lists than the memo holds
-        memo(maxsize + 1, ((i,),))
-    assert memo.cache_info().currsize == memo.cache_info().maxsize
-    layout = memo(4, tuple(lambda_index_tuples(4)))
-    arrays = [layout.table] + [a for group in layout.sizes + layout.widths for a in group if isinstance(a, np.ndarray)]
-    assert not any(array.flags.writeable for array in arrays)
+def tied_instance(p, q, n_flags, data):
+    """A diagonal A with eigenvalues in {1, 2, 3} and {-3, -2, -1}, and flags drawn from two diagonal
+    compressions with entries in {1, ..., 4}: many tuple sums, and many flags, tie exactly."""
+    draw = data.draw
+    pos = draw(st.lists(st.integers(1, 3), min_size=p, max_size=p), label="positive")
+    neg = draw(st.lists(st.integers(-3, -1), min_size=q, max_size=q), label="negative")
+    A = PseudoHermitianMatrix(Signature(p, q), np.diag(np.array(pos + neg, dtype=complex)))
+    pool = [np.diag(draw(st.lists(st.integers(1, 4), min_size=p, max_size=p), label="flag")) for _ in range(2)]
+    picks = draw(st.lists(st.integers(0, 1), min_size=n_flags, max_size=n_flags), label="picks")
+    return A, np.array([pool[k] for k in picks], dtype=complex).reshape(n_flags, p, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 7),
+    q=st.integers(0, 3),
+    tied=st.booleans(),
+    n_flags=st.sampled_from([0, 1, 10]),
+    data=st.data(),
+)
+def test_wielandt_reports_the_exhaustive_worst_case_of_every_shape(p, q, tied, n_flags, data):
+    """One report per shape (r, m), each holding the exhaustive oracle's worst over the shape's tuples.
+
+    The oracle checks every tuple on every flag in a Python loop.  Each
+    report's ``witness:f`` and ``interlace_min:r`` margins are the oracle's
+    least over the tuples of the shape and the flags, to 1e-12.
+    ``eigenflag_witness`` is the oracle's least to p 8 eps max|lambda|,
+    because that margin is itself roundoff.  ``eigenflag_max`` is the
+    oracle's -m delta, and the one ``eigenflag_witness_etas`` case, delta,
+    bounds the oracle's case of every tuple to the same roundoff.  The
+    check fails exactly when the oracle does.
+    """
+    max_m = data.draw(st.one_of(st.none(), st.integers(1, 8)), label="max_m")
+    if tied:
+        A, M = tied_instance(p, q, n_flags, data)
+    else:
+        seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+        cfg = SamplerConfig(seed=seed)
+        A, _, _ = sample_planted(Signature(p, q), cfg, instance_rng(seed, 40))
+        M = positive_compressions(A, n_flags, cfg, instance_rng(seed, 41))
+    reports = check_wielandt_flag(A, max_m, M)
+    oracle = reference_wielandt(A, M, max_m)
+    least = {}
+    for rep in oracle:
+        idx = rep.descriptor["index_tuple"]
+        for c in rep.cases:
+            key = (idx[-1], len(idx), c.case_id.split(":")[0])
+            least[key] = min(least.get(key, np.inf), c.margin)
+    lambdas = checks._positive_eigen(A)[0].spectrum.lambdas
+    roundoff = p * 8 * np.finfo(float).eps * float(np.max(np.abs(lambdas)))
+    assert [shape(rep) for rep in reports] == shapes(p, max_m)
+    for rep in reports:
+        r, m = shape(rep)
+        assert rep.descriptor["n_flags"] == n_flags
+        by_kind = {c.case_id.split(":")[0]: c for c in rep.cases}
+        kinds = {"eigenflag_max", "eigenflag_witness"} | ({"eigenflag_witness_etas"} if r == 1 else set())
+        assert set(by_kind) == kinds | ({"interlace_min", "witness"} if n_flags else set())
+        for kind in ("interlace_min", "witness") if n_flags else ():
+            assert abs(by_kind[kind].margin - least[r, m, kind]) <= 1e-12, (r, m, kind)
+        assert abs(by_kind["eigenflag_witness"].margin - least[r, m, "eigenflag_witness"]) <= roundoff
+        assert by_kind["eigenflag_max"].margin == least[r, m, "eigenflag_max"]
+    (etas,) = [c for c in reports[0].cases if c.case_id == "eigenflag_witness_etas"]
+    assert all(etas.margin <= least[key] + roundoff for key in least if key[2] == "eigenflag_witness_etas")
+    assert all(rep.passed for rep in reports) == all(rep.passed for rep in oracle)
+
+
+def test_one_planted_violation_among_1023_tuples_fails_its_shape_alone(monkeypatch):
+    """At p = 10 an eigensolver that moves one flag's width-7 spectrum plants exactly one violating tuple
+    among the 1023: (2, 5, 7) on flag 3.  The check fails that shape's report, (7, 3), on that case alone.
+
+    d = eta - lambda of flag 3 at width 7 is half the least gap of
+    lambda_1, ..., lambda_7, so eta stays ascending, except at 2, 5 and 7,
+    where it is -0.45e-8: each of those indices, and each pair with the
+    top, passes at tol 1e-8; only the triple, at -1.35e-8, does not.  The
+    exhaustive oracle, under the same solver, fails that tuple alone.  A
+    uniform sample of 200 of the 1023 tuples, which the suite drew at
+    p >= 8 before it checked every tuple, misses this one at this seed and
+    instance.
+    """
+    cfg = SuiteConfig(p=10, q=2, seed=SEED, suites=("wielandt",))
+    index = 1
+    A, _, _ = sample_planted(Signature(10, 2), cfg.sampler(), instance_rng(SEED, index))
+    count = max(cfg.courant_subspaces, cfg.kyfan_frames, cfg.wielandt_flags)
+    frames = instance_rng(SEED, index, len(SUITES))
+    M = positive_compressions(A, count, cfg.sampler(), frames)[: cfg.wielandt_flags]  # instance 1's flags
+    lambdas = checks._positive_eigen(A)[0].spectrum.lambdas
+    d = np.full(7, 0.5 * np.min(np.diff(lambdas[:7])))
+    d[[1, 4, 6]] = -0.45e-8
+    assert np.all(np.diff(lambdas[:7] + d) > 0)
+    eigvalsh = np.linalg.eigvalsh
+
+    def planted(a, *args, **kwargs):
+        eta = eigvalsh(a, *args, **kwargs)
+        if np.shape(a) == (len(M), 7, 7) and np.array_equal(a, M[:, :7, :7]):
+            eta[3] = lambdas[:7] + d
+        return eta
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", planted)
+    reports = run_instance(cfg, index)
+    failed = [rep for rep in reports if not rep.passed]
+    assert len(failed) == 1
+    assert [shape(rep) for rep in reports] == shapes(10) and shape(failed[0]) == (7, 3)
+    (case,) = [c for c in failed[0].cases if not c.passed]
+    assert (case.case_id, case.indices) == ("witness:3", (2, 5, 7))
+    assert case.margin == pytest.approx(-1.35e-8, rel=1e-6) and case.margin < -DEFAULT_TOL
+    oracle = reference_wielandt(A, M)
+    assert len(oracle) == 1023
+    bad = [(tuple(rep.descriptor["index_tuple"]), c.case_id) for rep in oracle for c in rep.cases if not c.passed]
+    assert bad == [((2, 5, 7), "witness:3")]
 
 
 def test_witness_spans_whose_ranks_differ_across_samples():
@@ -658,7 +760,7 @@ def per_level_accepts(sig, idx, basis):
 @example(pq=(2, 1), seed=872, pick=1, count=1, kind="dependent")
 def test_one_margin_accepts_exactly_as_every_level(pq, seed, pick, count, kind):
     sig = Signature(*pq)
-    tuples = lambda_index_tuples(sig.p)
+    tuples = all_tuples(sig.p)
     idx = tuples[pick % len(tuples)]
     r = idx[-1]
     rng = instance_rng(seed, 20)
@@ -694,7 +796,7 @@ def test_the_flag_keeps_the_frame_that_pseudo_orthonormalize_gives(pq):
     A, cfg = instance(*pq, 22)
     sig = A.signature
     rng = instance_rng(SEED, 23)
-    for idx in lambda_index_tuples(sig.p):
+    for idx in all_tuples(sig.p):
         for count in (None, 7):
             flag = positive_flag(sig, idx, sample_positive_subspace(sig, sig.p, cfg, rng, count=count))
             want = _frame(flag.basis, sig, 1.0)[0]
@@ -727,8 +829,9 @@ def test_the_full_tuple_eigenflag_margin_is_roundoff():
     tolerance.
     """
     reports = run_instance(SuiteConfig(p=4, q=3, seed=5, suites=("wielandt",)), 29)
-    (full,) = [r for r in reports if r.descriptor["index_tuple"] == [1, 2, 3, 4]]
+    (full,) = [r for r in reports if shape(r) == (4, 4)]
     (case,) = [c for c in full.cases if c.case_id == "eigenflag_max"]
+    assert case.indices == (1, 2, 3, 4)
     assert case.margin >= -1e-12 * max(1.0, abs(case.rhs))
 
 
@@ -800,20 +903,21 @@ def test_a_solver_failure_in_a_witness_gives_the_instance_an_error_record(tmp_pa
 
 
 def test_the_ascent_is_batched_over_flags(monkeypatch):
-    """A per-flag check would solve four times as many eigenproblems for four times the flags."""
+    """A per-flag check would solve four times as many eigenproblems for four times the flags; the check
+    solves one per width and one for the eigenflag whatever the flag count, and keeps one witness case per report."""
     A, cfg = instance(3, 2, 15)
     stacks = {n_flags: positive_compressions(A, n_flags, cfg, instance_rng(SEED, 16)) for n_flags in (4, 16)}
     checks._positive_eigen(A)
     calls = counting_linalg(monkeypatch, "eigh", "eigvalsh")
-    for idx in ((2,), (1, 3), (2, 3)):
+    for max_m in (1, 2, None):
         counts = []
         for n_flags, M in stacks.items():
             calls.update(eigh=0, eigvalsh=0)
-            (rep,) = check_wielandt_flag(A, [idx], M)
-            assert rep.passed
-            assert sum(c.case_id.startswith("witness:") for c in rep.cases) == n_flags
+            reports = check_wielandt_flag(A, max_m, M)
+            assert all(rep.passed for rep in reports) and [shape(rep) for rep in reports] == shapes(3, max_m)
+            assert all(sum(c.case_id.startswith("witness:") for c in rep.cases) == 1 for rep in reports)
             counts.append(dict(calls))
-        assert counts[0] == counts[1] == {"eigh": 0, "eigvalsh": 3}, idx
+        assert counts[0] == counts[1] == {"eigh": 0, "eigvalsh": 3 + 1}, max_m
 
 
 def test_a_variational_instance_draws_one_frame_stack(monkeypatch):
@@ -837,20 +941,20 @@ def test_a_variational_instance_draws_one_frame_stack(monkeypatch):
     cfg = SuiteConfig(p=4, q=3, seed=SEED, suites=("courant_fischer", "ky_fan", "wielandt"),
                       courant_subspaces=30, kyfan_frames=70, wielandt_flags=10)
     reports = run_instance(cfg, 0)
-    assert all(r.passed for r in reports) and len(reports) == 1 + 4 + 15
+    assert all(r.passed for r in reports) and len(reports) == 1 + 4 + 10
     assert draws == [(4, 70)]
     assert len(flags) == 2
     A, cfg = instance(4, 3, 0)
     M = positive_compressions(A, 4, cfg, instance_rng(SEED, 6))
     certified = []
-    for tuples in ([(2,)], lambda_index_tuples(4)):
+    for max_m in (1, None):
         checks._positive_eigen_by_value.cache_clear()
         flags.clear()
-        check_wielandt_flag(A, tuples, M)
+        check_wielandt_flag(A, max_m, M)
         certified.append(len(flags))
     assert certified == [1, 1]  # the eigenflag; the random flags come in certified
     flags.clear()
-    check_wielandt_flag(A, [(1, 3)], M)
+    check_wielandt_flag(A, 2, M)
     assert not flags  # the eigenflag's compression is kept for A
     assert not checks._positive_eigen(A)[1].flags.writeable
 
@@ -862,43 +966,40 @@ def wielandt_case_ids(report):
 def test_empty_budgets_leave_out_their_cases():
     """No flags: no witness or interlacing case.  eigenflag_max is certified, not sampled, so it stays."""
     A, cfg = instance(4, 3, 11)
-    tuples = [(1,), (2, 4), (1, 2, 3, 4)]
     ids = {}
     for n_flags in (3, 0):
         M = positive_compressions(A, n_flags, cfg, instance_rng(SEED, 12))
-        reports = check_wielandt_flag(A, tuples, M)
+        reports = check_wielandt_flag(A, 2, M)
         assert all(r.passed for r in reports)
-        assert [r.descriptor for r in reports] == [{"index_tuple": list(idx), "n_flags": n_flags} for idx in tuples]
+        assert [r.descriptor for r in reports] == [{"top": r, "m": m, "n_flags": n_flags} for r, m in shapes(4, 2)]
         ids[n_flags] = [wielandt_case_ids(r) for r in reports]
-    eigen = ["eigenflag_max", "eigenflag_witness", "eigenflag_witness_etas"]
-    witness = ["witness:0", "witness:1", "witness:2"]
-    assert ids[3] == [[*eigen, f"interlace_min:{idx[-1]}", *witness] for idx in tuples]
-    assert ids[0] == [eigen] * 3
-    assert check_wielandt_flag(A, [], M) == []
+    eigen = {r: ["eigenflag_max", "eigenflag_witness"] + (["eigenflag_witness_etas"] if r == 1 else []) for r in range(1, 5)}
+    assert [i[:-1] for i in ids[3]] == [[*eigen[r], f"interlace_min:{r}"] for r, _ in shapes(4, 2)]
+    assert all(i[-1] in ("witness:0", "witness:1", "witness:2") for i in ids[3])
+    assert ids[0] == [eigen[r] for r, _ in shapes(4, 2)]
 
 
 @pytest.mark.parametrize("pq", [(1, 0), (1, 1), (3, 0)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_one_positive_dimension_and_no_negative_block(pq):
     A, cfg = instance(*pq, 13)
-    tuples = lambda_index_tuples(pq[0])
     M = positive_compressions(A, 3, cfg, instance_rng(SEED, 14))
-    reports = check_wielandt_flag(A, tuples, M)
-    assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
+    reports = check_wielandt_flag(A, None, M)
+    assert [shape(r) for r in reports] == shapes(pq[0])
     assert all(r.passed for r in reports)
-    assert all(f"interlace_min:{idx[-1]}" in wielandt_case_ids(r) for idx, r in zip(tuples, reports))
-    assert all("witness:2" in wielandt_case_ids(r) for r in reports)
+    assert all(f"interlace_min:{shape(r)[0]}" in wielandt_case_ids(r) for r in reports)
+    assert all(witness_case(r)[1] in range(3) for r in reports)
 
 
-def test_duplicate_and_unordered_tuples_get_the_cases_of_their_own_call():
-    """Reports follow the input order; each tuple's cases equal those of a one-tuple call."""
+def test_a_size_bound_keeps_the_reports_it_admits():
+    """``max_m`` only leaves out shapes: each report it keeps equals the unbounded check's report of that shape."""
     A, cfg = instance(5, 3, 15)
-    tuples = [(2, 5), (1,), (2, 5), (1, 3, 4), (5,), (1,)]
     M = positive_compressions(A, 4, cfg, instance_rng(SEED, 16))
-    reports = check_wielandt_flag(A, tuples, M)
-    assert [tuple(r.descriptor["index_tuple"]) for r in reports] == tuples
-    for idx, rep in zip(tuples, reports):
-        (alone,) = check_wielandt_flag(A, [idx], M)
-        assert rep.cases == alone.cases, idx
+    every = {shape(rep): rep for rep in check_wielandt_flag(A, None, M)}
+    assert list(every) == shapes(5)
+    for max_m in (1, 2, 3, 4, 5, 9):
+        reports = check_wielandt_flag(A, max_m, M)
+        assert [shape(rep) for rep in reports] == shapes(5, max_m)
+        assert reports == [every[shape(rep)] for rep in reports], max_m
 
 
 @settings(max_examples=40, deadline=None)

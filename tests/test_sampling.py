@@ -17,12 +17,12 @@ from kreinval import (
     sample_spectrum,
     sampling,
 )
-from kreinval.checks import lambda_index_tuples
 from kreinval.errors import NonFiniteValue
 from kreinval.geometry import TOL_CONE, gram
 from kreinval.sampling import _expm, _lie_algebra_element, complex_normal, restricted_cone_samples
 
 from conftest import (
+    all_tuples,
     cone_class,
     cone_margin,
     positive_flag,
@@ -268,7 +268,7 @@ def test_batched_subordinate_frames_lie_in_their_levels(signature, sampler_cfg):
     """One draw for every tuple: groups of equal shape cover the tuples once, in order of first appearance."""
     rng = instance_rng(SEED, 15)
     basis = sample_positive_subspace(signature, signature.p, sampler_cfg, rng)
-    tuples = lambda_index_tuples(signature.p)
+    tuples = all_tuples(signature.p)
     tuples = tuples + tuples[::-2]  # duplicates, out of order
     groups = subordinate_coordinates(tuples, rng, 30)
     positions = [t for group, _ in groups for t in group]
@@ -300,10 +300,9 @@ def test_gram_schmidt_frames_lie_in_their_levels(p):
 
     Column by column they are the oracle's Householder coordinates on the
     same draw, up to a unit phase: both orthonormalize the same nested
-    columns.  Duplicate and unordered tuples included; at p = 8 the 200
-    tuples ``lambda_index_tuples`` samples.
+    columns.  Every tuple, 255 at p = 8, with duplicate and unordered ones.
     """
-    tuples = lambda_index_tuples(p, rng=instance_rng(SEED, 16))
+    tuples = all_tuples(p)
     tuples = tuples + tuples[::-3]
     layout = subordinate_layout(tuples)
     C = subordinate_frames(layout, instance_rng(SEED, 17), 7)
