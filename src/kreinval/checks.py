@@ -72,7 +72,7 @@ class CheckCase(NamedTuple):
         }
 
 
-def make_case(case_id: str, indices, lhs: float, rhs: float, margin: float, tol: float) -> CheckCase:
+def _make_case(case_id: str, indices, lhs: float, rhs: float, margin: float, tol: float) -> CheckCase:
     margin = float(margin)
     tol = float(tol)
     return CheckCase(
@@ -86,8 +86,8 @@ def make_case(case_id: str, indices, lhs: float, rhs: float, margin: float, tol:
     )
 
 
-def make_cases(case_ids, indices, lhs, rhs, margin, tol: float) -> list[CheckCase]:
-    """The cases of equal length columns, row by row, as ``make_case`` builds one.
+def _make_cases(case_ids, indices, lhs, rhs, margin, tol: float) -> list[CheckCase]:
+    """The cases of equal length columns, row by row, as ``_make_case`` builds one.
 
     ``case_ids`` holds strings and ``indices`` tuples of Python ints, both
     taken as they are; ``lhs``, ``rhs`` and ``margin`` are float arrays,
@@ -135,7 +135,7 @@ class CheckReport:
         }
 
 
-def finalize_report(
+def _finalize_report(
     check_name: str,
     sig: Signature,
     descriptor: dict,
@@ -178,22 +178,7 @@ def matrix_sum(A: PseudoHermitianMatrix, B: PseudoHermitianMatrix) -> PseudoHerm
     return PseudoHermitianMatrix(sig, A.entries + B.entries, tol=A.tol + B.tol)
 
 
-class _ByValue:
-    """A matrix that hashes and compares by its signature, tolerance and entry bytes."""
-
-    __slots__ = ("matrix", "key")
-
-    def __init__(self, matrix: PseudoHermitianMatrix):
-        self.matrix = matrix
-        self.key = (matrix.signature, matrix.tol, matrix.entries.tobytes())
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other: _ByValue) -> bool:
-        return self.key == other.key
-
-
+@functools.lru_cache(maxsize=32)
 def _sum_spectra(A: PseudoHermitianMatrix, B: PseudoHermitianMatrix):
     """Spectra of A, B, and A + B; the last is None plus the error when inadmissible.
 
@@ -202,12 +187,6 @@ def _sum_spectra(A: PseudoHermitianMatrix, B: PseudoHermitianMatrix):
     result depends on the entries alone, so the memo never changes what a
     caller sees.
     """
-    return _sum_spectra_by_value(_ByValue(A), _ByValue(B))
-
-
-@functools.lru_cache(maxsize=32)
-def _sum_spectra_by_value(a: _ByValue, b: _ByValue):
-    A, B = a.matrix, b.matrix
     specA = check_admissible(A)
     specB = check_admissible(B)
     C = matrix_sum(A, B)
@@ -219,8 +198,8 @@ def _sum_spectra_by_value(a: _ByValue, b: _ByValue):
 
 
 def _inadmissible_sum_report(name: str, sig: Signature, descriptor: dict, tol: float, exc) -> CheckReport:
-    case = make_case("admissible_sum", (), 0.0, 0.0, -1.0, tol)
-    return finalize_report(
+    case = _make_case("admissible_sum", (), 0.0, 0.0, -1.0, tol)
+    return _finalize_report(
         name,
         sig,
         descriptor,
@@ -231,7 +210,7 @@ def _inadmissible_sum_report(name: str, sig: Signature, descriptor: dict, tol: f
 
 
 def _no_positive_block(name: str, sig: Signature, descriptor: dict, tol: float) -> CheckReport:
-    return finalize_report(name, sig, descriptor, tol, [], notes=["no positive-type block"])
+    return _finalize_report(name, sig, descriptor, tol, [], notes=["no positive-type block"])
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +277,7 @@ def _lidskii_cases(
         lhs.append(left)
         rhs.append(right)
         margins.append(left - right if positive else right - left)
-    return make_cases(ids, tuples, lhs, rhs, margins, tol)
+    return _make_cases(ids, tuples, lhs, rhs, margins, tol)
 
 
 def _first_minimum(running: np.ndarray, axis: int) -> np.ndarray:
@@ -366,7 +345,7 @@ def _thompson_freede_cases(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: flo
         indices.append(combined_indices)
         lhs.append(_ordered_sum(c, combined_indices))
         rhs.append(_ordered_sum(a, pair_i) + _ordered_sum(b, pair_j))
-    return make_cases(ids, indices, lhs, rhs, [x - y for x, y in zip(lhs, rhs)], tol)
+    return _make_cases(ids, indices, lhs, rhs, [x - y for x, y in zip(lhs, rhs)], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +367,8 @@ def check_trace_identity(
     totA, totB, totC = specA.total(), specB.total(), specC.total()
     scale = max(1.0, abs(totA), abs(totB), abs(totC))
     cases = [
-        make_case("spectrum_sum", (), totC, totA + totB, -abs(totC - (totA + totB)) / scale, tol),
-        make_case(
+        _make_case("spectrum_sum", (), totC, totA + totB, -abs(totC - (totA + totB)) / scale, tol),
+        _make_case(
             "matrix_trace",
             (),
             totC,
@@ -398,7 +377,7 @@ def check_trace_identity(
             tol,
         ),
     ]
-    return finalize_report("trace", sig, descriptor, tol, cases)
+    return _finalize_report("trace", sig, descriptor, tol, cases)
 
 
 def check_weyl(
@@ -418,12 +397,12 @@ def check_weyl(
     for k in range(1, sig.p + 1):
         lhs = float(specC.lambdas[k - 1])
         rhs = float(specA.lambdas[k - 1] + specB.lambdas[0])
-        cases.append(make_case(f"lambda:{k}", (k,), lhs, rhs, lhs - rhs, tol))
+        cases.append(_make_case(f"lambda:{k}", (k,), lhs, rhs, lhs - rhs, tol))
     for l in range(1, sig.q + 1):
         lhs = float(specC.mus[l - 1])
         rhs = float(specA.mus[l - 1] + specB.mus[0])
-        cases.append(make_case(f"mu:{l}", (l,), lhs, rhs, rhs - lhs, tol))
-    return finalize_report("weyl", sig, descriptor, tol, cases)
+        cases.append(_make_case(f"mu:{l}", (l,), lhs, rhs, rhs - lhs, tol))
+    return _finalize_report("weyl", sig, descriptor, tol, cases)
 
 
 def check_lidskii_wielandt(
@@ -455,7 +434,7 @@ def check_lidskii_wielandt(
         ("mu", sizes[1], specA.mus, specB.mus, specC.mus),
     ):
         cases += _lidskii_cases(kind, a, b, c, mmax, tol)
-    return finalize_report("lidskii", sig, descriptor, tol, cases)
+    return _finalize_report("lidskii", sig, descriptor, tol, cases)
 
 
 def check_thompson_freede(
@@ -479,7 +458,7 @@ def check_thompson_freede(
     if sig.p == 0:
         return _no_positive_block("thompson_freede", sig, descriptor, tol)
     cases = _thompson_freede_cases(specA.lambdas, specB.lambdas, specC.lambdas, tol)
-    return finalize_report("thompson_freede", sig, descriptor, tol, cases)
+    return _finalize_report("thompson_freede", sig, descriptor, tol, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +493,7 @@ def _compression_onto(A: PseudoHermitianMatrix, basis: np.ndarray) -> np.ndarray
     return _hermitian_part(_adjoint(frame) @ (JA @ frame))
 
 
+@functools.lru_cache(maxsize=32)
 def _positive_eigen(A: PseudoHermitianMatrix):
     """A's eigensystem and the read-only compression (p, p) of A onto its framed positive eigenbasis.
 
@@ -522,13 +502,8 @@ def _positive_eigen(A: PseudoHermitianMatrix):
     result depends on the entries alone, so the memo never changes what a
     caller sees.
     """
-    return _positive_eigen_by_value(_ByValue(A))
-
-
-@functools.lru_cache(maxsize=32)
-def _positive_eigen_by_value(a: _ByValue):
-    system = eigendecompose(a.matrix)
-    eigen = _compression_onto(a.matrix, positive_eigenbasis(system))
+    system = eigendecompose(A)
+    eigen = _compression_onto(A, positive_eigenbasis(system))
     eigen.flags.writeable = False
     return system, eigen
 
@@ -602,22 +577,22 @@ def check_courant_fischer(
         if n:
             worst_top = float(np.min(np.linalg.eigvalsh(M[:, :k, :k])[:, -1]))
             cases.append(
-                make_case(f"minmax_sampled:{k}", (k,), worst_top, lam_k, worst_top - lam_k, tol)
+                _make_case(f"minmax_sampled:{k}", (k,), worst_top, lam_k, worst_top - lam_k, tol)
             )
         top = float(np.linalg.eigvalsh(eigen[:k, :k])[-1])
         cases.append(
-            make_case(f"minmax_witness:{k}", (k,), top, lam_k, -abs(top - lam_k), equality_tol)
+            _make_case(f"minmax_witness:{k}", (k,), top, lam_k, -abs(top - lam_k), equality_tol)
         )
         if n:
             X = restricted_cone_samples(pos[:, k - 1 :], neg, n, rng)
             low = float(np.min(rayleigh_columns(A.entries, sig, X)))
-            cases.append(make_case(f"restricted_sampled:{k}", (k,), low, lam_k, low - lam_k, tol))
+            cases.append(_make_case(f"restricted_sampled:{k}", (k,), low, lam_k, low - lam_k, tol))
         # the Rayleigh ratio of the k-th framed eigenvector
         rk = float(eigen[k - 1, k - 1].real)
         cases.append(
-            make_case(f"restricted_witness:{k}", (k,), rk, lam_k, -abs(rk - lam_k), equality_tol)
+            _make_case(f"restricted_witness:{k}", (k,), rk, lam_k, -abs(rk - lam_k), equality_tol)
         )
-    return finalize_report("courant_fischer", sig, descriptor, tol, cases)
+    return _finalize_report("courant_fischer", sig, descriptor, tol, cases)
 
 
 def check_ky_fan(
@@ -656,15 +631,15 @@ def check_ky_fan(
         if worst is not None:
             low = float(worst[k - 1])
             cases.append(
-                make_case(f"partial_sum_sampled:{k}", indices, low, target, low - target, tol)
+                _make_case(f"partial_sum_sampled:{k}", indices, low, target, low - target, tol)
             )
         val = float(witness[k - 1])
         cases.append(
-            make_case(
+            _make_case(
                 f"partial_sum_witness:{k}", indices, val, target, -abs(val - target), equality_tol
             )
         )
-        reports.append(finalize_report("ky_fan", sig, {"k": k, **shared}, tol, cases))
+        reports.append(_finalize_report("ky_fan", sig, {"k": k, **shared}, tol, cases))
     return reports
 
 
@@ -752,7 +727,7 @@ def check_wielandt_flag(
     e = [0.0] + [x - y for x, y in zip(diagonal, lam)]  # 1-based
     # eigen - diag(lambdas) is Hermitian, so its 2-norm is its largest |eigenvalue|
     delta = float(np.max(np.abs(np.linalg.eigvalsh(eigen - np.diag(lambdas)))))
-    etas = [make_case("eigenflag_witness_etas", range(1, sig.p + 1), delta, 0.0, -delta, equality_tol)]
+    etas = [_make_case("eigenflag_witness_etas", range(1, sig.p + 1), delta, 0.0, -delta, equality_tol)]
     reports = []
     for r in range(1, sig.p + 1):
         largest = min(r, mmax)
@@ -763,7 +738,7 @@ def check_wielandt_flag(
             eta = np.linalg.eigvalsh(M[:, :r, :r])
             d = eta - lambdas[:r]
             least = float(d.min())
-            interlace = make_case(f"interlace_min:{r}", range(1, r + 1), least, 0.0, least, tol)
+            interlace = _make_case(f"interlace_min:{r}", range(1, r + 1), least, 0.0, least, tol)
             # column m - 1: d_r plus the m - 1 smallest d's below r, per flag
             worst = np.cumsum(np.hstack((d[:, r - 1 :], np.sort(d[:, : r - 1], axis=1))), axis=1)
             flags = worst[:, :largest].argmin(axis=0).tolist()
@@ -775,8 +750,8 @@ def check_wielandt_flag(
             t = tuple(sorted(ranked[: m - 1] if abs(low[m - 1]) >= abs(high[m - 1]) else ranked[r - m :])) + (r,)
             deviation = abs(_ordered_sum(diagonal, t) - _ordered_sum(lam, t))
             cases = [
-                make_case("eigenflag_max", lowest, target + slack, target, -slack, tol),
-                make_case("eigenflag_witness", range(1, r + 1), deviation, 0.0, -deviation, equality_tol),
+                _make_case("eigenflag_max", lowest, target + slack, target, -slack, tol),
+                _make_case("eigenflag_witness", range(1, r + 1), deviation, 0.0, -deviation, equality_tol),
             ]
             if r == 1:
                 cases += etas
@@ -784,6 +759,6 @@ def check_wielandt_flag(
                 f = flags[m - 1]
                 t = tuple(sorted(order[f][: m - 1])) + (r,)
                 total, target = _ordered_sum(eta[f], t), _ordered_sum(lam, t)
-                cases += [interlace, make_case(f"witness:{f}", t, total, target, total - target, tol)]
-            reports.append(finalize_report("wielandt", sig, {"top": r, "m": m, "n_flags": n_flags}, tol, cases))
+                cases += [interlace, _make_case(f"witness:{f}", t, total, target, total - target, tol)]
+            reports.append(_finalize_report("wielandt", sig, {"top": r, "m": m, "n_flags": n_flags}, tol, cases))
     return reports

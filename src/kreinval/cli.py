@@ -29,6 +29,8 @@ import numpy as np
 from . import __version__
 from .checks import (
     CheckReport,
+    _finalize_report,
+    _make_case,
     check_courant_fischer,
     check_ky_fan,
     check_lidskii_wielandt,
@@ -36,8 +38,6 @@ from .checks import (
     check_trace_identity,
     check_weyl,
     check_wielandt_flag,
-    finalize_report,
-    make_case,
     positive_compressions,
 )
 from .core import Signature
@@ -188,10 +188,10 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
             # the solve's error grows with cond(U)^2 and with the size of the spectrum
             scale = max(1.0, float(np.max(np.abs(planted.canonical_vector()))))
             allowed = cfg.tol_eig * U.cond**2 * scale
-            case = make_case("planted_recovery", (), err, allowed, allowed - err, 0.0)
+            case = _make_case("planted_recovery", (), err, allowed, allowed - err, 0.0)
             descriptor = {"cond": U.cond, "tol_eig": cfg.tol_eig, "shift": system.shift,
                           "shift_margin": shift_margin(A)}
-            reports.append(finalize_report("structural", sig, descriptor, 0.0, [case]))
+            reports.append(_finalize_report("structural", sig, descriptor, 0.0, [case]))
         elif suite == "trace":
             reports.append(check_trace_identity(A, B, tol=cfg.trace_rtol))
         elif suite == "weyl":

@@ -97,12 +97,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoHermitianMatrix:
     """A validated square matrix with A J = J A*.
 
     ``tol`` is the structural acceptance used at construction time; the
-    stored entries are a read-only copy.
+    stored entries are a read-only copy.  Matrices are values: two are
+    equal when their signatures, tolerances and entry bytes are, and hash
+    over the same three.
     """
 
     signature: Signature
@@ -120,6 +122,20 @@ class PseudoHermitianMatrix:
                 f"residual {resid:.3e} exceeds tol {self.tol:.1e}"
             )
         object.__setattr__(self, "entries", _freeze(arr))
+
+    @functools.cached_property
+    def _key(self) -> tuple:
+        return self.signature, self.tol, self.entries.tobytes()
+
+    def __hash__(self) -> int:
+        # a bytes object keeps its hash, so the entries are hashed once; it is
+        # not pickled, so a matrix from another process hashes as a fresh one
+        return hash(self._key)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PseudoHermitianMatrix):
+            return NotImplemented
+        return self._key == other._key
 
     @property
     def norm(self) -> float:

@@ -4,8 +4,9 @@ The region attached to a classified spectrum is the Minkowski sum of the
 convex hull of all block-wise permutations of the canonical-order vector
 (positive-type block and negative-type block permuted independently) and
 the cone spanned by e_i - e_j for every positive-block index i and
-negative-block index j.  Membership is decided by a Phase-I simplex on the
-convexity-plus-coordinates equality system.
+negative-block index j.  Diagonal membership is decided by a Phase-I simplex
+on the convexity-plus-coordinates equality system; sum membership, in closed
+form, by the Lidskii bounds (``check_sum_membership``).
 
 Query vectors use canonical diagonal coordinate order: the positive-type
 block descending, then the negative-type block descending.
@@ -21,11 +22,12 @@ import numpy as np
 
 from .checks import (
     CheckReport,
+    _finalize_report,
     _inadmissible_sum_report,
+    _lidskii_cases,
+    _make_case,
     _require_same_signature,
     _sum_spectra,
-    finalize_report,
-    make_case,
 )
 from .core import AdmissibleSpectrum, PseudoHermitianMatrix, Signature
 from .errors import ShapeMismatch, SizeCapExceeded
@@ -63,15 +65,6 @@ class PolyhedralRegion:
             a = np.array(arr)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-
-    def translate(self, shift) -> "PolyhedralRegion":
-        """The region moved by a constant vector (generators are unchanged)."""
-        s = np.asarray(shift, dtype=float).reshape(-1)
-        if s.size != self.signature.n:
-            raise ShapeMismatch(f"shift must have length {self.signature.n}")
-        return PolyhedralRegion(
-            self.signature, self.base_point + s, self.vertices + s[None, :], self.generators
-        )
 
 
 def build_region(spectrum: AdmissibleSpectrum, *, vertex_cap: int = VERTEX_CAP) -> PolyhedralRegion:
@@ -150,12 +143,6 @@ def lp_feasible(region: PolyhedralRegion, point, tol: float = LP_TOL) -> Feasibi
     return FeasibilityCertificate(True, t, s, residual, None)
 
 
-def _membership_case(case_id: str, cert: FeasibilityCertificate, tol: float):
-    if cert.feasible:
-        return make_case(case_id, (), cert.residual, 0.0, -cert.residual, tol)
-    return make_case(case_id, (), cert.gap, 0.0, -cert.gap, tol)
-
-
 def canonical_block_order(values: np.ndarray, sig: Signature) -> np.ndarray:
     """Sort the first p and the last q entries descending, independently."""
     v = np.asarray(values, dtype=float).reshape(-1)
@@ -171,8 +158,9 @@ def check_diag_membership(A: PseudoHermitianMatrix, tol: float = LP_TOL) -> Chec
     region = build_region(spectrum)
     diag = canonical_block_order(np.diag(A.entries).real, sig)
     cert = lp_feasible(region, diag, tol)
-    cases = [_membership_case("diagonal", cert, tol)]
-    return finalize_report("polyhedral_diag", sig, {"lp_tol": tol}, tol, cases)
+    error = cert.residual if cert.feasible else cert.gap
+    case = _make_case("diagonal", (), error, 0.0, -error, tol)
+    return _finalize_report("polyhedral_diag", sig, {"lp_tol": tol}, tol, [case])
 
 
 def check_sum_membership(
@@ -180,21 +168,38 @@ def check_sum_membership(
 ) -> CheckReport:
     """The spectrum of A + B lies in each summand's translated region.
 
-    Checked both ways: region of B translated by the spectrum vector of A,
-    and region of A translated by the spectrum vector of B.
+    Checked both ways, on canonical vectors: ``sum_in_region_of_B`` holds
+    spec(A + B) - spec(A) against the region of B, ``sum_in_region_of_A``
+    spec(A + B) - spec(B) against the region of A.  A point d lies in the
+    region of b exactly when the trace matches and, for every k, the k
+    smallest positive-type entries of d sum to at least the k smallest of b
+    and the k largest negative-type ones to at most the k largest of b
+    (weak majorization, Marshall-Olkin-Arnold 5.A.9).  Those are the
+    Lidskii bounds, so no region is built and no LP is run.
+
+    Cases: ``trace``, total(A + B) against total(A) + total(B) with margin
+    minus the mismatch; then, per direction and non-empty block, the
+    ``_lidskii_cases`` case of least margin (lowest m on ties), its id
+    prefixed by the direction.  Each block keeps its own case: with the
+    trace matched, the full-block slacks of both blocks are equal in exact
+    arithmetic, so one minimum over both would pick its block by roundoff.
     """
     sig = _require_same_signature(A, B)
     descriptor = {"lp_tol": tol}
     specA, specB, _, specC, exc = _sum_spectra(A, B)
     if specC is None:
         return _inadmissible_sum_report("polyhedral_sum", sig, descriptor, tol, exc)
-    point = specC.canonical_vector()
-    cases = []
+    total, expected = specC.total(), specA.total() + specB.total()
+    cases = [_make_case("trace", (), total, expected, -abs(total - expected), tol)]
     for tag, base, other in (
         ("sum_in_region_of_B", specA, specB),
         ("sum_in_region_of_A", specB, specA),
     ):
-        region = build_region(other).translate(base.canonical_vector())
-        cert = lp_feasible(region, point, tol)
-        cases.append(_membership_case(tag, cert, tol))
-    return finalize_report("polyhedral_sum", sig, descriptor, tol, cases)
+        for kind, a, b, c in (
+            ("lambda", base.lambdas, other.lambdas, specC.lambdas),
+            ("mu", base.mus, other.mus, specC.mus),
+        ):
+            if c.size:
+                worst = min(_lidskii_cases(kind, a, b, c, c.size, tol), key=lambda case: case.margin)
+                cases.append(worst._replace(case_id=f"{tag}:{worst.case_id}"))
+    return _finalize_report("polyhedral_sum", sig, descriptor, tol, cases)

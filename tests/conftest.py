@@ -11,13 +11,13 @@ from kreinval import SamplerConfig, Signature
 from kreinval.checks import (
     DEFAULT_TOL,
     EQUALITY_TOL,
+    _finalize_report,
     _hermitian_part,
     _inadmissible_sum_report,
+    _make_case,
+    _make_cases,
     _positive_eigen,
     _sum_spectra,
-    finalize_report,
-    make_case,
-    make_cases,
 )
 from kreinval.core import metric_diagonal
 from kreinval.geometry import TOL_FRAME, TOL_NULL_REL, _adjoint, _positive_frames, gram
@@ -47,8 +47,8 @@ def fresh_memos():
 
     memos = (
         spectral._solve,
-        checks._sum_spectra_by_value,
-        checks._positive_eigen_by_value,
+        checks._sum_spectra,
+        checks._positive_eigen,
     )
     for memo in memos:
         memo.cache_clear()
@@ -127,8 +127,8 @@ def reference_lidskii(A, B, max_m=None, tol=1e-8):
                 lhs = ordered_sum(c[i - 1] for i in t)
                 rhs = ordered_sum(a[i - 1] for i in t) + lead[m]
                 margin = lhs - rhs if kind == "lambda" else rhs - lhs
-                cases.append(make_case(f"{kind}:{','.join(map(str, t))}", t, lhs, rhs, margin, tol))
-    return finalize_report("lidskii", sig, descriptor, tol, cases)
+                cases.append(_make_case(f"{kind}:{','.join(map(str, t))}", t, lhs, rhs, margin, tol))
+    return _finalize_report("lidskii", sig, descriptor, tol, cases)
 
 
 def reference_thompson_freede(A, B, tol=1e-8):
@@ -138,7 +138,7 @@ def reference_thompson_freede(A, B, tol=1e-8):
     if specC is None:
         return _inadmissible_sum_report("thompson_freede", sig, {}, tol, exc)
     if sig.p == 0:
-        return finalize_report("thompson_freede", sig, {}, tol, [], notes=["no positive-type block"])
+        return _finalize_report("thompson_freede", sig, {}, tol, [], notes=["no positive-type block"])
     lamA, lamB, lamC = (spec.lambdas.tolist() for spec in (specA, specB, specC))
     cases = []
     for i, j in brute_pairs(sig.p):
@@ -146,8 +146,8 @@ def reference_thompson_freede(A, B, tol=1e-8):
         lhs = ordered_sum(lamC[c - 1] for c in combined)
         rhs = ordered_sum(lamA[a - 1] for a in i) + ordered_sum(lamB[b - 1] for b in j)
         case_id = f"i={','.join(map(str, i))};j={','.join(map(str, j))}"
-        cases.append(make_case(case_id, combined, lhs, rhs, lhs - rhs, tol))
-    return finalize_report("thompson_freede", sig, {}, tol, cases)
+        cases.append(_make_case(case_id, combined, lhs, rhs, lhs - rhs, tol))
+    return _finalize_report("thompson_freede", sig, {}, tol, cases)
 
 
 def table_lidskii_cases(kind, a, b, c, mmax, tol):
@@ -163,7 +163,7 @@ def table_lidskii_cases(kind, a, b, c, mmax, tol):
     lhs = _tuple_sums(c, table)
     rhs = _tuple_sums(a, table) + np.array([np.sum(b[:m]) for m in range(1, mmax + 1)])
     ids = [f"{kind}:{','.join(map(str, t))}" for t in tuples]
-    return make_cases(ids, tuples, lhs, rhs, lhs - rhs if positive else rhs - lhs, tol)
+    return _make_cases(ids, tuples, lhs, rhs, lhs - rhs if positive else rhs - lhs, tol)
 
 
 def table_thompson_freede_cases(a, b, c, tol):
@@ -194,7 +194,7 @@ def table_thompson_freede_cases(a, b, c, tol):
     lhs = _tuple_sums(c, _table(indices, p))
     rhs = _tuple_sums(a, _table([i for i, _ in pairs], p)) + _tuple_sums(b, _table([j for _, j in pairs], p))
     ids = [f"i={','.join(map(str, i))};j={','.join(map(str, j))}" for i, j in pairs]
-    return make_cases(ids, indices, lhs, rhs, lhs - rhs, tol)
+    return _make_cases(ids, indices, lhs, rhs, lhs - rhs, tol)
 
 
 def reference_wielandt_cases(A, idx, M, tol=DEFAULT_TOL, equality_tol=EQUALITY_TOL):
@@ -215,18 +215,18 @@ def reference_wielandt_cases(A, idx, M, tol=DEFAULT_TOL, equality_tol=EQUALITY_T
     dev = float(np.max(np.abs(np.linalg.eigvalsh(sub) - lambdas[cols])))
     slack = len(idx) * float(np.max(np.abs(np.linalg.eigvalsh(eigen - np.diag(lambdas)))))
     cases = [
-        make_case("eigenflag_max", idx, target + slack, target, -slack, tol),
-        make_case("eigenflag_witness", idx, value, target, -abs(value - target), equality_tol),
-        make_case("eigenflag_witness_etas", idx, dev, 0.0, -dev, equality_tol),
+        _make_case("eigenflag_max", idx, target + slack, target, -slack, tol),
+        _make_case("eigenflag_witness", idx, value, target, -abs(value - target), equality_tol),
+        _make_case("eigenflag_witness_etas", idx, dev, 0.0, -dev, equality_tol),
     ]
     if not len(M):
         return cases
     r = idx[-1]
     eta = np.linalg.eigvalsh(M[:, :r, :r])
     worst = float(np.min(eta - lambdas[:r]))
-    cases.append(make_case(f"interlace_min:{r}", range(1, r + 1), worst, 0.0, worst, tol))
+    cases.append(_make_case(f"interlace_min:{r}", range(1, r + 1), worst, 0.0, worst, tol))
     sums = [ordered_sum(row[cols]) for row in eta]
-    return cases + [make_case(f"witness:{f}", idx, s, target, s - target, tol) for f, s in enumerate(sums)]
+    return cases + [_make_case(f"witness:{f}", idx, s, target, s - target, tol) for f, s in enumerate(sums)]
 
 
 def reference_wielandt(A, M, max_m=None, tol=DEFAULT_TOL, equality_tol=EQUALITY_TOL):
@@ -238,9 +238,9 @@ def reference_wielandt(A, M, max_m=None, tol=DEFAULT_TOL, equality_tol=EQUALITY_
     """
     sig = A.signature
     if sig.p == 0:
-        return [finalize_report("wielandt", sig, {"n_flags": len(M)}, tol, [], notes=["no positive-type block"])]
+        return [_finalize_report("wielandt", sig, {"n_flags": len(M)}, tol, [], notes=["no positive-type block"])]
     return [
-        finalize_report(
+        _finalize_report(
             "wielandt", sig, {"index_tuple": list(idx), "n_flags": len(M)}, tol,
             reference_wielandt_cases(A, idx, M, tol, equality_tol),
         )

@@ -337,11 +337,12 @@ def test_criterion_07_flag_compressions(cfg, instances):
 
 
 def test_criterion_08_polyhedral_membership(cfg, pairs):
-    """Membership LPs certify diagonals and sum spectra; closed forms agree.
+    """The membership LP certifies diagonals, the Lidskii bounds sum spectra; closed forms agree.
 
-    100 instances per signature for the diagonal query and 100 pairs per
-    signature for the sum query, all with reconstruction residuals <= 1e-9,
-    plus the three rank-one closed-form queries with known verdicts.
+    100 instances per signature for the diagonal query, with reconstruction
+    residuals <= 1e-9, and 100 pairs per signature for the sum query, whose
+    trace and partial-sum cases all pass at tol 1e-9, plus the three
+    rank-one closed-form queries with known verdicts.
     """
     failures = []
     for snum, (p, q) in enumerate(SIGNATURES):

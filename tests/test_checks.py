@@ -33,10 +33,10 @@ from kreinval.checks import (
     DEFAULT_TOL,
     _inadmissible_sum_report,
     _lidskii_cases,
+    _make_case,
+    _make_cases,
     _ordered_sum,
     _thompson_freede_cases,
-    make_case,
-    make_cases,
     matrix_sum,
     positive_compressions,
 )
@@ -75,15 +75,15 @@ def sampled_pair(sig, idx, cfg):
 
 
 def test_case_margin_semantics():
-    good = make_case("x", (), 1.0, 0.5, 0.5, 1e-8)
-    bad = make_case("x", (), 0.5, 1.0, -0.5, 1e-8)
-    grazing = make_case("x", (), 1.0, 1.0, -1e-9, 1e-8)
+    good = _make_case("x", (), 1.0, 0.5, 0.5, 1e-8)
+    bad = _make_case("x", (), 0.5, 1.0, -0.5, 1e-8)
+    grazing = _make_case("x", (), 1.0, 1.0, -1e-9, 1e-8)
     assert good.passed and not bad.passed and grazing.passed
 
 
 def test_a_case_is_an_immutable_named_tuple():
     """Fields cannot be assigned, a case pickles as itself, and ``to_dict`` keeps its keys and values."""
-    case = make_case("lambda:1,3", (1, 3), 1.0, 0.5, 0.5, 1e-8)
+    case = _make_case("lambda:1,3", (1, 3), 1.0, 0.5, 0.5, 1e-8)
     with pytest.raises(AttributeError):
         case.margin = -1.0
     assert case.margin == 0.5
@@ -193,14 +193,21 @@ def test_thompson_freede_m1_matches_weyl(sampler_cfg):
 
 
 def test_lidskii_m1_matches_weyl(sampler_cfg):
-    """Lidskii's size-1 case of each block is the worst Weyl case of that block, to roundoff."""
+    """Lidskii's size-1 case of each block is the worst Weyl case of that block, bit for bit.
+
+    Weyl is Lidskii at m = 1, index by index: the Weyl case at the index of
+    Lidskii's size-1 tuple has the same lhs, rhs and margin.
+    """
     for pq, idx in itertools.product([(1, 1), (2, 2), (3, 2), (4, 3), (5, 3), (3, 0), (0, 2)], range(4)):
         A, B, _ = sampled_pair(Signature(*pq), idx, sampler_cfg)
         weyl, lidskii = check_weyl(A, B).cases, check_lidskii_wielandt(A, B).cases
         for kind in ("lambda", "mu"):
             margins = [c.margin for c in weyl if c.case_id.startswith(f"{kind}:")]
-            singles = [c.margin for c in lidskii if c.case_id.startswith(f"{kind}:") and len(c.indices) == 1]
-            assert singles == pytest.approx([min(margins)] if margins else [], abs=1e-12)
+            singles = [c for c in lidskii if c.case_id.startswith(f"{kind}:") and len(c.indices) == 1]
+            assert [c.margin for c in singles] == ([min(margins)] if margins else [])
+            for single in singles:
+                (same,) = [c for c in weyl if c.case_id == single.case_id]
+                assert (same.lhs, same.rhs, same.margin) == (single.lhs, single.rhs, single.margin)
 
 
 def test_inequalities_hold_on_sampled_pairs(signature, sampler_cfg):
@@ -711,8 +718,8 @@ def test_cases_from_columns_match_cases_one_by_one():
     ids, indices = ["a", "b", "c", "d"], [(1,), (1, 2), (), (3,)]
     lhs, rhs = np.array([1.0, 0.5, 1.0, -0.0]), np.array([0.5, 1.0, 1.0, 0.0])
     margin = np.array([0.5, -0.5, -1e-9, -0.0])
-    got = make_cases(ids, indices, lhs, rhs, margin, 1e-8)
-    assert got == [make_case(*row, 1e-8) for row in zip(ids, indices, lhs, rhs, margin)]
+    got = _make_cases(ids, indices, lhs, rhs, margin, 1e-8)
+    assert got == [_make_case(*row, 1e-8) for row in zip(ids, indices, lhs, rhs, margin)]
     assert [c.passed for c in got] == [True, False, True, True]
-    assert not make_cases(["nan"], [()], [np.nan], [0.0], [np.nan], 1e-8)[0].passed
+    assert not _make_cases(["nan"], [()], [np.nan], [0.0], [np.nan], 1e-8)[0].passed
     assert pickle.loads(pickle.dumps(got)) == got  # cases cross process pools

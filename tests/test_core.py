@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,24 @@ def test_matrix_wrapper_freezes_entries():
         A.entries[0, 0] = 99.0
     with pytest.raises(ShapeMismatch):
         PseudoHermitianMatrix(sig, np.zeros((3, 3), dtype=complex))
+
+
+def test_matrices_are_values(signature):
+    """Equal signature, tolerance and entry bytes make equal matrices with equal hashes."""
+    entries = random_pseudo_hermitian(signature, np.random.default_rng(SEED))
+    A = PseudoHermitianMatrix(signature, entries)
+    same = PseudoHermitianMatrix(A.signature, A.entries.copy())
+    assert A == same and hash(A) == hash(same) and len({A, same}) == 1
+    copied = pickle.loads(pickle.dumps(A))
+    assert copied == A and hash(copied) == hash(A)
+    assert A != PseudoHermitianMatrix(signature, entries, tol=2 * TOL_STRUCT)
+    assert A != PseudoHermitianMatrix(signature, entries + np.eye(signature.n))
+    assert A != "A" and A.__eq__(entries) is NotImplemented
+    diagonal = np.diag(np.arange(1.0, 4.0)).astype(complex)
+    assert PseudoHermitianMatrix(Signature(2, 1), diagonal) != PseudoHermitianMatrix(Signature(1, 2), diagonal)
+    # bytes, not values: -0.0 and 0.0 compare equal as floats but differ in sign bit
+    zero = PseudoHermitianMatrix(Signature(1, 1), np.zeros((2, 2), dtype=complex))
+    assert zero != PseudoHermitianMatrix(Signature(1, 1), -np.zeros((2, 2), dtype=complex))
 
 
 def test_spectrum_ordering_rules():

@@ -937,7 +937,7 @@ def test_a_variational_instance_draws_one_frame_stack(monkeypatch):
 
     monkeypatch.setattr(checks, "sample_positive_subspace", counting_draw)
     monkeypatch.setattr(checks, "_positive_frames", counting_flag)
-    checks._positive_eigen_by_value.cache_clear()
+    checks._positive_eigen.cache_clear()
     cfg = SuiteConfig(p=4, q=3, seed=SEED, suites=("courant_fischer", "ky_fan", "wielandt"),
                       courant_subspaces=30, kyfan_frames=70, wielandt_flags=10)
     reports = run_instance(cfg, 0)
@@ -948,7 +948,7 @@ def test_a_variational_instance_draws_one_frame_stack(monkeypatch):
     M = positive_compressions(A, 4, cfg, instance_rng(SEED, 6))
     certified = []
     for max_m in (1, None):
-        checks._positive_eigen_by_value.cache_clear()
+        checks._positive_eigen.cache_clear()
         flags.clear()
         check_wielandt_flag(A, max_m, M)
         certified.append(len(flags))

@@ -1,5 +1,10 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from kreinval import (
     AdmissibleSpectrum,
@@ -8,24 +13,40 @@ from kreinval import (
     Signature,
     SizeCapExceeded,
     build_region,
+    check_admissible,
     check_diag_membership,
     check_sum_membership,
     conjugate,
     instance_rng,
     lp_feasible,
+    read_matrix,
     sample_planted,
 )
-from kreinval import checks
-from kreinval.checks import make_case, matrix_sum
+from kreinval import checks, polyhedral, simplex
+from kreinval.checks import _make_case, matrix_sum
 from kreinval.errors import GapViolation
+from kreinval.polyhedral import VERTEX_CAP
 from kreinval.simplex import CyclingGuard, phase_one_feasible
 
+from conftest import reference_lidskii
+
 SEED = 333
+DATA = Path(__file__).parent / "data"
 
 
 def region_11(lam=2.0, mu=0.0):
     sig = Signature(1, 1)
     return build_region(AdmissibleSpectrum(sig, np.array([lam]), np.array([mu])))
+
+
+def highs_accepts(region, point) -> bool:
+    """HiGHS's verdict on ``point``: convex vertex weights plus nonnegative cone weights reach it."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    V, G = region.vertices, region.generators
+    A_eq = np.vstack([np.hstack([V.T, G.T]), np.concatenate([np.ones(len(V)), np.zeros(len(G))])])
+    res = linprog(np.zeros(A_eq.shape[1]), A_eq=A_eq, b_eq=np.append(point, 1.0), bounds=(0, None), method="highs")
+    assert res.status in (0, 2), res.message  # solved or infeasible, nothing else
+    return res.status == 0
 
 
 class TestPhaseOne:
@@ -123,10 +144,10 @@ def test_region_cap():
 
 
 def test_translation_moves_membership():
-    region = region_11()
-    shifted = region.translate([1.0, 1.0])
-    assert lp_feasible(shifted, [3.5, 0.5]).feasible
-    assert not lp_feasible(shifted, [2.5, -0.5]).feasible
+    """c lies in a + region(b) exactly when c - a lies in region(b)."""
+    region, a = region_11(), np.array([1.0, 1.0])
+    assert lp_feasible(region, np.array([3.5, 0.5]) - a).feasible
+    assert not lp_feasible(region, np.array([2.5, -0.5]) - a).feasible
 
 
 def test_diag_membership_of_boosted_matrix():
@@ -163,14 +184,13 @@ def test_sum_membership_certificate_reconstructs_point(sampler_cfg):
     rng = instance_rng(SEED, 40)
     A, specA, _ = sample_planted(sig, sampler_cfg, rng)
     B, specB, _ = sample_planted(sig, sampler_cfg, rng)
-    from kreinval import check_admissible
-
     specC = check_admissible(matrix_sum(A, B))
-    region = build_region(specB).translate(specA.canonical_vector())
-    cert = lp_feasible(region, specC.canonical_vector())
+    region = build_region(specB)
+    point = specC.canonical_vector() - specA.canonical_vector()
+    cert = lp_feasible(region, point)
     assert cert.feasible
     rebuilt = cert.vertex_weights @ region.vertices + cert.generator_weights @ region.generators
-    assert np.allclose(rebuilt, specC.canonical_vector(), atol=1e-8)
+    assert np.allclose(rebuilt, point, atol=1e-8)
 
 
 def test_inadmissible_sum_gives_the_shared_loud_report(sampler_cfg, monkeypatch, fresh_memos):
@@ -194,10 +214,153 @@ def test_inadmissible_sum_gives_the_shared_loud_report(sampler_cfg, monkeypatch,
         "signature": [2, 1],
         "descriptor": {"lp_tol": 1e-9},
         "tol": 1e-9,
-        "cases": [make_case("admissible_sum", (), 0.0, 0.0, -1.0, 1e-9).to_dict()],
+        "cases": [_make_case("admissible_sum", (), 0.0, 0.0, -1.0, 1e-9).to_dict()],
         "worst_margin": -1.0,
         "passed": False,
         "soft_cases": [],
         "soft_rate": None,
         "notes": ["sum_not_admissible: GapViolation: gap closed"],
     }
+
+
+def sampled_pair(sig, idx, cfg):
+    rng = instance_rng(SEED, idx)
+    A, _, _ = sample_planted(sig, cfg, rng)
+    B, _, _ = sample_planted(sig, cfg, rng)
+    return A, B
+
+
+def membership_cases(report, tag):
+    return [c for c in report.cases if c.case_id.startswith(tag + ":")]
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 2), (3, 0), (0, 3), (4, 3)])
+def test_sum_membership_holds_the_least_lidskii_case_of_each_block(pq, sampler_cfg):
+    """One trace case, then per direction and block the exhaustive oracle's least partial-sum case."""
+    sig = Signature(*pq)
+    for idx in range(4):
+        A, B = sampled_pair(sig, 60 + idx, sampler_cfg)
+        report = check_sum_membership(A, B, tol=1e-9)
+        assert report.passed and report.descriptor == {"lp_tol": 1e-9}
+        trace = report.cases[0]
+        assert trace.case_id == "trace" and trace.indices == () and abs(trace.margin) <= 1e-12
+        blocks = [kind for kind, size in (("lambda", sig.p), ("mu", sig.q)) if size]
+        for tag, base, other in (("sum_in_region_of_B", A, B), ("sum_in_region_of_A", B, A)):
+            got = membership_cases(report, tag)
+            assert [c.case_id.split(":")[1] for c in got] == blocks
+            oracle = reference_lidskii(base, other, tol=1e-9).cases
+            for case in got:
+                kind = case.case_id.split(":")[1]
+                block = [c for c in oracle if c.case_id.startswith(kind + ":")]
+                least = min(c.margin for c in block)
+                assert case.margin == pytest.approx(least, abs=1e-12)
+                assert case.case_id == f"{tag}:{kind}:{','.join(map(str, case.indices))}"
+                assert case.tol == 1e-9 and case.passed == all(c.passed for c in block)
+
+
+@pytest.mark.parametrize("seed, index", [(7, 4), (3, 0), (8, 0), (9, 0)])
+def test_pairs_on_which_the_sum_lps_cycled_pass_by_file(seed, index):
+    """(6,4) pairs, stored bit for bit, on which the simplex of both sum LPs raised CyclingGuard.
+
+    The closed form accepts both memberships, and so does HiGHS on the
+    region of each summand.
+    """
+    A, B = (read_matrix(DATA / f"p6q4_seed{seed}_instance{index}_{name}.json") for name in "AB")
+    report = check_sum_membership(A, B)
+    assert report.passed, report.to_dict()
+    specA, specB, specC = (check_admissible(M) for M in (A, B, matrix_sum(A, B)))
+    for base, other in ((specA, specB), (specB, specA)):
+        assert highs_accepts(build_region(other), specC.canonical_vector() - base.canonical_vector())
+
+
+@pytest.mark.parametrize("pq", [(12, 8), (16, 0), (0, 16)])
+def test_sum_membership_passes_past_the_vertex_cap(pq, sampler_cfg):
+    sig = Signature(*pq)
+    assert math.factorial(sig.p) * math.factorial(sig.q) > VERTEX_CAP
+    A, B = sampled_pair(sig, 70, sampler_cfg)
+    report = check_sum_membership(A, B)
+    assert report.passed, report.to_dict()
+    assert len(report.cases) == 1 + 2 * ((sig.p > 0) + (sig.q > 0))
+
+
+def test_sum_membership_builds_no_region_and_runs_no_lp(sampler_cfg, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sum check must not build a region or run an LP")
+
+    for module, name in ((polyhedral, "build_region"), (polyhedral, "lp_feasible"), (simplex, "phase_one_feasible")):
+        monkeypatch.setattr(module, name, refuse)
+    A, B = sampled_pair(Signature(2, 1), 71, sampler_cfg)
+    assert check_sum_membership(A, B).passed
+
+
+def test_a_tie_between_sizes_goes_to_the_lowest(monkeypatch):
+    """Spectra whose difference is the other summand's exactly: every size has margin 0, and each case names size 1."""
+    sig = Signature(2, 2)
+    specA = AdmissibleSpectrum(sig, [10.0, 20.0], [-10.0, -20.0])
+    specB = AdmissibleSpectrum(sig, [1.0, 2.0], [0.0, -1.0])
+    specC = AdmissibleSpectrum(sig, [11.0, 22.0], [-10.0, -21.0])
+    monkeypatch.setattr(polyhedral, "_sum_spectra", lambda A, B: (specA, specB, None, specC, None))
+    dummy = PseudoHermitianMatrix(sig, np.eye(sig.n, dtype=complex))
+    report = check_sum_membership(dummy, dummy)
+    assert [(c.case_id, c.indices, c.margin) for c in report.cases] == [
+        ("trace", (), 0.0),
+        ("sum_in_region_of_B:lambda:1", (1,), 0.0),
+        ("sum_in_region_of_B:mu:1", (1,), 0.0),
+        ("sum_in_region_of_A:lambda:1", (1,), 0.0),
+        ("sum_in_region_of_A:mu:1", (1,), 0.0),
+    ]
+
+
+SPACING = 10.0  # the base spectrum's spacing: far wider than any query point
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.integers(0, 3), q=st.integers(0, 3), data=st.data())
+def test_sum_membership_agrees_with_highs_near_vertices_and_cone_rays(p, q, data):
+    """The closed-form verdict of ``sum_in_region_of_B`` is HiGHS's on the region of B.
+
+    The query d is a block permutation of B's spectrum (an orbit vertex),
+    moved along the cone rays e_i - e_j by nonnegative weights, one of them
+    sometimes made negative, then jittered within the trace plane and,
+    sometimes, off it.  A's spectrum is spaced
+    so widely that A + B's canonical vector is A's plus d, so the check
+    holds exactly d against the region of B.  Points within 1e-7 of the
+    boundary are skipped: there the two tolerances may disagree.
+    """
+    assume(p + q >= 1)
+    sig = Signature(p, q)
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    lam = sorted(data.draw(st.lists(st.floats(0.5, 3.0), min_size=p, max_size=p)))
+    mu = sorted(data.draw(st.lists(st.floats(-3.0, 0.25), min_size=q, max_size=q)), reverse=True)
+    specB = AdmissibleSpectrum(sig, lam, mu)
+    b = specB.canonical_vector()
+    order = data.draw(st.permutations(range(p))) + [p + j for j in data.draw(st.permutations(range(q)))]
+    d = b[order]
+    pairs = [(i, j) for i in range(p) for j in range(p, sig.n)]
+    weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    if pairs:  # a negative weight steps out of the cone
+        weights[0] += data.draw(st.sampled_from([0.0, 0.0, -1e-4, -0.3]))
+    for (i, j), w in zip(pairs, weights):
+        d[i] += w
+        d[j] -= w
+    jitter = np.array(data.draw(st.lists(unit, min_size=sig.n, max_size=sig.n)))
+    d += data.draw(st.sampled_from([0.0, 1e-5, 1e-2, 0.3])) * (jitter - jitter.mean())
+    d[0] += data.draw(st.sampled_from([0.0, 0.0, 1e-6, -1e-3, 0.1]))
+    a = np.concatenate([100.0 + SPACING * np.arange(p)[::-1], -100.0 - SPACING * np.arange(q)])
+    specA = AdmissibleSpectrum(sig, a[:p][::-1], a[p:])
+    c = a + d
+    specC = AdmissibleSpectrum(sig, c[:p][::-1], c[p:])
+    point = specC.canonical_vector() - specA.canonical_vector()
+    dummy = PseudoHermitianMatrix(sig, np.eye(sig.n, dtype=complex))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polyhedral, "_sum_spectra", lambda A, B: (specA, specB, None, specC, None))
+        report = check_sum_membership(dummy, dummy)
+    cases = [report.cases[0], *membership_cases(report, "sum_in_region_of_B")]
+    # a lone block's full-block case restates the trace case, and the trace plane is no boundary
+    sizes = {"lambda": p, "mu": q}
+    slacks = [c.margin for c in cases[1:] if min(p, q) or len(c.indices) < sizes[c.case_id.split(":")[1]]]
+    assume(all(abs(m) > 1e-7 for m in slacks))
+    assume(abs(cases[0].margin) < 1e-12 or abs(cases[0].margin) > 1e-7)
+    verdict = all(c.passed for c in cases)
+    event(f"p={p} q={q} accepted={verdict}")
+    assert verdict == highs_accepts(build_region(specB), point)
