@@ -26,20 +26,9 @@ from .errors import (
     ShapeMismatch,
     WrongConeCount,
 )
-from .geometry import _adjoint, _positive_frames
-from .sampling import (
-    SamplerConfig,
-    instance_rng,
-    restricted_cone_samples,
-    sample_positive_subspace,
-)
-from .spectral import (
-    check_admissible,
-    eigendecompose,
-    negative_eigenbasis,
-    positive_eigenbasis,
-    rayleigh_columns,
-)
+from .geometry import _adjoint, _positive_frames, gram
+from .sampling import SamplerConfig, sample_positive_subspace
+from .spectral import check_admissible, eigendecompose, positive_eigenbasis
 
 DEFAULT_TOL = 1e-8
 EQUALITY_TOL = 1e-9
@@ -545,32 +534,41 @@ def check_courant_fischer(
     tol: float = DEFAULT_TOL,
     *,
     equality_tol: float = EQUALITY_TOL,
-    rng=None,
 ) -> CheckReport:
     """Min-max characterization of the positive-type eigenvalues.
 
     For each k: sampled k-dimensional positive subspaces give a top
     compression eigenvalue >= lambda_k (the eigen-subspace attains it), and
-    sampled positive vectors paired-orthogonal to the first k-1 eigenvectors
-    give Rayleigh ratios >= lambda_k (the k-th eigenvector attains it).
+    every positive vector paired-orthogonal to the first k-1 eigenvectors
+    has Rayleigh ratio >= lambda_k (the k-th eigenvector attains it).
     ``M`` is a stack (N, p, p) of compressions onto width-p positive frames
     (``positive_compressions``); the k-subspaces are the frames' k-column
     prefixes, so the k-th top is the top eigenvalue of M's leading k x k
-    block.  N restricted-cone vectors are drawn from ``rng`` afresh for each
-    k.  An empty stack samples nothing and bounds nothing, so it gets no
-    sampled case.
+    block.  An empty stack samples nothing and bounds nothing, so it gets
+    no ``minmax_sampled`` case.
+
+    The restricted half is certified, not sampled.  Those vectors are
+    x = W_k y, with W_k the framed negative eigenvectors and the framed
+    positive eigenvectors k, ..., p.  Then R_A(x) - lambda_k =
+    y* H_k y / <x, x> with H_k the Hermitian part of
+    W_k* J (A - lambda_k I) W_k, so H_k >= 0 proves the bound for every
+    positive x.  In exact arithmetic H_k = diag(lambda_i - lambda_k,
+    lambda_k - mu_j), whose least eigenvalue is 0 at the k-th eigenvector;
+    ``restricted_cert:k`` holds that least eigenvalue against 0.  The check
+    draws nothing.
     """
     sig = A.signature
     M = _frame_stack(A, M)
-    rng = rng if rng is not None else instance_rng(0)
     n = len(M)
     descriptor = {"n_subspaces": n, "equality_tol": equality_tol}
     if sig.p == 0:
         return _no_positive_block("courant_fischer", sig, descriptor, tol)
     system, eigen = _positive_eigen(A)
     lambdas = system.spectrum.lambdas
-    pos = positive_eigenbasis(system)
-    neg = negative_eigenbasis(system)
+    # columns: the q negative, then the p positive eigenvectors, ascending
+    W = system.eigenvectors
+    JA = metric_diagonal(sig)[:, None] * A.entries
+    WJAW, G = _hermitian_part(_adjoint(W) @ (JA @ W)), gram(W, sig)
     cases = []
     for k in range(1, sig.p + 1):
         lam_k = float(lambdas[k - 1])
@@ -583,10 +581,10 @@ def check_courant_fischer(
         cases.append(
             _make_case(f"minmax_witness:{k}", (k,), top, lam_k, -abs(top - lam_k), equality_tol)
         )
-        if n:
-            X = restricted_cone_samples(pos[:, k - 1 :], neg, n, rng)
-            low = float(np.min(rayleigh_columns(A.entries, sig, X)))
-            cases.append(_make_case(f"restricted_sampled:{k}", (k,), low, lam_k, low - lam_k, tol))
+        keep = np.r_[: sig.q, sig.q + k - 1 : sig.n]
+        H = WJAW[np.ix_(keep, keep)] - lam_k * G[np.ix_(keep, keep)]
+        low = float(np.linalg.eigvalsh(H)[0])
+        cases.append(_make_case(f"restricted_cert:{k}", (k,), low, 0.0, low, tol))
         # the Rayleigh ratio of the k-th framed eigenvector
         rk = float(eigen[k - 1, k - 1].real)
         cases.append(

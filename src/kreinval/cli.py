@@ -4,10 +4,11 @@ Config values come from defaults, then an optional JSON config file, then
 command-line flags (flags win).  The seed falls back to the KREINVAL_SEED
 environment variable when neither flags nor file provide one.  Exit status is
 0 on success, 1 when any hard check fails, an instance raises, or the soft
-success rate drops below the threshold, 2 on configuration errors (in which
-case no files are written).  No shipped suite produces soft cases, so the
-soft rate stays unset and only the hard checks decide.  An instance that
-raises gets an error record and the run goes on.
+success rate drops below the threshold, 2 on configuration errors, a report
+file that cannot be opened included (in which case no files are written).
+No shipped suite produces soft cases, so the soft rate stays unset and only
+the hard checks decide.  An instance that raises gets an error record and
+the run goes on.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import numbers
 import os
 import re
 import sys
@@ -59,8 +61,6 @@ SUITES = (
 )
 #: suites whose checks consume a second sampled matrix
 PAIR_SUITES = frozenset({"trace", "weyl", "lidskii", "thompson_freede", "polyhedral"})
-#: suites whose checks draw random numbers, each from its own stream
-RANDOM_SUITES = frozenset({"courant_fischer"})
 #: suites that read the instance's one stack of positive frames
 FRAME_SUITES = frozenset({"courant_fischer", "ky_fan", "wielandt"})
 
@@ -103,8 +103,33 @@ class SuiteConfig:
         )
 
 
+def _is_number(value, kind) -> bool:
+    """A value of the ``numbers`` class ``kind`` that is not a bool, which Python counts as an int."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def validate_config(cfg: SuiteConfig) -> SuiteConfig:
-    """Raise ConfigError naming the first offending field."""
+    """Raise ConfigError naming the first offending field.
+
+    A value of the wrong type is refused before any value is compared, so a
+    config file cannot pass validation and then fail in the run.
+    """
+    for name in ("p", "q", "instances", "seed", "courant_subspaces", "kyfan_frames", "wielandt_flags",
+                 "workers", "max_m"):
+        value = getattr(cfg, name)
+        if not (_is_number(value, numbers.Integral) or (name == "max_m" and value is None)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    for name in ("tol_eig", "tol_check", "trace_rtol", "lp_tol", "gap_min", "boost_scale", "cond_cap",
+                 "contraction_cap", "soft_threshold"):
+        if not _is_number(getattr(cfg, name), numbers.Real):
+            raise ConfigError(f"{name} must be a real number, got {getattr(cfg, name)!r}")
+    if not (isinstance(cfg.value_range, (tuple, list)) and len(cfg.value_range) == 2
+            and all(_is_number(v, numbers.Real) for v in cfg.value_range)):
+        raise ConfigError(f"value_range must be two real numbers, got {cfg.value_range!r}")
+    if not (isinstance(cfg.suites, (tuple, list)) and all(isinstance(s, str) for s in cfg.suites)):
+        raise ConfigError(f"suites must be a list of suite names, got {cfg.suites!r}")
+    if not (cfg.out is None or isinstance(cfg.out, (str, os.PathLike))):
+        raise ConfigError(f"out must be a file path, got {cfg.out!r}")
     try:
         Signature(cfg.p, cfg.q)
     except ValueError as exc:
@@ -155,10 +180,10 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
     frames of ``courant_fischer``, ``ky_fan`` and ``wielandt`` are one stack,
     drawn from the frame stream (seed, index, len(SUITES)) and compressed
     once; its size is the largest of the three budgets whatever is selected,
-    and each suite reads as many leading rows as its budget.  The
-    restricted-cone samples of ``courant_fischer`` come from its own stream
-    (seed, index, position of the suite in SUITES); no other suite draws.
-    So a suite's reports do not depend on which other suites are selected.
+    and each suite reads as many leading rows as its budget.  No check draws
+    anything else, so these two streams hold every random number of an
+    instance, and a suite's reports do not depend on which other suites are
+    selected.
     Each check is called once: ``ky_fan`` returns one report per k and
     ``wielandt`` one per top index r and tuple size m.
     """
@@ -176,7 +201,6 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
 
     reports: list[CheckReport] = []
     for suite in cfg.suites:
-        rng = instance_rng(cfg.seed, index, SUITES.index(suite)) if suite in RANDOM_SUITES else None
         if suite == "structural":
             system = eigendecompose(A)
             recovered = system.spectrum
@@ -201,9 +225,7 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
         elif suite == "thompson_freede":
             reports.append(check_thompson_freede(A, B, tol=cfg.tol_check))
         elif suite == "courant_fischer":
-            reports.append(
-                check_courant_fischer(A, M[: cfg.courant_subspaces], tol=cfg.tol_check, rng=rng)
-            )
+            reports.append(check_courant_fischer(A, M[: cfg.courant_subspaces], tol=cfg.tol_check))
         elif suite == "ky_fan":
             reports.extend(check_ky_fan(A, M[: cfg.kyfan_frames], tol=cfg.tol_check))
         elif suite == "wielandt":
@@ -305,7 +327,10 @@ def run_suite(cfg: SuiteConfig) -> RunSummary:
     if cfg.out:
         from .fileio import ReportWriter
 
-        writer = ReportWriter(cfg.out, cfg.format)
+        try:
+            writer = ReportWriter(cfg.out, cfg.format)
+        except OSError as exc:
+            raise ConfigError(f"cannot open report file {cfg.out}: {exc.strerror or exc}") from exc
         writer.write_header(__version__, config_echo(cfg))
     try:
         if cfg.workers > 1:
@@ -411,25 +436,23 @@ def build_config(argv=None) -> SuiteConfig:
             values["seed"] = int(os.environ["KREINVAL_SEED"])
         except ValueError as exc:
             raise ConfigError(f"KREINVAL_SEED is not an integer: {exc}") from exc
-    if "suites" in values:
-        values["suites"] = tuple(dict.fromkeys(values["suites"]))
-    if "value_range" in values:
-        values["value_range"] = tuple(values["value_range"])
+    for name in ("suites", "value_range"):  # flags and JSON give lists
+        if isinstance(values.get(name), list):
+            values[name] = tuple(values[name])
     try:
         cfg = SuiteConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    return validate_config(cfg)
+    cfg = validate_config(cfg)
+    return dataclasses.replace(cfg, suites=tuple(dict.fromkeys(cfg.suites)))
 
 
 def main(argv=None) -> int:
     try:
-        cfg = build_config(argv)
+        summary = run_suite(build_config(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        summary = run_suite(cfg)
     except KreinvalError as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -137,11 +137,6 @@ class PseudoHermitianMatrix:
             return NotImplemented
         return self._key == other._key
 
-    @property
-    def norm(self) -> float:
-        """Operator 2-norm of the entries."""
-        return float(np.linalg.norm(self.entries, 2))
-
 
 @dataclass(frozen=True)
 class PseudoUnitary:

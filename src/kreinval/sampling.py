@@ -90,7 +90,7 @@ def instance_rng(seed: int, index: int = 0, *subkeys: int) -> np.random.Generato
     """Independent stream for one instance, derived from (seed, index).
 
     Extra ``subkeys`` derive further independent streams of the same instance,
-    such as one per check suite.
+    such as the stream of its positive frames.
     """
     key = (int(index), *(int(k) for k in subkeys))
     ss = np.random.SeedSequence(entropy=int(seed) % 2**64, spawn_key=key)
@@ -248,35 +248,3 @@ def sample_positive_subspace(
     else:
         basis = Q
     return basis if count is not None else basis[0]
-
-
-def restricted_cone_samples(
-    pos_part: np.ndarray,
-    neg_part: np.ndarray | None,
-    count: int,
-    rng: np.random.Generator,
-    *,
-    cap: float = 0.95,
-) -> np.ndarray:
-    """Columns of positive vectors inside the span of the given frame columns.
-
-    ``pos_part`` and ``neg_part`` must have pseudo-orthonormal columns of
-    positive resp. negative type (e.g. eigenvector blocks).  Coefficients on
-    the negative part are scaled below ``cap`` times the positive-part norm,
-    which keeps every sample strictly inside the positive cone.
-    """
-    a = pos_part.shape[1]
-    if a < 1:
-        raise ShapeMismatch("need at least one positive-type direction")
-    alpha = complex_normal(rng, a, count)
-    X = pos_part @ alpha
-    if neg_part is not None and neg_part.shape[1]:
-        beta = complex_normal(rng, neg_part.shape[1], count)
-        shrink = rng.uniform(0.0, cap, count)
-        na = np.linalg.norm(alpha, axis=0)
-        nb = np.linalg.norm(beta, axis=0)
-        nb = np.where(nb == 0.0, 1.0, nb)
-        beta = beta * (shrink * na / nb)[None, :]
-        X = X + neg_part @ beta
-    return X
-

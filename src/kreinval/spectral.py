@@ -1,5 +1,4 @@
-"""Eigenstructure of pseudo-Hermitian matrices: admissibility certificates
-and Rayleigh ratios.
+"""Eigenstructure of pseudo-Hermitian matrices: admissibility certificates.
 
 A matrix is admissible when it diagonalizes over the reals with exactly p
 positive-type and q negative-type eigenvectors and the smallest positive-type
@@ -32,15 +31,6 @@ from .geometry import TOL_NULL_REL, _frame
 TOL_REALITY_REL = 1e-8
 #: smallest-singular-value cutoff declaring the eigenvector matrix defective
 TOL_DEFECT = 1e-12
-
-
-def rayleigh_columns(entries, sig: Signature, X: np.ndarray) -> np.ndarray:
-    """Vectorized Rayleigh ratios over the columns of X (no null-band guard)."""
-    M = np.asarray(entries, dtype=complex)
-    jd = metric_diagonal(sig)
-    num = np.einsum("ij,ij->j", X.conj(), jd[:, None] * (M @ X)).real
-    den = np.einsum("ij,ij->j", X.conj(), jd[:, None] * X).real
-    return num / den
 
 
 @dataclass(frozen=True)

@@ -331,6 +331,36 @@ def rayleigh():
     return _rayleigh
 
 
+def rayleigh_columns(entries, sig, X: np.ndarray) -> np.ndarray:
+    """Rayleigh ratios over the columns of X (no null-band guard), an oracle for the min-max bounds."""
+    M = np.asarray(entries, dtype=complex)
+    jd = metric_diagonal(sig)
+    num = np.einsum("ij,ij->j", X.conj(), jd[:, None] * (M @ X)).real
+    den = np.einsum("ij,ij->j", X.conj(), jd[:, None] * X).real
+    return num / den
+
+
+def restricted_cone_samples(pos_part, neg_part, count, rng, *, cap=0.95) -> np.ndarray:
+    """Columns of positive vectors inside the span of the given frame columns, an oracle for the certificate.
+
+    ``pos_part`` and ``neg_part`` must have pseudo-orthonormal columns of
+    positive resp. negative type (e.g. eigenvector blocks).  Coefficients on
+    the negative part are scaled below ``cap`` times the positive-part norm,
+    which keeps every sample strictly inside the positive cone.
+    """
+    alpha = complex_normal(rng, pos_part.shape[1], count)
+    X = pos_part @ alpha
+    if neg_part is not None and neg_part.shape[1]:
+        beta = complex_normal(rng, neg_part.shape[1], count)
+        shrink = rng.uniform(0.0, cap, count)
+        na = np.linalg.norm(alpha, axis=0)
+        nb = np.linalg.norm(beta, axis=0)
+        nb = np.where(nb == 0.0, 1.0, nb)
+        beta = beta * (shrink * na / nb)[None, :]
+        X = X + neg_part @ beta
+    return X
+
+
 def cone_margin(basis, sig, *, tol_rank=1e-10):
     """Positivity margin of each span, an oracle for the flag's Cholesky certificate.
 

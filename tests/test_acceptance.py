@@ -34,21 +34,23 @@ from kreinval.polyhedral import (
     check_sum_membership,
     lp_feasible,
 )
-from kreinval.sampling import (
-    SamplerConfig,
-    instance_rng,
-    restricted_cone_samples,
-    sample_planted,
-)
+from kreinval.sampling import SamplerConfig, instance_rng, sample_planted
 from kreinval.spectral import (
     check_admissible,
     eigendecompose,
     negative_eigenbasis,
     positive_eigenbasis,
-    rayleigh_columns,
 )
 
-from conftest import WITNESS_ROUNDOFF, _witness_traces, all_tuples, reference_lidskii, reference_wielandt
+from conftest import (
+    WITNESS_ROUNDOFF,
+    _witness_traces,
+    all_tuples,
+    rayleigh_columns,
+    reference_lidskii,
+    reference_wielandt,
+    restricted_cone_samples,
+)
 
 SIGNATURES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
 SEED = 20260818
@@ -167,8 +169,9 @@ def test_criterion_03_minmax_subspaces(cfg, instances):
 
     The k-subspaces are the k-column prefixes of one stack of 500 width-p
     frames.  Compression tops stay >= lambda_k - 1e-8 for every k; the
-    eigenvector subspaces attain equality within 1e-9.  Every k gets its
-    sampled, restricted and witness cases.
+    eigenvector subspaces attain equality within 1e-9, and the restricted
+    certificate holds within 1e-8.  Every k gets its sampled, certified and
+    witness cases.
     """
     failures = []
     for (p, q), inst in instances.items():
@@ -179,13 +182,12 @@ def test_criterion_03_minmax_subspaces(cfg, instances):
                 positive_compressions(A, 500, cfg, rng),
                 tol=BOUND_TOL,
                 equality_tol=WITNESS_TOL,
-                rng=rng,
             )
             assert rep.descriptor["n_subspaces"] == 500
             assert [c.case_id for c in rep.cases] == [
                 f"{kind}:{k}"
                 for k in range(1, p + 1)
-                for kind in ("minmax_sampled", "minmax_witness", "restricted_sampled", "restricted_witness")
+                for kind in ("minmax_sampled", "minmax_witness", "restricted_cert", "restricted_witness")
             ]
             failures.extend(
                 (p, q, j, c.case_id, c.margin) for c in rep.cases if not c.passed
@@ -484,11 +486,14 @@ def test_criterion_10_hermitian_degeneration(cfg):
             rng = instance_rng(SEED, 10100 + i)
             rep = check_courant_fischer(
                 A, positive_compressions(A, 100, cfg, rng), tol=BOUND_TOL, equality_tol=WITNESS_TOL,
-                rng=rng,
             )
             assert rep.passed
             for c in rep.cases:
                 k = c.indices[0]
+                if c.case_id.startswith("restricted_cert"):
+                    # at q = 0, H_k is A - lambda_k I on eigenvectors k, ..., p, whose least eigenvalue is 0
+                    assert c.rhs == 0.0 and abs(c.lhs) <= WITNESS_TOL
+                    continue
                 assert abs(c.rhs - oa[k - 1]) <= WITNESS_TOL
                 if c.case_id.endswith("witness:" + str(k)):
                     assert abs(c.lhs - oa[k - 1]) <= WITNESS_TOL

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -25,7 +26,10 @@ from kreinval import (
     check_weyl,
     check_wielandt_flag,
     conjugate,
+    eigendecompose,
     instance_rng,
+    negative_eigenbasis,
+    positive_eigenbasis,
     sample_planted,
 )
 from kreinval import checks
@@ -47,8 +51,10 @@ from conftest import (
     all_tuples,
     brute_pairs,
     ordered_sum,
+    rayleigh_columns,
     reference_lidskii,
     reference_thompson_freede,
+    restricted_cone_samples,
     shape,
     table_lidskii_cases,
     table_thompson_freede_cases,
@@ -236,7 +242,7 @@ def test_courant_fischer_and_ky_fan(signature, sampler_cfg):
     rng = instance_rng(SEED, 21)
     A, _, _ = sample_planted(signature, sampler_cfg, rng)
     M = positive_compressions(A, 60, sampler_cfg, rng)
-    cf = check_courant_fischer(A, M, rng=rng)
+    cf = check_courant_fischer(A, M)
     assert cf.passed
     witness = [c for c in cf.cases if c.case_id.startswith("minmax_witness")]
     assert all(c.margin >= -1e-9 for c in witness)
@@ -251,7 +257,7 @@ def test_courant_fischer_without_samples_keeps_its_witnesses(sampler_cfg):
     A, _, _ = sample_planted(sig, sampler_cfg, rng)
     empty = positive_compressions(A, 0, sampler_cfg, rng)
     assert empty.shape == (0, sig.p, sig.p)
-    report = check_courant_fischer(A, empty, rng=rng)
+    report = check_courant_fischer(A, empty)
     assert report.passed and report.descriptor["n_subspaces"] == 0
     by_id = {c.case_id: c for c in report.cases}
     ky_fan = check_ky_fan(A, empty)
@@ -259,11 +265,48 @@ def test_courant_fischer_without_samples_keeps_its_witnesses(sampler_cfg):
     for k, kf in enumerate(ky_fan, start=1):
         # an empty sample bounds nothing, so it gets no case (and no +inf lhs)
         assert f"minmax_sampled:{k}" not in by_id
-        assert f"restricted_sampled:{k}" not in by_id
+        # the certificate draws nothing, so it needs no sample
+        assert by_id[f"restricted_cert:{k}"].passed
         assert by_id[f"minmax_witness:{k}"].margin >= -1e-9
         assert by_id[f"restricted_witness:{k}"].margin >= -1e-9
         assert kf.passed
         assert [c.case_id for c in kf.cases] == [f"partial_sum_witness:{k}"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 5), q=st.integers(0, 4), index=st.integers(0, 2**16))
+def test_a_passing_restricted_certificate_is_never_beaten_by_sampled_vectors(p, q, index):
+    """Where restricted_cert:k passes, 1000 oracle vectors in its span keep R_A >= lambda_k - tol."""
+    sig = Signature(p, q)
+    rng = instance_rng(SEED, 40, index)
+    A, _, _ = sample_planted(sig, SamplerConfig(seed=SEED), rng)
+    report = check_courant_fischer(A, np.zeros((0, p, p)))
+    system = eigendecompose(A)
+    pos, neg = positive_eigenbasis(system), negative_eigenbasis(system)
+    for k in range(1, p + 1):
+        (cert,) = [c for c in report.cases if c.case_id == f"restricted_cert:{k}"]
+        assert cert.passed, k  # a planted matrix satisfies the bound
+        X = restricted_cone_samples(pos[:, k - 1 :], neg, 1000, rng)
+        low = float(np.min(rayleigh_columns(A.entries, sig, X)))
+        assert low >= system.spectrum.lambdas[k - 1] - cert.tol, k
+
+
+def test_the_certificate_catches_a_raised_eigenvalue_that_sampling_misses(monkeypatch):
+    """lambda_1 raised by 1e-6 in the system the check reads: restricted_cert:1 fails, 1000 oracle vectors pass."""
+    sig = Signature(3, 2)
+    A, _, _ = sample_planted(sig, SamplerConfig(seed=SEED), instance_rng(SEED, 41))
+    system, eigen = checks._positive_eigen(A)
+    raised = system.spectrum.lambdas.copy()
+    raised[0] += 1e-6
+    planted = dataclasses.replace(system, spectrum=dataclasses.replace(system.spectrum, lambdas=raised))
+    monkeypatch.setattr(checks, "_positive_eigen", lambda _: (planted, eigen))
+    report = check_courant_fischer(A, np.zeros((0, sig.p, sig.p)))
+    cert = {c.case_id: c for c in report.cases if c.case_id.startswith("restricted_cert")}
+    assert not cert["restricted_cert:1"].passed
+    assert cert["restricted_cert:1"].margin == pytest.approx(-1e-6, rel=1e-6)
+    assert cert["restricted_cert:2"].passed and cert["restricted_cert:3"].passed
+    X = restricted_cone_samples(positive_eigenbasis(system), negative_eigenbasis(system), 1000, instance_rng(SEED, 42))
+    assert float(np.min(rayleigh_columns(A.entries, sig, X))) >= raised[0] - cert["restricted_cert:1"].tol
 
 
 def test_a_frame_stack_of_another_signature_is_refused(sampler_cfg):
@@ -415,7 +458,7 @@ def test_hermitian_degeneration_of_inequalities(sampler_cfg):
     assert np.allclose(A.entries, A.entries.conj().T)
     assert check_weyl(A, B).passed
     assert check_lidskii_wielandt(A, B).passed
-    report = check_courant_fischer(A, positive_compressions(A, 40, sampler_cfg, rng), rng=rng)
+    report = check_courant_fischer(A, positive_compressions(A, 40, sampler_cfg, rng))
     assert report.passed
 
 

@@ -92,6 +92,8 @@ class TestConfig:
             validate_config(SuiteConfig(format="xml"))
         with pytest.raises(ConfigError):
             validate_config(SuiteConfig(tol_check=-1.0))
+        with pytest.raises(ConfigError, match="out"):
+            validate_config(SuiteConfig(out=5))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -112,15 +114,36 @@ class TestConfig:
             ("boost_scale", float("inf")),
             pytest.param("value_range", [float("-inf"), 1.0], id="value_range-inf"),
             pytest.param("value_range", [-1e308, 1e308], id="value_range-wide"),  # width overflows
+            # a value of the wrong type; at (4, 3), max_m 2.5 used to pass validation and fail the run
+            ("wielandt_flags", 1.5),
+            ("max_m", 2.5),
+            ("courant_subspaces", True),
+            ("seed", 1.5),
+            ("tol_check", "1e-8"),
+            ("workers", "2"),
+            ("gap_min", "0.5"),
+            ("contraction_cap", None),
+            ("value_range", 5),
+            pytest.param("value_range", ["-1", "1"], id="value_range-strings"),
+            ("suites", "trace"),
+            pytest.param("suites", ["trace", 1], id="suites-not-names"),
         ],
     )
     def test_a_bad_budget_stops_before_any_file_is_written(self, tmp_path, capsys, field, value):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({field: value}))
         out = tmp_path / "r.jsonl"
-        assert main(["--instances", "1", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert main(["--p", "4", "--q", "3", "--instances", "1", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["a directory", "a missing parent"])
+    def test_a_report_file_that_cannot_be_opened_is_a_config_error(self, tmp_path, capsys, where):
+        out = tmp_path if where == "a directory" else tmp_path / "missing" / "r.jsonl"
+        assert main(["--instances", "1", "--suite", "weyl", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot open report file {out}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
     @pytest.mark.parametrize(
@@ -188,9 +211,8 @@ class TestRunner:
         together = [r.to_dict() for r in run_instance(cfg, index)]
         A, _, _ = sample_planted(Signature(4, 3), cfg.sampler(), instance_rng(SEED, index))
         M = positive_compressions(A, 7, cfg.sampler(), instance_rng(SEED, index, len(SUITES)))
-        stream = instance_rng(SEED, index, SUITES.index("courant_fischer"))
         direct = {
-            "courant_fischer": [check_courant_fischer(A, M[:7], rng=stream)],
+            "courant_fischer": [check_courant_fischer(A, M[:7])],
             "ky_fan": check_ky_fan(A, M[:3]),
             "wielandt": check_wielandt_flag(A, None, M[:5]),
         }
@@ -218,7 +240,8 @@ class TestRunner:
         reports = run_instance(cfg, 0)
         assert all(r.passed for r in reports)
         assert [[c.case_id for c in r.cases] for r in reports] == [
-            ["minmax_witness:1", "restricted_witness:1", "minmax_witness:2", "restricted_witness:2"],
+            ["minmax_witness:1", "restricted_cert:1", "restricted_witness:1",
+             "minmax_witness:2", "restricted_cert:2", "restricted_witness:2"],
             ["partial_sum_witness:1"],
             ["partial_sum_witness:2"],
             ["eigenflag_max", "eigenflag_witness", "eigenflag_witness_etas"],
@@ -226,6 +249,19 @@ class TestRunner:
         ]
         assert reports[0].descriptor["n_subspaces"] == 0
         assert [r.descriptor["n_flags"] for r in reports[3:]] == [0, 0, 0]
+
+    def test_courant_fischer_draws_only_from_the_instance_and_frame_streams(self, monkeypatch):
+        """Every random number of an instance comes from (seed, index) or (seed, index, len(SUITES))."""
+        subkeys = []
+
+        def recording(seed, index=0, *keys):
+            subkeys.append(keys)
+            return instance_rng(seed, index, *keys)
+
+        monkeypatch.setattr(cli, "instance_rng", recording)
+        for index in range(3):
+            run_instance(SuiteConfig(p=3, q=2, seed=SEED, suites=("courant_fischer",)), index)
+        assert set(subkeys) == {(), (len(SUITES),)}
 
     @pytest.mark.parametrize("pq", [(12, 8), (16, 0), (0, 16)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
     def test_every_suite_but_polyhedral_passes_at_large_signatures(self, pq):
@@ -396,7 +432,7 @@ class TestRunner:
         reports = [r for d in docs if d.get("record") == "instance" for r in d["reports"]]
         ids = {c["case_id"] for r in reports for c in r["cases"]}
         assert {"minmax_witness:1", "restricted_witness:2", "partial_sum_witness:2", "eigenflag_witness"} <= ids
-        assert "eigenflag_max" in ids  # certified, not sampled
+        assert {"eigenflag_max", "restricted_cert:2"} <= ids  # certified, not sampled
         assert not any("sampled" in i or i.startswith(("witness", "interlace")) for i in ids)
         assert not any(r["soft_cases"] for r in reports)
 

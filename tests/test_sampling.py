@@ -19,13 +19,14 @@ from kreinval import (
 )
 from kreinval.errors import NonFiniteValue
 from kreinval.geometry import TOL_CONE, gram
-from kreinval.sampling import _expm, _lie_algebra_element, complex_normal, restricted_cone_samples
+from kreinval.sampling import _expm, _lie_algebra_element, complex_normal
 
 from conftest import (
     all_tuples,
     cone_class,
     cone_margin,
     positive_flag,
+    restricted_cone_samples,
     subordinate_coordinates,
     subordinate_frames,
     subordinate_layout,
