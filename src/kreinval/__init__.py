@@ -25,6 +25,7 @@ from .errors import (
     GapViolation,
     KreinvalError,
     NonFiniteValue,
+    ReportWriteError,
     RetriesExhausted,
     SchemaError,
     ShapeMismatch,
@@ -87,6 +88,7 @@ __all__ = [
     "PolyhedralRegion",
     "PseudoHermitianMatrix",
     "PseudoUnitary",
+    "ReportWriteError",
     "ReportWriter",
     "RetriesExhausted",
     "SamplerConfig",

@@ -537,25 +537,33 @@ def check_courant_fischer(
 ) -> CheckReport:
     """Min-max characterization of the positive-type eigenvalues.
 
-    For each k: sampled k-dimensional positive subspaces give a top
-    compression eigenvalue >= lambda_k (the eigen-subspace attains it), and
-    every positive vector paired-orthogonal to the first k-1 eigenvectors
-    has Rayleigh ratio >= lambda_k (the k-th eigenvector attains it).
+    For each k: every k-dimensional subspace of a sampled maximal positive
+    subspace has a top Rayleigh ratio >= lambda_k (the eigen-subspace
+    attains it), and every positive vector paired-orthogonal to the first
+    k-1 eigenvectors has Rayleigh ratio >= lambda_k (the k-th eigenvector
+    attains it).
     ``M`` is a stack (N, p, p) of compressions onto width-p positive frames
-    (``positive_compressions``); the k-subspaces are the frames' k-column
-    prefixes, so the k-th top is the top eigenvalue of M's leading k x k
-    block.  An empty stack samples nothing and bounds nothing, so it gets
-    no ``minmax_sampled`` case.
+    (``positive_compressions``).  By Courant-Fischer for the Hermitian
+    M_f, its k-th eigenvalue eta_k(M_f) is the least top Rayleigh ratio
+    over all k-subspaces of frame f, so ``minmax_sampled:k`` holds
+    min_f eta_k(M_f) against lambda_k; that covers every k-subspace of the
+    sampled frames, their k-column prefixes among them.  One ``eigvalsh``
+    of the eigenbasis compression stacked on M gives every k:
+    ``minmax_witness:k`` reads the k-th eigenvalue of the compression onto
+    the framed positive eigenbasis, which is lambda_k in exact arithmetic.
+    An empty stack samples nothing and bounds nothing, so it gets no
+    ``minmax_sampled`` case.
 
     The restricted half is certified, not sampled.  Those vectors are
-    x = W_k y, with W_k the framed negative eigenvectors and the framed
-    positive eigenvectors k, ..., p.  Then R_A(x) - lambda_k =
+    x = W_k y, with W_k the framed positive eigenvectors k, ..., p and the
+    framed negative eigenvectors.  Then R_A(x) - lambda_k =
     y* H_k y / <x, x> with H_k the Hermitian part of
     W_k* J (A - lambda_k I) W_k, so H_k >= 0 proves the bound for every
-    positive x.  In exact arithmetic H_k = diag(lambda_i - lambda_k,
-    lambda_k - mu_j), whose least eigenvalue is 0 at the k-th eigenvector;
-    ``restricted_cert:k`` holds that least eigenvalue against 0.  The check
-    draws nothing.
+    positive x.  With the positive eigenvectors ordered first, H_k is the
+    trailing block from k of one matrix per A.  In exact arithmetic
+    H_k = diag(lambda_i - lambda_k, lambda_k - mu_j), whose least
+    eigenvalue is 0 at the k-th eigenvector; ``restricted_cert:k`` holds
+    that least eigenvalue against 0.  The check draws nothing.
     """
     sig = A.signature
     M = _frame_stack(A, M)
@@ -565,24 +573,23 @@ def check_courant_fischer(
         return _no_positive_block("courant_fischer", sig, descriptor, tol)
     system, eigen = _positive_eigen(A)
     lambdas = system.spectrum.lambdas
-    # columns: the q negative, then the p positive eigenvectors, ascending
-    W = system.eigenvectors
+    # row 0: the eigenbasis compression; rows 1..n: the sampled frames
+    eta = np.linalg.eigvalsh(np.concatenate([eigen[None], M]))
+    # columns: the p positive eigenvectors ascending, then the q negative ones
+    W = np.concatenate([system.eigenvectors[:, sig.q :], system.eigenvectors[:, : sig.q]], axis=1)
     JA = metric_diagonal(sig)[:, None] * A.entries
     WJAW, G = _hermitian_part(_adjoint(W) @ (JA @ W)), gram(W, sig)
     cases = []
     for k in range(1, sig.p + 1):
         lam_k = float(lambdas[k - 1])
         if n:
-            worst_top = float(np.min(np.linalg.eigvalsh(M[:, :k, :k])[:, -1]))
-            cases.append(
-                _make_case(f"minmax_sampled:{k}", (k,), worst_top, lam_k, worst_top - lam_k, tol)
-            )
-        top = float(np.linalg.eigvalsh(eigen[:k, :k])[-1])
+            low_k = float(eta[1:, k - 1].min())
+            cases.append(_make_case(f"minmax_sampled:{k}", (k,), low_k, lam_k, low_k - lam_k, tol))
+        top = float(eta[0, k - 1])
         cases.append(
             _make_case(f"minmax_witness:{k}", (k,), top, lam_k, -abs(top - lam_k), equality_tol)
         )
-        keep = np.r_[: sig.q, sig.q + k - 1 : sig.n]
-        H = WJAW[np.ix_(keep, keep)] - lam_k * G[np.ix_(keep, keep)]
+        H = (WJAW - lam_k * G)[k - 1 :, k - 1 :]
         low = float(np.linalg.eigvalsh(H)[0])
         cases.append(_make_case(f"restricted_cert:{k}", (k,), low, 0.0, low, tol))
         # the Rayleigh ratio of the k-th framed eigenvector

@@ -3,9 +3,10 @@
 Config values come from defaults, then an optional JSON config file, then
 command-line flags (flags win).  The seed falls back to the KREINVAL_SEED
 environment variable when neither flags nor file provide one.  Exit status is
-0 on success, 1 when any hard check fails, an instance raises, or the soft
-success rate drops below the threshold, 2 on configuration errors, a report
-file that cannot be opened included (in which case no files are written).
+0 on success, 1 when any hard check fails, an instance raises, the soft
+success rate drops below the threshold, or the report file cannot be
+written, 2 on configuration errors, a report file that cannot be opened
+included (in which case no files are written).
 No shipped suite produces soft cases, so the soft rate stays unset and only
 the hard checks decide.  An instance that raises gets an error record and
 the run goes on.
@@ -43,7 +44,7 @@ from .checks import (
     positive_compressions,
 )
 from .core import Signature
-from .errors import ConfigError, KreinvalError
+from .errors import ConfigError, KreinvalError, ReportWriteError
 from .polyhedral import check_diag_membership, check_sum_membership
 from .sampling import SamplerConfig, instance_rng, sample_planted
 from .spectral import eigendecompose, shift_margin
@@ -331,10 +332,13 @@ def run_suite(cfg: SuiteConfig) -> RunSummary:
             writer = ReportWriter(cfg.out, cfg.format)
         except OSError as exc:
             raise ConfigError(f"cannot open report file {cfg.out}: {exc.strerror or exc}") from exc
-        writer.write_header(__version__, config_echo(cfg))
     try:
-        if cfg.workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        if writer:
+            writer.write_header(__version__, config_echo(cfg))
+        # a fork pool starts all its workers at once, so it gets no more than it can use
+        workers = min(cfg.workers, cfg.instances, os.cpu_count() or 1)
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {i: pool.submit(run_instance, cfg, i) for i in range(cfg.instances)}
                 for i in range(cfg.instances):  # deterministic merge by index
                     _record_instance(summary, writer, cfg, i, futures[i].result)
@@ -453,6 +457,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ReportWriteError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
     except KreinvalError as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -62,3 +62,7 @@ class ConfigError(KreinvalError, ValueError):
 
 class SchemaError(KreinvalError, ValueError):
     """A JSON document does not match the expected schema."""
+
+
+class ReportWriteError(KreinvalError):
+    """A report file that opened cannot be written, flushed or closed."""

@@ -14,6 +14,7 @@ fields (timestamp, wall time).  CSV output is one row per case, and one
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .checks import CheckReport
 from .core import PseudoHermitianMatrix, Signature, TOL_STRUCT, pseudo_hermitian_residual
-from .errors import SchemaError
+from .errors import ReportWriteError, SchemaError
 
 CSV_COLUMNS = ("suite", "instance", "case_id", "indices", "lhs", "rhs", "margin", "pass")
 
@@ -83,8 +84,25 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
+def _writes(method):
+    """``method`` with an OSError from the file turned into ReportWriteError naming the file."""
+
+    @functools.wraps(method)
+    def wrapped(self, *args):
+        try:
+            return method(self, *args)
+        except OSError as exc:
+            raise ReportWriteError(f"cannot write report file {self.path}: {exc.strerror or exc}") from exc
+
+    return wrapped
+
+
 class ReportWriter:
-    """Append-per-instance report emitter for JSONL or CSV output."""
+    """Append-per-instance report emitter for JSONL or CSV output.
+
+    Every write flushes.  An OSError from a write, a flush or ``close``
+    raises ReportWriteError; ``close`` closes the file even then.
+    """
 
     def __init__(self, path, fmt: str = "json"):
         if fmt not in ("json", "csv"):
@@ -94,6 +112,7 @@ class ReportWriter:
         self._fh = self.path.open("w", newline="" if fmt == "csv" else None)
         self._csv = csv.writer(self._fh) if fmt == "csv" else None
 
+    @_writes
     def write_header(self, version: str, config: dict) -> None:
         if self.fmt == "json":
             self._fh.write(_json_line({"record": "header", "version": version, "config": config}))
@@ -101,6 +120,7 @@ class ReportWriter:
             self._csv.writerow(CSV_COLUMNS)
         self._fh.flush()
 
+    @_writes
     def write_instance(self, index: int, reports: list[CheckReport]) -> None:
         if self.fmt == "json":
             self._fh.write(
@@ -129,6 +149,7 @@ class ReportWriter:
                     )
         self._fh.flush()
 
+    @_writes
     def write_error(self, index: int, error: str, message: str) -> None:
         """The record of an instance that raised: its index, the exception type and message."""
         if self.fmt == "json":
@@ -139,16 +160,19 @@ class ReportWriter:
             self._csv.writerow(["error", index, f"{error}: {message}", "", "", "", "", False])
         self._fh.flush()
 
+    @_writes
     def write_summary(self, summary: dict) -> None:
         if self.fmt == "json":
             self._fh.write(_json_line({"record": "summary", **summary}))
             self._fh.flush()
 
+    @_writes
     def write_meta(self, meta: dict) -> None:
         if self.fmt == "json":
             self._fh.write(_json_line({"record": "meta", **meta}))
             self._fh.flush()
 
+    @_writes
     def close(self) -> None:
         self._fh.close()
 

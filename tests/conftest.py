@@ -104,6 +104,15 @@ def brute_pairs(p):
     ]
 
 
+def prefix_minmax_tops(M: np.ndarray) -> np.ndarray:
+    """min_f lambda_max(M_f[:k, :k]) for k = 1, ..., p: the least top over the k-column prefixes of the frames.
+
+    A prefix is one k-subspace of its frame, so by Courant-Fischer each entry
+    bounds the least k-th eigenvalue min_f eta_k(M_f) from above.
+    """
+    return np.array([np.min(np.linalg.eigvalsh(M[:, :k, :k])[:, -1]) for k in range(1, M.shape[-1] + 1)])
+
+
 def reference_lidskii(A, B, max_m=None, tol=1e-8):
     """check_lidskii_wielandt at every tuple, one Python loop per tuple: the exhaustive oracle.
 

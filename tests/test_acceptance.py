@@ -167,10 +167,11 @@ def test_criterion_02_cone_bound_sampling(cfg, instances):
 def test_criterion_03_minmax_subspaces(cfg, instances):
     """500 positive k-subspaces per instance respect the min-max bounds.
 
-    The k-subspaces are the k-column prefixes of one stack of 500 width-p
-    frames.  Compression tops stay >= lambda_k - 1e-8 for every k; the
-    eigenvector subspaces attain equality within 1e-9, and the restricted
-    certificate holds within 1e-8.  Every k gets its sampled, certified and
+    The k-subspaces are those of one stack of 500 width-p frames.  Each
+    frame's k-th compression eigenvalue, the least top over its
+    k-subspaces, stays >= lambda_k - 1e-8 for every k; the eigenvector
+    subspaces attain equality within 1e-9, and the restricted certificate
+    holds within 1e-8.  Every k gets its sampled, certified and
     witness cases.
     """
     failures = []

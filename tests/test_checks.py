@@ -51,6 +51,7 @@ from conftest import (
     all_tuples,
     brute_pairs,
     ordered_sum,
+    prefix_minmax_tops,
     rayleigh_columns,
     reference_lidskii,
     reference_thompson_freede,
@@ -307,6 +308,61 @@ def test_the_certificate_catches_a_raised_eigenvalue_that_sampling_misses(monkey
     assert cert["restricted_cert:2"].passed and cert["restricted_cert:3"].passed
     X = restricted_cone_samples(positive_eigenbasis(system), negative_eigenbasis(system), 1000, instance_rng(SEED, 42))
     assert float(np.min(rayleigh_columns(A.entries, sig, X))) >= raised[0] - cert["restricted_cert:1"].tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 5), q=st.integers(0, 4), n=st.integers(1, 30), index=st.integers(0, 2**16))
+def test_minmax_sampled_reads_every_k_subspace_of_each_frame(p, q, n, index):
+    """minmax_sampled:k is the least k-th eigenvalue of the stack, byte for byte, and never above
+    the least top over the k-column prefixes: the subspaces it bounds include the prefixes."""
+    sig = Signature(p, q)
+    cfg = SamplerConfig(seed=SEED)
+    rng = instance_rng(SEED, 43, index)
+    A, _, _ = sample_planted(sig, cfg, rng)
+    M = positive_compressions(A, n, cfg, rng)
+    report = check_courant_fischer(A, M)
+    assert report.passed
+    eta = np.linalg.eigvalsh(M)
+    prefix = prefix_minmax_tops(M)
+    by_id = {c.case_id: c for c in report.cases}
+    for k in range(1, p + 1):
+        case = by_id[f"minmax_sampled:{k}"]
+        assert case.lhs == float(np.min(eta[:, k - 1])), k
+        assert case.lhs <= prefix[k - 1], k
+
+
+def test_a_frame_below_lambda_1_off_its_prefix_fails_minmax_sampled(sampler_cfg):
+    """A frame whose compression is diag(lambda_2, lambda_1 - 1e-6) has a 1-subspace below lambda_1
+    but a 1-column prefix at lambda_2: minmax_sampled:1 fails where the prefix oracle passes."""
+    sig = Signature(2, 1)
+    rng = instance_rng(SEED, 44)
+    A, _, _ = sample_planted(sig, sampler_cfg, rng)
+    lambdas = eigendecompose(A).spectrum.lambdas
+    M = positive_compressions(A, 20, sampler_cfg, rng).copy()
+    M[0] = np.diag([lambdas[1], lambdas[0] - 1e-6])
+    report = check_courant_fischer(A, M)
+    by_id = {c.case_id: c for c in report.cases}
+    assert not report.passed and [c.case_id for c in report.cases if not c.passed] == ["minmax_sampled:1"]
+    assert by_id["minmax_sampled:1"].margin == pytest.approx(-1e-6, rel=1e-6)
+    assert prefix_minmax_tops(M)[0] - lambdas[0] > -DEFAULT_TOL
+
+
+def test_courant_fischer_solves_one_stacked_eigvalsh_and_one_per_certificate(sampler_cfg, monkeypatch):
+    """With A's eigensystem memoized, the check at (4,3) calls eigvalsh 1 + p times and gathers with no ix_."""
+    sig = Signature(4, 3)
+    rng = instance_rng(SEED, 45)
+    A, _, _ = sample_planted(sig, sampler_cfg, rng)
+    M = positive_compressions(A, 100, sampler_cfg, rng)
+    expected = check_courant_fischer(A, M)
+    calls = {"eigvalsh": 0, "ix_": 0}
+    for module, name in ((np.linalg, "eigvalsh"), (np, "ix_")):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    assert check_courant_fischer(A, M) == expected
+    assert calls == {"eigvalsh": 1 + sig.p, "ix_": 0}
 
 
 def test_a_frame_stack_of_another_signature_is_refused(sampler_cfg):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -291,6 +292,60 @@ class TestRunner:
         rc = main(["--p", "1", "--q", "1", "--instances", "1", "--seed", "4",
                    "--suite", "trace", "--config", str(cfg_path)])
         assert rc == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_report_file_that_cannot_be_written_is_a_clean_failure(self, capsys, monkeypatch, fmt):
+        """Every write to /dev/full fails: one stderr line, exit 1, and the handle is closed, though its close fails too."""
+        from kreinval import fileio
+
+        writers = []
+        init = fileio.ReportWriter.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            writers.append(self)
+
+        monkeypatch.setattr(fileio.ReportWriter, "__init__", recording_init)
+        rc = main(["--p", "1", "--q", "1", "--instances", "1", "--suite", "weyl", "--out", "/dev/full",
+                   "--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("run failed: cannot write report file /dev/full: ")
+        assert captured.err.count("\n") == 1
+        assert len(writers) == 1 and writers[0]._fh.closed
+
+    @pytest.mark.parametrize(
+        "workers, instances, cpus, pool",
+        [(5000, 2, 8, 2), (5000, 50, 3, 3), (2, 50, 8, 2), (5000, 3, 1, None), (1, 3, 8, None)],
+    )
+    def test_the_pool_never_gets_more_workers_than_instances_or_cpus(self, monkeypatch, workers, instances, cpus,
+                                                                      pool):
+        """An in-process stand-in for the pool records its size; the reports are those of a serial run."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        cfg = SuiteConfig(p=1, q=1, instances=instances, seed=SEED, suites=("weyl",))
+        serial = run_suite(cfg)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        summary = run_suite(dataclasses.replace(cfg, workers=workers))
+        assert sizes == ([] if pool is None else [pool])
+        assert summary.to_dict() == serial.to_dict()
 
     def test_reports_are_deterministic(self, tmp_path):
         args = ["--p", "2", "--q", "1", "--instances", "2", "--seed", "9",
