@@ -68,9 +68,22 @@ from .polyhedral import (
     check_sum_membership,
     lp_feasible,
 )
-from .fileio import ReportWriter, read_matrix, write_matrix
 
 __version__ = "0.1.0"
+
+#: the names ``__getattr__`` takes from ``fileio``, which loads, with ``csv``, on first access to one
+_FILEIO_EXPORTS = frozenset({"ReportWriter", "read_matrix", "write_matrix"})
+
+
+def __getattr__(name: str):
+    """Resolve a ``fileio`` export on first access (PEP 562), so report I/O loads only when used."""
+    if name not in _FILEIO_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f"{__name__}.fileio"), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "AdmissibleSpectrum",

@@ -14,10 +14,7 @@ the run goes on.
 
 from __future__ import annotations
 
-import argparse
-import concurrent.futures
 import dataclasses
-import json
 import numbers
 import os
 import re
@@ -26,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,6 +46,12 @@ from .errors import ConfigError, KreinvalError, ReportWriteError
 from .polyhedral import check_diag_membership, check_sum_membership
 from .sampling import SamplerConfig, instance_rng, sample_planted
 from .spectral import eigendecompose, shift_margin
+
+# argparse, json, the process pool and report I/O are imported where they are used:
+# a library caller loads none of them, and a command-line run loads argparse and,
+# only when given a config file, workers or a report file, the one that serves it
+if TYPE_CHECKING:
+    import argparse
 
 SUITES = (
     "structural",
@@ -338,6 +342,8 @@ def run_suite(cfg: SuiteConfig) -> RunSummary:
         # a fork pool starts all its workers at once, so it gets no more than it can use
         workers = min(cfg.workers, cfg.instances, os.cpu_count() or 1)
         if workers > 1:
+            import concurrent.futures
+
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {i: pool.submit(run_instance, cfg, i) for i in range(cfg.instances)}
                 for i in range(cfg.instances):  # deterministic merge by index
@@ -362,6 +368,8 @@ def run_suite(cfg: SuiteConfig) -> RunSummary:
 
 def load_config_file(path) -> dict:
     """JSON config file as a flat dict of SuiteConfig fields."""
+    import json
+
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -378,6 +386,8 @@ def load_config_file(path) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="kreinval",
         description="Run margin-reporting check suites on sampled admissible matrices.",

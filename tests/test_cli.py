@@ -526,6 +526,25 @@ def test_importing_the_package_and_its_cli_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_the_pool_the_flag_parser_and_report_io_load_only_when_used():
+    """Importing the package and its CLI and validating a config leaves out what only some runs use.
+
+    The suites' modules load with the package; ``fileio`` loads on first
+    access to one of its exports, which are then ``fileio``'s own objects.
+    """
+    code = ("import sys, kreinval, kreinval.cli; "
+            "kreinval.cli.validate_config(kreinval.cli.SuiteConfig()); "
+            "print(sorted(m for m in ('concurrent.futures', 'argparse', 'csv', 'kreinval.fileio') if m in sys.modules)); "
+            "print(sorted(m for m in ('kreinval.polyhedral', 'kreinval.checks', 'kreinval.sampling', "
+            "'kreinval.spectral') if m not in sys.modules)); "
+            "writer = kreinval.ReportWriter; "
+            "print('csv' in sys.modules, writer is sys.modules['kreinval.fileio'].ReportWriter)")
+    src = str(Path(kreinval.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.splitlines() == ["[]", "[]", "True True"]
+
+
 ROUNDOFF = 1e-12
 
 
