@@ -44,7 +44,6 @@ from .sampling import (
     SamplerConfig,
     instance_rng,
     sample_planted,
-    sample_positive_subspace,
     sample_pseudo_unitary,
     sample_spectrum,
 )
@@ -58,7 +57,6 @@ from .checks import (
     check_trace_identity,
     check_weyl,
     check_wielandt_flag,
-    positive_compressions,
 )
 from .polyhedral import (
     FeasibilityCertificate,
@@ -129,13 +127,11 @@ __all__ = [
     "matrix_dagger",
     "metric_diagonal",
     "negative_eigenbasis",
-    "positive_compressions",
     "positive_eigenbasis",
     "pseudo_hermitian_residual",
     "pseudo_unitary_residual",
     "read_matrix",
     "sample_planted",
-    "sample_positive_subspace",
     "sample_pseudo_unitary",
     "sample_spectrum",
     "write_matrix",

@@ -20,14 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import PseudoHermitianMatrix, Signature, metric_diagonal
-from .errors import (
-    ComplexSpectrum,
-    GapViolation,
-    ShapeMismatch,
-    WrongConeCount,
-)
-from .geometry import _adjoint, _positive_frames, gram
-from .sampling import SamplerConfig, sample_positive_subspace
+from .errors import ComplexSpectrum, GapViolation, ShapeMismatch, WrongConeCount
+from .geometry import _adjoint, gram
 from .spectral import check_admissible, eigendecompose, positive_eigenbasis
 
 DEFAULT_TOL = 1e-8
@@ -453,156 +447,115 @@ def check_thompson_freede(
 # ---------------------------------------------------------------------------
 # variational checks on a single matrix
 #
-# An instance draws one stack of positive frames for all three suites.  The
-# frame X L^-H of a width-p basis has column prefixes that frame the basis's
-# column prefixes, and the k-column prefix of a width-p graph sample is
-# distributed as a width-k sample.  So one certified stack of width-p
-# frames, compressed once to M = frame* J A frame, serves every suite, every
-# k and every index tuple: a suite with budget n reads the leading n rows,
-# and the statement about k-dimensional subspaces reads the leading k x k
-# block of each.
+# The paper's min-max statements are about every positive subspace, and one
+# certificate per k decides them all.  W_k holds the framed positive
+# eigenvectors k, ..., p and the framed negative ones, and H_k is the
+# Hermitian part of W_k* J (A - lambda_k I) W_k.  For x = W_k y,
+# R_A(x) - lambda_k = y* H_k y / <x, x>, so H_k >= 0 proves R_A(x) >= lambda_k
+# on the positive vectors of span W_k, which has dimension n - k + 1.  Every
+# positive k-subspace U meets it in a positive vector, so max_U R_A >=
+# lambda_k, and Hermitian Courant-Fischer inside any positive r-subspace V
+# then gives eta_i(M_V) >= lambda_i for i <= r, with M_V the compression of
+# A onto a pseudo-orthonormal frame of V.  So H_1, ..., H_k >= 0 prove, for
+# every positive subspace, the min-max bound of each index up to k, the Ky
+# Fan partial sums up to k and Wielandt's flag sums with top index up to k.
+#
+# The certificate ``restricted_cert:k`` is the least eigenvalue of H_k, held
+# against 0 with the check's ``tol``.  In exact arithmetic it is 0, at the
+# k-th eigenvector.  A case that passes at -tol < margin < 0 proves
+# R_A(x) >= lambda_k - tol |y|^2 / <x, x>, not lambda_k - tol: near the null
+# cone <x, x> is small against |y|^2, and there the bound is weaker.  The
+# certificates say nothing of a subspace that is not positive.
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + _adjoint(M))
 
 
-def _compression_onto(A: PseudoHermitianMatrix, basis: np.ndarray) -> np.ndarray:
-    """M = frame* J A frame (..., p, p) for a width-p positive basis (n, p) or stack (N, n, p).
-
-    One Cholesky factorization certifies and frames the whole stack
-    (``geometry._positive_frames``).  The frame's column prefixes span the
-    basis's column prefixes, so in its coordinates those are the spans of
-    leading unit vectors, and M is Hermitian.  On the positive eigenbasis M
-    is diag(lambdas) up to roundoff, and its principal submatrix on chosen
-    indices is the compression onto those eigenvectors.
-    """
-    frame = _positive_frames(basis, A.signature)
-    JA = metric_diagonal(A.signature)[:, None] * A.entries
-    return _hermitian_part(_adjoint(frame) @ (JA @ frame))
-
-
 @functools.lru_cache(maxsize=32)
 def _positive_eigen(A: PseudoHermitianMatrix):
-    """A's eigensystem and the read-only compression (p, p) of A onto its framed positive eigenbasis.
+    """A's eigensystem, the compression (p, p) onto its positive eigenbasis, and the p certificates.
 
-    Memoized by value, like ``_sum_spectra``: the variational suites of one
-    instance certify and compress A's eigenbasis once and share it.  The
-    result depends on the entries alone, so the memo never changes what a
-    caller sees.
+    The eigenbasis is ``ClassifiedEigenSystem.eigenvectors``, which
+    ``eigendecompose`` has already framed pseudo-orthonormal, so the
+    compression is the Hermitian part of V* J A V and diag(lambdas) up to
+    roundoff.  Certificate k is the least eigenvalue of H_k (see the section
+    comment): with the positive eigenvectors ordered first, H_k is the
+    trailing block from k of one matrix per A, minus lambda_k times the
+    eigenvectors' Gram.
+
+    Memoized by value, like ``_sum_spectra``: the three variational suites
+    of one instance share one solve, one compression and one set of
+    certificates.  The result depends on the entries alone, so the memo
+    never changes what a caller sees; its arrays are read-only.
     """
     system = eigendecompose(A)
-    eigen = _compression_onto(A, positive_eigenbasis(system))
-    eigen.flags.writeable = False
-    return system, eigen
-
-
-def positive_compressions(
-    A: PseudoHermitianMatrix, count: int, cfg: SamplerConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """The read-only stack M = frame* J A frame (count, p, p) of ``count`` random positive frames.
-
-    One ``sample_positive_subspace`` call draws ``count`` width-p bases, one
-    Cholesky factorization certifies and frames the stack
-    (``_compression_onto``), and one batched product compresses A onto the
-    frames.
-    The leading n rows are n independent samples, so a check with budget n
-    takes ``M[:n]``.  With p = 0 or ``count`` 0 nothing is drawn: the stack
-    is (count, 0, 0) or (0, p, p).
-    """
     sig = A.signature
-    if sig.p and count:
-        M = _compression_onto(A, sample_positive_subspace(sig, sig.p, cfg, rng, count=count))
-    else:
-        M = np.zeros((count, sig.p, sig.p), dtype=complex)
-    M.flags.writeable = False
-    return M
-
-
-def _frame_stack(A: PseudoHermitianMatrix, M) -> np.ndarray:
-    """M as an array, or ShapeMismatch unless it is a stack (N, p, p) for A's signature."""
-    M = np.asarray(M)
-    p = A.signature.p
-    if M.ndim != 3 or M.shape[1:] != (p, p):
-        raise ShapeMismatch(f"compressions must be a stack (N, {p}, {p}) for p = {p}, got {M.shape}")
-    return M
-
-
-def check_courant_fischer(
-    A: PseudoHermitianMatrix,
-    M,
-    tol: float = DEFAULT_TOL,
-    *,
-    equality_tol: float = EQUALITY_TOL,
-) -> CheckReport:
-    """Min-max characterization of the positive-type eigenvalues.
-
-    For each k: every k-dimensional subspace of a sampled maximal positive
-    subspace has a top Rayleigh ratio >= lambda_k (the eigen-subspace
-    attains it), and every positive vector paired-orthogonal to the first
-    k-1 eigenvectors has Rayleigh ratio >= lambda_k (the k-th eigenvector
-    attains it).
-    ``M`` is a stack (N, p, p) of compressions onto width-p positive frames
-    (``positive_compressions``).  By Courant-Fischer for the Hermitian
-    M_f, its k-th eigenvalue eta_k(M_f) is the least top Rayleigh ratio
-    over all k-subspaces of frame f, so ``minmax_sampled:k`` holds
-    min_f eta_k(M_f) against lambda_k; that covers every k-subspace of the
-    sampled frames, their k-column prefixes among them.  One ``eigvalsh``
-    of the eigenbasis compression stacked on M gives every k:
-    ``minmax_witness:k`` reads the k-th eigenvalue of the compression onto
-    the framed positive eigenbasis, which is lambda_k in exact arithmetic.
-    An empty stack samples nothing and bounds nothing, so it gets no
-    ``minmax_sampled`` case.
-
-    The restricted half is certified, not sampled.  Those vectors are
-    x = W_k y, with W_k the framed positive eigenvectors k, ..., p and the
-    framed negative eigenvectors.  Then R_A(x) - lambda_k =
-    y* H_k y / <x, x> with H_k the Hermitian part of
-    W_k* J (A - lambda_k I) W_k, so H_k >= 0 proves the bound for every
-    positive x.  With the positive eigenvectors ordered first, H_k is the
-    trailing block from k of one matrix per A.  In exact arithmetic
-    H_k = diag(lambda_i - lambda_k, lambda_k - mu_j), whose least
-    eigenvalue is 0 at the k-th eigenvector; ``restricted_cert:k`` holds
-    that least eigenvalue against 0.  The check draws nothing.
-    """
-    sig = A.signature
-    M = _frame_stack(A, M)
-    n = len(M)
-    descriptor = {"n_subspaces": n, "equality_tol": equality_tol}
-    if sig.p == 0:
-        return _no_positive_block("courant_fischer", sig, descriptor, tol)
-    system, eigen = _positive_eigen(A)
-    lambdas = system.spectrum.lambdas
-    # row 0: the eigenbasis compression; rows 1..n: the sampled frames
-    eta = np.linalg.eigvalsh(np.concatenate([eigen[None], M]))
     # columns: the p positive eigenvectors ascending, then the q negative ones
     W = np.concatenate([system.eigenvectors[:, sig.q :], system.eigenvectors[:, : sig.q]], axis=1)
     JA = metric_diagonal(sig)[:, None] * A.entries
     WJAW, G = _hermitian_part(_adjoint(W) @ (JA @ W)), gram(W, sig)
+    lambdas = system.spectrum.lambdas
+    certs = np.array([np.linalg.eigvalsh((WJAW - lam * G)[k:, k:])[0] for k, lam in enumerate(lambdas)])
+    eigen = WJAW[: sig.p, : sig.p].copy()
+    eigen.flags.writeable = certs.flags.writeable = False
+    return system, eigen, certs
+
+
+def check_courant_fischer(
+    A: PseudoHermitianMatrix,
+    tol: float = DEFAULT_TOL,
+    *,
+    equality_tol: float = EQUALITY_TOL,
+) -> CheckReport:
+    """Min-max characterization of the positive-type eigenvalues, certified for every subspace.
+
+    For each k, ``restricted_cert:k`` holds the least eigenvalue of H_k
+    against 0 (see the section comment).  It proves that every positive
+    vector paired-orthogonal to the first k - 1 eigenvectors has Rayleigh
+    ratio >= lambda_k, and with it that every positive k-subspace has a top
+    Rayleigh ratio >= lambda_k; both hold to ``tol`` |y|^2 / <x, x>.  The
+    witnesses show the bounds are attained, at ``equality_tol``:
+    ``minmax_witness:k`` reads the k-th eigenvalue of the compression onto
+    the positive eigenbasis, and ``restricted_witness:k`` the Rayleigh
+    ratio <A v_k, v_k> / <v_k, v_k> of the k-th eigenvector, whose pairing
+    the framing made 1 up to roundoff; both are lambda_k in exact
+    arithmetic.  The check draws nothing.
+    """
+    sig = A.signature
+    descriptor = {"equality_tol": equality_tol}
+    if sig.p == 0:
+        return _no_positive_block("courant_fischer", sig, descriptor, tol)
+    system, eigen, certs = _positive_eigen(A)
+    lambdas = system.spectrum.lambdas
+    eta = np.linalg.eigvalsh(eigen)
+    ratios = np.diagonal(eigen).real / np.diagonal(gram(positive_eigenbasis(system), sig)).real
     cases = []
     for k in range(1, sig.p + 1):
         lam_k = float(lambdas[k - 1])
-        if n:
-            low_k = float(eta[1:, k - 1].min())
-            cases.append(_make_case(f"minmax_sampled:{k}", (k,), low_k, lam_k, low_k - lam_k, tol))
-        top = float(eta[0, k - 1])
-        cases.append(
-            _make_case(f"minmax_witness:{k}", (k,), top, lam_k, -abs(top - lam_k), equality_tol)
-        )
-        H = (WJAW - lam_k * G)[k - 1 :, k - 1 :]
-        low = float(np.linalg.eigvalsh(H)[0])
-        cases.append(_make_case(f"restricted_cert:{k}", (k,), low, 0.0, low, tol))
-        # the Rayleigh ratio of the k-th framed eigenvector
-        rk = float(eigen[k - 1, k - 1].real)
-        cases.append(
-            _make_case(f"restricted_witness:{k}", (k,), rk, lam_k, -abs(rk - lam_k), equality_tol)
-        )
+        top = float(eta[k - 1])
+        low = float(certs[k - 1])
+        rk = float(ratios[k - 1])
+        cases += [
+            _make_case(f"minmax_witness:{k}", (k,), top, lam_k, -abs(top - lam_k), equality_tol),
+            _make_case(f"restricted_cert:{k}", (k,), low, 0.0, low, tol),
+            _make_case(f"restricted_witness:{k}", (k,), rk, lam_k, -abs(rk - lam_k), equality_tol),
+        ]
     return _finalize_report("courant_fischer", sig, descriptor, tol, cases)
+
+
+def _least_certificate(certs: np.ndarray, r: int, tol: float) -> CheckCase:
+    """``restricted_cert_min:r``: the least of certificates 1, ..., r against 0.
+
+    It passes exactly when every one of them does, and then
+    eta_i(M_V) >= lambda_i holds for i <= r on every positive subspace V.
+    """
+    low = float(np.min(certs[:r]))
+    return _make_case(f"restricted_cert_min:{r}", range(1, r + 1), low, 0.0, low, tol)
 
 
 def check_ky_fan(
     A: PseudoHermitianMatrix,
-    M,
     tol: float = DEFAULT_TOL,
     *,
     equality_tol: float = EQUALITY_TOL,
@@ -610,40 +563,31 @@ def check_ky_fan(
     """Partial-sum minimum over positive k-frames, one report per k = 1, ..., p.
 
     Every pseudo-orthonormal positive k-frame satisfies
-    sum_i R_A(x_i) = trace(compression) >= lambda_1 + ... + lambda_k,
-    with equality on the first k eigenvectors.  ``M`` is a stack (N, p, p)
-    of compressions onto width-p positive frames (``positive_compressions``);
-    the k-frames are their k-column prefixes, so the k-th traces are the
-    k-th cumulative sums of diag(M).  The check draws nothing.  With p = 0
-    the one report says there is no positive block.
+    sum_i R_A(x_i) = trace(compression) >= lambda_1 + ... + lambda_k, with
+    equality on the first k eigenvectors.  The trace is sum_i eta_i of the
+    compression, so certificates 1, ..., k prove the bound for every frame:
+    ``restricted_cert_min:k`` holds their least against 0, to ``tol`` as
+    ``check_courant_fischer`` says.  ``partial_sum_witness:k`` holds the
+    eigenframe's trace against the bound at ``equality_tol``.  The check
+    draws nothing.  With p = 0 the one report says there is no positive
+    block.
     """
     sig = A.signature
-    M = _frame_stack(A, M)
-    shared = {"n_frames": len(M), "equality_tol": equality_tol}
+    shared = {"equality_tol": equality_tol}
     if sig.p == 0:
         return [_no_positive_block("ky_fan", sig, shared, tol)]
-    system, eigen = _positive_eigen(A)
+    system, eigen, certs = _positive_eigen(A)
     lambdas = system.spectrum.lambdas
     witness = np.cumsum(np.diagonal(eigen).real)
-    worst = None
-    if len(M):  # an empty stack bounds nothing, so it gets no case
-        worst = np.min(np.cumsum(np.diagonal(M, axis1=-2, axis2=-1).real, axis=-1), axis=0)
     reports = []
     for k in range(1, sig.p + 1):
         indices = tuple(range(1, k + 1))
         target = float(np.sum(lambdas[:k]))
-        cases = []
-        if worst is not None:
-            low = float(worst[k - 1])
-            cases.append(
-                _make_case(f"partial_sum_sampled:{k}", indices, low, target, low - target, tol)
-            )
         val = float(witness[k - 1])
-        cases.append(
-            _make_case(
-                f"partial_sum_witness:{k}", indices, val, target, -abs(val - target), equality_tol
-            )
-        )
+        cases = [
+            _least_certificate(certs, k, tol),
+            _make_case(f"partial_sum_witness:{k}", indices, val, target, -abs(val - target), equality_tol),
+        ]
         reports.append(_finalize_report("ky_fan", sig, {"k": k, **shared}, tol, cases))
     return reports
 
@@ -654,78 +598,61 @@ def check_ky_fan(
 
 def check_wielandt_flag(
     A: PseudoHermitianMatrix,
-    max_m: int | None,
-    M,
+    max_m: int | None = None,
     tol: float = DEFAULT_TOL,
     *,
     equality_tol: float = EQUALITY_TOL,
 ) -> list[CheckReport]:
     """Flag compressions against the eigenvalue tuple sums, one report per top index r and size m.
 
-    A flag is framed by the Cholesky factorization that certifies it
-    (``geometry._positive_frames``); its frame's column prefixes span the
-    levels.  In those coordinates ``M = frame* J A frame`` is Hermitian, the
-    pairing is Euclidean and level j is the span E_{i_j} of the first i_j
-    unit vectors.
-    The flag of a tuple is the prefix of a width-p flag, so every tuple
-    reads the leading r x r block of one M, with r = i_m.  The argument
-    ``M`` is a stack (n_flags, p, p) of such compressions onto random
-    width-p positive flags (``positive_compressions``).  Both halves of the
-    paper's min-max follow from classical facts about these blocks, so the
-    check reads spectra only and draws nothing.
+    For a tuple i_1 < ... < i_m = r and a positive flag whose level j has
+    dimension i_j, the paper's min-max reads: some frame subordinate to the
+    flag has trace >= lambda_{i_1} + ... + lambda_{i_m}, and on the
+    eigenvector flag no subordinate frame beats that sum.  A flag is
+    framed so that level j is the span E_{i_j} of the first i_j unit
+    vectors, and M, the compression onto its top level, is Hermitian.
 
-    On the eigenvector flag, whose compression ``eigen`` is diag(lambda) up
-    to roundoff delta = ||eigen - diag(lambda)||_2: a frame C of m
-    orthonormal columns, column j in E_{i_j}, has tr(C* diag(lambda) C) <=
-    the tuple sum (Wielandt), and the rest is at most m delta.  So
-    ``eigenflag_max`` holds the supremum over every subordinate frame,
-    tuple sum + m delta, against the tuple sum; its margin is -m delta for
-    every tuple of size m, and the case names the lowest tuple
-    (1, ..., m - 1, r).  The trace of the principal submatrix eigen[I, I]
-    deviates from the tuple sum by |sum_{i in I} e_i|, with
-    e = Re diag(eigen) - lambda; ``eigenflag_witness`` holds the largest
-    deviation over the tuples of the shape against 0, with the indices
-    1, ..., r.  By Weyl's perturbation theorem the eigenvalues of every
-    eigen[I, I] lie within delta of lambda_I, so one
-    ``eigenflag_witness_etas`` case, delta against ``equality_tol``, bounds
-    every tuple; it goes in the (1, 1) report.
+    Attained: Hermitian Wielandt (Wielandt 1955; Hersch-Zwahlen 1962) gives
+    a subordinate frame whose trace reaches sum_j eta_{i_j}(M), and that
+    reaches the tuple sum when eta_i(M) >= lambda_i for i <= r, which
+    certificates 1, ..., r prove for every positive flag.
+    ``restricted_cert_min:r`` holds their least against 0, to ``tol`` as
+    ``check_courant_fischer`` says.
 
-    On each of ``n_flags`` random positive flags: Hermitian Wielandt
-    (Wielandt 1955; Hersch-Zwahlen 1962) gives a subordinate frame whose
-    trace reaches sum_j eta_{i_j}, with eta the eigenvalues of the block.
-    ``witness:f`` holds that sum against the tuple sum.  It reaches it
-    because eta_i >= lambda_i for i <= r, the paper's min-max on
-    r-dimensional positive subspaces; ``interlace_min:r`` is the smallest
-    eta_i - lambda_i over the flags and i <= r.  With ``n_flags`` 0 there
-    are no random flags and none of these cases.
+    Bounded, on the eigenvector flag, whose compression ``eigen`` is
+    diag(lambda) up to roundoff delta = ||eigen - diag(lambda)||_2: a frame
+    C of m orthonormal columns, column j in E_{i_j}, has tr(C* diag(lambda)
+    C) <= the tuple sum (Wielandt), and the rest is at most m delta.  So
+    ``eigenflag_max`` holds the supremum over every subordinate frame, tuple
+    sum + m delta, against the tuple sum; its margin is -m delta for every
+    tuple of size m, and the case names the lowest tuple (1, ..., m - 1, r).
+    The trace of the principal submatrix eigen[I, I] deviates from the tuple
+    sum by |sum_{i in I} e_i|, with e = Re diag(eigen) - lambda;
+    ``eigenflag_witness`` holds the largest deviation over the tuples of the
+    shape against 0, with the indices 1, ..., r.  By Weyl's perturbation
+    theorem the eigenvalues of every eigen[I, I] lie within delta of
+    lambda_I, so one ``eigenflag_witness_etas`` case, delta against
+    ``equality_tol``, bounds every tuple; it goes in the (1, 1) report.
 
-    Every tuple is checked and none is listed.  Each width r takes one
-    ``eigvalsh`` of M's leading r x r blocks.  With d = eta - lambda[:r],
-    the margin of a tuple on flag f is the sum of d_f over it, so the worst
-    size-m tuple with top r is r plus the m - 1 smallest d_f below r: one
-    stable sort per flag and width ranks every size, and the report keeps
-    the ``witness:f`` case of the worst flag (the lowest f on ties), with
-    its tuple.  The largest |sum_{i in I} e_i| is reached by r and the
-    m - 1 indices at one end of one stable sort of e[:r - 1], the lower end
-    on ties.  Ties between indices go to the lower one.  The sorts only
-    choose the tuples: each case is computed from its tuple as for any
-    tuple, with the sums added left to right from +0.0 (``_ordered_sum``).
-    e is roundoff, so which tuple reaches its largest sum is roundoff too;
+    Every tuple is checked and none is listed.  The largest
+    |sum_{i in I} e_i| is reached by r and the m - 1 indices at one end of
+    one stable sort of e[:r - 1], the lower end on ties, and ties between
+    indices go to the lower one.  The sort only chooses the tuple: its sums
+    are added left to right from +0.0 (``_ordered_sum``).  e is roundoff,
+    so which tuple reaches its largest sum is roundoff too;
     ``eigenflag_witness`` therefore names no tuple, and a report moves only
     by roundoff when A does.
 
     Reports come in r-then-m order, m <= min(r, ``max_m``), each with the
-    descriptor {"top": r, "m": m, "n_flags": n_flags}.  ``max_m`` None
-    bounds nothing; below 1 it raises ValueError.  With p = 0 the one
-    report says there is no positive block.
+    descriptor {"top": r, "m": m}.  ``max_m`` None bounds nothing; below 1
+    it raises ValueError.  With p = 0 the one report says there is no
+    positive block.  The check draws nothing.
     """
     sig = A.signature
-    M = _frame_stack(A, M)
-    n_flags = len(M)
     mmax = _size_bound(max_m, sig.p)
     if sig.p == 0:
-        return [_no_positive_block("wielandt", sig, {"n_flags": n_flags}, tol)]
-    system, eigen = _positive_eigen(A)
+        return [_no_positive_block("wielandt", sig, {}, tol)]
+    system, eigen, certs = _positive_eigen(A)
     lambdas = system.spectrum.lambdas
     diagonal = np.diagonal(eigen).real
     lam, diagonal = lambdas.tolist(), diagonal.tolist()
@@ -735,21 +662,11 @@ def check_wielandt_flag(
     etas = [_make_case("eigenflag_witness_etas", range(1, sig.p + 1), delta, 0.0, -delta, equality_tol)]
     reports = []
     for r in range(1, sig.p + 1):
-        largest = min(r, mmax)
         ranked = sorted(range(1, r), key=e.__getitem__)
         low = list(itertools.accumulate((e[i] for i in ranked), initial=e[r]))
         high = list(itertools.accumulate((e[i] for i in reversed(ranked)), initial=e[r]))
-        if n_flags:
-            eta = np.linalg.eigvalsh(M[:, :r, :r])
-            d = eta - lambdas[:r]
-            least = float(d.min())
-            interlace = _make_case(f"interlace_min:{r}", range(1, r + 1), least, 0.0, least, tol)
-            # column m - 1: d_r plus the m - 1 smallest d's below r, per flag
-            worst = np.cumsum(np.hstack((d[:, r - 1 :], np.sort(d[:, : r - 1], axis=1))), axis=1)
-            flags = worst[:, :largest].argmin(axis=0).tolist()
-            order = (np.argsort(d[:, : r - 1], axis=1, kind="stable") + 1).tolist()
-            eta = eta.tolist()
-        for m in range(1, largest + 1):
+        certified = _least_certificate(certs, r, tol)
+        for m in range(1, min(r, mmax) + 1):
             lowest = (*range(1, m), r)
             target, slack = _ordered_sum(lam, lowest), m * delta
             t = tuple(sorted(ranked[: m - 1] if abs(low[m - 1]) >= abs(high[m - 1]) else ranked[r - m :])) + (r,)
@@ -760,10 +677,6 @@ def check_wielandt_flag(
             ]
             if r == 1:
                 cases += etas
-            if n_flags:
-                f = flags[m - 1]
-                t = tuple(sorted(order[f][: m - 1])) + (r,)
-                total, target = _ordered_sum(eta[f], t), _ordered_sum(lam, t)
-                cases += [interlace, _make_case(f"witness:{f}", t, total, target, total - target, tol)]
-            reports.append(_finalize_report("wielandt", sig, {"top": r, "m": m, "n_flags": n_flags}, tol, cases))
+            cases.append(certified)
+            reports.append(_finalize_report("wielandt", sig, {"top": r, "m": m}, tol, cases))
     return reports

@@ -15,6 +15,7 @@ the run goes on.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import os
 import re
@@ -39,7 +40,6 @@ from .checks import (
     check_trace_identity,
     check_weyl,
     check_wielandt_flag,
-    positive_compressions,
 )
 from .core import Signature
 from .errors import ConfigError, KreinvalError, ReportWriteError
@@ -66,8 +66,6 @@ SUITES = (
 )
 #: suites whose checks consume a second sampled matrix
 PAIR_SUITES = frozenset({"trace", "weyl", "lidskii", "thompson_freede", "polyhedral"})
-#: suites that read the instance's one stack of positive frames
-FRAME_SUITES = frozenset({"courant_fischer", "ky_fan", "wielandt"})
 
 
 @dataclass(frozen=True)
@@ -87,11 +85,7 @@ class SuiteConfig:
     value_range: tuple[float, float] = (-2.0, 2.0)
     boost_scale: float = 1.0
     cond_cap: float = 1e4
-    contraction_cap: float = 0.9
     max_m: int | None = None
-    courant_subspaces: int = 100
-    kyfan_frames: int = 100
-    wielandt_flags: int = 10
     soft_threshold: float = 0.95
     workers: int = 1
     out: str | None = None
@@ -104,7 +98,6 @@ class SuiteConfig:
             value_range=self.value_range,
             boost_scale=self.boost_scale,
             cond_cap=self.cond_cap,
-            contraction_cap=self.contraction_cap,
         )
 
 
@@ -114,18 +107,17 @@ def _is_number(value, kind) -> bool:
 
 
 def validate_config(cfg: SuiteConfig) -> SuiteConfig:
-    """Raise ConfigError naming the first offending field.
+    """The config to run, with each suite once in its first place; ConfigError names the first offending field.
 
     A value of the wrong type is refused before any value is compared, so a
     config file cannot pass validation and then fail in the run.
     """
-    for name in ("p", "q", "instances", "seed", "courant_subspaces", "kyfan_frames", "wielandt_flags",
-                 "workers", "max_m"):
+    for name in ("p", "q", "instances", "seed", "workers", "max_m"):
         value = getattr(cfg, name)
         if not (_is_number(value, numbers.Integral) or (name == "max_m" and value is None)):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     for name in ("tol_eig", "tol_check", "trace_rtol", "lp_tol", "gap_min", "boost_scale", "cond_cap",
-                 "contraction_cap", "soft_threshold"):
+                 "soft_threshold"):
         if not _is_number(getattr(cfg, name), numbers.Real):
             raise ConfigError(f"{name} must be a real number, got {getattr(cfg, name)!r}")
     if not (isinstance(cfg.value_range, (tuple, list)) and len(cfg.value_range) == 2
@@ -147,11 +139,9 @@ def validate_config(cfg: SuiteConfig) -> SuiteConfig:
     if not cfg.suites:
         raise ConfigError("at least one suite must be selected")
     for name in ("tol_eig", "tol_check", "trace_rtol", "lp_tol"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
-    for name in ("courant_subspaces", "kyfan_frames", "wielandt_flags"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(f"{name} must be >= 0, got {getattr(cfg, name)}")
+        # an infinite tolerance passes every case and a NaN one fails them all
+        if not 0 < getattr(cfg, name) < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {getattr(cfg, name)}")
     if cfg.max_m is not None and cfg.max_m < 1:
         raise ConfigError(f"max_m must be >= 1 (or unset for no limit), got {cfg.max_m}")
     if cfg.format not in ("json", "csv"):
@@ -164,7 +154,7 @@ def validate_config(cfg: SuiteConfig) -> SuiteConfig:
         cfg.sampler()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    return dataclasses.replace(cfg, suites=tuple(dict.fromkeys(cfg.suites)))
 
 
 def config_echo(cfg: SuiteConfig) -> dict:
@@ -181,14 +171,13 @@ def config_echo(cfg: SuiteConfig) -> dict:
 def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
     """All selected checks for one seeded instance, in a fixed suite order.
 
-    A and B come from the instance stream (seed, index).  The positive
-    frames of ``courant_fischer``, ``ky_fan`` and ``wielandt`` are one stack,
-    drawn from the frame stream (seed, index, len(SUITES)) and compressed
-    once; its size is the largest of the three budgets whatever is selected,
-    and each suite reads as many leading rows as its budget.  No check draws
-    anything else, so these two streams hold every random number of an
-    instance, and a suite's reports do not depend on which other suites are
-    selected.
+    A and B come from the instance stream (seed, index), and no check draws
+    anything: the variational suites decide their bounds by certificates
+    on A, for every positive subspace at once.  So that stream holds every
+    random number of an instance, and a suite's reports do not depend on
+    which other suites are selected.  ``cfg`` is taken as given; a
+    selection that names a suite twice runs it twice (``run_suite``
+    validates the config first, which keeps each suite once).
     Each check is called once: ``ky_fan`` returns one report per k and
     ``wielandt`` one per top index r and tuple size m.
     """
@@ -199,10 +188,6 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
     B = None
     if any(s in PAIR_SUITES for s in cfg.suites):
         B, _, _ = sample_planted(sig, scfg, rng)
-    M = None
-    if any(s in FRAME_SUITES for s in cfg.suites):
-        count = max(cfg.courant_subspaces, cfg.kyfan_frames, cfg.wielandt_flags)
-        M = positive_compressions(A, count, scfg, instance_rng(cfg.seed, index, len(SUITES)))
 
     reports: list[CheckReport] = []
     for suite in cfg.suites:
@@ -230,11 +215,11 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
         elif suite == "thompson_freede":
             reports.append(check_thompson_freede(A, B, tol=cfg.tol_check))
         elif suite == "courant_fischer":
-            reports.append(check_courant_fischer(A, M[: cfg.courant_subspaces], tol=cfg.tol_check))
+            reports.append(check_courant_fischer(A, tol=cfg.tol_check))
         elif suite == "ky_fan":
-            reports.extend(check_ky_fan(A, M[: cfg.kyfan_frames], tol=cfg.tol_check))
+            reports.extend(check_ky_fan(A, tol=cfg.tol_check))
         elif suite == "wielandt":
-            reports.extend(check_wielandt_flag(A, cfg.max_m, M[: cfg.wielandt_flags], tol=cfg.tol_check))
+            reports.extend(check_wielandt_flag(A, cfg.max_m, tol=cfg.tol_check))
         elif suite == "polyhedral":
             reports.append(check_diag_membership(A, tol=cfg.lp_tol))
             reports.append(check_sum_membership(A, B, tol=cfg.lp_tol))
@@ -323,8 +308,8 @@ def _record_instance(summary: RunSummary, writer, cfg: SuiteConfig, index: int, 
 
 
 def run_suite(cfg: SuiteConfig) -> RunSummary:
-    """Run all instances, streaming per-instance reports when an output is set."""
-    validate_config(cfg)
+    """Run all instances of the validated config, streaming per-instance reports when an output is set."""
+    cfg = validate_config(cfg)
     start = time.perf_counter()
     summary = RunSummary(version=__version__, config=config_echo(cfg))
 
@@ -457,8 +442,7 @@ def build_config(argv=None) -> SuiteConfig:
         cfg = SuiteConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = validate_config(cfg)
-    return dataclasses.replace(cfg, suites=tuple(dict.fromkeys(cfg.suites)))
+    return validate_config(cfg)
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,8 @@ A basis X spans a positive subspace iff its paired Gram X* J X is positive
 definite, which one Cholesky factorization L L^H of the Gram decides: its
 pivots are the self-pairings of the columns cleaned against the earlier
 ones.  The same factor gives the pseudo-orthonormal frame X L^-H, whose
-first k columns are a frame of the first k columns of X.
+first k columns are a frame of the first k columns of X; the eigenvector
+blocks of an admissible matrix are framed this way.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from .errors import ShapeMismatch
 
 #: null band half-width relative to the squared Euclidean norm
 TOL_NULL_REL = 1e-9
-#: acceptance on frame Gram deviation from +/- identity
-TOL_FRAME = 1e-8
-#: smallest Cholesky pivot, relative to its input column's squared norm, of a positive subspace
-TOL_CONE = 1e-9
 
 
 def as_basis(vectors, n: int | None = None) -> np.ndarray:
@@ -62,56 +59,12 @@ def gram(basis, sig: Signature) -> np.ndarray:
     return 0.5 * (G + _adjoint(G))
 
 
-def _frame(X: np.ndarray, sig: Signature, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """The frames X L^-H (..., n, k), L L^H = sign * gram(X), and the pivots |L_jj|^2 (..., k).
+def _frame(X: np.ndarray, sig: Signature, sign: float) -> np.ndarray:
+    """The frames X L^-H (..., n, k), L L^H = sign * gram(X).
 
     For a definite Gram this is the frame that Gram-Schmidt with the pivot
-    sign ``sign`` gives, and pivot j is the self-pairing (times ``sign``) of
-    column j cleaned against the columns before it.  A Gram that is not
-    definite of that sign, in any sample of a stack, raises LinAlgError.
+    sign ``sign`` gives.  A Gram that is not definite of that sign, in any
+    sample of a stack, raises LinAlgError.
     """
     L = np.linalg.cholesky(sign * gram(X, sig))
-    return _adjoint(np.linalg.solve(L, _adjoint(X))), np.abs(L.diagonal(axis1=-2, axis2=-1)) ** 2
-
-
-def _positive_frames(basis, sig: Signature) -> np.ndarray:
-    """The certified read-only positive frames of a basis (n, k) or a stack of bases (N, n, k).
-
-    The raw frame, with two checks.  Each pivot must exceed ``TOL_CONE``
-    times the squared norm of its input column: a column that depends on
-    the earlier ones leaves a pivot at roundoff of that norm.  And the
-    frame's Gram must be within ``TOL_FRAME`` of I.  Cholesky squares the
-    condition number of the input, so a nearly dependent basis can miss
-    that; one more pass on the frame, whose Gram is already close to I,
-    repairs it, as the second Gram-Schmidt pass does.  A failure raises
-    ValueError, naming the first failing sample of a stack; when the
-    stack's factorization stops, one factorization per sample finds it.
-    """
-    X = as_basis(basis, sig.n)
-    try:
-        F, pivots = _frame(X, sig, 1.0)
-        outside = np.any(~(pivots > TOL_CONE * np.sum(np.abs(X) ** 2, axis=-2)), axis=-1).reshape(-1)
-    except np.linalg.LinAlgError:
-        # the stacked factorization stops without naming the sample, so factor one at a time
-        samples = X.reshape(-1, *X.shape[-2:])
-        outside = np.zeros(len(samples), dtype=bool)
-        for i, sample in enumerate(samples):
-            try:
-                _frame(sample, sig, 1.0)
-            except np.linalg.LinAlgError:
-                outside[i] = True
-                break
-        else:
-            raise
-    if np.any(outside):
-        at = f" at sample {int(np.argmax(outside))}" if X.ndim > 2 else ""
-        raise ValueError(f"basis is not inside the positive cone{at}")
-    eye = np.eye(X.shape[-1])
-    if np.abs(gram(F, sig) - eye).max(initial=0.0) > TOL_FRAME:
-        F = _frame(F, sig, 1.0)[0]
-        defect = float(np.abs(gram(F, sig) - eye).max())
-        if defect > TOL_FRAME:
-            raise ValueError(f"frame Gram deviates from I by {defect:.3e}")
-    F.flags.writeable = False
-    return F
-
+    return _adjoint(np.linalg.solve(L, _adjoint(X)))

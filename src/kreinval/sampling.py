@@ -1,14 +1,15 @@
-"""Seeded generation of admissible instances and cone geometry.
+"""Seeded generation of admissible instances.
 
 All samplers draw from an explicit numpy Generator, so identical seeds give
-bit-identical output.  Pseudo-unitaries come from exponentiating elements of
+bit-identical output.  An instance is a planted spectrum conjugated by a
+pseudo-unitary, and pseudo-unitaries come from exponentiating elements of
 the isometry Lie algebra (B J + J B* = 0): skew-Hermitian diagonal blocks and
 a free off-diagonal coupling block whose spectral norm is capped by
 ``boost_scale``.  The exponential is ``_expm``, a numpy kernel for scaling
 and squaring with the [13/13] Padé approximant (Higham, SIAM J. Matrix Anal.
-Appl. 26 (2005) 1179-1193).  Positive subspaces are graphs (Q; K Q) of
-contractions K over isometries Q, which reach every positive subspace of the
-given dimension and are positive by construction.
+Appl. 26 (2005) 1179-1193).  Nothing here draws subspaces: the checks
+certify their bounds for every positive subspace, and the tests draw their
+own subspaces to hold the certificates to.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .core import (
     Signature,
     matrix_dagger,
 )
-from .errors import NonFiniteValue, RetriesExhausted, ShapeMismatch
-from .geometry import _adjoint
+from .errors import NonFiniteValue, RetriesExhausted
 
 #: tolerance used to self-check sampled pseudo-unitaries
 SAMPLE_UNITARY_TOL = 1e-9
@@ -57,7 +57,6 @@ class SamplerConfig:
     value_range     uniform range eigenvalues are drawn from
     boost_scale     cap on the off-diagonal Lie-algebra block norm
     cond_cap        resample until cond(U) stays below this
-    contraction_cap cap on ||K||_2 in graph subspaces
     max_retries     bounded-retry budget before RetriesExhausted
     """
 
@@ -66,7 +65,6 @@ class SamplerConfig:
     value_range: tuple[float, float] = (-2.0, 2.0)
     boost_scale: float = 1.0
     cond_cap: float = 1e4
-    contraction_cap: float = 0.9
     max_retries: int = 64
 
     def __post_init__(self) -> None:
@@ -80,8 +78,6 @@ class SamplerConfig:
             raise ValueError("cond_cap must exceed 1")
         if not 0 <= self.boost_scale < math.inf:
             raise ValueError(f"boost_scale must be >= 0 and finite, got {self.boost_scale}")
-        if not 0 < self.contraction_cap < 1:
-            raise ValueError("contraction_cap must lie in (0, 1)")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
 
@@ -89,8 +85,10 @@ class SamplerConfig:
 def instance_rng(seed: int, index: int = 0, *subkeys: int) -> np.random.Generator:
     """Independent stream for one instance, derived from (seed, index).
 
-    Extra ``subkeys`` derive further independent streams of the same instance,
-    such as the stream of its positive frames.
+    The instance stream (seed, index) draws A and then B, and it is the only
+    stream an instance reads.  Extra ``subkeys`` derive further independent
+    streams keyed by (index, *subkeys), for callers that draw data of their
+    own beside an instance.
     """
     key = (int(index), *(int(k) for k in subkeys))
     ss = np.random.SeedSequence(entropy=int(seed) % 2**64, spawn_key=key)
@@ -210,41 +208,3 @@ def sample_planted(
         raw = (U.entries * spectrum.canonical_vector()) @ U.inverse
         sym = 0.5 * (raw + matrix_dagger(raw, sig))
     return PseudoHermitianMatrix(sig, sym), spectrum, U
-
-
-def sample_positive_subspace(
-    sig: Signature,
-    k: int,
-    cfg: SamplerConfig,
-    rng: np.random.Generator,
-    *,
-    count: int | None = None,
-) -> np.ndarray:
-    """Basis (columns) of a k-dimensional subspace inside the positive cone.
-
-    Graph construction: columns (Q v; K Q v) with Q a p x k isometry and K a
-    q x p contraction with ||K|| <= contraction_cap < 1, so the paired Gram
-    is I - Q* K* K Q >= (1 - contraction_cap^2) I and every sample is positive
-    by construction.  The Cholesky factorization that frames a sample
-    (``geometry._positive_frames``) certifies it again.
-
-    With ``count`` the result is a stack (count, n, k) of independent
-    samples, drawn with one batched QR and one batched ``eigvalsh`` for the
-    norms of K; without it, the single basis is the first sample of a stack
-    of one.
-    """
-    if not 1 <= k <= sig.p:
-        raise ShapeMismatch(f"positive subspaces need 1 <= k <= p = {sig.p}, got k = {k}")
-    N = 1 if count is None else int(count)
-    Q = np.linalg.qr(complex_normal(rng, N, sig.p, k))[0]
-    if sig.q:
-        K = complex_normal(rng, N, sig.q, sig.p)
-        # ||K||_2 is the square root of the top eigenvalue of the smaller Gram, K K* or K* K
-        G = K @ _adjoint(K) if sig.q <= sig.p else _adjoint(K) @ K
-        kn = np.sqrt(np.linalg.eigvalsh(G)[:, -1])
-        cap = rng.uniform(0.0, cfg.contraction_cap, N)
-        K = K * (cap / np.where(kn > 0, kn, 1.0))[:, None, None]
-        basis = np.concatenate([Q, K @ Q], axis=-2)
-    else:
-        basis = Q
-    return basis if count is not None else basis[0]

@@ -69,7 +69,7 @@ class ClassifiedEigenSystem:
             ("positive-type", self.unframed[:, q:], 1.0),
         ):
             try:
-                blocks.append(_frame(X, self.signature, sign)[0])
+                blocks.append(_frame(X, self.signature, sign))
             except np.linalg.LinAlgError:
                 raise DefectiveMatrix(
                     f"{kind} eigenvectors are numerically dependent: their pairing Gram is not definite"

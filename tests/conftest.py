@@ -20,7 +20,8 @@ from kreinval.checks import (
     _sum_spectra,
 )
 from kreinval.core import metric_diagonal
-from kreinval.geometry import TOL_FRAME, TOL_NULL_REL, _adjoint, _positive_frames, gram
+from kreinval.errors import ShapeMismatch
+from kreinval.geometry import TOL_NULL_REL, _adjoint, as_basis, gram
 from kreinval.sampling import complex_normal
 
 SIGNATURES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
@@ -206,16 +207,20 @@ def table_thompson_freede_cases(a, b, c, tol):
     return _make_cases(ids, indices, lhs, rhs, lhs - rhs, tol)
 
 
-def reference_wielandt_cases(A, idx, M, tol=DEFAULT_TOL, equality_tol=EQUALITY_TOL):
-    """The cases of one index tuple, computed for that tuple alone, on every flag of the stack M.
+def reference_wielandt_cases(A, idx, M=(), tol=DEFAULT_TOL, equality_tol=EQUALITY_TOL):
+    """The cases of one index tuple, computed for that tuple alone, and its sampled cases on every flag of M.
 
     The tuple sum, the trace of the tuple's principal submatrix of the
     eigenflag compression, and the flags' witness sums are added left to
     right from +0.0; ``eigenflag_witness_etas`` is the tuple's own
     deviation of the eigenvalues of that submatrix from its lambdas, and
-    the witness sums read eigvalsh of the tuple's own width of M.
+    ``restricted_cert_min:r`` the least of A's certificates 1, ..., r, by a
+    Python loop.  The sampled cases are the oracle's own: ``interlace_min:r``
+    and ``witness:f`` read eigvalsh of the tuple's own width of each flag's
+    compression in the stack M (``positive_compressions``), and they hold
+    whenever ``restricted_cert_min:r`` does.
     """
-    system, eigen = _positive_eigen(A)
+    system, eigen, certs = _positive_eigen(A)
     lambdas = system.spectrum.lambdas
     target = ordered_sum(lambdas[i - 1] for i in idx)
     cols = np.array(idx) - 1
@@ -228,9 +233,11 @@ def reference_wielandt_cases(A, idx, M, tol=DEFAULT_TOL, equality_tol=EQUALITY_T
         _make_case("eigenflag_witness", idx, value, target, -abs(value - target), equality_tol),
         _make_case("eigenflag_witness_etas", idx, dev, 0.0, -dev, equality_tol),
     ]
+    r = idx[-1]
+    least = min(certs[:r].tolist())
+    cases.append(_make_case(f"restricted_cert_min:{r}", range(1, r + 1), least, 0.0, least, tol))
     if not len(M):
         return cases
-    r = idx[-1]
     eta = np.linalg.eigvalsh(M[:, :r, :r])
     worst = float(np.min(eta - lambdas[:r]))
     cases.append(_make_case(f"interlace_min:{r}", range(1, r + 1), worst, 0.0, worst, tol))
@@ -238,12 +245,12 @@ def reference_wielandt_cases(A, idx, M, tol=DEFAULT_TOL, equality_tol=EQUALITY_T
     return cases + [_make_case(f"witness:{f}", idx, s, target, s - target, tol) for f, s in enumerate(sums)]
 
 
-def reference_wielandt(A, M, max_m=None, tol=DEFAULT_TOL, equality_tol=EQUALITY_TOL):
+def reference_wielandt(A, M=(), max_m=None, tol=DEFAULT_TOL, equality_tol=EQUALITY_TOL):
     """check_wielandt_flag at every tuple, one Python loop per tuple: the exhaustive oracle.
 
     One report per tuple of every size up to ``max_m``, by size and then
     lexicographically, with the descriptor {"index_tuple": ..., "n_flags": ...}
-    and every flag's ``witness:f`` case.
+    and, on the flags of M, every flag's sampled ``witness:f`` case.
     """
     sig = A.signature
     if sig.p == 0:
@@ -272,6 +279,174 @@ def gram_schmidt(basis, sig, sign=1.0):
         s = float(np.sum(jd * v * v.conj()).real)
         accepted.append(v / np.sqrt(abs(s)))
     return np.column_stack(accepted)
+
+
+# ---------------------------------------------------------------------------
+# sampled positive subspaces: the oracle the certificates are held to
+#
+# The variational checks certify their bounds for every positive subspace and
+# draw nothing.  These helpers draw the subspaces the tests hold them to:
+# graph subspaces, framed by the Cholesky factorization that certifies them,
+# and A compressed onto the frames.
+
+#: smallest Cholesky pivot, relative to its input column's squared norm, of a positive subspace
+TOL_CONE = 1e-9
+#: acceptance on frame Gram deviation from +/- identity
+TOL_FRAME = 1e-8
+#: the default cap on ||K||_2 of a sampled graph subspace
+CONTRACTION_CAP = 0.9
+
+
+def sample_positive_subspace(sig, k, rng, *, count=None, cap=CONTRACTION_CAP) -> np.ndarray:
+    """Basis (columns) of a k-dimensional subspace inside the positive cone.
+
+    Graph construction: columns (Q v; K Q v) with Q a p x k isometry and K a
+    q x p contraction with ||K|| <= ``cap`` < 1, so the paired Gram is
+    I - Q* K* K Q >= (1 - cap^2) I and every sample is positive by
+    construction; ``positive_frames`` certifies it again.  Graphs reach every
+    positive subspace of the given dimension.
+
+    With ``count`` the result is a stack (count, n, k) of independent
+    samples, drawn with one batched QR and one batched ``eigvalsh`` for the
+    norms of K; without it, the single basis is the first sample of a stack
+    of one.
+    """
+    if not 1 <= k <= sig.p:
+        raise ShapeMismatch(f"positive subspaces need 1 <= k <= p = {sig.p}, got k = {k}")
+    if not 0 < cap < 1:
+        raise ValueError(f"the contraction cap must lie in (0, 1), got {cap}")
+    N = 1 if count is None else int(count)
+    Q = np.linalg.qr(complex_normal(rng, N, sig.p, k))[0]
+    if sig.q:
+        K = complex_normal(rng, N, sig.q, sig.p)
+        # ||K||_2 is the square root of the top eigenvalue of the smaller Gram, K K* or K* K
+        G = K @ _adjoint(K) if sig.q <= sig.p else _adjoint(K) @ K
+        kn = np.sqrt(np.linalg.eigvalsh(G)[:, -1])
+        K = K * (rng.uniform(0.0, cap, N) / np.where(kn > 0, kn, 1.0))[:, None, None]
+        basis = np.concatenate([Q, K @ Q], axis=-2)
+    else:
+        basis = Q
+    return basis if count is not None else basis[0]
+
+
+def cholesky_frame(X, sig, sign=1.0):
+    """The frames of ``geometry._frame``, by the same arithmetic, and the pivots |L_jj|^2 (..., k).
+
+    Pivot j is the self-pairing (times ``sign``) of column j cleaned against
+    the columns before it.
+    """
+    L = np.linalg.cholesky(sign * gram(X, sig))
+    return _adjoint(np.linalg.solve(L, _adjoint(X))), np.abs(L.diagonal(axis1=-2, axis2=-1)) ** 2
+
+
+def positive_frames(basis, sig) -> np.ndarray:
+    """The certified read-only positive frames of a basis (n, k) or a stack of bases (N, n, k).
+
+    The raw frame ``cholesky_frame``, with two checks.  Each pivot must
+    exceed ``TOL_CONE`` times the squared norm of its input column: a column
+    that depends on the earlier ones leaves a pivot at roundoff of that
+    norm.  And the frame's Gram must be within ``TOL_FRAME`` of I.  Cholesky
+    squares the condition number of the input, so a nearly dependent basis
+    can miss that; one more pass on the frame, whose Gram is already close
+    to I, repairs it, as the second Gram-Schmidt pass does.  A failure
+    raises ValueError, naming the first failing sample of a stack; when the
+    stack's factorization stops, one factorization per sample finds it.
+    """
+    X = as_basis(basis, sig.n)
+    try:
+        F, pivots = cholesky_frame(X, sig)
+        outside = np.any(~(pivots > TOL_CONE * np.sum(np.abs(X) ** 2, axis=-2)), axis=-1).reshape(-1)
+    except np.linalg.LinAlgError:
+        # the stacked factorization stops without naming the sample, so factor one at a time
+        samples = X.reshape(-1, *X.shape[-2:])
+        outside = np.zeros(len(samples), dtype=bool)
+        for i, sample in enumerate(samples):
+            try:
+                cholesky_frame(sample, sig)
+            except np.linalg.LinAlgError:
+                outside[i] = True
+                break
+        else:
+            raise
+    if np.any(outside):
+        at = f" at sample {int(np.argmax(outside))}" if X.ndim > 2 else ""
+        raise ValueError(f"basis is not inside the positive cone{at}")
+    eye = np.eye(X.shape[-1])
+    if np.abs(gram(F, sig) - eye).max(initial=0.0) > TOL_FRAME:
+        F = cholesky_frame(F, sig)[0]
+        defect = float(np.abs(gram(F, sig) - eye).max())
+        if defect > TOL_FRAME:
+            raise ValueError(f"frame Gram deviates from I by {defect:.3e}")
+    F.flags.writeable = False
+    return F
+
+
+def positive_compressions(A, count, rng, *, cap=CONTRACTION_CAP) -> np.ndarray:
+    """The stack M = frame* J A frame (count, p, p) of ``count`` random width-p positive frames.
+
+    A frame's k-column prefix frames its basis's k-column prefix, and the
+    k-prefix of a width-p graph sample is distributed as a width-k sample, so
+    a test reads a frame's k-subspaces, and the levels of a flag, from the
+    leading blocks of M.  M is Hermitian, and its eigenvalues eta are the
+    ones the min-max statements speak of.  With p = 0 or ``count`` 0 nothing
+    is drawn: the stack is (count, 0, 0) or (0, p, p).
+    """
+    sig = A.signature
+    if not (sig.p and count):
+        return np.zeros((count, sig.p, sig.p), dtype=complex)
+    frame = positive_frames(sample_positive_subspace(sig, sig.p, rng, count=count, cap=cap), sig)
+    JA = metric_diagonal(sig)[:, None] * A.entries
+    return _hermitian_part(_adjoint(frame) @ (JA @ frame))
+
+
+def sampled_margins(A, M) -> dict:
+    """The least margins of the sampled oracle over the frames of M, by case id, an oracle for the certificates.
+
+    ``M`` is a stack (N, p, p) of compressions onto positive frames.  By
+    Courant-Fischer and Ky Fan for the Hermitian M_f, eta_k(M_f) is the least
+    top Rayleigh ratio and eta_1 + ... + eta_k the least trace over the
+    k-subspaces of frame f, so ``minmax_sampled:k`` (eta_k - lambda_k) holds
+    whenever ``restricted_cert:k`` does, and ``partial_sum_sampled:k``
+    whenever ``restricted_cert_min:k`` does.  ``interlace_min:r`` is the
+    least eta_i(M_f[:r, :r]) - lambda_i over the flags and i <= r, and holds
+    whenever ``restricted_cert_min:r`` does.  An empty stack gives {}.
+    """
+    if not len(M):
+        return {}
+    lambdas = _positive_eigen(A)[0].spectrum.lambdas
+    d = np.linalg.eigvalsh(M) - lambdas
+    margins = {}
+    for k in range(1, len(lambdas) + 1):
+        margins[f"minmax_sampled:{k}"] = float(np.min(d[:, k - 1]))
+        margins[f"partial_sum_sampled:{k}"] = float(np.min(np.sum(d[:, :k], axis=-1)))
+        margins[f"interlace_min:{k}"] = float(np.min(np.linalg.eigvalsh(M[:, :k, :k]) - lambdas[:k]))
+    return margins
+
+
+def non_invariant_system(A, k):
+    """A's eigensystem with a planted eigensolver fault: eigenvector k is v_k + c w, and lambda_k its Rayleigh ratio.
+
+    w is the top negative-type eigenvector, so v_k + c w is positive for
+    |c| < 1 and paired-orthogonal to every other eigenvector: once framed,
+    the returned eigenbasis is pseudo-orthonormal, and A compresses onto it
+    as diag(lambda') to roundoff.  But it is not invariant, and lambda'_k =
+    lambda_k + c^2 (lambda_k - mu_1) / (1 - c^2) exceeds lambda_k; c raises
+    it by half the gap to lambda_{k+1} (by 1 at k = p), so lambda' stays
+    ascending.  Needs q >= 1.
+    """
+    from kreinval.core import AdmissibleSpectrum
+    from kreinval.spectral import ClassifiedEigenSystem, eigendecompose
+
+    sig = A.signature
+    system = eigendecompose(A)
+    lam, mu = system.spectrum.lambdas.copy(), system.spectrum.mus
+    step = 0.5 * (lam[k] - lam[k - 1]) if k < sig.p else 1.0
+    c = np.sqrt(step / (lam[k - 1] - mu[0] + step))
+    vectors = np.array(system.eigenvectors)
+    vectors[:, sig.q + k - 1] += c * vectors[:, sig.q - 1]  # the negative-type block ascends: mu_1 is last
+    lam[k - 1] = _rayleigh(A, vectors[:, sig.q + k - 1], sig)
+    eigenvalues = np.concatenate([mu[::-1], lam])
+    return ClassifiedEigenSystem(sig, eigenvalues, vectors, system.shift, AdmissibleSpectrum(sig, lam, mu))
 
 
 def cone_class(z, sig, tol_null=TOL_NULL_REL) -> str:
@@ -311,7 +486,7 @@ class Flag(NamedTuple):
 def positive_flag(sig, idx, basis) -> Flag:
     """The flag of ``idx`` on the leading columns of ``basis``; ValueError unless its top level is positive."""
     basis = np.asarray(basis)[..., : idx[-1]]
-    return Flag(tuple(idx), basis, _positive_frames(basis, sig))
+    return Flag(tuple(idx), basis, positive_frames(basis, sig))
 
 
 class NullVector(Exception):

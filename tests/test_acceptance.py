@@ -23,7 +23,6 @@ from kreinval.checks import (
     check_trace_identity,
     check_weyl,
     check_wielandt_flag,
-    positive_compressions,
 )
 from kreinval.cli import SUITES, SuiteConfig, run_suite
 from kreinval.core import AdmissibleSpectrum, PseudoHermitianMatrix, Signature
@@ -46,10 +45,12 @@ from conftest import (
     WITNESS_ROUNDOFF,
     _witness_traces,
     all_tuples,
+    positive_compressions,
     rayleigh_columns,
     reference_lidskii,
     reference_wielandt,
     restricted_cone_samples,
+    sampled_margins,
 )
 
 SIGNATURES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
@@ -164,67 +165,70 @@ def test_criterion_02_cone_bound_sampling(cfg, instances):
                 assert abs(witness - mu_l) <= WITNESS_TOL
 
 
-def test_criterion_03_minmax_subspaces(cfg, instances):
-    """500 positive k-subspaces per instance respect the min-max bounds.
+def test_criterion_03_minmax_subspaces(instances):
+    """Every positive k-subspace respects the min-max bound: certified, and 500 sampled frames agree.
 
-    The k-subspaces are those of one stack of 500 width-p frames.  Each
-    frame's k-th compression eigenvalue, the least top over its
-    k-subspaces, stays >= lambda_k - 1e-8 for every k; the eigenvector
-    subspaces attain equality within 1e-9, and the restricted certificate
-    holds within 1e-8.  Every k gets its sampled, certified and
-    witness cases.
+    ``restricted_cert:k`` (1e-8) proves for every positive k-subspace a top
+    Rayleigh ratio >= lambda_k, and the eigenvector subspaces attain
+    equality within 1e-9.  The oracle is one stack of 500 width-p positive
+    frames drawn in the test: each frame's k-th compression eigenvalue, the
+    least top over its k-subspaces, stays >= lambda_k - 1e-8 wherever
+    ``restricted_cert:k`` passes.  Every k gets its certified and witness
+    cases, and every case must pass.
     """
     failures = []
     for (p, q), inst in instances.items():
         for j, (A, _, _) in enumerate(inst):
-            rng = instance_rng(SEED, 300 + j)
-            rep = check_courant_fischer(
-                A,
-                positive_compressions(A, 500, cfg, rng),
-                tol=BOUND_TOL,
-                equality_tol=WITNESS_TOL,
-            )
-            assert rep.descriptor["n_subspaces"] == 500
+            rep = check_courant_fischer(A, tol=BOUND_TOL, equality_tol=WITNESS_TOL)
             assert [c.case_id for c in rep.cases] == [
                 f"{kind}:{k}"
                 for k in range(1, p + 1)
-                for kind in ("minmax_sampled", "minmax_witness", "restricted_cert", "restricted_witness")
+                for kind in ("minmax_witness", "restricted_cert", "restricted_witness")
             ]
             failures.extend(
                 (p, q, j, c.case_id, c.margin) for c in rep.cases if not c.passed
             )
+            sampled = sampled_margins(A, positive_compressions(A, 500, instance_rng(SEED, 300 + j)))
+            by_id = {c.case_id: c for c in rep.cases}
+            failures.extend(
+                (p, q, j, f"minmax_sampled:{k}", sampled[f"minmax_sampled:{k}"])
+                for k in range(1, p + 1)
+                if by_id[f"restricted_cert:{k}"].passed and sampled[f"minmax_sampled:{k}"] < -BOUND_TOL
+            )
     assert not failures, f"min-max violations: {failures}"
 
 
-def test_criterion_04_partial_sum_frames(cfg, instances):
-    """200 positive k-frames per (instance, k) respect the partial-sum bound.
+def test_criterion_04_partial_sum_frames(instances):
+    """Every positive k-frame respects the partial-sum bound: certified, and 200 sampled frames agree.
 
-    The k-frames are the k-column prefixes of one stack of 200 width-p
-    frames, and one report per k = 1, ..., p carries them.  Frame traces
-    stay >= lambda_1 + ... + lambda_k - 1e-8; the eigenframe attains
-    equality within 1e-9.
+    One report per k = 1, ..., p.  ``restricted_cert_min:k`` (1e-8), the
+    least of ``courant_fischer``'s certificates 1, ..., k, proves
+    trace >= lambda_1 + ... + lambda_k for every positive k-frame; the
+    eigenframe attains equality within 1e-9.  The oracle is one stack of
+    200 width-p positive frames drawn in the test: the least trace over the
+    k-subspaces of each, eta_1 + ... + eta_k of its compression, stays
+    >= lambda_1 + ... + lambda_k - 1e-8 wherever the certificate passes.
     """
     failures = []
     for (p, q), inst in instances.items():
         for j, (A, _, _) in enumerate(inst):
-            reports = check_ky_fan(
-                A,
-                positive_compressions(A, 200, cfg, instance_rng(SEED, 400 + 10 * j)),
-                tol=BOUND_TOL,
-                equality_tol=WITNESS_TOL,
-            )
-            assert all(r.descriptor["n_frames"] == 200 for r in reports)
+            reports = check_ky_fan(A, tol=BOUND_TOL, equality_tol=WITNESS_TOL)
             assert [r.descriptor["k"] for r in reports] == list(range(1, p + 1))
+            certs = [c.lhs for c in check_courant_fischer(A).cases if c.case_id.startswith("restricted_cert")]
+            sampled = sampled_margins(A, positive_compressions(A, 200, instance_rng(SEED, 400 + 10 * j)))
             for k, rep in enumerate(reports, start=1):
                 assert [c.case_id for c in rep.cases] == [
-                    f"partial_sum_sampled:{k}",
+                    f"restricted_cert_min:{k}",
                     f"partial_sum_witness:{k}",
                 ]
+                assert rep.cases[0].lhs == min(certs[:k])
                 failures.extend(
                     (p, q, j, c.case_id, c.margin)
                     for c in rep.cases
                     if not c.passed
                 )
+                if rep.cases[0].passed and sampled[f"partial_sum_sampled:{k}"] < -BOUND_TOL:
+                    failures.append((p, q, j, f"partial_sum_sampled:{k}", sampled[f"partial_sum_sampled:{k}"]))
     assert not failures, f"partial-sum violations: {failures}"
 
 
@@ -291,48 +295,56 @@ def test_criterion_06_paired_tuple_bounds(pairs):
     assert not violations, f"counterexamples preserved: {violations}"
 
 
-def test_criterion_07_flag_compressions(cfg, instances):
-    """Flag compressions: bounded above on the eigenflag, attained elsewhere, at every tuple.
+def test_criterion_07_flag_compressions(instances):
+    """Flag compressions: bounded above on the eigenflag, attained on every flag, at every tuple.
 
     One report per shape of index tuple, top index r and size m, in
     r-then-m order.  On the eigenvector flag the certified supremum over
     every subordinate frame, tuple sum + m ||eigen - diag(lambda)||_2,
-    never beats the tuple sum (1e-8).  On each of 100 random flags
-    sum_j eta_{i_j} reaches the tuple sum (1e-8) at every tuple: each
-    report holds the worst flag's worst tuple, whose margin is the
-    exhaustive oracle's least over the shape's tuples and the flags
-    (1e-12).  The Hermitian-Wielandt witness frame subordinate to each flag
-    reaches the oracle's sum for every tuple to roundoff.  The flag's
-    r-dimensional compressions interlace from above (1e-8).  The 100 flags
-    are prefixes of one width-p stack that every tuple shares.  Every case
+    never beats the tuple sum (1e-8).  ``restricted_cert_min:r`` (1e-8)
+    proves eta_i >= lambda_i for i <= r on every positive flag, so
+    sum_j eta_{i_j} reaches the tuple sum.  Each report's cases are the
+    exhaustive oracle's cases of its shape.  The oracle draws 100 width-p
+    flags in the test, shared by every tuple: wherever the shape's
+    certificate passes, each flag's r-dimensional compression interlaces
+    from above (1e-8) and sum_j eta_{i_j} reaches the tuple sum (1e-8) at
+    every tuple, and the Hermitian-Wielandt witness frame subordinate to
+    each flag reaches that sum for every tuple to roundoff.  Every case
     must pass, and every report has every case.
     """
     failures = []
     for (p, q), inst in instances.items():
         A = inst[0][0]
         tuples = all_tuples(p)
-        M = positive_compressions(A, 100, cfg, instance_rng(SEED, 700))
-        reports = check_wielandt_flag(A, None, M, tol=BOUND_TOL)
+        M = positive_compressions(A, 100, instance_rng(SEED, 700))
+        reports = check_wielandt_flag(A, None, tol=BOUND_TOL)
         shapes = [(r, m) for r in range(1, p + 1) for m in range(1, r + 1)]
         assert [(rep.descriptor["top"], rep.descriptor["m"]) for rep in reports] == shapes
         oracle = reference_wielandt(A, M, tol=BOUND_TOL)
         assert [tuple(rep.descriptor["index_tuple"]) for rep in oracle] == tuples
-        least = {}
-        for idx, rep in zip(tuples, oracle):
-            worst = min(c.margin for c in rep.cases if c.case_id.startswith("witness:"))
-            least[idx[-1], len(idx)] = min(least.get((idx[-1], len(idx)), np.inf), worst)
+        certified = {}
         for (r, m), rep in zip(shapes, reports):
             failures.extend((p, q, (r, m), c.case_id, c.margin) for c in rep.cases if not c.passed)
             ids = [c.case_id for c in rep.cases]
             eigen = ["eigenflag_max", "eigenflag_witness"] + (["eigenflag_witness_etas"] if r == 1 else [])
-            if ids[:-1] != [*eigen, f"interlace_min:{r}"] or not ids[-1].startswith("witness:"):
+            if ids != [*eigen, f"restricted_cert_min:{r}"]:
                 failures.append((p, q, (r, m), "case_ids", ids))
-            if abs(rep.cases[-1].margin - least[r, m]) > 1e-12:
-                failures.append((p, q, (r, m), "worst_witness", rep.cases[-1].margin, least[r, m]))
+            certified[r, m] = rep.cases[-1].passed
+        for idx, rep in zip(tuples, oracle):
+            by_id = {c.case_id: c for c in rep.cases}
+            if by_id[f"restricted_cert_min:{idx[-1]}"] != reports[shapes.index((idx[-1], len(idx)))].cases[-1]:
+                failures.append((p, q, idx, "certificate"))
+            if certified[idx[-1], len(idx)]:
+                failures.extend(
+                    (p, q, idx, c.case_id, c.margin)
+                    for c in rep.cases
+                    if c.case_id.startswith(("interlace_min", "witness:")) and not c.passed
+                )
         spectra = {r: np.linalg.eigh(M[:, :r, :r]) for r in range(1, p + 1)}
         traces = _witness_traces(M, spectra, tuples)
         for idx, rep, trace in zip(tuples, oracle, traces):
             sums = np.array([c.lhs for c in rep.cases if c.case_id.startswith("witness:")])
+            assert len(sums) == 100
             scale = np.maximum(1.0, np.max(np.abs(spectra[idx[-1]][0]), axis=-1))
             if np.any(trace < sums - WITNESS_ROUNDOFF * scale):
                 failures.append((p, q, idx, "witness_frame", float(np.min(trace - sums))))
@@ -484,10 +496,7 @@ def test_criterion_10_hermitian_degeneration(cfg):
                 assert abs(c.lhs - lhs) <= WITNESS_TOL
                 assert abs(c.rhs - rhs) <= WITNESS_TOL
 
-            rng = instance_rng(SEED, 10100 + i)
-            rep = check_courant_fischer(
-                A, positive_compressions(A, 100, cfg, rng), tol=BOUND_TOL, equality_tol=WITNESS_TOL,
-            )
+            rep = check_courant_fischer(A, tol=BOUND_TOL, equality_tol=WITNESS_TOL)
             assert rep.passed
             for c in rep.cases:
                 k = c.indices[0]
@@ -499,28 +508,25 @@ def test_criterion_10_hermitian_degeneration(cfg):
                 if c.case_id.endswith("witness:" + str(k)):
                     assert abs(c.lhs - oa[k - 1]) <= WITNESS_TOL
 
-            reports = check_ky_fan(
-                A, positive_compressions(A, 100, cfg, instance_rng(SEED, 10200 + 10 * i)),
-                tol=BOUND_TOL, equality_tol=WITNESS_TOL,
-            )
+            reports = check_ky_fan(A, tol=BOUND_TOL, equality_tol=WITNESS_TOL)
             assert len(reports) == p
             for k, rep in enumerate(reports, start=1):
                 assert rep.passed
+                certificate, witness = rep.cases
+                # at q = 0, H_j is A - lambda_j I on eigenvectors j, ..., p: each least eigenvalue is 0
+                assert certificate.rhs == 0.0 and abs(certificate.lhs) <= WITNESS_TOL
                 target = float(np.sum(oa[:k]))
-                for c in rep.cases:
-                    assert abs(c.rhs - target) <= WITNESS_TOL
-                    if c.case_id.startswith("partial_sum_witness"):
-                        assert abs(c.lhs - target) <= WITNESS_TOL
+                assert abs(witness.rhs - target) <= WITNESS_TOL
+                assert abs(witness.lhs - target) <= WITNESS_TOL
 
-            rng = instance_rng(SEED, 10300 + 10 * i)
-            reports = check_wielandt_flag(A, None, positive_compressions(A, 20, cfg, rng), tol=BOUND_TOL)
+            reports = check_wielandt_flag(A, None, tol=BOUND_TOL)
             assert len(reports) == p * (p + 1) // 2
             for rep in reports:
                 assert rep.passed
-                eigenflag, deviation, *_, witness = rep.cases
-                assert witness.case_id.startswith("witness:")
-                for c in (eigenflag, witness):
-                    assert abs(c.rhs - float(sum(oa[j - 1] for j in c.indices))) <= WITNESS_TOL
+                eigenflag, deviation, *_, certificate = rep.cases
+                assert certificate.case_id == f"restricted_cert_min:{rep.descriptor['top']}"
+                assert certificate.rhs == 0.0 and abs(certificate.lhs) <= WITNESS_TOL
+                assert abs(eigenflag.rhs - float(sum(oa[j - 1] for j in eigenflag.indices))) <= WITNESS_TOL
                 assert deviation.case_id == "eigenflag_witness" and deviation.lhs <= WITNESS_TOL
 
             # diagonal membership coincides with spectral majorization
@@ -560,9 +566,6 @@ def test_criterion_11_deterministic_reports(tmp_path):
             instances=4,
             seed=77,
             suites=SUITES,
-            courant_subspaces=40,
-            kyfan_frames=40,
-            wielandt_flags=6,
             out=str(out),
             format=fmt,
         )

@@ -15,14 +15,12 @@ from kreinval import (
     AdmissibleSpectrum,
     ConfigError,
     Signature,
-    checks,
     check_courant_fischer,
     check_ky_fan,
     check_wielandt_flag,
     cli,
     eigendecompose,
     instance_rng,
-    positive_compressions,
     read_matrix,
     sample_planted,
     sampling,
@@ -55,6 +53,27 @@ class TestConfig:
     def test_suite_selection_dedup(self):
         cfg = build_config(["--suite", "weyl", "--suite", "trace", "--suite", "weyl"])
         assert cfg.suites == ("weyl", "trace")
+
+    def test_a_library_run_keeps_each_suite_once(self, tmp_path):
+        """validate_config keeps each suite once, in its first place, and run_suite runs the config it returns."""
+        assert validate_config(SuiteConfig(suites=["weyl", "trace", "weyl"])).suites == ("weyl", "trace")
+        out = tmp_path / "r.jsonl"
+        summary = run_suite(SuiteConfig(p=2, q=1, instances=1, suites=("weyl", "weyl"), out=str(out)))
+        assert summary.suites["weyl"].cases == 3  # (2, 1): one case per eigenvalue
+        assert summary.config["suites"] == ["weyl"]
+        (record,) = [json.loads(ln) for ln in body_lines(out) if json.loads(ln)["record"] == "instance"]
+        assert [r["check_name"] for r in record["reports"]] == ["weyl"]
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_a_tolerance_that_is_not_finite_is_a_config_error(self, tmp_path, capsys, value):
+        """An infinite tolerance would pass every case and a NaN one fail them all: exit 2 and no file."""
+        out = tmp_path / "r.jsonl"
+        assert main(["--instances", "1", f"--tol={value}", "--out", str(out)]) == 2
+        assert "tol_check must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+        for name in ("tol_check", "tol_eig", "trace_rtol", "lp_tol"):
+            with pytest.raises(ConfigError, match=name):
+                validate_config(SuiteConfig(**{name: float(value)}))
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):
@@ -99,9 +118,11 @@ class TestConfig:
     @pytest.mark.parametrize(
         "field, value",
         [
+            # removed with the frame stack, which the certificates replaced: any value is an unknown field
             ("courant_subspaces", -1),
             ("kyfan_frames", -1),
             ("wielandt_flags", -1),
+            ("contraction_cap", 0.5),
             # removed with the sampled eigenflag frames: any value is an unknown field
             ("wielandt_frames", -1),
             ("wielandt_frames", 5),
@@ -113,10 +134,15 @@ class TestConfig:
             ("gap_min", float("inf")),
             ("gap_min", float("nan")),
             ("boost_scale", float("inf")),
+            # a tolerance that is not finite
+            ("tol_check", float("inf")),
+            ("tol_eig", float("nan")),
+            ("trace_rtol", float("inf")),
+            ("lp_tol", float("nan")),
             pytest.param("value_range", [float("-inf"), 1.0], id="value_range-inf"),
             pytest.param("value_range", [-1e308, 1e308], id="value_range-wide"),  # width overflows
             # a value of the wrong type; at (4, 3), max_m 2.5 used to pass validation and fail the run
-            ("wielandt_flags", 1.5),
+            ("wielandt_flags", 1.5),  # now an unknown field
             ("max_m", 2.5),
             ("courant_subspaces", True),
             ("seed", 1.5),
@@ -205,54 +231,59 @@ class TestRunner:
             names = {r.check_name for r in alone}
             expected = [r.to_dict() for r in full if r.check_name in names]
             assert [r.to_dict() for r in alone] == expected, suite
-        # three different budgets size one frame stack; each suite reads its leading rows
+        # the variational suites share one memoized eigensystem and set of certificates
         index, variational = 2, ("courant_fischer", "ky_fan", "wielandt")
-        cfg = SuiteConfig(p=4, q=3, seed=SEED, suites=variational, courant_subspaces=7, kyfan_frames=3,
-                          wielandt_flags=5)
+        cfg = SuiteConfig(p=4, q=3, seed=SEED, suites=variational)
         together = [r.to_dict() for r in run_instance(cfg, index)]
         A, _, _ = sample_planted(Signature(4, 3), cfg.sampler(), instance_rng(SEED, index))
-        M = positive_compressions(A, 7, cfg.sampler(), instance_rng(SEED, index, len(SUITES)))
         direct = {
-            "courant_fischer": [check_courant_fischer(A, M[:7])],
-            "ky_fan": check_ky_fan(A, M[:3]),
-            "wielandt": check_wielandt_flag(A, None, M[:5]),
+            "courant_fischer": [check_courant_fischer(A)],
+            "ky_fan": check_ky_fan(A),
+            "wielandt": check_wielandt_flag(A, None),
         }
-        assert together[0]["descriptor"]["n_subspaces"] == 7
         for suite in variational:
             alone = [r.to_dict() for r in run_instance(dataclasses.replace(cfg, suites=(suite,)), index)]
             assert alone == [r for r in together if r["check_name"] == suite], suite
             assert alone == [r.to_dict() for r in direct[suite]], suite
 
     def test_no_positive_block_or_no_budget_draws_no_frames(self, monkeypatch):
-        """p = 0, or all three budgets 0, draws nothing and keeps the case sets of the empty budgets."""
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a frame was drawn")
+        """The variational suites draw nothing past the instance's matrix, at p = 0 or not: there is no frame
+        budget, and every case is certified or a witness."""
+        draws = []
+        normal = sampling.complex_normal
 
-        monkeypatch.setattr(checks, "sample_positive_subspace", no_draw)
+        def counting(rng, *shape):
+            draws.append(shape)
+            return normal(rng, *shape)
+
+        monkeypatch.setattr(sampling, "complex_normal", counting)
         variational = ("courant_fischer", "ky_fan", "wielandt")
+        for p, q in ((0, 2), (2, 1)):
+            draws.clear()
+            sample_planted(Signature(p, q), SamplerConfig(seed=SEED), instance_rng(SEED, 0))
+            planted = list(draws)
+            draws.clear()
+            reports = run_instance(SuiteConfig(p=p, q=q, seed=SEED, suites=variational), 0)
+            assert draws == planted, (p, q)
         reports = run_instance(SuiteConfig(p=0, q=2, seed=SEED, suites=variational), 0)
         assert [(r.check_name, r.descriptor, r.cases, r.notes) for r in reports] == [
-            ("courant_fischer", {"n_subspaces": 100, "equality_tol": 1e-9}, (), ("no positive-type block",)),
-            ("ky_fan", {"n_frames": 100, "equality_tol": 1e-9}, (), ("no positive-type block",)),
-            ("wielandt", {"n_flags": 10}, (), ("no positive-type block",)),
+            ("courant_fischer", {"equality_tol": 1e-9}, (), ("no positive-type block",)),
+            ("ky_fan", {"equality_tol": 1e-9}, (), ("no positive-type block",)),
+            ("wielandt", {}, (), ("no positive-type block",)),
         ]
-        cfg = SuiteConfig(p=2, q=1, seed=SEED, suites=variational, courant_subspaces=0, kyfan_frames=0,
-                          wielandt_flags=0)
-        reports = run_instance(cfg, 0)
+        reports = run_instance(SuiteConfig(p=2, q=1, seed=SEED, suites=variational), 0)
         assert all(r.passed for r in reports)
         assert [[c.case_id for c in r.cases] for r in reports] == [
             ["minmax_witness:1", "restricted_cert:1", "restricted_witness:1",
              "minmax_witness:2", "restricted_cert:2", "restricted_witness:2"],
-            ["partial_sum_witness:1"],
-            ["partial_sum_witness:2"],
-            ["eigenflag_max", "eigenflag_witness", "eigenflag_witness_etas"],
-            *[["eigenflag_max", "eigenflag_witness"]] * 2,
+            ["restricted_cert_min:1", "partial_sum_witness:1"],
+            ["restricted_cert_min:2", "partial_sum_witness:2"],
+            ["eigenflag_max", "eigenflag_witness", "eigenflag_witness_etas", "restricted_cert_min:1"],
+            *[["eigenflag_max", "eigenflag_witness", "restricted_cert_min:2"]] * 2,
         ]
-        assert reports[0].descriptor["n_subspaces"] == 0
-        assert [r.descriptor["n_flags"] for r in reports[3:]] == [0, 0, 0]
 
-    def test_courant_fischer_draws_only_from_the_instance_and_frame_streams(self, monkeypatch):
-        """Every random number of an instance comes from (seed, index) or (seed, index, len(SUITES))."""
+    def test_courant_fischer_draws_only_from_the_instance_stream(self, monkeypatch):
+        """Every random number of an instance comes from (seed, index)."""
         subkeys = []
 
         def recording(seed, index=0, *keys):
@@ -262,7 +293,7 @@ class TestRunner:
         monkeypatch.setattr(cli, "instance_rng", recording)
         for index in range(3):
             run_instance(SuiteConfig(p=3, q=2, seed=SEED, suites=("courant_fischer",)), index)
-        assert set(subkeys) == {(), (len(SUITES),)}
+        assert subkeys == [()] * 3
 
     @pytest.mark.parametrize("pq", [(12, 8), (16, 0), (0, 16)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
     def test_every_suite_but_polyhedral_passes_at_large_signatures(self, pq):
@@ -473,21 +504,19 @@ class TestRunner:
             assert report.descriptor["shift_margin"] == shift_margin(A)
             assert 0 < report.descriptor["shift_margin"] <= 1
 
-    def test_empty_sampling_budgets_write_strict_json(self, tmp_path):
+    def test_variational_reports_write_strict_json(self, tmp_path):
         def no_constants(name):
             raise ValueError(f"{name} is not JSON")
 
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"courant_subspaces": 0, "kyfan_frames": 0, "wielandt_flags": 0}))
         out = tmp_path / "r.jsonl"
         rc = main(["--p", "2", "--q", "1", "--instances", "1", "--suite", "courant_fischer",
-                   "--suite", "ky_fan", "--suite", "wielandt", "--config", str(cfg_file), "--out", str(out)])
+                   "--suite", "ky_fan", "--suite", "wielandt", "--out", str(out)])
         assert rc == 0
         docs = [json.loads(ln, parse_constant=no_constants) for ln in out.read_text().splitlines()]
         reports = [r for d in docs if d.get("record") == "instance" for r in d["reports"]]
         ids = {c["case_id"] for r in reports for c in r["cases"]}
         assert {"minmax_witness:1", "restricted_witness:2", "partial_sum_witness:2", "eigenflag_witness"} <= ids
-        assert {"eigenflag_max", "restricted_cert:2"} <= ids  # certified, not sampled
+        assert {"eigenflag_max", "restricted_cert:2", "restricted_cert_min:2"} <= ids  # certified, not sampled
         assert not any("sampled" in i or i.startswith(("witness", "interlace")) for i in ids)
         assert not any(r["soft_cases"] for r in reports)
 

@@ -10,9 +10,11 @@ forms that must agree (to 1e-12): the per-flag recursion in the ambient
 indefinite space, the per-tuple recursion ``witness_subordinate`` in the
 coordinates of each flag's framed top level, and ``_witness_traces``, which
 shares the steps of all tuples and flags and forms no frame.  Each witness
-trace must reach the tuple sum plus the check's least ``witness:f``
-margin.  On the eigenvector flag the check reports a certified supremum;
-every frame of the sampled eigenflag oracle must stay below it.
+trace must reach the tuple sum wherever the check's certificate of the
+tuple's shape passes.  On the eigenvector flag the check reports a
+certified supremum; every frame of the sampled eigenflag oracle must stay
+below it.  The flags are drawn here, by the samplers of
+``tests/conftest.py``: the check draws none.
 """
 
 import dataclasses
@@ -30,22 +32,21 @@ from kreinval.checks import (
     DEFAULT_TOL,
     _hermitian_part,
     check_wielandt_flag,
-    positive_compressions,
 )
-from kreinval.cli import SUITES, SuiteConfig, run_instance, run_suite
+from kreinval.cli import SuiteConfig, run_instance, run_suite
 from kreinval.core import PseudoHermitianMatrix, Signature, metric_diagonal
-from kreinval.geometry import TOL_CONE, _adjoint, _frame, _positive_frames
+from kreinval.geometry import _adjoint, _frame
 from kreinval.sampling import (
     SamplerConfig,
     complex_normal,
     instance_rng,
     sample_planted,
-    sample_positive_subspace,
 )
 from kreinval.spectral import eigendecompose, positive_eigenbasis
 
 import conftest
 from conftest import (
+    TOL_CONE,
     WITNESS_ROUNDOFF,
     _compression_trace,
     _hyperplane_basis,
@@ -56,9 +57,12 @@ from conftest import (
     cone_margin,
     eigenflag_traces,
     ordered_sum,
+    positive_compressions,
     positive_flag,
+    positive_frames,
     reference_wielandt,
     reference_wielandt_cases,
+    sample_positive_subspace,
     shape,
 )
 
@@ -136,12 +140,12 @@ def ref_hermitian_flag_witness(M, levels, idx):
 def ref_witness_subordinate(entries, sig, flag):
     jd = metric_diagonal(sig)
     idx = tuple(int(L.shape[1]) for L in flag.levels)
-    top = _positive_frames(flag.levels[-1], sig)
+    top = positive_frames(flag.levels[-1], sig)
     M = top.conj().T @ (jd[:, None] * (entries @ top))
     M = 0.5 * (M + M.conj().T)
     coords = [top.conj().T @ (jd[:, None] * L) for L in flag.levels]
     X = ref_hermitian_flag_witness(M, coords, idx)
-    return _positive_frames(top @ X, sig)
+    return positive_frames(top @ X, sig)
 
 
 def witness_subordinate(M, idx):
@@ -184,13 +188,13 @@ def instance(p, q, index):
     return A, cfg
 
 
-def flag_stack(sig, idx, cfg, rng, count):
-    return positive_flag(sig, idx, sample_positive_subspace(sig, idx[-1], cfg, rng, count=count))
+def flag_stack(sig, idx, rng, count):
+    return positive_flag(sig, idx, sample_positive_subspace(sig, idx[-1], rng, count=count))
 
 
 def top_coordinates(entries, sig, basis):
     """The framed top levels (N, n, r) of a stack of flag bases and the compressions onto them."""
-    top = _positive_frames(basis, sig)
+    top = positive_frames(basis, sig)
     jd = metric_diagonal(sig)
     M = top.conj().swapaxes(-1, -2) @ (jd[:, None] * (entries @ top))
     return top, 0.5 * (M + M.conj().swapaxes(-1, -2))
@@ -217,27 +221,14 @@ def check_flags_against_reference(A, flags):
     assert np.max(np.abs(got - want)) <= TRACE_TOL
 
 
-def suite_bases(sig, n_flags, cfg, rng):
-    """The width-p bases that ``positive_compressions(A, n_flags, cfg, rng)`` frames and compresses."""
-    return sample_positive_subspace(sig, sig.p, cfg, rng, count=n_flags)
-
-
 def shapes(p, max_m=None):
     """Every shape (r, m) of a tuple bounded by p, m <= min(r, max_m), in report order."""
     return [(r, m) for r in range(1, p + 1) for m in range(1, min(r, max_m or p) + 1)]
 
 
-def witness_case(report):
-    """The one ``witness:f`` case of a report and its flag f."""
-    (case,) = [c for c in report.cases if c.case_id.startswith("witness:")]
-    return case, int(case.case_id.split(":")[1])
-
-
-def instance_bases(cfg, index):
-    """The bases of an instance's frame stack: one draw from the frame stream, sized by the largest budget."""
-    count = max(cfg.courant_subspaces, cfg.kyfan_frames, cfg.wielandt_flags)
-    frames = instance_rng(cfg.seed, index, len(SUITES))
-    return suite_bases(Signature(cfg.p, cfg.q), count, cfg.sampler(), frames)
+def certified_shapes(reports):
+    """Whether each shape's certificate, the last case of its report, passes."""
+    return {shape(rep): rep.cases[-1].passed for rep in reports}
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +241,7 @@ def test_stacked_kernels_match_the_per_flag_loop(pq):
     sig = A.signature
     for t, idx in enumerate(all_tuples(sig.p)):
         rng = instance_rng(SEED, 2, t)
-        flags = flag_stack(sig, idx, cfg, rng, count=5)
+        flags = flag_stack(sig, idx, rng, count=5)
         check_flags_against_reference(A, flags)
 
 
@@ -268,7 +259,7 @@ def test_stacked_kernels_match_the_per_flag_loop_property(pq, seed, pick, count)
     A, _, _ = sample_planted(sig, cfg, rng)
     tuples = all_tuples(sig.p)
     idx = tuples[pick % len(tuples)]
-    flags = flag_stack(sig, idx, cfg, rng, count=count)
+    flags = flag_stack(sig, idx, rng, count=count)
     check_flags_against_reference(A, flags)
 
 
@@ -283,7 +274,7 @@ def test_shared_traces_match_the_per_tuple_reference(pq):
     """
     A, cfg = instance(*pq, 6)
     sig = A.signature
-    M = positive_compressions(A, 7, cfg, instance_rng(SEED, 7))
+    M = positive_compressions(A, 7, instance_rng(SEED, 7))
     tuples = all_tuples(sig.p)
     assert len(tuples) == 2**sig.p - 1
     for idx, got in zip(tuples, shared_traces(M, tuples), strict=True):
@@ -295,60 +286,52 @@ def test_shared_traces_match_the_per_tuple_reference(pq):
 
 @pytest.mark.parametrize("pq", SHARED_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_check_witness_cases_match_the_per_flag_reference(pq):
-    """Each report's witness:f is sum eta_{i_j} of the check's own flag f on its tuple, and the per-flag
-    witness frame reaches it."""
-    A, cfg = instance(*pq, 4)
+    """On six sampled width-p flags, each tuple's oracle case witness:f is sum eta_{i_j} of flag f, the
+    per-flag witness frame reaches it, and it reaches the tuple sum: the check certified every shape."""
+    A, _ = instance(*pq, 4)
     sig = A.signature
-    M = positive_compressions(A, 6, cfg, instance_rng(SEED, 5))
-    reports = check_wielandt_flag(A, None, M)
-    bases = suite_bases(sig, 6, cfg, instance_rng(SEED, 5))  # the flags that M compresses onto
-    assert [shape(rep) for rep in reports] == shapes(sig.p)
-    for rep in reports:
-        r, m = shape(rep)
-        assert rep.descriptor == {"top": r, "m": m, "n_flags": 6}
-        assert rep.passed and not rep.soft_cases and not rep.notes
-        case, f = witness_case(rep)
-        idx = case.indices
-        assert (idx[-1], len(idx)) == (r, m)
+    assert all(certified_shapes(check_wielandt_flag(A)).values())
+    bases = sample_positive_subspace(sig, sig.p, instance_rng(SEED, 5), count=6)
+    M = positive_compressions(A, 6, instance_rng(SEED, 5))  # the compressions onto the frames of these bases
+    for idx in all_tuples(sig.p):
+        witness = [c for c in reference_wielandt_cases(A, idx, M) if c.case_id.startswith("witness:")]
+        assert [c.case_id for c in witness] == [f"witness:{f}" for f in range(6)]
         flags = positive_flag(sig, idx, bases)
         _, Mf = top_coordinates(A.entries, sig, flags.basis)
         eta = np.linalg.eigvalsh(Mf)
-        assert abs(case.lhs - eta[f, [i - 1 for i in idx]].sum()) <= TRACE_TOL
-        scale = max(1.0, np.max(np.abs(eta[f])))
-        assert ref_witness_traces(A.entries, sig, flags)[f] >= case.lhs - WITNESS_ROUNDOFF * scale, idx
+        reached = ref_witness_traces(A.entries, sig, flags)
+        for f, case in enumerate(witness):
+            assert case.indices == idx and case.passed, (idx, f)
+            assert abs(case.lhs - eta[f, [i - 1 for i in idx]].sum()) <= TRACE_TOL
+            scale = max(1.0, np.max(np.abs(eta[f])))
+            assert reached[f] >= case.lhs - WITNESS_ROUNDOFF * scale, (idx, f)
 
 
 @pytest.mark.parametrize("pq", SHARED_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_shared_flags_give_every_tuple_its_own_flags_cases(pq):
-    """On the instance's own draws, every report's cases equal those of a check that framed its tuple's own flags.
+    """One certificate per shape of an instance holds on every tuple's own flags, each drawn for that tuple alone.
 
-    The flags are the leading ``wielandt_flags`` bases of the instance's
-    frame stack, re-drawn from the frame stream.  The reference is the
-    per-tuple computation: the certified frame of the reported tuple's own
-    flag, eigvalsh of that flag's own M for the witness sums, and
-    interlacing on the same frames, whose width is the tuple's top index.
-    The reported flag's sum is the least of every flag's.
+    The shapes share certificates, and the tuples of a shape share its
+    certificate.  The reference is the per-tuple computation: ten flags
+    drawn for the tuple, of width its top index r, the certified frame of
+    each, eigvalsh of its own M for the witness sums, and interlacing on
+    the same frames.  Every witness sum reaches the tuple sum and every
+    compression interlaces, to the check's tol.
     """
     cfg = SuiteConfig(p=pq[0], q=pq[1], seed=SEED, suites=("wielandt",))
-    sig, scfg, index = Signature(*pq), cfg.sampler(), 3
+    sig, index = Signature(*pq), 3
     reports = run_instance(cfg, index)
-    A, _, _ = sample_planted(sig, scfg, instance_rng(SEED, index))
-    bases = instance_bases(cfg, index)[: cfg.wielandt_flags]
+    assert [shape(r) for r in reports] == shapes(sig.p) and all(certified_shapes(reports).values())
+    A, _, _ = sample_planted(sig, cfg.sampler(), instance_rng(SEED, index))
     lambdas = eigendecompose(A).spectrum.lambdas
     JA = metric_diagonal(sig)[:, None] * A.entries
-    assert [shape(r) for r in reports] == shapes(sig.p)
-    for rep in reports:
-        case, f = witness_case(rep)
-        idx = case.indices
-        frame = positive_flag(sig, idx, bases).frame
+    for t, idx in enumerate(all_tuples(sig.p)):
+        frame = flag_stack(sig, idx, instance_rng(SEED, index, t), count=10).frame
         M = frame.conj().swapaxes(-1, -2) @ (JA @ frame)
         eta = np.linalg.eigvalsh(0.5 * (M + M.conj().swapaxes(-1, -2)))
         sums = eta[:, [i - 1 for i in idx]].sum(axis=-1)
-        interlace = float(np.min(eta - lambdas[: idx[-1]]))
-        by_id = {c.case_id: c for c in rep.cases}
-        assert abs(case.lhs - sums[f]) <= TRACE_TOL, idx
-        assert np.all(sums >= case.lhs - TRACE_TOL), idx
-        assert abs(by_id[f"interlace_min:{idx[-1]}"].lhs - interlace) <= TRACE_TOL, idx
+        assert np.all(sums >= ordered_sum(lambdas[i - 1] for i in idx) - cfg.tol_check), idx
+        assert np.min(eta - lambdas[: idx[-1]]) >= -cfg.tol_check, idx
 
 
 @settings(max_examples=60, deadline=None)
@@ -464,9 +447,9 @@ def test_the_witness_steps_of_all_tuples_form_a_trie(p, steps, distinct):
 
 
 def test_a_check_solves_one_eigenproblem_per_width_and_per_batched_step(monkeypatch):
-    """At (6,4), for all 63 tuples in 21 reports, the check solves one eigvalsh per width and one for the
-    eigenflag's roundoff, and no eigh.  The shared witness oracle solves one eigh per width, then one
-    per (depth, r, run) group.
+    """At (6,4), for all 63 tuples in 21 reports, the check solves one eigvalsh, for the eigenflag's roundoff,
+    and no eigh: its certificates are kept for A.  The shared witness oracle solves one eigh per width, then
+    one per (depth, r, run) group.
 
     A per-tuple recursion solves one eigenproblem per step after the first:
     72 of them here, against 20 groups.
@@ -475,12 +458,12 @@ def test_a_check_solves_one_eigenproblem_per_width_and_per_batched_step(monkeypa
     tuples = all_tuples(6)
     groups = {(len(path) - 1, r, run) for idx in tuples for path, r, run in witness_steps(idx) if len(path) > 1}
     assert len(groups) == 20
-    M = positive_compressions(A, 4, cfg, instance_rng(SEED, 8))
-    checks._positive_eigen(A)  # the eigenbasis compression is memoized per matrix
+    M = positive_compressions(A, 4, instance_rng(SEED, 8))
+    checks._positive_eigen(A)  # the eigenbasis compression and the certificates are memoized per matrix
     calls = counting_linalg(monkeypatch, "eigh", "eigvalsh", "svd")
-    reports = check_wielandt_flag(A, None, M)
+    reports = check_wielandt_flag(A, None)
     assert len(reports) == 21 and all(r.passed for r in reports)
-    assert calls == {"eigh": 0, "eigvalsh": 6 + 1, "svd": 0}
+    assert calls == {"eigh": 0, "eigvalsh": 1, "svd": 0}
     calls.update(eigh=0, eigvalsh=0)
     shared_traces(M, tuples)
     assert calls == {"eigh": 6 + len(groups), "eigvalsh": 0, "svd": 0}
@@ -499,12 +482,12 @@ def test_the_eigenflag_draw_does_not_grow_with_the_tuples(monkeypatch):
     A, cfg = instance(6, 4, 9)
     monkeypatch.setattr(sampling, "complex_normal", counting)
     monkeypatch.setattr(conftest, "complex_normal", counting)
-    M = positive_compressions(A, 3, cfg, instance_rng(SEED, 10))
-    assert len(draws) == 2  # the stack's isometries and contractions
+    positive_compressions(A, 3, instance_rng(SEED, 10))
+    assert len(draws) == 2  # the oracle stack's isometries and contractions
     eigen = checks._positive_eigen(A)[1]
     for max_m in (1, 2, None):
         draws.clear()
-        check_wielandt_flag(A, max_m, M)
+        check_wielandt_flag(A, max_m)
         assert draws == []
     for tuples in ([(2,)], [(1, 5), (3,)], all_tuples(6)):
         draws.clear()
@@ -534,8 +517,8 @@ def test_eigenflag_max_is_the_highest_oracle_trace(pq, order):
     """
     A, cfg = instance(*pq, 24)
     tuples = eigenflag_tuples(pq[0], order)
-    reports = check_wielandt_flag(A, None, positive_compressions(A, 3, cfg, instance_rng(SEED, 26)))
-    system, eigen = checks._positive_eigen(A)
+    reports = check_wielandt_flag(A, None)
+    system, eigen, _ = checks._positive_eigen(A)
     lambdas = system.spectrum.lambdas
     delta = np.linalg.norm(eigen - np.diag(lambdas), 2)
     excess = {}
@@ -554,24 +537,24 @@ def test_eigenflag_max_is_the_highest_oracle_trace(pq, order):
 @pytest.mark.parametrize("order", ["enumerated", "unordered"])
 @pytest.mark.parametrize("pq", EIGENFLAG_SIGNATURES, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_the_witness_oracle_reaches_every_witness_case(pq, order):
-    """Hermitian Wielandt, checked at every tuple: on each flag the oracle's witness frame reaches the
-    tuple sum plus the least witness:f margin of the tuple's shape, and on the reported flag it reaches the
-    reported tuple's witness:f value, to 1e-12 max(1, ||M_r||_2) with M_r the flag's leading r x r block."""
+    """Hermitian Wielandt, checked at every tuple on five sampled flags: the oracle's witness frame reaches
+    sum_j eta_{i_j} of the flag's leading r x r block M_r, to 1e-12 max(1, ||M_r||_2), and that sum reaches the
+    tuple sum, to the check's tol, wherever the check certified the tuple's shape."""
     A, cfg = instance(*pq, 24)
     tuples = eigenflag_tuples(pq[0], order)
-    M = positive_compressions(A, 5, cfg, instance_rng(SEED, 26))
-    reports = check_wielandt_flag(A, None, M)
+    M = positive_compressions(A, 5, instance_rng(SEED, 26))
+    certified = certified_shapes(check_wielandt_flag(A, None))
+    assert all(certified.values())
     lambdas = checks._positive_eigen(A)[0].spectrum.lambdas
-    least = {shape(rep): witness_case(rep)[0].margin for rep in reports}
+    eta = {r: np.linalg.eigvalsh(M[:, :r, :r]) for r in range(1, pq[0] + 1)}
     scale = np.maximum(1.0, [np.linalg.norm(M[:, : idx[-1], : idx[-1]], 2, axis=(-2, -1)) for idx in tuples])
     traces = np.array(shared_traces(M, tuples))
     assert traces.shape == scale.shape == (len(tuples), 5)
-    reached = [ordered_sum(lambdas[i - 1] for i in idx) + least[idx[-1], len(idx)] for idx in tuples]
-    assert np.all(traces >= np.array(reached)[:, None] - WITNESS_ROUNDOFF * scale)
-    for rep in reports:
-        case, f = witness_case(rep)
-        t = tuples.index(case.indices)
-        assert traces[t, f] >= case.lhs - WITNESS_ROUNDOFF * scale[t, f], case
+    sums = np.array([eta[idx[-1]][:, [i - 1 for i in idx]].sum(axis=-1) for idx in tuples])
+    assert np.all(traces >= sums - WITNESS_ROUNDOFF * scale)
+    for idx, row in zip(tuples, sums):
+        if certified[idx[-1], len(idx)]:
+            assert np.all(row >= ordered_sum(lambdas[i - 1] for i in idx) - DEFAULT_TOL), idx
 
 
 @pytest.mark.parametrize("n_flags", [0, 1, 5])
@@ -580,17 +563,19 @@ def test_the_witness_oracle_reaches_every_witness_case(pq, order):
 def test_every_other_case_is_the_per_tuple_case_bit_for_bit(pq, order, n_flags):
     """Every case is a per-tuple case of its shape with the same bytes, computed for that tuple alone.
 
-    ``eigenflag_max``, ``interlace_min:r`` and ``witness:f`` are the cases of
-    the tuple they name (interlacing names 1, ..., r).  ``eigenflag_witness``
+    ``eigenflag_max`` and ``restricted_cert_min:r`` are the cases of the
+    tuple they name (the certificate names 1, ..., r).  ``eigenflag_witness``
     names no tuple: its lhs is minus the margin of some tuple of its shape,
     bit for bit.  ``eigenflag_witness_etas`` is delta, the bound of every
-    tuple's, in the (1, 1) report alone.
+    tuple's, in the (1, 1) report alone.  Where a shape's certificate
+    passes, the oracle's sampled cases on ``n_flags`` flags pass at every
+    tuple of the shape.
     """
     A, cfg = instance(*pq, 28)
-    M = positive_compressions(A, n_flags, cfg, instance_rng(SEED, 29))
-    reports = check_wielandt_flag(A, None, M)
+    M = positive_compressions(A, n_flags, instance_rng(SEED, 29))
+    reports = check_wielandt_flag(A, None)
     oracle = {idx: {c.case_id: c for c in reference_wielandt_cases(A, idx, M)} for idx in eigenflag_tuples(pq[0], order)}
-    system, eigen = checks._positive_eigen(A)
+    system, eigen, _ = checks._positive_eigen(A)
     delta = float(np.max(np.abs(np.linalg.eigvalsh(eigen - np.diag(system.spectrum.lambdas)))))
     assert [shape(rep) for rep in reports] == shapes(pq[0])
     for rep in reports:
@@ -605,18 +590,20 @@ def test_every_other_case_is_the_per_tuple_case_bit_for_bit(pq, order, n_flags):
             else:
                 want = oracle[c.indices][c.case_id]
                 assert c == want and c.lhs.hex() == want.lhs.hex(), (r, m, c)  # == takes -0.0 for 0.0
+        sampled = [
+            c for idx in oracle if (idx[-1], len(idx)) == (r, m)
+            for c in oracle[idx].values() if c.case_id.startswith(("interlace_min:", "witness:"))
+        ]
+        assert bool(sampled) == bool(n_flags)
+        if rep.cases[-1].passed:
+            assert all(c.passed for c in sampled), (r, m)
 
 
-def tied_instance(p, q, n_flags, data):
-    """A diagonal A with eigenvalues in {1, 2, 3} and {-3, -2, -1}, and flags drawn from two diagonal
-    compressions with entries in {1, ..., 4}: many tuple sums, and many flags, tie exactly."""
-    draw = data.draw
-    pos = draw(st.lists(st.integers(1, 3), min_size=p, max_size=p), label="positive")
-    neg = draw(st.lists(st.integers(-3, -1), min_size=q, max_size=q), label="negative")
-    A = PseudoHermitianMatrix(Signature(p, q), np.diag(np.array(pos + neg, dtype=complex)))
-    pool = [np.diag(draw(st.lists(st.integers(1, 4), min_size=p, max_size=p), label="flag")) for _ in range(2)]
-    picks = draw(st.lists(st.integers(0, 1), min_size=n_flags, max_size=n_flags), label="picks")
-    return A, np.array([pool[k] for k in picks], dtype=complex).reshape(n_flags, p, p)
+def tied_instance(p, q, data):
+    """A diagonal A with eigenvalues in {1, 2, 3} and {-3, -2, -1}: many tuple sums tie exactly."""
+    pos = data.draw(st.lists(st.integers(1, 3), min_size=p, max_size=p), label="positive")
+    neg = data.draw(st.lists(st.integers(-3, -1), min_size=q, max_size=q), label="negative")
+    return PseudoHermitianMatrix(Signature(p, q), np.diag(np.array(pos + neg, dtype=complex)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -630,24 +617,24 @@ def tied_instance(p, q, n_flags, data):
 def test_wielandt_reports_the_exhaustive_worst_case_of_every_shape(p, q, tied, n_flags, data):
     """One report per shape (r, m), each holding the exhaustive oracle's worst over the shape's tuples.
 
-    The oracle checks every tuple on every flag in a Python loop.  Each
-    report's ``witness:f`` and ``interlace_min:r`` margins are the oracle's
-    least over the tuples of the shape and the flags, to 1e-12.
+    The oracle checks every tuple in a Python loop, and on a sampled
+    instance every tuple on ``n_flags`` flags drawn in the test.
     ``eigenflag_witness`` is the oracle's least to p 8 eps max|lambda|,
     because that margin is itself roundoff.  ``eigenflag_max`` is the
     oracle's -m delta, and the one ``eigenflag_witness_etas`` case, delta,
-    bounds the oracle's case of every tuple to the same roundoff.  The
-    check fails exactly when the oracle does.
+    bounds the oracle's case of every tuple to the same roundoff.
+    ``restricted_cert_min:r`` is the oracle's, and where it passes the
+    oracle's sampled ``witness:f`` and ``interlace_min:r`` cases pass at
+    every tuple of the shape.  The check fails exactly when the oracle does.
     """
     max_m = data.draw(st.one_of(st.none(), st.integers(1, 8)), label="max_m")
     if tied:
-        A, M = tied_instance(p, q, n_flags, data)
+        A, M = tied_instance(p, q, data), ()
     else:
         seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
-        cfg = SamplerConfig(seed=seed)
-        A, _, _ = sample_planted(Signature(p, q), cfg, instance_rng(seed, 40))
-        M = positive_compressions(A, n_flags, cfg, instance_rng(seed, 41))
-    reports = check_wielandt_flag(A, max_m, M)
+        A, _, _ = sample_planted(Signature(p, q), SamplerConfig(seed=seed), instance_rng(seed, 40))
+        M = positive_compressions(A, n_flags, instance_rng(seed, 41))
+    reports = check_wielandt_flag(A, max_m)
     oracle = reference_wielandt(A, M, max_m)
     least = {}
     for rep in oracle:
@@ -660,12 +647,13 @@ def test_wielandt_reports_the_exhaustive_worst_case_of_every_shape(p, q, tied, n
     assert [shape(rep) for rep in reports] == shapes(p, max_m)
     for rep in reports:
         r, m = shape(rep)
-        assert rep.descriptor["n_flags"] == n_flags
+        assert rep.descriptor == {"top": r, "m": m}
         by_kind = {c.case_id.split(":")[0]: c for c in rep.cases}
-        kinds = {"eigenflag_max", "eigenflag_witness"} | ({"eigenflag_witness_etas"} if r == 1 else set())
-        assert set(by_kind) == kinds | ({"interlace_min", "witness"} if n_flags else set())
-        for kind in ("interlace_min", "witness") if n_flags else ():
-            assert abs(by_kind[kind].margin - least[r, m, kind]) <= 1e-12, (r, m, kind)
+        kinds = {"eigenflag_max", "eigenflag_witness", "restricted_cert_min"}
+        assert set(by_kind) == kinds | ({"eigenflag_witness_etas"} if r == 1 else set())
+        assert by_kind["restricted_cert_min"].margin == least[r, m, "restricted_cert_min"]
+        for kind in ("interlace_min", "witness") if len(M) and rep.passed else ():
+            assert least[r, m, kind] >= -DEFAULT_TOL, (r, m, kind)
         assert abs(by_kind["eigenflag_witness"].margin - least[r, m, "eigenflag_witness"]) <= roundoff
         assert by_kind["eigenflag_max"].margin == least[r, m, "eigenflag_max"]
     (etas,) = [c for c in reports[0].cases if c.case_id == "eigenflag_witness_etas"]
@@ -673,56 +661,11 @@ def test_wielandt_reports_the_exhaustive_worst_case_of_every_shape(p, q, tied, n
     assert all(rep.passed for rep in reports) == all(rep.passed for rep in oracle)
 
 
-def test_one_planted_violation_among_1023_tuples_fails_its_shape_alone(monkeypatch):
-    """At p = 10 an eigensolver that moves one flag's width-7 spectrum plants exactly one violating tuple
-    among the 1023: (2, 5, 7) on flag 3.  The check fails that shape's report, (7, 3), on that case alone.
-
-    d = eta - lambda of flag 3 at width 7 is half the least gap of
-    lambda_1, ..., lambda_7, so eta stays ascending, except at 2, 5 and 7,
-    where it is -0.45e-8: each of those indices, and each pair with the
-    top, passes at tol 1e-8; only the triple, at -1.35e-8, does not.  The
-    exhaustive oracle, under the same solver, fails that tuple alone.  A
-    uniform sample of 200 of the 1023 tuples, which the suite drew at
-    p >= 8 before it checked every tuple, misses this one at this seed and
-    instance.
-    """
-    cfg = SuiteConfig(p=10, q=2, seed=SEED, suites=("wielandt",))
-    index = 1
-    A, _, _ = sample_planted(Signature(10, 2), cfg.sampler(), instance_rng(SEED, index))
-    count = max(cfg.courant_subspaces, cfg.kyfan_frames, cfg.wielandt_flags)
-    frames = instance_rng(SEED, index, len(SUITES))
-    M = positive_compressions(A, count, cfg.sampler(), frames)[: cfg.wielandt_flags]  # instance 1's flags
-    lambdas = checks._positive_eigen(A)[0].spectrum.lambdas
-    d = np.full(7, 0.5 * np.min(np.diff(lambdas[:7])))
-    d[[1, 4, 6]] = -0.45e-8
-    assert np.all(np.diff(lambdas[:7] + d) > 0)
-    eigvalsh = np.linalg.eigvalsh
-
-    def planted(a, *args, **kwargs):
-        eta = eigvalsh(a, *args, **kwargs)
-        if np.shape(a) == (len(M), 7, 7) and np.array_equal(a, M[:, :7, :7]):
-            eta[3] = lambdas[:7] + d
-        return eta
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", planted)
-    reports = run_instance(cfg, index)
-    failed = [rep for rep in reports if not rep.passed]
-    assert len(failed) == 1
-    assert [shape(rep) for rep in reports] == shapes(10) and shape(failed[0]) == (7, 3)
-    (case,) = [c for c in failed[0].cases if not c.passed]
-    assert (case.case_id, case.indices) == ("witness:3", (2, 5, 7))
-    assert case.margin == pytest.approx(-1.35e-8, rel=1e-6) and case.margin < -DEFAULT_TOL
-    oracle = reference_wielandt(A, M)
-    assert len(oracle) == 1023
-    bad = [(tuple(rep.descriptor["index_tuple"]), c.case_id) for rep in oracle for c in rep.cases if not c.passed]
-    assert bad == [((2, 5, 7), "witness:3")]
-
-
 def test_witness_spans_whose_ranks_differ_across_samples():
     """On a diagonal matrix, a flag starting at e_1 meets the top eigenvector; a generic flag does not."""
     sig = Signature(3, 0)
     entries = np.diag([3.0, 2.0, 1.0]).astype(complex)
-    generic = flag_stack(sig, (1, 3), SamplerConfig(seed=SEED), instance_rng(SEED, 17), count=2)
+    generic = flag_stack(sig, (1, 3), instance_rng(SEED, 17), count=2)
     e = np.eye(3, dtype=complex)
     flags = positive_flag(sig, (1, 3), np.concatenate([generic.basis, e[None]]))
     top, M = top_coordinates(entries, sig, flags.basis)
@@ -764,7 +707,7 @@ def test_one_margin_accepts_exactly_as_every_level(pq, seed, pick, count, kind):
     idx = tuples[pick % len(tuples)]
     r = idx[-1]
     rng = instance_rng(seed, 20)
-    basis = np.array(sample_positive_subspace(sig, r, SamplerConfig(seed=seed), rng, count=count))
+    basis = np.array(sample_positive_subspace(sig, r, rng, count=count))
     s = int(rng.integers(count))
     broken = False
     if kind == "dependent" and r > 1:
@@ -798,12 +741,12 @@ def test_the_flag_keeps_the_frame_that_pseudo_orthonormalize_gives(pq):
     rng = instance_rng(SEED, 23)
     for idx in all_tuples(sig.p):
         for count in (None, 7):
-            flag = positive_flag(sig, idx, sample_positive_subspace(sig, sig.p, cfg, rng, count=count))
-            want = _frame(flag.basis, sig, 1.0)[0]
+            flag = positive_flag(sig, idx, sample_positive_subspace(sig, sig.p, rng, count=count))
+            want = _frame(flag.basis, sig, 1.0)
             assert flag.frame.tobytes() == want.tobytes() and flag.frame.shape == want.shape
             assert not flag.frame.flags.writeable
         eigenflag = positive_flag(sig, idx, positive_eigenbasis(eigendecompose(A)))
-        assert eigenflag.frame.tobytes() == _frame(eigenflag.basis, sig, 1.0)[0].tobytes()
+        assert eigenflag.frame.tobytes() == _frame(eigenflag.basis, sig, 1.0).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -812,8 +755,7 @@ def test_the_flag_keeps_the_frame_that_pseudo_orthonormalize_gives(pq):
 
 def test_stacked_flag_names_its_non_positive_sample():
     sig = Signature(2, 1)
-    cfg = SamplerConfig(seed=SEED)
-    bases = sample_positive_subspace(sig, 2, cfg, instance_rng(SEED, 10), count=5)
+    bases = sample_positive_subspace(sig, 2, instance_rng(SEED, 10), count=5)
     positive_flag(sig, (1, 2), bases)
     bad = np.array(bases)
     bad[3, :, 1] = [0.0, 1.0, 1.0]  # a null vector in level 2 of sample 3
@@ -836,12 +778,12 @@ def test_the_full_tuple_eigenflag_margin_is_roundoff():
 
 
 def test_a_variational_instance_makes_no_svd(monkeypatch):
-    """Cholesky certifies every positive subspace and flag, and eigvalsh gives the norms of K.
+    """Cholesky certifies the spectrum and the eigenvector blocks, and eigvalsh gives every certificate.
 
     Sampling the instance itself (its Lie-algebra coupling and cond(U)) is
-    not counted.  The one frame draw of the instance is.
+    not counted.
     """
-    calls = {"svd": 0, "draws": 0}
+    calls = {"svd": 0}
     counting = [True]
     svd = np.linalg.svd
 
@@ -852,11 +794,7 @@ def test_a_variational_instance_makes_no_svd(monkeypatch):
     # np.linalg.norm and np.linalg.cond call the svd of the module that defines them
     monkeypatch.setattr(getattr(np.linalg, "_linalg", None) or np.linalg.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    draw, plant = checks.sample_positive_subspace, cli.sample_planted
-
-    def counting_draw(*args, **kwargs):
-        calls["draws"] += 1
-        return draw(*args, **kwargs)
+    plant = cli.sample_planted
 
     def uncounted_plant(*args, **kwargs):
         counting[0] = False
@@ -865,28 +803,24 @@ def test_a_variational_instance_makes_no_svd(monkeypatch):
         finally:
             counting[0] = True
 
-    monkeypatch.setattr(checks, "sample_positive_subspace", counting_draw)
     monkeypatch.setattr(cli, "sample_planted", uncounted_plant)
     cfg = SuiteConfig(p=4, q=3, seed=SEED, suites=("courant_fischer", "ky_fan", "wielandt"))
     assert all(r.passed for r in run_instance(cfg, 0))
-    assert calls == {"svd": 0, "draws": 1}
+    assert calls == {"svd": 0}
 
 
 def test_a_solver_failure_in_a_witness_gives_the_instance_an_error_record(tmp_path, monkeypatch):
-    """An eigensolver that does not converge on one instance's flags raises out of the check; the batch goes on."""
+    """An eigensolver that does not converge on one instance's eigenflag raises out of the check; the batch goes on."""
     cfg = SuiteConfig(p=3, q=2, instances=3, seed=SEED, suites=("wielandt",))
     A, _, _ = sample_planted(Signature(3, 2), cfg.sampler(), instance_rng(SEED, 1))
-    count = max(cfg.courant_subspaces, cfg.kyfan_frames, cfg.wielandt_flags)
-    frames = instance_rng(SEED, 1, len(SUITES))
-    poisoned = positive_compressions(A, count, cfg.sampler(), frames)[: cfg.wielandt_flags]  # instance 1's flags
+    system, eigen, _ = checks._positive_eigen(A)
+    poisoned = eigen - np.diag(system.spectrum.lambdas)  # instance 1's eigenflag roundoff
     eigvalsh = np.linalg.eigvalsh
     hits = []
 
     def fails_on_it(a, *args, **kwargs):
-        a = np.asarray(a)
-        r = a.shape[-1]
-        if a.ndim == 3 and len(a) == cfg.wielandt_flags and np.array_equal(a, poisoned[: len(a), :r, :r]):
-            hits.append(r)
+        if np.shape(a) == poisoned.shape and np.array_equal(a, poisoned):
+            hits.append(1)
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigvalsh(a, *args, **kwargs)
 
@@ -903,101 +837,40 @@ def test_a_solver_failure_in_a_witness_gives_the_instance_an_error_record(tmp_pa
 
 
 def test_the_ascent_is_batched_over_flags(monkeypatch):
-    """A per-flag check would solve four times as many eigenproblems for four times the flags; the check
-    solves one per width and one for the eigenflag whatever the flag count, and keeps one witness case per report."""
-    A, cfg = instance(3, 2, 15)
-    stacks = {n_flags: positive_compressions(A, n_flags, cfg, instance_rng(SEED, 16)) for n_flags in (4, 16)}
-    checks._positive_eigen(A)
+    """A per-flag witness ascent would solve four times as many eigenproblems for four times the flags; the
+    shared oracle solves one eigh per width and one per (depth, r, run) group whatever the flag count."""
+    A, _ = instance(3, 2, 15)
+    stacks = {n_flags: positive_compressions(A, n_flags, instance_rng(SEED, 16)) for n_flags in (4, 16)}
+    tuples = all_tuples(3)
+    groups = {(len(path) - 1, r, run) for idx in tuples for path, r, run in witness_steps(idx) if len(path) > 1}
     calls = counting_linalg(monkeypatch, "eigh", "eigvalsh")
-    for max_m in (1, 2, None):
-        counts = []
-        for n_flags, M in stacks.items():
-            calls.update(eigh=0, eigvalsh=0)
-            reports = check_wielandt_flag(A, max_m, M)
-            assert all(rep.passed for rep in reports) and [shape(rep) for rep in reports] == shapes(3, max_m)
-            assert all(sum(c.case_id.startswith("witness:") for c in rep.cases) == 1 for rep in reports)
-            counts.append(dict(calls))
-        assert counts[0] == counts[1] == {"eigh": 0, "eigvalsh": 3 + 1}, max_m
-
-
-def test_a_variational_instance_draws_one_frame_stack(monkeypatch):
-    """One width-p draw and two certifications per instance: the frame stack, sized by the
-    largest budget, and the eigenbasis, both shared by the three suites.  The check's own
-    certifications do not grow with the tuple count."""
-    draws, flags = [], []
-    draw, flag = checks.sample_positive_subspace, checks._positive_frames
-
-    def counting_draw(sig, k, *args, count=None, **kwargs):
-        draws.append((k, count))
-        return draw(sig, k, *args, count=count, **kwargs)
-
-    def counting_flag(*args, **kwargs):
-        flags.append(1)
-        return flag(*args, **kwargs)
-
-    monkeypatch.setattr(checks, "sample_positive_subspace", counting_draw)
-    monkeypatch.setattr(checks, "_positive_frames", counting_flag)
-    checks._positive_eigen.cache_clear()
-    cfg = SuiteConfig(p=4, q=3, seed=SEED, suites=("courant_fischer", "ky_fan", "wielandt"),
-                      courant_subspaces=30, kyfan_frames=70, wielandt_flags=10)
-    reports = run_instance(cfg, 0)
-    assert all(r.passed for r in reports) and len(reports) == 1 + 4 + 10
-    assert draws == [(4, 70)]
-    assert len(flags) == 2
-    A, cfg = instance(4, 3, 0)
-    M = positive_compressions(A, 4, cfg, instance_rng(SEED, 6))
-    certified = []
-    for max_m in (1, None):
-        checks._positive_eigen.cache_clear()
-        flags.clear()
-        check_wielandt_flag(A, max_m, M)
-        certified.append(len(flags))
-    assert certified == [1, 1]  # the eigenflag; the random flags come in certified
-    flags.clear()
-    check_wielandt_flag(A, 2, M)
-    assert not flags  # the eigenflag's compression is kept for A
-    assert not checks._positive_eigen(A)[1].flags.writeable
+    for n_flags, M in stacks.items():
+        calls.update(eigh=0, eigvalsh=0)
+        traces = shared_traces(M, tuples)
+        assert [t.shape for t in traces] == [(n_flags,)] * len(tuples)
+        assert calls == {"eigh": 3 + len(groups), "eigvalsh": 0}, n_flags
 
 
 def wielandt_case_ids(report):
     return [c.case_id for c in report.cases]
 
 
-def test_empty_budgets_leave_out_their_cases():
-    """No flags: no witness or interlacing case.  eigenflag_max is certified, not sampled, so it stays."""
-    A, cfg = instance(4, 3, 11)
-    ids = {}
-    for n_flags in (3, 0):
-        M = positive_compressions(A, n_flags, cfg, instance_rng(SEED, 12))
-        reports = check_wielandt_flag(A, 2, M)
-        assert all(r.passed for r in reports)
-        assert [r.descriptor for r in reports] == [{"top": r, "m": m, "n_flags": n_flags} for r, m in shapes(4, 2)]
-        ids[n_flags] = [wielandt_case_ids(r) for r in reports]
-    eigen = {r: ["eigenflag_max", "eigenflag_witness"] + (["eigenflag_witness_etas"] if r == 1 else []) for r in range(1, 5)}
-    assert [i[:-1] for i in ids[3]] == [[*eigen[r], f"interlace_min:{r}"] for r, _ in shapes(4, 2)]
-    assert all(i[-1] in ("witness:0", "witness:1", "witness:2") for i in ids[3])
-    assert ids[0] == [eigen[r] for r, _ in shapes(4, 2)]
-
-
 @pytest.mark.parametrize("pq", [(1, 0), (1, 1), (3, 0)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_one_positive_dimension_and_no_negative_block(pq):
     A, cfg = instance(*pq, 13)
-    M = positive_compressions(A, 3, cfg, instance_rng(SEED, 14))
-    reports = check_wielandt_flag(A, None, M)
+    reports = check_wielandt_flag(A, None)
     assert [shape(r) for r in reports] == shapes(pq[0])
     assert all(r.passed for r in reports)
-    assert all(f"interlace_min:{shape(r)[0]}" in wielandt_case_ids(r) for r in reports)
-    assert all(witness_case(r)[1] in range(3) for r in reports)
+    assert all(wielandt_case_ids(r)[-1] == f"restricted_cert_min:{shape(r)[0]}" for r in reports)
 
 
 def test_a_size_bound_keeps_the_reports_it_admits():
     """``max_m`` only leaves out shapes: each report it keeps equals the unbounded check's report of that shape."""
     A, cfg = instance(5, 3, 15)
-    M = positive_compressions(A, 4, cfg, instance_rng(SEED, 16))
-    every = {shape(rep): rep for rep in check_wielandt_flag(A, None, M)}
+    every = {shape(rep): rep for rep in check_wielandt_flag(A, None)}
     assert list(every) == shapes(5)
     for max_m in (1, 2, 3, 4, 5, 9):
-        reports = check_wielandt_flag(A, max_m, M)
+        reports = check_wielandt_flag(A, max_m)
         assert [shape(rep) for rep in reports] == shapes(5, max_m)
         assert reports == [every[shape(rep)] for rep in reports], max_m
 
@@ -1009,17 +882,16 @@ def test_a_size_bound_keeps_the_reports_it_admits():
     count=st.integers(1, 5),
 )
 def test_prefixes_of_the_certified_frame_are_the_frames_of_the_prefixes(pq, seed, count):
-    """Column k-prefixes of one width-p frame frame the basis prefixes, and the blocks of
+    """Column k-prefixes of one width-p frame frame the basis prefixes, and the blocks of the oracle's
     ``positive_compressions`` compress onto them: ``compress`` on the same frames agrees to 1e-12."""
     sig = Signature(*pq)
-    cfg = SamplerConfig(seed=seed)
-    A, _, _ = sample_planted(sig, cfg, instance_rng(seed, 30))
-    bases = sample_positive_subspace(sig, sig.p, cfg, instance_rng(seed, 31), count=count)
-    frame = _positive_frames(bases, sig)
-    M = positive_compressions(A, count, cfg, instance_rng(seed, 31))
-    assert M.shape == (count, sig.p, sig.p) and not M.flags.writeable
+    A, _, _ = sample_planted(sig, SamplerConfig(seed=seed), instance_rng(seed, 30))
+    bases = sample_positive_subspace(sig, sig.p, instance_rng(seed, 31), count=count)
+    frame = positive_frames(bases, sig)
+    M = positive_compressions(A, count, instance_rng(seed, 31))
+    assert M.shape == (count, sig.p, sig.p)
     for k in range(1, sig.p + 1):
-        prefix = _positive_frames(bases[..., :k], sig)
+        prefix = positive_frames(bases[..., :k], sig)
         assert np.max(np.abs(frame[..., :k] - prefix)) <= 1e-12
         scale = max(1.0, float(np.max(np.abs(M))))
         assert np.max(np.abs(M[:, :k, :k] - compress(A, prefix).compressed)) <= 1e-12 * scale

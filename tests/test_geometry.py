@@ -8,11 +8,19 @@ from kreinval import (
     Signature,
     gram,
     sample_planted,
+)
+from kreinval.geometry import _frame
+
+from conftest import (
+    TOL_CONE,
+    TOL_FRAME,
+    NullVector,
+    cholesky_frame,
+    compress,
+    gram_schmidt,
+    positive_frames,
     sample_positive_subspace,
 )
-from kreinval.geometry import TOL_CONE, TOL_FRAME, _frame, _positive_frames
-
-from conftest import NullVector, compress, gram_schmidt
 
 SEED = 98
 
@@ -56,11 +64,13 @@ def test_orthonormalize_both_orientations():
     sig = Signature(2, 1)
     rng = np.random.default_rng(SEED + 1)
     pos_raw = np.vstack([np.eye(2), 0.2 * rng.standard_normal((1, 2))]).astype(complex)
-    frame, pivots = _frame(pos_raw, sig, 1.0)
+    frame, pivots = cholesky_frame(pos_raw, sig)
+    assert frame.tobytes() == _frame(pos_raw, sig, 1.0).tobytes()
     assert np.allclose(gram(frame, sig), np.eye(2), atol=1e-10)
     assert np.all(pivots > 0)
     neg_raw = np.array([[0.1], [0.2], [1.0]], dtype=complex)
-    neg, pivots = _frame(neg_raw, sig, -1.0)
+    neg, pivots = cholesky_frame(neg_raw, sig, -1.0)
+    assert neg.tobytes() == _frame(neg_raw, sig, -1.0).tobytes()
     assert np.allclose(gram(neg, sig), -np.eye(1), atol=1e-10)
     assert pivots == pytest.approx([1.0 - 0.05])  # the column's self-pairing, negated
 
@@ -71,7 +81,7 @@ def test_orthonormalize_rejects_wrong_orientation():
     with pytest.raises(np.linalg.LinAlgError):
         _frame(timelike_down, sig, 1.0)
     with pytest.raises(ValueError, match="positive cone$"):
-        _positive_frames(timelike_down, sig)
+        positive_frames(timelike_down, sig)
 
 
 def test_orthonormalize_rejects_null_pivot():
@@ -81,23 +91,23 @@ def test_orthonormalize_rejects_null_pivot():
     with pytest.raises(np.linalg.LinAlgError):
         _frame(lightlike, sig, 1.0)
     with pytest.raises(ValueError, match="positive cone"):
-        _positive_frames(lightlike, sig)
+        positive_frames(lightlike, sig)
     # self-pairing 2e-2 against a squared norm 2e8: the pivot is positive but 1e-10 of the norm
     near = np.array([[1e4], [np.sqrt(1e8 - 2e-2)]], dtype=complex)
-    assert _frame(near, sig, 1.0)[1] > 0
+    assert cholesky_frame(near, sig)[1] > 0
     with pytest.raises(ValueError, match="positive cone"):
-        _positive_frames(near, sig)
+        positive_frames(near, sig)
 
 
 def test_subspace_positivity_decision():
     # the Cholesky factorization that frames a subspace decides its positivity
     sig = Signature(2, 1)
     graph = np.array([[1.0, 0.0], [0.0, 1.0], [0.2, 0.1]], dtype=complex)
-    frame = _positive_frames(graph, sig)
+    frame = positive_frames(graph, sig)
     assert np.allclose(gram(frame, sig), np.eye(2), atol=1e-12) and not frame.flags.writeable
     mixed = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError, match="positive cone"):
-        _positive_frames(mixed, sig)
+        positive_frames(mixed, sig)
 
 
 def test_null_vector_classify_raises_nothing_but_rayleigh_does(rayleigh):
@@ -114,8 +124,8 @@ def test_batched_frames_match_gram_schmidt_and_per_frame_compressions(signature)
     cfg = SamplerConfig()
     A, _, _ = sample_planted(signature, cfg, rng)
     for k in range(1, signature.p + 1):
-        bases = sample_positive_subspace(signature, k, cfg, rng, count=40)
-        frames = _positive_frames(bases, signature)
+        bases = sample_positive_subspace(signature, k, rng, count=40)
+        frames = positive_frames(bases, signature)
         assert frames.shape == bases.shape
         batched = compress(A, frames)
         for b, F, etas in zip(bases, frames, batched.etas):
@@ -131,19 +141,19 @@ def test_stacked_orthonormalize_names_the_failing_sample():
     x1 = np.array([1.0, 0.2, 0.3], dtype=complex)
     y = np.array([0.1, 1.0, -0.3], dtype=complex)
     stack = np.stack([np.column_stack([x1, y])] * 4)
-    _positive_frames(stack, sig)
+    positive_frames(stack, sig)
     negative = np.array(stack)
     negative[2, :, 1] = [0.0, 0.2, 1.0]  # a negative vector: the stacked Cholesky stops
     with pytest.raises(np.linalg.LinAlgError):
         _frame(negative, sig, 1.0)
     with pytest.raises(ValueError, match="positive cone at sample 2"):
-        _positive_frames(negative, sig)
+        positive_frames(negative, sig)
     dependent = np.array(stack)
     dependent[3, :, 1] = x1 + 1e-6 * y  # a nearly dependent column: the pivot is ~1e-12 of its norm
-    pivots = _frame(dependent, sig, 1.0)[1]
+    pivots = cholesky_frame(dependent, sig)[1]
     assert 0 < pivots[3, 1] < TOL_CONE * np.sum(np.abs(dependent[3, :, 1]) ** 2)
     with pytest.raises(ValueError, match="positive cone at sample 3"):
-        _positive_frames(dependent, sig)
+        positive_frames(dependent, sig)
 
 
 def test_nearly_dependent_columns_still_give_a_frame_on_their_flag():
@@ -152,8 +162,8 @@ def test_nearly_dependent_columns_still_give_a_frame_on_their_flag():
     x1 = np.array([1.0, 0.2, 0.1, 0.3, 0.1], dtype=complex)
     y = np.array([0.1, 1.0, 0.3, 0.2, -0.3], dtype=complex)
     X = np.column_stack([x1, x1 + 1e-4 * y])
-    assert np.max(np.abs(gram(_frame(X, sig, 1.0)[0], sig) - np.eye(2))) > TOL_FRAME  # one pass misses it
-    F = _positive_frames(X, sig)
+    assert np.max(np.abs(gram(_frame(X, sig, 1.0), sig) - np.eye(2))) > TOL_FRAME  # one pass misses it
+    F = positive_frames(X, sig)
     assert np.max(np.abs(gram(F, sig) - np.eye(2))) <= 1e-12
     assert abs(abs(np.vdot(F[:, 0], x1)) - np.linalg.norm(F[:, 0]) * np.linalg.norm(x1)) < 1e-12
     coeffs, *_ = np.linalg.lstsq(F, X, rcond=None)
@@ -172,11 +182,11 @@ def test_cholesky_frames_equal_gram_schmidt(p, q, cap, seed, data):
     sig = Signature(p, q)
     k = data.draw(st.integers(1, p))
     rng = np.random.default_rng(seed)
-    bases = sample_positive_subspace(sig, k, SamplerConfig(contraction_cap=cap), rng, count=3)
+    bases = sample_positive_subspace(sig, k, rng, count=3, cap=cap)
     # recombine the columns so the input is not already orthonormal at q = 0
     R = np.eye(k) + 0.3 * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / k
     bases = bases @ R
-    frames = _positive_frames(bases, sig)
+    frames = positive_frames(bases, sig)
     for b, F in zip(bases, frames):
         assert_close(F, gram_schmidt(b, sig))
         if q == 0:

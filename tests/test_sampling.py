@@ -12,21 +12,23 @@ from kreinval import (
     pseudo_hermitian_residual,
     pseudo_unitary_residual,
     sample_planted,
-    sample_positive_subspace,
     sample_pseudo_unitary,
     sample_spectrum,
     sampling,
 )
 from kreinval.errors import NonFiniteValue
-from kreinval.geometry import TOL_CONE, gram
+from kreinval.geometry import gram
 from kreinval.sampling import _expm, _lie_algebra_element, complex_normal
 
 from conftest import (
+    CONTRACTION_CAP,
+    TOL_CONE,
     all_tuples,
     cone_class,
     cone_margin,
     positive_flag,
     restricted_cone_samples,
+    sample_positive_subspace,
     subordinate_coordinates,
     subordinate_frames,
     subordinate_layout,
@@ -214,7 +216,7 @@ def test_positive_subspaces_stay_positive(signature, sampler_cfg):
     rng = instance_rng(SEED, 11)
     for k in range(1, signature.p + 1):
         for _ in range(10):
-            basis = sample_positive_subspace(signature, k, sampler_cfg, rng)
+            basis = sample_positive_subspace(signature, k, rng)
             assert basis.shape == (signature.n, k)
             assert cone_margin(basis, signature) >= TOL_CONE
 
@@ -222,11 +224,11 @@ def test_positive_subspaces_stay_positive(signature, sampler_cfg):
 def test_batched_subspaces_stay_positive_and_single_is_first_of_one(signature, sampler_cfg):
     for k in range(1, signature.p + 1):
         rng = instance_rng(SEED, 14)
-        stack = sample_positive_subspace(signature, k, sampler_cfg, rng, count=50)
+        stack = sample_positive_subspace(signature, k, rng, count=50)
         assert stack.shape == (50, signature.n, k)
         assert np.all(cone_margin(stack, signature) >= TOL_CONE)
-        single = sample_positive_subspace(signature, k, sampler_cfg, instance_rng(SEED, 14))
-        first = sample_positive_subspace(signature, k, sampler_cfg, instance_rng(SEED, 14), count=1)
+        single = sample_positive_subspace(signature, k, instance_rng(SEED, 14))
+        first = sample_positive_subspace(signature, k, instance_rng(SEED, 14), count=1)
         assert np.array_equal(single, first[0])
 
 
@@ -243,8 +245,7 @@ def test_graph_subspaces_are_positive_by_construction(p, q, cap, seed, count, da
     """||K|| <= cap < 1 gives the paired Gram I - Q* K* K Q >= (1 - cap^2) I, with no runtime check."""
     sig = Signature(p, q)
     k = data.draw(st.integers(1, p))
-    cfg = SamplerConfig(contraction_cap=cap)
-    stack = sample_positive_subspace(sig, k, cfg, np.random.default_rng(seed), count=count)
+    stack = sample_positive_subspace(sig, k, np.random.default_rng(seed), count=count, cap=cap)
     assert np.all(np.linalg.eigvalsh(gram(stack, sig))[:, 0] >= 1.0 - cap**2 - 1e-12)
 
 
@@ -255,12 +256,12 @@ def test_the_contraction_has_the_norm_it_was_drawn_with(pq):
     The sampler takes ||K||_2 from eigvalsh of the smaller Gram, K K* or K* K;
     both orientations are covered (q < p and q > p).
     """
-    sig, count, cfg = Signature(*pq), 200, SamplerConfig(contraction_cap=0.9)
-    stack = sample_positive_subspace(sig, sig.p, cfg, np.random.default_rng(SEED), count=count)
+    sig, count = Signature(*pq), 200
+    stack = sample_positive_subspace(sig, sig.p, np.random.default_rng(SEED), count=count)
     replay = np.random.default_rng(SEED)
     replay.standard_normal((2, count, sig.p, sig.p))  # Q's real and imaginary parts
     replay.standard_normal((2, count, sig.q, sig.p))  # K's
-    caps = replay.uniform(0.0, cfg.contraction_cap, count)
+    caps = replay.uniform(0.0, CONTRACTION_CAP, count)
     norms = np.linalg.norm(stack[:, sig.p :, :], 2, axis=(-2, -1))
     assert np.max(np.abs(norms - caps) / caps) <= 1e-14
 
@@ -268,7 +269,7 @@ def test_the_contraction_has_the_norm_it_was_drawn_with(pq):
 def test_batched_subordinate_frames_lie_in_their_levels(signature, sampler_cfg):
     """One draw for every tuple: groups of equal shape cover the tuples once, in order of first appearance."""
     rng = instance_rng(SEED, 15)
-    basis = sample_positive_subspace(signature, signature.p, sampler_cfg, rng)
+    basis = sample_positive_subspace(signature, signature.p, rng)
     tuples = all_tuples(signature.p)
     tuples = tuples + tuples[::-2]  # duplicates, out of order
     groups = subordinate_coordinates(tuples, rng, 30)
@@ -340,7 +341,7 @@ def test_flag_and_subordinate_frame(signature, sampler_cfg):
         pytest.skip("flags with one level are exercised elsewhere")
     idx = (1, signature.p)
     rng = instance_rng(SEED, 13)
-    flag = positive_flag(signature, idx, sample_positive_subspace(signature, idx[-1], sampler_cfg, rng))
+    flag = positive_flag(signature, idx, sample_positive_subspace(signature, idx[-1], rng))
     ((_, coords),) = subordinate_coordinates([idx], rng, 1)
     frame = flag.frame @ coords[0, 0]
     assert flag.depth == 2
@@ -366,8 +367,11 @@ def test_sampler_config_validation():
         SamplerConfig(gap_min=-0.1)
     with pytest.raises(ValueError):
         SamplerConfig(value_range=(2.0, -2.0))
-    with pytest.raises(ValueError):
-        SamplerConfig(contraction_cap=1.5)
+    with pytest.raises(TypeError):  # positive subspaces are drawn in the tests, with their own cap
+        SamplerConfig(contraction_cap=0.5)
+    for cap in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="contraction cap"):
+            sample_positive_subspace(Signature(2, 1), 1, np.random.default_rng(SEED), cap=cap)
     with pytest.raises(ValueError):
         SamplerConfig(cond_cap=0.5)
     for bad in ({"gap_min": np.inf}, {"gap_min": np.nan}, {"value_range": (-np.inf, 0.0)},

@@ -24,10 +24,10 @@ from kreinval import spectral
 from kreinval.checks import matrix_sum
 from kreinval.cli import SuiteConfig, run_instance
 from kreinval.core import metric_diagonal
-from kreinval.geometry import _positive_frames, gram
+from kreinval.geometry import gram
 from kreinval.sampling import SamplerConfig
 
-from conftest import compress, cone_class, gram_schmidt
+from conftest import compress, cone_class, gram_schmidt, positive_frames
 
 SEED = 515
 
@@ -140,7 +140,7 @@ def test_compression_matches_rayleigh_trace(signature, sampler_cfg, rayleigh):
     rng = instance_rng(SEED, 4)
     A, spec, _ = sample_planted(signature, sampler_cfg, rng)
     system = eigendecompose(A)
-    frame = _positive_frames(positive_eigenbasis(system), signature)
+    frame = positive_frames(positive_eigenbasis(system), signature)
     result = compress(A, frame)
     assert np.allclose(result.compressed, result.compressed.conj().T)
     # compressing onto the full positive eigenspace returns the lambdas
