@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -58,15 +57,7 @@ class CheckCase(NamedTuple):
 def _make_case(case_id: str, indices, lhs: float, rhs: float, margin: float, tol: float) -> CheckCase:
     margin = float(margin)
     tol = float(tol)
-    return CheckCase(
-        case_id=case_id,
-        indices=tuple(int(i) for i in indices),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=margin,
-        tol=tol,
-        passed=bool(margin >= -tol),
-    )
+    return CheckCase(case_id, tuple(map(int, indices)), float(lhs), float(rhs), margin, tol, margin >= -tol)
 
 
 def _make_cases(case_ids, indices, lhs, rhs, margin, tol: float) -> list[CheckCase]:
@@ -82,14 +73,16 @@ def _make_cases(case_ids, indices, lhs, rhs, margin, tol: float) -> list[CheckCa
     return list(map(CheckCase._make, zip(case_ids, indices, lhs, rhs, margin, itertools.repeat(tol), passed)))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one check on one instance.
 
     ``cases`` are the hard cases; ``passed`` means all of them passed and
     ``worst_margin`` is their minimum margin (None when there are no cases).
     Soft cases (best-effort searches) live in ``soft_cases`` with their pass
     fraction in ``soft_rate`` and never affect ``passed``.
+
+    An immutable named tuple, as CheckCase is: it compares equal to any
+    tuple of the same ten values.
     """
 
     check_name: str
@@ -129,21 +122,19 @@ def _finalize_report(
 ) -> CheckReport:
     cases = tuple(cases)
     soft_cases = tuple(soft_cases)
-    worst = min((c.margin for c in cases), default=None)
-    soft_rate = None
-    if soft_cases:
-        soft_rate = sum(1 for c in soft_cases if c.passed) / len(soft_cases)
+    margins = [c.margin for c in cases]
+    soft_passed = [c.passed for c in soft_cases]
     return CheckReport(
-        check_name=check_name,
-        signature=(sig.p, sig.q),
-        descriptor=descriptor,
-        tol=float(tol),
-        cases=cases,
-        worst_margin=worst,
-        passed=all(c.passed for c in cases),
-        soft_cases=soft_cases,
-        soft_rate=soft_rate,
-        notes=tuple(notes),
+        check_name,
+        (sig.p, sig.q),
+        descriptor,
+        float(tol),
+        cases,
+        min(margins, default=None),
+        all([c.passed for c in cases]),
+        soft_cases,
+        sum(soft_passed) / len(soft_passed) if soft_passed else None,
+        tuple(notes),
     )
 
 
@@ -476,8 +467,8 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
 def _positive_eigen(A: PseudoHermitianMatrix):
     """A's eigensystem, the compression (p, p) onto its positive eigenbasis, and the p certificates.
 
-    The eigenbasis is ``ClassifiedEigenSystem.eigenvectors``, which
-    ``eigendecompose`` has already framed pseudo-orthonormal, so the
+    The eigenbasis is ``ClassifiedEigenSystem.eigenvectors``, which the
+    certificate's factor makes pseudo-orthonormal by construction, so the
     compression is the Hermitian part of V* J A V and diag(lambdas) up to
     roundoff.  Certificate k is the least eigenvalue of H_k (see the section
     comment): with the positive eigenvectors ordered first, H_k is the
@@ -519,8 +510,8 @@ def check_courant_fischer(
     ``minmax_witness:k`` reads the k-th eigenvalue of the compression onto
     the positive eigenbasis, and ``restricted_witness:k`` the Rayleigh
     ratio <A v_k, v_k> / <v_k, v_k> of the k-th eigenvector, whose pairing
-    the framing made 1 up to roundoff; both are lambda_k in exact
-    arithmetic.  The check draws nothing.
+    is 1 up to roundoff; both are lambda_k in exact arithmetic.  The check
+    draws nothing.
     """
     sig = A.signature
     descriptor = {"equality_tol": equality_tol}

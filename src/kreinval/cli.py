@@ -400,8 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="report file path")
     parser.add_argument("--format", choices=("json", "csv"), help="report format")
     parser.add_argument("--config", help="JSON config file (flags override it)")
-    # a token such as -1e6 is a value, not an option; argparse's own pattern misses exponents
-    parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    # a token such as -1e6 or -inf is a value, not an option; argparse's own pattern misses
+    # exponents and the non-finite spellings, which the config check then rejects
+    parser._negative_number_matcher = re.compile(
+        r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+    )
     return parser
 
 

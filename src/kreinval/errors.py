@@ -20,7 +20,12 @@ class NonFiniteValue(KreinvalError, ValueError):
 
 
 class DefectiveMatrix(KreinvalError):
-    """The eigenvector matrix is numerically rank-deficient."""
+    """The eigenvector matrix is numerically rank-deficient.
+
+    Raised only by the diagnosis of a matrix that no shift certifies: a
+    certified matrix is diagonalizable, and its eigenvectors come from the
+    certificate.
+    """
 
 
 class ComplexSpectrum(KreinvalError):

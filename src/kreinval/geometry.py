@@ -1,14 +1,10 @@
-"""The indefinite pairing, Gram matrices, and pseudo-orthonormal frames.
+"""The indefinite pairing and Gram matrices.
 
 The pairing is linear in its first argument and conjugate-linear in the
 second: <z, w> = sum_{i<=p} z_i conj(w_i) - sum_{j>p} z_j conj(w_j).
 
 A basis X spans a positive subspace iff its paired Gram X* J X is positive
-definite, which one Cholesky factorization L L^H of the Gram decides: its
-pivots are the self-pairings of the columns cleaned against the earlier
-ones.  The same factor gives the pseudo-orthonormal frame X L^-H, whose
-first k columns are a frame of the first k columns of X; the eigenvector
-blocks of an admissible matrix are framed this way.
+definite.
 """
 
 from __future__ import annotations
@@ -57,14 +53,3 @@ def gram(basis, sig: Signature) -> np.ndarray:
     jd = metric_diagonal(sig)
     G = _adjoint(B) @ (jd[:, None] * B)
     return 0.5 * (G + _adjoint(G))
-
-
-def _frame(X: np.ndarray, sig: Signature, sign: float) -> np.ndarray:
-    """The frames X L^-H (..., n, k), L L^H = sign * gram(X).
-
-    For a definite Gram this is the frame that Gram-Schmidt with the pivot
-    sign ``sign`` gives.  A Gram that is not definite of that sign, in any
-    sample of a stack, raises LinAlgError.
-    """
-    L = np.linalg.cholesky(sign * gram(X, sig))
-    return _adjoint(np.linalg.solve(L, _adjoint(X)))

@@ -8,6 +8,13 @@ is positive definite for some shift in the gap between the two blocks, so
 one Cholesky factorization of H certifies admissibility.  The eigenvalues
 below the shift are then the negative-type ones and those above it the
 positive-type ones.  Shifts add: shift_A + shift_B certifies A + B.
+
+The factor L of H = L L^H also gives the eigenvectors in closed form:
+A - shift I = J L L^H is similar to the Hermitian matrix M = L^H J L, so
+one Hermitian eigensolve M Q = Q diag(nu) and one solve with the
+triangular L^H give the eigenvectors L^-H Q, already paired-orthogonal.
+By Sylvester's law of inertia M, congruent to J, has exactly q negative
+eigenvalues nu.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .errors import (
     GapViolation,
     WrongConeCount,
 )
-from .geometry import TOL_NULL_REL, _frame
+from .geometry import TOL_NULL_REL, _adjoint
 
 #: acceptance on the imaginary part of eigenvalues, relative to the operator norm
 TOL_REALITY_REL = 1e-8
@@ -40,41 +47,37 @@ class ClassifiedEigenSystem:
     ``eigenvalues`` are the real parts of the computed eigenvalues, ascending;
     the first q belong to negative-type and the last p to positive-type
     eigenvectors.  ``shift`` is the point of the gap at which J (A - shift I)
-    was found positive definite, and ``spectrum`` the validated spectrum.
-    ``unframed`` holds the eigenvectors as ``np.linalg.eig`` returned them,
-    in the order of ``eigenvalues``.
+    was found positive definite, ``factor`` its lower Cholesky factor L, and
+    ``spectrum`` the validated spectrum.
 
-    ``eigenvectors`` are in the same order, and each block is
-    pseudo-orthonormal (pairings -I on the first q columns, +I on the last
-    p), repeated eigenvalues included.  They are framed on first read and
-    kept: the sum checks read spectra only and never pay for them.  A block
-    whose pairing Gram is not definite, so that its computed eigenvectors
-    are numerically dependent, raises DefectiveMatrix naming the block on
-    every read, and nothing is kept.  Systems returned by ``eigendecompose``
-    are shared, so their arrays are read-only.
+    ``eigenvectors`` are in the same order, and come from the certificate:
+    with nu, Q = eigh(L^H J L), nu ascending, the columns are
+    L^-H Q diag(sqrt|nu|), so their pairing Gram is diag(sign nu): -I on the
+    first q columns and +I on the last p, repeated eigenvalues included.
+    They are built on first read and kept: the sum checks read spectra only
+    and never pay for them.  When roundoff leaves other than q negative nu,
+    against Sylvester's law, every read raises WrongConeCount and nothing is
+    kept.  Systems returned by ``eigendecompose`` are shared, so their
+    arrays are read-only.
     """
 
     signature: Signature
     eigenvalues: np.ndarray
-    unframed: np.ndarray
+    factor: np.ndarray
     shift: float
     spectrum: AdmissibleSpectrum
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
-        q = self.signature.q
-        blocks = []
-        for kind, X, sign in (
-            ("negative-type", self.unframed[:, :q], -1.0),
-            ("positive-type", self.unframed[:, q:], 1.0),
-        ):
-            try:
-                blocks.append(_frame(X, self.signature, sign))
-            except np.linalg.LinAlgError:
-                raise DefectiveMatrix(
-                    f"{kind} eigenvectors are numerically dependent: their pairing Gram is not definite"
-                ) from None
-        vectors = np.concatenate(blocks, axis=1)
+        L, sig = self.factor, self.signature
+        nu, Q = np.linalg.eigh(_adjoint(L) @ (metric_diagonal(sig)[:, None] * L))
+        negative = int(np.count_nonzero(nu < 0))
+        if negative != sig.q:
+            raise WrongConeCount(
+                f"L^H J L has {negative} negative eigenvalues, not q = {sig.q}: "
+                "the certificate's factor has lost the inertia of J"
+            )
+        vectors = np.linalg.solve(_adjoint(L), Q * np.sqrt(np.abs(nu)))
         vectors.flags.writeable = False
         return vectors
 
@@ -82,18 +85,17 @@ class ClassifiedEigenSystem:
 def eigendecompose(A: PseudoHermitianMatrix) -> ClassifiedEigenSystem:
     """Certified eigendecomposition of an admissible matrix, memoized by value.
 
-    One ``np.linalg.eig``; the shift goes midway between the q-th and
+    One ``np.linalg.eigvals``; the shift goes midway between the q-th and
     (q+1)-th eigenvalue (past the spectrum when p or q is 0), and one
     Cholesky factorization of J (A - shift I) certifies A.  When it fails,
-    ComplexSpectrum, GapViolation (``other_component=True`` when A is
-    admissible for the opposite orientation), DefectiveMatrix or
-    WrongConeCount says why.
+    a diagnosis with ``np.linalg.eig`` raises ComplexSpectrum, GapViolation
+    (``other_component=True`` when A is admissible for the opposite
+    orientation), DefectiveMatrix or WrongConeCount to say why.
 
     A positive definite H makes A self-adjoint for the definite form H, so A
     is diagonalizable with a real spectrum (Gohberg-Lancaster-Rodman): the
-    eigenvector frames add nothing to the certificate.  They are built on
-    the first read of ``eigenvectors``, and a block that cannot be framed
-    raises DefectiveMatrix there, not here.
+    eigenvectors add nothing to the certificate.  They are built from its
+    factor on the first read of ``eigenvectors``.
 
     Equal signatures and entry bytes share one read-only system, so the
     checks on A, B and A + B of an instance read three solves.  A result
@@ -145,24 +147,26 @@ def _gap_point(theta: np.ndarray, below: int) -> float:
 @functools.lru_cache(maxsize=32)
 def _solve(sig: Signature, data: bytes) -> ClassifiedEigenSystem:
     entries = np.frombuffer(data, dtype=complex).reshape(sig.n, sig.n)
-    w, V = np.linalg.eig(entries)
-    order = np.lexsort((w.imag, w.real))
-    theta = w.real[order]
+    theta = np.sort(np.linalg.eigvals(entries).real)
     shift = _gap_point(theta, sig.q)
     try:
         # certified: the q eigenvalues below the shift are the negative-type ones
-        np.linalg.cholesky(_shifted_form(entries, sig, shift))
+        L = np.linalg.cholesky(_shifted_form(entries, sig, shift))
     except np.linalg.LinAlgError:
-        _diagnose(sig, entries, w, V)
+        _diagnose(sig, entries)
     spectrum = AdmissibleSpectrum(sig, theta[sig.q :], theta[: sig.q][::-1])
-    vectors = V[:, order]
     theta.flags.writeable = False
-    vectors.flags.writeable = False
-    return ClassifiedEigenSystem(sig, theta, vectors, shift, spectrum)
+    L.flags.writeable = False
+    return ClassifiedEigenSystem(sig, theta, L, shift, spectrum)
 
 
-def _diagnose(sig: Signature, entries: np.ndarray, w: np.ndarray, V: np.ndarray) -> NoReturn:
-    """Raise the typed error that says why no shift certifies the matrix."""
+def _diagnose(sig: Signature, entries: np.ndarray) -> NoReturn:
+    """Raise the typed error that says why no shift certifies the matrix.
+
+    Only this failure path solves for the eigenvectors with ``np.linalg.eig``:
+    their cone classes and conditioning name the cause.
+    """
+    w, V = np.linalg.eig(entries)
     norm = float(np.linalg.svd(entries, compute_uv=False)[0])  # operator 2-norm
     reality = float(np.max(np.abs(w.imag)))
     if reality > TOL_REALITY_REL * norm:

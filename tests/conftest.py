@@ -330,10 +330,12 @@ def sample_positive_subspace(sig, k, rng, *, count=None, cap=CONTRACTION_CAP) ->
 
 
 def cholesky_frame(X, sig, sign=1.0):
-    """The frames of ``geometry._frame``, by the same arithmetic, and the pivots |L_jj|^2 (..., k).
+    """The frames X L^-H (..., n, k), L L^H = ``sign`` * gram(X), and the pivots |L_jj|^2 (..., k).
 
-    Pivot j is the self-pairing (times ``sign``) of column j cleaned against
-    the columns before it.
+    For a definite Gram this is the frame that Gram-Schmidt with the pivot
+    sign ``sign`` gives; a Gram that is not definite of that sign, in any
+    sample of a stack, raises LinAlgError.  Pivot j is the self-pairing
+    (times ``sign``) of column j cleaned against the columns before it.
     """
     L = np.linalg.cholesky(sign * gram(X, sig))
     return _adjoint(np.linalg.solve(L, _adjoint(X))), np.abs(L.diagonal(axis1=-2, axis2=-1)) ** 2
@@ -427,12 +429,13 @@ def non_invariant_system(A, k):
     """A's eigensystem with a planted eigensolver fault: eigenvector k is v_k + c w, and lambda_k its Rayleigh ratio.
 
     w is the top negative-type eigenvector, so v_k + c w is positive for
-    |c| < 1 and paired-orthogonal to every other eigenvector: once framed,
-    the returned eigenbasis is pseudo-orthonormal, and A compresses onto it
-    as diag(lambda') to roundoff.  But it is not invariant, and lambda'_k =
-    lambda_k + c^2 (lambda_k - mu_1) / (1 - c^2) exceeds lambda_k; c raises
-    it by half the gap to lambda_{k+1} (by 1 at k = p), so lambda' stays
-    ascending.  Needs q >= 1.
+    |c| < 1 and paired-orthogonal to every other eigenvector: once framed
+    block by block, the returned eigenbasis is pseudo-orthonormal, and A
+    compresses onto it as diag(lambda') to roundoff.  But it is not
+    invariant, and lambda'_k = lambda_k + c^2 (lambda_k - mu_1) / (1 - c^2)
+    exceeds lambda_k; c raises it by half the gap to lambda_{k+1} (by 1 at
+    k = p), so lambda' stays ascending.  The system keeps A's certificate
+    and carries the framed vectors as its eigenvectors.  Needs q >= 1.
     """
     from kreinval.core import AdmissibleSpectrum
     from kreinval.spectral import ClassifiedEigenSystem, eigendecompose
@@ -446,7 +449,13 @@ def non_invariant_system(A, k):
     vectors[:, sig.q + k - 1] += c * vectors[:, sig.q - 1]  # the negative-type block ascends: mu_1 is last
     lam[k - 1] = _rayleigh(A, vectors[:, sig.q + k - 1], sig)
     eigenvalues = np.concatenate([mu[::-1], lam])
-    return ClassifiedEigenSystem(sig, eigenvalues, vectors, system.shift, AdmissibleSpectrum(sig, lam, mu))
+    faulty = ClassifiedEigenSystem(sig, eigenvalues, system.factor, system.shift, AdmissibleSpectrum(sig, lam, mu))
+    framed = np.concatenate(
+        [cholesky_frame(vectors[:, : sig.q], sig, -1.0)[0], cholesky_frame(vectors[:, sig.q :], sig)[0]], axis=1
+    )
+    framed.flags.writeable = False
+    vars(faulty)["eigenvectors"] = framed  # stands in for the vectors the factor would give
+    return faulty
 
 
 def cone_class(z, sig, tol_null=TOL_NULL_REL) -> str:

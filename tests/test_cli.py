@@ -75,6 +75,16 @@ class TestConfig:
             with pytest.raises(ConfigError, match=name):
                 validate_config(SuiteConfig(**{name: float(value)}))
 
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-NAN"])
+    def test_a_negative_non_finite_flag_value_reaches_the_config_check(self, tmp_path, capsys, value):
+        """``--tol -inf`` and ``--value-range -inf 1`` parse as values, so the config check rejects them."""
+        out = tmp_path / "r.jsonl"
+        for flags in (["--tol", value], ["--value-range", value, "1"]):
+            assert main(["--instances", "1", *flags, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert [line for line in err.splitlines() if line] == [err.strip()] and err.startswith("config error: ")
+            assert not out.exists()
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):
             build_config(["--suite", "nonsense"])

@@ -35,7 +35,7 @@ from kreinval.checks import (
 )
 from kreinval.cli import SuiteConfig, run_instance, run_suite
 from kreinval.core import PseudoHermitianMatrix, Signature, metric_diagonal
-from kreinval.geometry import _adjoint, _frame
+from kreinval.geometry import _adjoint
 from kreinval.sampling import (
     SamplerConfig,
     complex_normal,
@@ -53,6 +53,7 @@ from conftest import (
     _witness_runs,
     _witness_traces,
     all_tuples,
+    cholesky_frame,
     compress,
     cone_margin,
     eigenflag_traces,
@@ -742,11 +743,11 @@ def test_the_flag_keeps_the_frame_that_pseudo_orthonormalize_gives(pq):
     for idx in all_tuples(sig.p):
         for count in (None, 7):
             flag = positive_flag(sig, idx, sample_positive_subspace(sig, sig.p, rng, count=count))
-            want = _frame(flag.basis, sig, 1.0)
+            want = cholesky_frame(flag.basis, sig)[0]
             assert flag.frame.tobytes() == want.tobytes() and flag.frame.shape == want.shape
             assert not flag.frame.flags.writeable
         eigenflag = positive_flag(sig, idx, positive_eigenbasis(eigendecompose(A)))
-        assert eigenflag.frame.tobytes() == _frame(eigenflag.basis, sig, 1.0).tobytes()
+        assert eigenflag.frame.tobytes() == cholesky_frame(eigenflag.basis, sig)[0].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from kreinval import (
     gram,
     sample_planted,
 )
-from kreinval.geometry import _frame
 
 from conftest import (
     TOL_CONE,
@@ -65,12 +64,10 @@ def test_orthonormalize_both_orientations():
     rng = np.random.default_rng(SEED + 1)
     pos_raw = np.vstack([np.eye(2), 0.2 * rng.standard_normal((1, 2))]).astype(complex)
     frame, pivots = cholesky_frame(pos_raw, sig)
-    assert frame.tobytes() == _frame(pos_raw, sig, 1.0).tobytes()
     assert np.allclose(gram(frame, sig), np.eye(2), atol=1e-10)
     assert np.all(pivots > 0)
     neg_raw = np.array([[0.1], [0.2], [1.0]], dtype=complex)
     neg, pivots = cholesky_frame(neg_raw, sig, -1.0)
-    assert neg.tobytes() == _frame(neg_raw, sig, -1.0).tobytes()
     assert np.allclose(gram(neg, sig), -np.eye(1), atol=1e-10)
     assert pivots == pytest.approx([1.0 - 0.05])  # the column's self-pairing, negated
 
@@ -79,7 +76,7 @@ def test_orthonormalize_rejects_wrong_orientation():
     sig = Signature(1, 1)
     timelike_down = np.array([[0.0], [1.0]], dtype=complex)
     with pytest.raises(np.linalg.LinAlgError):
-        _frame(timelike_down, sig, 1.0)
+        cholesky_frame(timelike_down, sig)
     with pytest.raises(ValueError, match="positive cone$"):
         positive_frames(timelike_down, sig)
 
@@ -89,7 +86,7 @@ def test_orthonormalize_rejects_null_pivot():
     sig = Signature(1, 1)
     lightlike = np.array([[1.0], [1.0]], dtype=complex)
     with pytest.raises(np.linalg.LinAlgError):
-        _frame(lightlike, sig, 1.0)
+        cholesky_frame(lightlike, sig)
     with pytest.raises(ValueError, match="positive cone"):
         positive_frames(lightlike, sig)
     # self-pairing 2e-2 against a squared norm 2e8: the pivot is positive but 1e-10 of the norm
@@ -145,7 +142,7 @@ def test_stacked_orthonormalize_names_the_failing_sample():
     negative = np.array(stack)
     negative[2, :, 1] = [0.0, 0.2, 1.0]  # a negative vector: the stacked Cholesky stops
     with pytest.raises(np.linalg.LinAlgError):
-        _frame(negative, sig, 1.0)
+        cholesky_frame(negative, sig)
     with pytest.raises(ValueError, match="positive cone at sample 2"):
         positive_frames(negative, sig)
     dependent = np.array(stack)
@@ -162,7 +159,7 @@ def test_nearly_dependent_columns_still_give_a_frame_on_their_flag():
     x1 = np.array([1.0, 0.2, 0.1, 0.3, 0.1], dtype=complex)
     y = np.array([0.1, 1.0, 0.3, 0.2, -0.3], dtype=complex)
     X = np.column_stack([x1, x1 + 1e-4 * y])
-    assert np.max(np.abs(gram(_frame(X, sig, 1.0), sig) - np.eye(2))) > TOL_FRAME  # one pass misses it
+    assert np.max(np.abs(gram(cholesky_frame(X, sig)[0], sig) - np.eye(2))) > TOL_FRAME  # one pass misses it
     F = positive_frames(X, sig)
     assert np.max(np.abs(gram(F, sig) - np.eye(2))) <= 1e-12
     assert abs(abs(np.vdot(F[:, 0], x1)) - np.linalg.norm(F[:, 0]) * np.linalg.norm(x1)) < 1e-12
