@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import PseudoHermitianMatrix, Signature, metric_diagonal
-from .errors import ComplexSpectrum, GapViolation, ShapeMismatch, WrongConeCount
+from .errors import ComplexSpectrum, DefectiveMatrix, GapViolation, ShapeMismatch, WrongConeCount
 from .geometry import _adjoint, gram
 from .spectral import check_admissible, eigendecompose, positive_eigenbasis
 
@@ -43,34 +43,15 @@ class CheckCase(NamedTuple):
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "indices": list(self.indices),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        doc = self._asdict()
+        doc["indices"] = list(self.indices)
+        return doc
 
 
 def _make_case(case_id: str, indices, lhs: float, rhs: float, margin: float, tol: float) -> CheckCase:
     margin = float(margin)
     tol = float(tol)
     return CheckCase(case_id, tuple(map(int, indices)), float(lhs), float(rhs), margin, tol, margin >= -tol)
-
-
-def _make_cases(case_ids, indices, lhs, rhs, margin, tol: float) -> list[CheckCase]:
-    """The cases of equal length columns, row by row, as ``_make_case`` builds one.
-
-    ``case_ids`` holds strings and ``indices`` tuples of Python ints, both
-    taken as they are; ``lhs``, ``rhs`` and ``margin`` are float arrays,
-    each turned into Python floats by one ``tolist()``.
-    """
-    tol = float(tol)
-    lhs, rhs, margin = (np.asarray(col, dtype=float).tolist() for col in (lhs, rhs, margin))
-    passed = [m >= -tol for m in margin]
-    return list(map(CheckCase._make, zip(case_ids, indices, lhs, rhs, margin, itertools.repeat(tol), passed)))
 
 
 class CheckReport(NamedTuple):
@@ -97,18 +78,14 @@ class CheckReport(NamedTuple):
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "signature": list(self.signature),
-            "descriptor": self.descriptor,
-            "tol": self.tol,
-            "cases": [c.to_dict() for c in self.cases],
-            "worst_margin": self.worst_margin,
-            "passed": self.passed,
-            "soft_cases": [c.to_dict() for c in self.soft_cases],
-            "soft_rate": self.soft_rate,
-            "notes": list(self.notes),
-        }
+        doc = self._asdict()
+        doc.update(
+            signature=list(self.signature),
+            cases=[c.to_dict() for c in self.cases],
+            soft_cases=[c.to_dict() for c in self.soft_cases],
+            notes=list(self.notes),
+        )
+        return doc
 
 
 def _finalize_report(
@@ -156,6 +133,9 @@ def matrix_sum(A: PseudoHermitianMatrix, B: PseudoHermitianMatrix) -> PseudoHerm
 def _sum_spectra(A: PseudoHermitianMatrix, B: PseudoHermitianMatrix):
     """Spectra of A, B, and A + B; the last is None plus the error when inadmissible.
 
+    Inadmissible means any of the four failures ``eigendecompose`` raises
+    for a matrix that no shift certifies.
+
     Memoized by value: the sum checks of one instance build and validate
     A + B once and share the result, whose spectra are read-only.  The
     result depends on the entries alone, so the memo never changes what a
@@ -166,7 +146,7 @@ def _sum_spectra(A: PseudoHermitianMatrix, B: PseudoHermitianMatrix):
     C = matrix_sum(A, B)
     try:
         return specA, specB, C, check_admissible(C), None
-    except (ComplexSpectrum, WrongConeCount, GapViolation) as exc:
+    except (ComplexSpectrum, DefectiveMatrix, GapViolation, WrongConeCount) as exc:
         # kept for the report notes and never raised again, so it need not hold the frames
         return specA, specB, C, None, exc.with_traceback(None)
 
@@ -241,17 +221,14 @@ def _lidskii_cases(
     positive = kind == "lambda"
     order = (np.argsort(c - a if positive else a - c, kind="stable") + 1).tolist()
     a, c = a.tolist(), c.tolist()
-    ids, tuples, lhs, rhs, margins = [], [], [], [], []
+    cases = []
     for m in range(1, mmax + 1):
         t = tuple(sorted(order[:m]))
-        left = _ordered_sum(c, t)
-        right = _ordered_sum(a, t) + float(np.sum(b[:m]))
-        ids.append(f"{kind}:{','.join(map(str, t))}")
-        tuples.append(t)
-        lhs.append(left)
-        rhs.append(right)
-        margins.append(left - right if positive else right - left)
-    return _make_cases(ids, tuples, lhs, rhs, margins, tol)
+        lhs = _ordered_sum(c, t)
+        rhs = _ordered_sum(a, t) + float(np.sum(b[:m]))
+        margin = lhs - rhs if positive else rhs - lhs
+        cases.append(_make_case(f"{kind}:{','.join(map(str, t))}", t, lhs, rhs, margin, tol))
+    return cases
 
 
 def _first_minimum(running: np.ndarray, axis: int) -> np.ndarray:
@@ -304,7 +281,7 @@ def _thompson_freede_cases(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: flo
     first_i, first_j = _first_minimum(rect, 1), _first_minimum(rows, 2)
     ends = np.argmin(g.reshape(p, p * p), axis=1).tolist()
     a, b, c = a.tolist(), b.tolist(), c.tolist()
-    ids, indices, lhs, rhs = [], [], [], []
+    cases = []
     for m, end in enumerate(ends, 1):
         i, j = divmod(end, p)
         path = [(i + 1, j + 1)]
@@ -314,12 +291,12 @@ def _thompson_freede_cases(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: flo
             path.append((i + 1, j + 1))
         path.reverse()
         pair_i, pair_j = zip(*path)
-        combined_indices = tuple(x + y - h for h, (x, y) in enumerate(path, 1))
-        ids.append(f"i={','.join(map(str, pair_i))};j={','.join(map(str, pair_j))}")
-        indices.append(combined_indices)
-        lhs.append(_ordered_sum(c, combined_indices))
-        rhs.append(_ordered_sum(a, pair_i) + _ordered_sum(b, pair_j))
-    return _make_cases(ids, indices, lhs, rhs, [x - y for x, y in zip(lhs, rhs)], tol)
+        combined = tuple(x + y - h for h, (x, y) in enumerate(path, 1))
+        lhs = _ordered_sum(c, combined)
+        rhs = _ordered_sum(a, pair_i) + _ordered_sum(b, pair_j)
+        case_id = f"i={','.join(map(str, pair_i))};j={','.join(map(str, pair_j))}"
+        cases.append(_make_case(case_id, combined, lhs, rhs, lhs - rhs, tol))
+    return cases
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ import numpy as np
 
 from . import __version__
 from .checks import (
+    DEFAULT_TOL,
+    EQUALITY_TOL,
     CheckReport,
     _finalize_report,
     _make_case,
@@ -41,9 +43,9 @@ from .checks import (
     check_weyl,
     check_wielandt_flag,
 )
-from .core import Signature
+from .core import Signature, _is_number
 from .errors import ConfigError, KreinvalError, ReportWriteError
-from .polyhedral import check_diag_membership, check_sum_membership
+from .polyhedral import LP_TOL, check_diag_membership, check_sum_membership
 from .sampling import SamplerConfig, instance_rng, sample_planted
 from .spectral import eigendecompose, shift_margin
 
@@ -70,7 +72,13 @@ PAIR_SUITES = frozenset({"trace", "weyl", "lidskii", "thompson_freede", "polyhed
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Everything one run needs; mirrors the CLI flags."""
+    """Everything one run needs.
+
+    Each field but ``tol_eig``, ``trace_rtol``, ``lp_tol`` and
+    ``soft_threshold`` has a command-line flag; those four come only from a
+    config file.  The check tolerances default to those of the checks, and
+    the sampler values to ``SamplerConfig``'s.
+    """
 
     p: int = 2
     q: int = 1
@@ -78,13 +86,13 @@ class SuiteConfig:
     seed: int = 0
     suites: tuple[str, ...] = SUITES
     tol_eig: float = 1e-8
-    tol_check: float = 1e-8
-    trace_rtol: float = 1e-9
-    lp_tol: float = 1e-9
-    gap_min: float = 0.5
-    value_range: tuple[float, float] = (-2.0, 2.0)
-    boost_scale: float = 1.0
-    cond_cap: float = 1e4
+    tol_check: float = DEFAULT_TOL
+    trace_rtol: float = EQUALITY_TOL
+    lp_tol: float = LP_TOL
+    gap_min: float = SamplerConfig.gap_min
+    value_range: tuple[float, float] = SamplerConfig.value_range
+    boost_scale: float = SamplerConfig.boost_scale
+    cond_cap: float = SamplerConfig.cond_cap
     max_m: int | None = None
     soft_threshold: float = 0.95
     workers: int = 1
@@ -92,18 +100,8 @@ class SuiteConfig:
     format: str = "json"
 
     def sampler(self) -> SamplerConfig:
-        return SamplerConfig(
-            seed=self.seed,
-            gap_min=self.gap_min,
-            value_range=self.value_range,
-            boost_scale=self.boost_scale,
-            cond_cap=self.cond_cap,
-        )
-
-
-def _is_number(value, kind) -> bool:
-    """A value of the ``numbers`` class ``kind`` that is not a bool, which Python counts as an int."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+        """The sampler settings, each read from the field of the same name."""
+        return SamplerConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(SamplerConfig)})
 
 
 def validate_config(cfg: SuiteConfig) -> SuiteConfig:
@@ -409,30 +407,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def build_config(argv=None) -> SuiteConfig:
-    args = build_parser().parse_args(argv)
-    values: dict = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    flag_fields = (
-        "p",
-        "q",
-        "instances",
-        "seed",
-        "suites",
-        "tol_check",
-        "boost_scale",
-        "gap_min",
-        "cond_cap",
-        "value_range",
-        "max_m",
-        "workers",
-        "out",
-        "format",
-    )
-    for name in flag_fields:
-        val = getattr(args, name, None)
-        if val is not None:
-            values[name] = val
+    """The validated config of the command line: defaults, then the config file, then the flags given.
+
+    Every parser destination but ``config`` is a SuiteConfig field, set by
+    its flag when the flag is given.
+    """
+    flags = vars(build_parser().parse_args(argv))
+    config_file = flags.pop("config")
+    values = load_config_file(config_file) if config_file else {}
+    values.update((name, val) for name, val in flags.items() if val is not None)
     if "seed" not in values and os.environ.get("KREINVAL_SEED"):
         try:
             values["seed"] = int(os.environ["KREINVAL_SEED"])

@@ -24,6 +24,11 @@ from .errors import GapViolation, NonFiniteValue, ShapeMismatch
 TOL_STRUCT = 1e-10
 
 
+def _is_number(value, kind) -> bool:
+    """A value of the ``numbers`` class ``kind`` that is not a bool, which Python counts as an int."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Signature:
     """Counts of positive-type (p) and negative-type (q) coordinate slots."""

@@ -30,6 +30,8 @@ from .errors import NonFiniteValue, RetriesExhausted
 
 #: tolerance used to self-check sampled pseudo-unitaries
 SAMPLE_UNITARY_TOL = 1e-9
+#: draws of a pseudo-unitary before ``sample_pseudo_unitary`` raises RetriesExhausted
+MAX_RETRIES = 64
 
 #: largest ||X||_1 at which the [13/13] Padé approximant gives exp(X) to double precision
 _THETA_13 = 5.371920351148152
@@ -52,20 +54,19 @@ _PADE_ROWS = np.array([
 class SamplerConfig:
     """Knobs for instance generation.
 
-    seed            base seed for derived per-instance streams
     gap_min         enforced lower bound on lambdas[0] - mus[0]
     value_range     uniform range eigenvalues are drawn from
     boost_scale     cap on the off-diagonal Lie-algebra block norm
     cond_cap        resample until cond(U) stays below this
-    max_retries     bounded-retry budget before RetriesExhausted
+
+    It holds no seed: every draw comes from the Generator a sampler is
+    given, ``instance_rng(seed, index)`` for an instance.
     """
 
-    seed: int = 0
     gap_min: float = 0.5
     value_range: tuple[float, float] = (-2.0, 2.0)
     boost_scale: float = 1.0
     cond_cap: float = 1e4
-    max_retries: int = 64
 
     def __post_init__(self) -> None:
         lo, hi = self.value_range
@@ -78,8 +79,6 @@ class SamplerConfig:
             raise ValueError("cond_cap must exceed 1")
         if not 0 <= self.boost_scale < math.inf:
             raise ValueError(f"boost_scale must be >= 0 and finite, got {self.boost_scale}")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
 
 
 def instance_rng(seed: int, index: int = 0, *subkeys: int) -> np.random.Generator:
@@ -175,10 +174,11 @@ def sample_pseudo_unitary(sig: Signature, cfg: SamplerConfig, rng: np.random.Gen
     Each draw's residual is checked once, by the PseudoUnitary it becomes, and
     its condition number is kept on it for later readers.  A draw that
     overflows, in the generator, its exponential or the residual, fails its
-    checks and is drawn again.
+    checks and is drawn again.  After ``MAX_RETRIES`` draws without a
+    conjugator it raises RetriesExhausted.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.max_retries):
+        for _ in range(MAX_RETRIES):
             gen = _lie_algebra_element(sig, cfg, rng)
             try:
                 U = PseudoUnitary(sig, _expm(gen), tol=SAMPLE_UNITARY_TOL)
@@ -187,7 +187,7 @@ def sample_pseudo_unitary(sig: Signature, cfg: SamplerConfig, rng: np.random.Gen
             if U.cond <= cfg.cond_cap:
                 return U
     raise RetriesExhausted(
-        f"no pseudo-unitary with cond <= {cfg.cond_cap:.1e} in {cfg.max_retries} draws"
+        f"no pseudo-unitary with cond <= {cfg.cond_cap:.1e} in {MAX_RETRIES} draws"
     )
 
 

@@ -15,7 +15,6 @@ from kreinval.checks import (
     _hermitian_part,
     _inadmissible_sum_report,
     _make_case,
-    _make_cases,
     _positive_eigen,
     _sum_spectra,
 )
@@ -34,7 +33,7 @@ def signature(request):
 
 @pytest.fixture
 def sampler_cfg():
-    return SamplerConfig(seed=2026)
+    return SamplerConfig()
 
 
 @pytest.fixture
@@ -172,8 +171,9 @@ def table_lidskii_cases(kind, a, b, c, mmax, tol):
     table = _table(tuples, len(a))
     lhs = _tuple_sums(c, table)
     rhs = _tuple_sums(a, table) + np.array([np.sum(b[:m]) for m in range(1, mmax + 1)])
+    margins = lhs - rhs if positive else rhs - lhs
     ids = [f"{kind}:{','.join(map(str, t))}" for t in tuples]
-    return _make_cases(ids, tuples, lhs, rhs, lhs - rhs if positive else rhs - lhs, tol)
+    return [_make_case(*row, tol) for row in zip(ids, tuples, lhs, rhs, margins)]
 
 
 def table_thompson_freede_cases(a, b, c, tol):
@@ -204,7 +204,7 @@ def table_thompson_freede_cases(a, b, c, tol):
     lhs = _tuple_sums(c, _table(indices, p))
     rhs = _tuple_sums(a, _table([i for i, _ in pairs], p)) + _tuple_sums(b, _table([j for _, j in pairs], p))
     ids = [f"i={','.join(map(str, i))};j={','.join(map(str, j))}" for i, j in pairs]
-    return _make_cases(ids, indices, lhs, rhs, lhs - rhs, tol)
+    return [_make_case(*row, tol) for row in zip(ids, indices, lhs, rhs, lhs - rhs)]
 
 
 def reference_wielandt_cases(A, idx, M=(), tol=DEFAULT_TOL, equality_tol=EQUALITY_TOL):

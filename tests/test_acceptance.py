@@ -63,7 +63,7 @@ ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
 @pytest.fixture(scope="module")
 def cfg() -> SamplerConfig:
-    return SamplerConfig(seed=SEED)
+    return SamplerConfig()
 
 
 @pytest.fixture(scope="module")

@@ -38,12 +38,11 @@ from kreinval.checks import (
     _inadmissible_sum_report,
     _lidskii_cases,
     _make_case,
-    _make_cases,
     _ordered_sum,
     _thompson_freede_cases,
     matrix_sum,
 )
-from kreinval.errors import GapViolation
+from kreinval.errors import ComplexSpectrum, DefectiveMatrix, GapViolation, WrongConeCount
 
 from conftest import (
     _tuple_sums,
@@ -279,7 +278,7 @@ def test_a_passing_restricted_certificate_is_never_beaten_by_sampled_vectors(p, 
     """Where restricted_cert:k passes, 1000 oracle vectors in its span keep R_A >= lambda_k - tol."""
     sig = Signature(p, q)
     rng = instance_rng(SEED, 40, index)
-    A, _, _ = sample_planted(sig, SamplerConfig(seed=SEED), rng)
+    A, _, _ = sample_planted(sig, SamplerConfig(), rng)
     report = check_courant_fischer(A)
     system = eigendecompose(A)
     pos, neg = positive_eigenbasis(system), negative_eigenbasis(system)
@@ -294,7 +293,7 @@ def test_a_passing_restricted_certificate_is_never_beaten_by_sampled_vectors(p, 
 def test_the_certificate_catches_a_raised_eigenvalue_that_sampling_misses(monkeypatch, fresh_memos):
     """lambda_1 raised by 1e-6 in the system the check reads: restricted_cert:1 fails, 1000 oracle vectors pass."""
     sig = Signature(3, 2)
-    A, _, _ = sample_planted(sig, SamplerConfig(seed=SEED), instance_rng(SEED, 41))
+    A, _, _ = sample_planted(sig, SamplerConfig(), instance_rng(SEED, 41))
     system = eigendecompose(A)
     raised = system.spectrum.lambdas.copy()
     raised[0] += 1e-6
@@ -316,7 +315,7 @@ def test_minmax_sampled_reads_every_k_subspace_of_each_frame(p, q, n, index):
     least top over the k-column prefixes, whose subspaces it includes; and it holds where the certificate does."""
     sig = Signature(p, q)
     rng = instance_rng(SEED, 43, index)
-    A, _, _ = sample_planted(sig, SamplerConfig(seed=SEED), rng)
+    A, _, _ = sample_planted(sig, SamplerConfig(), rng)
     M = positive_compressions(A, n, rng)
     report = check_courant_fischer(A)
     assert report.passed
@@ -581,7 +580,10 @@ def test_a_sums_instance_builds_its_sum_once(monkeypatch, fresh_memos):
     assert len(built) == 1  # one per sum check (4) before the memo
 
 
-def test_an_inadmissible_sum_fails_every_sum_report_alike(sampler_cfg, monkeypatch, fresh_memos):
+@pytest.mark.parametrize(
+    "error", [ComplexSpectrum, DefectiveMatrix, GapViolation, WrongConeCount], ids=lambda e: e.__name__
+)
+def test_an_inadmissible_sum_fails_every_sum_report_alike(error, sampler_cfg, monkeypatch, fresh_memos):
     from kreinval import checks
     from kreinval.polyhedral import check_sum_membership
 
@@ -593,7 +595,7 @@ def test_an_inadmissible_sum_fails_every_sum_report_alike(sampler_cfg, monkeypat
     def sum_is_inadmissible(M):
         if np.array_equal(M.entries, total):
             judged.append(M)
-            raise GapViolation("gap closed")
+            raise error("gap closed")
         return admissible(M)
 
     # admissible pairs have admissible sums, so the failing sum is injected
@@ -613,7 +615,7 @@ def test_an_inadmissible_sum_fails_every_sum_report_alike(sampler_cfg, monkeypat
         for r in reports:
             assert [(c.case_id, c.margin, c.passed) for c in r.cases] == [("admissible_sum", -1.0, False)]
             assert not r.passed and r.worst_margin == -1.0
-            assert r.notes == ("sum_not_admissible: GapViolation: gap closed",)
+            assert r.notes == (f"sum_not_admissible: {error.__name__}: gap closed",)
     assert [r.to_dict() for r in rounds[0]] == [r.to_dict() for r in rounds[2]]
     # the kept error is never raised again, so it holds no frames
     assert checks._sum_spectra(A, B)[4].__traceback__ is None
@@ -625,7 +627,7 @@ def test_an_inadmissible_sum_fails_every_sum_report_alike(sampler_cfg, monkeypat
 
 @functools.lru_cache(maxsize=None)
 def planted_pair(p, q, idx):
-    A, B, _ = sampled_pair(Signature(p, q), idx, SamplerConfig(seed=SEED))
+    A, B, _ = sampled_pair(Signature(p, q), idx, SamplerConfig())
     return A, B
 
 
@@ -837,12 +839,14 @@ def test_a_size_bound_below_one_is_rejected(bad, sampler_cfg):
         check_wielandt_flag(negative, bad)
 
 
-def test_cases_from_columns_match_cases_one_by_one():
-    ids, indices = ["a", "b", "c", "d"], [(1,), (1, 2), (), (3,)]
-    lhs, rhs = np.array([1.0, 0.5, 1.0, -0.0]), np.array([0.5, 1.0, 1.0, 0.0])
-    margin = np.array([0.5, -0.5, -1e-9, -0.0])
-    got = _make_cases(ids, indices, lhs, rhs, margin, 1e-8)
-    assert got == [_make_case(*row, 1e-8) for row in zip(ids, indices, lhs, rhs, margin)]
-    assert [c.passed for c in got] == [True, False, True, True]
-    assert not _make_cases(["nan"], [()], [np.nan], [0.0], [np.nan], 1e-8)[0].passed
+def test_a_case_passes_at_margin_minus_tol_and_not_at_nan():
+    ids, indices = ["a", "b", "c", "d", "e"], [(1,), np.array([1, 2]), (), (3,), (2,)]
+    lhs, rhs = np.array([1.0, 0.5, 1.0, -0.0, 0.0]), np.array([0.5, 1.0, 1.0, 0.0, 1e-8])
+    margin = np.array([0.5, -0.5, -1e-9, -0.0, -1e-8])
+    got = [_make_case(*row, 1e-8) for row in zip(ids, indices, lhs, rhs, margin)]
+    assert [c.passed for c in got] == [True, False, True, True, True]
+    # numpy scalars in, Python values out, so the JSON report writes plain numbers
+    assert all(type(x) is float for c in got for x in (c.lhs, c.rhs, c.margin, c.tol))
+    assert all(type(i) is int for c in got for i in c.indices)
+    assert not _make_case("nan", (), np.nan, 0.0, np.nan, 1e-8).passed
     assert pickle.loads(pickle.dumps(got)) == got  # cases cross process pools

@@ -26,12 +26,32 @@ from kreinval import (
     sampling,
     write_matrix,
 )
+from kreinval.checks import DEFAULT_TOL, EQUALITY_TOL
 from kreinval.cli import SUITES, SuiteConfig, build_config, main, run_instance, run_suite, validate_config
 from kreinval.errors import SchemaError
+from kreinval.polyhedral import LP_TOL
 from kreinval.sampling import SamplerConfig
 from kreinval.spectral import shift_margin
 
 SEED = 606
+
+#: for each parser destination, the values given after its flag and the field value they set, not the default
+FLAG_VALUES = {
+    "p": (["3"], 3),
+    "q": (["2"], 2),
+    "instances": (["4"], 4),
+    "seed": (["11"], 11),
+    "suites": (["weyl"], ("weyl",)),
+    "tol_check": (["1e-7"], 1e-7),
+    "boost_scale": (["2.5"], 2.5),
+    "gap_min": (["0.25"], 0.25),
+    "cond_cap": (["1e3"], 1e3),
+    "value_range": (["-1", "3"], (-1.0, 3.0)),
+    "max_m": (["2"], 2),
+    "workers": (["2"], 2),
+    "out": (["r.jsonl"], "r.jsonl"),
+    "format": (["csv"], "csv"),
+}
 
 
 def body_lines(path):
@@ -45,6 +65,22 @@ class TestConfig:
         cfg = build_config([])
         assert cfg.p == 2 and cfg.q == 1
         assert cfg.suites == SUITES
+        # the tolerances and sampler values default to their owners'
+        assert (cfg.tol_check, cfg.trace_rtol, cfg.lp_tol) == (DEFAULT_TOL, EQUALITY_TOL, LP_TOL)
+        assert cfg.sampler() == SamplerConfig()
+
+    @pytest.mark.parametrize(
+        "flag, dest",
+        [(a.option_strings[0], a.dest) for a in cli.build_parser()._actions if a.dest not in ("help", "config")],
+        ids=lambda x: x,
+    )
+    def test_each_flag_given_reaches_its_config_field(self, flag, dest, monkeypatch):
+        """Every parser destination but ``config`` is a SuiteConfig field, and ``build_config`` sets it from its flag."""
+        monkeypatch.delenv("KREINVAL_SEED", raising=False)
+        assert dest in {f.name for f in dataclasses.fields(SuiteConfig)}
+        values, want = FLAG_VALUES[dest]
+        assert getattr(SuiteConfig(), dest) != want
+        assert getattr(build_config([flag, *values]), dest) == want
 
     def test_flags_override(self):
         cfg = build_config(["--p", "3", "--q", "2", "--seed", "42", "--tol", "1e-7"])
@@ -199,7 +235,7 @@ class TestMatrixIO:
     def test_round_trip_is_bit_exact(self, tmp_path):
         sig = Signature(2, 2)
         rng = instance_rng(SEED, 0)
-        A, _, _ = sample_planted(sig, SamplerConfig(seed=SEED), rng)
+        A, _, _ = sample_planted(sig, SamplerConfig(), rng)
         path = tmp_path / "m.json"
         write_matrix(A, path)
         B = read_matrix(path)
@@ -217,6 +253,24 @@ class TestMatrixIO:
         path.write_text("{broken")
         with pytest.raises(SchemaError, match="JSON"):
             read_matrix(path)
+        # signature counts are JSON integers and entry parts JSON numbers, none of them a bool
+        entries = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+        for field, bad in (("p", 1.9), ("p", True), ("p", "1"), ("q", 1.0), ("q", False)):
+            path.write_text(json.dumps({"p": 1, "q": 1, "entries": entries, field: bad}))
+            with pytest.raises(SchemaError, match=f"'{field}' must be an integer"):
+                read_matrix(path)
+        for bad in (["1.0", False], ["1.0", 0.0], [1.0, False], [True, 0.0], [1.0, None], [1.0], 1.0):
+            path.write_text(json.dumps({"p": 1, "q": 1, "entries": [[bad, [0.0, 0.0]], entries[1]]}))
+            with pytest.raises(SchemaError, match=r"entry \(0, 0\) must be a \[re, im\] pair of numbers"):
+                read_matrix(path)
+        path.write_text(json.dumps({"p": 1, "q": 1, "entries": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+        with pytest.raises(SchemaError, match=r"entry \(0, 0\) is out of range"):
+            read_matrix(path)
+        path.write_text('{"p": 1, "q": 1, "entries": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}')
+        with pytest.raises(SchemaError, match="finite"):
+            read_matrix(path)
+        path.write_text(json.dumps({"p": 1, "q": 1, "entries": entries}))
+        assert read_matrix(path) == kreinval.PseudoHermitianMatrix(Signature(1, 1), np.diag([1.0, -1.0]))
 
     def test_structural_violation_rejected(self, tmp_path):
         path = tmp_path / "m.json"
@@ -224,6 +278,8 @@ class TestMatrixIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="residual"):
             read_matrix(path)
+        # the same matrix loads at a tolerance above its residual, 2
+        assert read_matrix(path, tol=2.0).tol == 2.0
 
 
 class TestRunner:
@@ -270,7 +326,7 @@ class TestRunner:
         variational = ("courant_fischer", "ky_fan", "wielandt")
         for p, q in ((0, 2), (2, 1)):
             draws.clear()
-            sample_planted(Signature(p, q), SamplerConfig(seed=SEED), instance_rng(SEED, 0))
+            sample_planted(Signature(p, q), SamplerConfig(), instance_rng(SEED, 0))
             planted = list(draws)
             draws.clear()
             reports = run_instance(SuiteConfig(p=p, q=q, seed=SEED, suites=variational), 0)

@@ -184,7 +184,7 @@ def shared_traces(M, tuples):
 
 
 def instance(p, q, index):
-    cfg = SamplerConfig(seed=SEED)
+    cfg = SamplerConfig()
     A, _, _ = sample_planted(Signature(p, q), cfg, instance_rng(SEED, index))
     return A, cfg
 
@@ -255,7 +255,7 @@ def test_stacked_kernels_match_the_per_flag_loop(pq):
 )
 def test_stacked_kernels_match_the_per_flag_loop_property(pq, seed, pick, count):
     sig = Signature(*pq)
-    cfg = SamplerConfig(seed=seed)
+    cfg = SamplerConfig()
     rng = instance_rng(seed, 3)
     A, _, _ = sample_planted(sig, cfg, rng)
     tuples = all_tuples(sig.p)
@@ -633,7 +633,7 @@ def test_wielandt_reports_the_exhaustive_worst_case_of_every_shape(p, q, tied, n
         A, M = tied_instance(p, q, data), ()
     else:
         seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
-        A, _, _ = sample_planted(Signature(p, q), SamplerConfig(seed=seed), instance_rng(seed, 40))
+        A, _, _ = sample_planted(Signature(p, q), SamplerConfig(), instance_rng(seed, 40))
         M = positive_compressions(A, n_flags, instance_rng(seed, 41))
     reports = check_wielandt_flag(A, max_m)
     oracle = reference_wielandt(A, M, max_m)
@@ -886,7 +886,7 @@ def test_prefixes_of_the_certified_frame_are_the_frames_of_the_prefixes(pq, seed
     """Column k-prefixes of one width-p frame frame the basis prefixes, and the blocks of the oracle's
     ``positive_compressions`` compress onto them: ``compress`` on the same frames agrees to 1e-12."""
     sig = Signature(*pq)
-    A, _, _ = sample_planted(sig, SamplerConfig(seed=seed), instance_rng(seed, 30))
+    A, _, _ = sample_planted(sig, SamplerConfig(), instance_rng(seed, 30))
     bases = sample_positive_subspace(sig, sig.p, instance_rng(seed, 31), count=count)
     frame = positive_frames(bases, sig)
     M = positive_compressions(A, count, instance_rng(seed, 31))

@@ -80,7 +80,7 @@ def test_expm_matches_the_scipy_oracle_on_sampled_generators(boost):
     scaled = 0
     for p, q in ORACLE_SIGNATURES:
         sig = Signature(p, q)
-        cfg = SamplerConfig(seed=SEED, boost_scale=boost)
+        cfg = SamplerConfig(boost_scale=boost)
         for idx in range(8):
             gen = _lie_algebra_element(sig, cfg, instance_rng(SEED, idx))
             scaled += np.abs(gen).sum(axis=0).max() > sampling._THETA_13
@@ -104,9 +104,9 @@ def test_expm_rejects_a_generator_without_a_finite_norm():
             _expm(gen)
 
 
-def _draw_outcome(sig, cfg, idx):
+def _draw_outcome(sig, cfg, seed, idx):
     try:
-        return sample_pseudo_unitary(sig, cfg, instance_rng(cfg.seed, idx)).cond
+        return sample_pseudo_unitary(sig, cfg, instance_rng(seed, idx)).cond
     except Exception as exc:  # the outcome is the exception type
         return type(exc)
 
@@ -117,15 +117,15 @@ def test_huge_boosts_end_as_they_did_with_the_scipy_exponential(boost, monkeypat
     # of them ends in RetriesExhausted, never in OverflowError or a warning
     scipy_linalg = pytest.importorskip("scipy.linalg")
     got, ref = [], []
+    cfg = SamplerConfig(boost_scale=boost)
     for p, q in ((1, 1), (2, 1), (3, 2), (4, 3)):
         sig = Signature(p, q)
         for seed in (0, 1):
-            cfg = SamplerConfig(seed=seed, boost_scale=boost)
             for idx in range(8):
-                got.append(_draw_outcome(sig, cfg, idx))
+                got.append(_draw_outcome(sig, cfg, seed, idx))
                 with monkeypatch.context() as m:
                     m.setattr(sampling, "_expm", scipy_linalg.expm)
-                    ref.append(_draw_outcome(sig, cfg, idx))
+                    ref.append(_draw_outcome(sig, cfg, seed, idx))
     for a, b in zip(got, ref):
         if isinstance(b, float):
             assert a == pytest.approx(b, rel=1e-9)
@@ -138,7 +138,7 @@ def test_huge_boosts_end_as_they_did_with_the_scipy_exponential(boost, monkeypat
 
 def test_condition_number_is_numpys_bit_for_bit(signature):
     for boost in (1.0, 50.0):
-        cfg = SamplerConfig(seed=SEED, boost_scale=boost)
+        cfg = SamplerConfig(boost_scale=boost)
         for idx in range(10):
             U = sample_pseudo_unitary(signature, cfg, instance_rng(SEED, idx))
             assert U.cond == np.linalg.cond(U.entries, 2)
@@ -166,7 +166,7 @@ def _lie_algebra_element_by_norm(sig, cfg, rng):
 
 @pytest.mark.parametrize("pq", ORACLE_SIGNATURES)
 def test_the_generator_is_the_norm_oracles_bit_for_bit(pq):
-    sig, cfg = Signature(*pq), SamplerConfig(seed=SEED, boost_scale=3.0)
+    sig, cfg = Signature(*pq), SamplerConfig(boost_scale=3.0)
     for idx in range(10):
         got = _lie_algebra_element(sig, cfg, instance_rng(SEED, idx))
         assert np.array_equal(got, _lie_algebra_element_by_norm(sig, cfg, instance_rng(SEED, idx)))
@@ -178,6 +178,16 @@ def test_sampled_conjugators_are_pseudo_unitary(signature, sampler_cfg):
         U = sample_pseudo_unitary(signature, sampler_cfg, rng)
         assert pseudo_unitary_residual(U.entries, signature) < 1e-9
         assert U.cond <= sampler_cfg.cond_cap
+
+
+def test_the_retry_budget_is_max_retries_draws(monkeypatch):
+    drawn = []
+    element = sampling._lie_algebra_element
+    monkeypatch.setattr(sampling, "_lie_algebra_element", lambda *args: drawn.append(1) or element(*args))
+    # cond_cap just above 1 leaves the sampler no acceptable draw
+    with pytest.raises(RetriesExhausted, match=f"in {sampling.MAX_RETRIES} draws"):
+        sample_pseudo_unitary(Signature(2, 1), SamplerConfig(cond_cap=1.0001), instance_rng(SEED, 0))
+    assert len(drawn) == sampling.MAX_RETRIES == 64
 
 
 def test_cone_preservation_under_sampled_conjugators(signature, sampler_cfg):
@@ -356,7 +366,7 @@ def test_flag_and_subordinate_frame(signature, sampler_cfg):
 
 
 def test_sampler_determinism_end_to_end(signature):
-    cfg = SamplerConfig(seed=77)
+    cfg = SamplerConfig()
     A1, _, _ = sample_planted(signature, cfg, instance_rng(77, 2))
     A2, _, _ = sample_planted(signature, cfg, instance_rng(77, 2))
     assert np.array_equal(A1.entries, A2.entries)
@@ -369,6 +379,9 @@ def test_sampler_config_validation():
         SamplerConfig(value_range=(2.0, -2.0))
     with pytest.raises(TypeError):  # positive subspaces are drawn in the tests, with their own cap
         SamplerConfig(contraction_cap=0.5)
+    for gone in ("seed", "max_retries"):  # instance_rng seeds every draw; the retry budget is MAX_RETRIES
+        with pytest.raises(TypeError):
+            SamplerConfig(**{gone: 1})
     for cap in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError, match="contraction cap"):
             sample_positive_subspace(Signature(2, 1), 1, np.random.default_rng(SEED), cap=cap)

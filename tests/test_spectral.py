@@ -175,7 +175,7 @@ def test_hermitian_limit_matches_eigvalsh(p, seed):
 def test_shifts_add_so_admissible_matrices_form_a_convex_cone(p, q, seed, t):
     """shift_A + t shift_B certifies A + t B, so A + t B is admissible."""
     sig = Signature(p, q)
-    cfg = SamplerConfig(seed=seed)
+    cfg = SamplerConfig()
     rng = instance_rng(seed, 0)
     A = sample_planted(sig, cfg, rng)[0]
     B = PseudoHermitianMatrix(sig, t * sample_planted(sig, cfg, rng)[0].entries)
@@ -194,7 +194,7 @@ def test_shifts_add_so_admissible_matrices_form_a_convex_cone(p, q, seed, t):
 )
 def test_a_scalar_shift_moves_every_eigenvalue_by_it(p, q, seed, c):
     sig = Signature(p, q)
-    cfg = SamplerConfig(seed=seed)
+    cfg = SamplerConfig()
     A, _, U = sample_planted(sig, cfg, instance_rng(seed, 0))
     spec = check_admissible(A)
     moved = check_admissible(PseudoHermitianMatrix(sig, A.entries + c * np.eye(sig.n)))
@@ -264,7 +264,7 @@ def spectral_case(kind, p, q, seed, **sampling):
     slot p + 1, so both are null.
     """
     sig = Signature(p, q)
-    cfg = SamplerConfig(seed=seed, **sampling)
+    cfg = SamplerConfig(**sampling)
     rng = instance_rng(seed, 0)
     if kind == "planted":
         return sample_planted(sig, cfg, rng)[0]
