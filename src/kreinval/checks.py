@@ -168,22 +168,10 @@ def _no_positive_block(name: str, sig: Signature, descriptor: dict, tol: float) 
 
 
 # ---------------------------------------------------------------------------
-# tuple sizes and ordered sums
+# ordered sums
 #
 # Every case over an index tuple adds its terms left to right from +0.0, so a
 # case has the same bytes whichever kernel chose its tuple.
-
-
-def _size_bound(max_m: int | None, upper: int) -> int:
-    """The largest tuple size checked in a block of ``upper`` indices: ``max_m`` capped at ``upper``.
-
-    None bounds nothing; below 1 raises ValueError.
-    """
-    if max_m is None:
-        return upper
-    if max_m < 1:
-        raise ValueError(f"max_m must be >= 1 (or None for no bound), got {max_m}")
-    return min(max_m, upper)
 
 
 def _ordered_sum(values: list[float], indices) -> float:
@@ -202,9 +190,9 @@ def _ordered_sum(values: list[float], indices) -> float:
 
 
 def _lidskii_cases(
-    kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray, mmax: int, tol: float
+    kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float
 ) -> list[CheckCase]:
-    """The worst tuple of each size m = 1, ..., mmax of one block, as cases.
+    """The worst tuple of each size m = 1, ..., len(c) of one block, as cases.
 
     ``a``, ``b`` and ``c`` are the block's eigenvalues under A, B and
     A + B, in the order ``AdmissibleSpectrum`` keeps them.  Positive-type,
@@ -222,7 +210,7 @@ def _lidskii_cases(
     order = (np.argsort(c - a if positive else a - c, kind="stable") + 1).tolist()
     a, c = a.tolist(), c.tolist()
     cases = []
-    for m in range(1, mmax + 1):
+    for m in range(1, len(c) + 1):
         t = tuple(sorted(order[:m]))
         lhs = _ordered_sum(c, t)
         rhs = _ordered_sum(a, t) + float(np.sum(b[:m]))
@@ -359,7 +347,7 @@ def check_weyl(
 def check_lidskii_wielandt(
     A: PseudoHermitianMatrix,
     B: PseudoHermitianMatrix,
-    max_m: int | None = None,
+    *,
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Tuple-sum bounds for the sum, both blocks, at every tuple.
@@ -368,24 +356,17 @@ def check_lidskii_wielandt(
     sum_k lambda_{i_k}(A+B) >= sum_k lambda_{i_k}(A) + sum_{k<=m} lambda_k(B).
     Negative-type mirrors with <= and the m largest mus of B.
 
-    Each block reports one case per size m up to ``max_m`` (None bounds
-    nothing, below 1 raises ValueError): its worst m-tuple, found by one
+    Each block reports one case per size m: its worst m-tuple, found by one
     sort (``_lidskii_cases``), so every tuple is checked and nothing is
     drawn.
     """
     sig = _require_same_signature(A, B)
-    sizes = _size_bound(max_m, sig.p), _size_bound(max_m, sig.q)
-    descriptor = {"max_m": max_m}
     specA, specB, _, specC, exc = _sum_spectra(A, B)
     if specC is None:
-        return _inadmissible_sum_report("lidskii", sig, descriptor, tol, exc)
-    cases = []
-    for kind, mmax, a, b, c in (
-        ("lambda", sizes[0], specA.lambdas, specB.lambdas, specC.lambdas),
-        ("mu", sizes[1], specA.mus, specB.mus, specC.mus),
-    ):
-        cases += _lidskii_cases(kind, a, b, c, mmax, tol)
-    return _finalize_report("lidskii", sig, descriptor, tol, cases)
+        return _inadmissible_sum_report("lidskii", sig, {}, tol, exc)
+    cases = _lidskii_cases("lambda", specA.lambdas, specB.lambdas, specC.lambdas, tol)
+    cases += _lidskii_cases("mu", specA.mus, specB.mus, specC.mus, tol)
+    return _finalize_report("lidskii", sig, {}, tol, cases)
 
 
 def check_thompson_freede(
@@ -566,9 +547,8 @@ def check_ky_fan(
 
 def check_wielandt_flag(
     A: PseudoHermitianMatrix,
-    max_m: int | None = None,
-    tol: float = DEFAULT_TOL,
     *,
+    tol: float = DEFAULT_TOL,
     equality_tol: float = EQUALITY_TOL,
 ) -> list[CheckReport]:
     """Flag compressions against the eigenvalue tuple sums, one report per top index r and size m.
@@ -611,13 +591,11 @@ def check_wielandt_flag(
     ``eigenflag_witness`` therefore names no tuple, and a report moves only
     by roundoff when A does.
 
-    Reports come in r-then-m order, m <= min(r, ``max_m``), each with the
-    descriptor {"top": r, "m": m}.  ``max_m`` None bounds nothing; below 1
-    it raises ValueError.  With p = 0 the one report says there is no
+    Reports come in r-then-m order, m <= r, each with the descriptor
+    {"top": r, "m": m}.  With p = 0 the one report says there is no
     positive block.  The check draws nothing.
     """
     sig = A.signature
-    mmax = _size_bound(max_m, sig.p)
     if sig.p == 0:
         return [_no_positive_block("wielandt", sig, {}, tol)]
     system, eigen, certs = _positive_eigen(A)
@@ -634,7 +612,7 @@ def check_wielandt_flag(
         low = list(itertools.accumulate((e[i] for i in ranked), initial=e[r]))
         high = list(itertools.accumulate((e[i] for i in reversed(ranked)), initial=e[r]))
         certified = _least_certificate(certs, r, tol)
-        for m in range(1, min(r, mmax) + 1):
+        for m in range(1, r + 1):
             lowest = (*range(1, m), r)
             target, slack = _ordered_sum(lam, lowest), m * delta
             t = tuple(sorted(ranked[: m - 1] if abs(low[m - 1]) >= abs(high[m - 1]) else ranked[r - m :])) + (r,)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ class Signature:
     q: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.p, (int, np.integer)) and isinstance(self.q, (int, np.integer))):
+        if not (_is_number(self.p, numbers.Integral) and _is_number(self.q, numbers.Integral)):
             raise ValueError("signature counts must be integers")
         if self.p < 0 or self.q < 0:
             raise ValueError(f"signature counts must be >= 0, got ({self.p}, {self.q})")

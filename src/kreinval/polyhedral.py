@@ -200,6 +200,6 @@ def check_sum_membership(
             ("mu", base.mus, other.mus, specC.mus),
         ):
             if c.size:
-                worst = min(_lidskii_cases(kind, a, b, c, c.size, tol), key=lambda case: case.margin)
+                worst = min(_lidskii_cases(kind, a, b, c, tol), key=lambda case: case.margin)
                 cases.append(worst._replace(case_id=f"{tag}:{worst.case_id}"))
     return _finalize_report("polyhedral_sum", sig, descriptor, tol, cases)

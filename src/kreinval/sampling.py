@@ -84,13 +84,16 @@ class SamplerConfig:
 def instance_rng(seed: int, index: int = 0, *subkeys: int) -> np.random.Generator:
     """Independent stream for one instance, derived from (seed, index).
 
+    The non-negative ``seed`` is the ``SeedSequence`` entropy as given, so
+    distinct seeds give distinct streams.
+
     The instance stream (seed, index) draws A and then B, and it is the only
     stream an instance reads.  Extra ``subkeys`` derive further independent
     streams keyed by (index, *subkeys), for callers that draw data of their
     own beside an instance.
     """
     key = (int(index), *(int(k) for k in subkeys))
-    ss = np.random.SeedSequence(entropy=int(seed) % 2**64, spawn_key=key)
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.default_rng(ss)
 
 

@@ -62,10 +62,9 @@ def ordered_sum(values) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
-def all_tuples(p, max_m=None):
-    """Every strictly increasing 1-based tuple bounded by p, of sizes up to ``max_m``, by size and then lexicographically."""
-    sizes = p if max_m is None else min(max_m, p)
-    return [t for m in range(1, sizes + 1) for t in itertools.combinations(range(1, p + 1), m)]
+def all_tuples(p):
+    """Every strictly increasing 1-based tuple bounded by p, by size and then lexicographically."""
+    return [t for m in range(1, p + 1) for t in itertools.combinations(range(1, p + 1), m)]
 
 
 def shape(report):
@@ -113,17 +112,15 @@ def prefix_minmax_tops(M: np.ndarray) -> np.ndarray:
     return np.array([np.min(np.linalg.eigvalsh(M[:, :k, :k])[:, -1]) for k in range(1, M.shape[-1] + 1)])
 
 
-def reference_lidskii(A, B, max_m=None, tol=1e-8):
+def reference_lidskii(A, B, tol=1e-8):
     """check_lidskii_wielandt at every tuple, one Python loop per tuple: the exhaustive oracle.
 
-    One case per tuple of each block, of every size up to ``max_m``, by
-    size and then lexicographically.
+    One case per tuple of each block, by size and then lexicographically.
     """
     sig = A.signature
-    descriptor = {"max_m": max_m}
     specA, specB, _, specC, exc = _sum_spectra(A, B)
     if specC is None:
-        return _inadmissible_sum_report("lidskii", sig, descriptor, tol, exc)
+        return _inadmissible_sum_report("lidskii", sig, {}, tol, exc)
     cases = []
     for kind, upper, a, b, c in (
         ("lambda", sig.p, specA.lambdas, specB.lambdas, specC.lambdas),
@@ -131,13 +128,13 @@ def reference_lidskii(A, B, max_m=None, tol=1e-8):
     ):
         a, c = a.tolist(), c.tolist()
         lead = [float(np.sum(b[:m])) for m in range(upper + 1)]
-        for m in range(1, upper + 1 if max_m is None else min(max_m, upper) + 1):
+        for m in range(1, upper + 1):
             for t in itertools.combinations(range(1, upper + 1), m):
                 lhs = ordered_sum(c[i - 1] for i in t)
                 rhs = ordered_sum(a[i - 1] for i in t) + lead[m]
                 margin = lhs - rhs if kind == "lambda" else rhs - lhs
                 cases.append(_make_case(f"{kind}:{','.join(map(str, t))}", t, lhs, rhs, margin, tol))
-    return _finalize_report("lidskii", sig, descriptor, tol, cases)
+    return _finalize_report("lidskii", sig, {}, tol, cases)
 
 
 def reference_thompson_freede(A, B, tol=1e-8):
@@ -159,7 +156,7 @@ def reference_thompson_freede(A, B, tol=1e-8):
     return _finalize_report("thompson_freede", sig, {}, tol, cases)
 
 
-def table_lidskii_cases(kind, a, b, c, mmax, tol):
+def table_lidskii_cases(kind, a, b, c, tol):
     """``_lidskii_cases`` by index table and gather: a byte-level oracle for the kernel's sums.
 
     The same sort chooses the tuples; their sums come from one
@@ -167,10 +164,10 @@ def table_lidskii_cases(kind, a, b, c, mmax, tol):
     """
     positive = kind == "lambda"
     order = (np.argsort(c - a if positive else a - c, kind="stable") + 1).tolist()
-    tuples = [tuple(sorted(order[:m])) for m in range(1, mmax + 1)]
+    tuples = [tuple(sorted(order[:m])) for m in range(1, len(c) + 1)]
     table = _table(tuples, len(a))
     lhs = _tuple_sums(c, table)
-    rhs = _tuple_sums(a, table) + np.array([np.sum(b[:m]) for m in range(1, mmax + 1)])
+    rhs = _tuple_sums(a, table) + np.array([np.sum(b[:m]) for m in range(1, len(c) + 1)])
     margins = lhs - rhs if positive else rhs - lhs
     ids = [f"{kind}:{','.join(map(str, t))}" for t in tuples]
     return [_make_case(*row, tol) for row in zip(ids, tuples, lhs, rhs, margins)]
@@ -245,12 +242,12 @@ def reference_wielandt_cases(A, idx, M=(), tol=DEFAULT_TOL, equality_tol=EQUALIT
     return cases + [_make_case(f"witness:{f}", idx, s, target, s - target, tol) for f, s in enumerate(sums)]
 
 
-def reference_wielandt(A, M=(), max_m=None, tol=DEFAULT_TOL, equality_tol=EQUALITY_TOL):
+def reference_wielandt(A, M=(), tol=DEFAULT_TOL, equality_tol=EQUALITY_TOL):
     """check_wielandt_flag at every tuple, one Python loop per tuple: the exhaustive oracle.
 
-    One report per tuple of every size up to ``max_m``, by size and then
-    lexicographically, with the descriptor {"index_tuple": ..., "n_flags": ...}
-    and, on the flags of M, every flag's sampled ``witness:f`` case.
+    One report per tuple, by size and then lexicographically, with the
+    descriptor {"index_tuple": ..., "n_flags": ...} and, on the flags of M,
+    every flag's sampled ``witness:f`` case.
     """
     sig = A.signature
     if sig.p == 0:
@@ -260,7 +257,7 @@ def reference_wielandt(A, M=(), max_m=None, tol=DEFAULT_TOL, equality_tol=EQUALI
             "wielandt", sig, {"index_tuple": list(idx), "n_flags": len(M)}, tol,
             reference_wielandt_cases(A, idx, M, tol, equality_tol),
         )
-        for idx in all_tuples(sig.p, max_m)
+        for idx in all_tuples(sig.p)
     ]
 
 

@@ -317,7 +317,7 @@ def test_criterion_07_flag_compressions(instances):
         A = inst[0][0]
         tuples = all_tuples(p)
         M = positive_compressions(A, 100, instance_rng(SEED, 700))
-        reports = check_wielandt_flag(A, None, tol=BOUND_TOL)
+        reports = check_wielandt_flag(A, tol=BOUND_TOL)
         shapes = [(r, m) for r in range(1, p + 1) for m in range(1, r + 1)]
         assert [(rep.descriptor["top"], rep.descriptor["m"]) for rep in reports] == shapes
         oracle = reference_wielandt(A, M, tol=BOUND_TOL)
@@ -519,7 +519,7 @@ def test_criterion_10_hermitian_degeneration(cfg):
                 assert abs(witness.rhs - target) <= WITNESS_TOL
                 assert abs(witness.lhs - target) <= WITNESS_TOL
 
-            reports = check_wielandt_flag(A, None, tol=BOUND_TOL)
+            reports = check_wielandt_flag(A, tol=BOUND_TOL)
             assert len(reports) == p * (p + 1) // 2
             for rep in reports:
                 assert rep.passed

@@ -113,15 +113,13 @@ def test_a_case_is_an_immutable_named_tuple():
 
 
 def test_index_tuple_enumeration(sampler_cfg):
-    """The wielandt reports enumerate the shapes of the index tuples: top index r, then size m <= min(r, max_m)."""
+    """The wielandt reports enumerate the shapes of the index tuples: top index r, then size m <= r."""
     A, _, _ = sample_planted(Signature(4, 2), sampler_cfg, instance_rng(SEED, 30))
-    for max_m, count in ((None, 10), (1, 4), (2, 7), (9, 10)):
-        reports = check_wielandt_flag(A, max_m)
-        assert [shape(r) for r in reports] == [(r, m) for r in range(1, 5) for m in range(1, min(r, max_m or 4) + 1)]
-        assert len(reports) == count
-        assert [list(r.descriptor) for r in reports] == [["top", "m"]] * count
+    reports = check_wielandt_flag(A)
+    assert [shape(r) for r in reports] == [(r, m) for r in range(1, 5) for m in range(1, r + 1)]
+    assert [list(r.descriptor) for r in reports] == [["top", "m"]] * 10
     # every tuple has exactly one shape
-    assert sorted({(t[-1], len(t)) for t in all_tuples(4)}) == sorted(shape(r) for r in check_wielandt_flag(A))
+    assert sorted({(t[-1], len(t)) for t in all_tuples(4)}) == sorted(shape(r) for r in reports)
 
 
 def test_thompson_freede_pair_constraint(sampler_cfg):
@@ -415,7 +413,7 @@ def test_wielandt_full_tuple_matches_ky_fan_target(sampler_cfg):
     sig = Signature(2, 1)
     rng = instance_rng(SEED, 23)
     A, spec, _ = sample_planted(sig, sampler_cfg, rng)
-    report = check_wielandt_flag(A, None)[-1]
+    report = check_wielandt_flag(A)[-1]
     assert report.passed and shape(report) == (2, 2)
     by_id = {c.case_id: c for c in report.cases}
     assert by_id["eigenflag_max"].rhs == pytest.approx(np.sum(spec.lambdas), abs=1e-7)
@@ -430,8 +428,8 @@ def test_wielandt_single_index(sampler_cfg):
     sig = Signature(2, 2)
     rng = instance_rng(SEED, 24)
     A, _, _ = sample_planted(sig, sampler_cfg, rng)
-    reports = check_wielandt_flag(A, 1)
-    assert [shape(r) for r in reports] == [(1, 1), (2, 1)]
+    reports = check_wielandt_flag(A)
+    assert [shape(r) for r in reports] == [(1, 1), (2, 1), (2, 2)]
     assert all(r.passed for r in reports)
     # the one tuple of shape (2, 1) is (2,); the eigenflag's deviation and the certificates span 1, 2
     assert [c.indices for c in reports[1].cases] == [(2,), (1, 2), (1, 2)]
@@ -489,7 +487,7 @@ def test_wielandt_fails_an_eigenflag_off_its_diagonal(sampler_cfg, monkeypatch, 
     E = np.zeros((3, 3), dtype=complex)
     E[0, 2], E[2, 0] = eps * 1j, -eps * 1j  # Hermitian, ||E||_2 = eps
     monkeypatch.setattr(checks, "_positive_eigen", lambda _: (system, eigen + E, certs))
-    reports = check_wielandt_flag(A, None)
+    reports = check_wielandt_flag(A)
     assert len(reports) == 6
     for rep in reports:
         r, m = shape(rep)
@@ -518,13 +516,13 @@ def test_wielandt_reports_the_largest_eigenflag_deviation_of_every_shape(sampler
     lambdas = system.spectrum.lambdas.tolist()
     diagonal = (np.diagonal(eigen).real + e).tolist()
     roundoff = 6 * 8 * np.finfo(float).eps * max(map(abs, lambdas))
-    reports = check_wielandt_flag(A, None)
+    reports = check_wielandt_flag(A)
     assert [shape(r) for r in reports] == [(r, m) for r in range(1, 7) for m in range(1, r + 1)]
     for rep in reports:
         r, m = shape(rep)
         largest = max(
             abs(ordered_sum(diagonal[i - 1] for i in t) - ordered_sum(lambdas[i - 1] for i in t))
-            for t in all_tuples(r, m) if t[-1] == r and len(t) == m
+            for t in all_tuples(r) if t[-1] == r and len(t) == m
         )
         (case,) = [c for c in rep.cases if c.case_id == "eigenflag_witness"]
         assert abs(case.lhs - largest) <= roundoff, (r, m)
@@ -657,11 +655,10 @@ def test_sum_suites_report_the_exhaustive_worst_case_of_every_size(p, q, tied, d
     worse tuple shows a margin above the least one.
     """
     assume(p + q > 0)
-    max_m = data.draw(st.one_of(st.none(), st.integers(1, 9)), label="max_m")
     A, B = tied_pair(p, q, data) if tied else planted_pair(p, q, data.draw(st.integers(0, 2), label="idx"))
-    sizes = {"lambda": min(p, max_m or p), "mu": min(q, max_m or q), "pair": p}
+    sizes = {"lambda": p, "mu": q, "pair": p}
     for got, oracle, blocks in (
-        (check_lidskii_wielandt(A, B, max_m), reference_lidskii(A, B, max_m), ("lambda", "mu")),
+        (check_lidskii_wielandt(A, B), reference_lidskii(A, B), ("lambda", "mu")),
         (check_thompson_freede(A, B), reference_thompson_freede(A, B), ("pair",)),
     ):
         assert got.descriptor == oracle.descriptor and got.notes == oracle.notes
@@ -691,14 +688,13 @@ def kernel_spectra(data, p, tied):
 def test_sum_kernels_match_their_table_and_gather_oracles_byte_for_byte(p, tied, data):
     """Same tuples, pairs and tie rule (lower i, then lower j) as the index-table kernels, and the same bytes."""
     a, b, c = kernel_spectra(data, p, tied)
-    mmax = data.draw(st.integers(0, p), label="mmax")
 
     def dumps(cases):
         return [json.dumps(case.to_dict()) for case in cases]
 
     for kind, (x, y, z) in (("lambda", (a, b, c)), ("mu", (a[::-1], b[::-1], c[::-1]))):
-        got = _lidskii_cases(kind, x, y, z, mmax, DEFAULT_TOL)
-        assert dumps(got) == dumps(table_lidskii_cases(kind, x, y, z, mmax, DEFAULT_TOL))
+        got = _lidskii_cases(kind, x, y, z, DEFAULT_TOL)
+        assert dumps(got) == dumps(table_lidskii_cases(kind, x, y, z, DEFAULT_TOL))
     got = _thompson_freede_cases(a, b, c, DEFAULT_TOL)
     assert dumps(got) == dumps(table_thompson_freede_cases(a, b, c, DEFAULT_TOL))
 
@@ -802,7 +798,7 @@ def test_lidskii_fails_the_one_violating_tuple_of_1023():
     margins = ordered_margins(a, b, c, tuples)
     ids = ",".join(map(str, tuples[bad := the_one_violation(margins)][0]))
     for kind, sign in (("lambda", 1.0), ("mu", -1.0)):
-        cases = _lidskii_cases(kind, sign * a, sign * b, sign * c, p, DEFAULT_TOL)
+        cases = _lidskii_cases(kind, sign * a, sign * b, sign * c, DEFAULT_TOL)
         assert [len(case.indices) for case in cases] == list(range(1, p + 1))
         (failed,) = [case for case in cases if not case.passed]
         assert failed.case_id == f"{kind}:{ids}"
@@ -827,16 +823,14 @@ def test_ordered_tuple_sums_are_python_sums_bit_for_bit():
     assert got[:4] == [(0.0).hex()] * 4
 
 
-@pytest.mark.parametrize("bad", [0, -1])
-def test_a_size_bound_below_one_is_rejected(bad, sampler_cfg):
-    A, B, rng = sampled_pair(Signature(3, 2), 0, sampler_cfg)
-    with pytest.raises(ValueError, match="max_m"):
-        check_lidskii_wielandt(A, B, max_m=bad)
-    with pytest.raises(ValueError, match="max_m"):
-        check_wielandt_flag(A, bad)
-    negative = PseudoHermitianMatrix(Signature(0, 2), np.diag([-1.0, -2.0]).astype(complex))
-    with pytest.raises(ValueError, match="max_m"):
-        check_wielandt_flag(negative, bad)
+@pytest.mark.parametrize("stale", [None, 2])
+def test_a_positional_size_bound_is_refused_not_read_as_a_tolerance(stale, sampler_cfg):
+    """The tolerance is keyword-only, so a call written for the retired tuple-size bound raises."""
+    A, B, _ = sampled_pair(Signature(3, 2), 0, sampler_cfg)
+    with pytest.raises(TypeError):
+        check_lidskii_wielandt(A, B, stale)
+    with pytest.raises(TypeError):
+        check_wielandt_flag(A, stale)
 
 
 def test_a_case_passes_at_margin_minus_tol_and_not_at_nan():

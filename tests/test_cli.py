@@ -47,7 +47,6 @@ FLAG_VALUES = {
     "gap_min": (["0.25"], 0.25),
     "cond_cap": (["1e3"], 1e3),
     "value_range": (["-1", "3"], (-1.0, 3.0)),
-    "max_m": (["2"], 2),
     "workers": (["2"], 2),
     "out": (["r.jsonl"], "r.jsonl"),
     "format": (["csv"], "csv"),
@@ -65,9 +64,14 @@ class TestConfig:
         cfg = build_config([])
         assert cfg.p == 2 and cfg.q == 1
         assert cfg.suites == SUITES
-        # the tolerances and sampler values default to their owners'
-        assert (cfg.tol_check, cfg.trace_rtol, cfg.lp_tol) == (DEFAULT_TOL, EQUALITY_TOL, LP_TOL)
+        # the tolerance and sampler values default to their owners'
+        assert cfg.tol_check == DEFAULT_TOL
         assert cfg.sampler() == SamplerConfig()
+        # the suites without a config tolerance run at fixed ones
+        reports = {r.check_name: r for r in run_instance(cfg, 0)}
+        assert reports["structural"].descriptor["tol_eig"] == cli.TOL_PLANTED
+        assert [reports[name].tol for name in ("trace", "polyhedral_diag", "polyhedral_sum")] == [
+            EQUALITY_TOL, LP_TOL, LP_TOL]
 
     @pytest.mark.parametrize(
         "flag, dest",
@@ -107,9 +111,8 @@ class TestConfig:
         assert main(["--instances", "1", f"--tol={value}", "--out", str(out)]) == 2
         assert "tol_check must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
-        for name in ("tol_check", "tol_eig", "trace_rtol", "lp_tol"):
-            with pytest.raises(ConfigError, match=name):
-                validate_config(SuiteConfig(**{name: float(value)}))
+        with pytest.raises(ConfigError, match="tol_check"):
+            validate_config(SuiteConfig(tol_check=float(value)))
 
     @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-NAN"])
     def test_a_negative_non_finite_flag_value_reaches_the_config_check(self, tmp_path, capsys, value):
@@ -124,6 +127,12 @@ class TestConfig:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):
             build_config(["--suite", "nonsense"])
+
+    def test_the_retired_size_bound_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--max-m", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --max-m" in capsys.readouterr().err
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         doc = {"p": 3, "q": 1, "seed": 100, "instances": 2}
@@ -147,6 +156,9 @@ class TestConfig:
         assert build_config(["--seed", "1"]).seed == 1
         monkeypatch.setenv("KREINVAL_SEED", "not-a-number")
         with pytest.raises(ConfigError):
+            build_config([])
+        monkeypatch.setenv("KREINVAL_SEED", "-1")
+        with pytest.raises(ConfigError, match="seed"):
             build_config([])
 
     def test_validation_failures(self):
@@ -172,8 +184,14 @@ class TestConfig:
             # removed with the sampled eigenflag frames: any value is an unknown field
             ("wielandt_frames", -1),
             ("wielandt_frames", 5),
+            # removed with the tuple-size bound, which the closed forms made moot
             ("max_m", 0),
             ("max_m", -2),
+            ("max_m", 2.5),
+            # removed: the structural, trace and polyhedral suites run at fixed tolerances
+            ("tol_eig", float("nan")),
+            ("trace_rtol", float("inf")),
+            ("lp_tol", float("nan")),
             ("tol_struct", 5.0),  # removed: it was echoed but never read
             ("ascent_iters", -1),  # removed with the flag ascent
             # a sampler value that is not finite; json.dumps writes Infinity and NaN
@@ -182,16 +200,14 @@ class TestConfig:
             ("boost_scale", float("inf")),
             # a tolerance that is not finite
             ("tol_check", float("inf")),
-            ("tol_eig", float("nan")),
-            ("trace_rtol", float("inf")),
-            ("lp_tol", float("nan")),
             pytest.param("value_range", [float("-inf"), 1.0], id="value_range-inf"),
             pytest.param("value_range", [-1e308, 1e308], id="value_range-wide"),  # width overflows
-            # a value of the wrong type; at (4, 3), max_m 2.5 used to pass validation and fail the run
+            # a value of the wrong type
             ("wielandt_flags", 1.5),  # now an unknown field
-            ("max_m", 2.5),
             ("courant_subspaces", True),
             ("seed", 1.5),
+            # seeds are SeedSequence entropy, which is non-negative
+            ("seed", -1),
             ("tol_check", "1e-8"),
             ("workers", "2"),
             ("gap_min", "0.5"),
@@ -305,7 +321,7 @@ class TestRunner:
         direct = {
             "courant_fischer": [check_courant_fischer(A)],
             "ky_fan": check_ky_fan(A),
-            "wielandt": check_wielandt_flag(A, None),
+            "wielandt": check_wielandt_flag(A),
         }
         for suite in variational:
             alone = [r.to_dict() for r in run_instance(dataclasses.replace(cfg, suites=(suite,)), index)]
@@ -383,12 +399,13 @@ class TestRunner:
         rc = main(["--p", "0", "--q", "0", "--out", str(tmp_path / "never.jsonl")])
         assert rc == 2
         assert not (tmp_path / "never.jsonl").exists()
-        # an absurdly tight tolerance turns the trace equality into a failure
-        cfg_path = tmp_path / "tight.json"
-        cfg_path.write_text(json.dumps({"trace_rtol": 1e-300}))
+        # an absurdly tight tolerance fails the eigenflag bound, whose margin is minus its roundoff
         rc = main(["--p", "1", "--q", "1", "--instances", "1", "--seed", "4",
-                   "--suite", "trace", "--config", str(cfg_path)])
+                   "--suite", "wielandt", "--tol", "1e-300", "--out", str(out)])
         assert rc == 1
+        (record,) = [json.loads(ln) for ln in body_lines(out) if json.loads(ln)["record"] == "instance"]
+        failed = [(r["descriptor"], c["case_id"]) for r in record["reports"] for c in r["cases"] if not c["passed"]]
+        assert failed == [({"top": 1, "m": 1}, "eigenflag_max")]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("fmt", ["json", "csv"])

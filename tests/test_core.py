@@ -35,6 +35,10 @@ def test_signature_validation():
         Signature(-1, 2)
     with pytest.raises(ValueError):
         Signature(0, 0)
+    # a bool is not a count, though Python counts it an int; a numpy integer is
+    with pytest.raises(ValueError, match="integers"):
+        Signature(True, False)
+    assert Signature(np.int64(2), 1) == Signature(2, 1)
 
 
 def test_metric_entries():

@@ -44,13 +44,11 @@ from kreinval.sampling import (
 )
 from kreinval.spectral import eigendecompose, positive_eigenbasis
 
-import conftest
 from conftest import (
     TOL_CONE,
     WITNESS_ROUNDOFF,
     _compression_trace,
     _hyperplane_basis,
-    _witness_runs,
     _witness_traces,
     all_tuples,
     cholesky_frame,
@@ -222,9 +220,9 @@ def check_flags_against_reference(A, flags):
     assert np.max(np.abs(got - want)) <= TRACE_TOL
 
 
-def shapes(p, max_m=None):
-    """Every shape (r, m) of a tuple bounded by p, m <= min(r, max_m), in report order."""
-    return [(r, m) for r in range(1, p + 1) for m in range(1, min(r, max_m or p) + 1)]
+def shapes(p):
+    """Every shape (r, m) of a tuple bounded by p, m <= r, in report order."""
+    return [(r, m) for r in range(1, p + 1) for m in range(1, r + 1)]
 
 
 def certified_shapes(reports):
@@ -406,73 +404,19 @@ def counting_linalg(monkeypatch, *names):
     return calls
 
 
-def witness_steps(idx):
-    """(path, r, run) of each step the reference recursion takes on idx; path holds the top width and the runs so far."""
-    r, m, path, steps = idx[-1], len(idx), (idx[-1],), []
-    while m < r:
-        run = 1
-        while run < m and idx[m - 1 - run] == r - run:
-            run += 1
-        steps.append((path, r, run))
-        path += (run,)
-        idx = idx[: m - run] + tuple(range(r - run, r))
-        r -= 1
-    return steps
-
-
-def test_the_witness_makes_no_svd_and_one_eigh_per_step(monkeypatch):
-    """For one tuple each of the r - m steps but the first, which reads the given spectrum, solves one
-    eigenproblem for the whole stack, and none computes an SVD."""
-    calls = counting_linalg(monkeypatch, "eigh", "svd")
-    rng = np.random.default_rng(SEED)
-    for r in range(1, 7):
-        G = complex_normal(rng, 5, r, r)
-        M = G + G.conj().swapaxes(-1, -2)
-        spectra = {r: np.linalg.eigh(M)}
-        for head in itertools.chain.from_iterable(itertools.combinations(range(1, r), k) for k in range(r)):
-            idx = head + (r,)
-            calls.update(eigh=0, svd=0)
-            _witness_traces(M, spectra, [idx])
-            assert calls == {"eigh": max(0, r - len(idx) - 1), "svd": 0}, idx
-
-
-@pytest.mark.parametrize("p, steps, distinct", [(4, 17, 11), (6, 129, 57), (8, 769, 247)])
-def test_the_witness_steps_of_all_tuples_form_a_trie(p, steps, distinct):
-    """A step depends on (r, run) and the path that led to it, so tuples share all but about 2^p steps."""
-    tuples = all_tuples(p)
-    keys = [(path, run) for idx in tuples for path, _, run in witness_steps(idx)]
-    assert (len(keys), len(set(keys))) == (steps, distinct)
-    assert all(witness_steps(idx) == [
-        ((idx[-1],) + _witness_runs(idx)[:d], idx[-1] - d, run) for d, run in enumerate(_witness_runs(idx))
-    ] for idx in tuples)
-
-
 def test_a_check_solves_one_eigenproblem_per_width_and_per_batched_step(monkeypatch):
     """At (6,4), for all 63 tuples in 21 reports, the check solves one eigvalsh, for the eigenflag's roundoff,
-    and no eigh: its certificates are kept for A.  The shared witness oracle solves one eigh per width, then
-    one per (depth, r, run) group.
-
-    A per-tuple recursion solves one eigenproblem per step after the first:
-    72 of them here, against 20 groups.
-    """
+    and no eigh or SVD: its certificates are kept for A."""
     A, cfg = instance(6, 4, 7)
-    tuples = all_tuples(6)
-    groups = {(len(path) - 1, r, run) for idx in tuples for path, r, run in witness_steps(idx) if len(path) > 1}
-    assert len(groups) == 20
-    M = positive_compressions(A, 4, instance_rng(SEED, 8))
     checks._positive_eigen(A)  # the eigenbasis compression and the certificates are memoized per matrix
     calls = counting_linalg(monkeypatch, "eigh", "eigvalsh", "svd")
-    reports = check_wielandt_flag(A, None)
+    reports = check_wielandt_flag(A)
     assert len(reports) == 21 and all(r.passed for r in reports)
     assert calls == {"eigh": 0, "eigvalsh": 1, "svd": 0}
-    calls.update(eigh=0, eigvalsh=0)
-    shared_traces(M, tuples)
-    assert calls == {"eigh": 6 + len(groups), "eigvalsh": 0, "svd": 0}
 
 
 def test_the_eigenflag_draw_does_not_grow_with_the_tuples(monkeypatch):
-    """The check draws nothing: its eigenflag bound is certified, not sampled.  The sampled oracle
-    draws the eigenflag coordinates of every tuple in one Gaussian draw."""
+    """The check draws nothing: its eigenflag bound is certified, not sampled."""
     draws = []
     normal = sampling.complex_normal
 
@@ -482,18 +426,8 @@ def test_the_eigenflag_draw_does_not_grow_with_the_tuples(monkeypatch):
 
     A, cfg = instance(6, 4, 9)
     monkeypatch.setattr(sampling, "complex_normal", counting)
-    monkeypatch.setattr(conftest, "complex_normal", counting)
-    positive_compressions(A, 3, instance_rng(SEED, 10))
-    assert len(draws) == 2  # the oracle stack's isometries and contractions
-    eigen = checks._positive_eigen(A)[1]
-    for max_m in (1, 2, None):
-        draws.clear()
-        check_wielandt_flag(A, max_m)
-        assert draws == []
-    for tuples in ([(2,)], [(1, 5), (3,)], all_tuples(6)):
-        draws.clear()
-        eigenflag_traces(eigen, tuples, instance_rng(SEED, 11), 6)
-        assert draws == [(6, sum(sum(idx) for idx in tuples))]  # one row per eigenflag frame
+    check_wielandt_flag(A)
+    assert draws == []
 
 
 EIGENFLAG_SIGNATURES = [(1, 0), (2, 1), (3, 2), (4, 3), (5, 3), (6, 4), (8, 6)]
@@ -518,7 +452,7 @@ def test_eigenflag_max_is_the_highest_oracle_trace(pq, order):
     """
     A, cfg = instance(*pq, 24)
     tuples = eigenflag_tuples(pq[0], order)
-    reports = check_wielandt_flag(A, None)
+    reports = check_wielandt_flag(A)
     system, eigen, _ = checks._positive_eigen(A)
     lambdas = system.spectrum.lambdas
     delta = np.linalg.norm(eigen - np.diag(lambdas), 2)
@@ -544,7 +478,7 @@ def test_the_witness_oracle_reaches_every_witness_case(pq, order):
     A, cfg = instance(*pq, 24)
     tuples = eigenflag_tuples(pq[0], order)
     M = positive_compressions(A, 5, instance_rng(SEED, 26))
-    certified = certified_shapes(check_wielandt_flag(A, None))
+    certified = certified_shapes(check_wielandt_flag(A))
     assert all(certified.values())
     lambdas = checks._positive_eigen(A)[0].spectrum.lambdas
     eta = {r: np.linalg.eigvalsh(M[:, :r, :r]) for r in range(1, pq[0] + 1)}
@@ -574,7 +508,7 @@ def test_every_other_case_is_the_per_tuple_case_bit_for_bit(pq, order, n_flags):
     """
     A, cfg = instance(*pq, 28)
     M = positive_compressions(A, n_flags, instance_rng(SEED, 29))
-    reports = check_wielandt_flag(A, None)
+    reports = check_wielandt_flag(A)
     oracle = {idx: {c.case_id: c for c in reference_wielandt_cases(A, idx, M)} for idx in eigenflag_tuples(pq[0], order)}
     system, eigen, _ = checks._positive_eigen(A)
     delta = float(np.max(np.abs(np.linalg.eigvalsh(eigen - np.diag(system.spectrum.lambdas)))))
@@ -628,15 +562,14 @@ def test_wielandt_reports_the_exhaustive_worst_case_of_every_shape(p, q, tied, n
     oracle's sampled ``witness:f`` and ``interlace_min:r`` cases pass at
     every tuple of the shape.  The check fails exactly when the oracle does.
     """
-    max_m = data.draw(st.one_of(st.none(), st.integers(1, 8)), label="max_m")
     if tied:
         A, M = tied_instance(p, q, data), ()
     else:
         seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
         A, _, _ = sample_planted(Signature(p, q), SamplerConfig(), instance_rng(seed, 40))
         M = positive_compressions(A, n_flags, instance_rng(seed, 41))
-    reports = check_wielandt_flag(A, max_m)
-    oracle = reference_wielandt(A, M, max_m)
+    reports = check_wielandt_flag(A)
+    oracle = reference_wielandt(A, M)
     least = {}
     for rep in oracle:
         idx = rep.descriptor["index_tuple"]
@@ -645,7 +578,7 @@ def test_wielandt_reports_the_exhaustive_worst_case_of_every_shape(p, q, tied, n
             least[key] = min(least.get(key, np.inf), c.margin)
     lambdas = checks._positive_eigen(A)[0].spectrum.lambdas
     roundoff = p * 8 * np.finfo(float).eps * float(np.max(np.abs(lambdas)))
-    assert [shape(rep) for rep in reports] == shapes(p, max_m)
+    assert [shape(rep) for rep in reports] == shapes(p)
     for rep in reports:
         r, m = shape(rep)
         assert rep.descriptor == {"top": r, "m": m}
@@ -837,21 +770,6 @@ def test_a_solver_failure_in_a_witness_gives_the_instance_an_error_record(tmp_pa
     assert got[1] == base[1] and got[3] == base[3]
 
 
-def test_the_ascent_is_batched_over_flags(monkeypatch):
-    """A per-flag witness ascent would solve four times as many eigenproblems for four times the flags; the
-    shared oracle solves one eigh per width and one per (depth, r, run) group whatever the flag count."""
-    A, _ = instance(3, 2, 15)
-    stacks = {n_flags: positive_compressions(A, n_flags, instance_rng(SEED, 16)) for n_flags in (4, 16)}
-    tuples = all_tuples(3)
-    groups = {(len(path) - 1, r, run) for idx in tuples for path, r, run in witness_steps(idx) if len(path) > 1}
-    calls = counting_linalg(monkeypatch, "eigh", "eigvalsh")
-    for n_flags, M in stacks.items():
-        calls.update(eigh=0, eigvalsh=0)
-        traces = shared_traces(M, tuples)
-        assert [t.shape for t in traces] == [(n_flags,)] * len(tuples)
-        assert calls == {"eigh": 3 + len(groups), "eigvalsh": 0}, n_flags
-
-
 def wielandt_case_ids(report):
     return [c.case_id for c in report.cases]
 
@@ -859,21 +777,10 @@ def wielandt_case_ids(report):
 @pytest.mark.parametrize("pq", [(1, 0), (1, 1), (3, 0)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
 def test_one_positive_dimension_and_no_negative_block(pq):
     A, cfg = instance(*pq, 13)
-    reports = check_wielandt_flag(A, None)
+    reports = check_wielandt_flag(A)
     assert [shape(r) for r in reports] == shapes(pq[0])
     assert all(r.passed for r in reports)
     assert all(wielandt_case_ids(r)[-1] == f"restricted_cert_min:{shape(r)[0]}" for r in reports)
-
-
-def test_a_size_bound_keeps_the_reports_it_admits():
-    """``max_m`` only leaves out shapes: each report it keeps equals the unbounded check's report of that shape."""
-    A, cfg = instance(5, 3, 15)
-    every = {shape(rep): rep for rep in check_wielandt_flag(A, None)}
-    assert list(every) == shapes(5)
-    for max_m in (1, 2, 3, 4, 5, 9):
-        reports = check_wielandt_flag(A, max_m)
-        assert [shape(rep) for rep in reports] == shapes(5, max_m)
-        assert reports == [every[shape(rep)] for rep in reports], max_m
 
 
 @settings(max_examples=40, deadline=None)

@@ -45,6 +45,13 @@ def test_instance_rng_is_reproducible():
     assert not np.array_equal(a, c)
 
 
+def test_a_seed_past_64_bits_does_not_alias_a_smaller_one():
+    """The seed is SeedSequence entropy as given: 2^64 and 0 are different streams, and 2^64 - 1 is its own."""
+    draws = [instance_rng(seed, 0).standard_normal(4) for seed in (0, 2**64, 2**64 - 1)]
+    assert not np.array_equal(draws[0], draws[1])
+    assert not np.array_equal(draws[1], draws[2])
+
+
 def test_spectrum_sampler_respects_gap(signature, sampler_cfg):
     for idx in range(25):
         rng = instance_rng(SEED, idx)
