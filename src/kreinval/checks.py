@@ -21,7 +21,7 @@ import numpy as np
 from .core import PseudoHermitianMatrix, Signature, metric_diagonal
 from .errors import ComplexSpectrum, DefectiveMatrix, GapViolation, ShapeMismatch, WrongConeCount
 from .geometry import _adjoint, gram
-from .spectral import check_admissible, eigendecompose, positive_eigenbasis
+from .spectral import ClassifiedEigenSystem, check_admissible, eigendecompose, positive_eigenbasis
 
 DEFAULT_TOL = 1e-8
 EQUALITY_TOL = 1e-9
@@ -305,16 +305,10 @@ def check_trace_identity(
         return _inadmissible_sum_report("trace", sig, descriptor, tol, exc)
     totA, totB, totC = specA.total(), specB.total(), specC.total()
     scale = max(1.0, abs(totA), abs(totB), abs(totC))
+    trace = float(np.trace(C.entries).real)
     cases = [
         _make_case("spectrum_sum", (), totC, totA + totB, -abs(totC - (totA + totB)) / scale, tol),
-        _make_case(
-            "matrix_trace",
-            (),
-            totC,
-            float(np.trace(C.entries).real),
-            -abs(totC - float(np.trace(C.entries).real)) / scale,
-            tol,
-        ),
+        _make_case("matrix_trace", (), totC, trace, -abs(totC - trace) / scale, tol),
     ]
     return _finalize_report("trace", sig, descriptor, tol, cases)
 
@@ -421,8 +415,33 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + _adjoint(M))
 
 
+class _PositiveEigen(NamedTuple):
+    """What the variational suites of one matrix read: the memo's record.
+
+    ``system`` is A's eigensystem, ``eigen`` the compression (p, p) onto its
+    positive eigenbasis and ``certs`` the p certificates.  Two fields are
+    derived, because two or more suites read them: ``cert_min`` holds the
+    least of certificates 1, ..., k at k - 1 (Ky Fan and Wielandt), and
+    ``diagonal`` the real diagonal of ``eigen`` (all three suites).  Arrays
+    are read-only and ``cert_min`` is a tuple, since the memo shares the
+    record.
+    """
+
+    system: ClassifiedEigenSystem
+    eigen: np.ndarray
+    certs: np.ndarray
+    cert_min: tuple[float, ...]
+    diagonal: np.ndarray
+
+
+def _positive_record(system: ClassifiedEigenSystem, eigen: np.ndarray, certs: np.ndarray) -> _PositiveEigen:
+    diagonal = np.diagonal(eigen).real
+    diagonal.flags.writeable = False
+    return _PositiveEigen(system, eigen, certs, tuple(np.minimum.accumulate(certs).tolist()), diagonal)
+
+
 @functools.lru_cache(maxsize=32)
-def _positive_eigen(A: PseudoHermitianMatrix):
+def _positive_eigen(A: PseudoHermitianMatrix) -> _PositiveEigen:
     """A's eigensystem, the compression (p, p) onto its positive eigenbasis, and the p certificates.
 
     The eigenbasis is ``ClassifiedEigenSystem.eigenvectors``, which the
@@ -434,9 +453,10 @@ def _positive_eigen(A: PseudoHermitianMatrix):
     eigenvectors' Gram.
 
     Memoized by value, like ``_sum_spectra``: the three variational suites
-    of one instance share one solve, one compression and one set of
-    certificates.  The result depends on the entries alone, so the memo
-    never changes what a caller sees; its arrays are read-only.
+    of one instance share one solve, one compression, one set of
+    certificates and what ``_PositiveEigen`` derives from them.  The result
+    depends on the entries alone, so the memo never changes what a caller
+    sees.
     """
     system = eigendecompose(A)
     sig = A.signature
@@ -448,7 +468,7 @@ def _positive_eigen(A: PseudoHermitianMatrix):
     certs = np.array([np.linalg.eigvalsh((WJAW - lam * G)[k:, k:])[0] for k, lam in enumerate(lambdas)])
     eigen = WJAW[: sig.p, : sig.p].copy()
     eigen.flags.writeable = certs.flags.writeable = False
-    return system, eigen, certs
+    return _positive_record(system, eigen, certs)
 
 
 def check_courant_fischer(
@@ -475,10 +495,11 @@ def check_courant_fischer(
     descriptor = {"equality_tol": equality_tol}
     if sig.p == 0:
         return _no_positive_block("courant_fischer", sig, descriptor, tol)
-    system, eigen, certs = _positive_eigen(A)
+    record = _positive_eigen(A)
+    system, certs = record.system, record.certs
     lambdas = system.spectrum.lambdas
-    eta = np.linalg.eigvalsh(eigen)
-    ratios = np.diagonal(eigen).real / np.diagonal(gram(positive_eigenbasis(system), sig)).real
+    eta = np.linalg.eigvalsh(record.eigen)
+    ratios = record.diagonal / np.diagonal(gram(positive_eigenbasis(system), sig)).real
     cases = []
     for k in range(1, sig.p + 1):
         lam_k = float(lambdas[k - 1])
@@ -493,13 +514,14 @@ def check_courant_fischer(
     return _finalize_report("courant_fischer", sig, descriptor, tol, cases)
 
 
-def _least_certificate(certs: np.ndarray, r: int, tol: float) -> CheckCase:
+def _least_certificate(cert_min: tuple[float, ...], r: int, tol: float) -> CheckCase:
     """``restricted_cert_min:r``: the least of certificates 1, ..., r against 0.
 
-    It passes exactly when every one of them does, and then
+    ``cert_min`` is the record's running minimum of the certificates.  The
+    case passes exactly when every one of them does, and then
     eta_i(M_V) >= lambda_i holds for i <= r on every positive subspace V.
     """
-    low = float(np.min(certs[:r]))
+    low = cert_min[r - 1]
     return _make_case(f"restricted_cert_min:{r}", range(1, r + 1), low, 0.0, low, tol)
 
 
@@ -525,16 +547,16 @@ def check_ky_fan(
     shared = {"equality_tol": equality_tol}
     if sig.p == 0:
         return [_no_positive_block("ky_fan", sig, shared, tol)]
-    system, eigen, certs = _positive_eigen(A)
-    lambdas = system.spectrum.lambdas
-    witness = np.cumsum(np.diagonal(eigen).real)
+    record = _positive_eigen(A)
+    lambdas = record.system.spectrum.lambdas
+    witness = np.cumsum(record.diagonal)
     reports = []
     for k in range(1, sig.p + 1):
         indices = tuple(range(1, k + 1))
-        target = float(np.sum(lambdas[:k]))
+        target = float(lambdas[:k].sum())
         val = float(witness[k - 1])
         cases = [
-            _least_certificate(certs, k, tol),
+            _least_certificate(record.cert_min, k, tol),
             _make_case(f"partial_sum_witness:{k}", indices, val, target, -abs(val - target), equality_tol),
         ]
         reports.append(_finalize_report("ky_fan", sig, {"k": k, **shared}, tol, cases))
@@ -598,10 +620,9 @@ def check_wielandt_flag(
     sig = A.signature
     if sig.p == 0:
         return [_no_positive_block("wielandt", sig, {}, tol)]
-    system, eigen, certs = _positive_eigen(A)
-    lambdas = system.spectrum.lambdas
-    diagonal = np.diagonal(eigen).real
-    lam, diagonal = lambdas.tolist(), diagonal.tolist()
+    record = _positive_eigen(A)
+    eigen, lambdas = record.eigen, record.system.spectrum.lambdas
+    lam, diagonal = lambdas.tolist(), record.diagonal.tolist()
     e = [0.0] + [x - y for x, y in zip(diagonal, lam)]  # 1-based
     # eigen - diag(lambdas) is Hermitian, so its 2-norm is its largest |eigenvalue|
     delta = float(np.max(np.abs(np.linalg.eigvalsh(eigen - np.diag(lambdas)))))
@@ -611,7 +632,7 @@ def check_wielandt_flag(
         ranked = sorted(range(1, r), key=e.__getitem__)
         low = list(itertools.accumulate((e[i] for i in ranked), initial=e[r]))
         high = list(itertools.accumulate((e[i] for i in reversed(ranked)), initial=e[r]))
-        certified = _least_certificate(certs, r, tol)
+        certified = _least_certificate(record.cert_min, r, tol)
         for m in range(1, r + 1):
             lowest = (*range(1, m), r)
             target, slack = _ordered_sum(lam, lowest), m * delta

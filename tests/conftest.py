@@ -217,8 +217,8 @@ def reference_wielandt_cases(A, idx, M=(), tol=DEFAULT_TOL, equality_tol=EQUALIT
     compression in the stack M (``positive_compressions``), and they hold
     whenever ``restricted_cert_min:r`` does.
     """
-    system, eigen, certs = _positive_eigen(A)
-    lambdas = system.spectrum.lambdas
+    record = _positive_eigen(A)
+    eigen, certs, lambdas = record.eigen, record.certs, record.system.spectrum.lambdas
     target = ordered_sum(lambdas[i - 1] for i in idx)
     cols = np.array(idx) - 1
     sub = eigen[np.ix_(cols, cols)]
@@ -412,7 +412,7 @@ def sampled_margins(A, M) -> dict:
     """
     if not len(M):
         return {}
-    lambdas = _positive_eigen(A)[0].spectrum.lambdas
+    lambdas = _positive_eigen(A).system.spectrum.lambdas
     d = np.linalg.eigvalsh(M) - lambdas
     margins = {}
     for k in range(1, len(lambdas) + 1):

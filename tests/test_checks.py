@@ -347,9 +347,26 @@ def test_a_frame_below_lambda_1_off_its_prefix_fails_minmax_sampled(sampler_cfg)
     assert prefix_minmax_tops(M)[0] - lambdas[0] > -DEFAULT_TOL
 
 
+class CertificatesRead(Exception):
+    pass
+
+
+def _refuse(*args, **kwargs):
+    raise CertificatesRead
+
+
+#: stands in for the memo's certificates: reading it in any way raises CertificatesRead
+Unreadable = type(
+    "Unreadable",
+    (),
+    dict.fromkeys(("__getattribute__", "__getitem__", "__len__", "__iter__", "__array__", "__float__"), _refuse),
+)
+
+
 def test_courant_fischer_solves_one_stacked_eigvalsh_and_one_per_certificate(sampler_cfg, monkeypatch, fresh_memos):
     """At (4,3) the memo solves one eigvalsh per certificate, once per matrix, and each check one more or none:
-    courant_fischer reads the compression's eigenvalues, wielandt its roundoff, ky_fan neither.  No ix_ gathers."""
+    courant_fischer reads the compression's eigenvalues, wielandt its roundoff, ky_fan neither.  No ix_ gathers.
+    Only courant_fischer reads the certificates; ky_fan and wielandt read the record's running minimum."""
     sig = Signature(4, 3)
     A, _, _ = sample_planted(sig, sampler_cfg, instance_rng(SEED, 45))
     expected = check_courant_fischer(A), check_ky_fan(A), check_wielandt_flag(A)
@@ -368,6 +385,36 @@ def test_courant_fischer_solves_one_stacked_eigvalsh_and_one_per_certificate(sam
         calls.update(eigvalsh=0)
         got = check(A)
         assert (got if isinstance(got, list) else [got]) == want and calls == {"eigvalsh": solves, "ix_": 0}
+    # ky_fan and wielandt read the least certificates from the record's running minimum, never the certificates
+    unreadable = checks._positive_eigen(A)._replace(certs=Unreadable())
+    monkeypatch.setattr(checks, "_positive_eigen", lambda _: unreadable)
+    assert check_ky_fan(A) == expected[1] and check_wielandt_flag(A) == expected[2]
+    with pytest.raises(CertificatesRead):
+        check_courant_fischer(A)
+
+
+@pytest.mark.parametrize("pq", [(1, 1), (3, 2), (4, 3), (5, 0), (6, 4)])
+def test_the_least_certificates_agree_across_suites_and_the_shared_record_is_read_only(sampler_cfg, pq):
+    """ky_fan's restricted_cert_min:k is wielandt's in every report of top k, tuple for tuple, and its lhs is the
+    least lhs of courant_fischer's restricted_cert:1...k.  The memo shares its record, so the record's diagonal
+    refuses writes and its running minimum is a tuple."""
+    sig = Signature(*pq)
+    A, _, _ = sample_planted(sig, sampler_cfg, instance_rng(SEED, 51))
+    restricted = {c.case_id: c.lhs for c in check_courant_fischer(A).cases}
+    wielandt = check_wielandt_flag(A)
+    ky_fan = check_ky_fan(A)
+    assert len(ky_fan) == sig.p
+    for k, rep in enumerate(ky_fan, 1):
+        case_id = f"restricted_cert_min:{k}"
+        (least,) = [c for c in rep.cases if c.case_id == case_id]
+        tops = [[c for c in r.cases if c.case_id == case_id] for r in wielandt if r.descriptor["top"] == k]
+        assert tops == [[least]] * k, k
+        assert least.lhs == min(restricted[f"restricted_cert:{i}"] for i in range(1, k + 1)), k
+    record = checks._positive_eigen(A)
+    assert type(record.cert_min) is tuple and len(record.cert_min) == sig.p
+    assert np.array_equal(record.diagonal, np.diagonal(record.eigen).real)
+    with pytest.raises(ValueError, match="read-only"):
+        record.diagonal[0] = 0.0
 
 
 def test_the_certificates_are_the_least_eigenvalues_of_the_restricted_forms(sampler_cfg):
@@ -376,7 +423,8 @@ def test_the_certificates_are_the_least_eigenvalues_of_the_restricted_forms(samp
     for pq, index in (((3, 2), 46), ((5, 0), 47), ((1, 4), 48), ((6, 4), 49)):
         sig = Signature(*pq)
         A, _, _ = sample_planted(sig, sampler_cfg, instance_rng(SEED, index))
-        system, _, certs = checks._positive_eigen(A)
+        record = checks._positive_eigen(A)
+        system, certs = record.system, record.certs
         assert certs.shape == (sig.p,) and not certs.flags.writeable
         pos, neg = positive_eigenbasis(system), negative_eigenbasis(system)
         for k, lam in enumerate(system.spectrum.lambdas.tolist(), start=1):
@@ -483,10 +531,11 @@ def test_wielandt_fails_an_eigenflag_off_its_diagonal(sampler_cfg, monkeypatch, 
     sig = Signature(3, 2)
     rng = instance_rng(SEED, 26)
     A, _, _ = sample_planted(sig, sampler_cfg, rng)
-    system, eigen, certs = checks._positive_eigen(A)
+    record = checks._positive_eigen(A)
     E = np.zeros((3, 3), dtype=complex)
     E[0, 2], E[2, 0] = eps * 1j, -eps * 1j  # Hermitian, ||E||_2 = eps
-    monkeypatch.setattr(checks, "_positive_eigen", lambda _: (system, eigen + E, certs))
+    faulted = checks._positive_record(record.system, record.eigen + E, record.certs)
+    monkeypatch.setattr(checks, "_positive_eigen", lambda _: faulted)
     reports = check_wielandt_flag(A)
     assert len(reports) == 6
     for rep in reports:
@@ -510,11 +559,12 @@ def test_wielandt_reports_the_largest_eigenflag_deviation_of_every_shape(sampler
     """
     sig = Signature(6, 2)
     A, _, _ = sample_planted(sig, sampler_cfg, instance_rng(SEED, 40))
-    system, eigen, certs = checks._positive_eigen(A)
+    record = checks._positive_eigen(A)
     e = 1e-7 * (np.random.default_rng(SEED).standard_normal(6) + shift)
-    monkeypatch.setattr(checks, "_positive_eigen", lambda _: (system, eigen + np.diag(e), certs))
-    lambdas = system.spectrum.lambdas.tolist()
-    diagonal = (np.diagonal(eigen).real + e).tolist()
+    faulted = checks._positive_record(record.system, record.eigen + np.diag(e), record.certs)
+    monkeypatch.setattr(checks, "_positive_eigen", lambda _: faulted)
+    lambdas = record.system.spectrum.lambdas.tolist()
+    diagonal = (np.diagonal(record.eigen).real + e).tolist()
     roundoff = 6 * 8 * np.finfo(float).eps * max(map(abs, lambdas))
     reports = check_wielandt_flag(A)
     assert [shape(r) for r in reports] == [(r, m) for r in range(1, 7) for m in range(1, r + 1)]

@@ -453,8 +453,8 @@ def test_eigenflag_max_is_the_highest_oracle_trace(pq, order):
     A, cfg = instance(*pq, 24)
     tuples = eigenflag_tuples(pq[0], order)
     reports = check_wielandt_flag(A)
-    system, eigen, _ = checks._positive_eigen(A)
-    lambdas = system.spectrum.lambdas
+    record = checks._positive_eigen(A)
+    eigen, lambdas = record.eigen, record.system.spectrum.lambdas
     delta = np.linalg.norm(eigen - np.diag(lambdas), 2)
     excess = {}
     for rep in reports:
@@ -480,7 +480,7 @@ def test_the_witness_oracle_reaches_every_witness_case(pq, order):
     M = positive_compressions(A, 5, instance_rng(SEED, 26))
     certified = certified_shapes(check_wielandt_flag(A))
     assert all(certified.values())
-    lambdas = checks._positive_eigen(A)[0].spectrum.lambdas
+    lambdas = checks._positive_eigen(A).system.spectrum.lambdas
     eta = {r: np.linalg.eigvalsh(M[:, :r, :r]) for r in range(1, pq[0] + 1)}
     scale = np.maximum(1.0, [np.linalg.norm(M[:, : idx[-1], : idx[-1]], 2, axis=(-2, -1)) for idx in tuples])
     traces = np.array(shared_traces(M, tuples))
@@ -510,8 +510,8 @@ def test_every_other_case_is_the_per_tuple_case_bit_for_bit(pq, order, n_flags):
     M = positive_compressions(A, n_flags, instance_rng(SEED, 29))
     reports = check_wielandt_flag(A)
     oracle = {idx: {c.case_id: c for c in reference_wielandt_cases(A, idx, M)} for idx in eigenflag_tuples(pq[0], order)}
-    system, eigen, _ = checks._positive_eigen(A)
-    delta = float(np.max(np.abs(np.linalg.eigvalsh(eigen - np.diag(system.spectrum.lambdas)))))
+    record = checks._positive_eigen(A)
+    delta = float(np.max(np.abs(np.linalg.eigvalsh(record.eigen - np.diag(record.system.spectrum.lambdas)))))
     assert [shape(rep) for rep in reports] == shapes(pq[0])
     for rep in reports:
         r, m = shape(rep)
@@ -576,7 +576,7 @@ def test_wielandt_reports_the_exhaustive_worst_case_of_every_shape(p, q, tied, n
         for c in rep.cases:
             key = (idx[-1], len(idx), c.case_id.split(":")[0])
             least[key] = min(least.get(key, np.inf), c.margin)
-    lambdas = checks._positive_eigen(A)[0].spectrum.lambdas
+    lambdas = checks._positive_eigen(A).system.spectrum.lambdas
     roundoff = p * 8 * np.finfo(float).eps * float(np.max(np.abs(lambdas)))
     assert [shape(rep) for rep in reports] == shapes(p)
     for rep in reports:
@@ -747,8 +747,8 @@ def test_a_solver_failure_in_a_witness_gives_the_instance_an_error_record(tmp_pa
     """An eigensolver that does not converge on one instance's eigenflag raises out of the check; the batch goes on."""
     cfg = SuiteConfig(p=3, q=2, instances=3, seed=SEED, suites=("wielandt",))
     A, _, _ = sample_planted(Signature(3, 2), cfg.sampler(), instance_rng(SEED, 1))
-    system, eigen, _ = checks._positive_eigen(A)
-    poisoned = eigen - np.diag(system.spectrum.lambdas)  # instance 1's eigenflag roundoff
+    record = checks._positive_eigen(A)
+    poisoned = record.eigen - np.diag(record.system.spectrum.lambdas)  # instance 1's eigenflag roundoff
     eigvalsh = np.linalg.eigvalsh
     hits = []
 
