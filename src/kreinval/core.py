@@ -86,15 +86,16 @@ def pseudo_hermitian_residual(entries, sig: Signature) -> float:
     jd = metric_diagonal(sig)
     # A J scales columns, J A* scales rows
     resid = A * jd[None, :] - jd[:, None] * A.conj().T
-    return float(np.max(np.abs(resid)))
+    return float(np.abs(resid).max())
 
 
 def pseudo_unitary_residual(entries, sig: Signature) -> float:
     """Max-norm of U J U* - J."""
     U = _as_square(entries, sig.n)
     jd = metric_diagonal(sig)
-    resid = (U * jd[None, :]) @ U.conj().T - np.diag(jd)
-    return float(np.max(np.abs(resid)))
+    resid = (U * jd[None, :]) @ U.conj().T
+    resid.reshape(-1)[:: sig.n + 1] -= jd
+    return float(np.abs(resid).max())
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -119,7 +120,7 @@ class PseudoHermitianMatrix:
 
     def __post_init__(self) -> None:
         arr = _as_square(self.entries, self.signature.n)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteValue("matrix entries must be finite")
         resid = pseudo_hermitian_residual(arr, self.signature)
         if resid > self.tol:
@@ -154,7 +155,7 @@ class PseudoUnitary:
 
     def __post_init__(self) -> None:
         arr = _as_square(self.entries, self.signature.n)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteValue("matrix entries must be finite")
         resid = pseudo_unitary_residual(arr, self.signature)
         if not resid <= self.tol:  # a NaN residual, from overflow, fails too
@@ -195,8 +196,9 @@ class AdmissibleSpectrum:
     mus: np.ndarray
 
     def __post_init__(self) -> None:
-        lam = np.asarray(self.lambdas, dtype=float).reshape(-1)
-        mu = np.asarray(self.mus, dtype=float).reshape(-1)
+        # the one copy each block gets; it is frozen below
+        lam = np.array(self.lambdas, dtype=float).reshape(-1)
+        mu = np.array(self.mus, dtype=float).reshape(-1)
         if lam.size != self.signature.p or mu.size != self.signature.q:
             raise ShapeMismatch(
                 f"expected {self.signature.p} positive-type and {self.signature.q} "
@@ -204,9 +206,9 @@ class AdmissibleSpectrum:
             )
         if not (np.isfinite(lam).all() and np.isfinite(mu).all()):
             raise NonFiniteValue("eigenvalues must be finite reals")
-        if np.any(lam[1:] < lam[:-1]):
+        if (lam[1:] < lam[:-1]).any():
             raise ValueError("positive-type eigenvalues must be ascending")
-        if np.any(mu[1:] > mu[:-1]):
+        if (mu[1:] > mu[:-1]).any():
             raise ValueError("negative-type eigenvalues must be descending")
         if lam.size and mu.size and not lam[0] > mu[0]:
             raise GapViolation(
@@ -214,8 +216,10 @@ class AdmissibleSpectrum:
                 f"must exceed largest negative-type {mu[0]!r}",
                 other_component=bool(mu[-1] > lam[-1]),
             )
-        object.__setattr__(self, "lambdas", _freeze(lam))
-        object.__setattr__(self, "mus", _freeze(mu))
+        lam.flags.writeable = False
+        mu.flags.writeable = False
+        object.__setattr__(self, "lambdas", lam)
+        object.__setattr__(self, "mus", mu)
 
     @property
     def gap(self) -> float:

@@ -56,8 +56,10 @@ class PolyhedralRegion:
             raise ShapeMismatch("base point and vertices must live in dimension n")
         if gens.size and (gens.ndim != 2 or gens.shape[1] != n):
             raise ShapeMismatch("generators must live in dimension n")
-        sums = verts.sum(axis=1)
-        if np.max(np.abs(sums - base.sum()), initial=0.0) > 1e-9:
+        # vertices permute the base point's doubles, so their sums differ by
+        # roundoff relative to the size of its coordinates
+        scale = max(1.0, float(np.abs(base).sum()))
+        if np.abs(verts.sum(axis=1) - base.sum()).max(initial=0.0) > 1e-9 * scale:
             raise ValueError("vertex coordinate sums must match the base point")
         if gens.size and np.max(np.abs(gens.sum(axis=1)), initial=0.0) > 1e-12:
             raise ValueError("cone generators must have coordinate sum zero")

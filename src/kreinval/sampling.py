@@ -10,10 +10,19 @@ and squaring with the [13/13] Padé approximant (Higham, SIAM J. Matrix Anal.
 Appl. 26 (2005) 1179-1193).  Nothing here draws subspaces: the checks
 certify their bounds for every positive subspace, and the tests draw their
 own subspaces to hold the certificates to.
+
+A planted matrix reads its stream in one order: one uniform draw of the
+p + q eigenvalues, then each generator draw in turn until a conjugator is
+accepted, rejected draws included.  A generator draw is one draw of
+normals, re G1, im G1, re G2, im G2 and, when p, q and ``boost_scale`` are
+all nonzero, re Z and im Z, each block row-major; in that case one uniform
+draw of the coupling norm t follows.  An instance draws A and then B this
+way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +33,7 @@ from .core import (
     PseudoHermitianMatrix,
     PseudoUnitary,
     Signature,
-    matrix_dagger,
+    metric_diagonal,
 )
 from .errors import NonFiniteValue, RetriesExhausted
 
@@ -97,16 +106,16 @@ def instance_rng(seed: int, index: int = 0, *subkeys: int) -> np.random.Generato
     return np.random.default_rng(ss)
 
 
-def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Standard complex Gaussian array of the given shape (variance 1 per complex entry)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
 def sample_spectrum(sig: Signature, cfg: SamplerConfig, rng: np.random.Generator) -> AdmissibleSpectrum:
-    """Uniform eigenvalue draws with the gap enforced by shifting the positive block."""
+    """Uniform eigenvalue draws with the gap enforced by shifting the positive block.
+
+    One draw of p + q uniforms: the first p are the positive-type block and
+    the last q the negative-type block.
+    """
     lo, hi = cfg.value_range
-    lam = np.sort(rng.uniform(lo, hi, sig.p))
-    mu = np.sort(rng.uniform(lo, hi, sig.q))[::-1]
+    values = rng.uniform(lo, hi, sig.n)
+    lam = np.sort(values[: sig.p])
+    mu = np.sort(values[sig.p :])[::-1]
     if sig.p and sig.q:
         gap = lam[0] - mu[0]
         if gap < cfg.gap_min:
@@ -114,18 +123,44 @@ def sample_spectrum(sig: Signature, cfg: SamplerConfig, rng: np.random.Generator
     return AdmissibleSpectrum(sig, lam, mu)
 
 
+@functools.lru_cache(maxsize=64)
+def _generator_layout(sig: Signature, coupled: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the normals of one generator draw go, built on first use per signature.
+
+    A draw holds re G1, im G1, re G2, im G2 and, when ``coupled``, re Z and
+    im Z, each block row-major.  Returns the positions of the real and of the
+    imaginary part of every complex entry (G1, G2, then Z) in the draw, and
+    the flat positions of G1 and G2 in the n x n generator.
+    """
+    p, q, n = sig.p, sig.q, sig.n
+    sizes = [p * p, q * q] + ([p * q] if coupled else [])
+    starts = np.cumsum([0] + [2 * size for size in sizes[:-1]])
+    real = np.concatenate([start + np.arange(size) for start, size in zip(starts, sizes)])
+    imag = real + np.repeat(sizes, sizes)
+    block = np.concatenate([(idx[:, None] * n + idx).ravel() for idx in (np.arange(p), np.arange(p, n))])
+    for arr in (real, imag, block):
+        arr.flags.writeable = False
+    return real, imag, block
+
+
 def _lie_algebra_element(sig: Signature, cfg: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
-    """Random generator with skew-Hermitian diagonal blocks and capped coupling."""
-    p, q = sig.p, sig.q
-    gen = np.zeros((sig.n, sig.n), dtype=complex)
-    if p:
-        G1 = complex_normal(rng, p, p)
-        gen[:p, :p] = 0.5 * (G1 - G1.conj().T)
-    if q:
-        G2 = complex_normal(rng, q, q)
-        gen[p:, p:] = 0.5 * (G2 - G2.conj().T)
-    if p and q and cfg.boost_scale > 0:
-        Z = complex_normal(rng, p, q)
+    """Random generator with skew-Hermitian diagonal blocks and capped coupling.
+
+    G1 (p x p), G2 (q x q) and, when both blocks and the boost are nonzero,
+    the coupling Z (p x q) are standard complex Gaussians with variance 1 per
+    entry, all from one draw of normals laid out by ``_generator_layout``;
+    one uniform draw then gives Z's norm t.
+    """
+    p, n = sig.p, sig.n
+    coupled = bool(p and sig.q and cfg.boost_scale > 0)
+    real, imag, block = _generator_layout(sig, coupled)
+    normals = rng.standard_normal(2 * real.size)
+    entries = (normals[real] + 1j * normals[imag]) / np.sqrt(2.0)
+    D = np.zeros((n, n), dtype=complex)
+    D.reshape(-1)[block] = entries[: block.size]
+    gen = 0.5 * (D - D.conj().T)
+    if coupled:
+        Z = entries[block.size :].reshape(p, sig.q)
         t = rng.uniform(0.0, cfg.boost_scale)
         zn = np.linalg.svd(Z, compute_uv=False)[0]
         if zn > 0:
@@ -169,6 +204,21 @@ def _expm(X: np.ndarray) -> np.ndarray:
     return R
 
 
+def _draw_pseudo_unitary(sig: Signature, cfg: SamplerConfig, rng: np.random.Generator) -> PseudoUnitary:
+    """The retry loop of ``sample_pseudo_unitary``, under its caller's errstate."""
+    for _ in range(MAX_RETRIES):
+        gen = _lie_algebra_element(sig, cfg, rng)
+        try:
+            U = PseudoUnitary(sig, _expm(gen), tol=SAMPLE_UNITARY_TOL)
+        except ValueError:  # the exponential overflowed or left the group
+            continue
+        if U.cond <= cfg.cond_cap:
+            return U
+    raise RetriesExhausted(
+        f"no pseudo-unitary with cond <= {cfg.cond_cap:.1e} in {MAX_RETRIES} draws"
+    )
+
+
 def sample_pseudo_unitary(sig: Signature, cfg: SamplerConfig, rng: np.random.Generator) -> PseudoUnitary:
     """Exponential of a random Lie-algebra element, resampled until well conditioned.
 
@@ -181,17 +231,7 @@ def sample_pseudo_unitary(sig: Signature, cfg: SamplerConfig, rng: np.random.Gen
     conjugator it raises RetriesExhausted.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(MAX_RETRIES):
-            gen = _lie_algebra_element(sig, cfg, rng)
-            try:
-                U = PseudoUnitary(sig, _expm(gen), tol=SAMPLE_UNITARY_TOL)
-            except ValueError:  # the exponential overflowed or left the group
-                continue
-            if U.cond <= cfg.cond_cap:
-                return U
-    raise RetriesExhausted(
-        f"no pseudo-unitary with cond <= {cfg.cond_cap:.1e} in {MAX_RETRIES} draws"
-    )
+        return _draw_pseudo_unitary(sig, cfg, rng)
 
 
 def sample_planted(
@@ -199,15 +239,18 @@ def sample_planted(
 ) -> tuple[PseudoHermitianMatrix, AdmissibleSpectrum, PseudoUnitary]:
     """Planted-spectrum instance A = U diag U^-1, returning the conjugator too.
 
-    Using the dagger as the inverse keeps the construction exactly
+    Using the dagger J U* J as the inverse keeps the construction exactly
     pseudo-Hermitian in exact arithmetic, independent of _expm's accuracy; the
-    final symmetrization removes roundoff asymmetry.
+    final symmetrization removes roundoff asymmetry.  The spectrum, the
+    conjugator and their product are drawn under one errstate: huge spectra
+    may overflow the product, which the matrix type then reports as
+    NonFiniteValue.
     """
-    spectrum = sample_spectrum(sig, cfg, rng)
-    U = sample_pseudo_unitary(sig, cfg, rng)
-    # U times the canonical diagonal scales the columns of U; huge spectra may
-    # overflow here, which the matrix type then reports as NonFiniteValue
+    jd = metric_diagonal(sig)
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = (U.entries * spectrum.canonical_vector()) @ U.inverse
-        sym = 0.5 * (raw + matrix_dagger(raw, sig))
+        spectrum = sample_spectrum(sig, cfg, rng)
+        U = _draw_pseudo_unitary(sig, cfg, rng)
+        # U times the canonical diagonal scales the columns of U
+        raw = (U.entries * spectrum.canonical_vector()) @ (jd[:, None] * U.entries.conj().T * jd[None, :])
+        sym = 0.5 * (raw + jd[:, None] * raw.conj().T * jd[None, :])
     return PseudoHermitianMatrix(sig, sym), spectrum, U

@@ -118,7 +118,9 @@ def check_admissible(A: PseudoHermitianMatrix) -> AdmissibleSpectrum:
 def _shifted_form(entries, sig: Signature, shift: float) -> np.ndarray:
     """H = J (A - shift I), Hermitian for a pseudo-Hermitian A."""
     jd = metric_diagonal(sig)
-    return jd[:, None] * entries - np.diag(shift * jd)
+    H = jd[:, None] * entries
+    H.reshape(-1)[:: sig.n + 1] -= shift * jd
+    return H
 
 
 def shift_margin(A: PseudoHermitianMatrix) -> float:
@@ -168,7 +170,7 @@ def _diagnose(sig: Signature, entries: np.ndarray) -> NoReturn:
     """
     w, V = np.linalg.eig(entries)
     norm = float(np.linalg.svd(entries, compute_uv=False)[0])  # operator 2-norm
-    reality = float(np.max(np.abs(w.imag)))
+    reality = float(np.abs(w.imag).max())
     if reality > TOL_REALITY_REL * norm:
         raise ComplexSpectrum(
             f"imaginary parts reach {reality:.3e}, above tol {TOL_REALITY_REL * norm:.3e}"
@@ -199,8 +201,8 @@ def _diagnose(sig: Signature, entries: np.ndarray) -> NoReturn:
             f"expected {sig.p} positive-type and {sig.q} negative-type eigenvectors, "
             f"got {pos.sum()} and {neg.sum()} (null: {w.size - pos.sum() - neg.sum()})"
         )
-    lowest = float(np.min(w.real[pos], initial=np.inf))
-    highest = float(np.max(w.real[neg], initial=-np.inf))
+    lowest = float(w.real[pos].min(initial=np.inf))
+    highest = float(w.real[neg].max(initial=-np.inf))
     raise GapViolation(
         f"strict gap violated: smallest positive-type {lowest!r} "
         f"does not exceed largest negative-type {highest!r}"

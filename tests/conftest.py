@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from kreinval import SamplerConfig, Signature
+from kreinval import SamplerConfig, Signature, sampling
 from kreinval.checks import (
     DEFAULT_TOL,
     EQUALITY_TOL,
@@ -18,10 +18,15 @@ from kreinval.checks import (
     _positive_eigen,
     _sum_spectra,
 )
-from kreinval.core import metric_diagonal
-from kreinval.errors import ShapeMismatch
+from kreinval.core import (
+    AdmissibleSpectrum,
+    PseudoHermitianMatrix,
+    PseudoUnitary,
+    matrix_dagger,
+    metric_diagonal,
+)
+from kreinval.errors import RetriesExhausted, ShapeMismatch
 from kreinval.geometry import TOL_NULL_REL, _adjoint, as_basis, gram
-from kreinval.sampling import complex_normal
 
 SIGNATURES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
 
@@ -55,6 +60,58 @@ def fresh_memos():
     yield
     for memo in memos:
         memo.cache_clear()
+
+
+def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Standard complex Gaussian array of the given shape (variance 1 per complex entry)."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def sample_planted_by_blocks(sig, cfg, rng):
+    """``sample_planted`` drawn block by block: the oracle of the one-pass draw.
+
+    Two uniform draws make the spectrum, one per block.  Each generator
+    draw takes G1, G2 and the coupling Z from a ``complex_normal`` call each,
+    then t; the retry loop and the planted product each run under their own
+    errstate, and the product reads the conjugator's ``inverse``.  It goes
+    through ``sampling._expm`` and checks and retries as the sampler does.
+    """
+    p, q = sig.p, sig.q
+    lo, hi = cfg.value_range
+    lam = np.sort(rng.uniform(lo, hi, p))
+    mu = np.sort(rng.uniform(lo, hi, q))[::-1]
+    if p and q and lam[0] - mu[0] < cfg.gap_min:
+        lam = lam + (cfg.gap_min - (lam[0] - mu[0]))
+    spectrum = AdmissibleSpectrum(sig, lam, mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(sampling.MAX_RETRIES):
+            gen = np.zeros((sig.n, sig.n), dtype=complex)
+            if p:
+                G1 = complex_normal(rng, p, p)
+                gen[:p, :p] = 0.5 * (G1 - G1.conj().T)
+            if q:
+                G2 = complex_normal(rng, q, q)
+                gen[p:, p:] = 0.5 * (G2 - G2.conj().T)
+            if p and q and cfg.boost_scale > 0:
+                Z = complex_normal(rng, p, q)
+                t = rng.uniform(0.0, cfg.boost_scale)
+                zn = np.linalg.svd(Z, compute_uv=False)[0]
+                if zn > 0:
+                    Z = Z * (t / zn)
+                gen[:p, p:] = Z
+                gen[p:, :p] = Z.conj().T
+            try:
+                U = PseudoUnitary(sig, sampling._expm(gen), tol=sampling.SAMPLE_UNITARY_TOL)
+            except ValueError:
+                continue
+            if U.cond <= cfg.cond_cap:
+                break
+        else:
+            raise RetriesExhausted(f"no pseudo-unitary in {sampling.MAX_RETRIES} draws")
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = (U.entries * spectrum.canonical_vector()) @ U.inverse
+        sym = 0.5 * (raw + matrix_dagger(raw, sig))
+    return PseudoHermitianMatrix(sig, sym), spectrum, U
 
 
 def ordered_sum(values) -> float:
@@ -434,7 +491,6 @@ def non_invariant_system(A, k):
     k = p), so lambda' stays ascending.  The system keeps A's certificate
     and carries the framed vectors as its eigenvectors.  Needs q >= 1.
     """
-    from kreinval.core import AdmissibleSpectrum
     from kreinval.spectral import ClassifiedEigenSystem, eigendecompose
 
     sig = A.signature

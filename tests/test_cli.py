@@ -330,23 +330,25 @@ class TestRunner:
 
     def test_no_positive_block_or_no_budget_draws_no_frames(self, monkeypatch):
         """The variational suites draw nothing past the instance's matrix, at p = 0 or not: there is no frame
-        budget, and every case is certified or a witness."""
-        draws = []
-        normal = sampling.complex_normal
+        budget, and every case is certified or a witness.  The instance opens one stream, and it ends where
+        the draw of A alone ends."""
+        streams = []
 
-        def counting(rng, *shape):
-            draws.append(shape)
-            return normal(rng, *shape)
+        def recording(*key):
+            streams.append(instance_rng(*key))
+            return streams[-1]
 
-        monkeypatch.setattr(sampling, "complex_normal", counting)
+        monkeypatch.setattr(cli, "instance_rng", recording)
         variational = ("courant_fischer", "ky_fan", "wielandt")
         for p, q in ((0, 2), (2, 1)):
-            draws.clear()
-            sample_planted(Signature(p, q), SamplerConfig(), instance_rng(SEED, 0))
-            planted = list(draws)
-            draws.clear()
-            reports = run_instance(SuiteConfig(p=p, q=q, seed=SEED, suites=variational), 0)
-            assert draws == planted, (p, q)
+            streams.clear()
+            run_instance(SuiteConfig(p=p, q=q, seed=SEED, suites=variational), 0)
+            rng = instance_rng(SEED, 0)
+            fresh = rng.bit_generator.state
+            sample_planted(Signature(p, q), SamplerConfig(), rng)
+            assert rng.bit_generator.state != fresh
+            assert len(streams) == 1
+            assert streams[0].bit_generator.state == rng.bit_generator.state, (p, q)
         reports = run_instance(SuiteConfig(p=0, q=2, seed=SEED, suites=variational), 0)
         assert [(r.check_name, r.descriptor, r.cases, r.notes) for r in reports] == [
             ("courant_fischer", {"equality_tol": 1e-9}, (), ("no positive-type block",)),
@@ -551,6 +553,15 @@ class TestRunner:
         assert records[-1]["passed"] is False
         assert "instance 1 raised NonFiniteValue" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--value-range", "-1e7", "1e7"], ["--gap-min", "1e300", "--boost-scale", "30"]])
+    def test_a_huge_spectrum_keeps_every_polyhedral_instance(self, tmp_path, flags):
+        # its region's vertex sums drift by more than 1e-9, which once aborted the run after the header
+        out = tmp_path / "r.jsonl"
+        main(["--p", "3", "--q", "2", *flags, "--suite", "polyhedral", "--instances", "4", "--seed", "0",
+              "--out", str(out)])
+        records = [json.loads(ln) for ln in body_lines(out)]
+        assert [r["record"] for r in records] == ["header"] + ["instance"] * 4 + ["summary"]
+
     def test_structural_bound_scales_with_the_planted_spectrum(self, capsys):
         # errors of about 6e-7 at this range are 6e-16 relative, so recovery passes
         rc = main(["--p", "3", "--q", "2", "--instances", "5", "--suite", "structural",
@@ -642,7 +653,8 @@ def test_the_pool_the_flag_parser_and_report_io_load_only_when_used():
     """Importing the package and its CLI and validating a config leaves out what only some runs use.
 
     The suites' modules load with the package; ``fileio`` loads on first
-    access to one of its exports, which are then ``fileio``'s own objects.
+    access to one of its exports, which are then ``fileio``'s own objects;
+    the sampler's draw layouts are built by the first draw that needs one.
     """
     code = ("import sys, kreinval, kreinval.cli; "
             "kreinval.cli.validate_config(kreinval.cli.SuiteConfig()); "
@@ -650,11 +662,13 @@ def test_the_pool_the_flag_parser_and_report_io_load_only_when_used():
             "print(sorted(m for m in ('kreinval.polyhedral', 'kreinval.checks', 'kreinval.sampling', "
             "'kreinval.spectral') if m not in sys.modules)); "
             "writer = kreinval.ReportWriter; "
-            "print('csv' in sys.modules, writer is sys.modules['kreinval.fileio'].ReportWriter)")
+            "print('csv' in sys.modules, writer is sys.modules['kreinval.fileio'].ReportWriter); "
+            "print(kreinval.sampling._generator_layout.cache_info().currsize)")
     src = str(Path(kreinval.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.splitlines() == ["[]", "[]", "True True"]
+    # the sampler's layouts are built by the first draw of each signature, not on import
+    assert out.stdout.splitlines() == ["[]", "[]", "True True", "0"]
 
 
 ROUNDOFF = 1e-12

@@ -38,7 +38,6 @@ from kreinval.core import PseudoHermitianMatrix, Signature, metric_diagonal
 from kreinval.geometry import _adjoint
 from kreinval.sampling import (
     SamplerConfig,
-    complex_normal,
     instance_rng,
     sample_planted,
 )
@@ -52,6 +51,7 @@ from conftest import (
     _witness_traces,
     all_tuples,
     cholesky_frame,
+    complex_normal,
     compress,
     cone_margin,
     eigenflag_traces,
@@ -416,18 +416,21 @@ def test_a_check_solves_one_eigenproblem_per_width_and_per_batched_step(monkeypa
 
 
 def test_the_eigenflag_draw_does_not_grow_with_the_tuples(monkeypatch):
-    """The check draws nothing: its eigenflag bound is certified, not sampled."""
-    draws = []
-    normal = sampling.complex_normal
-
-    def counting(rng, *shape):
-        draws.append(shape)
-        return normal(rng, *shape)
-
+    """The check draws nothing: its eigenflag bound is certified, not sampled.  It opens no stream and
+    leaves numpy's global stream where it was."""
     A, cfg = instance(6, 4, 9)
-    monkeypatch.setattr(sampling, "complex_normal", counting)
-    check_wielandt_flag(A)
-    assert draws == []
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("the check opened a random stream")
+
+    for name in ("default_rng", "Generator", "SeedSequence"):
+        monkeypatch.setattr(np.random, name, no_stream)
+    monkeypatch.setattr(sampling, "instance_rng", no_stream)
+    before = np.random.get_state(legacy=False)
+    assert len(check_wielandt_flag(A)) == 21
+    after = np.random.get_state(legacy=False)
+    assert after["state"]["pos"] == before["state"]["pos"]
+    assert np.array_equal(after["state"]["key"], before["state"]["key"])
 
 
 EIGENFLAG_SIGNATURES = [(1, 0), (2, 1), (3, 2), (4, 3), (5, 3), (6, 4), (8, 6)]

@@ -150,6 +150,32 @@ def test_region_vertices_are_block_permutations():
     assert flat.vertices.shape == (1, 4)
 
 
+def test_a_spectrum_of_size_1e7_builds_its_region():
+    """Vertex sums drift by roundoff that grows with the spectrum, here past an absolute 1e-9."""
+    sig = Signature(3, 2)
+    spec = AdmissibleSpectrum(
+        sig,
+        np.array([4056752.219863196, 14734569.07621305, 19147686.2077039]),
+        np.array([4056751.719863195, -5076816.969082642]),
+    )
+    region = build_region(spec)
+    assert region.vertices.shape == (12, 5)
+    drift = np.abs(region.vertices.sum(axis=1) - region.base_point.sum()).max()
+    assert 1e-9 < drift <= 1e-15 * np.abs(region.base_point).sum()
+
+
+def test_a_region_whose_vertex_sums_differ_still_raises():
+    region = build_region(AdmissibleSpectrum(Signature(2, 1), np.array([1e6, 2e7]), np.array([-3e6])))
+    verts = region.vertices.copy()
+    verts[-1, 0] += 1e-6 * np.abs(region.base_point).sum()
+    with pytest.raises(ValueError, match="vertex coordinate sums"):
+        polyhedral.PolyhedralRegion(region.signature, region.base_point, verts, region.generators)
+    # a spectrum whose magnitudes sum to less than 1 is held to the absolute 1e-9
+    base = np.array([0.5, 0.25, 0.0])
+    with pytest.raises(ValueError, match="vertex coordinate sums"):
+        polyhedral.PolyhedralRegion(Signature(2, 1), base, [base, [0.25, 0.5, 2e-9]], region.generators)
+
+
 def test_region_cap():
     sig = Signature(3, 3)
     spec = AdmissibleSpectrum(

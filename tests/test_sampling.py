@@ -8,6 +8,7 @@ from kreinval import (
     SamplerConfig,
     Signature,
     check_admissible,
+    cli,
     instance_rng,
     pseudo_hermitian_residual,
     pseudo_unitary_residual,
@@ -16,18 +17,21 @@ from kreinval import (
     sample_spectrum,
     sampling,
 )
+from kreinval.cli import SuiteConfig, run_instance
 from kreinval.errors import NonFiniteValue
 from kreinval.geometry import gram
-from kreinval.sampling import _expm, _lie_algebra_element, complex_normal
+from kreinval.sampling import _expm, _lie_algebra_element
 
 from conftest import (
     CONTRACTION_CAP,
     TOL_CONE,
     all_tuples,
+    complex_normal,
     cone_class,
     cone_margin,
     positive_flag,
     restricted_cone_samples,
+    sample_planted_by_blocks,
     sample_positive_subspace,
     subordinate_coordinates,
     subordinate_frames,
@@ -177,6 +181,61 @@ def test_the_generator_is_the_norm_oracles_bit_for_bit(pq):
     for idx in range(10):
         got = _lie_algebra_element(sig, cfg, instance_rng(SEED, idx))
         assert np.array_equal(got, _lie_algebra_element_by_norm(sig, cfg, instance_rng(SEED, idx)))
+
+
+BLOCK_ORACLE_SIGNATURES = [(1, 0), (0, 2), (1, 4), (2, 1), (3, 2), (4, 3), (5, 3), (6, 4)]
+
+
+def _planted_bytes(sample, sig, cfg, idx):
+    """The bytes of A, its spectrum, U and cond(U) that ``sample`` draws, or None when it runs out of
+    retries; and the stream's state after the call."""
+    rng = instance_rng(SEED, idx)
+    try:
+        A, spectrum, U = sample(sig, cfg, rng)
+    except RetriesExhausted:
+        drawn = None
+    else:
+        drawn = [arr.tobytes() for arr in (A.entries, spectrum.lambdas, spectrum.mus, U.entries)]
+        drawn.append(np.float64(U.cond).tobytes())
+    return drawn, rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "boost, cond_cap, generators, exhausted",
+    [
+        (0.0, 1e4, 80, 0),  # no coupling: neither Z nor t is drawn
+        (1.0, 1e4, 80, 0),
+        (3.0, 1e4, 80, 0),
+        (3.0, 50.0, 102, 0),  # ill-conditioned draws are drawn again
+        (1e3, 1e4, 3410, 45),  # draws overflow, and some matrices run out of retries
+    ],
+)
+def test_the_one_pass_draw_is_the_block_oracles_byte_for_byte(boost, cond_cap, generators, exhausted, monkeypatch):
+    """A, its spectrum, U, cond(U) and the stream left behind equal those of the block-by-block sampler."""
+    cfg = SamplerConfig(boost_scale=boost, cond_cap=cond_cap)
+    drawn = []
+    element = sampling._lie_algebra_element
+    monkeypatch.setattr(sampling, "_lie_algebra_element", lambda *args: drawn.append(1) or element(*args))
+    misses = 0
+    for pq in BLOCK_ORACLE_SIGNATURES:
+        sig = Signature(*pq)
+        for idx in range(10):
+            got = _planted_bytes(sample_planted, sig, cfg, idx)
+            assert got == _planted_bytes(sample_planted_by_blocks, sig, cfg, idx), (pq, idx)
+            misses += got[0] is None
+    assert (len(drawn), misses) == (generators, exhausted)
+
+
+def test_instances_are_the_block_oracles(monkeypatch, fresh_memos):
+    """Every suite reports the same with the block-by-block sampler in place of ``sample_planted``."""
+    for p, q in ((1, 0), (0, 2), (1, 4), (2, 1), (3, 2), (4, 3)):
+        for boost in (1.0, 3.0):
+            cfg = SuiteConfig(p=p, q=q, seed=SEED, boost_scale=boost)
+            for index in range(2):
+                got = [r.to_dict() for r in run_instance(cfg, index)]
+                with monkeypatch.context() as m:
+                    m.setattr(cli, "sample_planted", sample_planted_by_blocks)
+                    assert [r.to_dict() for r in run_instance(cfg, index)] == got, (p, q, boost, index)
 
 
 def test_sampled_conjugators_are_pseudo_unitary(signature, sampler_cfg):
