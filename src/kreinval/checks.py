@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import PseudoHermitianMatrix, Signature, metric_diagonal
+from .core import PseudoHermitianMatrix, Signature, _total, metric_diagonal
 from .errors import ComplexSpectrum, DefectiveMatrix, GapViolation, ShapeMismatch, WrongConeCount
 from .geometry import _adjoint, gram
 from .spectral import ClassifiedEigenSystem, check_admissible, eigendecompose, positive_eigenbasis
@@ -124,9 +125,18 @@ def _require_same_signature(A: PseudoHermitianMatrix, B: PseudoHermitianMatrix) 
 
 
 def matrix_sum(A: PseudoHermitianMatrix, B: PseudoHermitianMatrix) -> PseudoHermitianMatrix:
-    """A + B as a validated matrix; structural residuals add, so the tol does too."""
+    """A + B as a validated matrix; structural residuals add, so the tol does too.
+
+    Shifts add too (see ``kreinval.spectral``): when A and B both carry a
+    ``shift_hint``, the sum carries their sum, and its solve then needs no
+    ``eigvals`` when the summands' hints certified them.  Otherwise the sum
+    has no hint.
+    """
     sig = _require_same_signature(A, B)
-    return PseudoHermitianMatrix(sig, A.entries + B.entries, tol=A.tol + B.tol)
+    hint = None
+    if A.shift_hint is not None and B.shift_hint is not None:
+        hint = A.shift_hint + B.shift_hint
+    return PseudoHermitianMatrix(sig, A.entries + B.entries, tol=A.tol + B.tol, shift_hint=hint)
 
 
 @functools.lru_cache(maxsize=32)
@@ -165,6 +175,49 @@ def _inadmissible_sum_report(name: str, sig: Signature, descriptor: dict, tol: f
 
 def _no_positive_block(name: str, sig: Signature, descriptor: dict, tol: float) -> CheckReport:
     return _finalize_report(name, sig, descriptor, tol, [], notes=["no positive-type block"])
+
+
+# ---------------------------------------------------------------------------
+# units
+#
+# The bounds compare sums of eigenvalues, and near the top of the float range
+# a sum of finite eigenvalues overflows: inf - inf then makes a NaN margin.
+# Scaling by a power of two is exact for normal numbers, so a check whose
+# sums overflow runs on its values times 2^-k instead and reports in units
+# of 2^k.
+
+#: below 2^_SAFE_EXPONENT no sum of fewer than 2^22 values, nor the difference of two such sums, overflows
+_SAFE_EXPONENT = 1000
+
+
+def _in_units(kernel, spectra, *extra: np.ndarray) -> tuple[list[CheckCase], tuple[str, ...]]:
+    """The cases of ``kernel(*blocks, *extra)`` with every value finite, and the notes that give their unit.
+
+    ``blocks`` are the two blocks of each of ``spectra``, positive-type
+    first.  When every |value| is below 2^``_SAFE_EXPONENT``, the kernel
+    runs once, as it is.  Otherwise it runs as it is under an errstate that
+    raises; when that run overflows, or leaves a value that is not finite,
+    it runs again on the values times 2^-k, the least power that brings
+    them below that bound.  Its values, margins included, are then in units
+    of 2^k, each tolerance applies in those units, and a note says so.  So
+    a check whose values are all finite keeps the bytes it has without
+    units.
+    """
+    values = [b for spectrum in spectra for b in (spectrum.lambdas, spectrum.mus)] + list(extra)
+    magnitude = max([spectrum.magnitude for spectrum in spectra] + [max(map(abs, x.tolist())) for x in extra])
+    k = math.frexp(magnitude)[1] - _SAFE_EXPONENT  # magnitude < 2^(k + _SAFE_EXPONENT)
+    if k <= 0:
+        return kernel(*values), ()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            cases = kernel(*values)
+    except FloatingPointError:
+        pass
+    else:
+        if all(math.isfinite(x) for case in cases for x in (case.lhs, case.rhs, case.margin)):
+            return cases, ()
+    unit = 2.0**-k
+    return kernel(*(x * unit for x in values)), (f"values in units of 2^{k}: their sums overflow in units of 1",)
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +350,26 @@ def check_trace_identity(
     """Eigenvalue sums add under matrix addition; cross-checked against traces.
 
     Margins are relative: minus the deviation divided by the value scale.
+    Totals that overflow are compared in units of a power of two
+    (``_in_units``), with the diagonal of A + B among the values.
     """
     sig = _require_same_signature(A, B)
     descriptor = {"tol_relative": tol}
     specA, specB, C, specC, exc = _sum_spectra(A, B)
     if specC is None:
         return _inadmissible_sum_report("trace", sig, descriptor, tol, exc)
-    totA, totB, totC = specA.total(), specB.total(), specC.total()
-    scale = max(1.0, abs(totA), abs(totB), abs(totC))
-    trace = float(np.trace(C.entries).real)
-    cases = [
-        _make_case("spectrum_sum", (), totC, totA + totB, -abs(totC - (totA + totB)) / scale, tol),
-        _make_case("matrix_trace", (), totC, trace, -abs(totC - trace) / scale, tol),
-    ]
-    return _finalize_report("trace", sig, descriptor, tol, cases)
+
+    def kernel(la, ma, lb, mb, lc, mc, diagonal):
+        totA, totB, totC = _total(la, ma), _total(lb, mb), _total(lc, mc)
+        scale = max(1.0, abs(totA), abs(totB), abs(totC))
+        trace = float(np.sum(diagonal).real)
+        return [
+            _make_case("spectrum_sum", (), totC, totA + totB, -abs(totC - (totA + totB)) / scale, tol),
+            _make_case("matrix_trace", (), totC, trace, -abs(totC - trace) / scale, tol),
+        ]
+
+    cases, notes = _in_units(kernel, (specA, specB, specC), np.diagonal(C.entries))
+    return _finalize_report("trace", sig, descriptor, tol, cases, notes=notes)
 
 
 def check_weyl(
@@ -352,15 +411,19 @@ def check_lidskii_wielandt(
 
     Each block reports one case per size m: its worst m-tuple, found by one
     sort (``_lidskii_cases``), so every tuple is checked and nothing is
-    drawn.
+    drawn.  Sums that overflow are taken in units of a power of two
+    (``_in_units``).
     """
     sig = _require_same_signature(A, B)
     specA, specB, _, specC, exc = _sum_spectra(A, B)
     if specC is None:
         return _inadmissible_sum_report("lidskii", sig, {}, tol, exc)
-    cases = _lidskii_cases("lambda", specA.lambdas, specB.lambdas, specC.lambdas, tol)
-    cases += _lidskii_cases("mu", specA.mus, specB.mus, specC.mus, tol)
-    return _finalize_report("lidskii", sig, {}, tol, cases)
+
+    def kernel(la, ma, lb, mb, lc, mc):
+        return _lidskii_cases("lambda", la, lb, lc, tol) + _lidskii_cases("mu", ma, mb, mc, tol)
+
+    cases, notes = _in_units(kernel, (specA, specB, specC))
+    return _finalize_report("lidskii", sig, {}, tol, cases, notes=notes)
 
 
 def check_thompson_freede(
@@ -374,7 +437,8 @@ def check_thompson_freede(
     One case per size m = 1, ..., p: its worst pair, found by a min-plus
     recursion over the tuple positions (``_thompson_freede_cases``), so
     every pair is checked and nothing is drawn.  With p = 0 there is no
-    pair: an admissible sum gets the variational suites' note.
+    pair: an admissible sum gets the variational suites' note.  Sums that
+    overflow are taken in units of a power of two (``_in_units``).
     """
     sig = _require_same_signature(A, B)
     descriptor = {}
@@ -383,8 +447,12 @@ def check_thompson_freede(
         return _inadmissible_sum_report("thompson_freede", sig, descriptor, tol, exc)
     if sig.p == 0:
         return _no_positive_block("thompson_freede", sig, descriptor, tol)
-    cases = _thompson_freede_cases(specA.lambdas, specB.lambdas, specC.lambdas, tol)
-    return _finalize_report("thompson_freede", sig, descriptor, tol, cases)
+
+    def kernel(la, ma, lb, mb, lc, mc):
+        return _thompson_freede_cases(la, lb, lc, tol)
+
+    cases, notes = _in_units(kernel, (specA, specB, specC))
+    return _finalize_report("thompson_freede", sig, descriptor, tol, cases, notes=notes)
 
 
 # ---------------------------------------------------------------------------

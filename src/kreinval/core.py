@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,14 +109,23 @@ class PseudoHermitianMatrix:
     """A validated square matrix with A J = J A*.
 
     ``tol`` is the structural acceptance used at construction time; the
-    stored entries are a read-only copy.  Matrices are values: two are
-    equal when their signatures, tolerances and entry bytes are, and hash
-    over the same three.
+    stored entries are a read-only copy.  ``shift_hint``, when not None, is
+    a guess at a point of the gap between the negative-type and the
+    positive-type eigenvalues: the sampler sets it from the planted
+    spectrum and ``matrix_sum`` adds the summands' hints.  The spectral
+    solve tries it first and verifies it: a wrong hint costs at most one
+    Cholesky factorization and one ``eigvalsh`` before the solve runs as
+    without it.  A hint that is not finite can certify nothing and is
+    stored as None.  Matrices are values:
+    two are equal when their signatures, tolerances, entry bytes and hints
+    are, and hash over the same four.  A hint moves the computed spectrum
+    by roundoff, so it is part of the value.
     """
 
     signature: Signature
     entries: np.ndarray
     tol: float = TOL_STRUCT
+    shift_hint: float | None = None
 
     def __post_init__(self) -> None:
         arr = _as_square(self.entries, self.signature.n)
@@ -129,10 +138,13 @@ class PseudoHermitianMatrix:
                 f"residual {resid:.3e} exceeds tol {self.tol:.1e}"
             )
         object.__setattr__(self, "entries", _freeze(arr))
+        if self.shift_hint is not None:
+            hint = float(self.shift_hint)
+            object.__setattr__(self, "shift_hint", hint if math.isfinite(hint) else None)
 
     @functools.cached_property
     def _key(self) -> tuple:
-        return self.signature, self.tol, self.entries.tobytes()
+        return self.signature, self.tol, self.entries.tobytes(), self.shift_hint
 
     def __hash__(self) -> int:
         # a bytes object keeps its hash, so the entries are hashed once; it is
@@ -188,12 +200,15 @@ class AdmissibleSpectrum:
     ``lambdas`` holds the p positive-type eigenvalues in ascending order, so
     lambdas[0] is the smallest.  ``mus`` holds the q negative-type eigenvalues
     in descending order, so mus[0] is the largest.  When both blocks are
-    nonempty the strict gap lambdas[0] > mus[0] must hold.
+    nonempty the strict gap lambdas[0] > mus[0] must hold.  ``magnitude``
+    is the largest |eigenvalue| (0.0 when there is none), set from the ends
+    of the sorted blocks.
     """
 
     signature: Signature
     lambdas: np.ndarray
     mus: np.ndarray
+    magnitude: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the one copy each block gets; it is frozen below
@@ -204,13 +219,19 @@ class AdmissibleSpectrum:
                 f"expected {self.signature.p} positive-type and {self.signature.q} "
                 f"negative-type eigenvalues, got {lam.size} and {mu.size}"
             )
-        if not (np.isfinite(lam).all() and np.isfinite(mu).all()):
-            raise NonFiniteValue("eigenvalues must be finite reals")
-        if (lam[1:] < lam[:-1]).any():
-            raise ValueError("positive-type eigenvalues must be ascending")
-        if (mu[1:] > mu[:-1]).any():
+        # checked on Python floats, which is quicker than numpy for a few values; a
+        # NaN fails every comparison, so sorted blocks hold none, and an infinity
+        # can only sit at an end
+        lv, mv = lam.tolist(), mu.tolist()
+        ascending = all(a <= b for a, b in zip(lv, lv[1:]))
+        ends = lv[:1] + lv[-1:] + mv[:1] + mv[-1:]
+        if not (ascending and all(a >= b for a, b in zip(mv, mv[1:])) and all(map(math.isfinite, ends))):
+            if not all(map(math.isfinite, lv + mv)):
+                raise NonFiniteValue("eigenvalues must be finite reals")
+            if not ascending:
+                raise ValueError("positive-type eigenvalues must be ascending")
             raise ValueError("negative-type eigenvalues must be descending")
-        if lam.size and mu.size and not lam[0] > mu[0]:
+        if lv and mv and not lv[0] > mv[0]:
             raise GapViolation(
                 f"strict gap violated: smallest positive-type {lam[0]!r} "
                 f"must exceed largest negative-type {mu[0]!r}",
@@ -220,6 +241,7 @@ class AdmissibleSpectrum:
         mu.flags.writeable = False
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "mus", mu)
+        object.__setattr__(self, "magnitude", max(map(abs, ends), default=0.0))
 
     @property
     def gap(self) -> float:
@@ -234,7 +256,12 @@ class AdmissibleSpectrum:
 
     def total(self) -> float:
         """Sum of all eigenvalues (equals the matrix trace)."""
-        return float(np.sum(self.lambdas) + np.sum(self.mus))
+        return _total(self.lambdas, self.mus)
+
+
+def _total(lambdas: np.ndarray, mus: np.ndarray) -> float:
+    """The sum of a spectrum's two blocks; the sum checks add scaled blocks by it too."""
+    return float(np.sum(lambdas) + np.sum(mus))
 
 
 def conjugate(A: PseudoHermitianMatrix, U: PseudoUnitary) -> PseudoHermitianMatrix:

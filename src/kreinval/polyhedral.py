@@ -23,13 +23,14 @@ import numpy as np
 from .checks import (
     CheckReport,
     _finalize_report,
+    _in_units,
     _inadmissible_sum_report,
     _lidskii_cases,
     _make_case,
     _require_same_signature,
     _sum_spectra,
 )
-from .core import AdmissibleSpectrum, PseudoHermitianMatrix, Signature
+from .core import AdmissibleSpectrum, PseudoHermitianMatrix, Signature, _total
 from .errors import ShapeMismatch, SizeCapExceeded
 from .spectral import check_admissible
 
@@ -185,23 +186,30 @@ def check_sum_membership(
     prefixed by the direction.  Each block keeps its own case: with the
     trace matched, the full-block slacks of both blocks are equal in exact
     arithmetic, so one minimum over both would pick its block by roundoff.
+    Sums that overflow are taken in units of a power of two
+    (``checks._in_units``); every case, not only the least, is checked.
     """
     sig = _require_same_signature(A, B)
     descriptor = {"lp_tol": tol}
     specA, specB, _, specC, exc = _sum_spectra(A, B)
     if specC is None:
         return _inadmissible_sum_report("polyhedral_sum", sig, descriptor, tol, exc)
-    total, expected = specC.total(), specA.total() + specB.total()
-    cases = [_make_case("trace", (), total, expected, -abs(total - expected), tol)]
-    for tag, base, other in (
-        ("sum_in_region_of_B", specA, specB),
-        ("sum_in_region_of_A", specB, specA),
-    ):
-        for kind, a, b, c in (
-            ("lambda", base.lambdas, other.lambdas, specC.lambdas),
-            ("mu", base.mus, other.mus, specC.mus),
-        ):
-            if c.size:
-                worst = min(_lidskii_cases(kind, a, b, c, tol), key=lambda case: case.margin)
+
+    def kernel(la, ma, lb, mb, lc, mc):
+        total, expected = _total(lc, mc), _total(la, ma) + _total(lb, mb)
+        cases = [_make_case("trace", (), total, expected, -abs(total - expected), tol)]
+        for (base_l, base_m), (other_l, other_m) in (((la, ma), (lb, mb)), ((lb, mb), (la, ma))):
+            cases += _lidskii_cases("lambda", base_l, other_l, lc, tol)
+            cases += _lidskii_cases("mu", base_m, other_m, mc, tol)
+        return cases
+
+    # every case is checked for overflow, and then each block keeps its least
+    every, notes = _in_units(kernel, (specA, specB, specC))
+    cases, start = every[:1], 1
+    for tag in ("sum_in_region_of_B", "sum_in_region_of_A"):
+        for size in (sig.p, sig.q):
+            if size:
+                worst = min(every[start : start + size], key=lambda case: case.margin)
                 cases.append(worst._replace(case_id=f"{tag}:{worst.case_id}"))
-    return _finalize_report("polyhedral_sum", sig, descriptor, tol, cases)
+                start += size
+    return _finalize_report("polyhedral_sum", sig, descriptor, tol, cases, notes=notes)

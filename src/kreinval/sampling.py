@@ -36,6 +36,7 @@ from .core import (
     metric_diagonal,
 )
 from .errors import NonFiniteValue, RetriesExhausted
+from .spectral import _gap_point
 
 #: tolerance used to self-check sampled pseudo-unitaries
 SAMPLE_UNITARY_TOL = 1e-9
@@ -245,6 +246,12 @@ def sample_planted(
     conjugator and their product are drawn under one errstate: huge spectra
     may overflow the product, which the matrix type then reports as
     NonFiniteValue.
+
+    The matrix's ``shift_hint`` is the planted spectrum's gap point, by the
+    rule the spectral solve uses for its own shift (``spectral._gap_point``)
+    on the planted values: the solve verifies it with one Cholesky
+    factorization and then needs no ``eigvals``.  It reads no random number:
+    it is float arithmetic on the planted values.
     """
     jd = metric_diagonal(sig)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -253,4 +260,5 @@ def sample_planted(
         # U times the canonical diagonal scales the columns of U
         raw = (U.entries * spectrum.canonical_vector()) @ (jd[:, None] * U.entries.conj().T * jd[None, :])
         sym = 0.5 * (raw + jd[:, None] * raw.conj().T * jd[None, :])
-    return PseudoHermitianMatrix(sig, sym), spectrum, U
+    hint = _gap_point(spectrum.mus[::-1].tolist() + spectrum.lambdas.tolist(), sig.q)
+    return PseudoHermitianMatrix(sig, sym, shift_hint=hint), spectrum, U

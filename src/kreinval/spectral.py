@@ -7,14 +7,23 @@ eigenvalue strictly exceeds the largest negative-type one.  Equivalently
 is positive definite for some shift in the gap between the two blocks, so
 one Cholesky factorization of H certifies admissibility.  The eigenvalues
 below the shift are then the negative-type ones and those above it the
-positive-type ones.  Shifts add: shift_A + shift_B certifies A + B.
+positive-type ones.  Shifts add: shift_A + shift_B certifies A + B, because
+J (A + B - (a + b) I) = H_A + H_B.
 
-The factor L of H = L L^H also gives the eigenvectors in closed form:
-A - shift I = J L L^H is similar to the Hermitian matrix M = L^H J L, so
-one Hermitian eigensolve M Q = Q diag(nu) and one solve with the
-triangular L^H give the eigenvectors L^-H Q, already paired-orthogonal.
-By Sylvester's law of inertia M, congruent to J, has exactly q negative
-eigenvalues nu.
+The factor L of H = L L^H also gives the spectrum and the eigenvectors in
+closed form: A - shift I = J L L^H is similar to the Hermitian matrix
+M = L^H J L, so with M Q = Q diag(nu), nu ascending, the eigenvalues are
+shift + nu and the eigenvectors L^-H Q, already paired-orthogonal.  By
+Sylvester's law of inertia M, congruent to J, has exactly q negative
+eigenvalues nu: the first q are the negative-type ones.
+
+So a shift known in advance makes the solve one Cholesky and one
+``eigvalsh``.  A matrix's ``shift_hint`` is such a shift: the sampler
+plants it at the gap point of the planted spectrum, and the sum of two
+hinted matrices carries the sum of their hints.  The hint is verified,
+never trusted: when its Cholesky fails, or nu is not finite or has other
+than q negative entries, the solve runs as for a matrix without one, with
+``np.linalg.eigvals`` to find the shift.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from .errors import (
     ComplexSpectrum,
     DefectiveMatrix,
     GapViolation,
+    NonFiniteValue,
     WrongConeCount,
 )
 from .geometry import TOL_NULL_REL, _adjoint
@@ -44,10 +54,12 @@ TOL_DEFECT = 1e-12
 class ClassifiedEigenSystem:
     """The certified eigenstructure of an admissible matrix.
 
-    ``eigenvalues`` are the real parts of the computed eigenvalues, ascending;
-    the first q belong to negative-type and the last p to positive-type
-    eigenvectors.  ``shift`` is the point of the gap at which J (A - shift I)
-    was found positive definite, ``factor`` its lower Cholesky factor L, and
+    ``eigenvalues`` are the computed eigenvalues, ascending; the first q
+    belong to negative-type and the last p to positive-type eigenvectors.
+    They are shift + nu, with nu = eigvalsh(L^H J L), when the matrix's
+    hint certified it, and otherwise the sorted real parts of ``eigvals``.
+    ``shift`` is the point of the gap at which J (A - shift I) was found
+    positive definite, ``factor`` its lower Cholesky factor L, and
     ``spectrum`` the validated spectrum.
 
     ``eigenvectors`` are in the same order, and come from the certificate:
@@ -85,25 +97,30 @@ class ClassifiedEigenSystem:
 def eigendecompose(A: PseudoHermitianMatrix) -> ClassifiedEigenSystem:
     """Certified eigendecomposition of an admissible matrix, memoized by value.
 
-    One ``np.linalg.eigvals``; the shift goes midway between the q-th and
-    (q+1)-th eigenvalue (past the spectrum when p or q is 0), and one
-    Cholesky factorization of J (A - shift I) certifies A.  When it fails,
-    a diagnosis with ``np.linalg.eig`` raises ComplexSpectrum, GapViolation
-    (``other_component=True`` when A is admissible for the opposite
-    orientation), DefectiveMatrix or WrongConeCount to say why.
+    With a ``shift_hint``, one Cholesky factorization of J (A - hint I) and
+    one ``eigvalsh`` of L^H J L give the eigenvalues hint + nu, split at q
+    by Sylvester's law, and the hint is the shift.  Without a hint, or when
+    the hint's Cholesky fails or nu is not finite or has other than q
+    negative entries, one ``np.linalg.eigvals`` runs instead; the shift goes
+    midway between the q-th and (q+1)-th eigenvalue (past the spectrum when
+    p or q is 0), and one Cholesky factorization of J (A - shift I)
+    certifies A.  When that fails, a diagnosis with ``np.linalg.eig``
+    raises ComplexSpectrum, GapViolation (``other_component=True`` when A
+    is admissible for the opposite orientation), DefectiveMatrix or
+    WrongConeCount to say why.
 
     A positive definite H makes A self-adjoint for the definite form H, so A
     is diagonalizable with a real spectrum (Gohberg-Lancaster-Rodman): the
     eigenvectors add nothing to the certificate.  They are built from its
     factor on the first read of ``eigenvectors``.
 
-    Equal signatures and entry bytes share one read-only system, so the
-    checks on A, B and A + B of an instance read three solves.  A result
-    depends on the entries alone, so the memo never changes what a caller
-    sees.  Failures are not kept: an inadmissible matrix raises a new typed
-    error on every call.
+    Equal signatures, entry bytes and hints share one read-only system, so
+    the checks on A, B and A + B of an instance read three solves.  A
+    result depends on the entries and the hint alone, which are the memo's
+    key, so the memo never changes what a caller sees.  Failures are not
+    kept: an inadmissible matrix raises a new typed error on every call.
     """
-    return _solve(A.signature, A.entries.tobytes())
+    return _solve(A.signature, A.entries.tobytes(), A.shift_hint)
 
 
 def check_admissible(A: PseudoHermitianMatrix) -> AdmissibleSpectrum:
@@ -134,21 +151,52 @@ def shift_margin(A: PseudoHermitianMatrix) -> float:
     return float(eta[0] / np.abs(eta).max())
 
 
-def _gap_point(theta: np.ndarray, below: int) -> float:
+def _gap_point(theta, below: int) -> float:
     """A shift with ``below`` of the ascending values ``theta`` under it.
 
     Midway between two neighbours, or past the end of the spectrum by its
     spread (at least its largest magnitude) when every value is on one side.
+    It reads at most the two ends and the two neighbours of the gap, as
+    Python floats, so a list and an array of the same values give the same
+    bytes.
     """
-    if 0 < below < theta.size:
-        return float(0.5 * (theta[below - 1] + theta[below]))
-    pad = float(max(theta[-1] - theta[0], np.abs(theta).max())) or 1.0
-    return float(theta[0] - pad) if below == 0 else float(theta[-1] + pad)
+    if 0 < below < len(theta):
+        return 0.5 * (float(theta[below - 1]) + float(theta[below]))
+    lo, hi = float(theta[0]), float(theta[-1])
+    pad = max(hi - lo, abs(lo), abs(hi)) or 1.0
+    return lo - pad if below == 0 else hi + pad
+
+
+def _system(sig: Signature, theta: np.ndarray, L: np.ndarray, shift: float) -> ClassifiedEigenSystem:
+    spectrum = AdmissibleSpectrum(sig, theta[sig.q :], theta[: sig.q][::-1])
+    theta.flags.writeable = False
+    L.flags.writeable = False
+    return ClassifiedEigenSystem(sig, theta, L, shift, spectrum)
+
+
+def _certify_at(sig: Signature, entries: np.ndarray, hint: float) -> ClassifiedEigenSystem | None:
+    """The system certified at the shift ``hint``, or None when the hint certifies nothing."""
+    try:
+        L = np.linalg.cholesky(_shifted_form(entries, sig, hint))
+        nu = np.linalg.eigvalsh(_adjoint(L) @ (metric_diagonal(sig)[:, None] * L))
+    except np.linalg.LinAlgError:
+        return None
+    # ascending, so the inertia of J shows at the split: nu[q - 1] < 0 <= nu[q]
+    if not ((sig.q == 0 or nu[sig.q - 1] < 0) and (sig.p == 0 or nu[sig.q] >= 0)):
+        return None
+    try:
+        return _system(sig, hint + nu, L, hint)
+    except (NonFiniteValue, GapViolation):  # nu is not finite, or adding the hint rounded the gap away
+        return None
 
 
 @functools.lru_cache(maxsize=32)
-def _solve(sig: Signature, data: bytes) -> ClassifiedEigenSystem:
+def _solve(sig: Signature, data: bytes, hint: float | None) -> ClassifiedEigenSystem:
     entries = np.frombuffer(data, dtype=complex).reshape(sig.n, sig.n)
+    if hint is not None:
+        system = _certify_at(sig, entries, hint)
+        if system is not None:
+            return system
     theta = np.sort(np.linalg.eigvals(entries).real)
     shift = _gap_point(theta, sig.q)
     try:
@@ -156,10 +204,7 @@ def _solve(sig: Signature, data: bytes) -> ClassifiedEigenSystem:
         L = np.linalg.cholesky(_shifted_form(entries, sig, shift))
     except np.linalg.LinAlgError:
         _diagnose(sig, entries)
-    spectrum = AdmissibleSpectrum(sig, theta[sig.q :], theta[: sig.q][::-1])
-    theta.flags.writeable = False
-    L.flags.writeable = False
-    return ClassifiedEigenSystem(sig, theta, L, shift, spectrum)
+    return _system(sig, theta, L, shift)
 
 
 def _diagnose(sig: Signature, entries: np.ndarray) -> NoReturn:

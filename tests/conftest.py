@@ -75,6 +75,9 @@ def sample_planted_by_blocks(sig, cfg, rng):
     then t; the retry loop and the planted product each run under their own
     errstate, and the product reads the conjugator's ``inverse``.  It goes
     through ``sampling._expm`` and checks and retries as the sampler does.
+    The shift hint is the planted spectrum's gap point, computed here with
+    numpy on the whole ascending spectrum, as the solve once computed its
+    shift from the sorted ``eigvals``.
     """
     p, q = sig.p, sig.q
     lo, hi = cfg.value_range
@@ -111,7 +114,13 @@ def sample_planted_by_blocks(sig, cfg, rng):
     with np.errstate(over="ignore", invalid="ignore"):
         raw = (U.entries * spectrum.canonical_vector()) @ U.inverse
         sym = 0.5 * (raw + matrix_dagger(raw, sig))
-    return PseudoHermitianMatrix(sig, sym), spectrum, U
+    theta = np.concatenate([spectrum.mus[::-1], spectrum.lambdas])
+    if p and q:
+        hint = float(0.5 * (theta[q - 1] + theta[q]))
+    else:
+        pad = float(max(theta[-1] - theta[0], np.abs(theta).max())) or 1.0
+        hint = float(theta[0] - pad) if q == 0 else float(theta[-1] + pad)
+    return PseudoHermitianMatrix(sig, sym, shift_hint=hint), spectrum, U
 
 
 def ordered_sum(values) -> float:

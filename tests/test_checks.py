@@ -32,7 +32,7 @@ from kreinval import (
     positive_eigenbasis,
     sample_planted,
 )
-from kreinval import checks
+from kreinval import checks, polyhedral
 from kreinval.checks import (
     DEFAULT_TOL,
     _inadmissible_sum_report,
@@ -894,3 +894,81 @@ def test_a_case_passes_at_margin_minus_tol_and_not_at_nan():
     assert all(type(i) is int for c in got for i in c.indices)
     assert not _make_case("nan", (), np.nan, 0.0, np.nan, 1e-8).passed
     assert pickle.loads(pickle.dumps(got)) == got  # cases cross process pools
+
+
+SUM_CHECKS = {
+    "trace": lambda A, B: check_trace_identity(A, B),
+    "lidskii": lambda A, B: check_lidskii_wielandt(A, B),
+    "thompson_freede": lambda A, B: check_thompson_freede(A, B),
+    "polyhedral_sum": lambda A, B: polyhedral.check_sum_membership(A, B),
+}
+
+
+def patch_sum_spectra(monkeypatch, spectra):
+    """Make the sum checks read ``spectra``, the five values of ``_sum_spectra``, for any pair."""
+    monkeypatch.setattr(checks, "_sum_spectra", lambda A, B: spectra)
+    monkeypatch.setattr(polyhedral, "_sum_spectra", lambda A, B: spectra)
+
+
+def scaled_spectrum(spectrum, unit):
+    return AdmissibleSpectrum(spectrum.signature, spectrum.lambdas * unit, spectrum.mus * unit)
+
+
+@pytest.mark.parametrize("name", sorted(SUM_CHECKS))
+def test_sums_that_overflow_are_reported_in_units_of_a_power_of_two(name, monkeypatch, fresh_memos):
+    """Eigenvalues of A + B near 1.2e308 add past the largest float.
+
+    The check then reports what it reports on the spectra times 2^-k, exact
+    for normal numbers, with a note naming 2^k: every value finite, and no
+    RuntimeWarning, which the pytest config turns into an error.
+    """
+    sig, cfg = Signature(2, 1), SamplerConfig(gap_min=6e307)
+    for index in range(2):
+        rng = instance_rng(0, index)
+        A, B = sample_planted(sig, cfg, rng)[0], sample_planted(sig, cfg, rng)[0]
+        report = SUM_CHECKS[name](A, B)
+        assert all(np.isfinite([c.lhs, c.rhs, c.margin]).all() for c in report.cases)
+        (note,) = report.notes
+        k = int(note.removeprefix("values in units of 2^").split(":")[0])
+        assert k > 0
+        specA, specB, C, specC, _ = checks._sum_spectra(A, B)
+        unit = 2.0**-k
+        with monkeypatch.context() as patch:
+            scaled_c = PseudoHermitianMatrix(sig, C.entries * unit)
+            patch_sum_spectra(patch, (*(scaled_spectrum(s, unit) for s in (specA, specB)), scaled_c,
+                                      scaled_spectrum(specC, unit), None))
+            plain = SUM_CHECKS[name](A, B)
+        assert plain.notes == () and plain.cases == report.cases
+
+
+def test_units_keep_the_bytes_where_every_sum_is_finite(monkeypatch):
+    """Eigenvalues of 1e307, large enough for the overflow guard to run, whose sums all stay finite.
+
+    Each check gives what it gave before the guard: the totals of
+    ``AdmissibleSpectrum.total``, ``np.trace`` and the Lidskii and
+    Thompson-Freede kernels on the spectra as they are, with no note.
+    """
+    sig = Signature(1, 1)
+    specA = specB = AdmissibleSpectrum(sig, [1e307], [-1e307])
+    specC = AdmissibleSpectrum(sig, [2e307], [-2e307])
+    C = PseudoHermitianMatrix(sig, np.diag([2e307, -2e307]).astype(complex))
+    assert specC.magnitude >= 2.0**checks._SAFE_EXPONENT
+    patch_sum_spectra(monkeypatch, (specA, specB, C, specC, None))
+    A = PseudoHermitianMatrix(sig, np.eye(2, dtype=complex))
+    totA, totB, totC = specA.total(), specB.total(), specC.total()
+    scale = max(1.0, abs(totA), abs(totB), abs(totC))
+    trace = float(np.trace(C.entries).real)
+    want = {
+        "trace": [
+            _make_case("spectrum_sum", (), totC, totA + totB, -abs(totC - (totA + totB)) / scale, 1e-9),
+            _make_case("matrix_trace", (), totC, trace, -abs(totC - trace) / scale, 1e-9),
+        ],
+        "lidskii": _lidskii_cases("lambda", specA.lambdas, specB.lambdas, specC.lambdas, DEFAULT_TOL)
+        + _lidskii_cases("mu", specA.mus, specB.mus, specC.mus, DEFAULT_TOL),
+        "thompson_freede": _thompson_freede_cases(specA.lambdas, specB.lambdas, specC.lambdas, DEFAULT_TOL),
+    }
+    for name, cases in want.items():
+        report = SUM_CHECKS[name](A, A)
+        assert report.notes == () and list(report.cases) == cases, name
+    total = polyhedral.check_sum_membership(A, A).cases[0]
+    assert (total.lhs, total.rhs) == (totC, totA + totB)

@@ -614,6 +614,28 @@ class TestRunner:
         assert not any("sampled" in i or i.startswith(("witness", "interlace")) for i in ids)
         assert not any(r["soft_cases"] for r in reports)
 
+    @pytest.mark.parametrize(
+        "p, q, flags",
+        [(2, 1, {}), (4, 3, {}), (2, 1, {"gap_min": 6e307})],
+        ids=["p2q1", "p4q3", "p2q1-overflow"],
+    )
+    def test_every_suite_writes_strict_json(self, tmp_path, p, q, flags):
+        """No NaN or Infinity in any record, which RFC 8259 JSON cannot hold, near the top of the float range too.
+
+        At gap_min 6e307 the eigenvalues of A + B near 1.2e308 add to more
+        than the largest float: the sum suites report in units of a power of
+        two, and a note says so.
+        """
+        def no_constants(name):
+            raise ValueError(f"{name} is not JSON")
+
+        out = tmp_path / "r.jsonl"
+        run_suite(SuiteConfig(p=p, q=q, instances=2, seed=0, out=str(out), **flags))
+        docs = [json.loads(ln, parse_constant=no_constants) for ln in out.read_text().splitlines()]
+        assert [d["record"] for d in docs] == ["header", "instance", "instance", "summary", "meta"]
+        notes = {n for d in docs[1:3] for r in d["reports"] for n in r["notes"]}
+        assert any(n.startswith("values in units of 2^") for n in notes) == bool(flags)
+
     def test_one_bad_instance_does_not_end_the_batch(self, tmp_path, monkeypatch):
         real = cli.run_instance
 

@@ -187,8 +187,8 @@ BLOCK_ORACLE_SIGNATURES = [(1, 0), (0, 2), (1, 4), (2, 1), (3, 2), (4, 3), (5, 3
 
 
 def _planted_bytes(sample, sig, cfg, idx):
-    """The bytes of A, its spectrum, U and cond(U) that ``sample`` draws, or None when it runs out of
-    retries; and the stream's state after the call."""
+    """The bytes of A, its spectrum, U, cond(U) and A's shift hint that ``sample`` draws, or None when
+    it runs out of retries; and the stream's state after the call."""
     rng = instance_rng(SEED, idx)
     try:
         A, spectrum, U = sample(sig, cfg, rng)
@@ -196,7 +196,7 @@ def _planted_bytes(sample, sig, cfg, idx):
         drawn = None
     else:
         drawn = [arr.tobytes() for arr in (A.entries, spectrum.lambdas, spectrum.mus, U.entries)]
-        drawn.append(np.float64(U.cond).tobytes())
+        drawn += [np.float64(x).tobytes() for x in (U.cond, A.shift_hint)]
     return drawn, rng.bit_generator.state
 
 

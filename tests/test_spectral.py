@@ -20,9 +20,9 @@ from kreinval import (
     sample_planted,
     sample_pseudo_unitary,
 )
-from kreinval import spectral
+from kreinval import checks, spectral
 from kreinval.checks import matrix_sum
-from kreinval.cli import SuiteConfig, run_instance
+from kreinval.cli import TOL_PLANTED, SuiteConfig, run_instance
 from kreinval.core import metric_diagonal
 from kreinval.geometry import gram
 from kreinval.sampling import SamplerConfig
@@ -332,7 +332,16 @@ def test_vectorized_classification_matches_per_column_classify(kind, p, q, seed,
     w, vectors, classes, clusters = reference_eigendecompose(A)
     assert classes.count("negative") == q and classes.count("positive") == p
     assert classes == ("negative",) * q + ("positive",) * p  # the classes lie in position order
-    assert np.array_equal(system.eigenvalues, w.real)
+    # without a hint the solve keeps eig's bytes; a sampled matrix's hint moves them by roundoff
+    bare = PseudoHermitianMatrix(A.signature, A.entries)
+    assert np.array_equal(eigendecompose(bare).eigenvalues, w.real)
+    if kind == "planted":
+        assert A.shift_hint is not None and system.shift == A.shift_hint
+        cond = np.linalg.cond(system.eigenvectors)
+        scale = max(1.0, float(np.abs(w.real).max()))
+        assert np.allclose(system.eigenvalues, w.real, rtol=0.0, atol=TOL_PLANTED * cond**2 * scale)
+    else:
+        assert system is eigendecompose(bare)
     # each cluster's eigenvectors span the reference's eigenspace; two backward-stable solves
     # agree on a cluster's span only to eps cond(X) / (its relative gap to the other eigenvalues),
     # which the boosted conjugators can take past 1e-9
@@ -354,11 +363,14 @@ def test_vectorized_classification_matches_per_column_classify(kind, p, q, seed,
 
 
 def test_memoized_system_equals_a_fresh_solve_and_is_read_only(sampler_cfg):
+    """Equal entry bytes and hints share one system; a fresh solve gives the same bytes."""
     sig = Signature(3, 2)
     A, _, _ = sample_planted(sig, sampler_cfg, instance_rng(SEED, 5))
     shared = eigendecompose(A)
-    copy = PseudoHermitianMatrix(sig, A.entries.copy())
+    copy = PseudoHermitianMatrix(sig, A.entries.copy(), shift_hint=A.shift_hint)
     assert eigendecompose(copy) is shared
+    # the hint is part of the key: the same entries without it are solved on their own
+    assert eigendecompose(PseudoHermitianMatrix(sig, A.entries)) is not shared
     spectral._solve.cache_clear()
     fresh = eigendecompose(copy)
     assert fresh is not shared
@@ -377,16 +389,21 @@ def test_memoized_system_equals_a_fresh_solve_and_is_read_only(sampler_cfg):
     "pq", [(2, 1), (3, 2), (4, 3), (5, 3), (6, 4), (1, 5), (0, 3), (3, 0)], ids=lambda pq: f"p{pq[0]}q{pq[1]}"
 )
 def test_the_eigenvalues_are_the_sorted_real_parts_of_eig_byte_for_byte(pq, fresh_memos):
-    """The solve keeps no eigenvectors, and its spectrum is eig's: A, B and A + B of instances 0-4."""
+    """Without a hint the solve's spectrum is eig's: A, B and A + B of instances 0-4, read without their hints.
+
+    The hinted solves of the same matrices are held to eig within tolerance
+    by ``test_hinted_spectra_match_eig_and_the_planted_spectrum``.
+    """
     sig = Signature(*pq)
     cfg = SamplerConfig()
     for index in range(5):
         rng = instance_rng(0, index)
         A, B = sample_planted(sig, cfg, rng)[0], sample_planted(sig, cfg, rng)[0]
         for M in (A, B, matrix_sum(A, B)):
+            assert M.shift_hint is not None
             w = np.linalg.eig(M.entries)[0]
             want = w.real[np.lexsort((w.imag, w.real))]
-            assert eigendecompose(M).eigenvalues.tobytes() == want.tobytes()
+            assert eigendecompose(PseudoHermitianMatrix(sig, M.entries)).eigenvalues.tobytes() == want.tobytes()
 
 
 SUMS_SUITES = ("structural", "trace", "weyl", "lidskii", "thompson_freede")
@@ -407,10 +424,21 @@ def counting(monkeypatch, *names):
 
 
 def test_a_sums_instance_solves_each_matrix_once(monkeypatch, fresh_memos):
-    """One ``eigvals`` per distinct matrix, and no ``eig``: that one runs only to diagnose a failure."""
-    calls = counting(monkeypatch, "eigvals", "eig")
-    run_instance(SuiteConfig(p=3, q=2, seed=0, suites=SUMS_SUITES), 0)
-    assert calls == {"eigvals": [(5, 5)] * 3, "eig": []}  # A, B and A + B
+    """One Cholesky per distinct matrix, at its hint, and no ``eigvals`` or ``eig``.
+
+    A and B carry their planted gap points and A + B the sum of the two, and
+    each hint certifies its matrix; ``eig`` runs only to diagnose a failure.
+    Both the sum suites and the default selection of every suite.
+    """
+    for p, q in ((3, 2), (5, 3)):
+        for suites in (SUMS_SUITES, SuiteConfig().suites):
+            for memo in (spectral._solve, checks._sum_spectra, checks._positive_eigen):
+                memo.cache_clear()
+            with monkeypatch.context() as patch:
+                calls = counting(patch, "eigvals", "eig", "cholesky")
+                run_instance(SuiteConfig(p=p, q=q, seed=0, suites=suites), 0)
+            n = p + q
+            assert calls == {"eigvals": [], "eig": [], "cholesky": [(n, n)] * 3}, (p, q, suites)  # A, B and A + B
 
 
 def test_a_sums_instance_frames_no_eigenvector_block(monkeypatch, fresh_memos):
@@ -486,7 +514,8 @@ def test_equal_bytes_share_one_read_only_spectrum(sampler_cfg, fresh_memos):
     sig = Signature(3, 2)
     A, planted, _ = sample_planted(sig, sampler_cfg, instance_rng(SEED, 6))
     shared = check_admissible(A)
-    assert check_admissible(PseudoHermitianMatrix(sig, A.entries.copy())) is shared
+    assert check_admissible(PseudoHermitianMatrix(sig, A.entries.copy(), shift_hint=A.shift_hint)) is shared
+    assert check_admissible(PseudoHermitianMatrix(sig, A.entries)) is not shared  # no hint: another key
     with pytest.raises(ValueError):
         shared.lambdas[0] = 0.0
     with pytest.raises(ValueError):
@@ -497,6 +526,174 @@ def test_equal_bytes_share_one_read_only_spectrum(sampler_cfg, fresh_memos):
     assert np.array_equal(fresh.lambdas, shared.lambdas)
     assert np.array_equal(fresh.mus, shared.mus)
     assert np.allclose(shared.lambdas, planted.lambdas, atol=1e-8)
+
+
+def system_bytes(system):
+    """Everything a solve returns, as bytes: eigenvalues, factor, shift and both blocks of the spectrum."""
+    arrays = (system.eigenvalues, system.factor, np.float64(system.shift), system.spectrum.lambdas, system.spectrum.mus)
+    return [np.asarray(arr).tobytes() for arr in arrays]
+
+
+#: the signatures of the tier-1 grid, and the blocks with one side empty
+HINT_GRID = [(2, 1), (3, 2), (4, 3), (6, 4), (1, 4), (3, 0), (0, 3)]
+
+
+def wrong_hints(spectrum):
+    """Distinct shifts that certify nothing: in the positive-type block, above it, in the negative-type block, below it."""
+    lam, mu = spectrum.lambdas, spectrum.mus
+    hints = []
+    if lam.size:
+        hints += [float(lam[0] + (lam[1] - lam[0]) / 2 if lam.size > 1 else lam[0] + 1.0), float(lam[-1] + 1.0)]
+    if mu.size:
+        hints += [float(mu[0] - (mu[0] - mu[1]) / 2 if mu.size > 1 else mu[0] - 1.0), float(mu[-1] - 1.0)]
+    return list(dict.fromkeys(hints))
+
+
+@pytest.mark.parametrize("pq", HINT_GRID, ids=lambda pq: f"p{pq[0]}q{pq[1]}")
+def test_a_hint_that_certifies_nothing_gives_the_bytes_of_no_hint(pq, monkeypatch, fresh_memos):
+    """A hint above lambda_1 or below mu_1 fails its Cholesky, and the solve then runs as without a hint."""
+    sig = Signature(*pq)
+    calls = counting(monkeypatch, "eigvals")
+    for index in range(4):
+        A, planted, _ = sample_planted(sig, SamplerConfig(), instance_rng(SEED, index))
+        want = system_bytes(eigendecompose(PseudoHermitianMatrix(sig, A.entries)))
+        for hint in wrong_hints(planted):
+            calls["eigvals"].clear()
+            assert system_bytes(eigendecompose(PseudoHermitianMatrix(sig, A.entries, shift_hint=hint))) == want
+            assert len(calls["eigvals"]) == 1, (index, hint)
+
+
+@pytest.mark.parametrize("hint", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_a_hint_that_is_not_finite_is_no_hint(hint, fresh_memos):
+    sig = Signature(3, 2)
+    A, _, _ = sample_planted(sig, SamplerConfig(), instance_rng(SEED, 0))
+    bare = PseudoHermitianMatrix(sig, A.entries)
+    odd = PseudoHermitianMatrix(sig, A.entries, shift_hint=hint)
+    assert odd.shift_hint is None and odd == bare and hash(odd) == hash(bare)
+    assert eigendecompose(odd) is eigendecompose(bare)
+
+
+@pytest.mark.parametrize(
+    "pq, fault",
+    [
+        (pq, fault)
+        for pq in ((2, 1), (4, 3), (3, 0), (0, 3))
+        for fault, block in (("top negative", pq[1]), ("least positive", pq[0]), ("nan", 1))
+        if block  # the flipped eigenvalue exists
+    ],
+    ids=str,
+)
+def test_an_inertia_against_sylvester_at_the_hint_gives_the_bytes_of_no_hint(pq, fault, monkeypatch, fresh_memos):
+    """An ``eigvalsh`` of L^H J L with other than q negative values, or a NaN, sends the solve to ``eigvals``."""
+    sig = Signature(*pq)
+    A, _, _ = sample_planted(sig, SamplerConfig(), instance_rng(SEED, 1))
+    want = system_bytes(eigendecompose(PseudoHermitianMatrix(sig, A.entries)))
+    eigvalsh = np.linalg.eigvalsh
+
+    def faulty(a):
+        nu = eigvalsh(a)
+        if fault == "nan":
+            nu[-1] = np.nan
+        else:
+            at = sig.q - 1 if fault == "top negative" else sig.q
+            nu[at] = -nu[at]
+        return nu
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", faulty)
+    calls = counting(monkeypatch, "eigvals")
+    assert system_bytes(eigendecompose(A)) == want
+    assert len(calls["eigvals"]) == 1
+
+
+def test_at_the_overflow_config_every_solve_is_certified_and_near_the_hintless_one(fresh_memos):
+    """Eigenvalues near 6e307: the hinted solves certify A, B and A + B, and agree with eigvals within tolerance.
+
+    Where a hint fails, the solve has the bytes of no hint.  The pytest
+    config turns a RuntimeWarning, from an overflow in the solve, into an
+    error.
+    """
+    sig = Signature(2, 1)
+    cfg = SamplerConfig(gap_min=6e307)
+    for index in range(2):
+        rng = instance_rng(0, index)
+        (A, planted_a, Ua), (B, planted_b, Ub) = sample_planted(sig, cfg, rng), sample_planted(sig, cfg, rng)
+        cond = max(Ua.cond, Ub.cond)
+        for M in (A, B, matrix_sum(A, B)):
+            system, bare = eigendecompose(M), eigendecompose(PseudoHermitianMatrix(sig, M.entries))
+            if spectral._certify_at(sig, M.entries, M.shift_hint) is None:
+                assert system_bytes(system) == system_bytes(bare)
+                continue
+            assert system.shift == M.shift_hint
+            scale = max(1.0, system.spectrum.magnitude)
+            assert np.allclose(system.eigenvalues, bare.eigenvalues, rtol=0.0, atol=TOL_PLANTED * cond**2 * scale)
+
+
+@pytest.mark.parametrize("boost", [1.0, 3.0])
+def test_hinted_spectra_match_eig_and_the_planted_spectrum(boost, monkeypatch, fresh_memos):
+    """The independent oracles of the hinted solve: the sorted real parts of eig, and the planted spectrum.
+
+    A, B and A + B of ten instances at each signature of the grid, solved
+    without ``eigvals``, lie within TOL_PLANTED cond(U)^2 max(1, |planted|)
+    of eig (for A + B, the larger cond and the summed planted spectra), and
+    the median error against the planted spectrum is no larger than that of
+    the ``eigvals`` solve of the same matrices without hints.
+    """
+    cfg = SamplerConfig(boost_scale=boost)
+    errors = {"hinted": [], "eigvals": []}
+    for pq in HINT_GRID:
+        sig = Signature(*pq)
+        for index in range(10):
+            rng = instance_rng(SEED, index)
+            (A, planted_a, Ua), (B, planted_b, Ub) = sample_planted(sig, cfg, rng), sample_planted(sig, cfg, rng)
+            planted = [np.sort(s.canonical_vector()) for s in (planted_a, planted_b)]
+            conds = [Ua.cond, Ub.cond]
+            for M, want, cond in zip((A, B, matrix_sum(A, B)), planted + [None], conds + [max(conds)]):
+                with monkeypatch.context() as patch:
+                    calls = counting(patch, "eigvals")
+                    got = eigendecompose(M).eigenvalues
+                assert calls["eigvals"] == [], (pq, index)
+                w = np.linalg.eig(M.entries)[0]
+                oracle = w.real[np.lexsort((w.imag, w.real))]
+                scale = max(1.0, float(np.abs(oracle if want is None else want).max()))
+                assert np.abs(got - oracle).max() <= TOL_PLANTED * cond**2 * scale, (pq, index)
+                if want is not None:
+                    errors["hinted"].append(np.abs(got - want).max())
+                    bare = eigendecompose(PseudoHermitianMatrix(sig, M.entries)).eigenvalues
+                    errors["eigvals"].append(np.abs(bare - want).max())
+    assert np.median(errors["hinted"]) <= np.median(errors["eigvals"])
+
+
+def test_a_hinted_matrix_is_another_value_and_keeps_its_hint_through_pickle_and_sums(fresh_memos):
+    import pickle
+
+    sig = Signature(3, 2)
+    rng = instance_rng(SEED, 2)
+    (A, planted, _), (B, _, _) = sample_planted(sig, SamplerConfig(), rng), sample_planted(sig, SamplerConfig(), rng)
+    assert A.shift_hint == spectral._gap_point(np.sort(planted.canonical_vector()), sig.q)
+    bare = PseudoHermitianMatrix(sig, A.entries)
+    assert A != bare and bare.shift_hint is None
+    again = pickle.loads(pickle.dumps(A))
+    assert again == A and again.shift_hint == A.shift_hint and hash(again) == hash(A)
+    assert matrix_sum(A, B).shift_hint == A.shift_hint + B.shift_hint
+    assert matrix_sum(A, bare).shift_hint is None and matrix_sum(bare, B).shift_hint is None
+    assert eigendecompose(matrix_sum(A, B)).shift == A.shift_hint + B.shift_hint
+
+
+def test_a_pair_read_from_files_has_no_hint_and_is_solved_by_eigvals(tmp_path, monkeypatch, fresh_memos):
+    """A matrix file holds no hint, so the sum checks on a read pair run ``eigvals`` for A, B and A + B."""
+    from kreinval import read_matrix, write_matrix
+
+    sig = Signature(3, 2)
+    rng = instance_rng(SEED, 3)
+    A, B = sample_planted(sig, SamplerConfig(), rng)[0], sample_planted(sig, SamplerConfig(), rng)[0]
+    write_matrix(A, tmp_path / "A.json")
+    write_matrix(B, tmp_path / "B.json")
+    read_a, read_b = read_matrix(tmp_path / "A.json"), read_matrix(tmp_path / "B.json")
+    assert read_a.shift_hint is None and read_b.shift_hint is None
+    assert read_a == PseudoHermitianMatrix(sig, A.entries)
+    calls = counting(monkeypatch, "eigvals")
+    assert checks.check_weyl(read_a, read_b).passed and checks.check_lidskii_wielandt(read_a, read_b).passed
+    assert calls["eigvals"] == [(5, 5)] * 3
 
 
 @pytest.mark.parametrize(
