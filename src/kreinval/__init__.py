@@ -44,6 +44,7 @@ from .sampling import (
     SamplerConfig,
     instance_rng,
     sample_planted,
+    sample_planted_pair,
     sample_pseudo_unitary,
     sample_spectrum,
 )
@@ -132,6 +133,7 @@ __all__ = [
     "pseudo_unitary_residual",
     "read_matrix",
     "sample_planted",
+    "sample_planted_pair",
     "sample_pseudo_unitary",
     "sample_spectrum",
     "write_matrix",

@@ -22,7 +22,13 @@ import numpy as np
 from .core import PseudoHermitianMatrix, Signature, _total, metric_diagonal
 from .errors import ComplexSpectrum, DefectiveMatrix, GapViolation, ShapeMismatch, WrongConeCount
 from .geometry import _adjoint, gram
-from .spectral import ClassifiedEigenSystem, check_admissible, eigendecompose, positive_eigenbasis
+from .spectral import (
+    ClassifiedEigenSystem,
+    check_admissible,
+    eigendecompose,
+    positive_eigenbasis,
+    solve_together,
+)
 
 DEFAULT_TOL = 1e-8
 EQUALITY_TOL = 1e-9
@@ -146,14 +152,19 @@ def _sum_spectra(A: PseudoHermitianMatrix, B: PseudoHermitianMatrix):
     Inadmissible means any of the four failures ``eigendecompose`` raises
     for a matrix that no shift certifies.
 
+    A, B and A + B are certified at their hints as one stack
+    (``solve_together``), so the three cost one Cholesky factorization and
+    one ``eigvalsh``; a matrix the stack does not certify is solved alone.
+
     Memoized by value: the sum checks of one instance build and validate
     A + B once and share the result, whose spectra are read-only.  The
     result depends on the entries alone, so the memo never changes what a
     caller sees.
     """
+    C = matrix_sum(A, B)
+    solve_together((A, B, C))
     specA = check_admissible(A)
     specB = check_admissible(B)
-    C = matrix_sum(A, B)
     try:
         return specA, specB, C, check_admissible(C), None
     except (ComplexSpectrum, DefectiveMatrix, GapViolation, WrongConeCount) as exc:
@@ -188,6 +199,9 @@ def _no_positive_block(name: str, sig: Signature, descriptor: dict, tol: float) 
 
 #: below 2^_SAFE_EXPONENT no sum of fewer than 2^22 values, nor the difference of two such sums, overflows
 _SAFE_EXPONENT = 1000
+_SAFE_MAGNITUDE = 2.0**_SAFE_EXPONENT
+#: the note of a report whose values are in units of 2^k
+_UNITS_NOTE = "values in units of 2^{}: their sums overflow in units of 1"
 
 
 def _in_units(kernel, spectra, *extra: np.ndarray) -> tuple[list[CheckCase], tuple[str, ...]]:
@@ -217,7 +231,7 @@ def _in_units(kernel, spectra, *extra: np.ndarray) -> tuple[list[CheckCase], tup
         if all(math.isfinite(x) for case in cases for x in (case.lhs, case.rhs, case.margin)):
             return cases, ()
     unit = 2.0**-k
-    return kernel(*(x * unit for x in values)), (f"values in units of 2^{k}: their sums overflow in units of 1",)
+    return kernel(*(x * unit for x in values)), (_UNITS_NOTE.format(k),)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +596,24 @@ def check_courant_fischer(
     return _finalize_report("courant_fischer", sig, descriptor, tol, cases)
 
 
+def _record_in_units(record: _PositiveEigen) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, ...], tuple[str, ...]]:
+    """The record's lambdas, compression, diagonal and running least certificates, and the notes that give their unit.
+
+    As they are when every eigenvalue is below 2^``_SAFE_EXPONENT``, at the
+    cost of one comparison.  Otherwise all of them are times 2^-k, the least
+    power that brings the eigenvalues below that bound, so that the sums of
+    ``ky_fan`` and ``wielandt`` stay finite; their reports are then in units
+    of 2^k, as ``_in_units`` puts a sum check's, with the same note.
+    """
+    spectrum = record.system.spectrum
+    if spectrum.magnitude < _SAFE_MAGNITUDE:
+        return spectrum.lambdas, record.eigen, record.diagonal, record.cert_min, ()
+    k = math.frexp(spectrum.magnitude)[1] - _SAFE_EXPONENT
+    unit = 2.0**-k
+    cert_min = tuple(c * unit for c in record.cert_min)
+    return spectrum.lambdas * unit, record.eigen * unit, record.diagonal * unit, cert_min, (_UNITS_NOTE.format(k),)
+
+
 def _least_certificate(cert_min: tuple[float, ...], r: int, tol: float) -> CheckCase:
     """``restricted_cert_min:r``: the least of certificates 1, ..., r against 0.
 
@@ -609,25 +641,25 @@ def check_ky_fan(
     ``check_courant_fischer`` says.  ``partial_sum_witness:k`` holds the
     eigenframe's trace against the bound at ``equality_tol``.  The check
     draws nothing.  With p = 0 the one report says there is no positive
-    block.
+    block.  Where the eigenvalues reach 2^``_SAFE_EXPONENT``, every value
+    is in units of a power of two (``_record_in_units``).
     """
     sig = A.signature
     shared = {"equality_tol": equality_tol}
     if sig.p == 0:
         return [_no_positive_block("ky_fan", sig, shared, tol)]
-    record = _positive_eigen(A)
-    lambdas = record.system.spectrum.lambdas
-    witness = np.cumsum(record.diagonal)
+    lambdas, _, diagonal, cert_min, notes = _record_in_units(_positive_eigen(A))
+    witness = np.cumsum(diagonal)
     reports = []
     for k in range(1, sig.p + 1):
         indices = tuple(range(1, k + 1))
         target = float(lambdas[:k].sum())
         val = float(witness[k - 1])
         cases = [
-            _least_certificate(record.cert_min, k, tol),
+            _least_certificate(cert_min, k, tol),
             _make_case(f"partial_sum_witness:{k}", indices, val, target, -abs(val - target), equality_tol),
         ]
-        reports.append(_finalize_report("ky_fan", sig, {"k": k, **shared}, tol, cases))
+        reports.append(_finalize_report("ky_fan", sig, {"k": k, **shared}, tol, cases, notes=notes))
     return reports
 
 
@@ -683,14 +715,15 @@ def check_wielandt_flag(
 
     Reports come in r-then-m order, m <= r, each with the descriptor
     {"top": r, "m": m}.  With p = 0 the one report says there is no
-    positive block.  The check draws nothing.
+    positive block.  The check draws nothing.  Where the eigenvalues reach
+    2^``_SAFE_EXPONENT``, every value is in units of a power of two
+    (``_record_in_units``).
     """
     sig = A.signature
     if sig.p == 0:
         return [_no_positive_block("wielandt", sig, {}, tol)]
-    record = _positive_eigen(A)
-    eigen, lambdas = record.eigen, record.system.spectrum.lambdas
-    lam, diagonal = lambdas.tolist(), record.diagonal.tolist()
+    lambdas, eigen, diagonal, cert_min, notes = _record_in_units(_positive_eigen(A))
+    lam, diagonal = lambdas.tolist(), diagonal.tolist()
     e = [0.0] + [x - y for x, y in zip(diagonal, lam)]  # 1-based
     # eigen - diag(lambdas) is Hermitian, so its 2-norm is its largest |eigenvalue|
     delta = float(np.max(np.abs(np.linalg.eigvalsh(eigen - np.diag(lambdas)))))
@@ -700,7 +733,7 @@ def check_wielandt_flag(
         ranked = sorted(range(1, r), key=e.__getitem__)
         low = list(itertools.accumulate((e[i] for i in ranked), initial=e[r]))
         high = list(itertools.accumulate((e[i] for i in reversed(ranked)), initial=e[r]))
-        certified = _least_certificate(record.cert_min, r, tol)
+        certified = _least_certificate(cert_min, r, tol)
         for m in range(1, r + 1):
             lowest = (*range(1, m), r)
             target, slack = _ordered_sum(lam, lowest), m * delta
@@ -713,5 +746,5 @@ def check_wielandt_flag(
             if r == 1:
                 cases += etas
             cases.append(certified)
-            reports.append(_finalize_report("wielandt", sig, {"top": r, "m": m}, tol, cases))
+            reports.append(_finalize_report("wielandt", sig, {"top": r, "m": m}, tol, cases, notes=notes))
     return reports

@@ -35,6 +35,7 @@ from .checks import (
     CheckReport,
     _finalize_report,
     _make_case,
+    _sum_spectra,
     check_courant_fischer,
     check_ky_fan,
     check_lidskii_wielandt,
@@ -46,7 +47,7 @@ from .checks import (
 from .core import Signature, _is_number
 from .errors import ConfigError, KreinvalError, ReportWriteError
 from .polyhedral import check_diag_membership, check_sum_membership
-from .sampling import SamplerConfig, instance_rng, sample_planted
+from .sampling import SamplerConfig, instance_rng, sample_planted, sample_planted_pair
 from .spectral import eigendecompose, shift_margin
 
 # argparse, json, the process pool and report I/O are imported where they are used:
@@ -167,7 +168,10 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
 
     A and B come from the instance stream (seed, index), and no check draws
     anything: the variational suites decide their bounds by certificates
-    on A, for every positive subspace at once.  So that stream holds every
+    on A, for every positive subspace at once.  When a pair suite is
+    selected, A and B are drawn as one stack (``sample_planted_pair``), and
+    A, B and A + B are certified as one stack (``_sum_spectra``) before the
+    first suite reads them.  So that stream holds every
     random number of an instance, and a suite's reports do not depend on
     which other suites are selected.  ``cfg`` is taken as given; a
     selection that names a suite twice runs it twice (``run_suite``
@@ -178,10 +182,12 @@ def run_instance(cfg: SuiteConfig, index: int) -> list[CheckReport]:
     sig = Signature(cfg.p, cfg.q)
     scfg = cfg.sampler()
     rng = instance_rng(cfg.seed, index)
-    A, planted, U = sample_planted(sig, scfg, rng)
     B = None
     if any(s in PAIR_SUITES for s in cfg.suites):
-        B, _, _ = sample_planted(sig, scfg, rng)
+        (A, planted, U), (B, _, _) = sample_planted_pair(sig, scfg, rng)
+        _sum_spectra(A, B)  # A, B and A + B, certified as one stack before any suite reads them
+    else:
+        A, planted, U = sample_planted(sig, scfg, rng)
 
     reports: list[CheckReport] = []
     for suite in cfg.suites:

@@ -189,8 +189,12 @@ class PseudoUnitary:
         The ratio of the extreme singular values, which is what
         ``np.linalg.cond(U, 2)`` returns for finite entries.
         """
-        s = np.linalg.svd(self.entries, compute_uv=False)
-        return float(s[0] / s[-1]) if s[-1] else math.inf
+        return _cond(np.linalg.svd(self.entries, compute_uv=False))
+
+
+def _cond(singular) -> float:
+    """The ratio of the extreme singular values, given in descending order; inf when the last is 0."""
+    return float(singular[0] / singular[-1]) if singular[-1] else math.inf
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,13 @@ hinted matrices carries the sum of their hints.  The hint is verified,
 never trusted: when its Cholesky fails, or nu is not finite or has other
 than q negative entries, the solve runs as for a matrix without one, with
 ``np.linalg.eigvals`` to find the shift.
+
+Matrices of one signature can be certified as one stack
+(``solve_together``): one shifted form, one Cholesky factorization, one
+L^H J L and one ``eigvalsh`` over all of them, each member with the bytes it
+gets alone, and each kept in the memo of ``eigendecompose``.  The sum checks
+certify A, B and A + B this way.  The inertia and the spectrum are checked
+member by member, and a member the stack does not certify is solved alone.
 """
 
 from __future__ import annotations
@@ -132,11 +139,14 @@ def check_admissible(A: PseudoHermitianMatrix) -> AdmissibleSpectrum:
     return eigendecompose(A).spectrum
 
 
-def _shifted_form(entries, sig: Signature, shift: float) -> np.ndarray:
-    """H = J (A - shift I), Hermitian for a pseudo-Hermitian A."""
+def _shifted_form(entries, sig: Signature, shift) -> np.ndarray:
+    """H = J (A - shift I), Hermitian for a pseudo-Hermitian A.
+
+    For a stack (k, n, n), ``shift`` is a column (k, 1) of one shift per member.
+    """
     jd = metric_diagonal(sig)
     H = jd[:, None] * entries
-    H.reshape(-1)[:: sig.n + 1] -= shift * jd
+    H.reshape(-1, sig.n * sig.n)[:, :: sig.n + 1] -= shift * jd
     return H
 
 
@@ -174,13 +184,19 @@ def _system(sig: Signature, theta: np.ndarray, L: np.ndarray, shift: float) -> C
     return ClassifiedEigenSystem(sig, theta, L, shift, spectrum)
 
 
-def _certify_at(sig: Signature, entries: np.ndarray, hint: float) -> ClassifiedEigenSystem | None:
-    """The system certified at the shift ``hint``, or None when the hint certifies nothing."""
-    try:
-        L = np.linalg.cholesky(_shifted_form(entries, sig, hint))
-        nu = np.linalg.eigvalsh(_adjoint(L) @ (metric_diagonal(sig)[:, None] * L))
-    except np.linalg.LinAlgError:
-        return None
+def _factor_at(sig: Signature, entries: np.ndarray, shift) -> tuple[np.ndarray, np.ndarray]:
+    """L, the Cholesky factor of J (A - shift I), and nu = eigvalsh(L^H J L), ascending.
+
+    For a stack (k, n, n) and a column of shifts (k, 1), one call of each
+    serves every member and gives it the bytes it gets alone.  Raises
+    LinAlgError when a factorization fails.
+    """
+    L = np.linalg.cholesky(_shifted_form(entries, sig, shift))
+    return L, np.linalg.eigvalsh(_adjoint(L) @ (metric_diagonal(sig)[:, None] * L))
+
+
+def _certified_system(sig: Signature, L: np.ndarray, nu: np.ndarray, hint: float) -> ClassifiedEigenSystem | None:
+    """The system that L and nu certify at the shift ``hint``, or None when they certify nothing."""
     # ascending, so the inertia of J shows at the split: nu[q - 1] < 0 <= nu[q]
     if not ((sig.q == 0 or nu[sig.q - 1] < 0) and (sig.p == 0 or nu[sig.q] >= 0)):
         return None
@@ -190,8 +206,58 @@ def _certify_at(sig: Signature, entries: np.ndarray, hint: float) -> ClassifiedE
         return None
 
 
+def _certify_at(sig: Signature, entries: np.ndarray, hint: float) -> ClassifiedEigenSystem | None:
+    """The system certified at the shift ``hint``, or None when the hint certifies nothing."""
+    try:
+        L, nu = _factor_at(sig, entries, hint)
+    except np.linalg.LinAlgError:
+        return None
+    return _certified_system(sig, L, nu, hint)
+
+
+#: systems ``solve_together`` certified, each waiting for the ``_solve`` call that keeps it in the memo
+_pending: dict[tuple, ClassifiedEigenSystem] = {}
+
+
+def solve_together(matrices) -> None:
+    """Certify matrices of one signature at their hints as one stack, into the memo ``eigendecompose`` reads.
+
+    One Cholesky factorization and one ``eigvalsh`` serve every matrix with
+    a hint (``_factor_at``), and each certified system is kept under the
+    key a solve of that matrix alone would use: its signature, entry bytes
+    and hint.  The bytes are those of the solve alone.  A matrix without a
+    hint, or whose hint certifies nothing in the stack, is left to
+    ``eigendecompose``, which solves it alone as before, its own hint first;
+    so is every matrix of the stack when its factorization fails, since
+    numpy does not say which member failed.  A matrix already in the memo
+    keeps the system it has.
+    """
+    hinted = [M for M in matrices if M.shift_hint is not None]
+    if not hinted:
+        return
+    sig = hinted[0].signature
+    hints = [M.shift_hint for M in hinted]
+    try:
+        L, nu = _factor_at(sig, np.stack([M.entries for M in hinted]), np.array(hints)[:, None])
+    except np.linalg.LinAlgError:
+        return
+    try:
+        for M, factor, values, hint in zip(hinted, L, nu, hints):
+            system = _certified_system(sig, factor, values, hint)
+            if system is not None:
+                key = (sig, M.entries.tobytes(), hint)
+                _pending[key] = system
+                _solve(*key)
+    finally:
+        _pending.clear()  # what the memo already held
+
+
 @functools.lru_cache(maxsize=32)
 def _solve(sig: Signature, data: bytes, hint: float | None) -> ClassifiedEigenSystem:
+    if _pending:
+        certified = _pending.pop((sig, data, hint), None)
+        if certified is not None:
+            return certified
     entries = np.frombuffer(data, dtype=complex).reshape(sig.n, sig.n)
     if hint is not None:
         system = _certify_at(sig, entries, hint)

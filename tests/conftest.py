@@ -74,7 +74,8 @@ def sample_planted_by_blocks(sig, cfg, rng):
     draw takes G1, G2 and the coupling Z from a ``complex_normal`` call each,
     then t; the retry loop and the planted product each run under their own
     errstate, and the product reads the conjugator's ``inverse``.  It goes
-    through ``sampling._expm`` and checks and retries as the sampler does.
+    through ``sampling._expm``, as a stack of one, and checks and retries as
+    the sampler does.
     The shift hint is the planted spectrum's gap point, computed here with
     numpy on the whole ascending spectrum, as the solve once computed its
     shift from the sorted ``eigvals``.
@@ -104,7 +105,7 @@ def sample_planted_by_blocks(sig, cfg, rng):
                 gen[:p, p:] = Z
                 gen[p:, :p] = Z.conj().T
             try:
-                U = PseudoUnitary(sig, sampling._expm(gen), tol=sampling.SAMPLE_UNITARY_TOL)
+                U = PseudoUnitary(sig, sampling._expm(gen[None])[0], tol=sampling.SAMPLE_UNITARY_TOL)
             except ValueError:
                 continue
             if U.cond <= cfg.cond_cap:

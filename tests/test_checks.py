@@ -972,3 +972,43 @@ def test_units_keep_the_bytes_where_every_sum_is_finite(monkeypatch):
         assert report.notes == () and list(report.cases) == cases, name
     total = polyhedral.check_sum_membership(A, A).cases[0]
     assert (total.lhs, total.rhs) == (totC, totA + totB)
+
+
+@pytest.mark.parametrize("name", ["ky_fan", "wielandt"])
+def test_variational_sums_that_overflow_are_reported_in_units_of_a_power_of_two(name, monkeypatch, fresh_memos):
+    """Three eigenvalues of A near 6e307 add past the largest float.
+
+    ``ky_fan`` and ``wielandt`` then report what they report on A's record
+    times 2^-k (spectrum, compression, diagonal and certificates), exact for
+    normal numbers, with the note of the sum checks in every report: every
+    value finite, and no RuntimeWarning.
+    """
+    check = {"ky_fan": checks.check_ky_fan, "wielandt": checks.check_wielandt_flag}[name]
+    sig, cfg = Signature(3, 2), SamplerConfig(gap_min=6e307)
+    for index in range(2):
+        A = sample_planted(sig, cfg, instance_rng(0, index))[0]
+        reports = check(A)
+        assert all(np.isfinite([c.lhs, c.rhs, c.margin]).all() for r in reports for c in r.cases)
+        notes = {r.notes for r in reports}
+        assert len(notes) == 1
+        (note,) = notes.pop()
+        k = int(note.removeprefix("values in units of 2^").split(":")[0])
+        assert k > 0
+        record, unit = checks._positive_eigen(A), 2.0**-k
+        spectrum = scaled_spectrum(record.system.spectrum, unit)
+        system = dataclasses.replace(record.system, spectrum=spectrum)
+        scaled = checks._positive_record(system, record.eigen * unit, record.certs * unit)
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, "_positive_eigen", lambda M: scaled)
+            plain = check(A)
+        assert [r.notes for r in plain] == [()] * len(reports)
+        assert [r.cases for r in plain] == [r.cases for r in reports]
+
+
+def test_variational_values_below_the_bound_are_read_as_they_are(fresh_memos):
+    """Below 2^_SAFE_EXPONENT the record's own arrays are read, with no note."""
+    A = sample_planted(Signature(3, 2), SamplerConfig(), instance_rng(0, 0))[0]
+    record = checks._positive_eigen(A)
+    lambdas, eigen, diagonal, cert_min, notes = checks._record_in_units(record)
+    assert lambdas is record.system.spectrum.lambdas and eigen is record.eigen
+    assert diagonal is record.diagonal and cert_min is record.cert_min and notes == ()

@@ -18,9 +18,10 @@ from kreinval import (
     sampling,
 )
 from kreinval.cli import SuiteConfig, run_instance
+from kreinval.core import PseudoUnitary
 from kreinval.errors import NonFiniteValue
 from kreinval.geometry import gram
-from kreinval.sampling import _expm, _lie_algebra_element
+from kreinval.sampling import _expm
 
 from conftest import (
     CONTRACTION_CAP,
@@ -39,6 +40,18 @@ from conftest import (
 )
 
 SEED = 808
+
+
+def lie_algebra_element(sig, cfg, rng):
+    """One generator draw from the stream, assembled as a stack of one."""
+    normals = np.empty((1, sampling._draw_size(sig, cfg)))
+    t = sampling._generator_draw(sig, cfg, rng, normals[0])
+    return sampling._lie_algebra_elements(sig, cfg, normals, [t])[0]
+
+
+def expm(X):
+    """``_expm`` of one matrix, as a stack of one."""
+    return _expm(X[None])[0]
 
 
 def test_instance_rng_is_reproducible():
@@ -73,7 +86,7 @@ def test_boost_closed_form_matches_exponential():
     sig = Signature(1, 1)
     for t in (0.25, 1.0, 2.0, 8.0):
         gen = np.array([[0.0, t], [t, 0.0]], dtype=complex)
-        U = _expm(gen)
+        U = expm(gen)
         expected = np.array(
             [[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]], dtype=complex
         )
@@ -93,9 +106,9 @@ def test_expm_matches_the_scipy_oracle_on_sampled_generators(boost):
         sig = Signature(p, q)
         cfg = SamplerConfig(boost_scale=boost)
         for idx in range(8):
-            gen = _lie_algebra_element(sig, cfg, instance_rng(SEED, idx))
+            gen = lie_algebra_element(sig, cfg, instance_rng(SEED, idx))
             scaled += np.abs(gen).sum(axis=0).max() > sampling._THETA_13
-            U, ref = _expm(gen), scipy_linalg.expm(gen)
+            U, ref = expm(gen), scipy_linalg.expm(gen)
             assert np.linalg.norm(U - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
             size = max(1.0, np.linalg.norm(U, 2) ** 2)
             assert pseudo_unitary_residual(U, sig) <= 1e-12 * size
@@ -105,14 +118,21 @@ def test_expm_matches_the_scipy_oracle_on_sampled_generators(boost):
 
 def test_expm_of_zero_is_exactly_the_identity():
     for n in (1, 2, 3, 7, 14):
-        assert np.array_equal(_expm(np.zeros((n, n), dtype=complex)), np.eye(n))
+        assert np.array_equal(expm(np.zeros((n, n), dtype=complex)), np.eye(n))
 
 
-def test_expm_rejects_a_generator_without_a_finite_norm():
+def test_expm_of_a_generator_without_a_finite_norm_is_nan_and_rejected():
+    """No exponential: the member comes back NaN, beside a member that keeps its bytes, and no draw accepts it."""
+    sig = Signature(2, 1)
+    good = lie_algebra_element(sig, SamplerConfig(), instance_rng(SEED, 0))
     for bad in (np.inf, np.nan, 1e308):
         gen = np.full((3, 3), bad, dtype=complex)
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
-            _expm(gen)
+        with np.errstate(over="ignore"):
+            got = _expm(np.stack([gen, good]))
+        assert np.isnan(got[0]).all()
+        assert got[1].tobytes() == expm(good).tobytes()
+        with pytest.raises(NonFiniteValue):
+            PseudoUnitary(sig, got[0])
 
 
 def _draw_outcome(sig, cfg, seed, idx):
@@ -179,7 +199,7 @@ def _lie_algebra_element_by_norm(sig, cfg, rng):
 def test_the_generator_is_the_norm_oracles_bit_for_bit(pq):
     sig, cfg = Signature(*pq), SamplerConfig(boost_scale=3.0)
     for idx in range(10):
-        got = _lie_algebra_element(sig, cfg, instance_rng(SEED, idx))
+        got = lie_algebra_element(sig, cfg, instance_rng(SEED, idx))
         assert np.array_equal(got, _lie_algebra_element_by_norm(sig, cfg, instance_rng(SEED, idx)))
 
 
@@ -214,8 +234,8 @@ def test_the_one_pass_draw_is_the_block_oracles_byte_for_byte(boost, cond_cap, g
     """A, its spectrum, U, cond(U) and the stream left behind equal those of the block-by-block sampler."""
     cfg = SamplerConfig(boost_scale=boost, cond_cap=cond_cap)
     drawn = []
-    element = sampling._lie_algebra_element
-    monkeypatch.setattr(sampling, "_lie_algebra_element", lambda *args: drawn.append(1) or element(*args))
+    draw = sampling._generator_draw
+    monkeypatch.setattr(sampling, "_generator_draw", lambda *args: drawn.append(1) or draw(*args))
     misses = 0
     for pq in BLOCK_ORACLE_SIGNATURES:
         sig = Signature(*pq)
@@ -227,15 +247,147 @@ def test_the_one_pass_draw_is_the_block_oracles_byte_for_byte(boost, cond_cap, g
 
 
 def test_instances_are_the_block_oracles(monkeypatch, fresh_memos):
-    """Every suite reports the same with the block-by-block sampler in place of ``sample_planted``."""
+    """Every suite reports the same with the block-by-block sampler in place of the sampler's two entries.
+
+    A single draw becomes one oracle draw and the pair draw two of them in
+    turn, and the count of oracle draws shows that both entries were
+    replaced.
+    """
+    oracle_draws = []
+
+    def by_blocks(*args):
+        oracle_draws.append(1)
+        return sample_planted_by_blocks(*args)
+
+    cases = 0
     for p, q in ((1, 0), (0, 2), (1, 4), (2, 1), (3, 2), (4, 3)):
         for boost in (1.0, 3.0):
-            cfg = SuiteConfig(p=p, q=q, seed=SEED, boost_scale=boost)
-            for index in range(2):
-                got = [r.to_dict() for r in run_instance(cfg, index)]
-                with monkeypatch.context() as m:
-                    m.setattr(cli, "sample_planted", sample_planted_by_blocks)
-                    assert [r.to_dict() for r in run_instance(cfg, index)] == got, (p, q, boost, index)
+            for suites in (cli.SUITES, ("courant_fischer", "ky_fan", "wielandt")):
+                cfg = SuiteConfig(p=p, q=q, seed=SEED, boost_scale=boost, suites=suites)
+                for index in range(2):
+                    got = [r.to_dict() for r in run_instance(cfg, index)]
+                    with monkeypatch.context() as m:
+                        m.setattr(cli, "sample_planted", by_blocks)
+                        m.setattr(cli, "sample_planted_pair", lambda *args: (by_blocks(*args), by_blocks(*args)))
+                        assert [r.to_dict() for r in run_instance(cfg, index)] == got, (p, q, boost, index)
+                    cases += 1
+    assert len(oracle_draws) == cases * 3 // 2  # two per pair instance and one per variational one
+
+
+def _pair_bytes(sig, cfg, idx, pair):
+    """The bytes of A and B (as ``_planted_bytes``) that ``pair`` draws, or None when it runs out of retries;
+    the stream's state after the call; and how many generator draws each of the two took, drawn alone."""
+    rng = instance_rng(SEED, idx)
+    try:
+        drawn = pair(sig, cfg, rng)
+    except RetriesExhausted:
+        got = None
+    else:
+        got = []
+        for A, spectrum, U in drawn:
+            got += [arr.tobytes() for arr in (A.entries, spectrum.lambdas, spectrum.mus, U.entries)]
+            got += [np.float64(x).tobytes() for x in (U.cond, A.shift_hint)]
+    return got, rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "boost, cond_cap, rewound, continued, exhausted",
+    [
+        (0.0, 1e4, 0, 0, 0),
+        (1.0, 1e4, 0, 0, 0),
+        (3.0, 1e4, 0, 0, 0),
+        (3.0, 50.0, 15, 10, 0),  # A's or B's first draw is ill-conditioned
+        (1e3, 1e4, 60, 0, 55),  # draws overflow, and most pairs run out of retries
+    ],
+)
+def test_the_pair_draw_is_two_sequential_draws_byte_for_byte(boost, cond_cap, rewound, continued, exhausted, monkeypatch):
+    """A, B, their spectra, conjugators, cond and hints, and the stream left behind, equal two ``sample_planted`` calls.
+
+    ``rewound`` counts the pairs whose first draw of A was rejected, so
+    that the stream went back to A's draw; ``continued`` those where only
+    B's first draw was rejected; ``exhausted`` those that raised
+    RetriesExhausted, for A or for B.
+    """
+    cfg = SamplerConfig(boost_scale=boost, cond_cap=cond_cap)
+    draws = []
+    draw = sampling._generator_draw
+    monkeypatch.setattr(sampling, "_generator_draw", lambda *args: draws.append(1) or draw(*args))
+
+    def sequential(sig, cfg, rng):
+        counts = []
+        try:
+            for _ in range(2):
+                draws.clear()
+                yield sample_planted(sig, cfg, rng)
+                counts.append(len(draws))
+        finally:
+            tallies.append(counts + [len(draws)] * (2 - len(counts)))
+
+    counts = {"rewound": 0, "continued": 0, "exhausted": 0}
+    for pq in BLOCK_ORACLE_SIGNATURES:
+        sig = Signature(*pq)
+        for idx in range(10):
+            tallies = []
+            want = _pair_bytes(sig, cfg, idx, lambda *args: tuple(sequential(*args)))
+            assert _pair_bytes(sig, cfg, idx, sampling.sample_planted_pair) == want, (pq, idx)
+            (a_draws, b_draws), = tallies
+            counts["rewound"] += a_draws > 1
+            counts["continued"] += a_draws == 1 and b_draws > 1
+            counts["exhausted"] += want[0] is None
+    assert counts == {"rewound": rewound, "continued": continued, "exhausted": exhausted}
+
+
+generator_stacks = st.lists(
+    st.tuples(st.integers(0, 2**16), st.sampled_from([0.0, 1.0, 3.0, 50.0, 1e3, 1e300, "inf", "nan"])),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=generator_stacks, pq=st.sampled_from(BLOCK_ORACLE_SIGNATURES[3:]))
+def test_the_stacked_expm_is_each_members_expm_byte_for_byte(members, pq):
+    """One ``_expm`` of a stack gives each member the bytes of its own, whatever the other members are.
+
+    Boosts from 0 to 1e300 mix scaling exponents from 0 to past 1000 in one
+    stack, so some members overflow while squaring; "inf" and "nan" members
+    have no finite norm and come back NaN.
+    """
+    sig = Signature(*pq)
+    gens = []
+    for seed, boost in members:
+        if isinstance(boost, str):
+            gens.append(np.full((sig.n, sig.n), float(boost), dtype=complex))
+        else:
+            gens.append(lie_algebra_element(sig, SamplerConfig(boost_scale=boost), instance_rng(seed, 0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = _expm(np.stack(gens))
+        alone = [_expm(gen[None])[0] for gen in gens]
+    for got, want in zip(stacked, alone):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("pq", [(3, 2), (5, 3)])
+def test_a_pair_instance_makes_one_expm_solve_one_cond_svd_and_one_cholesky(pq, monkeypatch, fresh_memos):
+    """A and B share one ``_expm`` (one solve), one coupling-norm SVD and one cond SVD; A, B and A + B one Cholesky."""
+    p, q = pq
+    n = p + q
+    calls = {name: [] for name in ("solve", "svd", "cholesky", "eigvalsh", "eigvals")}
+    for name, log in calls.items():
+        def counted(a, *args, _log=log, _solver=getattr(np.linalg, name), **kwargs):
+            _log.append(np.shape(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    reports = run_instance(SuiteConfig(p=p, q=q, seed=0, suites=("structural", "trace", "weyl", "lidskii")), 0)
+    assert all(r.passed for r in reports)
+    assert calls == {
+        "solve": [(2, n, n)],
+        "svd": [(2, p, q), (2, n, n)],  # the coupling norms, then cond(U)
+        "cholesky": [(3, n, n)],
+        "eigvalsh": [(3, n, n), (n, n)],  # the three spectra, then the structural suite's shift margin
+        "eigvals": [],
+    }
 
 
 def test_sampled_conjugators_are_pseudo_unitary(signature, sampler_cfg):
@@ -248,8 +400,8 @@ def test_sampled_conjugators_are_pseudo_unitary(signature, sampler_cfg):
 
 def test_the_retry_budget_is_max_retries_draws(monkeypatch):
     drawn = []
-    element = sampling._lie_algebra_element
-    monkeypatch.setattr(sampling, "_lie_algebra_element", lambda *args: drawn.append(1) or element(*args))
+    draw = sampling._generator_draw
+    monkeypatch.setattr(sampling, "_generator_draw", lambda *args: drawn.append(1) or draw(*args))
     # cond_cap just above 1 leaves the sampler no acceptable draw
     with pytest.raises(RetriesExhausted, match=f"in {sampling.MAX_RETRIES} draws"):
         sample_pseudo_unitary(Signature(2, 1), SamplerConfig(cond_cap=1.0001), instance_rng(SEED, 0))

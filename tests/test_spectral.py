@@ -424,11 +424,12 @@ def counting(monkeypatch, *names):
 
 
 def test_a_sums_instance_solves_each_matrix_once(monkeypatch, fresh_memos):
-    """One Cholesky per distinct matrix, at its hint, and no ``eigvals`` or ``eig``.
+    """One Cholesky call on the stack of A, B and A + B, each at its hint, and no ``eigvals`` or ``eig``.
 
     A and B carry their planted gap points and A + B the sum of the two, and
-    each hint certifies its matrix; ``eig`` runs only to diagnose a failure.
-    Both the sum suites and the default selection of every suite.
+    each hint certifies its matrix, so the three are factored once each, in
+    one call; ``eig`` runs only to diagnose a failure.  Both the sum suites
+    and the default selection of every suite.
     """
     for p, q in ((3, 2), (5, 3)):
         for suites in (SUMS_SUITES, SuiteConfig().suites):
@@ -438,7 +439,7 @@ def test_a_sums_instance_solves_each_matrix_once(monkeypatch, fresh_memos):
                 calls = counting(patch, "eigvals", "eig", "cholesky")
                 run_instance(SuiteConfig(p=p, q=q, seed=0, suites=suites), 0)
             n = p + q
-            assert calls == {"eigvals": [], "eig": [], "cholesky": [(n, n)] * 3}, (p, q, suites)  # A, B and A + B
+            assert calls == {"eigvals": [], "eig": [], "cholesky": [(3, n, n)]}, (p, q, suites)  # A, B and A + B
 
 
 def test_a_sums_instance_frames_no_eigenvector_block(monkeypatch, fresh_memos):
@@ -561,6 +562,65 @@ def test_a_hint_that_certifies_nothing_gives_the_bytes_of_no_hint(pq, monkeypatc
             calls["eigvals"].clear()
             assert system_bytes(eigendecompose(PseudoHermitianMatrix(sig, A.entries, shift_hint=hint))) == want
             assert len(calls["eigvals"]) == 1, (index, hint)
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (4, 3), (3, 0), (0, 3)], ids=lambda pq: f"p{pq[0]}q{pq[1]}")
+@pytest.mark.parametrize("fault", ["inertia", "cholesky"])
+def test_a_member_whose_hint_fails_in_the_stack_falls_back_alone(pq, fault, monkeypatch, fresh_memos):
+    """B's certificate fails in the stack of A, B and A + B; B gets the bytes of no hint, the others their own.
+
+    "inertia": an ``eigvalsh`` that flips the sign of B's nu at the split,
+    in the stack and alone, so that B alone falls back to ``eigvals``,
+    while A and A + B keep the systems the stack certified.  "cholesky": B
+    carries a hint in its positive-type block, so the stack's Cholesky
+    fails and each matrix is solved alone; the sum's hint fails too.  Each
+    system is compared byte for byte with a solve of that matrix alone,
+    made before the fault.
+    """
+    sig = Signature(*pq)
+    n, jd = sig.n, metric_diagonal(sig)
+    rng = instance_rng(SEED, 4)
+    (A, _, _), (B, planted_b, _) = sample_planted(sig, SamplerConfig(), rng), sample_planted(sig, SamplerConfig(), rng)
+    if fault == "cholesky":
+        B = PseudoHermitianMatrix(sig, B.entries, shift_hint=wrong_hints(planted_b)[0])
+    C = matrix_sum(A, B)
+    want, uncertified = {}, []
+    for name, M in (("A", A), ("B", B), ("C", C)):
+        alone = spectral._certify_at(sig, M.entries, M.shift_hint)
+        if alone is None:
+            uncertified.append(name)
+            alone = eigendecompose(PseudoHermitianMatrix(sig, M.entries))
+        want[name] = system_bytes(alone)
+    spectral._solve.cache_clear()
+    if fault == "inertia":
+        L = np.linalg.cholesky(spectral._shifted_form(B.entries, sig, B.shift_hint))
+        faulty_input = spectral._adjoint(L) @ (jd[:, None] * L)
+        eigvalsh = np.linalg.eigvalsh
+
+        def flips_b(a):
+            nu = eigvalsh(a)
+            for member, values in zip(a.reshape(-1, n, n), nu.reshape(-1, n)):  # a stack, or one matrix
+                if np.array_equal(member, faulty_input):
+                    at = sig.q if sig.p else sig.q - 1
+                    values[at] = -values[at]
+            return nu
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", flips_b)
+        want["B"] = system_bytes(eigendecompose(PseudoHermitianMatrix(sig, B.entries)))
+    calls = counting(monkeypatch, "eigvals", "cholesky")
+    checks._sum_spectra(A, B)
+    got = {name: system_bytes(eigendecompose(M)) for name, M in (("A", A), ("B", B), ("C", C))}
+    assert got == want
+    assert eigendecompose(A).shift == A.shift_hint
+    if fault == "inertia":
+        # the stack, B alone at its hint, and B at the shift from eigvals
+        assert calls == {"eigvals": [(n, n)], "cholesky": [(3, n, n), (n, n), (n, n)]}
+        assert eigendecompose(C).shift == C.shift_hint
+    else:
+        # the stack, then A, B and A + B alone at their hints, and each one they do not certify at the shift from eigvals
+        assert "A" not in uncertified and "B" in uncertified
+        alone = [[(n, n)] * (1 + (name in uncertified)) for name in "ABC"]
+        assert calls == {"eigvals": [(n, n)] * len(uncertified), "cholesky": [(3, n, n)] + sum(alone, [])}
 
 
 @pytest.mark.parametrize("hint", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
