@@ -193,45 +193,43 @@ def _no_positive_block(name: str, sig: Signature, descriptor: dict, tol: float) 
 #
 # The bounds compare sums of eigenvalues, and near the top of the float range
 # a sum of finite eigenvalues overflows: inf - inf then makes a NaN margin.
-# Scaling by a power of two is exact for normal numbers, so a check whose
-# sums overflow runs on its values times 2^-k instead and reports in units
-# of 2^k.
+# One rule covers every check that adds eigenvalues: once its largest |value|
+# reaches 2^_SAFE_EXPONENT, it reads its values times 2^-k, the least power
+# of two that brings them below that bound, and reports in units of 2^k.
+# Scaling by a power of two is exact for normal numbers.  Below the bound the
+# values are read as they are, with no copy and no note.
 
 #: below 2^_SAFE_EXPONENT no sum of fewer than 2^22 values, nor the difference of two such sums, overflows
 _SAFE_EXPONENT = 1000
-_SAFE_MAGNITUDE = 2.0**_SAFE_EXPONENT
 #: the note of a report whose values are in units of 2^k
-_UNITS_NOTE = "values in units of 2^{}: their sums overflow in units of 1"
+_UNITS_NOTE = f"values in units of 2^{{}}: in units of 1 they reach 2^{_SAFE_EXPONENT}, where sums can overflow"
 
 
-def _in_units(kernel, spectra, *extra: np.ndarray) -> tuple[list[CheckCase], tuple[str, ...]]:
-    """The cases of ``kernel(*blocks, *extra)`` with every value finite, and the notes that give their unit.
+def _unit(magnitude: float) -> tuple[float, tuple[str, ...]]:
+    """The factor 2^-k that puts values of largest |value| ``magnitude`` in units of 2^k, and the notes that say so.
 
-    ``blocks`` are the two blocks of each of ``spectra``, positive-type
-    first.  When every |value| is below 2^``_SAFE_EXPONENT``, the kernel
-    runs once, as it is.  Otherwise it runs as it is under an errstate that
-    raises; when that run overflows, or leaves a value that is not finite,
-    it runs again on the values times 2^-k, the least power that brings
-    them below that bound.  Its values, margins included, are then in units
-    of 2^k, each tolerance applies in those units, and a note says so.  So
-    a check whose values are all finite keeps the bytes it has without
-    units.
+    1.0 and no note below 2^``_SAFE_EXPONENT``; from there on k is the least
+    power that brings ``magnitude`` below that bound.  The one place that
+    chooses a unit: every check that adds eigenvalues reads it.
+    """
+    k = math.frexp(magnitude)[1] - _SAFE_EXPONENT  # magnitude < 2^(k + _SAFE_EXPONENT)
+    if k <= 0:
+        return 1.0, ()
+    return 2.0**-k, (_UNITS_NOTE.format(k),)
+
+
+def _sum_blocks(spectra, *extra: np.ndarray) -> tuple[list[np.ndarray], tuple[str, ...]]:
+    """The two blocks of each of ``spectra``, positive-type first, then ``extra``, in the unit of ``_unit``, and its notes.
+
+    The unit is chosen from the largest |value| of them all.  In units of 1
+    the arrays are the spectra's own, read-only blocks and ``extra`` as given.
     """
     values = [b for spectrum in spectra for b in (spectrum.lambdas, spectrum.mus)] + list(extra)
     magnitude = max([spectrum.magnitude for spectrum in spectra] + [max(map(abs, x.tolist())) for x in extra])
-    k = math.frexp(magnitude)[1] - _SAFE_EXPONENT  # magnitude < 2^(k + _SAFE_EXPONENT)
-    if k <= 0:
-        return kernel(*values), ()
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            cases = kernel(*values)
-    except FloatingPointError:
-        pass
-    else:
-        if all(math.isfinite(x) for case in cases for x in (case.lhs, case.rhs, case.margin)):
-            return cases, ()
-    unit = 2.0**-k
-    return kernel(*(x * unit for x in values)), (_UNITS_NOTE.format(k),)
+    unit, notes = _unit(magnitude)
+    if notes:
+        values = [x * unit for x in values]
+    return values, notes
 
 
 # ---------------------------------------------------------------------------
@@ -364,25 +362,23 @@ def check_trace_identity(
     """Eigenvalue sums add under matrix addition; cross-checked against traces.
 
     Margins are relative: minus the deviation divided by the value scale.
-    Totals that overflow are compared in units of a power of two
-    (``_in_units``), with the diagonal of A + B among the values.
+    Where the eigenvalues or the diagonal of A + B reach
+    2^``_SAFE_EXPONENT``, all of them are in units of a power of two
+    (``_sum_blocks``).
     """
     sig = _require_same_signature(A, B)
     descriptor = {"tol_relative": tol}
     specA, specB, C, specC, exc = _sum_spectra(A, B)
     if specC is None:
         return _inadmissible_sum_report("trace", sig, descriptor, tol, exc)
-
-    def kernel(la, ma, lb, mb, lc, mc, diagonal):
-        totA, totB, totC = _total(la, ma), _total(lb, mb), _total(lc, mc)
-        scale = max(1.0, abs(totA), abs(totB), abs(totC))
-        trace = float(np.sum(diagonal).real)
-        return [
-            _make_case("spectrum_sum", (), totC, totA + totB, -abs(totC - (totA + totB)) / scale, tol),
-            _make_case("matrix_trace", (), totC, trace, -abs(totC - trace) / scale, tol),
-        ]
-
-    cases, notes = _in_units(kernel, (specA, specB, specC), np.diagonal(C.entries))
+    (la, ma, lb, mb, lc, mc, diagonal), notes = _sum_blocks((specA, specB, specC), np.diagonal(C.entries))
+    totA, totB, totC = _total(la, ma), _total(lb, mb), _total(lc, mc)
+    scale = max(1.0, abs(totA), abs(totB), abs(totC))
+    trace = float(np.sum(diagonal).real)
+    cases = [
+        _make_case("spectrum_sum", (), totC, totA + totB, -abs(totC - (totA + totB)) / scale, tol),
+        _make_case("matrix_trace", (), totC, trace, -abs(totC - trace) / scale, tol),
+    ]
     return _finalize_report("trace", sig, descriptor, tol, cases, notes=notes)
 
 
@@ -425,18 +421,15 @@ def check_lidskii_wielandt(
 
     Each block reports one case per size m: its worst m-tuple, found by one
     sort (``_lidskii_cases``), so every tuple is checked and nothing is
-    drawn.  Sums that overflow are taken in units of a power of two
-    (``_in_units``).
+    drawn.  Where the eigenvalues reach 2^``_SAFE_EXPONENT``, every value
+    is in units of a power of two (``_sum_blocks``).
     """
     sig = _require_same_signature(A, B)
     specA, specB, _, specC, exc = _sum_spectra(A, B)
     if specC is None:
         return _inadmissible_sum_report("lidskii", sig, {}, tol, exc)
-
-    def kernel(la, ma, lb, mb, lc, mc):
-        return _lidskii_cases("lambda", la, lb, lc, tol) + _lidskii_cases("mu", ma, mb, mc, tol)
-
-    cases, notes = _in_units(kernel, (specA, specB, specC))
+    (la, ma, lb, mb, lc, mc), notes = _sum_blocks((specA, specB, specC))
+    cases = _lidskii_cases("lambda", la, lb, lc, tol) + _lidskii_cases("mu", ma, mb, mc, tol)
     return _finalize_report("lidskii", sig, {}, tol, cases, notes=notes)
 
 
@@ -451,8 +444,9 @@ def check_thompson_freede(
     One case per size m = 1, ..., p: its worst pair, found by a min-plus
     recursion over the tuple positions (``_thompson_freede_cases``), so
     every pair is checked and nothing is drawn.  With p = 0 there is no
-    pair: an admissible sum gets the variational suites' note.  Sums that
-    overflow are taken in units of a power of two (``_in_units``).
+    pair: an admissible sum gets the variational suites' note.  Where the
+    eigenvalues reach 2^``_SAFE_EXPONENT``, every value is in units of a
+    power of two (``_sum_blocks``).
     """
     sig = _require_same_signature(A, B)
     descriptor = {}
@@ -461,11 +455,8 @@ def check_thompson_freede(
         return _inadmissible_sum_report("thompson_freede", sig, descriptor, tol, exc)
     if sig.p == 0:
         return _no_positive_block("thompson_freede", sig, descriptor, tol)
-
-    def kernel(la, ma, lb, mb, lc, mc):
-        return _thompson_freede_cases(la, lb, lc, tol)
-
-    cases, notes = _in_units(kernel, (specA, specB, specC))
+    (la, _, lb, _, lc, _), notes = _sum_blocks((specA, specB, specC))
+    cases = _thompson_freede_cases(la, lb, lc, tol)
     return _finalize_report("thompson_freede", sig, descriptor, tol, cases, notes=notes)
 
 
@@ -599,19 +590,16 @@ def check_courant_fischer(
 def _record_in_units(record: _PositiveEigen) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, ...], tuple[str, ...]]:
     """The record's lambdas, compression, diagonal and running least certificates, and the notes that give their unit.
 
-    As they are when every eigenvalue is below 2^``_SAFE_EXPONENT``, at the
-    cost of one comparison.  Otherwise all of them are times 2^-k, the least
-    power that brings the eigenvalues below that bound, so that the sums of
-    ``ky_fan`` and ``wielandt`` stay finite; their reports are then in units
-    of 2^k, as ``_in_units`` puts a sum check's, with the same note.
+    The unit is ``_unit``'s for A's largest |eigenvalue|, as ``_sum_blocks``
+    chooses a sum check's, so the sums of ``ky_fan`` and ``wielandt`` stay
+    finite.  In units of 1 the record's own arrays are read, with no copy.
     """
     spectrum = record.system.spectrum
-    if spectrum.magnitude < _SAFE_MAGNITUDE:
+    unit, notes = _unit(spectrum.magnitude)
+    if not notes:
         return spectrum.lambdas, record.eigen, record.diagonal, record.cert_min, ()
-    k = math.frexp(spectrum.magnitude)[1] - _SAFE_EXPONENT
-    unit = 2.0**-k
     cert_min = tuple(c * unit for c in record.cert_min)
-    return spectrum.lambdas * unit, record.eigen * unit, record.diagonal * unit, cert_min, (_UNITS_NOTE.format(k),)
+    return spectrum.lambdas * unit, record.eigen * unit, record.diagonal * unit, cert_min, notes
 
 
 def _least_certificate(cert_min: tuple[float, ...], r: int, tol: float) -> CheckCase:
@@ -641,8 +629,9 @@ def check_ky_fan(
     ``check_courant_fischer`` says.  ``partial_sum_witness:k`` holds the
     eigenframe's trace against the bound at ``equality_tol``.  The check
     draws nothing.  With p = 0 the one report says there is no positive
-    block.  Where the eigenvalues reach 2^``_SAFE_EXPONENT``, every value
-    is in units of a power of two (``_record_in_units``).
+    block.  Where A's eigenvalues reach 2^``_SAFE_EXPONENT``, every value
+    is in units of a power of two, by the sum checks' rule
+    (``_record_in_units``).
     """
     sig = A.signature
     shared = {"equality_tol": equality_tol}
@@ -715,9 +704,9 @@ def check_wielandt_flag(
 
     Reports come in r-then-m order, m <= r, each with the descriptor
     {"top": r, "m": m}.  With p = 0 the one report says there is no
-    positive block.  The check draws nothing.  Where the eigenvalues reach
-    2^``_SAFE_EXPONENT``, every value is in units of a power of two
-    (``_record_in_units``).
+    positive block.  The check draws nothing.  Where A's eigenvalues reach
+    2^``_SAFE_EXPONENT``, every value is in units of a power of two, by the
+    sum checks' rule (``_record_in_units``).
     """
     sig = A.signature
     if sig.p == 0:

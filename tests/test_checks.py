@@ -941,37 +941,60 @@ def test_sums_that_overflow_are_reported_in_units_of_a_power_of_two(name, monkey
         assert plain.notes == () and plain.cases == report.cases
 
 
-def test_units_keep_the_bytes_where_every_sum_is_finite(monkeypatch):
-    """Eigenvalues of 1e307, large enough for the overflow guard to run, whose sums all stay finite.
+def at_top(spectrum, scale, top):
+    """``spectrum`` times the power of two ``scale``, with its largest positive-type eigenvalue set to ``top``."""
+    return AdmissibleSpectrum(spectrum.signature, [*spectrum.lambdas[:-1] * scale, top], spectrum.mus * scale)
 
-    Each check gives what it gave before the guard: the totals of
-    ``AdmissibleSpectrum.total``, ``np.trace`` and the Lidskii and
-    Thompson-Freede kernels on the spectra as they are, with no note.
+
+@pytest.mark.parametrize("name", sorted(SUM_CHECKS) + ["ky_fan", "wielandt"])
+def test_units_start_where_the_largest_value_reaches_the_bound(name, monkeypatch, fresh_memos):
+    """One rule for every check that adds eigenvalues: units of 2^k from a largest |value| of 2^_SAFE_EXPONENT on.
+
+    The spectra of a sampled (3,2) instance are taken to about 2^990, and
+    the largest eigenvalue of A + B (of A, for ``ky_fan`` and ``wielandt``)
+    is set to ``top``.  At the float below 2^_SAFE_EXPONENT a check reports
+    no note and the cases it reports with no units rule at all.  At
+    2^_SAFE_EXPONENT it reports k = 1 in every report and the cases of its
+    values times 1/2, exact for normal numbers.  Whether the sums would
+    overflow plays no part: here none does.
     """
-    sig = Signature(1, 1)
-    specA = specB = AdmissibleSpectrum(sig, [1e307], [-1e307])
-    specC = AdmissibleSpectrum(sig, [2e307], [-2e307])
-    C = PseudoHermitianMatrix(sig, np.diag([2e307, -2e307]).astype(complex))
-    assert specC.magnitude >= 2.0**checks._SAFE_EXPONENT
-    patch_sum_spectra(monkeypatch, (specA, specB, C, specC, None))
-    A = PseudoHermitianMatrix(sig, np.eye(2, dtype=complex))
-    totA, totB, totC = specA.total(), specB.total(), specC.total()
-    scale = max(1.0, abs(totA), abs(totB), abs(totC))
-    trace = float(np.trace(C.entries).real)
-    want = {
-        "trace": [
-            _make_case("spectrum_sum", (), totC, totA + totB, -abs(totC - (totA + totB)) / scale, 1e-9),
-            _make_case("matrix_trace", (), totC, trace, -abs(totC - trace) / scale, 1e-9),
-        ],
-        "lidskii": _lidskii_cases("lambda", specA.lambdas, specB.lambdas, specC.lambdas, DEFAULT_TOL)
-        + _lidskii_cases("mu", specA.mus, specB.mus, specC.mus, DEFAULT_TOL),
-        "thompson_freede": _thompson_freede_cases(specA.lambdas, specB.lambdas, specC.lambdas, DEFAULT_TOL),
-    }
-    for name, cases in want.items():
-        report = SUM_CHECKS[name](A, A)
-        assert report.notes == () and list(report.cases) == cases, name
-    total = polyhedral.check_sum_membership(A, A).cases[0]
-    assert (total.lhs, total.rhs) == (totC, totA + totB)
+    sig, cfg, scale = Signature(3, 2), SamplerConfig(), 2.0**990
+    rng = instance_rng(0, 0)
+    A, B = sample_planted(sig, cfg, rng)[0], sample_planted(sig, cfg, rng)[0]
+    if name in SUM_CHECKS:
+        specA, specB, C, specC, _ = checks._sum_spectra(A, B)
+
+        def run(top, unit, patch):
+            scaled_c = PseudoHermitianMatrix(sig, C.entries * (scale * unit))
+            patch_sum_spectra(patch, (*(scaled_spectrum(s, scale * unit) for s in (specA, specB)), scaled_c,
+                                      at_top(specC, scale * unit, top * unit), None))
+            return [SUM_CHECKS[name](A, B)]
+    else:
+        check = {"ky_fan": checks.check_ky_fan, "wielandt": checks.check_wielandt_flag}[name]
+        record = checks._positive_eigen(A)
+
+        def run(top, unit, patch):
+            system = dataclasses.replace(record.system, spectrum=at_top(record.system.spectrum, scale * unit, top * unit))
+            scaled = checks._positive_record(system, record.eigen * (scale * unit), record.certs * (scale * unit))
+            patch.setattr(checks, "_positive_eigen", lambda M: scaled)
+            return check(A)
+
+    bound = 2.0**checks._SAFE_EXPONENT
+    below = np.nextafter(bound, 0.0)
+    with monkeypatch.context() as patch:
+        reports = run(below, 1.0, patch)
+        patch.setattr(checks, "_SAFE_EXPONENT", checks._SAFE_EXPONENT + 100)
+        as_they_are = run(below, 1.0, patch)
+    assert all(np.isfinite([c.lhs, c.rhs, c.margin]).all() for r in reports for c in r.cases)
+    assert [r.notes for r in reports] == [()] * len(reports)
+    assert [r.cases for r in reports] == [r.cases for r in as_they_are]
+    with monkeypatch.context() as patch:
+        reports = run(bound, 1.0, patch)
+        halved = run(bound, 0.5, patch)
+    assert [r.notes for r in reports] == [(checks._UNITS_NOTE.format(1),)] * len(reports)
+    assert all(r.notes[0].startswith("values in units of 2^1:") for r in reports)
+    assert [r.notes for r in halved] == [()] * len(halved)
+    assert [r.cases for r in reports] == [r.cases for r in halved]
 
 
 @pytest.mark.parametrize("name", ["ky_fan", "wielandt"])
@@ -1012,3 +1035,16 @@ def test_variational_values_below_the_bound_are_read_as_they_are(fresh_memos):
     lambdas, eigen, diagonal, cert_min, notes = checks._record_in_units(record)
     assert lambdas is record.system.spectrum.lambdas and eigen is record.eigen
     assert diagonal is record.diagonal and cert_min is record.cert_min and notes == ()
+
+
+def test_sum_values_below_the_bound_are_read_as_they_are(fresh_memos):
+    """Below 2^_SAFE_EXPONENT the sum checks read the spectra's own blocks and the diagonal as given, with no note."""
+    sig, cfg = Signature(3, 2), SamplerConfig()
+    rng = instance_rng(0, 0)
+    A, B = sample_planted(sig, cfg, rng)[0], sample_planted(sig, cfg, rng)[0]
+    specA, specB, C, specC, _ = checks._sum_spectra(A, B)
+    diagonal = np.diagonal(C.entries)
+    values, notes = checks._sum_blocks((specA, specB, specC), diagonal)
+    want = [specA.lambdas, specA.mus, specB.lambdas, specB.mus, specC.lambdas, specC.mus, diagonal]
+    assert notes == () and len(values) == len(want)
+    assert all(got is block for got, block in zip(values, want))

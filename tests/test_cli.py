@@ -621,18 +621,21 @@ class TestRunner:
             (4, 3, {}),
             (2, 1, {"gap_min": 6e307}),
             (3, 2, {"gap_min": 6e307, "suites": tuple(s for s in SUITES if s != "polyhedral")}),
+            (3, 2, {"value_range": (-1e303, 1e303), "gap_min": 1e302}),
         ],
-        ids=["p2q1", "p4q3", "p2q1-overflow", "p3q2-overflow"],
+        ids=["p2q1", "p4q3", "p2q1-overflow", "p3q2-overflow", "p3q2-reach"],
     )
     def test_every_suite_writes_strict_json(self, tmp_path, p, q, flags):
         """No NaN or Infinity in any record, which RFC 8259 JSON cannot hold, near the top of the float range too.
 
-        At gap_min 6e307 the eigenvalues of A + B near 1.2e308 add to more
-        than the largest float: the sum suites report in units of a power of
-        two, and a note says so.  At (3,2) three of A's eigenvalues add past
-        it too, and ``ky_fan`` and ``wielandt`` report in units as well.
-        ``polyhedral`` is left out there: its diagonal LP still gives NaN
-        (see ROADMAP item 2).
+        Every check that adds eigenvalues reports in units of a power of two
+        once its values reach 2^1000, and each of its reports carries one
+        note that says so.  At gap_min 6e307 the eigenvalues of A + B near
+        1.2e308 add to more than the largest float.  With values up to
+        1e303 no sum overflows, yet the values reach 2^1000 (about 1.1e301),
+        so the one rule puts every such report in units there too.
+        ``polyhedral`` is left out at (3,2) and gap_min 6e307: its diagonal
+        LP still gives NaN (see ROADMAP item 2).
         """
         def no_constants(name):
             raise ValueError(f"{name} is not JSON")
@@ -641,11 +644,15 @@ class TestRunner:
         run_suite(SuiteConfig(p=p, q=q, instances=2, seed=0, out=str(out), **flags))
         docs = [json.loads(ln, parse_constant=no_constants) for ln in out.read_text().splitlines()]
         assert [d["record"] for d in docs] == ["header", "instance", "instance", "summary", "meta"]
-        notes = {n for d in docs[1:3] for r in d["reports"] for n in r["notes"]}
+        reports = [r for d in docs[1:3] for r in d["reports"]]
+        notes = {n for r in reports for n in r["notes"]}
         assert any(n.startswith("values in units of 2^") for n in notes) == bool(flags)
-        in_units = {r["check_name"] for d in docs[1:3] for r in d["reports"] if r["notes"]}
-        if p == 3:
-            assert {"ky_fan", "wielandt"} <= in_units
+        if flags:
+            adders = {"trace", "lidskii", "thompson_freede", "polyhedral_sum", "ky_fan", "wielandt"}
+            adding = [r for r in reports if r["check_name"] in adders]
+            assert {r["check_name"] for r in adding} == adders - ({"polyhedral_sum"} if "suites" in flags else set())
+            for r in adding:
+                assert [n.startswith("values in units of 2^") for n in r["notes"]] == [True], r["check_name"]
 
     def test_one_bad_instance_does_not_end_the_batch(self, tmp_path, monkeypatch):
         real = cli.run_instance
