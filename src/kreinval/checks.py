@@ -6,8 +6,13 @@ sign-adjusted margin, and a tolerance.  A case passes when margin >= -tol;
 one-sided bounds use the signed difference as the margin, two-sided
 (equality) cases use minus the absolute deviation.
 
-Checks that need a sum A + B report an inadmissible sum as a loud failing
-case instead of raising, so batch runs keep going.
+The pair checks (``trace``, ``weyl``, ``lidskii``, ``thompson_freede`` and
+``polyhedral.check_sum_membership``) read the spectra of A, B and A + B
+through one driver, ``_pair_report``: it matches the signatures, reads the
+memo ``_sum_spectra``, chooses the unit (``_sum_blocks``) and finalizes the
+report, so each check builds only its cases.  An inadmissible sum, one
+whose eigenvalues are not finite included (``NonFiniteValue``), is reported
+as a loud failing case instead of raising, so batch runs keep going.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import PseudoHermitianMatrix, Signature, _total, metric_diagonal
-from .errors import ComplexSpectrum, DefectiveMatrix, GapViolation, ShapeMismatch, WrongConeCount
+from .errors import ComplexSpectrum, DefectiveMatrix, GapViolation, NonFiniteValue, ShapeMismatch, WrongConeCount
 from .geometry import _adjoint, gram
 from .spectral import (
     ClassifiedEigenSystem,
@@ -150,7 +155,9 @@ def _sum_spectra(A: PseudoHermitianMatrix, B: PseudoHermitianMatrix):
     """Spectra of A, B, and A + B; the last is None plus the error when inadmissible.
 
     Inadmissible means any of the four failures ``eigendecompose`` raises
-    for a matrix that no shift certifies.
+    for a matrix that no shift certifies, or ``NonFiniteValue`` for
+    eigenvalues of A + B that are not finite: near the top of the float
+    range the eigenvalues of a sum can overflow where the summands' do not.
 
     A, B and A + B are certified at their hints as one stack
     (``solve_together``), so the three cost one Cholesky factorization and
@@ -167,7 +174,7 @@ def _sum_spectra(A: PseudoHermitianMatrix, B: PseudoHermitianMatrix):
     specB = check_admissible(B)
     try:
         return specA, specB, C, check_admissible(C), None
-    except (ComplexSpectrum, DefectiveMatrix, GapViolation, WrongConeCount) as exc:
+    except (ComplexSpectrum, DefectiveMatrix, GapViolation, NonFiniteValue, WrongConeCount) as exc:
         # kept for the report notes and never raised again, so it need not hold the frames
         return specA, specB, C, None, exc.with_traceback(None)
 
@@ -356,6 +363,29 @@ def _thompson_freede_cases(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: flo
 # sum checks
 
 
+def _pair_report(name: str, A: PseudoHermitianMatrix, B: PseudoHermitianMatrix, descriptor: dict, tol: float,
+                 cases_of, with_diagonal: bool = False) -> CheckReport:
+    """The report ``name`` on A and B, whose cases ``cases_of`` builds from the spectra of A, B and A + B.
+
+    The one protocol of the pair checks: A and B must have one signature,
+    and an inadmissible A + B gives the failing ``admissible_sum`` case.
+    Otherwise a ``cases_of`` of None gives the note "no positive-type
+    block", and any other is called with the six blocks of ``_sum_blocks``,
+    lambda(A), mu(A), lambda(B), mu(B), lambda(A + B), mu(A + B), then the
+    diagonal of A + B when ``with_diagonal``, all in one unit, whose note
+    the report carries.
+    """
+    sig = _require_same_signature(A, B)
+    specA, specB, C, specC, exc = _sum_spectra(A, B)
+    if specC is None:
+        return _inadmissible_sum_report(name, sig, descriptor, tol, exc)
+    if cases_of is None:
+        return _no_positive_block(name, sig, descriptor, tol)
+    extra = (np.diagonal(C.entries),) if with_diagonal else ()
+    blocks, notes = _sum_blocks((specA, specB, specC), *extra)
+    return _finalize_report(name, sig, descriptor, tol, cases_of(*blocks), notes=notes)
+
+
 def check_trace_identity(
     A: PseudoHermitianMatrix, B: PseudoHermitianMatrix, tol: float = EQUALITY_TOL
 ) -> CheckReport:
@@ -366,20 +396,17 @@ def check_trace_identity(
     2^``_SAFE_EXPONENT``, all of them are in units of a power of two
     (``_sum_blocks``).
     """
-    sig = _require_same_signature(A, B)
-    descriptor = {"tol_relative": tol}
-    specA, specB, C, specC, exc = _sum_spectra(A, B)
-    if specC is None:
-        return _inadmissible_sum_report("trace", sig, descriptor, tol, exc)
-    (la, ma, lb, mb, lc, mc, diagonal), notes = _sum_blocks((specA, specB, specC), np.diagonal(C.entries))
-    totA, totB, totC = _total(la, ma), _total(lb, mb), _total(lc, mc)
-    scale = max(1.0, abs(totA), abs(totB), abs(totC))
-    trace = float(np.sum(diagonal).real)
-    cases = [
-        _make_case("spectrum_sum", (), totC, totA + totB, -abs(totC - (totA + totB)) / scale, tol),
-        _make_case("matrix_trace", (), totC, trace, -abs(totC - trace) / scale, tol),
-    ]
-    return _finalize_report("trace", sig, descriptor, tol, cases, notes=notes)
+
+    def cases_of(la, ma, lb, mb, lc, mc, diagonal):
+        totA, totB, totC = _total(la, ma), _total(lb, mb), _total(lc, mc)
+        scale = max(1.0, abs(totA), abs(totB), abs(totC))
+        trace = float(np.sum(diagonal).real)
+        return [
+            _make_case("spectrum_sum", (), totC, totA + totB, -abs(totC - (totA + totB)) / scale, tol),
+            _make_case("matrix_trace", (), totC, trace, -abs(totC - trace) / scale, tol),
+        ]
+
+    return _pair_report("trace", A, B, {"tol_relative": tol}, tol, cases_of, with_diagonal=True)
 
 
 def check_weyl(
@@ -389,22 +416,23 @@ def check_weyl(
 
     Positive-type: lambda_k(A+B) >= lambda_k(A) + lambda_1(B) for every k.
     Negative-type: mu_l(A+B) <= mu_l(A) + mu_1(B) for every l (mu_1 largest).
+    Where the eigenvalues reach 2^``_SAFE_EXPONENT``, every value is in
+    units of a power of two (``_sum_blocks``).
     """
-    sig = _require_same_signature(A, B)
-    descriptor = {}
-    specA, specB, _, specC, exc = _sum_spectra(A, B)
-    if specC is None:
-        return _inadmissible_sum_report("weyl", sig, descriptor, tol, exc)
-    cases = []
-    for k in range(1, sig.p + 1):
-        lhs = float(specC.lambdas[k - 1])
-        rhs = float(specA.lambdas[k - 1] + specB.lambdas[0])
-        cases.append(_make_case(f"lambda:{k}", (k,), lhs, rhs, lhs - rhs, tol))
-    for l in range(1, sig.q + 1):
-        lhs = float(specC.mus[l - 1])
-        rhs = float(specA.mus[l - 1] + specB.mus[0])
-        cases.append(_make_case(f"mu:{l}", (l,), lhs, rhs, rhs - lhs, tol))
-    return _finalize_report("weyl", sig, descriptor, tol, cases)
+
+    def cases_of(la, ma, lb, mb, lc, mc):
+        cases = []
+        for k in range(1, len(lc) + 1):
+            lhs = float(lc[k - 1])
+            rhs = float(la[k - 1] + lb[0])
+            cases.append(_make_case(f"lambda:{k}", (k,), lhs, rhs, lhs - rhs, tol))
+        for l in range(1, len(mc) + 1):
+            lhs = float(mc[l - 1])
+            rhs = float(ma[l - 1] + mb[0])
+            cases.append(_make_case(f"mu:{l}", (l,), lhs, rhs, rhs - lhs, tol))
+        return cases
+
+    return _pair_report("weyl", A, B, {}, tol, cases_of)
 
 
 def check_lidskii_wielandt(
@@ -424,13 +452,11 @@ def check_lidskii_wielandt(
     drawn.  Where the eigenvalues reach 2^``_SAFE_EXPONENT``, every value
     is in units of a power of two (``_sum_blocks``).
     """
-    sig = _require_same_signature(A, B)
-    specA, specB, _, specC, exc = _sum_spectra(A, B)
-    if specC is None:
-        return _inadmissible_sum_report("lidskii", sig, {}, tol, exc)
-    (la, ma, lb, mb, lc, mc), notes = _sum_blocks((specA, specB, specC))
-    cases = _lidskii_cases("lambda", la, lb, lc, tol) + _lidskii_cases("mu", ma, mb, mc, tol)
-    return _finalize_report("lidskii", sig, {}, tol, cases, notes=notes)
+
+    def cases_of(la, ma, lb, mb, lc, mc):
+        return _lidskii_cases("lambda", la, lb, lc, tol) + _lidskii_cases("mu", ma, mb, mc, tol)
+
+    return _pair_report("lidskii", A, B, {}, tol, cases_of)
 
 
 def check_thompson_freede(
@@ -448,16 +474,11 @@ def check_thompson_freede(
     eigenvalues reach 2^``_SAFE_EXPONENT``, every value is in units of a
     power of two (``_sum_blocks``).
     """
-    sig = _require_same_signature(A, B)
-    descriptor = {}
-    specA, specB, _, specC, exc = _sum_spectra(A, B)
-    if specC is None:
-        return _inadmissible_sum_report("thompson_freede", sig, descriptor, tol, exc)
-    if sig.p == 0:
-        return _no_positive_block("thompson_freede", sig, descriptor, tol)
-    (la, _, lb, _, lc, _), notes = _sum_blocks((specA, specB, specC))
-    cases = _thompson_freede_cases(la, lb, lc, tol)
-    return _finalize_report("thompson_freede", sig, descriptor, tol, cases, notes=notes)
+
+    def cases_of(la, ma, lb, mb, lc, mc):
+        return _thompson_freede_cases(la, lb, lc, tol)
+
+    return _pair_report("thompson_freede", A, B, {}, tol, cases_of if A.signature.p else None)
 
 
 # ---------------------------------------------------------------------------

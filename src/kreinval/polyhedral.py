@@ -23,12 +23,9 @@ import numpy as np
 from .checks import (
     CheckReport,
     _finalize_report,
-    _inadmissible_sum_report,
     _lidskii_cases,
     _make_case,
-    _require_same_signature,
-    _sum_blocks,
-    _sum_spectra,
+    _pair_report,
 )
 from .core import AdmissibleSpectrum, PseudoHermitianMatrix, Signature, _total
 from .errors import ShapeMismatch, SizeCapExceeded
@@ -189,17 +186,15 @@ def check_sum_membership(
     Where the eigenvalues reach 2^``checks._SAFE_EXPONENT``, every value is
     in units of a power of two (``checks._sum_blocks``).
     """
-    sig = _require_same_signature(A, B)
-    descriptor = {"lp_tol": tol}
-    specA, specB, _, specC, exc = _sum_spectra(A, B)
-    if specC is None:
-        return _inadmissible_sum_report("polyhedral_sum", sig, descriptor, tol, exc)
-    (la, ma, lb, mb, lc, mc), notes = _sum_blocks((specA, specB, specC))
-    total, expected = _total(lc, mc), _total(la, ma) + _total(lb, mb)
-    cases = [_make_case("trace", (), total, expected, -abs(total - expected), tol)]
-    for tag, base, other in (("sum_in_region_of_B", (la, ma), (lb, mb)), ("sum_in_region_of_A", (lb, mb), (la, ma))):
-        for kind, a, b, c in zip(("lambda", "mu"), base, other, (lc, mc)):
-            if len(c):
-                worst = min(_lidskii_cases(kind, a, b, c, tol), key=lambda case: case.margin)
-                cases.append(worst._replace(case_id=f"{tag}:{worst.case_id}"))
-    return _finalize_report("polyhedral_sum", sig, descriptor, tol, cases, notes=notes)
+
+    def cases_of(la, ma, lb, mb, lc, mc):
+        total, expected = _total(lc, mc), _total(la, ma) + _total(lb, mb)
+        cases = [_make_case("trace", (), total, expected, -abs(total - expected), tol)]
+        for tag, base, other in (("sum_in_region_of_B", (la, ma), (lb, mb)), ("sum_in_region_of_A", (lb, mb), (la, ma))):
+            for kind, a, b, c in zip(("lambda", "mu"), base, other, (lc, mc)):
+                if len(c):
+                    worst = min(_lidskii_cases(kind, a, b, c, tol), key=lambda case: case.margin)
+                    cases.append(worst._replace(case_id=f"{tag}:{worst.case_id}"))
+        return cases
+
+    return _pair_report("polyhedral_sum", A, B, {"lp_tol": tol}, tol, cases_of)

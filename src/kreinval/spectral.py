@@ -200,8 +200,10 @@ def _certified_system(sig: Signature, L: np.ndarray, nu: np.ndarray, hint: float
     # ascending, so the inertia of J shows at the split: nu[q - 1] < 0 <= nu[q]
     if not ((sig.q == 0 or nu[sig.q - 1] < 0) and (sig.p == 0 or nu[sig.q] >= 0)):
         return None
+    with np.errstate(over="ignore"):  # an overflow gives inf, which _system rejects as NonFiniteValue
+        theta = hint + nu
     try:
-        return _system(sig, hint + nu, L, hint)
+        return _system(sig, theta, L, hint)
     except (NonFiniteValue, GapViolation):  # nu is not finite, or adding the hint rounded the gap away
         return None
 

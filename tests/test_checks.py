@@ -42,7 +42,7 @@ from kreinval.checks import (
     _thompson_freede_cases,
     matrix_sum,
 )
-from kreinval.errors import ComplexSpectrum, DefectiveMatrix, GapViolation, WrongConeCount
+from kreinval.errors import ComplexSpectrum, DefectiveMatrix, GapViolation, NonFiniteValue, WrongConeCount
 
 from conftest import (
     _tuple_sums,
@@ -629,7 +629,7 @@ def test_a_sums_instance_builds_its_sum_once(monkeypatch, fresh_memos):
 
 
 @pytest.mark.parametrize(
-    "error", [ComplexSpectrum, DefectiveMatrix, GapViolation, WrongConeCount], ids=lambda e: e.__name__
+    "error", [ComplexSpectrum, DefectiveMatrix, GapViolation, NonFiniteValue, WrongConeCount], ids=lambda e: e.__name__
 )
 def test_an_inadmissible_sum_fails_every_sum_report_alike(error, sampler_cfg, monkeypatch, fresh_memos):
     from kreinval import checks
@@ -667,6 +667,27 @@ def test_an_inadmissible_sum_fails_every_sum_report_alike(error, sampler_cfg, mo
     assert [r.to_dict() for r in rounds[0]] == [r.to_dict() for r in rounds[2]]
     # the kept error is never raised again, so it holds no frames
     assert checks._sum_spectra(A, B)[4].__traceback__ is None
+
+
+@pytest.mark.parametrize("index", [70, 177])
+def test_a_sum_whose_eigenvalues_overflow_leaves_structural_as_alone(index, fresh_memos):
+    """At gap_min 6e307 these instances give A + B eigenvalues past the largest float, A and B finite ones.
+
+    Each pair suite then reports the failing ``admissible_sum`` case with
+    the NonFiniteValue note, and ``structural`` reports what it reports
+    when it runs alone.
+    """
+    from kreinval.cli import SuiteConfig, run_instance
+
+    cfg = SuiteConfig(p=2, q=1, seed=7, gap_min=6e307, suites=("structural",))
+    (alone,) = run_instance(cfg, index)
+    pair_suites = ("trace", "weyl", "lidskii", "thompson_freede")
+    structural, *reports = run_instance(dataclasses.replace(cfg, suites=("structural", *pair_suites)), index)
+    assert json.dumps(structural.to_dict()) == json.dumps(alone.to_dict())
+    assert [r.check_name for r in reports] == list(pair_suites)
+    for r in reports:
+        assert [(c.case_id, c.margin, c.passed) for c in r.cases] == [("admissible_sum", -1.0, False)]
+        assert r.notes == ("sum_not_admissible: NonFiniteValue: eigenvalues must be finite reals",)
 
 
 # ---------------------------------------------------------------------------
@@ -898,6 +919,7 @@ def test_a_case_passes_at_margin_minus_tol_and_not_at_nan():
 
 SUM_CHECKS = {
     "trace": lambda A, B: check_trace_identity(A, B),
+    "weyl": lambda A, B: check_weyl(A, B),
     "lidskii": lambda A, B: check_lidskii_wielandt(A, B),
     "thompson_freede": lambda A, B: check_thompson_freede(A, B),
     "polyhedral_sum": lambda A, B: polyhedral.check_sum_membership(A, B),
@@ -907,7 +929,6 @@ SUM_CHECKS = {
 def patch_sum_spectra(monkeypatch, spectra):
     """Make the sum checks read ``spectra``, the five values of ``_sum_spectra``, for any pair."""
     monkeypatch.setattr(checks, "_sum_spectra", lambda A, B: spectra)
-    monkeypatch.setattr(polyhedral, "_sum_spectra", lambda A, B: spectra)
 
 
 def scaled_spectrum(spectrum, unit):

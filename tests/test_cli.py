@@ -648,7 +648,7 @@ class TestRunner:
         notes = {n for r in reports for n in r["notes"]}
         assert any(n.startswith("values in units of 2^") for n in notes) == bool(flags)
         if flags:
-            adders = {"trace", "lidskii", "thompson_freede", "polyhedral_sum", "ky_fan", "wielandt"}
+            adders = {"trace", "weyl", "lidskii", "thompson_freede", "polyhedral_sum", "ky_fan", "wielandt"}
             adding = [r for r in reports if r["check_name"] in adders]
             assert {r["check_name"] for r in adding} == adders - ({"polyhedral_sum"} if "suites" in flags else set())
             for r in adding:
@@ -687,6 +687,28 @@ def test_importing_the_package_and_its_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_a_sum_that_overflows_ends_the_run_with_its_summary(tmp_path):
+    """Where the eigenvalues of A + B overflow, the run reports them and goes on, under -W error::RuntimeWarning too.
+
+    Instance 70 of this run gives ``trace`` the failing ``admissible_sum``
+    case; the run then writes its summary and exits 1, with no traceback.
+    """
+    out = tmp_path / "r.jsonl"
+    src = str(Path(kreinval.__file__).resolve().parents[1])
+    args = ["--p", "2", "--q", "1", "--gap-min", "6e307", "--seed", "7", "--instances", "71",
+            "--suite", "structural", "--suite", "trace", "--out", str(out)]
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "kreinval.cli", *args],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    records = [json.loads(ln) for ln in body_lines(out)]
+    assert records[-1]["record"] == "summary" and records[-1]["passed"] is False
+    (instance,) = [r for r in records if r.get("instance") == 70]
+    trace = instance["reports"][1]
+    assert trace["check_name"] == "trace"
+    assert trace["notes"] == ["sum_not_admissible: NonFiniteValue: eigenvalues must be finite reals"]
 
 
 def test_the_pool_the_flag_parser_and_report_io_load_only_when_used():

@@ -357,7 +357,7 @@ def test_a_tie_between_sizes_goes_to_the_lowest(monkeypatch):
     specA = AdmissibleSpectrum(sig, [10.0, 20.0], [-10.0, -20.0])
     specB = AdmissibleSpectrum(sig, [1.0, 2.0], [0.0, -1.0])
     specC = AdmissibleSpectrum(sig, [11.0, 22.0], [-10.0, -21.0])
-    monkeypatch.setattr(polyhedral, "_sum_spectra", lambda A, B: (specA, specB, None, specC, None))
+    monkeypatch.setattr(checks, "_sum_spectra", lambda A, B: (specA, specB, None, specC, None))
     dummy = PseudoHermitianMatrix(sig, np.eye(sig.n, dtype=complex))
     report = check_sum_membership(dummy, dummy)
     assert [(c.case_id, c.indices, c.margin) for c in report.cases] == [
@@ -388,7 +388,7 @@ def sum_in_region_of_B(specB, d):
     point = specC.canonical_vector() - specA.canonical_vector()
     dummy = PseudoHermitianMatrix(sig, np.eye(sig.n, dtype=complex))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(polyhedral, "_sum_spectra", lambda A, B: (specA, specB, None, specC, None))
+        patch.setattr(checks, "_sum_spectra", lambda A, B: (specA, specB, None, specC, None))
         report = check_sum_membership(dummy, dummy)
     return [report.cases[0], *membership_cases(report, "sum_in_region_of_B")], point
 

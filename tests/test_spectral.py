@@ -623,6 +623,18 @@ def test_a_member_whose_hint_fails_in_the_stack_falls_back_alone(pq, fault, monk
         assert calls == {"eigvals": [(n, n)] * len(uncertified), "cholesky": [(3, n, n)] + sum(alone, [])}
 
 
+def test_values_that_overflow_at_the_hint_fall_back_without_a_warning(fresh_memos):
+    """At this instance the hint of A + B plus its stacked ``eigvalsh`` values overflows.
+
+    The member then certifies nothing and is solved alone, with no
+    RuntimeWarning, which the pytest config turns into an error; its
+    eigenvalues are not finite there either, so the sum is reported
+    inadmissible.
+    """
+    (report,) = run_instance(SuiteConfig(p=2, q=1, seed=7, gap_min=6e307, suites=("trace",)), 70)
+    assert report.notes == ("sum_not_admissible: NonFiniteValue: eigenvalues must be finite reals",)
+
+
 @pytest.mark.parametrize("hint", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
 def test_a_hint_that_is_not_finite_is_no_hint(hint, fresh_memos):
     sig = Signature(3, 2)
